@@ -28,6 +28,7 @@ def layer_affine_maps(
     """
     if circ.n > 3:
         raise ValueError("explicit affine path limited to n <= 3")
+    noise.check_depth(circ.depth)
     out = []
     for layer in range(circ.depth):
         u = layer_unitary(circ, theta, layer, noise)

@@ -11,6 +11,7 @@ the textbook single-qubit Bloch parametrization).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,15 +60,64 @@ class KrausChannel:
         return 2**self.n
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        """sum_a K_a rho K_a^dag on a d x d matrix or a (B, d, d) stack."""
         out = np.zeros_like(rho)
         for k in self.kraus_ops:
             out += k @ rho @ k.conj().T
+        return out
+
+    @cached_property
+    def _qubit_terms(self) -> tuple:
+        """Each 2x2 Kraus operator as diag(k00, k11) + diag(k01, k10) X.
+
+        Per operator: (diagonal, anti-diagonal), each a pair of (2, 1)
+        columns (k, conj(k)) or None where that part is all zero.  All-zero
+        operators are dropped.
+        """
+        if self.n != 1:
+            raise DimensionMismatchError(
+                f"qubit-local application needs a 1-qubit channel, got n={self.n}"
+            )
+        terms = []
+        for k in self.kraus_ops:
+            parts = tuple(
+                (v[:, None], v.conj()[:, None]) if np.any(v) else None
+                for v in (np.array([k[0, 0], k[1, 1]]), np.array([k[0, 1], k[1, 0]]))
+            )
+            if parts != (None, None):
+                terms.append(parts)
+        return tuple(terms)
+
+    def apply_to_qubit(self, rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
+        """Apply this 1-qubit channel to ``qubit`` of an n-qubit state.
+
+        ``rho`` is d x d or a (B, d, d) stack.  K rho K^dag is formed as K on
+        the row axis, then conj(K) on the column axis, one broadcast multiply
+        per nonzero (anti-)diagonal part; the X of an anti-diagonal part is
+        a reversed view.  Kraus terms are summed in Kraus order.  For
+        operators with one nonzero entry per row, every output entry is the
+        same single product a dense contraction would form.
+        """
+        b = 2 ** (n - qubit - 1)
+        rows = rho.reshape(-1, 2, b * 2**n)
+        out = np.zeros_like(rho)
+        for diag, anti in self._qubit_terms:
+            left = _side(rows, diag, anti, 0)
+            out += _side(left.reshape(-1, 2, b), diag, anti, 1).reshape(rho.shape)
         return out
 
     def apply_state(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.n != self.n:
             raise DimensionMismatchError(f"state n={rho.n}, channel n={self.n}")
         return DensityMatrix(n=self.n, data=self.apply(rho.data))
+
+
+def _side(x: np.ndarray, diag, anti, which: int) -> np.ndarray:
+    """k x along axis 1 of x (which=0), or conj(k) x (which=1)."""
+    if anti is None:
+        return diag[which] * x
+    swapped = anti[which] * x[:, ::-1]
+    return swapped if diag is None else diag[which] * x + swapped
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, unitary_channel
+from .channels import KrausChannel, named_channel
 from .pauli import (
     DensityMatrix,
     DimensionMismatchError,
@@ -75,19 +75,24 @@ class Gate:
                 g = g + coeff * _pauli_matrix(letters)
         return g
 
-    def unitary(self, theta: float) -> np.ndarray:
-        """exp(-i theta G / 2) on the full register."""
+    def unitary(self, theta: float | np.ndarray) -> np.ndarray:
+        """exp(-i theta G / 2) on the full register; a (B,) array of angles
+        gives a (B, d, d) stack."""
         if self.kind == "fixed":
             return self.matrix
         if not self.perturbation:
-            p = self.generator.matrix()
-            d = p.shape[0]
-            return np.cos(theta / 2) * np.eye(d, dtype=complex) - 1j * np.sin(
-                theta / 2
-            ) * p
+            return _rotation(self.generator.matrix(), theta)
         g = self.generator_matrix()
         w, vec = np.linalg.eigh(g)
-        return (vec * np.exp(-0.5j * theta * w)) @ vec.conj().T
+        angle = np.asarray(theta)[..., None, None]
+        return (vec * np.exp(-0.5j * angle * w)) @ vec.conj().T
+
+
+def _rotation(p: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
+    """cos(theta/2) I - i sin(theta/2) P, stacked over an array of angles."""
+    half = np.asarray(theta)[..., None, None] / 2
+    eye = np.eye(p.shape[0], dtype=complex)
+    return np.cos(half) * eye - 1j * np.sin(half) * p
 
 
 def ry_gate(qubit: int, n: int, location: Location) -> Gate:
@@ -153,17 +158,19 @@ class RandomUnitaryNoise:
             raise ValueError("intended rotation must carry the dominant weight")
 
 
+def _mixture_ops(spec: RandomUnitaryNoise, theta: float | np.ndarray) -> list:
+    """sqrt(p_k) exp(-i theta P_k / 2), stacked over an array of angles."""
+    return [
+        np.sqrt(p) * _rotation(_pauli_matrix(letters), theta)
+        for p, letters in zip(spec.probs, spec.generators)
+    ]
+
+
 def random_unitary_channel(
     spec: RandomUnitaryNoise, theta: float, n: int
 ) -> KrausChannel:
     """Kraus form {sqrt(p_k) exp(-i theta P_k / 2)} of the mixture."""
-    ops = []
-    d = 2**n
-    for p, letters in zip(spec.probs, spec.generators):
-        pm = _pauli_matrix(letters)
-        u = np.cos(theta / 2) * np.eye(d, dtype=complex) - 1j * np.sin(theta / 2) * pm
-        ops.append(np.sqrt(p) * u)
-    return KrausChannel(n=n, kraus_ops=tuple(ops))
+    return KrausChannel(n=n, kraus_ops=tuple(_mixture_ops(spec, theta)))
 
 
 LayerChannel = KrausChannel | Sequence[KrausChannel] | None
@@ -191,11 +198,25 @@ class NoiseSpec:
     def uniform(cls, channel: KrausChannel) -> "NoiseSpec":
         return cls(layer_channels=channel)
 
+    @classmethod
+    def named(cls, noise_type: str, p: float) -> "NoiseSpec":
+        """A named channel on every qubit after every layer; only
+        ``noise_type == "none"`` is noiseless, whatever ``p``."""
+        if noise_type == "none":
+            return cls.none()
+        return cls.uniform(named_channel(noise_type, p))
+
+    def check_depth(self, depth: int) -> None:
+        """Reject a per-layer tuple that does not cover exactly ``depth`` layers."""
+        lc = self.layer_channels
+        if isinstance(lc, tuple) and len(lc) != depth:
+            raise DimensionMismatchError(
+                f"per-layer noise has {len(lc)} entries, circuit has {depth} layers"
+            )
+
     def channel_for_layer(self, layer: int) -> LayerChannel:
         lc = self.layer_channels
-        if isinstance(lc, tuple) and not isinstance(lc, KrausChannel):
-            return lc[layer] if layer < len(lc) else None
-        return lc
+        return lc[layer] if isinstance(lc, tuple) else lc
 
     def has_gate_noise(self) -> bool:
         return bool(self.control_noise) or bool(self.random_unitary)
@@ -258,24 +279,20 @@ def single_ry_circuit() -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return u @ rho @ u.conj().T
+def _apply_unitary(rho: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+    """u rho u^dag; u and rho are d x d or (B, d, d), None is the identity."""
+    if u is None:
+        return rho
+    return u @ rho @ u.conj().swapaxes(-1, -2)
 
 
-def _apply_channel_full(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
-    return ch.apply(rho)
-
-
-def _apply_channel_1q(
-    rho: np.ndarray, kraus_ops: Sequence[np.ndarray], qubit: int, n: int
+def _apply_mixture(
+    rho: np.ndarray, spec: RandomUnitaryNoise, theta: np.ndarray
 ) -> np.ndarray:
-    a = 2**qubit
-    b = 2 ** (n - qubit - 1)
-    t = rho.reshape(a, 2, b, a, 2, b)
-    out = np.zeros_like(t)
-    for k in kraus_ops:
-        out += np.einsum("ip,apbcqd,jq->aibcjd", k, t, k.conj())
-    return out.reshape(rho.shape)
+    out = np.zeros_like(rho)
+    for k in _mixture_ops(spec, theta):
+        out += _apply_unitary(rho, k)
+    return out
 
 
 def _apply_layer_channel(rho: np.ndarray, entry: LayerChannel, n: int) -> np.ndarray:
@@ -283,10 +300,10 @@ def _apply_layer_channel(rho: np.ndarray, entry: LayerChannel, n: int) -> np.nda
         return rho
     if isinstance(entry, KrausChannel):
         if entry.n == n:
-            return _apply_channel_full(rho, entry)
+            return entry.apply(rho)
         if entry.n == 1:
             for q in range(n):
-                rho = _apply_channel_1q(rho, entry.kraus_ops, q, n)
+                rho = entry.apply_to_qubit(rho, q, n)
             return rho
         raise DimensionMismatchError(
             f"layer channel acts on {entry.n} qubits, register has {n}"
@@ -297,7 +314,7 @@ def _apply_layer_channel(rho: np.ndarray, entry: LayerChannel, n: int) -> np.nda
             f"per-qubit channel list has length {len(entry)}, register has {n}"
         )
     for q, ch in enumerate(entry):
-        rho = _apply_channel_1q(rho, ch.kraus_ops, q, n)
+        rho = ch.apply_to_qubit(rho, q, n)
     return rho
 
 
@@ -309,8 +326,13 @@ def evolve(
     *,
     insert_before: Mapping[Location, np.ndarray] | None = None,
     override_gates: Mapping[Location, Gate] | None = None,
-) -> DensityMatrix:
+) -> DensityMatrix | np.ndarray:
     """Run the noisy circuit: per layer, all gates then the layer channel.
+
+    ``theta`` of shape (P,) gives the final DensityMatrix; shape (B, P)
+    evolves B copies of ``rho0``, one per row, and gives the (B, d, d)
+    stack of final states.  Row b of the stack is bit for bit the state
+    evolved from ``theta[b]`` alone.
 
     ``insert_before`` applies extra unitaries to the state just before the
     named gate; ``override_gates`` swaps out gates entirely.  Both hooks
@@ -318,31 +340,29 @@ def evolve(
     """
     noise = noise or NoiseSpec.none()
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circ.num_parameters,):
+    thetas = theta[None] if theta.ndim == 1 else theta
+    if thetas.ndim != 2 or thetas.shape[1] != circ.num_parameters:
         raise ValueError(
-            f"expected {circ.num_parameters} parameters, got {theta.shape}"
+            f"expected {circ.num_parameters} parameters per row, got {theta.shape}"
         )
+    noise.check_depth(circ.depth)
     rho0 = rho0 or DensityMatrix.ground_state(circ.n)
     if rho0.n != circ.n:
         raise DimensionMismatchError(f"state n={rho0.n}, circuit n={circ.n}")
     n = circ.n
-    d = 2**n
-    rho = np.array(rho0.data)
+    rho = np.repeat(rho0.data[None], len(thetas), axis=0)
     control = noise.control_noise or {}
     mixtures = noise.random_unitary or {}
     insert_before = insert_before or {}
     override_gates = override_gates or {}
 
     for layer_idx, layer in enumerate(circ.layers):
+        # gate products accumulate until a hook or the layer end flushes them
         acc: np.ndarray | None = None
-
-        def flush(rho_in, acc_in):
-            return (_apply_unitary(rho_in, acc_in), None) if acc_in is not None else (rho_in, None)
-
         for gate in layer:
             loc = gate.location
             if loc in insert_before:
-                rho, acc = flush(rho, acc)
+                rho, acc = _apply_unitary(rho, acc), None
                 rho = _apply_unitary(rho, insert_before[loc])
             if loc in override_gates:
                 gate = override_gates[loc]
@@ -350,20 +370,18 @@ def evolve(
                 gate = perturbed_gate(gate, control[loc])
 
             if gate.is_parameterized:
-                angle = theta[circ.parameter_index[loc]]
+                angle = thetas[:, circ.parameter_index[loc]]
                 if loc in mixtures and loc not in override_gates:
-                    rho, acc = flush(rho, acc)
-                    ch = random_unitary_channel(mixtures[loc], angle, n)
-                    rho = _apply_channel_full(rho, ch)
+                    rho, acc = _apply_unitary(rho, acc), None
+                    rho = _apply_mixture(rho, mixtures[loc], angle)
                     continue
                 u = gate.unitary(angle)
             else:
                 u = gate.matrix
             acc = u if acc is None else u @ acc
-        rho, acc = flush(rho, acc)
+        rho = _apply_unitary(rho, acc)
         rho = _apply_layer_channel(rho, noise.channel_for_layer(layer_idx), n)
-
-    return DensityMatrix(n=n, data=rho)
+    return DensityMatrix(n=n, data=rho[0]) if theta.ndim == 1 else rho
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,7 @@ def _write_json(data, path: Path, force: bool) -> None:
 
 
 def _noise_from_config(cfg: dict) -> NoiseSpec:
-    noise_type = cfg.get("noise_type", "none")
-    p = float(cfg.get("p", 0.0))
-    if noise_type == "none" or p == 0.0 and noise_type != "bit_flip":
-        return NoiseSpec.none()
-    return NoiseSpec.uniform(named_channel(noise_type, p))
+    return NoiseSpec.named(cfg.get("noise_type", "none"), float(cfg.get("p", 0.0)))
 
 
 def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
@@ -82,7 +78,7 @@ def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     stats = gradient_stats(
         SweepSpec(
             circuit=circ,
-            noise=_noise_from_config(cfg),
+            noise=NoiseSpec.named(noise_type, p),
             locations=locations,
             num_hamiltonians=int(cfg.get("instances", 10)),
             thetas_per_hamiltonian=int(cfg.get("thetas", 20)),

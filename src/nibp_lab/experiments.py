@@ -103,7 +103,7 @@ def _max_h_norm(n: int, root_seed: int, instances: int) -> float:
 
 def _grad_rows(cfg: ExperimentConfig, n: int, L: int, p: float) -> list[tuple]:
     circ = build_two_local(n, L)
-    noise = NoiseSpec.uniform(named_channel(cfg.noise_type, p))
+    noise = NoiseSpec.named(cfg.noise_type, p)
     seed = _subseed(cfg.seed, n, L, int(round(p * 10_000)))
     stats = gradient_stats(
         SweepSpec(
@@ -166,11 +166,7 @@ def run_final_cost(cfg: ExperimentConfig) -> ExperimentResult:
     d = 2**n
     rows = []
     for p in sorted(cfg.p_list):
-        noise = (
-            NoiseSpec.none()
-            if p == 0.0
-            else NoiseSpec.uniform(named_channel(cfg.noise_type, p))
-        )
+        noise = NoiseSpec.named(cfg.noise_type, p)
         for i in range(cfg.instances):
             seed = _subseed(cfg.seed, n, int(round(p * 10_000)), i)
             rng = np.random.default_rng([seed])
@@ -208,7 +204,7 @@ def run_width_scaling(cfg: ExperimentConfig) -> ExperimentResult:
     for n in sorted(cfg.n_list):
         instances = cfg.instances if n < 5 else max(cfg.instances // 2, 3)
         circ = build_two_local(n, L)
-        noise = NoiseSpec.uniform(named_channel(noise_type, p))
+        noise = NoiseSpec.named(noise_type, p)
         seed = _subseed(cfg.seed, n, L, int(round(p * 10_000)))
         loc = (L - 1, 0)
         stats = gradient_stats(
@@ -252,7 +248,7 @@ def run_trainability(cfg: ExperimentConfig) -> ExperimentResult:
     for noise_type in (cfg.noise_type, "depolarizing"):
         for n in sorted(cfg.n_list):
             circ = build_two_local(n, L)
-            noise = NoiseSpec.uniform(named_channel(noise_type, p))
+            noise = NoiseSpec.named(noise_type, p)
             distances = sorted({0, math.ceil(math.log2(n)), L // 2})
             locations = tuple((L - 1 - dist, 0) for dist in distances)
             seed = _subseed(cfg.seed, n, L, int(round(p * 10_000)))

@@ -9,7 +9,8 @@ so H = h0 F_0 + sum_j h_j F_j and ||H||_HS^2 = h0^2 + ||h||^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import factorial
 
@@ -49,10 +50,16 @@ class Hamiltonian:
         return max(weights, default=0)
 
     def matrix(self) -> np.ndarray:
+        """The dense d x d matrix, built once per instance (read-only)."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
         d = 2**self.n
         mat = (self.h0 / np.sqrt(d)) * np.eye(d, dtype=complex)
         for letters, coeff in self.terms:
             mat = mat + coeff * _pauli_matrix(letters)
+        mat.setflags(write=False)
         return mat
 
     def trace(self) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nibp_lab.bounds import layer_affine_maps
 from nibp_lab.channels import (
     amplitude_damping,
     depolarizing,
@@ -22,7 +23,11 @@ from nibp_lab.circuits import (
     ry_gate,
     single_ry_circuit,
 )
-from nibp_lab.pauli import DensityMatrix, random_density_matrix
+from nibp_lab.pauli import (
+    DensityMatrix,
+    DimensionMismatchError,
+    random_density_matrix,
+)
 
 
 def _ry(theta):
@@ -233,3 +238,27 @@ def test_layer_unitary_rejects_mixture_layers():
     noise = NoiseSpec(random_unitary={(0, 0): spec})
     with pytest.raises(ValueError):
         layer_unitary(circ, np.zeros(2), 0, noise)
+
+
+@pytest.mark.parametrize("layers", [1, 3])
+def test_per_layer_noise_length_must_match_depth(layers):
+    circ = build_two_local(2, 2)
+    noise = NoiseSpec(layer_channels=(depolarizing(0.1),) * layers)
+    with pytest.raises(DimensionMismatchError, match=f"{layers} entries.*2 layers"):
+        evolve(circ, np.zeros(circ.num_parameters), noise)
+    with pytest.raises(DimensionMismatchError, match=f"{layers} entries.*2 layers"):
+        layer_affine_maps(circ, np.zeros(circ.num_parameters), noise)
+
+
+def test_named_noise_none_is_the_only_noiseless_spec():
+    circ = build_two_local(2, 2)
+    theta = np.random.default_rng(27).uniform(0, 2 * np.pi, circ.num_parameters)
+    clean = evolve(circ, theta).data
+    assert NoiseSpec.named("none", 0.7) == NoiseSpec.none()
+    # all-zero Kraus operators are skipped: the p = 0 identity-like channels
+    # reproduce the noiseless state bit for bit
+    for name in ("depolarizing", "amplitude_damping"):
+        assert np.array_equal(evolve(circ, theta, NoiseSpec.named(name, 0.0)).data, clean)
+    # phase_flip(0) is a certain Z flip, so it changes the state
+    flipped = evolve(circ, theta, NoiseSpec.named("phase_flip", 0.0)).data
+    assert np.abs(flipped - clean).max() > 1e-3

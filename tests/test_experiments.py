@@ -187,3 +187,40 @@ def test_cli_seed_override_changes_output(tmp_path):
     main(["experiment", "--config", str(cfg_path), "--out", str(out1), "--seed", "1"])
     main(["experiment", "--config", str(cfg_path), "--out", str(out2), "--seed", "2"])
     assert (out1 / "noise_sweep.csv").read_text() != (out2 / "noise_sweep.csv").read_text()
+
+
+def test_cli_grad_scan_label_matches_simulated_noise(tmp_path):
+    # omitted noise_type and p: the rows are labelled with the noise that
+    # was simulated, so they equal a run that names it explicitly
+    base = {"n": 2, "L": 2, "instances": 2, "thetas": 2}
+    for sub in ("implicit", "explicit"):
+        (tmp_path / sub).mkdir()
+    code, implicit = _run_cli(tmp_path / "implicit", "grad-scan", base)
+    assert code == 0
+    explicit_cfg = dict(base, noise_type="depolarizing", p=0.3)
+    code, explicit = _run_cli(tmp_path / "explicit", "grad-scan", explicit_cfg)
+    assert code == 0
+    text = (implicit / "grad_scan.csv").read_text()
+    assert text == (explicit / "grad_scan.csv").read_text()
+    assert ",0.3,depolarizing," in text.splitlines()[1]
+
+
+def test_final_cost_phase_flip_zero_is_not_noiseless():
+    # phase_flip(0) is a certain Z flip on every qubit, not the identity
+    flip = run_experiment(_small_cfg("final_cost", L_list=(2,), p_list=(0.0,),
+                                     noise_type="phase_flip", instances=1))
+    clean = run_experiment(_small_cfg("final_cost", L_list=(2,), p_list=(0.0,),
+                                      noise_type="none", instances=1))
+    cols = flip.columns.index("final_cost")
+    assert flip.rows[0][cols] != clean.rows[0][cols]
+
+
+def test_cli_train_phase_flip_zero_is_not_noiseless(tmp_path):
+    summaries = {}
+    for noise_type in ("phase_flip", "none"):
+        cfg = {"n": 2, "L": 2, "p": 0.0, "noise_type": noise_type, "maxiter": 3}
+        (tmp_path / noise_type).mkdir()
+        code, out = _run_cli(tmp_path / noise_type, "train", cfg)
+        assert code == 0
+        summaries[noise_type] = json.loads((out / "train_summary.json").read_text())
+    assert summaries["phase_flip"]["final_cost"] != summaries["none"]["final_cost"]

@@ -105,3 +105,14 @@ def test_cost_special_states():
     H2 = random_two_local(3, seed=5)
     mixed = cost(H2, DensityMatrix.maximally_mixed(3))
     assert abs(mixed - H2.trace() / 8) < 1e-12
+
+
+def test_matrix_built_once_and_read_only():
+    H = random_two_local(3, seed=11)
+    mat = H.matrix()
+    assert H.matrix() is mat
+    assert not mat.flags.writeable
+    # the cache is no field: equality and hashing see the terms only
+    twin = Hamiltonian(n=H.n, terms=H.terms, h0=H.h0)
+    assert twin == H and hash(twin) == hash(H)
+    np.testing.assert_array_equal(twin.matrix(), mat)

@@ -1,0 +1,255 @@
+"""Property tests of the batched evolution engine.
+
+The qubit-local channel kernel is checked against the dense einsum
+contraction it replaced, batched evolution against one evolution per angle
+row, and the batched gradient sweep against one shift-rule call per sample.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nibp_lab import circuits, gradients
+from nibp_lab.channels import named_channel, random_channel
+from nibp_lab.circuits import (
+    Gate,
+    NoiseSpec,
+    RandomUnitaryNoise,
+    build_two_local,
+    evolve,
+    single_ry_circuit,
+)
+from nibp_lab.gradients import SweepSpec, gradient_stats, psr_gradient
+from nibp_lab.hamiltonians import random_two_local
+from nibp_lab.pauli import PauliString, _pauli_matrix, random_density_matrix
+
+NAMED = ("identity", "depolarizing", "amplitude_damping", "bit_flip",
+         "phase_flip", "flip_then_damp")
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def _einsum_oracle(rho, kraus_ops, qubit, n):
+    """sum_k (k on ``qubit``) rho (k on ``qubit``)^dag as one dense einsum."""
+    a, b = 2**qubit, 2 ** (n - qubit - 1)
+    t = rho.reshape(a, 2, b, a, 2, b)
+    out = np.zeros_like(t)
+    for k in kraus_ops:
+        out += np.einsum("ip,apbcqd,jq->aibcjd", k, t, k.conj())
+    return out.reshape(rho.shape)
+
+
+def _states(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    rows = [random_density_matrix(n, rng).data for _ in range(batch or 1)]
+    return np.stack(rows) if batch else rows[0]
+
+
+def _oracle_rows(rho, kraus_ops, qubit, n):
+    if rho.ndim == 2:
+        return _einsum_oracle(rho, kraus_ops, qubit, n)
+    return np.stack([_einsum_oracle(r, kraus_ops, qubit, n) for r in rho])
+
+
+@SETTINGS
+@given(
+    name=st.sampled_from(NAMED),
+    p=st.floats(0.0, 1.0),
+    n=st.integers(1, 6),
+    batch=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qubit_kernel_matches_einsum_bit_for_bit(name, p, n, batch, seed):
+    ch = named_channel(name, p)
+    rho = _states(n, batch, seed)
+    for q in range(n):
+        got = ch.apply_to_qubit(rho, q, n)
+        assert got.shape == rho.shape
+        assert np.array_equal(got, _oracle_rows(rho, ch.kraus_ops, q, n))
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 6),
+    kraus_count=st.integers(1, 4),
+    batch=st.sampled_from([None, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qubit_kernel_on_dense_kraus_operators(n, kraus_count, batch, seed):
+    # Haar-sliced Kraus operators have no zero entries
+    ch = random_channel(1, np.random.default_rng(seed), kraus_count=kraus_count)
+    rho = _states(n, batch, seed + 1)
+    for q in range(n):
+        np.testing.assert_allclose(
+            ch.apply_to_qubit(rho, q, n), _oracle_rows(rho, ch.kraus_ops, q, n),
+            rtol=0, atol=1e-12,
+        )
+
+
+def _noise(kind, n, depth, p):
+    """A noise spec of the given kind for an n-qubit, ``depth``-layer ansatz."""
+    one = named_channel("amplitude_damping", p)
+    if kind == "uniform":
+        return NoiseSpec.uniform(named_channel("depolarizing", p))
+    if kind == "per_layer":
+        return NoiseSpec(layer_channels=tuple(
+            None if layer % 2 else one for layer in range(depth)))
+    if kind == "per_qubit":
+        return NoiseSpec(layer_channels=[one, named_channel("phase_flip", p)] * (n // 2)
+                         + [one] * (n % 2))
+    if kind == "full_register":
+        return NoiseSpec.uniform(random_channel(n, np.random.default_rng(7)))
+    if kind == "control":
+        return NoiseSpec(layer_channels=one,
+                         control_noise={(0, 0): {"X" * n: 0.05}})
+    if kind == "mixture":
+        letters = "Y" + "I" * (n - 1)
+        spec = RandomUnitaryNoise(probs=(0.8, 0.2), generators=(letters, "Z" * n),
+                                  intended=0)
+        return NoiseSpec(layer_channels=one, random_unitary={(depth - 1, 0): spec})
+    return None
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 4),
+    depth=st.integers(1, 3),
+    batch=st.integers(1, 4),
+    kind=st.sampled_from(["none", "uniform", "per_layer", "per_qubit",
+                          "full_register", "control", "mixture"]),
+    hook=st.sampled_from(["none", "insert_before", "override_gates"]),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_evolve_rows_equal_single_evolves(n, depth, batch, kind, hook, p, seed):
+    circ = single_ry_circuit() if n == 1 else build_two_local(n, depth)
+    depth = circ.depth
+    noise = _noise(kind, n, depth, p)
+    hooks = {}
+    loc = (depth - 1, 0)
+    if hook == "insert_before":
+        hooks["insert_before"] = {loc: circuits._rotation(_pauli_matrix("X" * n), 0.4)}
+    elif hook == "override_gates":
+        hooks["override_gates"] = {loc: Gate(
+            kind="param", location=loc, target_qubits=(0,),
+            generator=PauliString("Z" * n))}
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0, 2 * np.pi, size=(batch, circ.num_parameters))
+    stack = evolve(circ, thetas, noise, **hooks)
+    assert stack.shape == (batch, 2**n, 2**n)
+    for row, theta in zip(stack, thetas):
+        assert np.array_equal(row, evolve(circ, theta, noise, **hooks).data)
+
+
+def test_evolve_rejects_bad_angle_shapes():
+    circ = build_two_local(2, 2)
+    for shape in [(3,), (2, 3), (1, 2, 4)]:
+        with pytest.raises(ValueError, match="parameters per row"):
+            evolve(circ, np.zeros(shape))
+
+
+def test_batched_psr_gradient_locations():
+    circ = build_two_local(3, 4)
+    noise = NoiseSpec.uniform(named_channel("amplitude_damping", 0.2))
+    H = random_two_local(3, 8)
+    thetas = np.random.default_rng(9).uniform(0, 2 * np.pi, (3, circ.num_parameters))
+    locs = [(0, 0), (2, 1), (3, 2)]
+    grads = psr_gradient(circ, thetas, noise, H, locs)
+    assert grads.shape == (3,)
+    for g, theta, loc in zip(grads, thetas, locs):
+        assert g == psr_gradient(circ, theta, noise, H, loc)
+    same = psr_gradient(circ, thetas, noise, H, (2, 1))
+    assert same[1] == grads[1]
+    with pytest.raises(ValueError, match="2 locations for 3"):
+        psr_gradient(circ, thetas, noise, H, locs[:2])
+    with pytest.raises(ValueError, match="no parameter"):
+        psr_gradient(circ, thetas, noise, H, (0, 3))
+
+
+def _looped_stats(spec):
+    """The sweep as one shift-rule call per (Hamiltonian, angle, location)."""
+    circ = spec.circuit
+    values = {loc: [] for loc in spec.locations}
+    for i in range(spec.num_hamiltonians):
+        rng = np.random.default_rng([spec.seed, i])
+        H = random_two_local(circ.n, rng)
+        for _ in range(spec.thetas_per_hamiltonian):
+            theta = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
+            for loc in spec.locations:
+                values[loc].append(abs(psr_gradient(circ, theta, spec.noise, H, loc)))
+    out = {}
+    for loc, vals in values.items():
+        mean = math.fsum(vals) / len(vals)
+        var = math.fsum((x - mean) ** 2 for x in vals) / len(vals)
+        out[loc] = (mean, var, min(vals), max(vals), len(vals))
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    depth=st.integers(1, 4),
+    name=st.sampled_from(["depolarizing", "amplitude_damping"]),
+    p=st.floats(0.0, 1.0),
+    hamiltonians=st.integers(1, 2),
+    thetas=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_stats_equals_per_sample_loop(n, depth, name, p, hamiltonians,
+                                               thetas, seed):
+    circ = build_two_local(n, depth)
+    mid = depth // 2
+    spec = SweepSpec(
+        circuit=circ, noise=NoiseSpec.uniform(named_channel(name, p)),
+        locations=((0, 0), (mid, n - 1), (depth - 1, 0)),
+        num_hamiltonians=hamiltonians, thetas_per_hamiltonian=thetas, seed=seed,
+    )
+    stats = gradient_stats(spec)
+    expected = _looped_stats(spec)
+    assert set(stats) == set(expected)
+    for loc, s in stats.items():
+        got = (s.mean_abs, s.variance, s.min, s.max, s.samples)
+        assert got == expected[loc]
+        assert all(type(v) is float for v in got[:4])
+
+
+def test_gradient_stats_blocks_bound_the_stack(monkeypatch):
+    # at n=6 a block holds _BLOCK_BYTES // (16 * 64 * 64) rows, so 4 * step
+    # draws at one location need 4 blocks per shifted stack
+    circ = build_two_local(6, 1)
+    step = gradients._BLOCK_BYTES // (16 * 4**6)
+    assert step >= 1
+    rows_seen = []
+    real_evolve = gradients.evolve
+
+    def recording_evolve(circ, theta, *args, **kwargs):
+        rows_seen.append(len(theta))
+        return real_evolve(circ, theta, *args, **kwargs)
+
+    monkeypatch.setattr(gradients, "evolve", recording_evolve)
+
+    def sweep(thetas):
+        spec = SweepSpec(
+            circuit=circ, noise=NoiseSpec.uniform(named_channel("depolarizing", 0.1)),
+            locations=((0, 0),), num_hamiltonians=1, thetas_per_hamiltonian=thetas,
+            seed=4,
+        )
+        rows_seen.clear()
+        tracemalloc.start()
+        stats = gradient_stats(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return spec, stats, peak
+
+    sweep(step)  # fills the module caches, which would dominate the peak
+    _, _, peak_one_block = sweep(step)
+    assert rows_seen == [step, step]
+    spec, stats, peak_many = sweep(4 * step)
+    assert rows_seen == [step] * 8
+    assert peak_many < 1.2 * peak_one_block
+    s = stats[(0, 0)]
+    assert (s.mean_abs, s.variance, s.min, s.max, s.samples) == _looped_stats(spec)[(0, 0)]
