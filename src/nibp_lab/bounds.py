@@ -10,12 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, affine_rep, unitary_channel
+from .channels import UNITAL_TOL, KrausChannel, affine_rep, unitary_channel
 from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_unitary
 from .hamiltonians import Hamiltonian, h_norm
 from .pauli import DensityMatrix, build_nice_basis, to_coherence
-
-UNITAL_TOL = 1e-9
 
 
 def layer_affine_maps(

@@ -61,10 +61,7 @@ class KrausChannel:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """sum_a K_a rho K_a^dag on a d x d matrix or a (B, d, d) stack."""
-        out = np.zeros_like(rho)
-        for k in self.kraus_ops:
-            out += k @ rho @ k.conj().T
-        return out
+        return _apply_kraus(rho, self.kraus_ops)
 
     @cached_property
     def _qubit_terms(self) -> tuple:
@@ -112,6 +109,15 @@ class KrausChannel:
         return DensityMatrix(n=self.n, data=self.apply(rho.data))
 
 
+def _apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
+    """sum_k K rho K^dag in Kraus order; K and rho are d x d or (B, d, d)."""
+    first, *rest = ops
+    out = first @ rho @ first.conj().swapaxes(-1, -2)
+    for k in rest:
+        out += k @ rho @ k.conj().swapaxes(-1, -2)
+    return out
+
+
 def _side(x: np.ndarray, diag, anti, which: int) -> np.ndarray:
     """k x along axis 1 of x (which=0), or conj(k) x (which=1)."""
     if anti is None:
@@ -135,7 +141,6 @@ class AffineRep:
     n: int
     M: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
-    basis_convention: str = "nice"
 
     @property
     def c_bloch(self) -> np.ndarray:

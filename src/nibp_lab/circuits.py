@@ -15,7 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, named_channel
+from .channels import (
+    KrausChannel,
+    _apply_kraus,
+    identity_channel,
+    named_channel,
+    tensor_channel,
+)
 from .pauli import (
     DensityMatrix,
     DimensionMismatchError,
@@ -214,12 +220,24 @@ class NoiseSpec:
                 f"per-layer noise has {len(lc)} entries, circuit has {depth} layers"
             )
 
-    def channel_for_layer(self, layer: int) -> LayerChannel:
+    def layer_channel(self, layer: int, n: int) -> LayerChannel:
+        """The noise after ``layer`` on an n-qubit register: None, one
+        full-register channel, or a tuple of n single-qubit channels."""
         lc = self.layer_channels
-        return lc[layer] if isinstance(lc, tuple) else lc
-
-    def has_gate_noise(self) -> bool:
-        return bool(self.control_noise) or bool(self.random_unitary)
+        entry = lc[layer] if isinstance(lc, tuple) else lc
+        if entry is None or isinstance(entry, KrausChannel) and entry.n == n:
+            return entry
+        if isinstance(entry, KrausChannel):
+            if entry.n != 1:
+                raise DimensionMismatchError(
+                    f"layer channel acts on {entry.n} qubits, register has {n}"
+                )
+            return (entry,) * n
+        if len(entry) != n:
+            raise DimensionMismatchError(
+                f"per-qubit channel list has length {len(entry)}, register has {n}"
+            )
+        return tuple(entry)
 
 
 @dataclass(frozen=True)
@@ -244,6 +262,14 @@ class Circuit:
 
     def parameterized_locations(self) -> list[Location]:
         return sorted(self.parameter_index, key=lambda loc: self.parameter_index[loc])
+
+    def with_gate(self, gate: Gate) -> "Circuit":
+        """A copy with the gate at ``gate.location`` replaced by ``gate``."""
+        layer, slot = gate.location
+        gates = list(self.layers[layer])
+        gates[slot] = gate
+        layers = self.layers[:layer] + (tuple(gates),) + self.layers[layer + 1:]
+        return replace(self, layers=layers)
 
 
 def build_two_local(n: int, depth: int) -> Circuit:
@@ -279,41 +305,45 @@ def single_ry_circuit() -> Circuit:
 # ---------------------------------------------------------------------------
 
 
-def _apply_unitary(rho: np.ndarray, u: np.ndarray | None) -> np.ndarray:
-    """u rho u^dag; u and rho are d x d or (B, d, d), None is the identity."""
-    if u is None:
-        return rho
-    return u @ rho @ u.conj().swapaxes(-1, -2)
+def _layer_ops(
+    circ: Circuit, thetas: np.ndarray, layer: int, noise: NoiseSpec
+) -> list[list[np.ndarray]]:
+    """The layer's gates as an ordered list of Kraus sets.
+
+    Each run of unitary gates is one product, accumulated gate by gate as
+    ``u @ acc``; each random-unitary mixture is its own set.  ``thetas`` of
+    shape (P,) gives d x d operators, (B, P) gives (B, d, d) stacks for the
+    angle-dependent ones.  Fixed gates carry no control noise or mixture.
+    """
+    control = noise.control_noise or {}
+    mixtures = noise.random_unitary or {}
+    ops: list[list[np.ndarray]] = []
+    acc: np.ndarray | None = None
+    for gate in circ.layers[layer]:
+        loc = gate.location
+        if gate.is_parameterized:
+            angle = thetas[..., circ.parameter_index[loc]]
+            if loc in mixtures:
+                if acc is not None:
+                    ops.append([acc])
+                    acc = None
+                ops.append(_mixture_ops(mixtures[loc], angle))
+                continue
+            if loc in control:
+                gate = perturbed_gate(gate, control[loc])
+            u = gate.unitary(angle)
+        else:
+            u = gate.matrix
+        acc = u if acc is None else u @ acc
+    if acc is not None:
+        ops.append([acc])
+    return ops
 
 
-def _apply_mixture(
-    rho: np.ndarray, spec: RandomUnitaryNoise, theta: np.ndarray
-) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in _mixture_ops(spec, theta):
-        out += _apply_unitary(rho, k)
-    return out
-
-
-def _apply_layer_channel(rho: np.ndarray, entry: LayerChannel, n: int) -> np.ndarray:
-    if entry is None:
-        return rho
-    if isinstance(entry, KrausChannel):
-        if entry.n == n:
-            return entry.apply(rho)
-        if entry.n == 1:
-            for q in range(n):
-                rho = entry.apply_to_qubit(rho, q, n)
-            return rho
-        raise DimensionMismatchError(
-            f"layer channel acts on {entry.n} qubits, register has {n}"
-        )
-    # per-qubit sequence
-    if len(entry) != n:
-        raise DimensionMismatchError(
-            f"per-qubit channel list has length {len(entry)}, register has {n}"
-        )
-    for q, ch in enumerate(entry):
+def _apply_layer_channel(rho: np.ndarray, channel: LayerChannel, n: int) -> np.ndarray:
+    if isinstance(channel, KrausChannel):
+        return channel.apply(rho)
+    for q, ch in enumerate(channel or ()):
         rho = ch.apply_to_qubit(rho, q, n)
     return rho
 
@@ -323,9 +353,6 @@ def evolve(
     theta: np.ndarray,
     noise: NoiseSpec | None = None,
     rho0: DensityMatrix | None = None,
-    *,
-    insert_before: Mapping[Location, np.ndarray] | None = None,
-    override_gates: Mapping[Location, Gate] | None = None,
 ) -> DensityMatrix | np.ndarray:
     """Run the noisy circuit: per layer, all gates then the layer channel.
 
@@ -333,10 +360,6 @@ def evolve(
     evolves B copies of ``rho0``, one per row, and gives the (B, d, d)
     stack of final states.  Row b of the stack is bit for bit the state
     evolved from ``theta[b]`` alone.
-
-    ``insert_before`` applies extra unitaries to the state just before the
-    named gate; ``override_gates`` swaps out gates entirely.  Both hooks
-    exist for shift-rule gradient evaluation.
     """
     noise = noise or NoiseSpec.none()
     theta = np.asarray(theta, dtype=float)
@@ -351,36 +374,10 @@ def evolve(
         raise DimensionMismatchError(f"state n={rho0.n}, circuit n={circ.n}")
     n = circ.n
     rho = np.repeat(rho0.data[None], len(thetas), axis=0)
-    control = noise.control_noise or {}
-    mixtures = noise.random_unitary or {}
-    insert_before = insert_before or {}
-    override_gates = override_gates or {}
-
-    for layer_idx, layer in enumerate(circ.layers):
-        # gate products accumulate until a hook or the layer end flushes them
-        acc: np.ndarray | None = None
-        for gate in layer:
-            loc = gate.location
-            if loc in insert_before:
-                rho, acc = _apply_unitary(rho, acc), None
-                rho = _apply_unitary(rho, insert_before[loc])
-            if loc in override_gates:
-                gate = override_gates[loc]
-            elif gate.is_parameterized and loc in control:
-                gate = perturbed_gate(gate, control[loc])
-
-            if gate.is_parameterized:
-                angle = thetas[:, circ.parameter_index[loc]]
-                if loc in mixtures and loc not in override_gates:
-                    rho, acc = _apply_unitary(rho, acc), None
-                    rho = _apply_mixture(rho, mixtures[loc], angle)
-                    continue
-                u = gate.unitary(angle)
-            else:
-                u = gate.matrix
-            acc = u if acc is None else u @ acc
-        rho = _apply_unitary(rho, acc)
-        rho = _apply_layer_channel(rho, noise.channel_for_layer(layer_idx), n)
+    for layer in range(circ.depth):
+        for ops in _layer_ops(circ, thetas, layer, noise):
+            rho = _apply_kraus(rho, ops)
+        rho = _apply_layer_channel(rho, noise.layer_channel(layer, n), n)
     return DensityMatrix(n=n, data=rho[0]) if theta.ndim == 1 else rho
 
 
@@ -397,32 +394,15 @@ def layer_unitary(
 ) -> np.ndarray:
     """Product of all gate unitaries in a layer (control noise included)."""
     noise = noise or NoiseSpec.none()
-    if noise.random_unitary and any(
-        loc[0] == layer for loc in noise.random_unitary
-    ):
+    if any(loc[0] == layer for loc in noise.random_unitary or ()):
         raise ValueError("layer containing a unitary mixture is not unitary")
-    control = noise.control_noise or {}
-    u = np.eye(2**circ.n, dtype=complex)
-    for gate in circ.layers[layer]:
-        if gate.is_parameterized and gate.location in control:
-            gate = perturbed_gate(gate, control[gate.location])
-        if gate.is_parameterized:
-            g = gate.unitary(theta[circ.parameter_index[gate.location]])
-        else:
-            g = gate.matrix
-        u = g @ u
-    return u
+    ops = _layer_ops(circ, np.asarray(theta, dtype=float), layer, noise)
+    return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
 
 
 def layer_channel_as_kraus(noise: NoiseSpec, layer: int, n: int) -> KrausChannel:
     """The layer's noise map as one full-register channel (identity if absent)."""
-    from .channels import compose, identity_channel, tensor_channel
-
-    entry = noise.channel_for_layer(layer)
-    if entry is None:
+    channel = noise.layer_channel(layer, n)
+    if channel is None:
         return identity_channel(n)
-    if isinstance(entry, KrausChannel):
-        if entry.n == n:
-            return entry
-        return tensor_channel([entry] * n)
-    return tensor_channel(list(entry))
+    return channel if isinstance(channel, KrausChannel) else tensor_channel(channel)

@@ -17,25 +17,38 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds
-from .channels import affine_rep, classify, named_channel, validate_kraus
+from .channels import KrausChannel, affine_rep, classify, named_channel, validate_kraus
 from .circuits import NoiseSpec, build_two_local, evolve
 from .experiments import (
     ExperimentConfig,
+    ExperimentResult,
+    _write_text,
     emit_plot_script,
     run_experiment,
     write_csv,
 )
 from .gradients import SweepSpec, default_locations, gradient_stats
 from .hamiltonians import cost, random_two_local
-from .serialize import kraus_from_json
 from .spsa import SpsaConfig, spsa_minimize
 
 
 def _write_json(data, path: Path, force: bool) -> None:
-    if path.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n", force)
+
+
+def kraus_from_json(data: dict) -> KrausChannel:
+    """Channel from {name, p} or explicit {kraus: [[[re, im], ...], ...], n}.
+
+    Explicit matrices are row-major lists of [re, im] pairs.
+    """
+    if "name" in data:
+        return named_channel(data["name"], float(data.get("p", 0.0)))
+    ops = []
+    for mat in data["kraus"]:
+        arr = np.array(mat, dtype=float)
+        ops.append(arr[..., 0] + 1j * arr[..., 1])
+    n = int(data.get("n", round(np.log2(ops[0].shape[0]))))
+    return KrausChannel(n=n, kraus_ops=tuple(ops))
 
 
 def _noise_from_config(cfg: dict) -> NoiseSpec:
@@ -85,21 +98,14 @@ def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
             seed=root,
         )
     )
-    path = out / "grad_scan.csv"
-    if path.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        "n,L,p,noise_type,layer,slot,mean_abs_grad,var_grad,min,max,samples,seed"
-    ]
-    for loc in sorted(stats):
-        s = stats[loc]
-        lines.append(
-            f"{n},{depth},{p!r},{noise_type},{loc[0]},{loc[1]},"
-            f"{s.mean_abs!r},{s.variance!r},{s.min!r},{s.max!r},"
-            f"{s.samples},{root}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = tuple(
+        (n, depth, p, noise_type, loc[0], loc[1], s.mean_abs, s.variance,
+         s.min, s.max, s.samples, root)
+        for loc, s in sorted(stats.items())
+    )
+    columns = ("n", "L", "p", "noise_type", "layer", "slot", "mean_abs_grad",
+               "var_grad", "min", "max", "samples", "seed")
+    write_csv(ExperimentResult(columns, rows), out / "grad_scan.csv", force)
 
 
 def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
@@ -173,14 +179,11 @@ def cmd_train(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     trace = spsa_minimize(
         objective, theta0, SpsaConfig(maxiter=int(cfg.get("maxiter", 200)), seed=root)
     )
-    path = out / "train.csv"
-    if path.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["iter,cost,step_size"]
-    for i, (c, s) in enumerate(zip(trace.costs, trace.step_sizes)):
-        lines.append(f"{i},{c!r},{s!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = tuple(
+        (i, c, s) for i, (c, s) in enumerate(zip(trace.costs, trace.step_sizes))
+    )
+    columns = ("iter", "cost", "step_size")
+    write_csv(ExperimentResult(columns, rows), out / "train.csv", force)
     _write_json(
         {
             "final_cost": trace.final_cost,

@@ -32,6 +32,9 @@ PRESETS = (
     "trainability",
 )
 
+# depth a preset runs at when the config gives none
+_DEFAULT_L = {"final_cost": 5, "width_scaling": 10}
+
 
 def _as_tuple(value, cast) -> tuple:
     if value is None:
@@ -45,7 +48,7 @@ def _as_tuple(value, cast) -> tuple:
 class ExperimentConfig:
     preset: str
     n_list: tuple[int, ...] = (3,)
-    L_list: tuple[int, ...] = (20,)
+    L_list: tuple[int, ...] | None = None  # None: the preset's default depth
     p_list: tuple[float, ...] = (0.3,)
     noise_type: str = "depolarizing"
     instances: int = 10
@@ -56,6 +59,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; choices: {PRESETS}")
+        if self.L_list is None:
+            object.__setattr__(self, "L_list", (_DEFAULT_L.get(self.preset, 20),))
         if not (self.n_list and self.L_list and self.p_list):
             raise ValueError("sweep lists must be nonempty")
         if self.instances < 1:
@@ -66,7 +71,7 @@ class ExperimentConfig:
         return cls(
             preset=data["preset"],
             n_list=_as_tuple(data.get("n", 3), int),
-            L_list=_as_tuple(data.get("L", 20), int),
+            L_list=_as_tuple(data["L"], int) if "L" in data else None,
             p_list=_as_tuple(data.get("p", 0.3), float),
             noise_type=data.get("noise_type", "depolarizing"),
             instances=int(data.get("instances", 10)),
@@ -161,7 +166,7 @@ def run_final_cost(cfg: ExperimentConfig) -> ExperimentResult:
     """Trained final cost vs noise probability, one optimizer run per
     Hamiltonian instance; the center column holds the Tr(H)/d reference."""
     n = cfg.n_list[0]
-    L = cfg.L_list[0] if cfg.L_list != (20,) else 5
+    L = cfg.L_list[0]
     circ = build_two_local(n, L)
     d = 2**n
     rows = []
@@ -198,7 +203,7 @@ def run_width_scaling(cfg: ExperimentConfig) -> ExperimentResult:
     """Last-layer gradient magnitude vs width against the ||h||/sqrt(D)
     concentration reference, D = (n^2 + n)/2."""
     p = cfg.p_list[0]
-    L = cfg.L_list[0] if cfg.L_list != (20,) else 10
+    L = cfg.L_list[0]
     noise_type = cfg.noise_type
     rows = []
     for n in sorted(cfg.n_list):
@@ -299,18 +304,23 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(result: ExperimentResult, path: str | Path, force: bool = False) -> Path:
-    """Deterministic CSV: repr-formatted floats, no timestamps, refuse to
-    overwrite unless forced."""
+def _write_text(path: str | Path, text: str, force: bool) -> Path:
+    """Write one output file; refuse to overwrite it unless forced."""
     path = Path(path)
     if path.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass force to overwrite")
+        raise FileExistsError(f"{path} exists; pass force (--force) to overwrite")
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def write_csv(result: ExperimentResult, path: str | Path, force: bool = False) -> Path:
+    """Deterministic CSV: repr-formatted floats, str-formatted everything
+    else, no timestamps; refuse to overwrite unless forced."""
     lines = [",".join(result.columns)]
     for row in result.rows:
         lines.append(",".join(_format_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n", force)
 
 
 def emit_plot_script(
@@ -319,9 +329,6 @@ def emit_plot_script(
     """Write a small matplotlib script that renders the CSV like the
     corresponding figure (log10 y-axis for gradient sweeps)."""
     csv_path = Path(csv_path)
-    out_path = Path(out_path)
-    if out_path.exists() and not force:
-        raise FileExistsError(f"{out_path} exists; pass force to overwrite")
     x_col = {
         "layers_sweep": "L",
         "noise_sweep": "p",
@@ -363,6 +370,4 @@ ax.set_ylabel({y_col!r})
 ax.legend()
 fig.savefig("{preset}.png", dpi=150)
 '''
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(script, encoding="utf-8")
-    return out_path
+    return _write_text(out_path, script, force)

@@ -4,28 +4,29 @@ The two-point rule 0.5 * [C(theta + pi/2) - C(theta - pi/2)] stays exact
 under per-layer CPTP noise and under random-unitary gate noise (every
 mixture branch shares the angle).  Under control noise the generator gains
 extra Pauli terms, and the derivative becomes a weighted sum of shifted
-evaluations, one per generator term, with the pi/2 rotation inserted just
-before the noisy gate.
+evaluations, one per generator term, each with the noisy gate replaced by
+its fixed unitary times a +-pi/2 rotation about that term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .circuits import (
     Circuit,
-    Gate,
     Location,
     NoiseSpec,
     RandomUnitaryNoise,
+    _rotation,
     evolve,
+    perturbed_gate,
 )
 from .hamiltonians import Hamiltonian, cost, h_norm, random_two_local
-from .pauli import DensityMatrix, PauliString, _pauli_matrix
+from .pauli import DensityMatrix, _pauli_matrix
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ def _shifted(theta: np.ndarray, idx: int, delta: float) -> np.ndarray:
     return out
 
 
-def _cost(circ, theta, noise, H, rho0=None, **hooks) -> float:
-    return cost(H, evolve(circ, theta, noise, rho0, **hooks))
+def _cost(circ, theta, noise, H, rho0=None) -> float:
+    return cost(H, evolve(circ, theta, noise, rho0))
 
 
 def psr_gradient(
@@ -139,12 +140,10 @@ def coherence_gradient(
     return abs(0.5 * float((vp - vm) @ h))
 
 
-def _pi_half_insertion(letters: str, sign: float) -> np.ndarray:
-    """exp(-i (sign * pi/2) P / 2) on the full register."""
-    p = _pauli_matrix(letters)
-    d = p.shape[0]
-    s = np.sqrt(0.5)
-    return s * np.eye(d, dtype=complex) - 1j * sign * s * p
+def _evolve_fixed(circ, theta, noise, rho0, location, matrix) -> np.ndarray:
+    """Final state with the gate at ``location`` replaced by a fixed unitary."""
+    gate = replace(circ.gate_at(location), kind="fixed", matrix=matrix)
+    return evolve(circ.with_gate(gate), theta, noise, rho0).data
 
 
 def control_noise_gradient(
@@ -160,25 +159,19 @@ def control_noise_gradient(
 
     The gate at ``location`` has generator P_j + sum_k a_k P_k.  Since the
     generator commutes with its own exponential, the derivative splits into
-    per-term commutators acting on the pre-gate state, each realized by a
-    +-pi/2 rotation inserted before the gate:
+    per-term commutators acting on the pre-gate state, each realized by
+    replacing the gate with the fixed unitary U(theta) R_k(+-pi/2):
 
         dC/dtheta = 1/2 sum_k (delta_kj + a_k) [C_k(+) - C_k(-)].
 
     Returns (value, bound) with
     bound = ||h||/2 * (||w_j|| + sum_k |a_k| ||w_k||), where w_k is the
-    coherence-vector difference of the two inserted branches and its norm
+    coherence-vector difference of the two rotated branches and its norm
     is taken as the Frobenius norm of the state difference.
     """
-    base = noise or NoiseSpec.none()
-    control = dict(base.control_noise or {})
-    control[location] = dict(a)
-    full = NoiseSpec(
-        layer_channels=base.layer_channels,
-        control_noise=control,
-        random_unitary=base.random_unitary,
-    )
-    gen = circ.gate_at(location).generator.letters
+    gate = perturbed_gate(circ.gate_at(location), a)
+    u = gate.unitary(theta[circ.parameter_index[location]])
+    gen = gate.generator.letters
     hn = h_norm(H)
 
     weights: dict[str, float] = {gen: 1.0}
@@ -188,15 +181,12 @@ def control_noise_gradient(
     value = 0.0
     w_norms: dict[str, float] = {}
     for letters in weights:
-        rp = evolve(
-            circ, theta, full, rho0,
-            insert_before={location: _pi_half_insertion(letters, +1.0)},
+        p = _pauli_matrix(letters)
+        rp, rm = (
+            _evolve_fixed(circ, theta, noise, rho0, location, u @ _rotation(p, s))
+            for s in (np.pi / 2, -np.pi / 2)
         )
-        rm = evolve(
-            circ, theta, full, rho0,
-            insert_before={location: _pi_half_insertion(letters, -1.0)},
-        )
-        diff = rp.data - rm.data
+        diff = rp - rm
         w_norms[letters] = float(np.linalg.norm(diff))
         value += weights[letters] * 0.5 * float(
             np.real(np.trace(H.matrix() @ diff))
@@ -225,13 +215,7 @@ def random_noise_gradient(
     from replacing the gate by a P_k rotation at angles theta +- pi/2.
     """
     base = noise or NoiseSpec.none()
-    mixtures = dict(base.random_unitary or {})
-    mixtures[location] = spec
-    full = NoiseSpec(
-        layer_channels=base.layer_channels,
-        control_noise=base.control_noise,
-        random_unitary=mixtures,
-    )
+    full = replace(base, random_unitary={**(base.random_unitary or {}), location: spec})
     idx = circ.parameter_index[location]
     value = psr_gradient(circ, theta, full, H, location, rho0)
 
@@ -239,25 +223,15 @@ def random_noise_gradient(
     ideal_grad = psr_gradient(circ, theta, base, H, location, rho0)
     hn = h_norm(H)
     bound = spec.probs[spec.intended] * abs(ideal_grad)
-    original = circ.gate_at(location)
     for k, (p_k, letters) in enumerate(zip(spec.probs, spec.generators)):
         if k == spec.intended or p_k == 0.0:
             continue
-        branch = Gate(
-            kind="param",
-            location=location,
-            target_qubits=original.target_qubits,
-            generator=PauliString(letters),
+        p = _pauli_matrix(letters)
+        rp, rm = (
+            _evolve_fixed(circ, theta, base, rho0, location, _rotation(p, angle))
+            for angle in (theta[idx] + np.pi / 2, theta[idx] - np.pi / 2)
         )
-        rp = evolve(
-            circ, _shifted(theta, idx, np.pi / 2), base, rho0,
-            override_gates={location: branch},
-        )
-        rm = evolve(
-            circ, _shifted(theta, idx, -np.pi / 2), base, rho0,
-            override_gates={location: branch},
-        )
-        bound += 0.5 * p_k * hn * float(np.linalg.norm(rp.data - rm.data))
+        bound += 0.5 * p_k * hn * float(np.linalg.norm(rp - rm))
     return value, bound
 
 

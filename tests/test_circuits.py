@@ -5,6 +5,7 @@ from nibp_lab.bounds import layer_affine_maps
 from nibp_lab.channels import (
     amplitude_damping,
     depolarizing,
+    identity_channel,
     validate_kraus,
 )
 from nibp_lab.circuits import (
@@ -262,3 +263,37 @@ def test_named_noise_none_is_the_only_noiseless_spec():
     # phase_flip(0) is a certain Z flip, so it changes the state
     flipped = evolve(circ, theta, NoiseSpec.named("phase_flip", 0.0)).data
     assert np.abs(flipped - clean).max() > 1e-3
+
+
+@pytest.mark.parametrize(
+    "entry, match",
+    [(identity_channel(2), "acts on 2 qubits, register has 3"),
+     ([depolarizing(0.1)] * 2, "length 2, register has 3")],
+)
+def test_layer_channel_must_fit_the_register(entry, match):
+    # the dense and the affine path read the entry the same way, so both
+    # reject a channel that does not fit the register
+    circ = build_two_local(3, 1)
+    noise = NoiseSpec(layer_channels=entry)
+    with pytest.raises(DimensionMismatchError, match=match):
+        evolve(circ, np.zeros(circ.num_parameters), noise)
+    with pytest.raises(DimensionMismatchError, match=match):
+        layer_channel_as_kraus(noise, 0, 3)
+
+
+def test_with_gate_replaces_one_gate():
+    circ = build_two_local(2, 2)
+    fixed = Gate(kind="fixed", location=(1, 0), target_qubits=(0,),
+                 matrix=embed_unitary(_ry(0.3), (0,), 2))
+    swapped = circ.with_gate(fixed)
+    assert swapped.gate_at((1, 0)) is fixed
+    assert circ.gate_at((1, 0)).is_parameterized
+    others = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]
+    assert all(swapped.gate_at(loc) is circ.gate_at(loc) for loc in others)
+    # the fixed gate ignores its angle: the state equals the circuit with
+    # that angle set to 0.3
+    theta = np.random.default_rng(28).uniform(0, 2 * np.pi, circ.num_parameters)
+    pinned = theta.copy()
+    pinned[circ.parameter_index[(1, 0)]] = 0.3
+    np.testing.assert_allclose(
+        evolve(swapped, theta).data, evolve(circ, pinned).data, atol=1e-14)

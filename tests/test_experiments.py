@@ -224,3 +224,46 @@ def test_cli_train_phase_flip_zero_is_not_noiseless(tmp_path):
         assert code == 0
         summaries[noise_type] = json.loads((out / "train_summary.json").read_text())
     assert summaries["phase_flip"]["final_cost"] != summaries["none"]["final_cost"]
+
+
+@pytest.mark.parametrize("preset", ["final_cost", "width_scaling"])
+def test_explicit_depth_20_is_kept(preset):
+    # an explicit L=20 is not mistaken for "no depth given"
+    cfg = _small_cfg(preset, L_list=(20,), instances=1, thetas=1, maxiter=1)
+    result = run_experiment(cfg)
+    col = result.columns.index("L")
+    assert result.rows and all(row[col] == 20 for row in result.rows)
+
+
+def test_default_depth_per_preset():
+    for preset, depth in [("final_cost", 5), ("width_scaling", 10),
+                          ("layers_sweep", 20), ("noise_sweep", 20),
+                          ("trainability", 20)]:
+        assert ExperimentConfig(preset=preset).L_list == (depth,)
+        assert ExperimentConfig.from_json({"preset": preset}).L_list == (depth,)
+        assert ExperimentConfig.from_json({"preset": preset, "L": 20}).L_list == (20,)
+
+
+_CLI_CONFIGS = {
+    "channel": {"name": "amplitude_damping", "p": 0.36},
+    "grad-scan": {"n": 2, "L": 2, "instances": 1, "thetas": 2},
+    "bound-report": {"n": 2, "L": 4, "p": 0.3, "noise_type": "amplitude_damping"},
+    "train": {"n": 2, "L": 2, "p": 0.3, "noise_type": "depolarizing", "maxiter": 2},
+    "experiment": {"preset": "noise_sweep", "n": 2, "L": 2, "p": [0.2],
+                   "instances": 1, "thetas": 2},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_CONFIGS))
+def test_cli_rerun_refuses_overwrite_unless_forced(tmp_path, command, capsys):
+    code, out = _run_cli(tmp_path, command, _CLI_CONFIGS[command])
+    assert code == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert first
+    # a rerun that differs only in its seed would write different bytes
+    code, _ = _run_cli(tmp_path, command, _CLI_CONFIGS[command], extra=("--seed", "5"))
+    assert code == 1
+    assert "exists" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    code, _ = _run_cli(tmp_path, command, _CLI_CONFIGS[command], extra=("--force",))
+    assert code == 0

@@ -2,7 +2,8 @@
 
 The qubit-local channel kernel is checked against the dense einsum
 contraction it replaced, batched evolution against one evolution per angle
-row, and the batched gradient sweep against one shift-rule call per sample.
+row and against the per-layer affine maps of the bounds, and the batched
+gradient sweep against one shift-rule call per sample.
 """
 
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nibp_lab import circuits, gradients
+from nibp_lab.bounds import layer_affine_maps
 from nibp_lab.channels import named_channel, random_channel
 from nibp_lab.circuits import (
     Gate,
@@ -25,7 +27,14 @@ from nibp_lab.circuits import (
 )
 from nibp_lab.gradients import SweepSpec, gradient_stats, psr_gradient
 from nibp_lab.hamiltonians import random_two_local
-from nibp_lab.pauli import PauliString, _pauli_matrix, random_density_matrix
+from nibp_lab.pauli import (
+    DensityMatrix,
+    PauliString,
+    _pauli_matrix,
+    build_nice_basis,
+    random_density_matrix,
+    to_coherence,
+)
 
 NAMED = ("identity", "depolarizing", "amplitude_damping", "bit_flip",
          "phase_flip", "flip_then_damp")
@@ -121,28 +130,54 @@ def _noise(kind, n, depth, p):
     batch=st.integers(1, 4),
     kind=st.sampled_from(["none", "uniform", "per_layer", "per_qubit",
                           "full_register", "control", "mixture"]),
-    hook=st.sampled_from(["none", "insert_before", "override_gates"]),
+    swap=st.sampled_from(["none", "fixed", "param"]),
     p=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_evolve_rows_equal_single_evolves(n, depth, batch, kind, hook, p, seed):
+def test_batched_evolve_rows_equal_single_evolves(n, depth, batch, kind, swap, p, seed):
     circ = single_ry_circuit() if n == 1 else build_two_local(n, depth)
     depth = circ.depth
     noise = _noise(kind, n, depth, p)
-    hooks = {}
     loc = (depth - 1, 0)
-    if hook == "insert_before":
-        hooks["insert_before"] = {loc: circuits._rotation(_pauli_matrix("X" * n), 0.4)}
-    elif hook == "override_gates":
-        hooks["override_gates"] = {loc: Gate(
+    if swap == "fixed":
+        circ = circ.with_gate(Gate(
+            kind="fixed", location=loc, target_qubits=(0,),
+            matrix=circuits._rotation(_pauli_matrix("X" * n), 0.4)))
+    elif swap == "param":
+        circ = circ.with_gate(Gate(
             kind="param", location=loc, target_qubits=(0,),
-            generator=PauliString("Z" * n))}
+            generator=PauliString("Z" * n)))
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0, 2 * np.pi, size=(batch, circ.num_parameters))
-    stack = evolve(circ, thetas, noise, **hooks)
+    stack = evolve(circ, thetas, noise)
     assert stack.shape == (batch, 2**n, 2**n)
     for row, theta in zip(stack, thetas):
-        assert np.array_equal(row, evolve(circ, theta, noise, **hooks).data)
+        assert np.array_equal(row, evolve(circ, theta, noise).data)
+
+
+@SETTINGS
+@given(
+    n=st.integers(2, 3),
+    depth=st.integers(1, 4),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_follows_layer_affine_maps(n, depth, p, seed):
+    # the dense evolution and the affine view the bounds use build each
+    # layer the same way: after every prefix of l layers, the coherence
+    # vector of the evolved state is the recursion v <- Omega_l v + c_l
+    theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=n * depth)
+    basis = build_nice_basis(n)
+    for kind in ("uniform", "per_layer", "per_qubit", "full_register", "control"):
+        maps = layer_affine_maps(
+            build_two_local(n, depth), theta, _noise(kind, n, depth, p))
+        v = to_coherence(DensityMatrix.ground_state(n), basis).v
+        for layers, (omega, c, _) in enumerate(maps, start=1):
+            v = omega @ v + c
+            rho = evolve(build_two_local(n, layers), theta[: n * layers],
+                         _noise(kind, n, layers, p))
+            np.testing.assert_allclose(
+                to_coherence(rho, basis).v, v, rtol=0, atol=1e-12, err_msg=kind)
 
 
 def test_evolve_rejects_bad_angle_shapes():

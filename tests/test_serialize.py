@@ -1,56 +1,28 @@
+"""The JSON form of Kraus channels read by the ``channel`` subcommand."""
+
 import json
 
 import numpy as np
-import pytest
 
 from nibp_lab.channels import amplitude_damping, validate_kraus
-from nibp_lab.circuits import NoiseSpec, build_two_local
-from nibp_lab.hamiltonians import random_two_local
-from nibp_lab.serialize import (
-    circuit_from_json,
-    circuit_to_json,
-    hamiltonian_from_json,
-    hamiltonian_to_json,
-    kraus_from_json,
-    kraus_to_json,
-    noise_from_json,
-)
-
-
-def test_hamiltonian_round_trip():
-    H = random_two_local(3, seed=2)
-    data = json.loads(json.dumps(hamiltonian_to_json(H)))
-    back = hamiltonian_from_json(data)
-    assert back == H
-
-
-def test_noise_round_trip():
-    spec = noise_from_json({"type": "depolarizing", "p": 0.3})
-    assert spec.layer_channels is not None
-    assert noise_from_json(None) == NoiseSpec.none()
-    assert noise_from_json({"type": "none"}) == NoiseSpec.none()
-    with pytest.raises(ValueError):
-        noise_from_json({"type": "depolarizing", "p": 0.3, "placement": "final"})
-
-
-def test_circuit_round_trip():
-    circ = build_two_local(3, 4)
-    data = circuit_to_json(circ, "amplitude_damping", 0.2)
-    back, noise = circuit_from_json(json.loads(json.dumps(data)))
-    assert back.n == 3 and back.depth == 4
-    assert noise.layer_channels is not None
-    with pytest.raises(ValueError):
-        circuit_from_json({"n": 2, "L": 1, "ansatz": "hardware_efficient"})
+from nibp_lab.cli import kraus_from_json
 
 
 def test_kraus_round_trip():
+    # explicit form: row-major [re, im] pairs per Kraus operator
     ch = amplitude_damping(0.37)
-    data = json.loads(json.dumps(kraus_to_json(ch)))
+    data = json.loads(json.dumps({
+        "n": 1,
+        "kraus": [np.stack([k.real, k.imag], axis=-1).tolist() for k in ch.kraus_ops],
+    }))
     back = kraus_from_json(data)
     assert back.n == 1
     for a, b in zip(back.kraus_ops, ch.kraus_ops):
         np.testing.assert_allclose(a, b, atol=1e-15)
     assert validate_kraus(back).trace_preserving
+    # without "n" the register size follows from the matrix shape
+    del data["n"]
+    assert kraus_from_json(data).n == 1
 
 
 def test_kraus_from_name():
