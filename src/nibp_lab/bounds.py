@@ -6,11 +6,17 @@ for the cost function, shift accumulators, and the non-unital escape report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import UNITAL_TOL, KrausChannel, affine_rep, unitary_channel
+from .channels import (
+    AFFINE_MAX_QUBITS,
+    UNITAL_TOL,
+    KrausChannel,
+    affine_rep,
+    unitary_channel,
+)
 from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_unitary
 from .hamiltonians import Hamiltonian, h_norm
 from .pauli import DensityMatrix, build_nice_basis, to_coherence
@@ -23,19 +29,40 @@ def layer_affine_maps(
 
     Omega composes the layer's orthogonal gate rotation with the noise map's
     affine matrix; c is the noise shift (the unitary part contributes none).
+    The noise map and its norm are built once per distinct layer-channel
+    entry (the same channel object, or the same per-qubit channel objects),
+    so layers with the same noise share one read-only c.
     """
-    if circ.n > 3:
-        raise ValueError("explicit affine path limited to n <= 3")
+    if circ.n > AFFINE_MAX_QUBITS:
+        raise ValueError(f"explicit affine path limited to n <= {AFFINE_MAX_QUBITS}")
     noise.check_depth(circ.depth)
+    noise_maps: dict = {}  # entry identity -> (M, c, ||M||), this call only
     out = []
     for layer in range(circ.depth):
         u = layer_unitary(circ, theta, layer, noise)
         gate_rep = affine_rep(unitary_channel(u))
-        noise_rep = affine_rep(layer_channel_as_kraus(noise, layer, circ.n))
-        omega = noise_rep.M @ gate_rep.M
-        opnorm = float(np.linalg.norm(noise_rep.M, 2))
-        out.append((omega, noise_rep.c, opnorm))
+        entry = noise.layer_channel(layer, circ.n)
+        key = tuple(map(id, entry)) if isinstance(entry, tuple) else id(entry)
+        if key not in noise_maps:
+            rep = affine_rep(layer_channel_as_kraus(noise, layer, circ.n))
+            rep.c.setflags(write=False)
+            noise_maps[key] = (rep.M, rep.c, float(np.linalg.norm(rep.M, 2)))
+        m, c, opnorm = noise_maps[key]
+        out.append((m @ gate_rep.M, c, opnorm))
     return out
+
+
+def _once_per_object(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, calling ``fn`` once per distinct object.
+
+    The memo is keyed by ``id`` and lives for this call only; ``items``
+    keeps every keyed object alive meanwhile.
+    """
+    memo: dict[int, object] = {}
+    for x in items:
+        if id(x) not in memo:
+            memo[id(x)] = fn(x)
+    return [memo[id(x)] for x in items]
 
 
 @dataclass(frozen=True)
@@ -155,11 +182,12 @@ def nils_interval(
 
     ``channels`` is one channel reused every layer or one per layer; unital
     profiles collapse the interval to the single point Tr(H)/d.  Passing the
-    circuit and angles additionally evaluates the realized shift d_L.
+    circuit and angles additionally evaluates the realized shift d_L.  Each
+    distinct channel object's affine map and norm are computed once.
     """
     if isinstance(channels, KrausChannel):
         channels = [channels] * L
-    reps = [affine_rep(ch) for ch in channels]
+    reps = _once_per_object(affine_rep, channels)
     unital = all(np.linalg.norm(rep.c) <= UNITAL_TOL for rep in reps)
     dim = 2**H.n
     center = H.trace() / dim
@@ -167,7 +195,7 @@ def nils_interval(
         return NilsInterval(
             center=center, lambda_L=0.0, lambda_inf=0.0, unital=True
         )
-    p = max(float(np.linalg.norm(rep.M, 2)) for rep in reps)
+    p = max(_once_per_object(lambda rep: float(np.linalg.norm(rep.M, 2)), reps))
     if p >= 1.0:
         raise ValueError(f"layer contraction p={p} must be < 1 for a limit set")
     hn = h_norm(H)
@@ -224,13 +252,14 @@ def theorem3_report(
     positive suffix sigma_min, and a suffix no longer than ``suffix_cap``.
     ``d_l`` is the rotation separation entering the lower bound; it defaults
     to the guaranteed shift-norm lower bound at the realized prefix factor.
+    Each distinct channel object's affine map and SVD are computed once.
     """
     L = len(channels)
     if l < 3:
         raise ValueError(f"bifurcation layer l={l} must be >= 3")
     if l > L:
         raise ValueError(f"l={l} exceeds layer count {L}")
-    reps = [affine_rep(ch) for ch in channels]
+    reps = _once_per_object(affine_rep, channels)
     c_norms = [float(np.linalg.norm(rep.c)) for rep in reps]
     if all(cn <= UNITAL_TOL for cn in c_norms):
         return Theorem3Report(
@@ -245,7 +274,10 @@ def theorem3_report(
             p_geometric=float("nan"),
         )
     applicable = all(cn > UNITAL_TOL for cn in c_norms)
-    svals = [np.linalg.svd(rep.M, compute_uv=False) for rep in reps]
+    # descending singular values; s[0] is the ||M|| that norm(M, 2) returns
+    svals = _once_per_object(
+        lambda rep: np.linalg.svd(rep.M, compute_uv=False), reps
+    )
     sigma_max_prefix = max(float(s[0]) for s in svals[: l - 1])
     c_tilde = max(c_norms[: l - 1])
     ratio = c_norms[l - 2] / c_tilde if c_tilde > 0 else 0.0
@@ -271,9 +303,7 @@ def theorem3_report(
         and all(s > 1e-12 for s in sigma_min_suffix)
         and suffix_len <= suffix_cap
     )
-    p_geo = float(
-        np.prod([np.linalg.norm(rep.M, 2) for rep in reps]) ** (1.0 / L)
-    )
+    p_geo = float(np.prod([s[0] for s in svals]) ** (1.0 / L))
     if d_l is None:
         d_l = max(
             c_norms[l - 2] - c_tilde * _prefix_sum_factor(sigma_max_prefix, l),

@@ -22,6 +22,7 @@ from .circuits import NoiseSpec, build_two_local, evolve
 from .experiments import (
     ExperimentConfig,
     ExperimentResult,
+    _refuse_overwrite,
     _write_text,
     emit_plot_script,
     run_experiment,
@@ -164,6 +165,8 @@ def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> Non
 
 
 def cmd_train(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
+    csv_path, summary_path = out / "train.csv", out / "train_summary.json"
+    _refuse_overwrite([csv_path, summary_path], force)
     n = int(cfg.get("n", 3))
     depth = int(cfg.get("L", 5))
     root = int(cfg.get("seed", 0) if seed is None else seed)
@@ -183,36 +186,47 @@ def cmd_train(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
         (i, c, s) for i, (c, s) in enumerate(zip(trace.costs, trace.step_sizes))
     )
     columns = ("iter", "cost", "step_size")
-    write_csv(ExperimentResult(columns, rows), out / "train.csv", force)
+    write_csv(ExperimentResult(columns, rows), csv_path, force)
     _write_json(
         {
             "final_cost": trace.final_cost,
             "evaluations": trace.evaluations,
             "center": H.trace() / 2**n,
         },
-        out / "train_summary.json",
+        summary_path,
         force,
     )
 
 
 def cmd_experiment(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     config = ExperimentConfig.from_json(cfg, seed=seed)
+    preset = config.preset
+    csv_path = out / f"{preset}.csv"
+    plot_path = out / f"plot_{preset}.py"
+    meta_path = out / f"{preset}_meta.json"
+    _refuse_overwrite([csv_path, plot_path, meta_path], force)
     result = run_experiment(config)
-    csv_path = write_csv(result, out / f"{config.preset}.csv", force=force)
-    emit_plot_script(
-        csv_path, config.preset, out / f"plot_{config.preset}.py", force=force
-    )
+    write_csv(result, csv_path, force=force)
+    emit_plot_script(csv_path, preset, plot_path, force=force)
     meta = dict(result.metadata)
     meta["config"] = cfg
-    _write_json(meta, out / f"{config.preset}_meta.json", force)
+    _write_json(meta, meta_path, force)
 
 
+# each subcommand with the config keys it reads
 _COMMANDS = {
-    "channel": cmd_channel,
-    "grad-scan": cmd_grad_scan,
-    "bound-report": cmd_bound_report,
-    "train": cmd_train,
-    "experiment": cmd_experiment,
+    "channel": (cmd_channel, {"name", "p", "kraus", "n"}),
+    "grad-scan": (
+        cmd_grad_scan,
+        {"n", "L", "p", "noise_type", "seed", "locations", "instances", "thetas"},
+    ),
+    "bound-report": (
+        cmd_bound_report,
+        {"n", "L", "p", "noise_type", "seed", "depth_constant",
+         "depth_exponent", "locality", "bifurcation_layer"},
+    ),
+    "train": (cmd_train, {"n", "L", "p", "noise_type", "seed", "maxiter"}),
+    "experiment": (cmd_experiment, ExperimentConfig.JSON_KEYS),
 }
 
 
@@ -230,8 +244,17 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--force", action="store_true", help="overwrite outputs")
     args = parser.parse_args(argv)
     cfg = json.loads(Path(args.config).read_text())
+    command, keys = _COMMANDS[args.command]
+    unknown = sorted(set(cfg) - keys)
+    if unknown:
+        print(
+            f"unknown config keys for {args.command}: {', '.join(unknown)}"
+            f" (accepted: {', '.join(sorted(keys))})",
+            file=sys.stderr,
+        )
+        return 1
     try:
-        _COMMANDS[args.command](cfg, Path(args.out), args.seed, args.force)
+        command(cfg, Path(args.out), args.seed, args.force)
     except FileExistsError as exc:
         print(str(exc), file=sys.stderr)
         return 1

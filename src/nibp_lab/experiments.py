@@ -9,10 +9,11 @@ order.  CSV bytes depend only on (config, seed).
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -55,6 +56,12 @@ class ExperimentConfig:
     thetas: int = 20
     maxiter: int = 200
     seed: int = 0
+
+    # the config-file keys ``from_json`` reads
+    JSON_KEYS: ClassVar[frozenset[str]] = frozenset(
+        {"preset", "n", "L", "p", "noise_type", "instances", "thetas",
+         "maxiter", "seed"}
+    )
 
     def __post_init__(self):
         if self.preset not in PRESETS:
@@ -304,11 +311,18 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _refuse_overwrite(paths: Sequence[str | Path], force: bool) -> None:
+    """Raise FileExistsError for the first existing path unless forced; a
+    command with several outputs checks them all before writing any."""
+    for path in paths:
+        if Path(path).exists() and not force:
+            raise FileExistsError(f"{path} exists; pass force (--force) to overwrite")
+
+
 def _write_text(path: str | Path, text: str, force: bool) -> Path:
     """Write one output file; refuse to overwrite it unless forced."""
     path = Path(path)
-    if path.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass force (--force) to overwrite")
+    _refuse_overwrite([path], force)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     return path
@@ -327,8 +341,14 @@ def emit_plot_script(
     csv_path: str | Path, preset: str, out_path: str | Path, force: bool = False
 ) -> Path:
     """Write a small matplotlib script that renders the CSV like the
-    corresponding figure (log10 y-axis for gradient sweeps)."""
+    corresponding figure (log10 y-axis for gradient sweeps).
+
+    The script finds the CSV relative to its own location and saves
+    ``<preset>.png`` beside itself, so it keeps working when the output
+    directory moves.
+    """
     csv_path = Path(csv_path)
+    csv_rel = Path(os.path.relpath(csv_path, Path(out_path).parent)).as_posix()
     x_col = {
         "layers_sweep": "L",
         "noise_sweep": "p",
@@ -347,11 +367,13 @@ def emit_plot_script(
     script = f'''"""Render {preset} results from {csv_path.name}."""
 import csv
 from collections import defaultdict
+from pathlib import Path
 
 import matplotlib.pyplot as plt
 
+here = Path(__file__).resolve().parent
 groups = defaultdict(list)
-with open({str(csv_path)!r}, newline="") as fh:
+with open(here / {csv_rel!r}, newline="") as fh:
     for row in csv.DictReader(fh):
         key_parts = [row["noise_type"]]
         if "layer" in row:
@@ -368,6 +390,6 @@ ax.set_xlabel({x_col!r})
 ax.set_ylabel({y_col!r})
 {"ax.set_yscale('log')" if log_y else "pass"}
 ax.legend()
-fig.savefig("{preset}.png", dpi=150)
+fig.savefig(here / "{preset}.png", dpi=150)
 '''
     return _write_text(out_path, script, force)

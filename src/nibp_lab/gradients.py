@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .channels import AFFINE_MAX_QUBITS
 from .circuits import (
     Circuit,
     Location,
@@ -123,8 +124,10 @@ def coherence_gradient(
     The identity component of H drops out of the difference of the two
     shifted states, so the overlap reproduces the shift-rule value.
     """
-    if circ.n > 3:
-        raise ValueError("explicit coherence path limited to n <= 3")
+    if circ.n > AFFINE_MAX_QUBITS:
+        raise ValueError(
+            f"explicit coherence path limited to n <= {AFFINE_MAX_QUBITS}"
+        )
     from .hamiltonians import h_vector
     from .pauli import build_nice_basis, to_coherence
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nibp_lab import bounds
 from nibp_lab.bounds import (
     contractivity_profile,
     l0_threshold,
@@ -11,11 +12,20 @@ from nibp_lab.bounds import (
     theorem3_report,
 )
 from nibp_lab.channels import (
+    affine_rep,
     amplitude_damping,
     depolarizing,
     flip_then_damp,
+    tensor_channel,
+    unitary_channel,
 )
-from nibp_lab.circuits import NoiseSpec, build_two_local, single_ry_circuit
+from nibp_lab.circuits import (
+    NoiseSpec,
+    build_two_local,
+    layer_channel_as_kraus,
+    layer_unitary,
+    single_ry_circuit,
+)
 from nibp_lab.hamiltonians import Hamiltonian, cost, h_norm, random_two_local
 from nibp_lab.circuits import evolve
 
@@ -204,3 +214,83 @@ def test_theorem3_weak_noise_does_not_escape():
     assert report.applicable
     assert report.sigma_max_prefix > 0.5
     assert not report.escapes_nibp
+
+
+def _noise_setups(n):
+    """Depth-4 noise setups on n qubits, each with its number of distinct
+    layer-channel entries."""
+    dep, damp = depolarizing(0.2), amplitude_damping(0.35)
+    per_qubit = [dep, damp, dep][:n]
+    full = tensor_channel([damp, dep, damp][:n])
+    return {
+        "uniform": (NoiseSpec.uniform(dep), 1),
+        "per_layer": (NoiseSpec(layer_channels=(dep, damp, None, dep)), 3),
+        "per_qubit": (NoiseSpec(layer_channels=per_qubit), 1),
+        "per_layer_per_qubit": (
+            NoiseSpec(layer_channels=(per_qubit, [damp] * n, None, list(per_qubit))),
+            3,
+        ),
+        "full_register": (NoiseSpec.uniform(full), 1),
+        "per_layer_full_register": (
+            NoiseSpec(layer_channels=(full, None, dep, full)), 3
+        ),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", sorted(_noise_setups(2)))
+def test_layer_affine_maps_equal_per_layer_reference(n, kind):
+    # the per-call noise memo changes no bit of the per-layer maps
+    noise, _ = _noise_setups(n)[kind]
+    circ = build_two_local(n, 4)
+    theta = np.random.default_rng(60 + n).uniform(0, 2 * np.pi, circ.num_parameters)
+    maps = layer_affine_maps(circ, theta, noise)
+    assert len(maps) == circ.depth
+    for layer, (omega, c, opnorm) in enumerate(maps):
+        gate = affine_rep(unitary_channel(layer_unitary(circ, theta, layer, noise)))
+        rep = affine_rep(layer_channel_as_kraus(noise, layer, n))
+        assert np.array_equal(omega, rep.M @ gate.M), (kind, layer)
+        assert np.array_equal(c, rep.c), (kind, layer)
+        assert opnorm == float(np.linalg.norm(rep.M, 2)), (kind, layer)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(_noise_setups(2)))
+def test_layer_affine_maps_builds_each_noise_map_once(monkeypatch, kind):
+    noise, distinct = _noise_setups(2)[kind]
+    circ = build_two_local(2, 4)
+    calls = _count_calls(monkeypatch, bounds, "affine_rep")
+    layer_affine_maps(circ, np.zeros(circ.num_parameters), noise)
+    # one gate map per layer plus one noise map per distinct entry
+    assert len(calls) == circ.depth + distinct
+
+
+def test_nils_and_theorem3_build_each_channel_once(monkeypatch):
+    dep, damp = depolarizing(0.2), amplitude_damping(0.35)
+    channels = [damp, dep, damp, damp, dep]
+    L = len(channels)
+    refs = [affine_rep(ch) for ch in channels]
+    reps = _count_calls(monkeypatch, bounds, "affine_rep")
+    svds = _count_calls(monkeypatch, bounds.np.linalg, "svd")
+    H = Hamiltonian(n=1, terms=(("Z", 0.5),))
+    nils = nils_interval(H, channels, L)
+    assert len(reps) == 2
+    p = max(float(np.linalg.norm(ref.M, 2)) for ref in refs)
+    assert nils.lambda_L == bounds._lambda_width(h_norm(H), p, 2, L)
+    reps.clear()
+    svds.clear()
+    t3 = theorem3_report(channels, 3)
+    assert len(reps) == 2 and len(svds) == 2
+    norms = [np.linalg.norm(ref.M, 2) for ref in refs]
+    assert t3.p_geometric == float(np.prod(norms) ** (1.0 / L))

@@ -1,4 +1,8 @@
 import json
+import runpy
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +271,99 @@ def test_cli_rerun_refuses_overwrite_unless_forced(tmp_path, command, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
     code, _ = _run_cli(tmp_path, command, _CLI_CONFIGS[command], extra=("--force",))
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_cli_rerun_with_a_missing_output_writes_nothing(tmp_path, command):
+    # every output path is checked before any is written, so a rerun that
+    # would overwrite one output leaves the missing one missing
+    code, out = _run_cli(tmp_path, command, _CLI_CONFIGS[command])
+    assert code == 0
+    for missing in sorted(p.name for p in out.iterdir()):
+        (out / missing).unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        code, _ = _run_cli(tmp_path, command, _CLI_CONFIGS[command],
+                           extra=("--seed", "5"))
+        assert code == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before, missing
+        code, _ = _run_cli(tmp_path, command, _CLI_CONFIGS[command],
+                           extra=("--force",))
+        assert code == 0
+
+
+def _fake_pyplot(saved):
+    """Stand-ins for matplotlib and pyplot that record savefig paths."""
+    class Axes:
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: None
+
+    class Figure:
+        def savefig(self, path, **kwargs):
+            saved.append(Path(path))
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda: (Figure(), Axes())
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = pyplot
+    return {"matplotlib": matplotlib, "matplotlib.pyplot": pyplot}
+
+
+def test_plot_script_is_relocatable(tmp_path, monkeypatch):
+    cfg = _CLI_CONFIGS["experiment"]
+    scripts = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        code, out = _run_cli(tmp_path / sub, "experiment", cfg)
+        assert code == 0
+        scripts.append(out / "plot_noise_sweep.py")
+    text = scripts[0].read_text()
+    assert scripts[1].read_text() == text
+    assert str(tmp_path) not in text
+    for script in scripts:
+        compile(script.read_text(), str(script), "exec")
+    # moved elsewhere and run from another directory, the script still
+    # reads its CSV and saves the figure beside itself
+    moved = tmp_path / "moved"
+    scripts[0].parent.rename(moved)
+    saved = []
+    for name, module in _fake_pyplot(saved).items():
+        monkeypatch.setitem(sys.modules, name, module)
+    monkeypatch.chdir(tmp_path / "b")
+    runpy.run_path(str(moved / "plot_noise_sweep.py"))
+    assert saved == [moved.resolve() / "noise_sweep.png"]
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_CONFIGS))
+def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
+    cfg = dict(_CLI_CONFIGS[command], typo_key=1, other_typo=2)
+    code, out = _run_cli(tmp_path, command, cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "typo_key" in err and "other_typo" in err
+    assert not out.exists()  # refused before any work
+
+
+class _ReadRecorder(dict):
+    """A dict that records which keys are read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_experiment_json_keys_are_the_keys_from_json_reads():
+    data = _ReadRecorder({"preset": "noise_sweep", "L": 2})
+    ExperimentConfig.from_json(data)
+    assert data.read == ExperimentConfig.JSON_KEYS
