@@ -10,14 +10,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import (
-    AFFINE_MAX_QUBITS,
-    UNITAL_TOL,
-    KrausChannel,
-    affine_rep,
-    unitary_channel,
-)
-from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_unitary
+from .channels import AFFINE_MAX_QUBITS, UNITAL_TOL, KrausChannel, affine_rep
+from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_gate_map
 from .hamiltonians import Hamiltonian, h_norm
 from .pauli import DensityMatrix, build_nice_basis, to_coherence
 
@@ -27,11 +21,12 @@ def layer_affine_maps(
 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Per layer: (Omega, c, ||M_noise||) for v -> Omega v + c.
 
-    Omega composes the layer's orthogonal gate rotation with the noise map's
-    affine matrix; c is the noise shift (the unitary part contributes none).
-    The noise map and its norm are built once per distinct layer-channel
-    entry (the same channel object, or the same per-qubit channel objects),
-    so layers with the same noise share one read-only c.
+    Omega composes the layer's orthogonal gate map (``layer_gate_map``,
+    built from local Pauli transfer matrices) with the noise map's affine
+    matrix; c is the noise shift (the gates contribute none).  The noise
+    map and its norm are built once per distinct layer-channel entry (the
+    same channel object, or the same per-qubit channel objects), so layers
+    with the same noise share one read-only c.
     """
     if circ.n > AFFINE_MAX_QUBITS:
         raise ValueError(f"explicit affine path limited to n <= {AFFINE_MAX_QUBITS}")
@@ -39,8 +34,7 @@ def layer_affine_maps(
     noise_maps: dict = {}  # entry identity -> (M, c, ||M||), this call only
     out = []
     for layer in range(circ.depth):
-        u = layer_unitary(circ, theta, layer, noise)
-        gate_rep = affine_rep(unitary_channel(u))
+        gate_map = layer_gate_map(circ, theta, layer, noise)
         entry = noise.layer_channel(layer, circ.n)
         key = tuple(map(id, entry)) if isinstance(entry, tuple) else id(entry)
         if key not in noise_maps:
@@ -48,7 +42,7 @@ def layer_affine_maps(
             rep.c.setflags(write=False)
             noise_maps[key] = (rep.M, rep.c, float(np.linalg.norm(rep.M, 2)))
         m, c, opnorm = noise_maps[key]
-        out.append((m @ gate_rep.M, c, opnorm))
+        out.append((m @ gate_map, c, opnorm))
     return out
 
 

@@ -40,20 +40,28 @@ class InvalidChannelError(ValueError):
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by its Kraus operators."""
+    """A completely positive map given by its Kraus operators.
+
+    The channel keeps read-only copies of the operators it is given, so
+    later edits of the caller's arrays cannot reach it (or its cached
+    per-qubit terms).
+    """
 
     n: int
     kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self):
-        if not self.kraus_ops:
+        ops = tuple(np.array(k) for k in self.kraus_ops)
+        if not ops:
             raise InvalidChannelError("empty Kraus list")
         d = 2**self.n
-        for k in self.kraus_ops:
+        for k in ops:
             if k.shape != (d, d):
                 raise DimensionMismatchError(
                     f"Kraus operator shape {k.shape} != {(d, d)}"
                 )
+            k.setflags(write=False)
+        object.__setattr__(self, "kraus_ops", ops)
 
     @property
     def dim(self) -> int:

@@ -5,6 +5,12 @@ Pauli-rotation gates exp(-i theta P / 2) or fixed unitaries (CNOTs).  Noise
 enters in three ways: a CPTP channel applied after each layer, a coherent
 perturbation of a rotation's generator (control noise), and a probabilistic
 mixture of rotations sharing the intended angle (random-unitary noise).
+
+The dense path (``evolve``) multiplies a layer's gate unitaries.  The affine
+path (``layer_gate_map``) builds the same layer as a real matrix on coherence
+vectors from local Pauli transfer matrices: closed-form 4 x 4 rotations
+combined by outer products, and the CNOT run as a cached signed permutation
+of Pauli strings.
 """
 
 from __future__ import annotations
@@ -21,12 +27,16 @@ from .channels import (
     identity_channel,
     named_channel,
     tensor_channel,
+    transfer_matrix,
+    unitary_channel,
 )
 from .pauli import (
     DensityMatrix,
     DimensionMismatchError,
     PauliString,
     _pauli_matrix,
+    build_nice_basis,
+    kron_index,
 )
 
 CONTROL_NOISE_NORM_CAP = 0.2
@@ -320,24 +330,29 @@ def _layer_ops(
     ops: list[list[np.ndarray]] = []
     acc: np.ndarray | None = None
     for gate in circ.layers[layer]:
-        loc = gate.location
-        if gate.is_parameterized:
-            angle = thetas[..., circ.parameter_index[loc]]
-            if loc in mixtures:
-                if acc is not None:
-                    ops.append([acc])
-                    acc = None
-                ops.append(_mixture_ops(mixtures[loc], angle))
-                continue
-            if loc in control:
-                gate = perturbed_gate(gate, control[loc])
-            u = gate.unitary(angle)
-        else:
-            u = gate.matrix
+        if gate.is_parameterized and gate.location in mixtures:
+            if acc is not None:
+                ops.append([acc])
+                acc = None
+            angle = thetas[..., circ.parameter_index[gate.location]]
+            ops.append(_mixture_ops(mixtures[gate.location], angle))
+            continue
+        u = _gate_unitary(circ, gate, thetas, control)
         acc = u if acc is None else u @ acc
     if acc is not None:
         ops.append([acc])
     return ops
+
+
+def _gate_unitary(
+    circ: Circuit, gate: Gate, thetas: np.ndarray, control: Mapping
+) -> np.ndarray:
+    """The gate's full-register unitary, control noise included."""
+    if not gate.is_parameterized:
+        return gate.matrix
+    if gate.location in control:
+        gate = perturbed_gate(gate, control[gate.location])
+    return gate.unitary(thetas[..., circ.parameter_index[gate.location]])
 
 
 def _apply_layer_channel(rho: np.ndarray, channel: LayerChannel, n: int) -> np.ndarray:
@@ -394,10 +409,160 @@ def layer_unitary(
 ) -> np.ndarray:
     """Product of all gate unitaries in a layer (control noise included)."""
     noise = noise or NoiseSpec.none()
-    if any(loc[0] == layer for loc in noise.random_unitary or ()):
-        raise ValueError("layer containing a unitary mixture is not unitary")
+    _refuse_mixture(noise, layer)
     ops = _layer_ops(circ, np.asarray(theta, dtype=float), layer, noise)
     return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
+
+
+def _refuse_mixture(noise: NoiseSpec, layer: int) -> None:
+    if any(loc[0] == layer for loc in noise.random_unitary or ()):
+        raise ValueError("layer containing a unitary mixture is not unitary")
+
+
+def layer_gate_map(
+    circ: Circuit,
+    theta: np.ndarray,
+    layer: int,
+    noise: NoiseSpec | None = None,
+) -> np.ndarray:
+    """The layer's gates as the real orthogonal (d^2-1) x (d^2-1) matrix
+    acting on Hamming-ordered coherence vectors (control noise included).
+
+    It equals the M of ``affine_rep(unitary_channel(layer_unitary(...)))``
+    up to rounding, without the d^4 superoperator.  Gates are grouped into
+    runs in gate order: weight-1 rotations without control noise on
+    distinct qubits form one column, the outer product of their closed-form
+    4 x 4 Pauli transfer matrices; consecutive CNOTs form one cached signed
+    permutation of Pauli strings, applied as a row gather; any other gate
+    (control noise, a generator of weight > 1, a fixed gate other than a
+    CNOT) uses its own full-register transfer matrix.  Runs compose by
+    matrix products.
+    """
+    noise = noise or NoiseSpec.none()
+    _refuse_mixture(noise, layer)
+    control = noise.control_noise or {}
+    theta = np.asarray(theta, dtype=float)
+    n = circ.n
+    runs: list = []  # dict: qubit -> 4x4 PTM; list: CNOT chain; array: unitary
+    for gate in circ.layers[layer]:
+        if (
+            gate.is_parameterized
+            and gate.location not in control
+            and gate.generator.hamming_weight == 1
+        ):
+            q, letter = next(
+                (q, ch) for q, ch in enumerate(gate.generator.letters) if ch != "I"
+            )
+            if not runs or not isinstance(runs[-1], dict) or q in runs[-1]:
+                runs.append({})
+            runs[-1][q] = _rotation_ptm(letter, theta[circ.parameter_index[gate.location]])
+        elif _is_cnot(gate, n):
+            if not runs or not isinstance(runs[-1], list):
+                runs.append([])
+            runs[-1].append(gate.target_qubits)
+        else:
+            runs.append(_gate_unitary(circ, gate, theta, control))
+    omega = None  # None is the identity
+    for run in runs:
+        if isinstance(run, list):
+            src, sign = _cnot_chain_ptm(tuple(run), n)
+            base = np.eye(len(src)) if omega is None else omega
+            omega = sign[:, None] * base[src]
+            continue
+        if isinstance(run, dict):
+            t = _column_ptm(run, n)
+        else:
+            t = transfer_matrix(unitary_channel(run), build_nice_basis(n))[1:, 1:]
+        omega = t if omega is None else t @ omega
+    return np.eye(4**n - 1) if omega is None else omega
+
+
+def _rotation_ptm(letter: str, theta: float) -> np.ndarray:
+    """4 x 4 Pauli transfer matrix (order I, X, Y, Z) of exp(-i theta P / 2).
+
+    I and P stay; the two letters that anticommute with P turn by theta in
+    their plane, e.g. for P = Y: X -> cos(theta) X - sin(theta) Z.
+    """
+    p = "XYZ".index(letter) + 1
+    a, b = p % 3 + 1, (p + 1) % 3 + 1  # P, a, b cyclic in X -> Y -> Z
+    cos, sin = np.cos(theta), np.sin(theta)
+    t = np.eye(4)
+    t[a, a] = t[b, b] = cos
+    t[b, a], t[a, b] = sin, -sin
+    return t
+
+
+_EYE4 = np.eye(4)
+
+
+def _column_ptm(factors: Mapping[int, np.ndarray], n: int) -> np.ndarray:
+    """Traceless Hamming-ordered block of the PTM of one-qubit gates on
+    distinct qubits, ``factors[q]`` the 4 x 4 PTM on qubit q."""
+    t = factors.get(0, _EYE4)
+    for q in range(1, n):
+        t = np.multiply.outer(t, factors.get(q, _EYE4))
+    return t.take(_column_index(n))
+
+
+def _letter_digits(n: int) -> np.ndarray:
+    """Letters (I, X, Y, Z = 0..3) of the traceless Hamming-ordered strings,
+    one row per string, one column per qubit."""
+    return kron_index(n)[1:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
+
+
+@lru_cache(maxsize=16)
+def _column_index(n: int) -> np.ndarray:
+    """Flat positions of the traceless Hamming-ordered PTM entries in the
+    outer product of n 4 x 4 factors, whose axes run (row_0, col_0, row_1,
+    col_1, ...)."""
+    digits = _letter_digits(n)
+    weight = 16 ** np.arange(n - 1, -1, -1)
+    index = ((4 * digits) @ weight)[:, None] + (digits @ weight)[None, :]
+    index.setflags(write=False)
+    return index
+
+
+def _is_cnot(gate: Gate, n: int) -> bool:
+    if gate.is_parameterized or len(gate.target_qubits) != 2:
+        return False
+    cnot = _cnot_full(*gate.target_qubits, n)
+    return gate.matrix is cnot or np.array_equal(gate.matrix, cnot)
+
+
+_LETTER_CODE = np.array([[0, 3], [1, 2]])  # [x, z] -> I, X, Y, Z = 0..3
+
+
+@lru_cache(maxsize=256)
+def _cnot_chain_ptm(
+    chain: tuple[tuple[int, int], ...], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CNOTs ``chain`` ((control, target) in gate order) as a signed
+    permutation of the traceless Hamming-ordered Pauli strings.
+
+    Returns (src, sign) with row i of the transfer matrix equal to sign[i]
+    times unit row src[i], so it acts on a matrix A as
+    ``sign[:, None] * A[src]``.  Each string is tracked in its (x, z) bit
+    form with the CNOT update of Aaronson and Gottesman.
+    """
+    digits = _letter_digits(n)
+    x = (digits == 1) | (digits == 2)
+    z = (digits == 2) | (digits == 3)
+    neg = np.zeros(len(digits), dtype=bool)
+    for c, t in chain:
+        neg ^= x[:, c] & z[:, t] & ~(x[:, t] ^ z[:, c])
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
+    hamming = np.empty(4**n, dtype=int)
+    hamming[kron_index(n)] = np.arange(4**n)
+    place = 4 ** np.arange(n - 1, -1, -1)
+    image = hamming[_LETTER_CODE[x.astype(int), z.astype(int)] @ place] - 1
+    src = np.empty_like(image)
+    src[image] = np.arange(len(image))
+    sign = np.empty(len(image))
+    sign[image] = np.where(neg, -1.0, 1.0)
+    for arr in (src, sign):
+        arr.setflags(write=False)
+    return src, sign
 
 
 def layer_channel_as_kraus(noise: NoiseSpec, layer: int, n: int) -> KrausChannel:

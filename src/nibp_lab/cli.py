@@ -17,19 +17,31 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds
-from .channels import KrausChannel, affine_rep, classify, named_channel, validate_kraus
-from .circuits import NoiseSpec, build_two_local, evolve
+from .channels import (
+    AFFINE_MAX_QUBITS,
+    KrausChannel,
+    affine_rep,
+    classify,
+    identity_channel,
+    named_channel,
+    validate_kraus,
+)
+from .circuits import build_two_local, evolve
 from .experiments import (
+    ConfigError,
     ExperimentConfig,
     ExperimentResult,
     _refuse_overwrite,
     _write_text,
+    config_noise,
+    config_value,
     emit_plot_script,
     run_experiment,
     write_csv,
 )
 from .gradients import SweepSpec, default_locations, gradient_stats
 from .hamiltonians import cost, random_two_local
+from .pauli import MAX_QUBITS
 from .spsa import SpsaConfig, spsa_minimize
 
 
@@ -52,8 +64,16 @@ def kraus_from_json(data: dict) -> KrausChannel:
     return KrausChannel(n=n, kraus_ops=tuple(ops))
 
 
-def _noise_from_config(cfg: dict) -> NoiseSpec:
-    return NoiseSpec.named(cfg.get("noise_type", "none"), float(cfg.get("p", 0.0)))
+def _noise_from_config(cfg: dict, noise_type: str, p: float) -> tuple:
+    """(noise_type, p, NoiseSpec) read from the config, defaulting to the
+    given noise_type and p."""
+    noise_type = cfg.get("noise_type", noise_type)
+    p = config_value(cfg, "p", p, float, 0.0, 1.0)
+    return noise_type, p, config_noise(noise_type, p)
+
+
+def _root_seed(cfg: dict, seed: int | None) -> int:
+    return config_value(cfg, "seed", 0, int) if seed is None else seed
 
 
 def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
@@ -80,22 +100,29 @@ def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
 
 
 def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
-    n = int(cfg.get("n", 3))
-    depth = int(cfg.get("L", 20))
-    p = float(cfg.get("p", 0.3))
-    noise_type = cfg.get("noise_type", "depolarizing")
-    root = int(cfg.get("seed", 0) if seed is None else seed)
+    n = config_value(cfg, "n", 3, int, 2, MAX_QUBITS)
+    depth = config_value(cfg, "L", 20, int, 1)
+    noise_type, p, noise = _noise_from_config(cfg, "depolarizing", 0.3)
+    root = _root_seed(cfg, seed)
+    instances = config_value(cfg, "instances", 10, int, 1)
+    thetas = config_value(cfg, "thetas", 20, int, 1)
     circ = build_two_local(n, depth)
-    locations = tuple(
-        tuple(loc) for loc in cfg.get("locations", default_locations(circ))
-    )
+    try:
+        locations = tuple(
+            tuple(loc) for loc in cfg.get("locations", default_locations(circ))
+        )
+        bad = [loc for loc in locations if loc not in circ.parameter_index]
+    except TypeError:
+        bad = [cfg["locations"]]
+    if bad:
+        raise ConfigError("locations", f"not rotation locations of the circuit: {bad}")
     stats = gradient_stats(
         SweepSpec(
             circuit=circ,
-            noise=NoiseSpec.named(noise_type, p),
+            noise=noise,
             locations=locations,
-            num_hamiltonians=int(cfg.get("instances", 10)),
-            thetas_per_hamiltonian=int(cfg.get("thetas", 20)),
+            num_hamiltonians=instances,
+            thetas_per_hamiltonian=thetas,
             seed=root,
         )
     )
@@ -110,17 +137,23 @@ def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
 
 
 def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
-    n = int(cfg.get("n", 3))
-    depth = int(cfg.get("L", 10))
-    p = float(cfg.get("p", 0.3))
-    noise_type = cfg.get("noise_type", "depolarizing")
-    root = int(cfg.get("seed", 0) if seed is None else seed)
+    n = config_value(cfg, "n", 3, int, 2, AFFINE_MAX_QUBITS)
+    depth = config_value(cfg, "L", 10, int, 1)
+    _, _, noise = _noise_from_config(cfg, "depolarizing", 0.3)
+    channel = noise.layer_channels or identity_channel()  # "none": the identity
+    root = _root_seed(cfg, seed)
+    depth_constant = config_value(cfg, "depth_constant", 1.0, float)
+    if not depth_constant > 0.0:
+        raise ConfigError("depth_constant", f"{depth_constant!r} must be positive")
+    depth_exponent = config_value(cfg, "depth_exponent", 2.0, float, 1.0)
+    locality = config_value(cfg, "locality", 2, int)
+    bif = None  # theorem 3 needs at least 3 layers
+    if depth >= 3:
+        bif = config_value(cfg, "bifurcation_layer", max(depth - 2, 3), int, 3, depth)
     rng = np.random.default_rng(root)
     circ = build_two_local(n, depth)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
     H = random_two_local(n, rng)
-    channel = named_channel(noise_type, p)
-    noise = NoiseSpec.uniform(channel)
 
     profile = bounds.contractivity_profile(circ, noise, theta)
     report: dict = {
@@ -136,10 +169,7 @@ def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> Non
             [L, bounds.nibp_bound(hn, profile.r, L)] for L in range(1, depth + 1)
         ]
         report["L0"] = bounds.l0_threshold(
-            c=float(cfg.get("depth_constant", 1.0)),
-            Q=float(cfg.get("depth_exponent", 2.0)),
-            K=int(cfg.get("locality", 2)),
-            r=profile.r,
+            c=depth_constant, Q=depth_exponent, K=locality, r=profile.r
         )
     nils = bounds.nils_interval(H, channel, depth, circ=circ, theta=theta)
     report["nils"] = {
@@ -149,8 +179,7 @@ def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> Non
         "unital": nils.unital,
         "d_L_dot_h": nils.d_L_dot_h,
     }
-    bif = int(cfg.get("bifurcation_layer", max(depth - 2, 3)))
-    if depth >= 3:
+    if bif is not None:
         t3 = bounds.theorem3_report([channel] * depth, bif)
         report["theorem3"] = {
             "applicable": t3.applicable,
@@ -167,21 +196,20 @@ def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> Non
 def cmd_train(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     csv_path, summary_path = out / "train.csv", out / "train_summary.json"
     _refuse_overwrite([csv_path, summary_path], force)
-    n = int(cfg.get("n", 3))
-    depth = int(cfg.get("L", 5))
-    root = int(cfg.get("seed", 0) if seed is None else seed)
+    n = config_value(cfg, "n", 3, int, 2, MAX_QUBITS)
+    depth = config_value(cfg, "L", 5, int, 1)
+    _, _, noise = _noise_from_config(cfg, "none", 0.0)
+    root = _root_seed(cfg, seed)
+    maxiter = config_value(cfg, "maxiter", 200, int, 1)
     rng = np.random.default_rng(root)
     circ = build_two_local(n, depth)
-    noise = _noise_from_config(cfg)
     H = random_two_local(n, rng)
     theta0 = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
 
     def objective(theta):
         return cost(H, evolve(circ, theta, noise))
 
-    trace = spsa_minimize(
-        objective, theta0, SpsaConfig(maxiter=int(cfg.get("maxiter", 200)), seed=root)
-    )
+    trace = spsa_minimize(objective, theta0, SpsaConfig(maxiter=maxiter, seed=root))
     rows = tuple(
         (i, c, s) for i, (c, s) in enumerate(zip(trace.costs, trace.step_sizes))
     )
@@ -255,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         command(cfg, Path(args.out), args.seed, args.force)
-    except FileExistsError as exc:
+    except (FileExistsError, ConfigError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     return 0

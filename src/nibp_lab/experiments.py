@@ -18,7 +18,7 @@ from typing import Any, ClassVar, Sequence
 import numpy as np
 
 from . import bounds
-from .channels import affine_rep, named_channel
+from .channels import affine_rep, identity_channel
 from .circuits import NoiseSpec, build_two_local
 from .gradients import SweepSpec, default_locations, gradient_stats
 from .hamiltonians import cost, h_norm, random_two_local
@@ -37,12 +37,41 @@ PRESETS = (
 _DEFAULT_L = {"final_cost": 5, "width_scaling": 10}
 
 
-def _as_tuple(value, cast) -> tuple:
-    if value is None:
-        return ()
-    if isinstance(value, (list, tuple)):
-        return tuple(cast(v) for v in value)
-    return (cast(value),)
+class ConfigError(ValueError):
+    """A config value that cannot be used; the message names its key."""
+
+    def __init__(self, key: str, problem: str):
+        super().__init__(f"config key {key!r}: {problem}")
+        self.key = key
+
+
+def config_value(data: dict, key: str, default, cast, lo=None, hi=None, many=False):
+    """``cast(data.get(key, default))`` within [lo, hi] (either end may be
+    None); a value that fails either raises ConfigError naming ``key``.
+    ``many=True`` reads one value or a list of them as a tuple."""
+    raw = data.get(key, default)
+    items = raw if many and isinstance(raw, (list, tuple)) else (raw,)
+    try:
+        values = tuple(cast(v) for v in items)
+    except (TypeError, ValueError):
+        raise ConfigError(key, f"cannot read {raw!r} as {cast.__name__}") from None
+    _check_range(key, values, lo, hi)
+    return values if many else values[0]
+
+
+def _check_range(key: str, values: tuple, lo, hi) -> None:
+    for v in values:
+        if lo is not None and v < lo or hi is not None and v > hi:
+            raise ConfigError(key, f"{v!r} outside [{lo}, {hi}]")
+
+
+def config_noise(noise_type, p: float) -> NoiseSpec:
+    """``NoiseSpec.named``; an unknown name raises ConfigError for
+    ``noise_type``."""
+    try:
+        return NoiseSpec.named(noise_type, p)
+    except KeyError as exc:
+        raise ConfigError("noise_type", f"{exc.args[0]}, or 'none'") from None
 
 
 @dataclass(frozen=True)
@@ -64,27 +93,36 @@ class ExperimentConfig:
     )
 
     def __post_init__(self):
+        """Reject unusable values with a ConfigError naming the JSON key."""
         if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; choices: {PRESETS}")
+            raise ConfigError("preset", f"unknown preset {self.preset!r}; choices: {PRESETS}")
         if self.L_list is None:
             object.__setattr__(self, "L_list", (_DEFAULT_L.get(self.preset, 20),))
-        if not (self.n_list and self.L_list and self.p_list):
-            raise ValueError("sweep lists must be nonempty")
-        if self.instances < 1:
-            raise ValueError("instances must be >= 1")
+        for key, values in (("n", self.n_list), ("L", self.L_list), ("p", self.p_list)):
+            if not values:
+                raise ConfigError(key, "sweep list must be nonempty")
+        _check_range("n", self.n_list, 2, None)
+        _check_range("L", self.L_list, 1, None)
+        _check_range("p", self.p_list, 0.0, 1.0)
+        _check_range("instances", (self.instances,), 1, None)
+        _check_range("thetas", (self.thetas,), 1, None)
+        _check_range("maxiter", (self.maxiter,), 1, None)
+        config_noise(self.noise_type, self.p_list[0])
 
     @classmethod
     def from_json(cls, data: dict[str, Any], seed: int | None = None):
+        if "preset" not in data:
+            raise ConfigError("preset", f"missing; choices: {PRESETS}")
         return cls(
             preset=data["preset"],
-            n_list=_as_tuple(data.get("n", 3), int),
-            L_list=_as_tuple(data["L"], int) if "L" in data else None,
-            p_list=_as_tuple(data.get("p", 0.3), float),
+            n_list=config_value(data, "n", 3, int, many=True),
+            L_list=config_value(data, "L", None, int, many=True) if "L" in data else None,
+            p_list=config_value(data, "p", 0.3, float, many=True),
             noise_type=data.get("noise_type", "depolarizing"),
-            instances=int(data.get("instances", 10)),
-            thetas=int(data.get("thetas", 20)),
-            maxiter=int(data.get("maxiter", 200)),
-            seed=int(data.get("seed", 0) if seed is None else seed),
+            instances=config_value(data, "instances", 10, int),
+            thetas=config_value(data, "thetas", 20, int),
+            maxiter=config_value(data, "maxiter", 200, int),
+            seed=config_value(data, "seed", 0, int) if seed is None else int(seed),
         )
 
 
@@ -102,8 +140,9 @@ def _subseed(root: int, *key: int) -> int:
 
 
 def _channel_r(noise_type: str, p: float) -> float:
-    """||M|| of the single-qubit layer channel."""
-    return affine_rep(named_channel(noise_type, p)).operator_norm()
+    """||M|| of the single-qubit layer channel (1 without noise)."""
+    channel = NoiseSpec.named(noise_type, p).layer_channels or identity_channel()
+    return affine_rep(channel).operator_norm()
 
 
 def _max_h_norm(n: int, root_seed: int, instances: int) -> float:

@@ -240,7 +240,8 @@ def _noise_setups(n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", sorted(_noise_setups(2)))
 def test_layer_affine_maps_equal_per_layer_reference(n, kind):
-    # the per-call noise memo changes no bit of the per-layer maps
+    # the per-call noise memo changes no bit of c and ||M||; Omega, built
+    # from local transfer matrices, matches the dense route within 1e-12
     noise, _ = _noise_setups(n)[kind]
     circ = build_two_local(n, 4)
     theta = np.random.default_rng(60 + n).uniform(0, 2 * np.pi, circ.num_parameters)
@@ -249,7 +250,9 @@ def test_layer_affine_maps_equal_per_layer_reference(n, kind):
     for layer, (omega, c, opnorm) in enumerate(maps):
         gate = affine_rep(unitary_channel(layer_unitary(circ, theta, layer, noise)))
         rep = affine_rep(layer_channel_as_kraus(noise, layer, n))
-        assert np.array_equal(omega, rep.M @ gate.M), (kind, layer)
+        np.testing.assert_allclose(
+            omega, rep.M @ gate.M, rtol=0, atol=1e-12, err_msg=f"{kind} {layer}"
+        )
         assert np.array_equal(c, rep.c), (kind, layer)
         assert opnorm == float(np.linalg.norm(rep.M, 2)), (kind, layer)
 
@@ -272,8 +275,8 @@ def test_layer_affine_maps_builds_each_noise_map_once(monkeypatch, kind):
     circ = build_two_local(2, 4)
     calls = _count_calls(monkeypatch, bounds, "affine_rep")
     layer_affine_maps(circ, np.zeros(circ.num_parameters), noise)
-    # one gate map per layer plus one noise map per distinct entry
-    assert len(calls) == circ.depth + distinct
+    # one noise map per distinct entry; the gate maps need no affine_rep
+    assert len(calls) == distinct
 
 
 def test_nils_and_theorem3_build_each_channel_once(monkeypatch):

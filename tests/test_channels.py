@@ -213,3 +213,19 @@ def test_affine_rep_round_trip_state_evolution():
     v = rep.apply(to_coherence(rho, basis).v)
     rebuilt = from_coherence(CoherenceVector(n=2, v=v), basis)
     np.testing.assert_allclose(rebuilt.data, ch.apply(rho.data), atol=1e-12)
+
+
+def test_kraus_channel_keeps_read_only_copies():
+    ch = amplitude_damping(0.3)
+    with pytest.raises(ValueError):
+        ch.kraus_ops[0][1, 1] = 0.0
+    # a caller's later edit of its own arrays does not reach the channel
+    ops = [np.array(k) for k in ch.kraus_ops]
+    mine = KrausChannel(n=1, kraus_ops=tuple(ops))
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    before = mine.apply_to_qubit(rho, 0, 1)
+    ops[1][0, 1] = 0.0
+    ops[0][1, 1] = 1.0
+    np.testing.assert_array_equal(mine.apply(rho), before)
+    np.testing.assert_array_equal(mine.apply_to_qubit(rho, 0, 1), before)
+    np.testing.assert_allclose(np.diag(before).real, [0.65, 0.35], atol=1e-15)

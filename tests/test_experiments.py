@@ -343,6 +343,47 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
     assert not out.exists()  # refused before any work
 
 
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("experiment", {"preset": "bogus"}, "preset"),
+        ("bound-report", {"n": 2, "L": 4, "bifurcation_layer": 9}, "bifurcation_layer"),
+        ("train", {"noise_type": "depolarising"}, "noise_type"),
+        ("bound-report", {"n": 4}, "n"),  # the affine path stops at n = 3
+        ("bound-report", {"n": 2, "L": 4, "depth_constant": 0}, "depth_constant"),
+        ("grad-scan", {"n": "three"}, "n"),
+        ("grad-scan", {"n": 2, "L": 2, "locations": [[5, 0]]}, "locations"),
+        ("train", {"n": 2, "L": 2, "maxiter": 0}, "maxiter"),
+        ("experiment", {"preset": "layers_sweep", "p": [0.2, 1.5]}, "p"),
+        ("experiment", {"preset": "noise_sweep", "noise_type": "dephasing"}, "noise_type"),
+    ],
+)
+def test_cli_bad_config_value_is_one_line_naming_the_key(
+    tmp_path, command, cfg, key, capsys
+):
+    code, out = _run_cli(tmp_path, command, cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"config key {key!r}" in err
+    assert not out.exists()
+
+
+def test_bound_report_accepts_noise_type_none(tmp_path):
+    cfg = {"n": 2, "L": 4, "noise_type": "none"}
+    code, out = _run_cli(tmp_path, "bound-report", cfg)
+    assert code == 0
+    report = json.loads((out / "bound_report.json").read_text())
+    assert report["r"] == 1.0
+    assert report["nils"]["unital"] and report["nils"]["lambda_L"] == 0.0
+    assert not report["theorem3"]["applicable"]
+    # the same report as the explicit identity channel
+    (tmp_path / "id").mkdir()
+    code, same = _run_cli(tmp_path / "id", "bound-report", dict(cfg, noise_type="identity"))
+    assert code == 0
+    assert (same / "bound_report.json").read_bytes() == (out / "bound_report.json").read_bytes()
+
+
 class _ReadRecorder(dict):
     """A dict that records which keys are read."""
 

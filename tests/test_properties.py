@@ -2,8 +2,10 @@
 
 The qubit-local channel kernel is checked against the dense einsum
 contraction it replaced, batched evolution against one evolution per angle
-row and against the per-layer affine maps of the bounds, and the batched
-gradient sweep against one shift-rule call per sample.
+row and against the per-layer affine maps of the bounds, the gate maps
+built from local Pauli transfer matrices against the dense superoperator
+route, and the batched gradient sweep against one shift-rule call per
+sample.
 """
 
 import math
@@ -16,7 +18,13 @@ from hypothesis import strategies as st
 
 from nibp_lab import circuits, gradients
 from nibp_lab.bounds import layer_affine_maps
-from nibp_lab.channels import named_channel, random_channel
+from nibp_lab.channels import (
+    affine_rep,
+    named_channel,
+    random_channel,
+    random_unitary_matrix,
+    unitary_channel,
+)
 from nibp_lab.circuits import (
     Gate,
     NoiseSpec,
@@ -178,6 +186,66 @@ def test_evolve_follows_layer_affine_maps(n, depth, p, seed):
                          _noise(kind, n, layers, p))
             np.testing.assert_allclose(
                 to_coherence(rho, basis).v, v, rtol=0, atol=1e-12, err_msg=kind)
+
+
+@st.composite
+def _gate_layers(draw):
+    """One layer of n <= 3 qubits, with the angles and control noise: weight-1
+    X/Y/Z rotations, weight-2 rotations, CNOTs, rotations under control
+    noise and fixed gates put in with ``with_gate``."""
+    n = draw(st.integers(1, 3))
+    kinds = ["rotation", "rotation", "control", "fixed"]
+    if n > 1:
+        kinds += ["weight2", "cnot", "cnot"]
+    gates, index, control, fixed = [], {}, {}, []
+    for slot in range(draw(st.integers(1, 7))):
+        loc = (0, slot)
+        kind = draw(st.sampled_from(kinds))
+        if kind == "cnot":
+            c, t = draw(st.permutations(range(n)))[:2]
+            gates.append(circuits.cnot_gate(c, t, n, loc))
+            continue
+        qubits = draw(st.permutations(range(n)))[: 2 if kind == "weight2" else 1]
+        letters = ["I"] * n
+        for q in qubits:
+            letters[q] = draw(st.sampled_from("XYZ"))
+        gates.append(Gate(kind="param", location=loc, target_qubits=tuple(qubits),
+                          generator=PauliString("".join(letters))))
+        index[loc] = len(index)
+        if kind == "control":
+            pert = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+            control[loc] = {pert: draw(st.floats(0.01, 0.09))}
+        elif kind == "fixed":
+            fixed.append(Gate(kind="fixed", location=loc, target_qubits=tuple(range(n)),
+                              matrix=random_unitary_matrix(
+                                  2**n, np.random.default_rng(draw(st.integers(0, 2**16))))))
+    circ = circuits.Circuit(n=n, layers=(tuple(gates),), parameter_index=index)
+    for gate in fixed:
+        circ = circ.with_gate(gate)
+    theta = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(index),
+                                   max_size=len(index))))
+    return circ, theta, NoiseSpec(control_noise=control)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gate_layers())
+def test_layer_gate_map_equals_dense_oracle(layer):
+    # local PTMs (closed-form rotations, CNOT sign permutations, transfer
+    # matrices of the other gates) against the d^4 superoperator route
+    circ, theta, noise = layer
+    omega = circuits.layer_gate_map(circ, theta, 0, noise)
+    dense = affine_rep(unitary_channel(circuits.layer_unitary(circ, theta, 0, noise))).M
+    np.testing.assert_allclose(omega, dense, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(omega @ omega.T, np.eye(len(omega)), rtol=0, atol=1e-12)
+
+
+def test_layer_gate_map_refuses_mixture_layers():
+    spec = RandomUnitaryNoise(probs=(0.8, 0.2), generators=("YI", "ZZ"), intended=0)
+    noise = NoiseSpec(random_unitary={(1, 0): spec})
+    circ = build_two_local(2, 2)
+    circuits.layer_gate_map(circ, np.zeros(4), 0, noise)
+    with pytest.raises(ValueError, match="mixture"):
+        circuits.layer_gate_map(circ, np.zeros(4), 1, noise)
 
 
 def test_evolve_rejects_bad_angle_shapes():
