@@ -6,11 +6,16 @@ enters in three ways: a CPTP channel applied after each layer, a coherent
 perturbation of a rotation's generator (control noise), and a probabilistic
 mixture of rotations sharing the intended angle (random-unitary noise).
 
-The dense path (``evolve``) multiplies a layer's gate unitaries.  The affine
-path (``layer_gate_map``) builds the same layer as a real matrix on coherence
-vectors from local Pauli transfer matrices: closed-form 4 x 4 rotations
-combined by outer products, and the CNOT run as a cached signed permutation
-of Pauli strings.
+Both views of a layer group its gates into the same runs (``_gate_runs``):
+a column of weight-1 rotations on distinct qubits, a run of CNOTs, and
+single other gates.  The dense path (``evolve``) renders a column as its
+d x d unitary, one gather of each rotation's 2 x 2 entries per qubit, and
+a CNOT run as one cached row permutation, so the product carries the
+rounding of the gate-by-gate ``u @ acc`` chain; other gates are multiplied
+in as dense unitaries.  The affine path (``layer_gate_map``) builds the
+layer as a real matrix on coherence vectors from local Pauli transfer
+matrices: closed-form 4 x 4 rotations combined by outer products, and the
+CNOT run as a cached signed permutation of Pauli strings.
 """
 
 from __future__ import annotations
@@ -105,9 +110,10 @@ class Gate:
 
 
 def _rotation(p: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
-    """cos(theta/2) I - i sin(theta/2) P, stacked over an array of angles."""
+    """cos(theta/2) I - i sin(theta/2) P, stacked over an array of angles;
+    a (k, m, m) stack of generators takes angles of shape (..., k)."""
     half = np.asarray(theta)[..., None, None] / 2
-    eye = np.eye(p.shape[0], dtype=complex)
+    eye = np.eye(p.shape[-1], dtype=complex)
     return np.cos(half) * eye - 1j * np.sin(half) * p
 
 
@@ -315,33 +321,135 @@ def single_ry_circuit() -> Circuit:
 # ---------------------------------------------------------------------------
 
 
+def _gate_runs(circ: Circuit, layer: int, noise: NoiseSpec) -> list[tuple[str, object]]:
+    """The layer's gates grouped into runs, in gate order.
+
+    ``("column", {qubit: (letter, parameter index)})``: weight-1 rotations
+    without control noise or a mixture, on distinct qubits, in gate order;
+    ``("cnots", [(control, target), ...])``: consecutive CNOTs;
+    ``("mixture", gate)``: a rotation replaced by a random-unitary mixture;
+    ``("gate", gate)``: any other gate.
+    """
+    control = noise.control_noise or {}
+    mixtures = noise.random_unitary or {}
+    runs: list[tuple[str, object]] = []
+    for gate in circ.layers[layer]:
+        last = runs[-1][0] if runs else None
+        if gate.is_parameterized and gate.location in mixtures:
+            runs.append(("mixture", gate))
+        elif (
+            gate.is_parameterized
+            and gate.location not in control
+            and gate.generator.hamming_weight == 1
+        ):
+            letters = gate.generator.letters
+            q = len(letters) - len(letters.lstrip("I"))
+            if last != "column" or q in runs[-1][1]:
+                runs.append(("column", {}))
+            runs[-1][1][q] = (letters[q], circ.parameter_index[gate.location])
+        elif _is_cnot(gate, circ.n):
+            if last != "cnots":
+                runs.append(("cnots", []))
+            runs[-1][1].append(gate.target_qubits)
+        else:
+            runs.append(("gate", gate))
+    return runs
+
+
 def _layer_ops(
     circ: Circuit, thetas: np.ndarray, layer: int, noise: NoiseSpec
 ) -> list[list[np.ndarray]]:
     """The layer's gates as an ordered list of Kraus sets.
 
-    Each run of unitary gates is one product, accumulated gate by gate as
-    ``u @ acc``; each random-unitary mixture is its own set.  ``thetas`` of
-    shape (P,) gives d x d operators, (B, P) gives (B, d, d) stacks for the
-    angle-dependent ones.  Fixed gates carry no control noise or mixture.
+    Each stretch of unitary runs is one product ``acc``: a rotation column
+    enters as its gathered unitary, a CNOT run as a row permutation of
+    ``acc``, any other gate as ``u @ acc``.  Each random-unitary mixture is
+    its own set.  ``thetas`` of shape (P,) gives d x d operators, (B, P)
+    gives (B, d, d) stacks for the angle-dependent ones.  Fixed gates carry
+    no control noise or mixture.
     """
     control = noise.control_noise or {}
-    mixtures = noise.random_unitary or {}
+    n = circ.n
     ops: list[list[np.ndarray]] = []
     acc: np.ndarray | None = None
-    for gate in circ.layers[layer]:
-        if gate.is_parameterized and gate.location in mixtures:
+    for kind, run in _gate_runs(circ, layer, noise):
+        if kind == "mixture":
             if acc is not None:
                 ops.append([acc])
                 acc = None
-            angle = thetas[..., circ.parameter_index[gate.location]]
-            ops.append(_mixture_ops(mixtures[gate.location], angle))
-            continue
-        u = _gate_unitary(circ, gate, thetas, control)
-        acc = u if acc is None else u @ acc
+            angle = thetas[..., circ.parameter_index[run.location]]
+            ops.append(_mixture_ops(noise.random_unitary[run.location], angle))
+        elif kind == "cnots":
+            rows = _cnot_rows(tuple(run), n)
+            acc = np.eye(2**n, dtype=complex)[rows] if acc is None else acc[..., rows, :]
+        else:
+            if kind == "column":
+                u = _column_unitary(run, thetas, n)
+            else:
+                u = _gate_unitary(circ, run, thetas, control)
+            acc = u if acc is None else u @ acc
     if acc is not None:
         ops.append([acc])
     return ops
+
+
+def _column_unitary(
+    column: Mapping[int, tuple[str, int]], thetas: np.ndarray, n: int
+) -> np.ndarray:
+    """The d x d unitary (a (B, d, d) stack for (B, P) angles) of weight-1
+    rotations on distinct qubits, ``column[q]`` = (letter, parameter index)
+    in gate order.
+
+    Entry (i, j) is the product, in gate order, of each rotation's 2 x 2
+    entry at the bits of i and j on its qubit, and zero where i and j
+    differ on a qubit outside the column.  Each product of the gate-by-gate
+    chain ``u @ acc`` over such a column has exactly one nonzero term per
+    entry, so a column of real rotations (RY) that starts a layer rounds
+    bit for bit as that chain does; complex ones agree to rounding.
+    """
+    letters, params = zip(*column.values())
+    factors = _rotation(_paulis_1q("".join(letters)), thetas[..., list(params)])
+    factors = factors.reshape(factors.shape[:-2] + (4,))
+    index = _bit_index(n)
+    u = None
+    for k, q in enumerate(column):
+        entries = factors[..., k, :].take(index[q], axis=-1)
+        u = entries if u is None else entries * u
+    if len(column) < n:
+        # index 0 or 3: the bits of i and j agree on that qubit
+        missing = [q for q in range(n) if q not in column]
+        u = u * (index[missing] % 3 == 0).all(axis=0)
+    return u
+
+
+@lru_cache(maxsize=256)
+def _paulis_1q(letters: str) -> np.ndarray:
+    """The (k, 2, 2) stack of the one-qubit Paulis named by ``letters``."""
+    stack = np.stack([_pauli_matrix(letter) for letter in letters])
+    stack.setflags(write=False)
+    return stack
+
+
+@lru_cache(maxsize=16)
+def _bit_index(n: int) -> np.ndarray:
+    """(n, d, d) array: entry [q, i, j] = 2 i_q + j_q, the flat position in
+    a 2 x 2 factor on qubit q of its entry in row i, column j of the
+    register's tensor product (qubit 0 the most significant bit)."""
+    bits = np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None] & 1
+    index = 2 * bits[:, :, None] + bits[:, None, :]
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=256)
+def _cnot_rows(chain: tuple[tuple[int, int], ...], n: int) -> np.ndarray:
+    """The CNOTs ``chain`` ((control, target) in gate order) as a row
+    permutation: their product applied to A is ``A[..., rows, :]``."""
+    rows = np.arange(2**n)
+    for c, t in chain:
+        rows = rows[np.nonzero(_cnot_full(c, t, n))[1]]
+    rows.setflags(write=False)
+    return rows
 
 
 def _gate_unitary(
@@ -429,13 +537,12 @@ def layer_gate_map(
     acting on Hamming-ordered coherence vectors (control noise included).
 
     It equals the M of ``affine_rep(unitary_channel(layer_unitary(...)))``
-    up to rounding, without the d^4 superoperator.  Gates are grouped into
-    runs in gate order: weight-1 rotations without control noise on
-    distinct qubits form one column, the outer product of their closed-form
-    4 x 4 Pauli transfer matrices; consecutive CNOTs form one cached signed
-    permutation of Pauli strings, applied as a row gather; any other gate
-    (control noise, a generator of weight > 1, a fixed gate other than a
-    CNOT) uses its own full-register transfer matrix.  Runs compose by
+    up to rounding, without the d^4 superoperator.  Of the runs of
+    ``_gate_runs``, a rotation column is the outer product of its
+    closed-form 4 x 4 Pauli transfer matrices; a CNOT run is one cached
+    signed permutation of Pauli strings, applied as a row gather; any other
+    gate (control noise, a generator of weight > 1, a fixed gate other than
+    a CNOT) uses its own full-register transfer matrix.  Runs compose by
     matrix products.
     """
     noise = noise or NoiseSpec.none()
@@ -443,36 +550,20 @@ def layer_gate_map(
     control = noise.control_noise or {}
     theta = np.asarray(theta, dtype=float)
     n = circ.n
-    runs: list = []  # dict: qubit -> 4x4 PTM; list: CNOT chain; array: unitary
-    for gate in circ.layers[layer]:
-        if (
-            gate.is_parameterized
-            and gate.location not in control
-            and gate.generator.hamming_weight == 1
-        ):
-            q, letter = next(
-                (q, ch) for q, ch in enumerate(gate.generator.letters) if ch != "I"
-            )
-            if not runs or not isinstance(runs[-1], dict) or q in runs[-1]:
-                runs.append({})
-            runs[-1][q] = _rotation_ptm(letter, theta[circ.parameter_index[gate.location]])
-        elif _is_cnot(gate, n):
-            if not runs or not isinstance(runs[-1], list):
-                runs.append([])
-            runs[-1].append(gate.target_qubits)
-        else:
-            runs.append(_gate_unitary(circ, gate, theta, control))
     omega = None  # None is the identity
-    for run in runs:
-        if isinstance(run, list):
+    for kind, run in _gate_runs(circ, layer, noise):
+        if kind == "cnots":
             src, sign = _cnot_chain_ptm(tuple(run), n)
             base = np.eye(len(src)) if omega is None else omega
             omega = sign[:, None] * base[src]
             continue
-        if isinstance(run, dict):
-            t = _column_ptm(run, n)
+        if kind == "column":
+            t = _column_ptm(
+                {q: _rotation_ptm(letter, theta[i]) for q, (letter, i) in run.items()}, n
+            )
         else:
-            t = transfer_matrix(unitary_channel(run), build_nice_basis(n))[1:, 1:]
+            u = _gate_unitary(circ, run, theta, control)
+            t = transfer_matrix(unitary_channel(u), build_nice_basis(n))[1:, 1:]
         omega = t if omega is None else t @ omega
     return np.eye(4**n - 1) if omega is None else omega
 

@@ -8,6 +8,8 @@ order.  CSV bytes depend only on (config, seed).
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 import os
 import time
@@ -18,7 +20,7 @@ from typing import Any, ClassVar, Sequence
 import numpy as np
 
 from . import bounds
-from .channels import affine_rep, identity_channel
+from .channels import CONTRACTIVE_MARGIN, affine_rep, identity_channel
 from .circuits import NoiseSpec, build_two_local
 from .gradients import SweepSpec, default_locations, gradient_stats
 from .hamiltonians import cost, h_norm, random_two_local
@@ -32,6 +34,8 @@ PRESETS = (
     "width_scaling",
     "trainability",
 )
+
+log = logging.getLogger(__name__)
 
 # depth a preset runs at when the config gives none
 _DEFAULT_L = {"final_cost": 5, "width_scaling": 10}
@@ -140,7 +144,8 @@ def _subseed(root: int, *key: int) -> int:
 
 
 def _channel_r(noise_type: str, p: float) -> float:
-    """||M|| of the single-qubit layer channel (1 without noise)."""
+    """||M|| of the single-qubit layer channel (1 up to rounding without
+    noise)."""
     channel = NoiseSpec.named(noise_type, p).layer_channels or identity_channel()
     return affine_rep(channel).operator_norm()
 
@@ -168,7 +173,9 @@ def _grad_rows(cfg: ExperimentConfig, n: int, L: int, p: float) -> list[tuple]:
     )
     r = _channel_r(cfg.noise_type, p)
     hmax = _max_h_norm(n, seed, cfg.instances)
-    bound = bounds.nibp_bound(hmax, r, L) if r < 1.0 else float("nan")
+    # the identity channel gives r = 1 - 2e-16: not contracting, no bound
+    contracting = r < 1.0 - CONTRACTIVE_MARGIN
+    bound = bounds.nibp_bound(hmax, r, L) if contracting else float("nan")
     rows = []
     for loc in sorted(stats):
         s = stats[loc]
@@ -184,12 +191,23 @@ _GRAD_COLUMNS = (
 )
 
 
+def _cells(cfg: ExperimentConfig, ns, Ls, ps, noise_types=None):
+    """Yield the (noise_type, n, L, p) cells of a sweep in row order (noise
+    types as given, then n, L, p ascending) and log one INFO line as each
+    cell finishes."""
+    grid = list(itertools.product(
+        noise_types or (cfg.noise_type,), sorted(ns), sorted(Ls), sorted(ps)))
+    for i, cell in enumerate(grid, start=1):
+        start = time.perf_counter()
+        yield cell
+        log.info("%s: cell %d/%d done (noise_type=%s n=%d L=%d p=%r) in %.2f s",
+                 cfg.preset, i, len(grid), *cell, time.perf_counter() - start)
+
+
 def run_layers_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Gradient statistics vs depth at fixed noise strength."""
-    n = cfg.n_list[0]
-    p = cfg.p_list[0]
     rows = []
-    for L in sorted(cfg.L_list):
+    for _, n, L, p in _cells(cfg, cfg.n_list[:1], cfg.L_list, cfg.p_list[:1]):
         rows.extend(_grad_rows(cfg, n, L, p))
     return ExperimentResult(
         columns=_GRAD_COLUMNS, rows=tuple(rows), metadata={"preset": cfg.preset}
@@ -198,10 +216,8 @@ def run_layers_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Gradient statistics vs noise probability at fixed depth."""
-    n = cfg.n_list[0]
-    L = cfg.L_list[0]
     rows = []
-    for p in sorted(cfg.p_list):
+    for _, n, L, p in _cells(cfg, cfg.n_list[:1], cfg.L_list[:1], cfg.p_list):
         rows.extend(_grad_rows(cfg, n, L, p))
     return ExperimentResult(
         columns=_GRAD_COLUMNS, rows=tuple(rows), metadata={"preset": cfg.preset}
@@ -216,7 +232,7 @@ def run_final_cost(cfg: ExperimentConfig) -> ExperimentResult:
     circ = build_two_local(n, L)
     d = 2**n
     rows = []
-    for p in sorted(cfg.p_list):
+    for *_, p in _cells(cfg, (n,), (L,), cfg.p_list):
         noise = NoiseSpec.named(cfg.noise_type, p)
         for i in range(cfg.instances):
             seed = _subseed(cfg.seed, n, int(round(p * 10_000)), i)
@@ -252,7 +268,7 @@ def run_width_scaling(cfg: ExperimentConfig) -> ExperimentResult:
     L = cfg.L_list[0]
     noise_type = cfg.noise_type
     rows = []
-    for n in sorted(cfg.n_list):
+    for _, n, _, _ in _cells(cfg, cfg.n_list, (L,), (p,)):
         instances = cfg.instances if n < 5 else max(cfg.instances // 2, 3)
         circ = build_two_local(n, L)
         noise = NoiseSpec.named(noise_type, p)
@@ -296,29 +312,29 @@ def run_trainability(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.p_list[0]
     L = cfg.L_list[0]
     rows = []
-    for noise_type in (cfg.noise_type, "depolarizing"):
-        for n in sorted(cfg.n_list):
-            circ = build_two_local(n, L)
-            noise = NoiseSpec.named(noise_type, p)
-            distances = sorted({0, math.ceil(math.log2(n)), L // 2})
-            locations = tuple((L - 1 - dist, 0) for dist in distances)
-            seed = _subseed(cfg.seed, n, L, int(round(p * 10_000)))
-            stats = gradient_stats(
-                SweepSpec(
-                    circuit=circ,
-                    noise=noise,
-                    locations=locations,
-                    num_hamiltonians=cfg.instances,
-                    thetas_per_hamiltonian=cfg.thetas,
-                    seed=seed,
-                )
+    noise_types = (cfg.noise_type, "depolarizing")
+    for noise_type, n, _, _ in _cells(cfg, cfg.n_list, (L,), (p,), noise_types):
+        circ = build_two_local(n, L)
+        noise = NoiseSpec.named(noise_type, p)
+        distances = sorted({0, math.ceil(math.log2(n)), L // 2})
+        locations = tuple((L - 1 - dist, 0) for dist in distances)
+        seed = _subseed(cfg.seed, n, L, int(round(p * 10_000)))
+        stats = gradient_stats(
+            SweepSpec(
+                circuit=circ,
+                noise=noise,
+                locations=locations,
+                num_hamiltonians=cfg.instances,
+                thetas_per_hamiltonian=cfg.thetas,
+                seed=seed,
             )
-            for dist, loc in zip(distances, locations):
-                s = stats[loc]
-                rows.append(
-                    (n, L, p, noise_type, dist, loc[0], s.variance,
-                     s.mean_abs, s.samples, seed)
-                )
+        )
+        for dist, loc in zip(distances, locations):
+            s = stats[loc]
+            rows.append(
+                (n, L, p, noise_type, dist, loc[0], s.variance,
+                 s.mean_abs, s.samples, seed)
+            )
     return ExperimentResult(
         columns=("n", "L", "p", "noise_type", "suffix_distance", "layer",
                  "var_grad", "mean_abs_grad", "samples", "seed"),
@@ -337,6 +353,8 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run the config's preset.  Progress goes to this module's logger, one
+    INFO line per finished sweep cell; no handler is added."""
     start = time.time()
     result = _RUNNERS[cfg.preset](cfg)
     meta = dict(result.metadata)

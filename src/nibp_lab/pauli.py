@@ -70,7 +70,7 @@ class PauliString:
 
     @property
     def hamming_weight(self) -> int:
-        return sum(ch != "I" for ch in self.letters)
+        return len(self.letters) - self.letters.count("I")
 
     def matrix(self) -> np.ndarray:
         return _pauli_matrix(self.letters)

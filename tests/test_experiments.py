@@ -1,4 +1,5 @@
 import json
+import logging
 import runpy
 import sys
 import types
@@ -56,6 +57,38 @@ def test_layers_sweep_shape_and_monotone_bound():
     assert set(cols["L"]) == {2, 4}
     assert all(b > 0 for b in cols["bound"])
     assert result.metadata["seed"] == 0
+
+
+@pytest.mark.parametrize(
+    "noise_type, p", [("none", 0.3), ("depolarizing", 0.0), ("identity", 0.3)])
+def test_noiseless_rows_have_no_bound(noise_type, p):
+    # ||M|| of the identity channel rounds to 0.9999999999999998 < 1; the
+    # rows used to carry the finite ||h|| r^L of a contracting channel
+    result = run_experiment(_small_cfg("layers_sweep", noise_type=noise_type, p_list=(p,)))
+    cols = dict(zip(result.columns, zip(*result.rows)))
+    assert all(np.isnan(b) for b in cols["bound"])
+    assert all(np.isfinite(v) for v in cols["mean_abs_grad"])
+
+
+@pytest.mark.parametrize("preset, kw, cells", [
+    ("layers_sweep", {}, 2),
+    ("noise_sweep", {"L_list": (3,), "p_list": (0.1, 0.4)}, 2),
+    ("final_cost", {"L_list": (2,), "p_list": (0.0, 0.4)}, 2),
+    ("width_scaling", {"n_list": (2, 3), "L_list": (2,)}, 2),
+    ("trainability", {"n_list": (2, 3), "L_list": (4,)}, 4),
+])
+def test_run_experiment_logs_one_line_per_cell(preset, kw, cells, caplog, tmp_path):
+    cfg = _small_cfg(preset, **kw)
+    quiet = write_csv(run_experiment(cfg), tmp_path / "quiet.csv")
+    logger = "nibp_lab.experiments"
+    with caplog.at_level("INFO", logger=logger):
+        logged = write_csv(run_experiment(cfg), tmp_path / "logged.csv")
+    records = [r for r in caplog.records if r.name == logger]
+    assert [r.levelname for r in records] == ["INFO"] * cells
+    assert [r.getMessage().split(" done")[0] for r in records] == [
+        f"{preset}: cell {i}/{cells}" for i in range(1, cells + 1)]
+    assert logged.read_bytes() == quiet.read_bytes()
+    assert logging.getLogger(logger).handlers == []
 
 
 def test_noise_sweep_rows():
