@@ -10,9 +10,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import AFFINE_MAX_QUBITS, UNITAL_TOL, KrausChannel, affine_rep
+from .channels import AFFINE_MAX_QUBITS, AffineRep, KrausChannel, affine_rep
 from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_gate_map
-from .hamiltonians import Hamiltonian, h_norm
+from .hamiltonians import Hamiltonian, h_norm, h_vector
 from .pauli import DensityMatrix, build_nice_basis, to_coherence
 
 
@@ -40,7 +40,7 @@ def layer_affine_maps(
         if key not in noise_maps:
             rep = affine_rep(layer_channel_as_kraus(noise, layer, circ.n))
             rep.c.setflags(write=False)
-            noise_maps[key] = (rep.M, rep.c, float(np.linalg.norm(rep.M, 2)))
+            noise_maps[key] = (rep.M, rep.c, rep.operator_norm())
         m, c, opnorm = noise_maps[key]
         out.append((m @ gate_map, c, opnorm))
     return out
@@ -146,8 +146,6 @@ def shift_accumulator(
     lam = _lambda_width(hn, p, 2**circ.n, upto)
     d_dot_h = None
     if H is not None:
-        from .hamiltonians import h_vector
-
         _, h = h_vector(H, build_nice_basis(circ.n))
         d_dot_h = float(d @ h)
     return d, d_dot_h, lam
@@ -182,14 +180,14 @@ def nils_interval(
     if isinstance(channels, KrausChannel):
         channels = [channels] * L
     reps = _once_per_object(affine_rep, channels)
-    unital = all(np.linalg.norm(rep.c) <= UNITAL_TOL for rep in reps)
+    unital = all(rep.is_unital() for rep in reps)
     dim = 2**H.n
     center = H.trace() / dim
     if unital:
         return NilsInterval(
             center=center, lambda_L=0.0, lambda_inf=0.0, unital=True
         )
-    p = max(_once_per_object(lambda rep: float(np.linalg.norm(rep.M, 2)), reps))
+    p = max(_once_per_object(AffineRep.operator_norm, reps))
     if p >= 1.0:
         raise ValueError(f"layer contraction p={p} must be < 1 for a limit set")
     hn = h_norm(H)
@@ -255,7 +253,7 @@ def theorem3_report(
         raise ValueError(f"l={l} exceeds layer count {L}")
     reps = _once_per_object(affine_rep, channels)
     c_norms = [float(np.linalg.norm(rep.c)) for rep in reps]
-    if all(cn <= UNITAL_TOL for cn in c_norms):
+    if all(rep.is_unital() for rep in reps):
         return Theorem3Report(
             applicable=False,
             sigma_max_prefix=float("nan"),
@@ -267,7 +265,7 @@ def theorem3_report(
             lower_bound=0.0,
             p_geometric=float("nan"),
         )
-    applicable = all(cn > UNITAL_TOL for cn in c_norms)
+    applicable = not any(rep.is_unital() for rep in reps)
     # descending singular values; s[0] is the ||M|| that norm(M, 2) returns
     svals = _once_per_object(
         lambda rep: np.linalg.svd(rep.M, compute_uv=False), reps

@@ -8,21 +8,18 @@ mixture of rotations sharing the intended angle (random-unitary noise).
 
 Both views of a layer group its gates into the same runs (``_gate_runs``):
 a column of weight-1 rotations on distinct qubits, a run of CNOTs, and
-single other gates.  The dense path (``evolve``) renders a column as its
-d x d unitary, one gather of each rotation's 2 x 2 entries per qubit, and
-a CNOT run as one cached row permutation, so the product carries the
-rounding of the gate-by-gate ``u @ acc`` chain; other gates are multiplied
-in as dense unitaries.  The affine path (``layer_gate_map``) builds the
-layer as a real matrix on coherence vectors from local Pauli transfer
-matrices: closed-form 4 x 4 rotations combined by outer products, and the
-CNOT run as a cached signed permutation of Pauli strings.
+single other gates.  One kernel (``_column``) renders a column from its
+one-qubit factors: 2 x 2 rotations for the dense path (``evolve``), 4 x 4
+Pauli transfer matrices for the affine path (``layer_gate_map``).  A CNOT
+run is one cached row permutation; the affine path reads its signed
+permutation of Pauli strings off that permutation's transfer matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -362,7 +359,7 @@ def _layer_ops(
     """The layer's gates as an ordered list of Kraus sets.
 
     Each stretch of unitary runs is one product ``acc``: a rotation column
-    enters as its gathered unitary, a CNOT run as a row permutation of
+    enters as its ``_column`` unitary, a CNOT run as a row permutation of
     ``acc``, any other gate as ``u @ acc``.  Each random-unitary mixture is
     its own set.  ``thetas`` of shape (P,) gives d x d operators, (B, P)
     gives (B, d, d) stacks for the angle-dependent ones.  Fixed gates carry
@@ -384,7 +381,9 @@ def _layer_ops(
             acc = np.eye(2**n, dtype=complex)[rows] if acc is None else acc[..., rows, :]
         else:
             if kind == "column":
-                u = _column_unitary(run, thetas, n)
+                letters, params = zip(*run.values())
+                angles = thetas[..., list(params)]
+                u = _column(run, _rotation(_paulis_1q("".join(letters)), angles), n)
             else:
                 u = _gate_unitary(circ, run, thetas, control)
             acc = u if acc is None else u @ acc
@@ -393,33 +392,45 @@ def _layer_ops(
     return ops
 
 
-def _column_unitary(
-    column: Mapping[int, tuple[str, int]], thetas: np.ndarray, n: int
-) -> np.ndarray:
-    """The d x d unitary (a (B, d, d) stack for (B, P) angles) of weight-1
-    rotations on distinct qubits, ``column[q]`` = (letter, parameter index)
-    in gate order.
+def _column(column: Collection[int], factors: np.ndarray, n: int) -> np.ndarray:
+    """The product of one-qubit factors on the distinct qubits ``column``
+    (in gate order), ``factors[..., k, :, :]`` the base x base factor on
+    its k-th qubit: 2 x 2 operators or 4 x 4 Pauli transfer matrices.
 
-    Entry (i, j) is the product, in gate order, of each rotation's 2 x 2
-    entry at the bits of i and j on its qubit, and zero where i and j
-    differ on a qubit outside the column.  Each product of the gate-by-gate
-    chain ``u @ acc`` over such a column has exactly one nonzero term per
-    entry, so a column of real rotations (RY) that starts a layer rounds
-    bit for bit as that chain does; complex ones agree to rounding.
+    Entry (i, j) is the product, in gate order, of each factor's entry at
+    the digits of i and j on its qubit, and zero where i and j differ on a
+    qubit outside the column.  For 2 x 2 rotations, each product of the
+    gate-by-gate chain ``u @ acc`` over the column has exactly one nonzero
+    term per entry, so a column of real rotations (RY) that starts a layer
+    rounds bit for bit as that chain does.
     """
-    letters, params = zip(*column.values())
-    factors = _rotation(_paulis_1q("".join(letters)), thetas[..., list(params)])
-    factors = factors.reshape(factors.shape[:-2] + (4,))
-    index = _bit_index(n)
-    u = None
-    for k, q in enumerate(column):
-        entries = factors[..., k, :].take(index[q], axis=-1)
-        u = entries if u is None else entries * u
+    base = factors.shape[-1]
+    factors = factors.reshape(factors.shape[:-2] + (base * base,))
+    index = _digit_index(n, base)
+    # every index is in range: "clip" only skips the bounds check
+    qubits = list(column)
+    out = factors[..., 0, :].take(index[qubits[0]], axis=-1, mode="clip")
+    for k, q in enumerate(qubits[1:], start=1):
+        out *= factors[..., k, :].take(index[q], axis=-1, mode="clip")
     if len(column) < n:
-        # index 0 or 3: the bits of i and j agree on that qubit
+        # base * i_q + j_q is a multiple of base + 1 where i_q == j_q
         missing = [q for q in range(n) if q not in column]
-        u = u * (index[missing] % 3 == 0).all(axis=0)
-    return u
+        out *= (index[missing] % (base + 1) == 0).all(axis=0)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _digit_index(n: int, base: int) -> np.ndarray:
+    """(n, D, D) array: entry [q, i, j] = base * i_q + j_q, the flat
+    position in a base x base factor on qubit q of its entry at row i,
+    column j.  Base 2: the 2^n basis states, i_q the bit of qubit q (qubit
+    0 the most significant).  Base 4: the 4^n - 1 traceless Hamming-ordered
+    Pauli strings, i_q the letter (I, X, Y, Z = 0..3) of string i on q."""
+    labels = np.arange(2**n) if base == 2 else kron_index(n)[1:]
+    digits = labels // base ** np.arange(n - 1, -1, -1)[:, None] % base
+    index = base * digits[:, :, None] + digits[:, None, :]
+    index.setflags(write=False)
+    return index
 
 
 @lru_cache(maxsize=256)
@@ -428,17 +439,6 @@ def _paulis_1q(letters: str) -> np.ndarray:
     stack = np.stack([_pauli_matrix(letter) for letter in letters])
     stack.setflags(write=False)
     return stack
-
-
-@lru_cache(maxsize=16)
-def _bit_index(n: int) -> np.ndarray:
-    """(n, d, d) array: entry [q, i, j] = 2 i_q + j_q, the flat position in
-    a 2 x 2 factor on qubit q of its entry in row i, column j of the
-    register's tensor product (qubit 0 the most significant bit)."""
-    bits = np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None] & 1
-    index = 2 * bits[:, :, None] + bits[:, None, :]
-    index.setflags(write=False)
-    return index
 
 
 @lru_cache(maxsize=256)
@@ -537,13 +537,11 @@ def layer_gate_map(
     acting on Hamming-ordered coherence vectors (control noise included).
 
     It equals the M of ``affine_rep(unitary_channel(layer_unitary(...)))``
-    up to rounding, without the d^4 superoperator.  Of the runs of
-    ``_gate_runs``, a rotation column is the outer product of its
-    closed-form 4 x 4 Pauli transfer matrices; a CNOT run is one cached
-    signed permutation of Pauli strings, applied as a row gather; any other
-    gate (control noise, a generator of weight > 1, a fixed gate other than
-    a CNOT) uses its own full-register transfer matrix.  Runs compose by
-    matrix products.
+    up to rounding.  Of the runs of ``_gate_runs``, a rotation column is
+    the ``_column`` product of its 4 x 4 Pauli transfer matrices; a CNOT
+    run is a cached signed permutation of Pauli strings, applied as a row
+    gather; any other gate uses its own full-register transfer matrix.
+    Runs compose by matrix products.
     """
     noise = noise or NoiseSpec.none()
     _refuse_mixture(noise, layer)
@@ -558,59 +556,44 @@ def layer_gate_map(
             omega = sign[:, None] * base[src]
             continue
         if kind == "column":
-            t = _column_ptm(
-                {q: _rotation_ptm(letter, theta[i]) for q, (letter, i) in run.items()}, n
-            )
+            letters, params = zip(*run.values())
+            t = _column(run, _rotation_ptm("".join(letters), theta[list(params)]), n)
         else:
-            u = _gate_unitary(circ, run, theta, control)
-            t = transfer_matrix(unitary_channel(u), build_nice_basis(n))[1:, 1:]
+            t = _unitary_ptm(_gate_unitary(circ, run, theta, control), n)
         omega = t if omega is None else t @ omega
     return np.eye(4**n - 1) if omega is None else omega
 
 
-def _rotation_ptm(letter: str, theta: float) -> np.ndarray:
-    """4 x 4 Pauli transfer matrix (order I, X, Y, Z) of exp(-i theta P / 2).
-
+@lru_cache(maxsize=256)
+def _ptm_parts(letters: str) -> np.ndarray:
+    """(3, k, 4, 4) array of 0 and +-1 entries: the Pauli transfer matrix
+    (order I, X, Y, Z) of exp(-i theta P / 2), P the k-th letter, is
+    ``parts[0, k] + cos(theta) parts[1, k] + sin(theta) parts[2, k]``.
     I and P stay; the two letters that anticommute with P turn by theta in
-    their plane, e.g. for P = Y: X -> cos(theta) X - sin(theta) Z.
-    """
-    p = "XYZ".index(letter) + 1
-    a, b = p % 3 + 1, (p + 1) % 3 + 1  # P, a, b cyclic in X -> Y -> Z
-    cos, sin = np.cos(theta), np.sin(theta)
-    t = np.eye(4)
-    t[a, a] = t[b, b] = cos
-    t[b, a], t[a, b] = sin, -sin
-    return t
+    their plane, e.g. for P = Y: X -> cos(theta) X - sin(theta) Z."""
+    parts = np.zeros((3, len(letters), 4, 4))
+    for k, letter in enumerate(letters):
+        p = "XYZ".index(letter) + 1
+        a, b = p % 3 + 1, (p + 1) % 3 + 1  # P, a, b cyclic in X -> Y -> Z
+        parts[0, k, 0, 0] = parts[0, k, p, p] = 1
+        parts[1, k, a, a] = parts[1, k, b, b] = 1
+        parts[2, k, b, a], parts[2, k, a, b] = 1, -1
+    parts.setflags(write=False)
+    return parts
 
 
-_EYE4 = np.eye(4)
+def _rotation_ptm(letters: str, theta: np.ndarray) -> np.ndarray:
+    """The (k, 4, 4) Pauli transfer matrices of the rotations about the
+    one-qubit ``letters`` by the (k,) angles ``theta``; every entry is
+    exactly cos, +-sin, 0 or 1."""
+    fixed, cos_part, sin_part = _ptm_parts(letters)
+    angle = np.asarray(theta)[..., None, None]
+    return fixed + np.cos(angle) * cos_part + np.sin(angle) * sin_part
 
 
-def _column_ptm(factors: Mapping[int, np.ndarray], n: int) -> np.ndarray:
-    """Traceless Hamming-ordered block of the PTM of one-qubit gates on
-    distinct qubits, ``factors[q]`` the 4 x 4 PTM on qubit q."""
-    t = factors.get(0, _EYE4)
-    for q in range(1, n):
-        t = np.multiply.outer(t, factors.get(q, _EYE4))
-    return t.take(_column_index(n))
-
-
-def _letter_digits(n: int) -> np.ndarray:
-    """Letters (I, X, Y, Z = 0..3) of the traceless Hamming-ordered strings,
-    one row per string, one column per qubit."""
-    return kron_index(n)[1:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
-
-
-@lru_cache(maxsize=16)
-def _column_index(n: int) -> np.ndarray:
-    """Flat positions of the traceless Hamming-ordered PTM entries in the
-    outer product of n 4 x 4 factors, whose axes run (row_0, col_0, row_1,
-    col_1, ...)."""
-    digits = _letter_digits(n)
-    weight = 16 ** np.arange(n - 1, -1, -1)
-    index = ((4 * digits) @ weight)[:, None] + (digits @ weight)[None, :]
-    index.setflags(write=False)
-    return index
+def _unitary_ptm(u: np.ndarray, n: int) -> np.ndarray:
+    """Traceless Hamming-ordered block of the transfer matrix of u."""
+    return transfer_matrix(unitary_channel(u), build_nice_basis(n))[1:, 1:]
 
 
 def _is_cnot(gate: Gate, n: int) -> bool:
@@ -618,9 +601,6 @@ def _is_cnot(gate: Gate, n: int) -> bool:
         return False
     cnot = _cnot_full(*gate.target_qubits, n)
     return gate.matrix is cnot or np.array_equal(gate.matrix, cnot)
-
-
-_LETTER_CODE = np.array([[0, 3], [1, 2]])  # [x, z] -> I, X, Y, Z = 0..3
 
 
 @lru_cache(maxsize=256)
@@ -632,25 +612,12 @@ def _cnot_chain_ptm(
 
     Returns (src, sign) with row i of the transfer matrix equal to sign[i]
     times unit row src[i], so it acts on a matrix A as
-    ``sign[:, None] * A[src]``.  Each string is tracked in its (x, z) bit
-    form with the CNOT update of Aaronson and Gottesman.
+    ``sign[:, None] * A[src]``.  Both are read off the transfer matrix of
+    the chain's row permutation, whose entries are 0 and +-1 up to rounding.
     """
-    digits = _letter_digits(n)
-    x = (digits == 1) | (digits == 2)
-    z = (digits == 2) | (digits == 3)
-    neg = np.zeros(len(digits), dtype=bool)
-    for c, t in chain:
-        neg ^= x[:, c] & z[:, t] & ~(x[:, t] ^ z[:, c])
-        x[:, t] ^= x[:, c]
-        z[:, c] ^= z[:, t]
-    hamming = np.empty(4**n, dtype=int)
-    hamming[kron_index(n)] = np.arange(4**n)
-    place = 4 ** np.arange(n - 1, -1, -1)
-    image = hamming[_LETTER_CODE[x.astype(int), z.astype(int)] @ place] - 1
-    src = np.empty_like(image)
-    src[image] = np.arange(len(image))
-    sign = np.empty(len(image))
-    sign[image] = np.where(neg, -1.0, 1.0)
+    t = _unitary_ptm(np.eye(2**n)[_cnot_rows(chain, n)], n)
+    src = np.abs(t).argmax(axis=1)
+    sign = np.rint(t[np.arange(len(src)), src])
     for arr in (src, sign):
         arr.setflags(write=False)
     return src, sign

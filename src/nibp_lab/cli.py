@@ -116,6 +116,8 @@ def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
         bad = [cfg["locations"]]
     if bad:
         raise ConfigError("locations", f"not rotation locations of the circuit: {bad}")
+    if not locations:
+        raise ConfigError("locations", "sweep lists no locations")
     stats = gradient_stats(
         SweepSpec(
             circuit=circ,

@@ -108,6 +108,10 @@ class ExperimentConfig:
         _check_range("n", self.n_list, 2, None)
         _check_range("L", self.L_list, 1, None)
         _check_range("p", self.p_list, 0.0, 1.0)
+        # trainability reads gradients up to ceil(log2 n) layers before the last
+        deepest = max(math.ceil(math.log2(n)) for n in self.n_list)
+        if self.preset == "trainability" and min(self.L_list) <= deepest:
+            raise ConfigError("L", f"trainability needs L > ceil(log2 n) = {deepest}")
         _check_range("instances", (self.instances,), 1, None)
         _check_range("thetas", (self.thetas,), 1, None)
         _check_range("maxiter", (self.maxiter,), 1, None)

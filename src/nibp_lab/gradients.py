@@ -26,8 +26,8 @@ from .circuits import (
     evolve,
     perturbed_gate,
 )
-from .hamiltonians import Hamiltonian, cost, h_norm, random_two_local
-from .pauli import DensityMatrix, _pauli_matrix
+from .hamiltonians import Hamiltonian, cost, h_norm, h_vector, random_two_local
+from .pauli import DensityMatrix, _pauli_matrix, build_nice_basis, to_coherence
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,15 @@ class GradientStats:
     samples: int
 
 
-def _shifted(theta: np.ndarray, idx: int, delta: float) -> np.ndarray:
-    out = np.array(theta, dtype=float)
-    out[idx] += delta
-    return out
-
-
-def _cost(circ, theta, noise, H, rho0=None) -> float:
-    return cost(H, evolve(circ, theta, noise, rho0))
+def _shifted_pair(theta, idx, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the angles with entry ``idx`` shifted by +delta and by
+    -delta; (B, P) rows take one index per row."""
+    theta = np.asarray(theta, dtype=float)
+    at = (np.arange(len(theta)), idx) if theta.ndim == 2 else idx
+    plus, minus = theta.copy(), theta.copy()
+    plus[at] += delta
+    minus[at] -= delta
+    return plus, minus
 
 
 def psr_gradient(
@@ -79,10 +80,7 @@ def psr_gradient(
         if not circ.gate_at(loc).is_parameterized:
             raise ValueError(f"gate at {loc} carries no parameter")
         idx.append(circ.parameter_index[loc])
-    rows = np.arange(len(thetas))
-    plus, minus = thetas.copy(), thetas.copy()
-    plus[rows, idx] += np.pi / 2
-    minus[rows, idx] -= np.pi / 2
+    plus, minus = _shifted_pair(thetas, idx, np.pi / 2)
     cp = _costs(H, evolve(circ, plus, noise, rho0), circ.n)
     cm = _costs(H, evolve(circ, minus, noise, rho0), circ.n)
     grads = 0.5 * (cp - cm)
@@ -105,9 +103,10 @@ def fd_gradient(
     """Central finite difference, the numerical oracle for the shift rule."""
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step {step} outside [1e-7, 1e-3]")
-    idx = circ.parameter_index[location]
-    cp = _cost(circ, _shifted(theta, idx, step), noise, H, rho0)
-    cm = _cost(circ, _shifted(theta, idx, -step), noise, H, rho0)
+    cp, cm = (
+        cost(H, evolve(circ, t, noise, rho0))
+        for t in _shifted_pair(theta, circ.parameter_index[location], step)
+    )
     return (cp - cm) / (2.0 * step)
 
 
@@ -128,18 +127,12 @@ def coherence_gradient(
         raise ValueError(
             f"explicit coherence path limited to n <= {AFFINE_MAX_QUBITS}"
         )
-    from .hamiltonians import h_vector
-    from .pauli import build_nice_basis, to_coherence
-
     basis = build_nice_basis(circ.n)
     _, h = h_vector(H, basis)
-    idx = circ.parameter_index[location]
-    vp = to_coherence(
-        evolve(circ, _shifted(theta, idx, np.pi / 2), noise, rho0), basis
-    ).v
-    vm = to_coherence(
-        evolve(circ, _shifted(theta, idx, -np.pi / 2), noise, rho0), basis
-    ).v
+    vp, vm = (
+        to_coherence(evolve(circ, t, noise, rho0), basis).v
+        for t in _shifted_pair(theta, circ.parameter_index[location], np.pi / 2)
+    )
     return abs(0.5 * float((vp - vm) @ h))
 
 

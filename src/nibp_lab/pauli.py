@@ -6,9 +6,9 @@ the normalized Pauli basis {P_j / sqrt(d)}.  Basis elements are ordered by
 Hamming weight (number of non-identity letters); within a weight class the
 order is lexicographic in (qubit positions, letter) with X < Y < Z.
 
-Pauli transfer matrices of gates are assembled locally in kron order, the
-order ``np.kron`` of per-qubit 4 x 4 matrices (I, X, Y, Z; qubit 0 first)
-gives, and moved into the Hamming order by ``kron_index``.
+``kron_index`` gives each Hamming-ordered string's position in kron order,
+the order ``np.kron`` of per-qubit 4 x 4 matrices (I, X, Y, Z; qubit 0
+first) gives; its base-4 digits are the string's letters.
 """
 
 from __future__ import annotations
@@ -126,10 +126,6 @@ class NiceBasis:
 
     def element(self, j: int) -> np.ndarray:
         return self.stack[j]
-
-    @property
-    def elements(self) -> np.ndarray:
-        return self.stack
 
     def hamming_weight(self, j: int) -> int:
         return sum(ch != "I" for ch in self.strings[j])

@@ -389,6 +389,9 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
         ("train", {"n": 2, "L": 2, "maxiter": 0}, "maxiter"),
         ("experiment", {"preset": "layers_sweep", "p": [0.2, 1.5]}, "p"),
         ("experiment", {"preset": "noise_sweep", "noise_type": "dephasing"}, "noise_type"),
+        ("experiment", {"preset": "trainability", "n": 3, "L": 2}, "L"),
+        ("experiment", {"preset": "trainability", "n": [2, 5], "L": 3}, "L"),
+        ("grad-scan", {"n": 2, "L": 2, "locations": []}, "locations"),
     ],
 )
 def test_cli_bad_config_value_is_one_line_naming_the_key(

@@ -5,13 +5,15 @@ contraction it replaced, the run-based layer builder of ``evolve`` against
 the gate-by-gate ``u @ acc`` chain, batched evolution against one
 evolution per angle row and against the per-layer affine maps of the
 bounds, the gate maps built from local Pauli transfer matrices against the
-dense superoperator route, and the batched gradient sweep against one
+dense superoperator route, the CNOT signed permutations against their
+transfer matrices, and the batched gradient sweep against one
 shift-rule call per sample.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -248,6 +250,23 @@ def test_layer_gate_map_equals_dense_oracle(layer):
     dense = affine_rep(unitary_channel(circuits.layer_unitary(circ, theta, 0, noise))).M
     np.testing.assert_allclose(omega, dense, rtol=0, atol=1e-12)
     np.testing.assert_allclose(omega @ omega.T, np.eye(len(omega)), rtol=0, atol=1e-12)
+
+
+def test_cnot_chain_ptm_is_an_exact_signed_permutation():
+    # every chain of up to 3 CNOTs on n <= 3 qubits: the signs read off the
+    # transfer matrix are exactly +-1, the sources a permutation, and the
+    # signed permutation is that transfer matrix
+    for n in (2, 3):
+        pairs = list(itertools.permutations(range(n), 2))
+        for length in (1, 2, 3):
+            for chain in itertools.product(pairs, repeat=length):
+                src, sign = circuits._cnot_chain_ptm(chain, n)
+                assert set(sign.tolist()) <= {-1.0, 1.0}
+                assert np.array_equal(np.sort(src), np.arange(4**n - 1))
+                u = np.eye(2**n)[circuits._cnot_rows(chain, n)]
+                np.testing.assert_allclose(
+                    sign[:, None] * np.eye(len(src))[src],
+                    affine_rep(unitary_channel(u)).M, rtol=0, atol=1e-12)
 
 
 def _chain_ops(circ, thetas, layer, noise):
