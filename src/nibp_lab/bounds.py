@@ -72,11 +72,9 @@ def contractivity_profile(
     circ: Circuit,
     noise: NoiseSpec,
     theta: np.ndarray,
-    rho0: DensityMatrix | None = None,
 ) -> ContractivityProfile:
     basis = build_nice_basis(circ.n)
-    rho0 = rho0 or DensityMatrix.ground_state(circ.n)
-    v = to_coherence(rho0, basis).v
+    v = to_coherence(DensityMatrix.ground_state(circ.n), basis).v
     qs, opnorms = [], []
     for omega, c, opnorm in layer_affine_maps(circ, theta, noise):
         rotated = omega @ v

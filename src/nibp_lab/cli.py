@@ -28,6 +28,7 @@ from .channels import (
 )
 from .circuits import build_two_local, evolve
 from .experiments import (
+    GRAD_COLUMNS,
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
@@ -36,13 +37,35 @@ from .experiments import (
     config_noise,
     config_value,
     emit_plot_script,
+    grad_rows,
+    read_config,
     run_experiment,
+    sweep_stats,
     write_csv,
 )
-from .gradients import SweepSpec, default_locations, gradient_stats
-from .hamiltonians import cost, random_two_local
+from .hamiltonians import cost, h_norm, random_two_local
 from .pauli import MAX_QUBITS
 from .spsa import SpsaConfig, spsa_minimize
+
+# Each subcommand's config keys, each with its config_value spec (default,
+# cast, lo, hi) or None for a key the command checks itself.
+_SHARED = {"n": (3, int, 2, MAX_QUBITS), "p": (0.3, float, 0.0, 1.0),
+           "noise_type": ("depolarizing", str), "seed": (0, int, 0)}
+_CHANNEL = {"name": (None, str), "p": (0.0, float, 0.0, 1.0), "kraus": None,
+            "n": (None, int, 1)}
+_GRAD_SCAN = {**_SHARED, "L": (20, int, 1), "instances": (10, int, 1),
+              "thetas": (20, int, 1), "locations": None}
+# bifurcation_layer's range depends on L
+_BOUND_REPORT = {**_SHARED, "n": (3, int, 2, AFFINE_MAX_QUBITS), "L": (10, int, 1),
+                 "depth_constant": (1.0, float), "depth_exponent": (2.0, float, 1.0),
+                 "locality": (2, int, 1), "bifurcation_layer": None}
+_TRAIN = {**_SHARED, "p": (0.0, float, 0.0, 1.0), "noise_type": ("none", str),
+          "L": (5, int, 1), "maxiter": (200, int, 1)}
+
+
+def _read(cfg: dict, keys: dict, seed: int | None) -> dict:
+    """``read_config`` with the --seed override in place of the config's seed."""
+    return read_config(cfg if seed is None else {**cfg, "seed": seed}, keys)
 
 
 def _write_json(data, path: Path, force: bool) -> None:
@@ -52,33 +75,34 @@ def _write_json(data, path: Path, force: bool) -> None:
 def kraus_from_json(data: dict) -> KrausChannel:
     """Channel from {name, p} or explicit {kraus: [[[re, im], ...], ...], n}.
 
-    Explicit matrices are row-major lists of [re, im] pairs.
+    Explicit matrices are row-major lists of [re, im] pairs.  A config that
+    gives no channel raises ConfigError naming the key at fault.
     """
-    if "name" in data:
-        return named_channel(data["name"], float(data.get("p", 0.0)))
-    ops = []
-    for mat in data["kraus"]:
-        arr = np.array(mat, dtype=float)
-        ops.append(arr[..., 0] + 1j * arr[..., 1])
-    n = int(data.get("n", round(np.log2(ops[0].shape[0]))))
-    return KrausChannel(n=n, kraus_ops=tuple(ops))
-
-
-def _noise_from_config(cfg: dict, noise_type: str, p: float) -> tuple:
-    """(noise_type, p, NoiseSpec) read from the config, defaulting to the
-    given noise_type and p."""
-    noise_type = cfg.get("noise_type", noise_type)
-    p = config_value(cfg, "p", p, float, 0.0, 1.0)
-    return noise_type, p, config_noise(noise_type, p)
-
-
-def _root_seed(cfg: dict, seed: int | None) -> int:
-    return config_value(cfg, "seed", 0, int) if seed is None else seed
+    values = read_config(data, _CHANNEL)
+    if values["name"] is not None:
+        try:
+            return named_channel(values["name"], values["p"])
+        except KeyError as exc:
+            raise ConfigError("name", exc.args[0]) from None
+    if "kraus" not in data:
+        raise ConfigError("kraus", "missing; give a channel name or Kraus matrices")
+    try:
+        ops = []
+        for mat in data["kraus"]:
+            arr = np.array(mat, dtype=float)
+            ops.append(arr[..., 0] + 1j * arr[..., 1])
+        n = values["n"] or round(np.log2(ops[0].shape[0]))
+        return KrausChannel(n=n, kraus_ops=tuple(ops))
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError("kraus", f"not Kraus matrices of [re, im] pairs ({exc})") from None
 
 
 def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     ch = kraus_from_json(cfg)
-    rep = affine_rep(ch)
+    try:
+        rep = affine_rep(ch)
+    except ValueError as exc:  # too many qubits, or not trace preserving
+        raise ConfigError("kraus", str(exc)) from None
     cls = classify(ch)
     report = validate_kraus(ch)
     _write_json(
@@ -100,59 +124,40 @@ def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
 
 
 def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
-    n = config_value(cfg, "n", 3, int, 2, MAX_QUBITS)
-    depth = config_value(cfg, "L", 20, int, 1)
-    noise_type, p, noise = _noise_from_config(cfg, "depolarizing", 0.3)
-    root = _root_seed(cfg, seed)
-    instances = config_value(cfg, "instances", 10, int, 1)
-    thetas = config_value(cfg, "thetas", 20, int, 1)
-    circ = build_two_local(n, depth)
-    try:
-        locations = tuple(
-            tuple(loc) for loc in cfg.get("locations", default_locations(circ))
-        )
-        bad = [loc for loc in locations if loc not in circ.parameter_index]
-    except TypeError:
-        bad = [cfg["locations"]]
-    if bad:
-        raise ConfigError("locations", f"not rotation locations of the circuit: {bad}")
-    if not locations:
-        raise ConfigError("locations", "sweep lists no locations")
-    stats = gradient_stats(
-        SweepSpec(
-            circuit=circ,
-            noise=noise,
-            locations=locations,
-            num_hamiltonians=instances,
-            thetas_per_hamiltonian=thetas,
-            seed=root,
-        )
-    )
-    rows = tuple(
-        (n, depth, p, noise_type, loc[0], loc[1], s.mean_abs, s.variance,
-         s.min, s.max, s.samples, root)
-        for loc, s in sorted(stats.items())
-    )
-    columns = ("n", "L", "p", "noise_type", "layer", "slot", "mean_abs_grad",
-               "var_grad", "min", "max", "samples", "seed")
-    write_csv(ExperimentResult(columns, rows), out / "grad_scan.csv", force)
+    v = _read(cfg, _GRAD_SCAN, seed)
+    n, depth, noise_type, p = v["n"], v["L"], v["noise_type"], v["p"]
+    config_noise(noise_type, p)  # an unknown noise_type fails before any work
+    locations = None  # the default locations, which repeat (1, 0) at L=2
+    if "locations" in cfg:
+        parameters = build_two_local(n, depth).parameter_index
+        try:
+            locations = [tuple(loc) for loc in cfg["locations"]]
+            bad = [loc for loc in locations if loc not in parameters]
+        except TypeError:
+            bad = [cfg["locations"]]
+        if bad:
+            raise ConfigError("locations", f"not rotation locations of the circuit: {bad}")
+        if not locations:
+            raise ConfigError("locations", "sweep lists no locations")
+        if len(set(locations)) < len(locations):
+            raise ConfigError("locations", f"lists a location twice: {locations}")
+    stats = sweep_stats(n, depth, noise_type, p, locations, v["instances"],
+                        v["thetas"], v["seed"])
+    rows = grad_rows(n, depth, noise_type, p, stats, v["seed"])
+    write_csv(ExperimentResult(GRAD_COLUMNS[:-1], tuple(rows)), out / "grad_scan.csv", force)
 
 
 def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
-    n = config_value(cfg, "n", 3, int, 2, AFFINE_MAX_QUBITS)
-    depth = config_value(cfg, "L", 10, int, 1)
-    _, _, noise = _noise_from_config(cfg, "depolarizing", 0.3)
+    v = _read(cfg, _BOUND_REPORT, seed)
+    n, depth = v["n"], v["L"]
+    noise = config_noise(v["noise_type"], v["p"])
     channel = noise.layer_channels or identity_channel()  # "none": the identity
-    root = _root_seed(cfg, seed)
-    depth_constant = config_value(cfg, "depth_constant", 1.0, float)
-    if not depth_constant > 0.0:
-        raise ConfigError("depth_constant", f"{depth_constant!r} must be positive")
-    depth_exponent = config_value(cfg, "depth_exponent", 2.0, float, 1.0)
-    locality = config_value(cfg, "locality", 2, int)
+    if not v["depth_constant"] > 0.0:
+        raise ConfigError("depth_constant", f"{v['depth_constant']!r} must be positive")
     bif = None  # theorem 3 needs at least 3 layers
     if depth >= 3:
         bif = config_value(cfg, "bifurcation_layer", max(depth - 2, 3), int, 3, depth)
-    rng = np.random.default_rng(root)
+    rng = np.random.default_rng(v["seed"])
     circ = build_two_local(n, depth)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
     H = random_two_local(n, rng)
@@ -163,15 +168,13 @@ def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> Non
         "per_layer_q": list(profile.q),
         "per_layer_opnorm": list(profile.opnorm),
     }
-    from .hamiltonians import h_norm
-
     hn = h_norm(H)
     if profile.r < 1.0:
         report["nibp_bound_curve"] = [
             [L, bounds.nibp_bound(hn, profile.r, L)] for L in range(1, depth + 1)
         ]
         report["L0"] = bounds.l0_threshold(
-            c=depth_constant, Q=depth_exponent, K=locality, r=profile.r
+            c=v["depth_constant"], Q=v["depth_exponent"], K=v["locality"], r=profile.r
         )
     nils = bounds.nils_interval(H, channel, depth, circ=circ, theta=theta)
     report["nils"] = {
@@ -198,20 +201,18 @@ def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> Non
 def cmd_train(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     csv_path, summary_path = out / "train.csv", out / "train_summary.json"
     _refuse_overwrite([csv_path, summary_path], force)
-    n = config_value(cfg, "n", 3, int, 2, MAX_QUBITS)
-    depth = config_value(cfg, "L", 5, int, 1)
-    _, _, noise = _noise_from_config(cfg, "none", 0.0)
-    root = _root_seed(cfg, seed)
-    maxiter = config_value(cfg, "maxiter", 200, int, 1)
-    rng = np.random.default_rng(root)
-    circ = build_two_local(n, depth)
+    v = _read(cfg, _TRAIN, seed)
+    n = v["n"]
+    noise = config_noise(v["noise_type"], v["p"])
+    rng = np.random.default_rng(v["seed"])
+    circ = build_two_local(n, v["L"])
     H = random_two_local(n, rng)
     theta0 = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
 
     def objective(theta):
         return cost(H, evolve(circ, theta, noise))
 
-    trace = spsa_minimize(objective, theta0, SpsaConfig(maxiter=maxiter, seed=root))
+    trace = spsa_minimize(objective, theta0, SpsaConfig(maxiter=v["maxiter"], seed=v["seed"]))
     rows = tuple(
         (i, c, s) for i, (c, s) in enumerate(zip(trace.costs, trace.step_sizes))
     )
@@ -243,20 +244,13 @@ def cmd_experiment(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     _write_json(meta, meta_path, force)
 
 
-# each subcommand with the config keys it reads
+# each subcommand with its config key table
 _COMMANDS = {
-    "channel": (cmd_channel, {"name", "p", "kraus", "n"}),
-    "grad-scan": (
-        cmd_grad_scan,
-        {"n", "L", "p", "noise_type", "seed", "locations", "instances", "thetas"},
-    ),
-    "bound-report": (
-        cmd_bound_report,
-        {"n", "L", "p", "noise_type", "seed", "depth_constant",
-         "depth_exponent", "locality", "bifurcation_layer"},
-    ),
-    "train": (cmd_train, {"n", "L", "p", "noise_type", "seed", "maxiter"}),
-    "experiment": (cmd_experiment, ExperimentConfig.JSON_KEYS),
+    "channel": (cmd_channel, _CHANNEL),
+    "grad-scan": (cmd_grad_scan, _GRAD_SCAN),
+    "bound-report": (cmd_bound_report, _BOUND_REPORT),
+    "train": (cmd_train, _TRAIN),
+    "experiment": (cmd_experiment, ExperimentConfig.JSON_SPEC),
 }
 
 
@@ -275,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     cfg = json.loads(Path(args.config).read_text())
     command, keys = _COMMANDS[args.command]
-    unknown = sorted(set(cfg) - keys)
+    unknown = sorted(set(cfg) - set(keys))
     if unknown:
         print(
             f"unknown config keys for {args.command}: {', '.join(unknown)}"

@@ -15,30 +15,18 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar, Sequence
+from typing import Any, Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
 from . import bounds
 from .channels import CONTRACTIVE_MARGIN, affine_rep, identity_channel
-from .circuits import NoiseSpec, build_two_local
-from .gradients import SweepSpec, default_locations, gradient_stats
+from .circuits import Location, NoiseSpec, build_two_local, evolve
+from .gradients import GradientStats, SweepSpec, default_locations, gradient_stats
 from .hamiltonians import cost, h_norm, random_two_local
-from .circuits import evolve
 from .spsa import SpsaConfig, spsa_minimize
 
-PRESETS = (
-    "layers_sweep",
-    "noise_sweep",
-    "final_cost",
-    "width_scaling",
-    "trainability",
-)
-
 log = logging.getLogger(__name__)
-
-# depth a preset runs at when the config gives none
-_DEFAULT_L = {"final_cost": 5, "width_scaling": 10}
 
 
 class ConfigError(ValueError):
@@ -50,10 +38,13 @@ class ConfigError(ValueError):
 
 
 def config_value(data: dict, key: str, default, cast, lo=None, hi=None, many=False):
-    """``cast(data.get(key, default))`` within [lo, hi] (either end may be
-    None); a value that fails either raises ConfigError naming ``key``.
-    ``many=True`` reads one value or a list of them as a tuple."""
-    raw = data.get(key, default)
+    """``cast(data[key])`` within [lo, hi] (either end may be None), or
+    ``default`` as given when the key is missing; a value that fails either
+    raises ConfigError naming ``key``.  ``many=True`` reads one value or a
+    list of them as a tuple."""
+    if key not in data:
+        return default
+    raw = data[key]
     items = raw if many and isinstance(raw, (list, tuple)) else (raw,)
     try:
         values = tuple(cast(v) for v in items)
@@ -61,6 +52,12 @@ def config_value(data: dict, key: str, default, cast, lo=None, hi=None, many=Fal
         raise ConfigError(key, f"cannot read {raw!r} as {cast.__name__}") from None
     _check_range(key, values, lo, hi)
     return values if many else values[0]
+
+
+def read_config(data: dict, keys: dict) -> dict:
+    """Each key of a command's table read by ``config_value(data, key,
+    *spec)``; a key whose spec is None is the command's to check."""
+    return {key: config_value(data, key, *spec) for key, spec in keys.items() if spec}
 
 
 def _check_range(key: str, values: tuple, lo, hi) -> None:
@@ -90,18 +87,25 @@ class ExperimentConfig:
     maxiter: int = 200
     seed: int = 0
 
-    # the config-file keys ``from_json`` reads
-    JSON_KEYS: ClassVar[frozenset[str]] = frozenset(
-        {"preset", "n", "L", "p", "noise_type", "instances", "thetas",
-         "maxiter", "seed"}
-    )
+    # each config-file key with its config_value spec; a missing key (None)
+    # keeps the field's default, and __post_init__ checks the ranges
+    JSON_SPEC: ClassVar[dict] = {
+        "preset": (None, str),
+        "n": (None, int, None, None, True),
+        "L": (None, int, None, None, True),
+        "p": (None, float, None, None, True),
+        "noise_type": (None, str),
+        **dict.fromkeys(("instances", "thetas", "maxiter", "seed"), (None, int)),
+    }
+    JSON_KEYS: ClassVar[frozenset[str]] = frozenset(JSON_SPEC)
 
     def __post_init__(self):
         """Reject unusable values with a ConfigError naming the JSON key."""
         if self.preset not in PRESETS:
-            raise ConfigError("preset", f"unknown preset {self.preset!r}; choices: {PRESETS}")
+            raise ConfigError(
+                "preset", f"unknown preset {self.preset!r}; choices: {tuple(PRESETS)}")
         if self.L_list is None:
-            object.__setattr__(self, "L_list", (_DEFAULT_L.get(self.preset, 20),))
+            object.__setattr__(self, "L_list", (PRESETS[self.preset].depth,))
         for key, values in (("n", self.n_list), ("L", self.L_list), ("p", self.p_list)):
             if not values:
                 raise ConfigError(key, "sweep list must be nonempty")
@@ -115,23 +119,17 @@ class ExperimentConfig:
         _check_range("instances", (self.instances,), 1, None)
         _check_range("thetas", (self.thetas,), 1, None)
         _check_range("maxiter", (self.maxiter,), 1, None)
+        _check_range("seed", (self.seed,), 0, None)
         config_noise(self.noise_type, self.p_list[0])
 
     @classmethod
     def from_json(cls, data: dict[str, Any], seed: int | None = None):
+        """The config of a JSON object; ``seed`` replaces its "seed"."""
         if "preset" not in data:
-            raise ConfigError("preset", f"missing; choices: {PRESETS}")
-        return cls(
-            preset=data["preset"],
-            n_list=config_value(data, "n", 3, int, many=True),
-            L_list=config_value(data, "L", None, int, many=True) if "L" in data else None,
-            p_list=config_value(data, "p", 0.3, float, many=True),
-            noise_type=data.get("noise_type", "depolarizing"),
-            instances=config_value(data, "instances", 10, int),
-            thetas=config_value(data, "thetas", 20, int),
-            maxiter=config_value(data, "maxiter", 200, int),
-            seed=config_value(data, "seed", 0, int) if seed is None else int(seed),
-        )
+            raise ConfigError("preset", f"missing; choices: {tuple(PRESETS)}")
+        values = read_config(data if seed is None else {**data, "seed": seed}, cls.JSON_SPEC)
+        fields = {"n": "n_list", "L": "L_list", "p": "p_list"}
+        return cls(**{fields.get(k, k): v for k, v in values.items() if v is not None})
 
 
 @dataclass(frozen=True)
@@ -147,6 +145,11 @@ def _subseed(root: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+def _cell_seed(root: int, n: int, L: int, p: float) -> int:
+    """The seed of one (n, L, p) gradient cell."""
+    return _subseed(root, n, L, int(round(p * 10_000)))
+
+
 def _channel_r(noise_type: str, p: float) -> float:
     """||M|| of the single-qubit layer channel (1 up to rounding without
     noise)."""
@@ -154,42 +157,44 @@ def _channel_r(noise_type: str, p: float) -> float:
     return affine_rep(channel).operator_norm()
 
 
-def _max_h_norm(n: int, root_seed: int, instances: int) -> float:
-    return max(
+def _h_norms(n: int, root_seed: int, instances: int) -> list[float]:
+    """||h|| of each Hamiltonian instance a gradient cell draws."""
+    return [
         h_norm(random_two_local(n, np.random.default_rng([root_seed, i])))
         for i in range(instances)
-    )
+    ]
 
 
-def _grad_rows(cfg: ExperimentConfig, n: int, L: int, p: float) -> list[tuple]:
+def sweep_stats(n: int, L: int, noise_type: str, p: float,
+                locations: Sequence[Location] | None, instances: int, thetas: int,
+                seed: int) -> dict[Location, GradientStats]:
+    """``gradient_stats`` of the n-qubit, L-layer two-local ansatz under the
+    named noise at the given locations (None: ``default_locations``)."""
     circ = build_two_local(n, L)
-    noise = NoiseSpec.named(cfg.noise_type, p)
-    seed = _subseed(cfg.seed, n, L, int(round(p * 10_000)))
-    stats = gradient_stats(
+    if locations is None:
+        locations = default_locations(circ)
+    return gradient_stats(
         SweepSpec(
             circuit=circ,
-            noise=noise,
-            locations=default_locations(circ),
-            num_hamiltonians=cfg.instances,
-            thetas_per_hamiltonian=cfg.thetas,
+            noise=NoiseSpec.named(noise_type, p),
+            locations=tuple(locations),
+            num_hamiltonians=instances,
+            thetas_per_hamiltonian=thetas,
             seed=seed,
         )
     )
-    r = _channel_r(cfg.noise_type, p)
-    hmax = _max_h_norm(n, seed, cfg.instances)
-    # the identity channel gives r = 1 - 2e-16: not contracting, no bound
-    contracting = r < 1.0 - CONTRACTIVE_MARGIN
-    bound = bounds.nibp_bound(hmax, r, L) if contracting else float("nan")
-    rows = []
-    for loc in sorted(stats):
-        s = stats[loc]
-        rows.append(
-            (n, L, p, cfg.noise_type, loc[0], loc[1], s.mean_abs, s.variance,
-             s.min, s.max, s.samples, seed, bound)
-        )
-    return rows
 
-_GRAD_COLUMNS = (
+
+def grad_rows(n, L, noise_type, p, stats, seed) -> list[tuple]:
+    """One row of ``GRAD_COLUMNS[:-1]`` per location, in location order."""
+    return [
+        (n, L, p, noise_type, *loc, s.mean_abs, s.variance, s.min, s.max,
+         s.samples, seed)
+        for loc, s in sorted(stats.items())
+    ]
+
+
+GRAD_COLUMNS = (
     "n", "L", "p", "noise_type", "layer", "slot", "mean_abs_grad", "var_grad",
     "min", "max", "samples", "seed", "bound",
 )
@@ -208,24 +213,30 @@ def _cells(cfg: ExperimentConfig, ns, Ls, ps, noise_types=None):
                  cfg.preset, i, len(grid), *cell, time.perf_counter() - start)
 
 
+def _grad_sweep(cfg: ExperimentConfig, Ls, ps) -> ExperimentResult:
+    """Gradient statistics at the default locations of each (L, p) cell,
+    with the cell's ||h|| r^L depth bound."""
+    rows = []
+    for noise_type, n, L, p in _cells(cfg, cfg.n_list[:1], Ls, ps):
+        seed = _cell_seed(cfg.seed, n, L, p)
+        stats = sweep_stats(n, L, noise_type, p, None, cfg.instances, cfg.thetas, seed)
+        r = _channel_r(noise_type, p)
+        hmax = max(_h_norms(n, seed, cfg.instances))
+        # the identity channel gives r = 1 - 2e-16: not contracting, no bound
+        contracting = r < 1.0 - CONTRACTIVE_MARGIN
+        bound = bounds.nibp_bound(hmax, r, L) if contracting else float("nan")
+        rows += [row + (bound,) for row in grad_rows(n, L, noise_type, p, stats, seed)]
+    return ExperimentResult(columns=GRAD_COLUMNS, rows=tuple(rows))
+
+
 def run_layers_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Gradient statistics vs depth at fixed noise strength."""
-    rows = []
-    for _, n, L, p in _cells(cfg, cfg.n_list[:1], cfg.L_list, cfg.p_list[:1]):
-        rows.extend(_grad_rows(cfg, n, L, p))
-    return ExperimentResult(
-        columns=_GRAD_COLUMNS, rows=tuple(rows), metadata={"preset": cfg.preset}
-    )
+    return _grad_sweep(cfg, cfg.L_list, cfg.p_list[:1])
 
 
 def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Gradient statistics vs noise probability at fixed depth."""
-    rows = []
-    for _, n, L, p in _cells(cfg, cfg.n_list[:1], cfg.L_list[:1], cfg.p_list):
-        rows.extend(_grad_rows(cfg, n, L, p))
-    return ExperimentResult(
-        columns=_GRAD_COLUMNS, rows=tuple(rows), metadata={"preset": cfg.preset}
-    )
+    return _grad_sweep(cfg, cfg.L_list[:1], cfg.p_list)
 
 
 def run_final_cost(cfg: ExperimentConfig) -> ExperimentResult:
@@ -234,7 +245,6 @@ def run_final_cost(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.n_list[0]
     L = cfg.L_list[0]
     circ = build_two_local(n, L)
-    d = 2**n
     rows = []
     for *_, p in _cells(cfg, (n,), (L,), cfg.p_list):
         noise = NoiseSpec.named(cfg.noise_type, p)
@@ -243,25 +253,20 @@ def run_final_cost(cfg: ExperimentConfig) -> ExperimentResult:
             rng = np.random.default_rng([seed])
             H = random_two_local(n, rng)
             theta0 = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
-            hmat = H.matrix()
 
             def objective(theta):
-                return float(
-                    np.real(np.trace(hmat @ evolve(circ, theta, noise).data))
-                )
+                return cost(H, evolve(circ, theta, noise))
 
             trace = spsa_minimize(
                 objective, theta0, SpsaConfig(maxiter=cfg.maxiter, seed=seed)
             )
             rows.append(
-                (n, L, p, cfg.noise_type, i, trace.final_cost,
-                 H.trace() / d, seed)
+                (n, L, p, cfg.noise_type, i, trace.final_cost, H.trace() / 2**n, seed)
             )
     return ExperimentResult(
         columns=("n", "L", "p", "noise_type", "instance", "final_cost",
                  "center", "seed"),
         rows=tuple(rows),
-        metadata={"preset": cfg.preset},
     )
 
 
@@ -270,43 +275,23 @@ def run_width_scaling(cfg: ExperimentConfig) -> ExperimentResult:
     concentration reference, D = (n^2 + n)/2."""
     p = cfg.p_list[0]
     L = cfg.L_list[0]
-    noise_type = cfg.noise_type
+    loc = (L - 1, 0)
     rows = []
-    for _, n, _, _ in _cells(cfg, cfg.n_list, (L,), (p,)):
+    for noise_type, n, _, _ in _cells(cfg, cfg.n_list, (L,), (p,)):
         instances = cfg.instances if n < 5 else max(cfg.instances // 2, 3)
-        circ = build_two_local(n, L)
-        noise = NoiseSpec.named(noise_type, p)
-        seed = _subseed(cfg.seed, n, L, int(round(p * 10_000)))
-        loc = (L - 1, 0)
-        stats = gradient_stats(
-            SweepSpec(
-                circuit=circ,
-                noise=noise,
-                locations=(loc,),
-                num_hamiltonians=instances,
-                thetas_per_hamiltonian=cfg.thetas,
-                seed=seed,
-            )
-        )[loc]
-        big_d = (n * n + n) / 2
-        mean_h = np.mean(
-            [
-                h_norm(random_two_local(n, np.random.default_rng([seed, i])))
-                for i in range(instances)
-            ]
-        )
-        reference = float(mean_h / math.sqrt(big_d))
+        seed = _cell_seed(cfg.seed, n, L, p)
+        s = sweep_stats(n, L, noise_type, p, (loc,), instances, cfg.thetas, seed)[loc]
+        mean_h = np.mean(_h_norms(n, seed, instances))
+        reference = float(mean_h / math.sqrt((n * n + n) / 2))
         rows.append(
-            (n, L, p, noise_type, loc[0], loc[1], stats.mean_abs,
-             stats.variance, reference, stats.mean_abs / reference,
-             stats.samples, seed)
+            (n, L, p, noise_type, *loc, s.mean_abs, s.variance, reference,
+             s.mean_abs / reference, s.samples, seed)
         )
     return ExperimentResult(
         columns=("n", "L", "p", "noise_type", "layer", "slot",
                  "mean_abs_grad", "var_grad", "reference", "ratio",
                  "samples", "seed"),
         rows=tuple(rows),
-        metadata={"preset": cfg.preset},
     )
 
 
@@ -318,21 +303,10 @@ def run_trainability(cfg: ExperimentConfig) -> ExperimentResult:
     rows = []
     noise_types = (cfg.noise_type, "depolarizing")
     for noise_type, n, _, _ in _cells(cfg, cfg.n_list, (L,), (p,), noise_types):
-        circ = build_two_local(n, L)
-        noise = NoiseSpec.named(noise_type, p)
         distances = sorted({0, math.ceil(math.log2(n)), L // 2})
-        locations = tuple((L - 1 - dist, 0) for dist in distances)
-        seed = _subseed(cfg.seed, n, L, int(round(p * 10_000)))
-        stats = gradient_stats(
-            SweepSpec(
-                circuit=circ,
-                noise=noise,
-                locations=locations,
-                num_hamiltonians=cfg.instances,
-                thetas_per_hamiltonian=cfg.thetas,
-                seed=seed,
-            )
-        )
+        locations = [(L - 1 - dist, 0) for dist in distances]
+        seed = _cell_seed(cfg.seed, n, L, p)
+        stats = sweep_stats(n, L, noise_type, p, locations, cfg.instances, cfg.thetas, seed)
         for dist, loc in zip(distances, locations):
             s = stats[loc]
             rows.append(
@@ -343,16 +317,22 @@ def run_trainability(cfg: ExperimentConfig) -> ExperimentResult:
         columns=("n", "L", "p", "noise_type", "suffix_distance", "layer",
                  "var_grad", "mean_abs_grad", "samples", "seed"),
         rows=tuple(rows),
-        metadata={"preset": cfg.preset},
     )
 
 
-_RUNNERS = {
-    "layers_sweep": run_layers_sweep,
-    "noise_sweep": run_noise_sweep,
-    "final_cost": run_final_cost,
-    "width_scaling": run_width_scaling,
-    "trainability": run_trainability,
+class Preset(NamedTuple):
+    run: Callable[[ExperimentConfig], ExperimentResult]
+    depth: int  # L when the config gives none
+    x: str  # the plot axes: CSV columns
+    y: str
+
+
+PRESETS = {
+    "layers_sweep": Preset(run_layers_sweep, 20, "L", "mean_abs_grad"),
+    "noise_sweep": Preset(run_noise_sweep, 20, "p", "mean_abs_grad"),
+    "final_cost": Preset(run_final_cost, 5, "p", "final_cost"),
+    "width_scaling": Preset(run_width_scaling, 10, "n", "mean_abs_grad"),
+    "trainability": Preset(run_trainability, 20, "n", "var_grad"),
 }
 
 
@@ -360,9 +340,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the config's preset.  Progress goes to this module's logger, one
     INFO line per finished sweep cell; no handler is added."""
     start = time.time()
-    result = _RUNNERS[cfg.preset](cfg)
-    meta = dict(result.metadata)
-    meta.update(seed=cfg.seed, wall_time_s=time.time() - start)
+    result = PRESETS[cfg.preset].run(cfg)
+    meta = {"preset": cfg.preset, "seed": cfg.seed, "wall_time_s": time.time() - start}
     return ExperimentResult(columns=result.columns, rows=result.rows, metadata=meta)
 
 
@@ -410,20 +389,7 @@ def emit_plot_script(
     """
     csv_path = Path(csv_path)
     csv_rel = Path(os.path.relpath(csv_path, Path(out_path).parent)).as_posix()
-    x_col = {
-        "layers_sweep": "L",
-        "noise_sweep": "p",
-        "final_cost": "p",
-        "width_scaling": "n",
-        "trainability": "n",
-    }[preset]
-    y_col = {
-        "layers_sweep": "mean_abs_grad",
-        "noise_sweep": "mean_abs_grad",
-        "final_cost": "final_cost",
-        "width_scaling": "mean_abs_grad",
-        "trainability": "var_grad",
-    }[preset]
+    x_col, y_col = PRESETS[preset].x, PRESETS[preset].y
     log_y = preset != "final_cost"
     script = f'''"""Render {preset} results from {csv_path.name}."""
 import csv

@@ -59,7 +59,6 @@ def psr_gradient(
     noise: NoiseSpec | None,
     H: Hamiltonian,
     location: Location | Sequence[Location],
-    rho0: DensityMatrix | None = None,
 ) -> float | np.ndarray:
     """Two-point shift-rule derivative with the full noisy evolution.
 
@@ -81,8 +80,8 @@ def psr_gradient(
             raise ValueError(f"gate at {loc} carries no parameter")
         idx.append(circ.parameter_index[loc])
     plus, minus = _shifted_pair(thetas, idx, np.pi / 2)
-    cp = _costs(H, evolve(circ, plus, noise, rho0), circ.n)
-    cm = _costs(H, evolve(circ, minus, noise, rho0), circ.n)
+    cp = _costs(H, evolve(circ, plus, noise), circ.n)
+    cm = _costs(H, evolve(circ, minus, noise), circ.n)
     grads = 0.5 * (cp - cm)
     return float(grads[0]) if theta.ndim == 1 else grads
 
@@ -98,13 +97,12 @@ def fd_gradient(
     H: Hamiltonian,
     location: Location,
     step: float = 1e-5,
-    rho0: DensityMatrix | None = None,
 ) -> float:
     """Central finite difference, the numerical oracle for the shift rule."""
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step {step} outside [1e-7, 1e-3]")
     cp, cm = (
-        cost(H, evolve(circ, t, noise, rho0))
+        cost(H, evolve(circ, t, noise))
         for t in _shifted_pair(theta, circ.parameter_index[location], step)
     )
     return (cp - cm) / (2.0 * step)
@@ -116,7 +114,6 @@ def coherence_gradient(
     noise: NoiseSpec | None,
     H: Hamiltonian,
     location: Location,
-    rho0: DensityMatrix | None = None,
 ) -> float:
     """|derivative| as half the overlap of (v+ - v-) with h.
 
@@ -130,16 +127,16 @@ def coherence_gradient(
     basis = build_nice_basis(circ.n)
     _, h = h_vector(H, basis)
     vp, vm = (
-        to_coherence(evolve(circ, t, noise, rho0), basis).v
+        to_coherence(evolve(circ, t, noise), basis).v
         for t in _shifted_pair(theta, circ.parameter_index[location], np.pi / 2)
     )
     return abs(0.5 * float((vp - vm) @ h))
 
 
-def _evolve_fixed(circ, theta, noise, rho0, location, matrix) -> np.ndarray:
+def _evolve_fixed(circ, theta, noise, location, matrix) -> np.ndarray:
     """Final state with the gate at ``location`` replaced by a fixed unitary."""
     gate = replace(circ.gate_at(location), kind="fixed", matrix=matrix)
-    return evolve(circ.with_gate(gate), theta, noise, rho0).data
+    return evolve(circ.with_gate(gate), theta, noise).data
 
 
 def control_noise_gradient(
@@ -149,7 +146,6 @@ def control_noise_gradient(
     H: Hamiltonian,
     location: Location,
     noise: NoiseSpec | None = None,
-    rho0: DensityMatrix | None = None,
 ) -> tuple[float, float]:
     """Exact derivative and its norm bound for a coherently perturbed gate.
 
@@ -179,7 +175,7 @@ def control_noise_gradient(
     for letters in weights:
         p = _pauli_matrix(letters)
         rp, rm = (
-            _evolve_fixed(circ, theta, noise, rho0, location, u @ _rotation(p, s))
+            _evolve_fixed(circ, theta, noise, location, u @ _rotation(p, s))
             for s in (np.pi / 2, -np.pi / 2)
         )
         diff = rp - rm
@@ -201,7 +197,6 @@ def random_noise_gradient(
     H: Hamiltonian,
     location: Location,
     noise: NoiseSpec | None = None,
-    rho0: DensityMatrix | None = None,
 ) -> tuple[float, float]:
     """Exact derivative and its bound for a gate replaced by a unitary mixture.
 
@@ -213,10 +208,10 @@ def random_noise_gradient(
     base = noise or NoiseSpec.none()
     full = replace(base, random_unitary={**(base.random_unitary or {}), location: spec})
     idx = circ.parameter_index[location]
-    value = psr_gradient(circ, theta, full, H, location, rho0)
+    value = psr_gradient(circ, theta, full, H, location)
 
     # ideal derivative: the same circuit without the mixture at this gate
-    ideal_grad = psr_gradient(circ, theta, base, H, location, rho0)
+    ideal_grad = psr_gradient(circ, theta, base, H, location)
     hn = h_norm(H)
     bound = spec.probs[spec.intended] * abs(ideal_grad)
     for k, (p_k, letters) in enumerate(zip(spec.probs, spec.generators)):
@@ -224,7 +219,7 @@ def random_noise_gradient(
             continue
         p = _pauli_matrix(letters)
         rp, rm = (
-            _evolve_fixed(circ, theta, base, rho0, location, _rotation(p, angle))
+            _evolve_fixed(circ, theta, base, location, _rotation(p, angle))
             for angle in (theta[idx] + np.pi / 2, theta[idx] - np.pi / 2)
         )
         bound += 0.5 * p_k * hn * float(np.linalg.norm(rp - rm))

@@ -14,7 +14,7 @@ from nibp_lab.experiments import (
     run_experiment,
     write_csv,
 )
-from nibp_lab.cli import main
+from nibp_lab.cli import _COMMANDS, main
 
 
 def _small_cfg(preset, **kw):
@@ -392,6 +392,17 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
         ("experiment", {"preset": "trainability", "n": 3, "L": 2}, "L"),
         ("experiment", {"preset": "trainability", "n": [2, 5], "L": 3}, "L"),
         ("grad-scan", {"n": 2, "L": 2, "locations": []}, "locations"),
+        ("channel", {"name": "bogus"}, "name"),
+        ("channel", {"name": "depolarizing", "p": "x"}, "p"),
+        ("channel", {"name": "depolarizing", "p": 1.5}, "p"),
+        ("channel", {"name": "depolarizing", "p": -0.2}, "p"),
+        ("channel", {}, "kraus"),
+        ("channel", {"kraus": [[[1, 0]]]}, "kraus"),
+        ("channel", {"kraus": [[[[1, 0], [0, 0]], [[0, 0], [0.5, 0]]]]}, "kraus"),  # not TP
+        ("train", {"n": 2, "L": 2, "seed": -1}, "seed"),
+        # a user-given location listed twice would pool one draw's samples
+        ("grad-scan", {"n": 2, "L": 2, "locations": [[0, 0], [0, 0]]}, "locations"),
+        ("bound-report", {"n": 2, "L": 4, "locality": -3}, "locality"),
     ],
 )
 def test_cli_bad_config_value_is_one_line_naming_the_key(
@@ -402,6 +413,15 @@ def test_cli_bad_config_value_is_one_line_naming_the_key(
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert f"config key {key!r}" in err
+    assert not out.exists()
+
+
+def test_cli_negative_seed_override_is_one_line_naming_seed(tmp_path, capsys):
+    cfg = {"n": 2, "L": 2, "instances": 1, "thetas": 1}
+    code, out = _run_cli(tmp_path, "grad-scan", cfg, extra=("--seed", "-4"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config key 'seed': -4 outside [0, None]"]
     assert not out.exists()
 
 
@@ -444,3 +464,21 @@ def test_experiment_json_keys_are_the_keys_from_json_reads():
     data = _ReadRecorder({"preset": "noise_sweep", "L": 2})
     ExperimentConfig.from_json(data)
     assert data.read == ExperimentConfig.JSON_KEYS
+
+
+_RECORDING_CONFIGS = {
+    "channel": {"n": 1, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+    "grad-scan": {"n": 2, "L": 2, "instances": 1, "thetas": 1},
+    "bound-report": {"n": 2, "L": 4},
+    "train": {"n": 2, "L": 2, "maxiter": 1},
+    "experiment": {"preset": "noise_sweep", "n": 2, "L": 2, "instances": 1, "thetas": 1},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RECORDING_CONFIGS))
+def test_cli_command_reads_exactly_its_declared_keys(tmp_path, command):
+    # the key table main accepts is the table the command reads
+    run, keys = _COMMANDS[command]
+    data = _ReadRecorder(_RECORDING_CONFIGS[command])
+    run(data, tmp_path, None, False)
+    assert data.read == set(keys)
