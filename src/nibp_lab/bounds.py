@@ -6,11 +6,11 @@ for the cost function, shift accumulators, and the non-unital escape report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channels import AFFINE_MAX_QUBITS, AffineRep, KrausChannel, affine_rep
+from .channels import AFFINE_MAX_QUBITS, KrausChannel, affine_rep
 from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_gate_map
 from .hamiltonians import Hamiltonian, h_norm, h_vector
 from .pauli import DensityMatrix, build_nice_basis, to_coherence
@@ -25,38 +25,24 @@ def layer_affine_maps(
     built from local Pauli transfer matrices) with the noise map's affine
     matrix; c is the noise shift (the gates contribute none).  The noise
     map and its norm are built once per distinct layer-channel entry (the
-    same channel object, or the same per-qubit channel objects), so layers
-    with the same noise share one read-only c.
+    same channel, or the same per-qubit channels), so layers with the same
+    noise share one read-only c.
     """
     if circ.n > AFFINE_MAX_QUBITS:
         raise ValueError(f"explicit affine path limited to n <= {AFFINE_MAX_QUBITS}")
     noise.check_depth(circ.depth)
-    noise_maps: dict = {}  # entry identity -> (M, c, ||M||), this call only
+    noise_maps: dict = {}  # layer-channel entry -> (M, c, ||M||), this call only
     out = []
     for layer in range(circ.depth):
         gate_map = layer_gate_map(circ, theta, layer, noise)
         entry = noise.layer_channel(layer, circ.n)
-        key = tuple(map(id, entry)) if isinstance(entry, tuple) else id(entry)
-        if key not in noise_maps:
+        if entry not in noise_maps:
             rep = affine_rep(layer_channel_as_kraus(noise, layer, circ.n))
             rep.c.setflags(write=False)
-            noise_maps[key] = (rep.M, rep.c, rep.operator_norm())
-        m, c, opnorm = noise_maps[key]
+            noise_maps[entry] = (rep.M, rep.c, rep.operator_norm())
+        m, c, opnorm = noise_maps[entry]
         out.append((m @ gate_map, c, opnorm))
     return out
-
-
-def _once_per_object(fn: Callable, items: Sequence) -> list:
-    """``[fn(x) for x in items]``, calling ``fn`` once per distinct object.
-
-    The memo is keyed by ``id`` and lives for this call only; ``items``
-    keeps every keyed object alive meanwhile.
-    """
-    memo: dict[int, object] = {}
-    for x in items:
-        if id(x) not in memo:
-            memo[id(x)] = fn(x)
-    return [memo[id(x)] for x in items]
 
 
 @dataclass(frozen=True)
@@ -173,11 +159,11 @@ def nils_interval(
     ``channels`` is one channel reused every layer or one per layer; unital
     profiles collapse the interval to the single point Tr(H)/d.  Passing the
     circuit and angles additionally evaluates the realized shift d_L.  Each
-    distinct channel object's affine map and norm are computed once.
+    distinct channel's affine map and norm are computed once.
     """
     if isinstance(channels, KrausChannel):
         channels = [channels] * L
-    reps = _once_per_object(affine_rep, channels)
+    reps = {ch: affine_rep(ch) for ch in dict.fromkeys(channels)}.values()
     unital = all(rep.is_unital() for rep in reps)
     dim = 2**H.n
     center = H.trace() / dim
@@ -185,7 +171,7 @@ def nils_interval(
         return NilsInterval(
             center=center, lambda_L=0.0, lambda_inf=0.0, unital=True
         )
-    p = max(_once_per_object(AffineRep.operator_norm, reps))
+    p = max(rep.operator_norm() for rep in reps)
     if p >= 1.0:
         raise ValueError(f"layer contraction p={p} must be < 1 for a limit set")
     hn = h_norm(H)
@@ -242,14 +228,15 @@ def theorem3_report(
     positive suffix sigma_min, and a suffix no longer than ``suffix_cap``.
     ``d_l`` is the rotation separation entering the lower bound; it defaults
     to the guaranteed shift-norm lower bound at the realized prefix factor.
-    Each distinct channel object's affine map and SVD are computed once.
+    Each distinct channel's affine map and SVD are computed once.
     """
     L = len(channels)
     if l < 3:
         raise ValueError(f"bifurcation layer l={l} must be >= 3")
     if l > L:
         raise ValueError(f"l={l} exceeds layer count {L}")
-    reps = _once_per_object(affine_rep, channels)
+    memo = {ch: affine_rep(ch) for ch in dict.fromkeys(channels)}
+    reps = [memo[ch] for ch in channels]
     c_norms = [float(np.linalg.norm(rep.c)) for rep in reps]
     if all(rep.is_unital() for rep in reps):
         return Theorem3Report(
@@ -265,9 +252,8 @@ def theorem3_report(
         )
     applicable = not any(rep.is_unital() for rep in reps)
     # descending singular values; s[0] is the ||M|| that norm(M, 2) returns
-    svals = _once_per_object(
-        lambda rep: np.linalg.svd(rep.M, compute_uv=False), reps
-    )
+    svd = {ch: np.linalg.svd(rep.M, compute_uv=False) for ch, rep in memo.items()}
+    svals = [svd[ch] for ch in channels]
     sigma_max_prefix = max(float(s[0]) for s in svals[: l - 1])
     c_tilde = max(c_norms[: l - 1])
     ratio = c_norms[l - 2] / c_tilde if c_tilde > 0 else 0.0

@@ -38,13 +38,13 @@ class InvalidChannelError(ValueError):
     """The Kraus set does not describe a trace-preserving channel."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A completely positive map given by its Kraus operators.
 
     The channel keeps read-only copies of the operators it is given, so
     later edits of the caller's arrays cannot reach it (or its cached
-    per-qubit terms).
+    per-qubit terms).  Channels compare and hash by identity.
     """
 
     n: int
@@ -142,7 +142,7 @@ class ValidationReport:
     unital_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineRep:
     """Affine action v -> M v + c on coherence vectors (nice-basis convention)."""
 

@@ -38,7 +38,7 @@ from .pauli import (
     PauliString,
     _pauli_matrix,
     build_nice_basis,
-    kron_index,
+    pauli_strings_by_weight,
 )
 
 CONTROL_NOISE_NORM_CAP = 0.2
@@ -321,11 +321,15 @@ def single_ry_circuit() -> Circuit:
 def _gate_runs(circ: Circuit, layer: int, noise: NoiseSpec) -> list[tuple[str, object]]:
     """The layer's gates grouped into runs, in gate order.
 
+    A rotation with an entry in ``noise.random_unitary`` runs as that
+    mixture, else one in ``noise.control_noise`` as ``perturbed_gate`` of it.
+
     ``("column", {qubit: (letter, parameter index)})``: weight-1 rotations
-    without control noise or a mixture, on distinct qubits, in gate order;
+    without perturbation, on distinct qubits, in gate order;
     ``("cnots", [(control, target), ...])``: consecutive CNOTs;
-    ``("mixture", gate)``: a rotation replaced by a random-unitary mixture;
-    ``("gate", gate)``: any other gate.
+    ``("mixture", (parameter index, RandomUnitaryNoise))``: a rotation
+    replaced by a random-unitary mixture;
+    ``("gate", gate)``: any other gate, its perturbation included.
     """
     control = noise.control_noise or {}
     mixtures = noise.random_unitary or {}
@@ -333,12 +337,11 @@ def _gate_runs(circ: Circuit, layer: int, noise: NoiseSpec) -> list[tuple[str, o
     for gate in circ.layers[layer]:
         last = runs[-1][0] if runs else None
         if gate.is_parameterized and gate.location in mixtures:
-            runs.append(("mixture", gate))
-        elif (
-            gate.is_parameterized
-            and gate.location not in control
-            and gate.generator.hamming_weight == 1
-        ):
+            runs.append(("mixture", (circ.parameter_index[gate.location], mixtures[gate.location])))
+            continue
+        if gate.is_parameterized and gate.location in control:
+            gate = perturbed_gate(gate, control[gate.location])
+        if gate.is_parameterized and not gate.perturbation and gate.generator.hamming_weight == 1:
             letters = gate.generator.letters
             q = len(letters) - len(letters.lstrip("I"))
             if last != "column" or q in runs[-1][1]:
@@ -362,10 +365,8 @@ def _layer_ops(
     enters as its ``_column`` unitary, a CNOT run as a row permutation of
     ``acc``, any other gate as ``u @ acc``.  Each random-unitary mixture is
     its own set.  ``thetas`` of shape (P,) gives d x d operators, (B, P)
-    gives (B, d, d) stacks for the angle-dependent ones.  Fixed gates carry
-    no control noise or mixture.
+    gives (B, d, d) stacks for the angle-dependent ones.
     """
-    control = noise.control_noise or {}
     n = circ.n
     ops: list[list[np.ndarray]] = []
     acc: np.ndarray | None = None
@@ -374,8 +375,8 @@ def _layer_ops(
             if acc is not None:
                 ops.append([acc])
                 acc = None
-            angle = thetas[..., circ.parameter_index[run.location]]
-            ops.append(_mixture_ops(noise.random_unitary[run.location], angle))
+            index, spec = run
+            ops.append(_mixture_ops(spec, thetas[..., index]))
         elif kind == "cnots":
             rows = _cnot_rows(tuple(run), n)
             acc = np.eye(2**n, dtype=complex)[rows] if acc is None else acc[..., rows, :]
@@ -385,7 +386,7 @@ def _layer_ops(
                 angles = thetas[..., list(params)]
                 u = _column(run, _rotation(_paulis_1q("".join(letters)), angles), n)
             else:
-                u = _gate_unitary(circ, run, thetas, control)
+                u = _gate_unitary(circ, run, thetas)
             acc = u if acc is None else u @ acc
     if acc is not None:
         ops.append([acc])
@@ -426,8 +427,11 @@ def _digit_index(n: int, base: int) -> np.ndarray:
     column j.  Base 2: the 2^n basis states, i_q the bit of qubit q (qubit
     0 the most significant).  Base 4: the 4^n - 1 traceless Hamming-ordered
     Pauli strings, i_q the letter (I, X, Y, Z = 0..3) of string i on q."""
-    labels = np.arange(2**n) if base == 2 else kron_index(n)[1:]
-    digits = labels // base ** np.arange(n - 1, -1, -1)[:, None] % base
+    if base == 2:
+        digits = np.arange(2**n) // 2 ** np.arange(n - 1, -1, -1)[:, None] % 2
+    else:
+        strings = pauli_strings_by_weight(n)[1:]
+        digits = np.array([["IXYZ".index(ch) for ch in s] for s in strings]).T
     index = base * digits[:, :, None] + digits[:, None, :]
     index.setflags(write=False)
     return index
@@ -452,14 +456,10 @@ def _cnot_rows(chain: tuple[tuple[int, int], ...], n: int) -> np.ndarray:
     return rows
 
 
-def _gate_unitary(
-    circ: Circuit, gate: Gate, thetas: np.ndarray, control: Mapping
-) -> np.ndarray:
-    """The gate's full-register unitary, control noise included."""
+def _gate_unitary(circ: Circuit, gate: Gate, thetas: np.ndarray) -> np.ndarray:
+    """The gate's full-register unitary, its perturbation included."""
     if not gate.is_parameterized:
         return gate.matrix
-    if gate.location in control:
-        gate = perturbed_gate(gate, control[gate.location])
     return gate.unitary(thetas[..., circ.parameter_index[gate.location]])
 
 
@@ -545,7 +545,6 @@ def layer_gate_map(
     """
     noise = noise or NoiseSpec.none()
     _refuse_mixture(noise, layer)
-    control = noise.control_noise or {}
     theta = np.asarray(theta, dtype=float)
     n = circ.n
     omega = None  # None is the identity
@@ -559,7 +558,7 @@ def layer_gate_map(
             letters, params = zip(*run.values())
             t = _column(run, _rotation_ptm("".join(letters), theta[list(params)]), n)
         else:
-            t = _unitary_ptm(_gate_unitary(circ, run, theta, control), n)
+            t = _unitary_ptm(_gate_unitary(circ, run, theta), n)
         omega = t if omega is None else t @ omega
     return np.eye(4**n - 1) if omega is None else omega
 
@@ -599,8 +598,7 @@ def _unitary_ptm(u: np.ndarray, n: int) -> np.ndarray:
 def _is_cnot(gate: Gate, n: int) -> bool:
     if gate.is_parameterized or len(gate.target_qubits) != 2:
         return False
-    cnot = _cnot_full(*gate.target_qubits, n)
-    return gate.matrix is cnot or np.array_equal(gate.matrix, cnot)
+    return gate.matrix is _cnot_full(*gate.target_qubits, n)
 
 
 @lru_cache(maxsize=256)

@@ -26,7 +26,7 @@ from .channels import (
     named_channel,
     validate_kraus,
 )
-from .circuits import build_two_local, evolve
+from .circuits import build_two_local
 from .experiments import (
     GRAD_COLUMNS,
     ConfigError,
@@ -41,11 +41,11 @@ from .experiments import (
     read_config,
     run_experiment,
     sweep_stats,
+    train_cell,
     write_csv,
 )
-from .hamiltonians import cost, h_norm, random_two_local
+from .hamiltonians import h_norm, random_two_local
 from .pauli import MAX_QUBITS
-from .spsa import SpsaConfig, spsa_minimize
 
 # Each subcommand's config keys, each with its config_value spec (default,
 # cast, lo, hi) or None for a key the command checks itself.
@@ -76,9 +76,14 @@ def kraus_from_json(data: dict) -> KrausChannel:
     """Channel from {name, p} or explicit {kraus: [[[re, im], ...], ...], n}.
 
     Explicit matrices are row-major lists of [re, im] pairs.  A config that
-    gives no channel raises ConfigError naming the key at fault.
+    gives no channel, or a key the other form reads, raises ConfigError
+    naming the key at fault.
     """
     values = read_config(data, _CHANNEL)
+    form = ("kraus", "n") if values["name"] is None else ("name", "p")
+    ignored = sorted(set(data) - set(form))
+    if ignored:
+        raise ConfigError(ignored[0], f"not read with {form[0]!r}; give name and p, or kraus and n")
     if values["name"] is not None:
         try:
             return named_channel(values["name"], values["p"])
@@ -204,15 +209,7 @@ def cmd_train(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     v = _read(cfg, _TRAIN, seed)
     n = v["n"]
     noise = config_noise(v["noise_type"], v["p"])
-    rng = np.random.default_rng(v["seed"])
-    circ = build_two_local(n, v["L"])
-    H = random_two_local(n, rng)
-    theta0 = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
-
-    def objective(theta):
-        return cost(H, evolve(circ, theta, noise))
-
-    trace = spsa_minimize(objective, theta0, SpsaConfig(maxiter=v["maxiter"], seed=v["seed"]))
+    H, trace = train_cell(n, v["L"], noise, v["maxiter"], v["seed"])
     rows = tuple(
         (i, c, s) for i, (c, s) in enumerate(zip(trace.costs, trace.step_sizes))
     )

@@ -40,15 +40,19 @@ class ConfigError(ValueError):
 def config_value(data: dict, key: str, default, cast, lo=None, hi=None, many=False):
     """``cast(data[key])`` within [lo, hi] (either end may be None), or
     ``default`` as given when the key is missing; a value that fails either
-    raises ConfigError naming ``key``.  ``many=True`` reads one value or a
-    list of them as a tuple."""
+    raises ConfigError naming ``key``.  An int or float key takes a finite
+    number that is not a bool, an int key an integral one.  ``many=True``
+    reads one value or a list of them as a tuple."""
     if key not in data:
         return default
     raw = data[key]
     items = raw if many and isinstance(raw, (list, tuple)) else (raw,)
     try:
         values = tuple(cast(v) for v in items)
-    except (TypeError, ValueError):
+        if cast in (int, float) and any(isinstance(v, bool) or not math.isfinite(x)
+                                        or x != float(v) for v, x in zip(items, values)):
+            raise ValueError(raw)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(key, f"cannot read {raw!r} as {cast.__name__}") from None
     _check_range(key, values, lo, hi)
     return values if many else values[0]
@@ -62,7 +66,7 @@ def read_config(data: dict, keys: dict) -> dict:
 
 def _check_range(key: str, values: tuple, lo, hi) -> None:
     for v in values:
-        if lo is not None and v < lo or hi is not None and v > hi:
+        if not ((lo is None or v >= lo) and (hi is None or v <= hi)):  # NaN fails
             raise ConfigError(key, f"{v!r} outside [{lo}, {hi}]")
 
 
@@ -239,27 +243,32 @@ def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     return _grad_sweep(cfg, cfg.L_list[:1], cfg.p_list)
 
 
+def train_cell(n: int, L: int, noise: NoiseSpec, maxiter: int, seed: int):
+    """(H, SPSA trace) of Tr(H rho(theta)) on the n-qubit, L-layer two-local
+    ansatz: H and then theta0 drawn from ``default_rng(seed)``, SPSA run
+    with ``seed``."""
+    circ = build_two_local(n, L)
+    rng = np.random.default_rng(seed)
+    H = random_two_local(n, rng)
+    theta0 = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
+
+    def objective(theta):
+        return cost(H, evolve(circ, theta, noise))
+
+    return H, spsa_minimize(objective, theta0, SpsaConfig(maxiter=maxiter, seed=seed))
+
+
 def run_final_cost(cfg: ExperimentConfig) -> ExperimentResult:
     """Trained final cost vs noise probability, one optimizer run per
     Hamiltonian instance; the center column holds the Tr(H)/d reference."""
     n = cfg.n_list[0]
     L = cfg.L_list[0]
-    circ = build_two_local(n, L)
     rows = []
     for *_, p in _cells(cfg, (n,), (L,), cfg.p_list):
         noise = NoiseSpec.named(cfg.noise_type, p)
         for i in range(cfg.instances):
             seed = _subseed(cfg.seed, n, int(round(p * 10_000)), i)
-            rng = np.random.default_rng([seed])
-            H = random_two_local(n, rng)
-            theta0 = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
-
-            def objective(theta):
-                return cost(H, evolve(circ, theta, noise))
-
-            trace = spsa_minimize(
-                objective, theta0, SpsaConfig(maxiter=cfg.maxiter, seed=seed)
-            )
+            H, trace = train_cell(n, L, noise, cfg.maxiter, seed)
             rows.append(
                 (n, L, p, cfg.noise_type, i, trace.final_cost, H.trace() / 2**n, seed)
             )

@@ -5,7 +5,8 @@ under per-layer CPTP noise and under random-unitary gate noise (every
 mixture branch shares the angle).  Under control noise the generator gains
 extra Pauli terms, and the derivative becomes a weighted sum of shifted
 evaluations, one per generator term, each with the noisy gate replaced by
-its fixed unitary times a +-pi/2 rotation about that term.
+its fixed unitary times a +-pi/2 rotation about that term; the two-point
+rules refuse such a gate and name ``control_noise_gradient``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .circuits import (
     Location,
     NoiseSpec,
     RandomUnitaryNoise,
+    _gate_runs,
     _rotation,
     evolve,
     perturbed_gate,
@@ -53,6 +55,16 @@ def _shifted_pair(theta, idx, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
+def _check_shift_rule(circ: Circuit, noise: NoiseSpec | None, location: Location) -> None:
+    """Refuse a gate the two-point rule cannot differentiate: one without a
+    parameter, or one simulated with control noise."""
+    if not circ.gate_at(location).is_parameterized:
+        raise ValueError(f"gate at {location} carries no parameter")
+    for kind, run in _gate_runs(circ, location[0], noise or NoiseSpec.none()):
+        if kind == "gate" and run.location == location and run.perturbation:
+            raise ValueError(f"gate at {location} has control noise; use control_noise_gradient")
+
+
 def psr_gradient(
     circ: Circuit,
     theta: np.ndarray,
@@ -74,11 +86,9 @@ def psr_gradient(
         location = [location] * len(thetas)
     if len(location) != len(thetas):
         raise ValueError(f"{len(location)} locations for {len(thetas)} angle rows")
-    idx = []
-    for loc in location:
-        if not circ.gate_at(loc).is_parameterized:
-            raise ValueError(f"gate at {loc} carries no parameter")
-        idx.append(circ.parameter_index[loc])
+    for loc in dict.fromkeys(location):
+        _check_shift_rule(circ, noise, loc)
+    idx = [circ.parameter_index[loc] for loc in location]
     plus, minus = _shifted_pair(thetas, idx, np.pi / 2)
     cp = _costs(H, evolve(circ, plus, noise), circ.n)
     cm = _costs(H, evolve(circ, minus, noise), circ.n)
@@ -124,6 +134,7 @@ def coherence_gradient(
         raise ValueError(
             f"explicit coherence path limited to n <= {AFFINE_MAX_QUBITS}"
         )
+    _check_shift_rule(circ, noise, location)
     basis = build_nice_basis(circ.n)
     _, h = h_vector(H, basis)
     vp, vm = (

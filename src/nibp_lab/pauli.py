@@ -5,10 +5,6 @@ coherence vector holding the components of the traceless part of the state in
 the normalized Pauli basis {P_j / sqrt(d)}.  Basis elements are ordered by
 Hamming weight (number of non-identity letters); within a weight class the
 order is lexicographic in (qubit positions, letter) with X < Y < Z.
-
-``kron_index`` gives each Hamming-ordered string's position in kron order,
-the order ``np.kron`` of per-qubit 4 x 4 matrices (I, X, Y, Z; qubit 0
-first) gives; its base-4 digits are the string's letters.
 """
 
 from __future__ import annotations
@@ -90,22 +86,6 @@ def pauli_strings_by_weight(n: int) -> list[str]:
                     chars[pos] = letter
                 out.append("".join(chars))
     return out
-
-
-_BASE4 = str.maketrans("IXYZ", "0123")
-
-
-@lru_cache(maxsize=MAX_QUBITS)
-def kron_index(n: int) -> np.ndarray:
-    """Kron-order position of each Hamming-ordered length-n Pauli string.
-
-    Kron order reads a string as a base-4 numeral (I, X, Y, Z = 0..3, qubit 0
-    the leading digit).  A kron-ordered matrix ``t`` is
-    ``t[np.ix_(idx, idx)]`` in Hamming order.
-    """
-    idx = np.array([int(s.translate(_BASE4), 4) for s in pauli_strings_by_weight(n)])
-    idx.setflags(write=False)
-    return idx
 
 
 @dataclass(frozen=True)

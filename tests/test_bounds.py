@@ -216,6 +216,22 @@ def test_theorem3_weak_noise_does_not_escape():
     assert not report.escapes_nibp
 
 
+def test_theorem3_threshold_solves_the_shift_ratio():
+    # weaker damping at layer l-1 gives the shift ratio
+    # ||c_{l-1}|| / max_prefix ||c|| = 0.2 / 0.6 = 1/3, below the prefix
+    # weight at 1/2, so the bisection moves both ends toward mu*
+    def profile(L, l):
+        channels = [amplitude_damping(0.6)] * L
+        channels[l - 2] = amplitude_damping(0.2)
+        return channels
+
+    # at l = 3 the weight (lam - lam^2) / (1 - lam) is lam itself
+    assert abs(theorem3_report(profile(3, 3), 3).mu_star - 1 / 3) < 1e-9
+    mu = theorem3_report(profile(6, 5), 5).mu_star
+    assert 0.0 < mu < 0.5
+    assert abs(bounds._prefix_sum_factor(mu, 5) - 1 / 3) < 1e-9
+
+
 def _noise_setups(n):
     """Depth-4 noise setups on n qubits, each with its number of distinct
     layer-channel entries."""

@@ -18,6 +18,7 @@ from nibp_lab.circuits import (
     embed_unitary,
     evolve,
     layer_channel_as_kraus,
+    layer_gate_map,
     layer_unitary,
     perturbed_gate,
     random_unitary_channel,
@@ -297,3 +298,36 @@ def test_with_gate_replaces_one_gate():
     pinned[circ.parameter_index[(1, 0)]] = 0.3
     np.testing.assert_allclose(
         evolve(swapped, theta).data, evolve(circ, pinned).data, atol=1e-14)
+
+
+def test_a_placed_perturbed_gate_is_simulated_with_its_perturbation():
+    # with_gate(perturbed_gate(g, a)) is the circuit that the spec
+    # control_noise={loc: a} describes, on both layer views
+    circ = build_two_local(2, 2)
+    theta = np.random.default_rng(26).uniform(0, 2 * np.pi, circ.num_parameters)
+    loc, a = (1, 0), {"XI": 0.1}
+    placed = circ.with_gate(perturbed_gate(circ.gate_at(loc), a))
+    spec = NoiseSpec(control_noise={loc: a})
+    state = evolve(placed, theta).data
+    assert np.array_equal(state, evolve(circ, theta, spec).data)
+    assert np.abs(state - evolve(circ, theta).data).max() > 1e-4
+    assert np.array_equal(layer_gate_map(placed, theta, 1),
+                          layer_gate_map(circ, theta, 1, spec))
+    # a spec entry replaces the gate's own perturbation
+    other = NoiseSpec(control_noise={loc: {"ZI": 0.05}})
+    assert np.array_equal(evolve(placed, theta, other).data,
+                          evolve(circ, theta, other).data)
+
+
+def test_an_equal_copy_of_a_cnot_simulates_as_the_cnot():
+    # only cnot_gate's cached matrix takes the CNOT run; an equal copy
+    # takes the plain-gate route, exact on the dense view
+    circ = build_two_local(3, 2)
+    theta = np.random.default_rng(27).uniform(0, 2 * np.pi, circ.num_parameters)
+    cnot = circ.gate_at((1, 3))
+    copy = circ.with_gate(Gate(kind="fixed", location=cnot.location,
+                               target_qubits=cnot.target_qubits, matrix=cnot.matrix.copy()))
+    noise = NoiseSpec.uniform(amplitude_damping(0.2))
+    assert np.array_equal(evolve(copy, theta, noise).data, evolve(circ, theta, noise).data)
+    np.testing.assert_allclose(layer_gate_map(copy, theta, 1), layer_gate_map(circ, theta, 1),
+                               rtol=0, atol=1e-12)

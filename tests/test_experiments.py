@@ -403,6 +403,19 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
         # a user-given location listed twice would pool one draw's samples
         ("grad-scan", {"n": 2, "L": 2, "locations": [[0, 0], [0, 0]]}, "locations"),
         ("bound-report", {"n": 2, "L": 4, "locality": -3}, "locality"),
+        # an int key takes an integral number that is not a bool; int() would
+        # read 2.7 as depth 2 and true as 1
+        ("grad-scan", {"n": 2, "L": 2.7, "instances": 1, "thetas": 1}, "L"),
+        ("grad-scan", {"n": 2, "L": 2, "instances": True, "thetas": 1}, "instances"),
+        # a float key takes a finite number; NaN passes every range comparison
+        ("grad-scan", {"n": 2, "L": 2, "p": float("nan"), "instances": 1, "thetas": 1}, "p"),
+        ("train", {"n": 2, "L": 2, "p": float("nan"), "noise_type": "depolarizing"}, "p"),
+        ("experiment", {"preset": "noise_sweep", "n": 2, "L": 2, "p": [0.2, float("nan")],
+                        "instances": 1, "thetas": 1}, "p"),
+        ("bound-report", {"n": 2, "L": 4, "depth_constant": float("inf")}, "depth_constant"),
+        # a key the given channel form would ignore
+        ("channel", {"name": "identity", "kraus": 5}, "kraus"),
+        ("channel", {"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "p": 0.7}, "p"),
     ],
 )
 def test_cli_bad_config_value_is_one_line_naming_the_key(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from nibp_lab.circuits import (
     NoiseSpec,
     RandomUnitaryNoise,
     build_two_local,
+    perturbed_gate,
     single_ry_circuit,
 )
 from nibp_lab.gradients import (
@@ -186,3 +189,41 @@ def test_gradient_stats_determinism_and_suppression():
     )
     r = 1 - 4 * 0.4 / 3
     assert a.max <= nibp_bound(hmax, r, 6) + 1e-12
+
+
+
+@pytest.mark.parametrize("source", ["spec", "placed"])
+def test_shift_rules_refuse_a_gate_with_control_noise(source):
+    # the two-point value is not the derivative of a perturbed gate
+    # (0.0996 here against 0.1008 from control_noise_gradient), whether the
+    # perturbation comes from the noise spec or from a gate placed with it
+    rng = np.random.default_rng(45)
+    circ = build_two_local(2, 2)
+    H = random_two_local(2, rng)
+    theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
+    loc, a = (1, 0), {"XI": 0.15}
+    value, _ = control_noise_gradient(circ, theta, a, H, loc)
+    if source == "spec":
+        noise = NoiseSpec(control_noise={loc: a})
+    else:
+        circ, noise = circ.with_gate(perturbed_gate(circ.gate_at(loc), a)), NoiseSpec.none()
+    assert abs(value - fd_gradient(circ, theta, noise, H, loc)) < 1e-8
+    with pytest.raises(ValueError, match="control_noise_gradient"):
+        psr_gradient(circ, theta, noise, H, loc)
+    with pytest.raises(ValueError, match="control_noise_gradient"):
+        psr_gradient(circ, np.stack([theta, theta]), noise, H, [(0, 0), loc])
+    with pytest.raises(ValueError, match="control_noise_gradient"):
+        coherence_gradient(circ, theta, noise, H, loc)
+    sweep = SweepSpec(circuit=circ, noise=noise, locations=(loc,),
+                      num_hamiltonians=1, thetas_per_hamiltonian=1)
+    with pytest.raises(ValueError, match="control_noise_gradient"):
+        gradient_stats(sweep)
+    # other locations keep the two-point rule
+    assert abs(psr_gradient(circ, theta, noise, H, (0, 0))
+               - fd_gradient(circ, theta, noise, H, (0, 0))) < 1e-8
+    # a mixture at the location replaces the perturbation, and the
+    # two-point rule is exact on the mixture
+    mixture = RandomUnitaryNoise(probs=(0.85, 0.15), generators=("YI", "XI"), intended=0)
+    mixed = replace(noise, random_unitary={loc: mixture})
+    assert abs(psr_gradient(circ, theta, mixed, H, loc)
+               - fd_gradient(circ, theta, mixed, H, loc)) < 1e-8
