@@ -2,7 +2,6 @@
 concentration in noisy variational circuits."""
 
 from .pauli import (
-    CoherenceVector,
     DensityMatrix,
     NiceBasis,
     PauliString,

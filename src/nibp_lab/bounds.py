@@ -60,7 +60,7 @@ def contractivity_profile(
     theta: np.ndarray,
 ) -> ContractivityProfile:
     basis = build_nice_basis(circ.n)
-    v = to_coherence(DensityMatrix.ground_state(circ.n), basis).v
+    v = to_coherence(DensityMatrix.ground_state(circ.n), basis)
     qs, opnorms = [], []
     for omega, c, opnorm in layer_affine_maps(circ, theta, noise):
         rotated = omega @ v
@@ -228,7 +228,8 @@ def theorem3_report(
     positive suffix sigma_min, and a suffix no longer than ``suffix_cap``.
     ``d_l`` is the rotation separation entering the lower bound; it defaults
     to the guaranteed shift-norm lower bound at the realized prefix factor.
-    Each distinct channel's affine map and SVD are computed once.
+    Each distinct channel's affine map, and with it its singular values, is
+    computed once.
     """
     L = len(channels)
     if l < 3:
@@ -251,9 +252,7 @@ def theorem3_report(
             p_geometric=float("nan"),
         )
     applicable = not any(rep.is_unital() for rep in reps)
-    # descending singular values; s[0] is the ||M|| that norm(M, 2) returns
-    svd = {ch: np.linalg.svd(rep.M, compute_uv=False) for ch, rep in memo.items()}
-    svals = [svd[ch] for ch in channels]
+    svals = [rep.singular_values for rep in reps]  # descending; s[0] is ||M||
     sigma_max_prefix = max(float(s[0]) for s in svals[: l - 1])
     c_tilde = max(c_norms[: l - 1])
     ratio = c_norms[l - 2] / c_tilde if c_tilde > 0 else 0.0

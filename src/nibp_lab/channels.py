@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .pauli import (
+    MAX_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
     NiceBasis,
@@ -158,8 +159,16 @@ class AffineRep:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.M @ v + self.c
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of M, descending (read-only)."""
+        s = np.linalg.svd(self.M, compute_uv=False)
+        s.setflags(write=False)
+        return s
+
     def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.M, 2))
+        """||M||, the largest singular value (what norm(M, 2) returns)."""
+        return float(self.singular_values[0])
 
     def is_unital(self, tol: float = UNITAL_TOL) -> bool:
         return float(np.linalg.norm(self.c)) <= tol
@@ -169,7 +178,6 @@ class AffineRep:
 class ChannelClass:
     kind: str
     operator_norm_M: float
-    sigma_max: float
     sigma_min: float
 
 
@@ -239,8 +247,8 @@ def polar_decompose(rep: AffineRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def classify(ch: KrausChannel) -> ChannelClass:
     """Sort a channel into the unitary / unital / HS-contractive taxonomy."""
     rep = affine_rep(ch)
-    sv = np.linalg.svd(rep.M, compute_uv=False)
-    opnorm = float(sv[0])
+    sv = rep.singular_values
+    opnorm = rep.operator_norm()
     unital = rep.is_unital()
     if unital and float(np.abs(sv - 1.0).max()) <= UNITAL_TOL:
         kind = CLASS_UNITARY
@@ -253,7 +261,6 @@ def classify(ch: KrausChannel) -> ChannelClass:
     return ChannelClass(
         kind=kind,
         operator_norm_M=opnorm,
-        sigma_max=float(sv[0]),
         sigma_min=float(sv[-1]),
     )
 
@@ -273,8 +280,8 @@ def tensor_channel(per_qubit: list[KrausChannel]) -> KrausChannel:
     if any(ch.n != 1 for ch in per_qubit):
         raise DimensionMismatchError("every factor must be a single-qubit channel")
     n = len(per_qubit)
-    if n > 9:
-        raise SizeError(f"register size {n} exceeds cap of 9")
+    if n > MAX_QUBITS:
+        raise SizeError(f"register size {n} exceeds cap of {MAX_QUBITS}")
     ops = [np.eye(1, dtype=complex)]
     for ch in per_qubit:
         ops = [np.kron(a, k) for a in ops for k in ch.kraus_ops]

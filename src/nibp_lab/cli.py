@@ -115,7 +115,7 @@ def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
             "M": rep.M.tolist(),
             "c_nice": rep.c.tolist(),
             "c_bloch": rep.c_bloch.tolist(),
-            "singular_values": np.linalg.svd(rep.M, compute_uv=False).tolist(),
+            "singular_values": rep.singular_values.tolist(),
             "class": cls.kind,
             "operator_norm": cls.operator_norm_M,
             "residuals": {

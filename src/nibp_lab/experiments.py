@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -23,7 +24,8 @@ from . import bounds
 from .channels import CONTRACTIVE_MARGIN, affine_rep, identity_channel
 from .circuits import Location, NoiseSpec, build_two_local, evolve
 from .gradients import GradientStats, SweepSpec, default_locations, gradient_stats
-from .hamiltonians import cost, h_norm, random_two_local
+from .hamiltonians import cost, random_two_local
+from .pauli import MAX_QUBITS
 from .spsa import SpsaConfig, spsa_minimize
 
 log = logging.getLogger(__name__)
@@ -41,20 +43,25 @@ def config_value(data: dict, key: str, default, cast, lo=None, hi=None, many=Fal
     """``cast(data[key])`` within [lo, hi] (either end may be None), or
     ``default`` as given when the key is missing; a value that fails either
     raises ConfigError naming ``key``.  An int or float key takes a finite
-    number that is not a bool, an int key an integral one.  ``many=True``
-    reads one value or a list of them as a tuple."""
+    real number that is neither a bool nor a string, an int key an integral
+    one.  ``many=True`` reads one value or a list of them as a tuple."""
     if key not in data:
         return default
     raw = data[key]
     items = raw if many and isinstance(raw, (list, tuple)) else (raw,)
     try:
+        if cast in (int, float) and not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+            raise TypeError(raw)
         values = tuple(cast(v) for v in items)
-        if cast in (int, float) and any(isinstance(v, bool) or not math.isfinite(x)
-                                        or x != float(v) for v, x in zip(items, values)):
+        if cast in (int, float) and any(not math.isfinite(x) or x != float(v)
+                                        for v, x in zip(items, values)):
             raise ValueError(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(key, f"cannot read {raw!r} as {cast.__name__}") from None
-    _check_range(key, values, lo, hi)
+    for v in values:
+        if not ((lo is None or v >= lo) and (hi is None or v <= hi)):  # NaN fails
+            raise ConfigError(key, f"{v!r} outside [{lo}, {hi}]")
     return values if many else values[0]
 
 
@@ -62,12 +69,6 @@ def read_config(data: dict, keys: dict) -> dict:
     """Each key of a command's table read by ``config_value(data, key,
     *spec)``; a key whose spec is None is the command's to check."""
     return {key: config_value(data, key, *spec) for key, spec in keys.items() if spec}
-
-
-def _check_range(key: str, values: tuple, lo, hi) -> None:
-    for v in values:
-        if not ((lo is None or v >= lo) and (hi is None or v <= hi)):  # NaN fails
-            raise ConfigError(key, f"{v!r} outside [{lo}, {hi}]")
 
 
 def config_noise(noise_type, p: float) -> NoiseSpec:
@@ -92,16 +93,19 @@ class ExperimentConfig:
     seed: int = 0
 
     # each config-file key with its config_value spec; a missing key (None)
-    # keeps the field's default, and __post_init__ checks the ranges
+    # keeps the field's default.  __post_init__ checks and casts every field,
+    # however the config was built, by this table.
     JSON_SPEC: ClassVar[dict] = {
         "preset": (None, str),
-        "n": (None, int, None, None, True),
-        "L": (None, int, None, None, True),
-        "p": (None, float, None, None, True),
+        "n": (None, int, 2, MAX_QUBITS, True),
+        "L": (None, int, 1, None, True),
+        "p": (None, float, 0.0, 1.0, True),
         "noise_type": (None, str),
-        **dict.fromkeys(("instances", "thetas", "maxiter", "seed"), (None, int)),
+        **dict.fromkeys(("instances", "thetas", "maxiter"), (None, int, 1)),
+        "seed": (None, int, 0),
     }
     JSON_KEYS: ClassVar[frozenset[str]] = frozenset(JSON_SPEC)
+    FIELDS: ClassVar[dict] = {"n": "n_list", "L": "L_list", "p": "p_list"}
 
     def __post_init__(self):
         """Reject unusable values with a ConfigError naming the JSON key."""
@@ -110,20 +114,16 @@ class ExperimentConfig:
                 "preset", f"unknown preset {self.preset!r}; choices: {tuple(PRESETS)}")
         if self.L_list is None:
             object.__setattr__(self, "L_list", (PRESETS[self.preset].depth,))
-        for key, values in (("n", self.n_list), ("L", self.L_list), ("p", self.p_list)):
-            if not values:
+        for key, spec in self.JSON_SPEC.items():
+            name = self.FIELDS.get(key, key)
+            object.__setattr__(self, name, config_value({key: getattr(self, name)}, key, *spec))
+        for key, name in self.FIELDS.items():
+            if not getattr(self, name):
                 raise ConfigError(key, "sweep list must be nonempty")
-        _check_range("n", self.n_list, 2, None)
-        _check_range("L", self.L_list, 1, None)
-        _check_range("p", self.p_list, 0.0, 1.0)
         # trainability reads gradients up to ceil(log2 n) layers before the last
         deepest = max(math.ceil(math.log2(n)) for n in self.n_list)
         if self.preset == "trainability" and min(self.L_list) <= deepest:
             raise ConfigError("L", f"trainability needs L > ceil(log2 n) = {deepest}")
-        _check_range("instances", (self.instances,), 1, None)
-        _check_range("thetas", (self.thetas,), 1, None)
-        _check_range("maxiter", (self.maxiter,), 1, None)
-        _check_range("seed", (self.seed,), 0, None)
         config_noise(self.noise_type, self.p_list[0])
 
     @classmethod
@@ -132,8 +132,7 @@ class ExperimentConfig:
         if "preset" not in data:
             raise ConfigError("preset", f"missing; choices: {tuple(PRESETS)}")
         values = read_config(data if seed is None else {**data, "seed": seed}, cls.JSON_SPEC)
-        fields = {"n": "n_list", "L": "L_list", "p": "p_list"}
-        return cls(**{fields.get(k, k): v for k, v in values.items() if v is not None})
+        return cls(**{cls.FIELDS.get(k, k): v for k, v in values.items() if v is not None})
 
 
 @dataclass(frozen=True)
@@ -159,14 +158,6 @@ def _channel_r(noise_type: str, p: float) -> float:
     noise)."""
     channel = NoiseSpec.named(noise_type, p).layer_channels or identity_channel()
     return affine_rep(channel).operator_norm()
-
-
-def _h_norms(n: int, root_seed: int, instances: int) -> list[float]:
-    """||h|| of each Hamiltonian instance a gradient cell draws."""
-    return [
-        h_norm(random_two_local(n, np.random.default_rng([root_seed, i])))
-        for i in range(instances)
-    ]
 
 
 def sweep_stats(n: int, L: int, noise_type: str, p: float,
@@ -219,13 +210,15 @@ def _cells(cfg: ExperimentConfig, ns, Ls, ps, noise_types=None):
 
 def _grad_sweep(cfg: ExperimentConfig, Ls, ps) -> ExperimentResult:
     """Gradient statistics at the default locations of each (L, p) cell,
-    with the cell's ||h|| r^L depth bound."""
+    with the cell's ||h|| r^L depth bound: the largest ||h|| the cell drew,
+    and r built once per p."""
     rows = []
+    rs = {p: _channel_r(cfg.noise_type, p) for p in ps}
     for noise_type, n, L, p in _cells(cfg, cfg.n_list[:1], Ls, ps):
         seed = _cell_seed(cfg.seed, n, L, p)
         stats = sweep_stats(n, L, noise_type, p, None, cfg.instances, cfg.thetas, seed)
-        r = _channel_r(noise_type, p)
-        hmax = max(_h_norms(n, seed, cfg.instances))
+        r = rs[p]
+        hmax = max(next(iter(stats.values())).h_norms)
         # the identity channel gives r = 1 - 2e-16: not contracting, no bound
         contracting = r < 1.0 - CONTRACTIVE_MARGIN
         bound = bounds.nibp_bound(hmax, r, L) if contracting else float("nan")
@@ -290,7 +283,7 @@ def run_width_scaling(cfg: ExperimentConfig) -> ExperimentResult:
         instances = cfg.instances if n < 5 else max(cfg.instances // 2, 3)
         seed = _cell_seed(cfg.seed, n, L, p)
         s = sweep_stats(n, L, noise_type, p, (loc,), instances, cfg.thetas, seed)[loc]
-        mean_h = np.mean(_h_norms(n, seed, instances))
+        mean_h = np.mean(s.h_norms)
         reference = float(mean_h / math.sqrt((n * n + n) / 2))
         rows.append(
             (n, L, p, noise_type, *loc, s.mean_abs, s.variance, reference,

@@ -34,7 +34,8 @@ from .pauli import DensityMatrix, _pauli_matrix, build_nice_basis, to_coherence
 
 @dataclass(frozen=True)
 class GradientStats:
-    """Statistics of |dC/dtheta| at one gate location."""
+    """Statistics of |dC/dtheta| at one gate location, with the ||h|| of
+    each Hamiltonian the sweep drew (the same tuple at every location)."""
 
     location: Location
     mean_abs: float
@@ -42,6 +43,7 @@ class GradientStats:
     min: float
     max: float
     samples: int
+    h_norms: tuple[float, ...]
 
 
 def _shifted_pair(theta, idx, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +140,7 @@ def coherence_gradient(
     basis = build_nice_basis(circ.n)
     _, h = h_vector(H, basis)
     vp, vm = (
-        to_coherence(evolve(circ, t, noise), basis).v
+        to_coherence(evolve(circ, t, noise), basis)
         for t in _shifted_pair(theta, circ.parameter_index[location], np.pi / 2)
     )
     return abs(0.5 * float((vp - vm) @ h))
@@ -278,9 +280,11 @@ def gradient_stats(spec: SweepSpec) -> dict[Location, GradientStats]:
     # to derivatives one block of rows at a time
     locations = list(spec.locations) * spec.thetas_per_hamiltonian
     step = max(1, _BLOCK_BYTES // (16 * 4**circ.n))
+    h_norms = []
     for i in range(spec.num_hamiltonians):
         rng = np.random.default_rng([spec.seed, i])
         H = factory(rng)
+        h_norms.append(h_norm(H))
         thetas = rng.uniform(
             0.0, 2.0 * np.pi, size=(spec.thetas_per_hamiltonian, circ.num_parameters)
         )
@@ -302,5 +306,6 @@ def gradient_stats(spec: SweepSpec) -> dict[Location, GradientStats]:
             min=min(vals),
             max=max(vals),
             samples=k,
+            h_norms=tuple(h_norms),
         )
     return out

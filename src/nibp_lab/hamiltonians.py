@@ -17,6 +17,7 @@ from math import factorial
 import numpy as np
 
 from .pauli import (
+    MAX_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
     NiceBasis,
@@ -115,7 +116,7 @@ def cost_from_coherence(H: Hamiltonian, rho: DensityMatrix) -> float:
     """Same expectation via the split Tr(H)/d + v . h."""
     basis = build_nice_basis(H.n)
     _, h = h_vector(H, basis)
-    v = to_coherence(rho, basis).v
+    v = to_coherence(rho, basis)
     return float(H.trace() / basis.dim + v @ h)
 
 
@@ -140,8 +141,8 @@ def random_two_local(n: int, seed: int | np.random.Generator) -> Hamiltonian:
     uniform [0, 1) magnitude; the spectrum is then shifted so the minimum
     eigenvalue is zero and the whole operator rescaled to unit norm.
     """
-    if not 2 <= n <= 9:
-        raise SizeError(f"qubit count must be in [2, 9], got {n}")
+    if not 2 <= n <= MAX_QUBITS:
+        raise SizeError(f"qubit count must be in [2, {MAX_QUBITS}], got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     strings = two_local_strings(n)
     coeffs = rng.uniform(0.0, 1.0, size=len(strings))

@@ -174,45 +174,29 @@ class DensityMatrix:
         return cls(n=n, data=np.eye(d, dtype=complex) / d)
 
 
-@dataclass(frozen=True)
-class CoherenceVector:
-    """Real coefficients of the traceless part of a state, length d^2 - 1."""
-
-    n: int
-    v: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        d = 2**self.n
-        if self.v.shape != (d**2 - 1,):
-            raise DimensionMismatchError(
-                f"expected length {d**2 - 1}, got {self.v.shape}"
-            )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.v))
-
-
-def to_coherence(rho: DensityMatrix, basis: NiceBasis) -> CoherenceVector:
-    """Project a state onto the traceless basis elements: v_j = Tr(F_j rho)."""
+def to_coherence(rho: DensityMatrix, basis: NiceBasis) -> np.ndarray:
+    """Project a state onto the traceless basis elements: the real (d^2 - 1,)
+    coherence vector v_j = Tr(F_j rho)."""
     if rho.n != basis.n:
         raise DimensionMismatchError(f"state has n={rho.n}, basis n={basis.n}")
-    v = np.einsum("jab,ba->j", basis.stack[1:], rho.data)
-    return CoherenceVector(n=rho.n, v=np.real(v))
+    return np.real(np.einsum("jab,ba->j", basis.stack[1:], rho.data))
 
 
 def from_coherence(
-    v: CoherenceVector, basis: NiceBasis, positivity_tol: float = 1e-9
+    v: np.ndarray, basis: NiceBasis, positivity_tol: float = 1e-9
 ) -> DensityMatrix:
     """Reconstruct rho = I/d + sum_j v_j F_j; rejects non-positive results.
 
     A norm bound on v is necessary but not sufficient for positivity when
     d > 2, so the reconstructed matrix is always eigenvalue-checked.
     """
-    if v.n != basis.n:
-        raise DimensionMismatchError(f"vector has n={v.n}, basis n={basis.n}")
+    if v.shape != (basis.size - 1,):
+        raise DimensionMismatchError(
+            f"expected length {basis.size - 1}, got {v.shape}"
+        )
     d = basis.dim
-    data = np.eye(d, dtype=complex) / d + np.tensordot(v.v, basis.stack[1:], axes=1)
-    rho = DensityMatrix(n=v.n, data=data)
+    data = np.eye(d, dtype=complex) / d + np.tensordot(v, basis.stack[1:], axes=1)
+    rho = DensityMatrix(n=basis.n, data=data)
     min_eig = float(np.linalg.eigvalsh(data)[0])
     if min_eig < -positivity_tol:
         raise InvalidStateError(
@@ -227,7 +211,7 @@ def purity_identity_check(rho: DensityMatrix) -> tuple[float, float, float]:
     """Return (purity, ||v||, residual) for ||v|| = sqrt(Tr rho^2 - 1/d)."""
     basis = build_nice_basis(rho.n)
     purity = rho.purity()
-    vnorm = to_coherence(rho, basis).norm()
+    vnorm = float(np.linalg.norm(to_coherence(rho, basis)))
     residual = abs(vnorm - np.sqrt(max(purity - 1.0 / basis.dim, 0.0)))
     return purity, vnorm, residual
 

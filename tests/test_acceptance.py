@@ -51,8 +51,8 @@ def test_criterion_1_affine_representation_oracle():
             ch = random_channel(n, rng, kraus_count=int(rng.integers(2, 4)))
             rep = affine_rep(ch, basis)
             rho = random_density_matrix(n, rng)
-            v = to_coherence(rho, basis).v
-            direct = to_coherence(ch.apply_state(rho), basis).v
+            v = to_coherence(rho, basis)
+            direct = to_coherence(ch.apply_state(rho), basis)
             worst = max(worst, float(np.abs(rep.apply(v) - direct).max()))
     ok = worst < 1e-10
     _report(1, ok, f"affine vs Kraus, 100 channels per n in 1..3, "
@@ -90,7 +90,7 @@ def test_criterion_3_contraction_lemmas():
         rep = affine_rep(ch)
         if np.linalg.norm(rep.c) > 1e-9:
             violations += 1
-        v = to_coherence(rho, build_nice_basis(n)).v
+        v = to_coherence(rho, build_nice_basis(n))
         if np.linalg.norm(rep.M @ v) > np.linalg.norm(v) + 1e-10:
             violations += 1
     for _ in range(1000):  # non-unital single-qubit maps strictly contract

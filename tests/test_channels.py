@@ -44,8 +44,8 @@ def test_validate_kraus_reports():
 
 def _affine_matches_kraus(ch, rho, basis):
     rep = affine_rep(ch, basis)
-    v = to_coherence(rho, basis).v
-    direct = to_coherence(ch.apply_state(rho), basis).v
+    v = to_coherence(rho, basis)
+    direct = to_coherence(ch.apply_state(rho), basis)
     return np.abs(rep.apply(v) - direct).max()
 
 
@@ -141,6 +141,19 @@ def test_tensor_channel_action():
     assert abs(sv.min() - 0.36) < 1e-12
 
 
+def test_affine_rep_carries_its_singular_values():
+    rng = np.random.default_rng(21)
+    for ch in (amplitude_damping(0.3), depolarizing(0.2), random_channel(2, rng)):
+        rep = affine_rep(ch)
+        sv = rep.singular_values
+        assert rep.singular_values is sv  # computed once per rep
+        np.testing.assert_array_equal(sv, np.linalg.svd(rep.M, compute_uv=False))
+        # the same SVD that norm(M, 2) takes the max of
+        assert sv[0] == rep.operator_norm() == float(np.linalg.norm(rep.M, 2))
+        with pytest.raises(ValueError):
+            sv[0] = 0.0
+
+
 def test_unital_channels_do_not_increase_purity():
     rng = np.random.default_rng(13)
     for _ in range(50):
@@ -158,7 +171,7 @@ def test_unital_contraction_of_coherence_vectors():
         ch = random_unital_channel(1, rng)
         rep = affine_rep(ch, basis)
         assert np.linalg.norm(rep.c) < 1e-9
-        v = to_coherence(random_density_matrix(1, rng), basis).v
+        v = to_coherence(random_density_matrix(1, rng), basis)
         assert np.linalg.norm(rep.M @ v) <= np.linalg.norm(v) + 1e-10
 
 
@@ -208,10 +221,8 @@ def test_affine_rep_round_trip_state_evolution():
     ch = random_channel(2, rng, kraus_count=3)
     rep = affine_rep(ch, basis)
     rho = random_density_matrix(2, rng)
-    from nibp_lab.pauli import CoherenceVector
-
-    v = rep.apply(to_coherence(rho, basis).v)
-    rebuilt = from_coherence(CoherenceVector(n=2, v=v), basis)
+    v = rep.apply(to_coherence(rho, basis))
+    rebuilt = from_coherence(v, basis)
     np.testing.assert_allclose(rebuilt.data, ch.apply(rho.data), atol=1e-12)
 
 

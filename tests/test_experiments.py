@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import runpy
 import sys
 import types
@@ -8,13 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nibp_lab.bounds import nibp_bound
+from nibp_lab.channels import affine_rep
+from nibp_lab.circuits import NoiseSpec
 from nibp_lab.experiments import (
+    ConfigError,
     ExperimentConfig,
     emit_plot_script,
     run_experiment,
     write_csv,
 )
 from nibp_lab.cli import _COMMANDS, main
+from nibp_lab.hamiltonians import h_norm, random_two_local
 
 
 def _small_cfg(preset, **kw):
@@ -41,6 +47,26 @@ def test_config_validation():
         ExperimentConfig(preset="layers_sweep", instances=0)
 
 
+@pytest.mark.parametrize("kw, key", [
+    ({"instances": True}, "instances"),
+    ({"seed": False}, "seed"),
+    ({"L_list": (2.5,)}, "L"),
+    ({"n_list": (12,)}, "n"),  # random_two_local stops at MAX_QUBITS
+    ({"p_list": ("0.3",)}, "p"),
+    ({"thetas": "5"}, "thetas"),
+])
+def test_python_config_is_checked_by_the_json_rules(kw, key):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(preset="noise_sweep", **kw)
+    assert err.value.key == key
+
+
+def test_python_config_fields_are_cast_like_json():
+    cfg = ExperimentConfig(preset="noise_sweep", n_list=[2], L_list=(3.0,), p_list=(0,))
+    assert cfg.n_list == (2,) and cfg.L_list == (3,) and cfg.p_list == (0.0,)
+    assert type(cfg.L_list[0]) is int and type(cfg.p_list[0]) is float
+
+
 def test_config_from_json_scalars_become_tuples():
     cfg = ExperimentConfig.from_json(
         {"preset": "noise_sweep", "n": 3, "L": 6, "p": [0.1, 0.2]}
@@ -57,6 +83,23 @@ def test_layers_sweep_shape_and_monotone_bound():
     assert set(cols["L"]) == {2, 4}
     assert all(b > 0 for b in cols["bound"])
     assert result.metadata["seed"] == 0
+
+
+def _drawn_h_norms(n, seed, instances):
+    """||h|| of Hamiltonian i of a gradient cell, i < instances, redrawn by
+    the rule the cell draws them by."""
+    return [h_norm(random_two_local(n, np.random.default_rng([seed, i])))
+            for i in range(instances)]
+
+
+def test_layers_sweep_bound_is_the_drawn_h_norm_times_r_to_the_L():
+    cfg = _small_cfg("layers_sweep", n_list=(3,))
+    result = run_experiment(cfg)
+    r = affine_rep(NoiseSpec.named("depolarizing", 0.3).layer_channels).operator_norm()
+    for row in result.rows:
+        cols = dict(zip(result.columns, row))
+        hmax = max(_drawn_h_norms(cols["n"], cols["seed"], cfg.instances))
+        assert cols["bound"] == nibp_bound(hmax, r, cols["L"])
 
 
 @pytest.mark.parametrize(
@@ -117,6 +160,9 @@ def test_width_scaling_rows():
         cols["reference"], cols["mean_abs_grad"], cols["ratio"]
     ):
         assert abs(ratio - mean / ref) < 1e-12
+    for n, seed, ref in zip(cols["n"], cols["seed"], cols["reference"]):
+        mean_h = np.mean(_drawn_h_norms(n, seed, cfg.instances))
+        assert ref == float(mean_h / math.sqrt((n * n + n) / 2))
 
 
 def test_trainability_rows():
@@ -416,6 +462,14 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
         # a key the given channel form would ignore
         ("channel", {"name": "identity", "kraus": 5}, "kraus"),
         ("channel", {"kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], "p": 0.7}, "p"),
+        # a number key takes a number, never a string that reads as one
+        ("grad-scan", {"n": 2, "L": "3", "instances": 1, "thetas": 1}, "L"),
+        ("experiment", {"preset": "noise_sweep", "n": 2, "L": 2, "p": "0.3",
+                        "instances": 1, "thetas": 1}, "p"),
+        ("train", {"n": 2, "L": 2, "seed": "5"}, "seed"),
+        # experiment caps n where grad-scan does
+        ("experiment", {"preset": "noise_sweep", "n": 12, "L": 2,
+                        "instances": 1, "thetas": 1}, "n"),
     ],
 )
 def test_cli_bad_config_value_is_one_line_naming_the_key(

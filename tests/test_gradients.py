@@ -191,6 +191,24 @@ def test_gradient_stats_determinism_and_suppression():
     assert a.max <= nibp_bound(hmax, r, 6) + 1e-12
 
 
+def test_gradient_stats_reports_the_h_norms_it_drew():
+    circ = build_two_local(3, 4)
+    spec = SweepSpec(
+        circuit=circ,
+        noise=NoiseSpec.uniform(depolarizing(0.2)),
+        locations=default_locations(circ),
+        num_hamiltonians=3,
+        thetas_per_hamiltonian=1,
+        seed=7,
+    )
+    stats = gradient_stats(spec)
+    drawn = tuple(
+        h_norm(random_two_local(3, np.random.default_rng([7, i]))) for i in range(3)
+    )
+    # one tuple per sweep, the same at every location
+    assert all(s.h_norms == drawn for s in stats.values())
+
+
 
 @pytest.mark.parametrize("source", ["spec", "placed"])
 def test_shift_rules_refuse_a_gate_with_control_noise(source):

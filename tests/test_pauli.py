@@ -3,6 +3,7 @@ import pytest
 
 from nibp_lab.pauli import (
     DensityMatrix,
+    DimensionMismatchError,
     InvalidStateError,
     PauliString,
     SizeError,
@@ -13,7 +14,6 @@ from nibp_lab.pauli import (
     random_density_matrix,
     random_pure_state,
     to_coherence,
-    CoherenceVector,
 )
 
 
@@ -74,13 +74,13 @@ def test_string_enumeration_counts():
 def test_maximally_mixed_has_zero_vector():
     basis = build_nice_basis(2)
     v = to_coherence(DensityMatrix.maximally_mixed(2), basis)
-    np.testing.assert_allclose(v.v, 0.0, atol=1e-15)
+    np.testing.assert_allclose(v, 0.0, atol=1e-15)
 
 
 def test_ground_state_vector_single_qubit():
     basis = build_nice_basis(1)
     v = to_coherence(DensityMatrix.ground_state(1), basis)
-    np.testing.assert_allclose(v.v, [0.0, 0.0, 1.0 / np.sqrt(2)], atol=1e-15)
+    np.testing.assert_allclose(v, [0.0, 0.0, 1.0 / np.sqrt(2)], atol=1e-15)
 
 
 def test_pure_state_vector_norm():
@@ -88,7 +88,7 @@ def test_pure_state_vector_norm():
     basis = build_nice_basis(2)
     for _ in range(10):
         v = to_coherence(random_pure_state(2, rng), basis)
-        assert abs(v.norm() - np.sqrt(1.0 - 0.25)) < 1e-10
+        assert abs(np.linalg.norm(v) - np.sqrt(1.0 - 0.25)) < 1e-10
 
 
 def test_round_trip_random_states():
@@ -103,7 +103,7 @@ def test_round_trip_random_states():
 
 def test_from_coherence_plus_state():
     basis = build_nice_basis(1)
-    v = CoherenceVector(n=1, v=np.array([1.0 / np.sqrt(2), 0.0, 0.0]))
+    v = np.array([1.0 / np.sqrt(2), 0.0, 0.0])
     rho = from_coherence(v, basis)
     np.testing.assert_allclose(rho.data, np.full((2, 2), 0.5), atol=1e-14)
 
@@ -115,8 +115,15 @@ def test_from_coherence_rejects_nonpositive():
     vec = np.zeros(15)
     vec[-1] = np.sqrt(3.0) / 2.0
     with pytest.raises(InvalidStateError) as err:
-        from_coherence(CoherenceVector(n=2, v=vec), basis)
+        from_coherence(vec, basis)
     assert err.value.min_eigenvalue < 0
+
+
+def test_from_coherence_rejects_a_wrong_length_vector():
+    basis = build_nice_basis(2)
+    for vec in (np.zeros(3), np.zeros(16), np.zeros((15, 1))):
+        with pytest.raises(DimensionMismatchError):
+            from_coherence(vec, basis)
 
 
 def test_purity_identity():

@@ -186,13 +186,13 @@ def test_evolve_follows_layer_affine_maps(n, depth, p, seed):
     for kind in ("uniform", "per_layer", "per_qubit", "full_register", "control"):
         maps = layer_affine_maps(
             build_two_local(n, depth), theta, _noise(kind, n, depth, p))
-        v = to_coherence(DensityMatrix.ground_state(n), basis).v
+        v = to_coherence(DensityMatrix.ground_state(n), basis)
         for layers, (omega, c, _) in enumerate(maps, start=1):
             v = omega @ v + c
             rho = evolve(build_two_local(n, layers), theta[: n * layers],
                          _noise(kind, n, layers, p))
             np.testing.assert_allclose(
-                to_coherence(rho, basis).v, v, rtol=0, atol=1e-12, err_msg=kind)
+                to_coherence(rho, basis), v, rtol=0, atol=1e-12, err_msg=kind)
 
 
 @st.composite
