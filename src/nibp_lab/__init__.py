@@ -3,9 +3,8 @@ concentration in noisy variational circuits."""
 
 from .pauli import (
     DensityMatrix,
-    NiceBasis,
-    PauliString,
     build_nice_basis,
+    check_pauli,
     from_coherence,
     to_coherence,
 )

@@ -13,7 +13,7 @@ import numpy as np
 from .channels import AFFINE_MAX_QUBITS, KrausChannel, affine_rep
 from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_gate_map
 from .hamiltonians import Hamiltonian, h_norm, h_vector
-from .pauli import DensityMatrix, build_nice_basis, to_coherence
+from .pauli import DensityMatrix, to_coherence
 
 
 def layer_affine_maps(
@@ -30,7 +30,7 @@ def layer_affine_maps(
     """
     if circ.n > AFFINE_MAX_QUBITS:
         raise ValueError(f"explicit affine path limited to n <= {AFFINE_MAX_QUBITS}")
-    noise.check_depth(circ.depth)
+    noise.check(circ)
     noise_maps: dict = {}  # layer-channel entry -> (M, c, ||M||), this call only
     out = []
     for layer in range(circ.depth):
@@ -59,8 +59,7 @@ def contractivity_profile(
     noise: NoiseSpec,
     theta: np.ndarray,
 ) -> ContractivityProfile:
-    basis = build_nice_basis(circ.n)
-    v = to_coherence(DensityMatrix.ground_state(circ.n), basis)
+    v = to_coherence(DensityMatrix.ground_state(circ.n))
     qs, opnorms = [], []
     for omega, c, opnorm in layer_affine_maps(circ, theta, noise):
         rotated = omega @ v
@@ -130,7 +129,7 @@ def shift_accumulator(
     lam = _lambda_width(hn, p, 2**circ.n, upto)
     d_dot_h = None
     if H is not None:
-        _, h = h_vector(H, build_nice_basis(circ.n))
+        _, h = h_vector(H)
         d_dot_h = float(d @ h)
     return d, d_dot_h, lam
 

@@ -19,8 +19,8 @@ from .pauli import (
     MAX_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
-    NiceBasis,
     SizeError,
+    _pauli_matrix,
     build_nice_basis,
 )
 
@@ -170,15 +170,8 @@ class AffineRep:
         """||M||, the largest singular value (what norm(M, 2) returns)."""
         return float(self.singular_values[0])
 
-    def is_unital(self, tol: float = UNITAL_TOL) -> bool:
-        return float(np.linalg.norm(self.c)) <= tol
-
-
-@dataclass(frozen=True)
-class ChannelClass:
-    kind: str
-    operator_norm_M: float
-    sigma_min: float
+    def is_unital(self) -> bool:
+        return float(np.linalg.norm(self.c)) <= UNITAL_TOL
 
 
 def validate_kraus(ch: KrausChannel) -> ValidationReport:
@@ -202,11 +195,11 @@ def _superoperator(ch: KrausChannel) -> np.ndarray:
     return sum(np.kron(k, k.conj()) for k in ch.kraus_ops)
 
 
-def transfer_matrix(ch: KrausChannel, basis: NiceBasis) -> np.ndarray:
+def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     """T_ij = Tr(F_i N(F_j)) over the full basis including the identity row."""
     s = _superoperator(ch)
-    d = basis.dim
-    b = basis.stack.reshape(d * d, d * d)
+    d = ch.dim
+    b = build_nice_basis(ch.n).reshape(d * d, d * d)
     t = b.conj() @ s @ b.T
     imag = float(np.abs(t.imag).max())
     if imag > 1e-12:
@@ -214,7 +207,7 @@ def transfer_matrix(ch: KrausChannel, basis: NiceBasis) -> np.ndarray:
     return t.real
 
 
-def affine_rep(ch: KrausChannel, basis: NiceBasis | None = None) -> AffineRep:
+def affine_rep(ch: KrausChannel) -> AffineRep:
     """Explicit (M, c) of a channel; guarded to small qubit counts."""
     if ch.n > AFFINE_MAX_QUBITS:
         raise SizeError(
@@ -225,12 +218,9 @@ def affine_rep(ch: KrausChannel, basis: NiceBasis | None = None) -> AffineRep:
         raise InvalidChannelError(
             f"not trace preserving (residual {report.tp_residual:.2e})"
         )
-    basis = basis or build_nice_basis(ch.n)
-    if basis.n != ch.n:
-        raise DimensionMismatchError(f"basis n={basis.n}, channel n={ch.n}")
-    t = transfer_matrix(ch, basis)
+    t = transfer_matrix(ch)
     m = t[1:, 1:]
-    c = t[1:, 0] / np.sqrt(basis.dim)
+    c = t[1:, 0] / np.sqrt(ch.dim)
     return AffineRep(n=ch.n, M=m, c=c)
 
 
@@ -244,25 +234,16 @@ def polar_decompose(rep: AffineRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return o, dilation, s
 
 
-def classify(ch: KrausChannel) -> ChannelClass:
-    """Sort a channel into the unitary / unital / HS-contractive taxonomy."""
-    rep = affine_rep(ch)
-    sv = rep.singular_values
-    opnorm = rep.operator_norm()
-    unital = rep.is_unital()
-    if unital and float(np.abs(sv - 1.0).max()) <= UNITAL_TOL:
-        kind = CLASS_UNITARY
-    elif unital:
-        kind = CLASS_UNITAL_NONUNITARY
-    elif opnorm < 1.0 - CONTRACTIVE_MARGIN:
-        kind = CLASS_HS_CONTRACTIVE_NONUNITAL
-    else:
-        kind = CLASS_NONUNITAL_NONCONTRACTIVE
-    return ChannelClass(
-        kind=kind,
-        operator_norm_M=opnorm,
-        sigma_min=float(sv[-1]),
-    )
+def classify(rep: AffineRep) -> str:
+    """Sort a channel's affine map into the unitary / unital /
+    HS-contractive taxonomy."""
+    if rep.is_unital():
+        if float(np.abs(rep.singular_values - 1.0).max()) <= UNITAL_TOL:
+            return CLASS_UNITARY
+        return CLASS_UNITAL_NONUNITARY
+    if rep.operator_norm() < 1.0 - CONTRACTIVE_MARGIN:
+        return CLASS_HS_CONTRACTIVE_NONUNITAL
+    return CLASS_NONUNITAL_NONCONTRACTIVE
 
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
@@ -304,8 +285,6 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 
 def depolarizing(p: float) -> KrausChannel:
     """Single-qubit depolarizing map with error probability p."""
-    from .pauli import _pauli_matrix
-
     ops = (np.sqrt(1.0 - p) * np.eye(2, dtype=complex),) + tuple(
         np.sqrt(p / 3.0) * _pauli_matrix(s) for s in "XYZ"
     )
@@ -321,8 +300,6 @@ def amplitude_damping(p: float) -> KrausChannel:
 
 def bit_flip(p: float) -> KrausChannel:
     """Kraus set {sqrt(p) I, sqrt(1-p) X}: the bit flips with probability 1-p."""
-    from .pauli import _pauli_matrix
-
     return KrausChannel(
         n=1,
         kraus_ops=(
@@ -333,8 +310,6 @@ def bit_flip(p: float) -> KrausChannel:
 
 
 def phase_flip(p: float) -> KrausChannel:
-    from .pauli import _pauli_matrix
-
     return KrausChannel(
         n=1,
         kraus_ops=(

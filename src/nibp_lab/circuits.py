@@ -35,9 +35,9 @@ from .channels import (
 from .pauli import (
     DensityMatrix,
     DimensionMismatchError,
-    PauliString,
     _pauli_matrix,
-    build_nice_basis,
+    check_pauli,
+    hamming_weight,
     pauli_strings_by_weight,
 )
 
@@ -77,9 +77,14 @@ class Gate:
     kind: str  # "param" | "fixed"
     location: Location
     target_qubits: tuple[int, ...]
-    generator: PauliString | None = None
+    generator: str | None = None  # Pauli letters, full register length
     matrix: np.ndarray | None = field(default=None, repr=False)  # full-space, fixed
     perturbation: tuple[tuple[str, float], ...] | None = None
+
+    def __post_init__(self):
+        if self.generator is not None:
+            # a rotation's generator sets the register width it acts on
+            check_pauli(self.generator, len(self.generator))
 
     @property
     def is_parameterized(self) -> bool:
@@ -87,7 +92,7 @@ class Gate:
 
     def generator_matrix(self) -> np.ndarray:
         """Hermitian generator, including any control-noise perturbation."""
-        g = np.array(self.generator.matrix())
+        g = np.array(_pauli_matrix(self.generator))
         if self.perturbation:
             for letters, coeff in self.perturbation:
                 g = g + coeff * _pauli_matrix(letters)
@@ -99,7 +104,7 @@ class Gate:
         if self.kind == "fixed":
             return self.matrix
         if not self.perturbation:
-            return _rotation(self.generator.matrix(), theta)
+            return _rotation(_pauli_matrix(self.generator), theta)
         g = self.generator_matrix()
         w, vec = np.linalg.eigh(g)
         angle = np.asarray(theta)[..., None, None]
@@ -120,7 +125,7 @@ def ry_gate(qubit: int, n: int, location: Location) -> Gate:
         kind="param",
         location=location,
         target_qubits=(qubit,),
-        generator=PauliString(letters),
+        generator=letters,
     )
 
 
@@ -141,13 +146,8 @@ def perturbed_gate(g: Gate, a: Mapping[str, float]) -> Gate:
     """
     if not g.is_parameterized:
         raise ValueError("only rotation gates can carry control noise")
-    n = g.generator.n
-    items = tuple((letters, float(coeff)) for letters, coeff in a.items())
-    for letters, _ in items:
-        if len(letters) != n:
-            raise DimensionMismatchError(
-                f"perturbation string {letters!r} has wrong length for n={n}"
-            )
+    n = len(g.generator)
+    items = tuple((check_pauli(letters, n), float(coeff)) for letters, coeff in a.items())
     if items:
         pert = sum(coeff * _pauli_matrix(letters) for letters, coeff in items)
         norm = float(np.linalg.norm(pert, 2))
@@ -169,6 +169,8 @@ class RandomUnitaryNoise:
     def __post_init__(self):
         if len(self.probs) != len(self.generators):
             raise ValueError("probs and generators length mismatch")
+        for letters in self.generators:
+            check_pauli(letters, len(self.generators[0]))
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
         if any(p < 0 for p in self.probs):
@@ -225,13 +227,17 @@ class NoiseSpec:
             return cls.none()
         return cls.uniform(named_channel(noise_type, p))
 
-    def check_depth(self, depth: int) -> None:
-        """Reject a per-layer tuple that does not cover exactly ``depth`` layers."""
+    def check(self, circ: Circuit) -> None:
+        """Reject a per-layer tuple that does not cover exactly the circuit's
+        layers, and a mixture generator of another width than its register."""
         lc = self.layer_channels
-        if isinstance(lc, tuple) and len(lc) != depth:
+        if isinstance(lc, tuple) and len(lc) != circ.depth:
             raise DimensionMismatchError(
-                f"per-layer noise has {len(lc)} entries, circuit has {depth} layers"
+                f"per-layer noise has {len(lc)} entries, circuit has {circ.depth} layers"
             )
+        for spec in (self.random_unitary or {}).values():
+            for letters in spec.generators:
+                check_pauli(letters, circ.n)
 
     def layer_channel(self, layer: int, n: int) -> LayerChannel:
         """The noise after ``layer`` on an n-qubit register: None, one
@@ -341,8 +347,8 @@ def _gate_runs(circ: Circuit, layer: int, noise: NoiseSpec) -> list[tuple[str, o
             continue
         if gate.is_parameterized and gate.location in control:
             gate = perturbed_gate(gate, control[gate.location])
-        if gate.is_parameterized and not gate.perturbation and gate.generator.hamming_weight == 1:
-            letters = gate.generator.letters
+        if gate.is_parameterized and not gate.perturbation and hamming_weight(gate.generator) == 1:
+            letters = gate.generator
             q = len(letters) - len(letters.lstrip("I"))
             if last != "column" or q in runs[-1][1]:
                 runs.append(("column", {}))
@@ -491,7 +497,7 @@ def evolve(
         raise ValueError(
             f"expected {circ.num_parameters} parameters per row, got {theta.shape}"
         )
-    noise.check_depth(circ.depth)
+    noise.check(circ)
     rho0 = rho0 or DensityMatrix.ground_state(circ.n)
     if rho0.n != circ.n:
         raise DimensionMismatchError(f"state n={rho0.n}, circuit n={circ.n}")
@@ -558,7 +564,7 @@ def layer_gate_map(
             letters, params = zip(*run.values())
             t = _column(run, _rotation_ptm("".join(letters), theta[list(params)]), n)
         else:
-            t = _unitary_ptm(_gate_unitary(circ, run, theta), n)
+            t = _unitary_ptm(_gate_unitary(circ, run, theta))
         omega = t if omega is None else t @ omega
     return np.eye(4**n - 1) if omega is None else omega
 
@@ -590,9 +596,9 @@ def _rotation_ptm(letters: str, theta: np.ndarray) -> np.ndarray:
     return fixed + np.cos(angle) * cos_part + np.sin(angle) * sin_part
 
 
-def _unitary_ptm(u: np.ndarray, n: int) -> np.ndarray:
+def _unitary_ptm(u: np.ndarray) -> np.ndarray:
     """Traceless Hamming-ordered block of the transfer matrix of u."""
-    return transfer_matrix(unitary_channel(u), build_nice_basis(n))[1:, 1:]
+    return transfer_matrix(unitary_channel(u))[1:, 1:]
 
 
 def _is_cnot(gate: Gate, n: int) -> bool:
@@ -613,7 +619,7 @@ def _cnot_chain_ptm(
     ``sign[:, None] * A[src]``.  Both are read off the transfer matrix of
     the chain's row permutation, whose entries are 0 and +-1 up to rounding.
     """
-    t = _unitary_ptm(np.eye(2**n)[_cnot_rows(chain, n)], n)
+    t = _unitary_ptm(np.eye(2**n)[_cnot_rows(chain, n)])
     src = np.abs(t).argmax(axis=1)
     sign = np.rint(t[np.arange(len(src)), src])
     for arr in (src, sign):

@@ -108,7 +108,6 @@ def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
         rep = affine_rep(ch)
     except ValueError as exc:  # too many qubits, or not trace preserving
         raise ConfigError("kraus", str(exc)) from None
-    cls = classify(ch)
     report = validate_kraus(ch)
     _write_json(
         {
@@ -116,8 +115,8 @@ def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
             "c_nice": rep.c.tolist(),
             "c_bloch": rep.c_bloch.tolist(),
             "singular_values": rep.singular_values.tolist(),
-            "class": cls.kind,
-            "operator_norm": cls.operator_norm_M,
+            "class": classify(rep),
+            "operator_norm": rep.operator_norm(),
             "residuals": {
                 "trace_preservation": report.tp_residual,
                 "unitality": report.unital_residual,

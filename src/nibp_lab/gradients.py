@@ -29,7 +29,7 @@ from .circuits import (
     perturbed_gate,
 )
 from .hamiltonians import Hamiltonian, cost, h_norm, h_vector, random_two_local
-from .pauli import DensityMatrix, _pauli_matrix, build_nice_basis, to_coherence
+from .pauli import DensityMatrix, _pauli_matrix, to_coherence
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,9 @@ def coherence_gradient(
             f"explicit coherence path limited to n <= {AFFINE_MAX_QUBITS}"
         )
     _check_shift_rule(circ, noise, location)
-    basis = build_nice_basis(circ.n)
-    _, h = h_vector(H, basis)
+    _, h = h_vector(H)
     vp, vm = (
-        to_coherence(evolve(circ, t, noise), basis)
+        to_coherence(evolve(circ, t, noise))
         for t in _shifted_pair(theta, circ.parameter_index[location], np.pi / 2)
     )
     return abs(0.5 * float((vp - vm) @ h))
@@ -176,7 +175,7 @@ def control_noise_gradient(
     """
     gate = perturbed_gate(circ.gate_at(location), a)
     u = gate.unitary(theta[circ.parameter_index[location]])
-    gen = gate.generator.letters
+    gen = gate.generator
     hn = h_norm(H)
 
     weights: dict[str, float] = {gen: 1.0}

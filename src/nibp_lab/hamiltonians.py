@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
 from math import factorial
 
 import numpy as np
@@ -20,10 +19,12 @@ from .pauli import (
     MAX_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
-    NiceBasis,
     SizeError,
     _pauli_matrix,
-    build_nice_basis,
+    check_pauli,
+    hamming_weight,
+    pauli_strings_by_weight,
+    strings_of_weight,
     to_coherence,
 )
 
@@ -38,17 +39,12 @@ class Hamiltonian:
 
     def __post_init__(self):
         for letters, _ in self.terms:
-            if len(letters) != self.n:
-                raise DimensionMismatchError(
-                    f"term {letters!r} has length {len(letters)}, n={self.n}"
-                )
-            if set(letters) == {"I"}:
+            if set(check_pauli(letters, self.n)) == {"I"}:
                 raise ValueError("identity component belongs in h0, not terms")
 
     @property
     def locality(self) -> int:
-        weights = [sum(ch != "I" for ch in s) for s, c in self.terms if c != 0.0]
-        return max(weights, default=0)
+        return max((hamming_weight(s) for s, c in self.terms if c != 0.0), default=0)
 
     def matrix(self) -> np.ndarray:
         """The dense d x d matrix, built once per instance (read-only)."""
@@ -75,13 +71,11 @@ class Hamiltonian:
         return float(np.linalg.eigvalsh(self.matrix())[0])
 
 
-def h_vector(H: Hamiltonian, basis: NiceBasis) -> tuple[float, np.ndarray]:
+def h_vector(H: Hamiltonian) -> tuple[float, np.ndarray]:
     """Coordinates (h0, h) of H in the nice basis: h_j = Tr(F_j H)."""
-    if H.n != basis.n:
-        raise DimensionMismatchError(f"H has n={H.n}, basis n={basis.n}")
-    sqrt_d = np.sqrt(basis.dim)
+    sqrt_d = np.sqrt(2**H.n)
     coeffs = dict(H.terms)
-    h = np.array([sqrt_d * coeffs.get(s, 0.0) for s in basis.strings[1:]])
+    h = np.array([sqrt_d * coeffs.get(s, 0.0) for s in pauli_strings_by_weight(H.n)[1:]])
     return H.h0, h
 
 
@@ -114,23 +108,13 @@ def cost(H: Hamiltonian, rho: DensityMatrix) -> float:
 
 def cost_from_coherence(H: Hamiltonian, rho: DensityMatrix) -> float:
     """Same expectation via the split Tr(H)/d + v . h."""
-    basis = build_nice_basis(H.n)
-    _, h = h_vector(H, basis)
-    v = to_coherence(rho, basis)
-    return float(H.trace() / basis.dim + v @ h)
+    _, h = h_vector(H)
+    return float(H.trace() / 2**H.n + to_coherence(rho) @ h)
 
 
-def two_local_strings(n: int, letters: str = "XZ") -> list[str]:
-    """All weight-1 and weight-2 strings over the given letter set."""
-    out = []
-    for weight in (1, 2):
-        for positions in combinations(range(n), weight):
-            for choice in product(letters, repeat=weight):
-                chars = ["I"] * n
-                for pos, letter in zip(positions, choice):
-                    chars[pos] = letter
-                out.append("".join(chars))
-    return out
+def two_local_strings(n: int) -> list[str]:
+    """All weight-1 and weight-2 strings over the letters X and Z."""
+    return strings_of_weight(n, 1, "XZ") + strings_of_weight(n, 2, "XZ")
 
 
 def random_two_local(n: int, seed: int | np.random.Generator) -> Hamiltonian:

@@ -1,10 +1,13 @@
 """Pauli strings, the normalized Hermitian operator basis, and coherence vectors.
 
-States are carried in two equivalent forms: a dense density matrix and a real
-coherence vector holding the components of the traceless part of the state in
-the normalized Pauli basis {P_j / sqrt(d)}.  Basis elements are ordered by
-Hamming weight (number of non-identity letters); within a weight class the
-order is lexicographic in (qubit positions, letter) with X < Y < Z.
+A Pauli string is its letters, e.g. "XIZ", checked by ``check_pauli`` where
+it enters.  States are carried in two equivalent forms: a dense density
+matrix and a real coherence vector holding the components of the traceless
+part of the state in the normalized Pauli basis {P_j / sqrt(d)}.  The qubit
+count alone fixes that basis, so no function takes one.  Basis elements are
+ordered by Hamming weight (number of non-identity letters); within a weight
+class the order is lexicographic in (qubit positions, letter) with
+X < Y < Z.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from itertools import combinations, product
 import numpy as np
 
 MAX_QUBITS = 9
+POSITIVITY_TOL = 1e-9  # most negative eigenvalue a state may have
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -50,77 +54,53 @@ def _pauli_matrix(letters: str) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-qubit Pauli operators, e.g. "XIZ"."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters or any(ch not in "IXYZ" for ch in self.letters):
-            raise ValueError(f"invalid Pauli letters: {self.letters!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    @property
-    def hamming_weight(self) -> int:
-        return len(self.letters) - self.letters.count("I")
-
-    def matrix(self) -> np.ndarray:
-        return _pauli_matrix(self.letters)
-
-    def __str__(self) -> str:
-        return self.letters
+def check_pauli(letters: str, n: int) -> str:
+    """``letters`` if it names an n-qubit Pauli string.  A string of the
+    wrong length raises DimensionMismatchError; any other fault raises
+    ValueError naming the string."""
+    if not isinstance(letters, str) or not letters or not set(letters) <= set("IXYZ"):
+        raise ValueError(f"invalid Pauli letters: {letters!r}")
+    if len(letters) != n:
+        raise DimensionMismatchError(
+            f"Pauli string {letters!r} has length {len(letters)}, register has {n} qubits"
+        )
+    return letters
 
 
-def pauli_strings_by_weight(n: int) -> list[str]:
-    """All length-n Pauli letter strings ordered by Hamming weight."""
-    out = ["I" * n]
-    for weight in range(1, n + 1):
-        for positions in combinations(range(n), weight):
-            for letters in product("XYZ", repeat=weight):
-                chars = ["I"] * n
-                for pos, letter in zip(positions, letters):
-                    chars[pos] = letter
-                out.append("".join(chars))
+def hamming_weight(letters: str) -> int:
+    """The number of non-identity letters."""
+    return len(letters) - letters.count("I")
+
+
+def strings_of_weight(n: int, weight: int, letters: str) -> list[str]:
+    """The length-n strings with ``weight`` letters from ``letters``, the
+    rest I, ordered by (qubit positions, letter)."""
+    out = []
+    for positions in combinations(range(n), weight):
+        for choice in product(letters, repeat=weight):
+            chars = ["I"] * n
+            for pos, letter in zip(positions, choice):
+                chars[pos] = letter
+            out.append("".join(chars))
     return out
 
 
-@dataclass(frozen=True)
-class NiceBasis:
-    """Orthonormal Hermitian basis {P_j / sqrt(d)} with F_0 the scaled identity."""
-
-    n: int
-    strings: tuple[str, ...]
-    stack: np.ndarray = field(repr=False)  # (d^2, d, d), stack[j] = F_j
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
-
-    @property
-    def size(self) -> int:
-        return self.dim**2
-
-    def element(self, j: int) -> np.ndarray:
-        return self.stack[j]
-
-    def hamming_weight(self, j: int) -> int:
-        return sum(ch != "I" for ch in self.strings[j])
+@lru_cache(maxsize=MAX_QUBITS)
+def pauli_strings_by_weight(n: int) -> tuple[str, ...]:
+    """All length-n Pauli letter strings ordered by Hamming weight."""
+    return tuple(s for weight in range(n + 1) for s in strings_of_weight(n, weight, "XYZ"))
 
 
 @lru_cache(maxsize=MAX_QUBITS)
-def build_nice_basis(n: int) -> NiceBasis:
-    """Build the normalized Pauli basis for n qubits, Hamming-weight ordered."""
+def build_nice_basis(n: int) -> np.ndarray:
+    """The normalized Pauli basis {P_j / sqrt(d)} for n qubits: a read-only
+    (4^n, 2^n, 2^n) stack in the order of ``pauli_strings_by_weight(n)``,
+    so entry 0 is the scaled identity."""
     if not 1 <= n <= MAX_QUBITS:
         raise SizeError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    d = 2**n
-    strings = pauli_strings_by_weight(n)
-    stack = np.stack([_pauli_matrix(s) for s in strings]) / np.sqrt(d)
+    stack = np.stack([_pauli_matrix(s) for s in pauli_strings_by_weight(n)]) / np.sqrt(2**n)
     stack.setflags(write=False)
-    return NiceBasis(n=n, strings=tuple(strings), stack=stack)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -137,7 +117,7 @@ class DensityMatrix:
                 f"expected shape {(d, d)}, got {self.data.shape}"
             )
 
-    def validate(self, positivity_tol: float = 1e-9) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
         """Check Hermiticity, unit trace, and positivity within tolerances."""
         herm = np.linalg.norm(self.data - self.data.conj().T, np.inf)
         if herm > 1e-10:
@@ -146,7 +126,7 @@ class DensityMatrix:
         if tr > 1e-10:
             raise InvalidStateError(f"trace deviates from 1 by {tr:.2e}")
         min_eig = float(np.linalg.eigvalsh(self.data)[0])
-        if min_eig < -positivity_tol:
+        if min_eig < -POSITIVITY_TOL:
             raise InvalidStateError(
                 f"negative eigenvalue {min_eig:.3e}", min_eigenvalue=min_eig
             )
@@ -174,31 +154,29 @@ class DensityMatrix:
         return cls(n=n, data=np.eye(d, dtype=complex) / d)
 
 
-def to_coherence(rho: DensityMatrix, basis: NiceBasis) -> np.ndarray:
+def to_coherence(rho: DensityMatrix) -> np.ndarray:
     """Project a state onto the traceless basis elements: the real (d^2 - 1,)
     coherence vector v_j = Tr(F_j rho)."""
-    if rho.n != basis.n:
-        raise DimensionMismatchError(f"state has n={rho.n}, basis n={basis.n}")
-    return np.real(np.einsum("jab,ba->j", basis.stack[1:], rho.data))
+    return np.real(np.einsum("jab,ba->j", build_nice_basis(rho.n)[1:], rho.data))
 
 
-def from_coherence(
-    v: np.ndarray, basis: NiceBasis, positivity_tol: float = 1e-9
-) -> DensityMatrix:
-    """Reconstruct rho = I/d + sum_j v_j F_j; rejects non-positive results.
+def from_coherence(v: np.ndarray, n: int) -> DensityMatrix:
+    """Reconstruct the n-qubit rho = I/d + sum_j v_j F_j; rejects
+    non-positive results.
 
     A norm bound on v is necessary but not sufficient for positivity when
     d > 2, so the reconstructed matrix is always eigenvalue-checked.
     """
-    if v.shape != (basis.size - 1,):
+    stack = build_nice_basis(n)
+    if v.shape != (len(stack) - 1,):
         raise DimensionMismatchError(
-            f"expected length {basis.size - 1}, got {v.shape}"
+            f"expected length {len(stack) - 1}, got {v.shape}"
         )
-    d = basis.dim
-    data = np.eye(d, dtype=complex) / d + np.tensordot(v, basis.stack[1:], axes=1)
-    rho = DensityMatrix(n=basis.n, data=data)
+    d = 2**n
+    data = np.eye(d, dtype=complex) / d + np.tensordot(v, stack[1:], axes=1)
+    rho = DensityMatrix(n=n, data=data)
     min_eig = float(np.linalg.eigvalsh(data)[0])
-    if min_eig < -positivity_tol:
+    if min_eig < -POSITIVITY_TOL:
         raise InvalidStateError(
             f"coherence vector does not describe a state (min eigenvalue "
             f"{min_eig:.3e})",
@@ -209,10 +187,9 @@ def from_coherence(
 
 def purity_identity_check(rho: DensityMatrix) -> tuple[float, float, float]:
     """Return (purity, ||v||, residual) for ||v|| = sqrt(Tr rho^2 - 1/d)."""
-    basis = build_nice_basis(rho.n)
     purity = rho.purity()
-    vnorm = float(np.linalg.norm(to_coherence(rho, basis)))
-    residual = abs(vnorm - np.sqrt(max(purity - 1.0 / basis.dim, 0.0)))
+    vnorm = float(np.linalg.norm(to_coherence(rho)))
+    residual = abs(vnorm - np.sqrt(max(purity - 1.0 / 2**rho.n, 0.0)))
     return purity, vnorm, residual
 
 

@@ -3,7 +3,8 @@
 Two cost evaluations per iteration estimate the gradient along a random
 Rademacher direction; gain sequences follow the standard Spall schedule.
 The step-size constant is calibrated from the first gradient estimate so
-the initial update has magnitude about 0.1.
+the initial update has magnitude about 0.1.  The stability constant A is
+0.1 * maxiter and the perturbation decay exponent is Spall's 0.101.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ from typing import Callable
 
 import numpy as np
 
+GAMMA = 0.101  # perturbation size c_k = c / (k + 1)^GAMMA
+
 
 @dataclass(frozen=True)
 class SpsaConfig:
     maxiter: int = 200
     a: float | None = None  # None: calibrate from the first iteration
     c: float = 0.1
-    A: float | None = None  # None: 0.1 * maxiter
     alpha: float = 0.602
-    gamma: float = 0.101
     seed: int = 0
 
     def __post_init__(self):
@@ -29,8 +30,8 @@ class SpsaConfig:
             raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
         if self.c <= 0:
             raise ValueError(f"perturbation size c must be positive, got {self.c}")
-        if not (0 < self.alpha <= 1 and 0 < self.gamma <= 1):
-            raise ValueError("alpha and gamma must lie in (0, 1]")
+        if not 0 < self.alpha <= 1:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def spsa_minimize(
     """
     rng = np.random.default_rng(cfg.seed)
     theta = np.array(theta0, dtype=float)
-    big_a = cfg.A if cfg.A is not None else 0.1 * cfg.maxiter
+    big_a = 0.1 * cfg.maxiter
     a = cfg.a
 
     costs: list[float] = []
@@ -66,7 +67,7 @@ def spsa_minimize(
     aborted = False
 
     for k in range(cfg.maxiter):
-        c_k = cfg.c / (k + 1) ** cfg.gamma
+        c_k = cfg.c / (k + 1) ** GAMMA
         delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
         y_plus = float(objective(theta + c_k * delta))
         y_minus = float(objective(theta - c_k * delta))

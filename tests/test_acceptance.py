@@ -34,7 +34,7 @@ from nibp_lab.gradients import (
     psr_gradient,
 )
 from nibp_lab.hamiltonians import cost, h_norm, random_two_local
-from nibp_lab.pauli import build_nice_basis, random_density_matrix, to_coherence
+from nibp_lab.pauli import random_density_matrix, to_coherence
 from nibp_lab.spsa import SpsaConfig, spsa_minimize
 
 
@@ -46,13 +46,12 @@ def test_criterion_1_affine_representation_oracle():
     rng = np.random.default_rng(100)
     worst = 0.0
     for n in (1, 2, 3):
-        basis = build_nice_basis(n)
         for _ in range(100):
             ch = random_channel(n, rng, kraus_count=int(rng.integers(2, 4)))
-            rep = affine_rep(ch, basis)
+            rep = affine_rep(ch)
             rho = random_density_matrix(n, rng)
-            v = to_coherence(rho, basis)
-            direct = to_coherence(ch.apply_state(rho), basis)
+            v = to_coherence(rho)
+            direct = to_coherence(ch.apply_state(rho))
             worst = max(worst, float(np.abs(rep.apply(v) - direct).max()))
     ok = worst < 1e-10
     _report(1, ok, f"affine vs Kraus, 100 channels per n in 1..3, "
@@ -90,7 +89,7 @@ def test_criterion_3_contraction_lemmas():
         rep = affine_rep(ch)
         if np.linalg.norm(rep.c) > 1e-9:
             violations += 1
-        v = to_coherence(rho, build_nice_basis(n))
+        v = to_coherence(rho)
         if np.linalg.norm(rep.M @ v) > np.linalg.norm(v) + 1e-10:
             violations += 1
     for _ in range(1000):  # non-unital single-qubit maps strictly contract
@@ -136,7 +135,7 @@ def test_criterion_4_shift_rule_correctness():
             full = NoiseSpec(control_noise={loc: a})
             diff = abs(value - fd_gradient(circ, theta, full, H, loc))
         else:
-            gen = circ.gate_at(loc).generator.letters
+            gen = circ.gate_at(loc).generator
             letters = ["I"] * n
             letters[int(rng.integers(0, n))] = "XYZ"[int(rng.integers(0, 3))]
             spec = RandomUnitaryNoise(

@@ -24,7 +24,6 @@ from nibp_lab.channels import (
 )
 from nibp_lab.pauli import (
     DensityMatrix,
-    build_nice_basis,
     from_coherence,
     random_density_matrix,
     to_coherence,
@@ -42,21 +41,20 @@ def test_validate_kraus_reports():
     assert abs(rep.tp_residual - 0.19) < 1e-12
 
 
-def _affine_matches_kraus(ch, rho, basis):
-    rep = affine_rep(ch, basis)
-    v = to_coherence(rho, basis)
-    direct = to_coherence(ch.apply_state(rho), basis)
+def _affine_matches_kraus(ch, rho):
+    rep = affine_rep(ch)
+    v = to_coherence(rho)
+    direct = to_coherence(ch.apply_state(rho))
     return np.abs(rep.apply(v) - direct).max()
 
 
 def test_affine_rep_matches_kraus_action():
     rng = np.random.default_rng(10)
     for n in (1, 2):
-        basis = build_nice_basis(n)
         for _ in range(25):
             ch = random_channel(n, rng, kraus_count=int(rng.integers(2, 4)))
             rho = random_density_matrix(n, rng)
-            assert _affine_matches_kraus(ch, rho, basis) < 1e-12
+            assert _affine_matches_kraus(ch, rho) < 1e-12
 
 
 def test_amplitude_damping_affine_values():
@@ -94,13 +92,13 @@ def test_polar_decomposition():
 
 
 def test_classification():
-    assert classify(unitary_channel(np.eye(2))).kind == "unitary"
-    cls = classify(depolarizing(0.3))
-    assert cls.kind == "unital_nonunitary"
-    assert abs(cls.operator_norm_M - 0.6) < 1e-12
-    cls = classify(amplitude_damping(0.3))
-    assert cls.kind == "hs_contractive_nonunital"
-    assert abs(cls.operator_norm_M - np.sqrt(0.7)) < 1e-12
+    assert classify(affine_rep(unitary_channel(np.eye(2)))) == "unitary"
+    rep = affine_rep(depolarizing(0.3))
+    assert classify(rep) == "unital_nonunitary"
+    assert abs(rep.operator_norm() - 0.6) < 1e-12
+    rep = affine_rep(amplitude_damping(0.3))
+    assert classify(rep) == "hs_contractive_nonunital"
+    assert abs(rep.operator_norm() - np.sqrt(0.7)) < 1e-12
 
 
 def test_compose_matches_sequential_action():
@@ -166,12 +164,11 @@ def test_unital_channels_do_not_increase_purity():
 
 def test_unital_contraction_of_coherence_vectors():
     rng = np.random.default_rng(14)
-    basis = build_nice_basis(1)
     for _ in range(50):
         ch = random_unital_channel(1, rng)
-        rep = affine_rep(ch, basis)
+        rep = affine_rep(ch)
         assert np.linalg.norm(rep.c) < 1e-9
-        v = to_coherence(random_density_matrix(1, rng), basis)
+        v = to_coherence(random_density_matrix(1, rng))
         assert np.linalg.norm(rep.M @ v) <= np.linalg.norm(v) + 1e-10
 
 
@@ -217,12 +214,11 @@ def test_identity_and_phase_flip():
 def test_affine_rep_round_trip_state_evolution():
     # evolving via (M, c) then reconstructing the matrix matches Kraus action
     rng = np.random.default_rng(16)
-    basis = build_nice_basis(2)
     ch = random_channel(2, rng, kraus_count=3)
-    rep = affine_rep(ch, basis)
+    rep = affine_rep(ch)
     rho = random_density_matrix(2, rng)
-    v = rep.apply(to_coherence(rho, basis))
-    rebuilt = from_coherence(v, basis)
+    v = rep.apply(to_coherence(rho))
+    rebuilt = from_coherence(v, 2)
     np.testing.assert_allclose(rebuilt.data, ch.apply(rho.data), atol=1e-12)
 
 

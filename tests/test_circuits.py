@@ -189,6 +189,36 @@ def test_perturbed_gate_norm_cap():
         perturbed_gate(g, {"X": 0.3})
 
 
+def test_gate_strings_are_checked_where_they_enter():
+    g = ry_gate(0, 2, (0, 0))
+    with pytest.raises(ValueError, match="'XQ'"):
+        Gate(kind="param", location=(0, 0), target_qubits=(0,), generator="XQ")
+    with pytest.raises(ValueError, match="'XQ'"):
+        perturbed_gate(g, {"XQ": 0.01})
+    with pytest.raises(DimensionMismatchError, match="'XII'"):
+        perturbed_gate(g, {"XII": 0.01})
+    with pytest.raises(ValueError, match="'QI'"):
+        RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "QI"), intended=0)
+    with pytest.raises(DimensionMismatchError, match="'X'"):
+        RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "X"), intended=0)
+
+
+def test_mixture_of_the_wrong_width_is_refused_before_evolution(monkeypatch):
+    from nibp_lab import circuits
+
+    applied = []
+    kraus = circuits._apply_kraus
+    monkeypatch.setattr(circuits, "_apply_kraus", lambda *a: applied.append(1) or kraus(*a))
+    circ = build_two_local(2, 2)
+    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YII", "XII"), intended=0)
+    noise = NoiseSpec(random_unitary={(1, 0): spec})
+    with pytest.raises(DimensionMismatchError, match="'YII'.*2 qubits"):
+        evolve(circ, np.zeros(circ.num_parameters), noise)
+    assert applied == []
+    evolve(circ, np.zeros(circ.num_parameters))
+    assert applied
+
+
 def test_random_unitary_mixture_validation():
     with pytest.raises(ValueError):
         RandomUnitaryNoise(probs=(0.6, 0.3), generators=("Y", "X"), intended=0)
@@ -215,7 +245,7 @@ def test_degenerate_mixture_is_ideal_gate():
     circ = build_two_local(2, 2)
     rng = np.random.default_rng(25)
     theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
-    gen = circ.gate_at((1, 0)).generator.letters
+    gen = circ.gate_at((1, 0)).generator
     spec = RandomUnitaryNoise(probs=(1.0,), generators=(gen,), intended=0)
     a = evolve(circ, theta, NoiseSpec(random_unitary={(1, 0): spec}))
     b = evolve(circ, theta)

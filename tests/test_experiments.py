@@ -214,6 +214,27 @@ def test_cli_channel(tmp_path):
     assert data["class"] == "hs_contractive_nonunital"
 
 
+def test_cli_channel_builds_the_affine_map_once(tmp_path, monkeypatch):
+    # the class and the operator norm are read off the one map the
+    # command builds, not off a second build inside classify
+    from nibp_lab import channels, cli
+
+    calls = []
+
+    def counted(ch):
+        calls.append(ch)
+        return affine_rep(ch)
+
+    monkeypatch.setattr(channels, "affine_rep", counted)
+    monkeypatch.setattr(cli, "affine_rep", counted)
+    code, out = _run_cli(tmp_path, "channel", {"name": "amplitude_damping", "p": 0.36})
+    assert code == 0
+    assert len(calls) == 1
+    data = json.loads((out / "channel.json").read_text())
+    assert data["class"] == "hs_contractive_nonunital"
+    assert data["operator_norm"] == data["singular_values"][0]
+
+
 def test_cli_grad_scan(tmp_path):
     cfg = {"n": 2, "L": 2, "p": 0.3, "noise_type": "depolarizing",
            "instances": 2, "thetas": 2}

@@ -137,7 +137,7 @@ def test_random_noise_gradient_matches_finite_difference():
     for _ in range(5):
         theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
         loc = (1, int(rng.integers(0, 2)))
-        gen = circ.gate_at(loc).generator.letters
+        gen = circ.gate_at(loc).generator
         other = "XX"
         spec = RandomUnitaryNoise(
             probs=(0.8, 0.2), generators=(gen, other), intended=0

@@ -13,15 +13,14 @@ from nibp_lab.hamiltonians import (
 )
 from nibp_lab.pauli import (
     DensityMatrix,
-    build_nice_basis,
+    DimensionMismatchError,
     random_density_matrix,
 )
 
 
 def test_single_z_coordinates():
-    basis = build_nice_basis(1)
     H = Hamiltonian(n=1, terms=(("Z", 1.0),))
-    h0, h = h_vector(H, basis)
+    h0, h = h_vector(H)
     assert h0 == 0.0
     np.testing.assert_allclose(h, [0.0, 0.0, np.sqrt(2.0)], atol=1e-14)
     assert abs(h_norm(H) - np.sqrt(2.0)) < 1e-14
@@ -36,12 +35,18 @@ def test_identity_component_carries_trace():
         Hamiltonian(n=2, terms=(("II", 1.0),))
 
 
+def test_terms_are_checked_pauli_strings():
+    with pytest.raises(ValueError, match="'Q'"):
+        Hamiltonian(n=1, terms=(("Q", 1.0),))
+    with pytest.raises(DimensionMismatchError, match="'XZ'"):
+        Hamiltonian(n=3, terms=(("XZ", 1.0),))
+
+
 def test_parseval_split_of_hs_norm():
     rng = np.random.default_rng(30)
     for n in (2, 3):
-        basis = build_nice_basis(n)
         H = random_two_local(n, rng)
-        h0, h = h_vector(H, basis)
+        h0, h = h_vector(H)
         # matrix-level Frobenius norm agrees with the coordinate split
         frob = np.linalg.norm(H.matrix())
         assert abs(frob - np.sqrt(h0**2 + h @ h)) < 1e-12
@@ -50,6 +55,7 @@ def test_parseval_split_of_hs_norm():
 
 
 def test_two_local_string_enumeration():
+    assert two_local_strings(2) == ["XI", "ZI", "IX", "IZ", "XX", "XZ", "ZX", "ZZ"]
     strings = two_local_strings(3)
     assert len(strings) == 2 * 3 + 4 * 3  # weight-1 and weight-2 over {X, Z}
     assert len(set(strings)) == len(strings)
