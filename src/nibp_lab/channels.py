@@ -348,23 +348,20 @@ def random_channel(
     return KrausChannel(n=n, kraus_ops=ops)
 
 
-def random_nonunital_channel(
-    n: int, rng: np.random.Generator, kraus_count: int = 2, max_tries: int = 100
-) -> KrausChannel:
-    """Random channel rejected until clearly non-unital."""
-    for _ in range(max_tries):
-        ch = random_channel(n, rng, kraus_count=kraus_count)
+def random_nonunital_channel(n: int, rng: np.random.Generator) -> KrausChannel:
+    """Random two-Kraus channel rejected until clearly non-unital, in at
+    most 100 draws."""
+    for _ in range(100):
+        ch = random_channel(n, rng)
         if validate_kraus(ch).unital_residual >= 1e-6:
             return ch
     raise RuntimeError("failed to draw a non-unital channel")
 
 
-def random_unital_channel(
-    n: int, rng: np.random.Generator, mixture_size: int = 3
-) -> KrausChannel:
-    """Random mixture of Haar-random unitaries (unital by construction)."""
+def random_unital_channel(n: int, rng: np.random.Generator) -> KrausChannel:
+    """Random mixture of 3 Haar-random unitaries (unital by construction)."""
     d = 2**n
-    probs = rng.dirichlet(np.ones(mixture_size))
+    probs = rng.dirichlet(np.ones(3))
     ops = tuple(
         np.sqrt(p) * random_unitary_matrix(d, rng) for p in probs
     )

@@ -1,18 +1,20 @@
 """Layered parameterized circuits with per-layer CPTP noise.
 
-A circuit is a list of layers; each layer is a sequence of gates, either
-Pauli-rotation gates exp(-i theta P / 2) or fixed unitaries (CNOTs).  Noise
-enters in three ways: a CPTP channel applied after each layer, a coherent
-perturbation of a rotation's generator (control noise), and a probabilistic
-mixture of rotations sharing the intended angle (random-unitary noise).
+A circuit is a list of layers; each layer is a sequence of gates: Pauli
+rotations exp(-i theta P / 2), CNOTs, or fixed unitaries.  A gate's place
+is its (layer, slot).  Noise enters in three ways: a CPTP channel applied
+after each layer, a coherent perturbation of a rotation's generator
+(control noise), and a probabilistic mixture of rotations sharing the
+intended angle (random-unitary noise).
 
 Both views of a layer group its gates into the same runs (``_gate_runs``):
 a column of weight-1 rotations on distinct qubits, a run of CNOTs, and
 single other gates.  One kernel (``_column``) renders a column from its
 one-qubit factors: 2 x 2 rotations for the dense path (``evolve``), 4 x 4
 Pauli transfer matrices for the affine path (``layer_gate_map``).  A CNOT
-run is one cached row permutation; the affine path reads its signed
-permutation of Pauli strings off that permutation's transfer matrix.
+is its (control, target) pair: a CNOT run is one cached row permutation of
+the basis states on the dense path, and one cached signed permutation of
+the Pauli strings on the affine path.
 """
 
 from __future__ import annotations
@@ -46,66 +48,42 @@ CONTROL_NOISE_NORM_CAP = 0.2
 Location = tuple[int, int]
 
 
-def embed_unitary(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
-    """Lift a k-qubit operator to the full 2^n space on the given qubits."""
-    k = len(targets)
-    if u.shape != (2**k, 2**k):
-        raise DimensionMismatchError(f"operator shape {u.shape} for {k} targets")
-    others = [q for q in range(n) if q not in targets]
-    perm = list(targets) + others
-    inv = np.argsort(perm)
-    full = np.kron(u, np.eye(2 ** (n - k), dtype=complex))
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(list(inv) + [n + i for i in inv])
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
-
-
-@lru_cache(maxsize=256)
-def _cnot_full(control: int, target: int, n: int) -> np.ndarray:
-    cnot = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-    mat = embed_unitary(cnot, (control, target), n)
-    mat.setflags(write=False)
-    return mat
-
-
 @dataclass(frozen=True)
 class Gate:
-    """One gate: a Pauli rotation (kind "param") or a fixed unitary."""
+    """One gate, in exactly one of three forms: a rotation about the Pauli
+    string ``generator`` (with an optional control-noise ``perturbation``),
+    a CNOT on the (control, target) pair ``cnot``, or a fixed full-register
+    unitary ``matrix``."""
 
-    kind: str  # "param" | "fixed"
-    location: Location
-    target_qubits: tuple[int, ...]
     generator: str | None = None  # Pauli letters, full register length
-    matrix: np.ndarray | None = field(default=None, repr=False)  # full-space, fixed
+    cnot: tuple[int, int] | None = None
+    matrix: np.ndarray | None = field(default=None, repr=False)
     perturbation: tuple[tuple[str, float], ...] | None = None
 
     def __post_init__(self):
+        if sum(form is not None for form in (self.generator, self.cnot, self.matrix)) != 1:
+            raise ValueError("a gate is exactly one of a generator, a CNOT pair or a matrix")
         if self.generator is not None:
             # a rotation's generator sets the register width it acts on
             check_pauli(self.generator, len(self.generator))
+        elif self.perturbation:
+            raise ValueError("only rotation gates can carry control noise")
 
     @property
     def is_parameterized(self) -> bool:
-        return self.kind == "param"
-
-    def generator_matrix(self) -> np.ndarray:
-        """Hermitian generator, including any control-noise perturbation."""
-        g = np.array(_pauli_matrix(self.generator))
-        if self.perturbation:
-            for letters, coeff in self.perturbation:
-                g = g + coeff * _pauli_matrix(letters)
-        return g
+        return self.generator is not None
 
     def unitary(self, theta: float | np.ndarray) -> np.ndarray:
-        """exp(-i theta G / 2) on the full register; a (B,) array of angles
-        gives a (B, d, d) stack."""
-        if self.kind == "fixed":
-            return self.matrix
+        """The rotation exp(-i theta G / 2) on the full register, G the
+        generator plus its perturbation; a (B,) array of angles gives a
+        (B, d, d) stack."""
+        if not self.is_parameterized:
+            raise ValueError("only a rotation gate has an angle-dependent unitary")
+        g = _pauli_matrix(self.generator)
         if not self.perturbation:
-            return _rotation(_pauli_matrix(self.generator), theta)
-        g = self.generator_matrix()
+            return _rotation(g, theta)
+        for letters, coeff in self.perturbation:
+            g = g + coeff * _pauli_matrix(letters)
         w, vec = np.linalg.eigh(g)
         angle = np.asarray(theta)[..., None, None]
         return (vec * np.exp(-0.5j * angle * w)) @ vec.conj().T
@@ -119,23 +97,8 @@ def _rotation(p: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
     return np.cos(half) * eye - 1j * np.sin(half) * p
 
 
-def ry_gate(qubit: int, n: int, location: Location) -> Gate:
-    letters = "".join("Y" if q == qubit else "I" for q in range(n))
-    return Gate(
-        kind="param",
-        location=location,
-        target_qubits=(qubit,),
-        generator=letters,
-    )
-
-
-def cnot_gate(control: int, target: int, n: int, location: Location) -> Gate:
-    return Gate(
-        kind="fixed",
-        location=location,
-        target_qubits=(control, target),
-        matrix=_cnot_full(control, target, n),
-    )
+def ry_gate(qubit: int, n: int) -> Gate:
+    return Gate(generator="".join("Y" if q == qubit else "I" for q in range(n)))
 
 
 def perturbed_gate(g: Gate, a: Mapping[str, float]) -> Gate:
@@ -201,10 +164,12 @@ LayerChannel = KrausChannel | Sequence[KrausChannel] | None
 class NoiseSpec:
     """Noise placement: per-layer channels plus optional gate-level noise.
 
-    ``layer_channels`` is one entry broadcast to all layers or a per-layer
-    sequence; each entry is None, a single-qubit channel applied to every
-    qubit, a full-register channel, or a per-qubit sequence of single-qubit
-    channels.
+    ``layer_channels`` is one entry broadcast to all layers, or a tuple of
+    one entry per layer; each entry is None, a single-qubit channel applied
+    to every qubit, a full-register channel, or a per-qubit list of
+    single-qubit channels.  A top-level tuple is always per layer: give a
+    per-qubit entry for every layer as a list.  ``control_noise`` and
+    ``random_unitary`` are keyed by the (layer, slot) of a rotation.
     """
 
     layer_channels: LayerChannel | tuple[LayerChannel, ...] = None
@@ -229,12 +194,16 @@ class NoiseSpec:
 
     def check(self, circ: Circuit) -> None:
         """Reject a per-layer tuple that does not cover exactly the circuit's
-        layers, and a mixture generator of another width than its register."""
+        layers, gate noise at a location without a parameter, and a mixture
+        generator of another width than its register."""
         lc = self.layer_channels
         if isinstance(lc, tuple) and len(lc) != circ.depth:
             raise DimensionMismatchError(
                 f"per-layer noise has {len(lc)} entries, circuit has {circ.depth} layers"
             )
+        for loc in [*(self.control_noise or {}), *(self.random_unitary or {})]:
+            if loc not in circ.parameter_index:
+                raise ValueError(f"gate noise at {loc}: the circuit has no rotation there")
         for spec in (self.random_unitary or {}).values():
             for letters in spec.generators:
                 check_pauli(letters, circ.n)
@@ -267,6 +236,23 @@ class Circuit:
     layers: tuple[tuple[Gate, ...], ...]
     parameter_index: Mapping[Location, int]
 
+    def __post_init__(self):
+        n = self.n
+        for layer, gates in enumerate(self.layers):
+            for slot, g in enumerate(gates):
+                if g.generator is not None:
+                    check_pauli(g.generator, n)
+                    if (layer, slot) not in self.parameter_index:
+                        raise ValueError(f"rotation at {(layer, slot)} has no parameter index")
+                elif g.cnot is not None:
+                    c, t = g.cnot
+                    if c == t or not {c, t} <= set(range(n)):
+                        raise DimensionMismatchError(
+                            f"CNOT pair {g.cnot} is not two distinct qubits of {n}")
+                elif g.matrix.shape != (2**n, 2**n):
+                    raise DimensionMismatchError(
+                        f"fixed gate of shape {g.matrix.shape} on {n} qubits")
+
     @property
     def depth(self) -> int:
         return len(self.layers)
@@ -282,9 +268,9 @@ class Circuit:
     def parameterized_locations(self) -> list[Location]:
         return sorted(self.parameter_index, key=lambda loc: self.parameter_index[loc])
 
-    def with_gate(self, gate: Gate) -> "Circuit":
-        """A copy with the gate at ``gate.location`` replaced by ``gate``."""
-        layer, slot = gate.location
+    def with_gate(self, location: Location, gate: Gate) -> "Circuit":
+        """A copy with the gate at ``location`` replaced by ``gate``."""
+        layer, slot = location
         gates = list(self.layers[layer])
         gates[slot] = gate
         layers = self.layers[:layer] + (tuple(gates),) + self.layers[layer + 1:]
@@ -302,21 +288,17 @@ def build_two_local(n: int, depth: int) -> Circuit:
     for layer in range(depth):
         gates = []
         for q in range(n):
-            loc = (layer, q)
-            gates.append(ry_gate(q, n, loc))
-            index[loc] = layer * n + q
+            gates.append(ry_gate(q, n))
+            index[(layer, q)] = layer * n + q
         for q in range(n - 1):
-            gates.append(cnot_gate(q, q + 1, n, (layer, n + q)))
+            gates.append(Gate(cnot=(q, q + 1)))
         layers.append(tuple(gates))
     return Circuit(n=n, layers=tuple(layers), parameter_index=index)
 
 
 def single_ry_circuit() -> Circuit:
     """One qubit, one RY gate: the minimal analytic test case."""
-    loc = (0, 0)
-    return Circuit(
-        n=1, layers=((ry_gate(0, 1, loc),),), parameter_index={loc: 0}
-    )
+    return Circuit(n=1, layers=((ry_gate(0, 1),),), parameter_index={(0, 0): 0})
 
 
 # ---------------------------------------------------------------------------
@@ -335,30 +317,36 @@ def _gate_runs(circ: Circuit, layer: int, noise: NoiseSpec) -> list[tuple[str, o
     ``("cnots", [(control, target), ...])``: consecutive CNOTs;
     ``("mixture", (parameter index, RandomUnitaryNoise))``: a rotation
     replaced by a random-unitary mixture;
-    ``("gate", gate)``: any other gate, its perturbation included.
+    ``("gate", (parameter index, gate))``: any other rotation, its
+    perturbation included, or (None, gate) for a fixed gate.
     """
     control = noise.control_noise or {}
     mixtures = noise.random_unitary or {}
     runs: list[tuple[str, object]] = []
-    for gate in circ.layers[layer]:
-        last = runs[-1][0] if runs else None
-        if gate.is_parameterized and gate.location in mixtures:
-            runs.append(("mixture", (circ.parameter_index[gate.location], mixtures[gate.location])))
+    for slot, gate in enumerate(circ.layers[layer]):
+        loc, last = (layer, slot), runs[-1][0] if runs else None
+        if gate.cnot is not None:
+            if last != "cnots":
+                runs.append(("cnots", []))
+            runs[-1][1].append(gate.cnot)
             continue
-        if gate.is_parameterized and gate.location in control:
-            gate = perturbed_gate(gate, control[gate.location])
-        if gate.is_parameterized and not gate.perturbation and hamming_weight(gate.generator) == 1:
+        if not gate.is_parameterized:
+            runs.append(("gate", (None, gate)))
+            continue
+        index = circ.parameter_index[loc]
+        if loc in mixtures:
+            runs.append(("mixture", (index, mixtures[loc])))
+            continue
+        if loc in control:
+            gate = perturbed_gate(gate, control[loc])
+        if not gate.perturbation and hamming_weight(gate.generator) == 1:
             letters = gate.generator
             q = len(letters) - len(letters.lstrip("I"))
             if last != "column" or q in runs[-1][1]:
                 runs.append(("column", {}))
-            runs[-1][1][q] = (letters[q], circ.parameter_index[gate.location])
-        elif _is_cnot(gate, circ.n):
-            if last != "cnots":
-                runs.append(("cnots", []))
-            runs[-1][1].append(gate.target_qubits)
+            runs[-1][1][q] = (letters[q], index)
         else:
-            runs.append(("gate", gate))
+            runs.append(("gate", (index, gate)))
     return runs
 
 
@@ -392,7 +380,7 @@ def _layer_ops(
                 angles = thetas[..., list(params)]
                 u = _column(run, _rotation(_paulis_1q("".join(letters)), angles), n)
             else:
-                u = _gate_unitary(circ, run, thetas)
+                u = _gate_unitary(run, thetas)
             acc = u if acc is None else u @ acc
     if acc is not None:
         ops.append([acc])
@@ -454,19 +442,21 @@ def _paulis_1q(letters: str) -> np.ndarray:
 @lru_cache(maxsize=256)
 def _cnot_rows(chain: tuple[tuple[int, int], ...], n: int) -> np.ndarray:
     """The CNOTs ``chain`` ((control, target) in gate order) as a row
-    permutation: their product applied to A is ``A[..., rows, :]``."""
-    rows = np.arange(2**n)
+    permutation: their product applied to A is ``A[..., rows, :]``.  One
+    CNOT flips the target bit of the basis states whose control bit is set
+    (qubit 0 the most significant)."""
+    states = np.arange(2**n)
+    rows = states
     for c, t in chain:
-        rows = rows[np.nonzero(_cnot_full(c, t, n))[1]]
+        rows = rows[states ^ (((states >> (n - 1 - c)) & 1) << (n - 1 - t))]
     rows.setflags(write=False)
     return rows
 
 
-def _gate_unitary(circ: Circuit, gate: Gate, thetas: np.ndarray) -> np.ndarray:
-    """The gate's full-register unitary, its perturbation included."""
-    if not gate.is_parameterized:
-        return gate.matrix
-    return gate.unitary(thetas[..., circ.parameter_index[gate.location]])
+def _gate_unitary(run: tuple[int | None, Gate], thetas: np.ndarray) -> np.ndarray:
+    """A "gate" run's full-register unitary, its perturbation included."""
+    index, gate = run
+    return gate.matrix if index is None else gate.unitary(thetas[..., index])
 
 
 def _apply_layer_channel(rho: np.ndarray, channel: LayerChannel, n: int) -> np.ndarray:
@@ -564,7 +554,7 @@ def layer_gate_map(
             letters, params = zip(*run.values())
             t = _column(run, _rotation_ptm("".join(letters), theta[list(params)]), n)
         else:
-            t = _unitary_ptm(_gate_unitary(circ, run, theta))
+            t = _unitary_ptm(_gate_unitary(run, theta))
         omega = t if omega is None else t @ omega
     return np.eye(4**n - 1) if omega is None else omega
 
@@ -601,10 +591,15 @@ def _unitary_ptm(u: np.ndarray) -> np.ndarray:
     return transfer_matrix(unitary_channel(u))[1:, 1:]
 
 
-def _is_cnot(gate: Gate, n: int) -> bool:
-    if gate.is_parameterized or len(gate.target_qubits) != 2:
-        return False
-    return gate.matrix is _cnot_full(*gate.target_qubits, n)
+@lru_cache(maxsize=1)
+def _cnot_letters() -> dict[str, tuple[str, float]]:
+    """CNOT (a b) CNOT = sign (a' b') for each two-letter Pauli string ab
+    (control letter first), as {ab: (a'b', sign)}: the signed permutation
+    read once off the transfer matrix of the 4 x 4 CNOT."""
+    t = transfer_matrix(unitary_channel(np.eye(4, dtype=complex)[[0, 1, 3, 2]]))
+    strings = pauli_strings_by_weight(2)
+    src = np.abs(t).argmax(axis=1)
+    return {s: (strings[j], float(np.rint(t[i, j]))) for i, (s, j) in enumerate(zip(strings, src))}
 
 
 @lru_cache(maxsize=256)
@@ -616,12 +611,20 @@ def _cnot_chain_ptm(
 
     Returns (src, sign) with row i of the transfer matrix equal to sign[i]
     times unit row src[i], so it acts on a matrix A as
-    ``sign[:, None] * A[src]``.  Both are read off the transfer matrix of
-    the chain's row permutation, whose entries are 0 and +-1 up to rounding.
+    ``sign[:, None] * A[src]``.  String src[i] is sign[i] times string i
+    conjugated by each CNOT of the chain, last gate first, letter pair by
+    letter pair.
     """
-    t = _unitary_ptm(np.eye(2**n)[_cnot_rows(chain, n)])
-    src = np.abs(t).argmax(axis=1)
-    sign = np.rint(t[np.arange(len(src)), src])
+    strings = pauli_strings_by_weight(n)[1:]
+    position = {s: i for i, s in enumerate(strings)}
+    table = _cnot_letters()
+    src, sign = np.empty(len(strings), dtype=np.intp), np.ones(len(strings))
+    for i, s in enumerate(strings):
+        letters = list(s)
+        for c, t in reversed(chain):
+            (letters[c], letters[t]), flip = table[letters[c] + letters[t]]
+            sign[i] *= flip
+        src[i] = position["".join(letters)]
     for arr in (src, sign):
         arr.setflags(write=False)
     return src, sign

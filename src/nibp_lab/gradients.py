@@ -17,9 +17,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .channels import AFFINE_MAX_QUBITS
 from .circuits import (
     Circuit,
+    Gate,
     Location,
     NoiseSpec,
     RandomUnitaryNoise,
@@ -62,8 +62,9 @@ def _check_shift_rule(circ: Circuit, noise: NoiseSpec | None, location: Location
     parameter, or one simulated with control noise."""
     if not circ.gate_at(location).is_parameterized:
         raise ValueError(f"gate at {location} carries no parameter")
+    index = circ.parameter_index[location]
     for kind, run in _gate_runs(circ, location[0], noise or NoiseSpec.none()):
-        if kind == "gate" and run.location == location and run.perturbation:
+        if kind == "gate" and run[0] == index and run[1].perturbation:
             raise ValueError(f"gate at {location} has control noise; use control_noise_gradient")
 
 
@@ -132,10 +133,6 @@ def coherence_gradient(
     The identity component of H drops out of the difference of the two
     shifted states, so the overlap reproduces the shift-rule value.
     """
-    if circ.n > AFFINE_MAX_QUBITS:
-        raise ValueError(
-            f"explicit coherence path limited to n <= {AFFINE_MAX_QUBITS}"
-        )
     _check_shift_rule(circ, noise, location)
     _, h = h_vector(H)
     vp, vm = (
@@ -147,8 +144,7 @@ def coherence_gradient(
 
 def _evolve_fixed(circ, theta, noise, location, matrix) -> np.ndarray:
     """Final state with the gate at ``location`` replaced by a fixed unitary."""
-    gate = replace(circ.gate_at(location), kind="fixed", matrix=matrix)
-    return evolve(circ.with_gate(gate), theta, noise).data
+    return evolve(circ.with_gate(location, Gate(matrix=matrix)), theta, noise).data
 
 
 def control_noise_gradient(

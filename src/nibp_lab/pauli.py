@@ -193,11 +193,10 @@ def purity_identity_check(rho: DensityMatrix) -> tuple[float, float, float]:
     return purity, vnorm, residual
 
 
-def random_density_matrix(n: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Random mixed state from a Wishart-style construction."""
+def random_density_matrix(n: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank mixed state from a Wishart-style construction."""
     d = 2**n
-    rank = rank or d
-    w = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     data = w @ w.conj().T
     data /= data.trace()
     return DensityMatrix(n=n, data=data)

@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from dense_oracle import CNOT, embed_unitary
 
 from nibp_lab.bounds import layer_affine_maps
 from nibp_lab.channels import (
@@ -13,9 +16,8 @@ from nibp_lab.circuits import (
     Gate,
     NoiseSpec,
     RandomUnitaryNoise,
+    _cnot_rows,
     build_two_local,
-    cnot_gate,
-    embed_unitary,
     evolve,
     layer_channel_as_kraus,
     layer_gate_map,
@@ -37,24 +39,19 @@ def _ry(theta):
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
-
 def _statevector(circ, theta):
     """Independent pure-state simulator for the noiseless ansatz."""
     psi = np.zeros(2**circ.n, dtype=complex)
     psi[0] = 1.0
-    for layer in circ.layers:
-        for gate in layer:
+    for layer, gates in enumerate(circ.layers):
+        for slot, gate in enumerate(gates):
             if gate.is_parameterized:
-                idx = circ.parameter_index[gate.location]
+                idx = circ.parameter_index[(layer, slot)]
                 u = embed_unitary(
-                    _ry(theta[idx]), gate.target_qubits, circ.n
+                    _ry(theta[idx]), (gate.generator.index("Y"),), circ.n
                 )
             else:
-                u = embed_unitary(CNOT, gate.target_qubits, circ.n)
+                u = embed_unitary(CNOT, gate.cnot, circ.n)
             psi = u @ psi
     return psi
 
@@ -79,6 +76,19 @@ def test_embed_unitary_ordering():
     src[4] = 1.0  # |100> with qubit 0 most significant
     out = u @ src
     assert abs(out[6] - 1.0) < 1e-14
+
+
+def test_cnot_rows_equal_the_dense_product():
+    # every chain of up to 3 CNOTs on n <= 3 qubits: the rows from bit
+    # arithmetic are the row permutation of the product of embedded CNOTs
+    for n in (2, 3):
+        pairs = list(itertools.permutations(range(n), 2))
+        for length in (1, 2, 3):
+            for chain in itertools.product(pairs, repeat=length):
+                dense = np.eye(2**n, dtype=complex)
+                for pair in chain:
+                    dense = embed_unitary(CNOT, pair, n) @ dense
+                assert np.array_equal(np.eye(2**n)[_cnot_rows(chain, n)], dense)
 
 
 def test_noiseless_evolution_matches_statevector():
@@ -157,7 +167,7 @@ def test_custom_initial_state():
 
 def test_perturbed_gate_overrotation():
     # a_jk proportional to the gate's own generator scales the angle
-    g = ry_gate(0, 1, (0, 0))
+    g = ry_gate(0, 1)
     a = 0.15
     tilted = perturbed_gate(g, {"Y": a})
     theta = 0.7
@@ -168,7 +178,7 @@ def test_perturbed_gate_overrotation():
 
 def test_perturbed_gate_off_axis_analytic():
     # generator Y + aX squares to (1+a^2) I, giving a closed-form exponential
-    g = ry_gate(0, 1, (0, 0))
+    g = ry_gate(0, 1)
     a = 0.12
     tilted = perturbed_gate(g, {"X": a})
     theta = 1.3
@@ -184,15 +194,15 @@ def test_perturbed_gate_off_axis_analytic():
 
 
 def test_perturbed_gate_norm_cap():
-    g = ry_gate(0, 1, (0, 0))
+    g = ry_gate(0, 1)
     with pytest.raises(ValueError):
         perturbed_gate(g, {"X": 0.3})
 
 
 def test_gate_strings_are_checked_where_they_enter():
-    g = ry_gate(0, 2, (0, 0))
+    g = ry_gate(0, 2)
     with pytest.raises(ValueError, match="'XQ'"):
-        Gate(kind="param", location=(0, 0), target_qubits=(0,), generator="XQ")
+        Gate(generator="XQ")
     with pytest.raises(ValueError, match="'XQ'"):
         perturbed_gate(g, {"XQ": 0.01})
     with pytest.raises(DimensionMismatchError, match="'XII'"):
@@ -217,6 +227,55 @@ def test_mixture_of_the_wrong_width_is_refused_before_evolution(monkeypatch):
     assert applied == []
     evolve(circ, np.zeros(circ.num_parameters))
     assert applied
+
+
+def test_a_gate_is_exactly_one_of_its_three_forms():
+    u = np.eye(2, dtype=complex)
+    for forms in ({}, {"generator": "Y", "cnot": (0, 1)}, {"cnot": (0, 1), "matrix": u},
+                  {"generator": "Y", "matrix": u}):
+        with pytest.raises(ValueError, match="exactly one"):
+            Gate(**forms)
+    with pytest.raises(ValueError, match="control noise"):
+        Gate(cnot=(0, 1), perturbation=(("XI", 0.1),))
+
+
+def test_a_gate_that_does_not_fit_the_register_is_refused_where_it_enters():
+    # before, "ZZZ" on n=2 was accepted and evolve ended in a numpy
+    # matmul ValueError
+    circ = build_two_local(2, 2)
+    with pytest.raises(DimensionMismatchError, match="'ZZZ'"):
+        circ.with_gate((0, 0), Gate(generator="ZZZ"))
+    with pytest.raises(DimensionMismatchError, match="shape"):
+        circ.with_gate((0, 2), Gate(matrix=np.eye(8, dtype=complex)))
+    with pytest.raises(ValueError, match=r"\(0, 2\) has no parameter index"):
+        circ.with_gate((0, 2), Gate(generator="ZZ"))
+    wide = build_two_local(3, 1)
+    for pair in ((0, 5), (1, 1)):
+        with pytest.raises(DimensionMismatchError, match="CNOT pair"):
+            wide.with_gate((0, 3), Gate(cnot=pair))
+    # a fitting gate of each form is taken
+    circ.with_gate((0, 0), Gate(generator="ZZ"))
+    circ.with_gate((0, 2), Gate(cnot=(1, 0)))
+    circ.with_gate((0, 2), Gate(matrix=np.eye(4, dtype=complex)))
+
+
+def test_gate_noise_at_a_location_without_a_rotation_is_refused(monkeypatch):
+    # before, both specs were ignored and the state was the noiseless one
+    from nibp_lab import circuits
+
+    applied = []
+    kraus = circuits._apply_kraus
+    monkeypatch.setattr(circuits, "_apply_kraus", lambda *a: applied.append(1) or kraus(*a))
+    circ = build_two_local(2, 2)
+    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "XI"), intended=0)
+    theta = np.zeros(circ.num_parameters)
+    for noise, loc in ((NoiseSpec(control_noise={(7, 0): {"XI": 0.05}}), r"\(7, 0\)"),
+                       (NoiseSpec(random_unitary={(0, 9): spec}), r"\(0, 9\)")):
+        with pytest.raises(ValueError, match=loc):
+            evolve(circ, theta, noise)
+        with pytest.raises(ValueError, match=loc):
+            layer_affine_maps(circ, theta, noise)
+    assert applied == []
 
 
 def test_random_unitary_mixture_validation():
@@ -314,9 +373,8 @@ def test_layer_channel_must_fit_the_register(entry, match):
 
 def test_with_gate_replaces_one_gate():
     circ = build_two_local(2, 2)
-    fixed = Gate(kind="fixed", location=(1, 0), target_qubits=(0,),
-                 matrix=embed_unitary(_ry(0.3), (0,), 2))
-    swapped = circ.with_gate(fixed)
+    fixed = Gate(matrix=embed_unitary(_ry(0.3), (0,), 2))
+    swapped = circ.with_gate((1, 0), fixed)
     assert swapped.gate_at((1, 0)) is fixed
     assert circ.gate_at((1, 0)).is_parameterized
     others = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]
@@ -336,7 +394,7 @@ def test_a_placed_perturbed_gate_is_simulated_with_its_perturbation():
     circ = build_two_local(2, 2)
     theta = np.random.default_rng(26).uniform(0, 2 * np.pi, circ.num_parameters)
     loc, a = (1, 0), {"XI": 0.1}
-    placed = circ.with_gate(perturbed_gate(circ.gate_at(loc), a))
+    placed = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a))
     spec = NoiseSpec(control_noise={loc: a})
     state = evolve(placed, theta).data
     assert np.array_equal(state, evolve(circ, theta, spec).data)
@@ -350,13 +408,12 @@ def test_a_placed_perturbed_gate_is_simulated_with_its_perturbation():
 
 
 def test_an_equal_copy_of_a_cnot_simulates_as_the_cnot():
-    # only cnot_gate's cached matrix takes the CNOT run; an equal copy
-    # takes the plain-gate route, exact on the dense view
+    # only a CNOT pair takes the CNOT run; a fixed gate with the CNOT's
+    # matrix takes the plain-gate route, exact on the dense view
     circ = build_two_local(3, 2)
     theta = np.random.default_rng(27).uniform(0, 2 * np.pi, circ.num_parameters)
     cnot = circ.gate_at((1, 3))
-    copy = circ.with_gate(Gate(kind="fixed", location=cnot.location,
-                               target_qubits=cnot.target_qubits, matrix=cnot.matrix.copy()))
+    copy = circ.with_gate((1, 3), Gate(matrix=embed_unitary(CNOT, cnot.cnot, 3)))
     noise = NoiseSpec.uniform(amplitude_damping(0.2))
     assert np.array_equal(evolve(copy, theta, noise).data, evolve(circ, theta, noise).data)
     np.testing.assert_allclose(layer_gate_map(copy, theta, 1), layer_gate_map(circ, theta, 1),

@@ -80,6 +80,19 @@ def test_coherence_overlap_matches_psr():
         assert abs(overlap - abs(psr_gradient(circ, theta, noise, H, loc))) < 1e-12
 
 
+def test_coherence_gradient_runs_past_the_affine_cap():
+    # the coherence path needs only to_coherence, which works up to
+    # MAX_QUBITS; it used to refuse n = 4
+    rng = np.random.default_rng(42)
+    circ = build_two_local(4, 2)
+    noise = NoiseSpec.uniform(depolarizing(0.2))
+    H = random_two_local(4, rng)
+    theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
+    for loc in ((0, 0), (1, 3)):
+        overlap = coherence_gradient(circ, theta, noise, H, loc)
+        assert abs(overlap - abs(psr_gradient(circ, theta, noise, H, loc))) < 1e-12
+
+
 def test_control_noise_gradient_analytic():
     # over-rotation by (1+a): C = cos((1+a) theta), dC = -(1+a) sin((1+a) theta)
     circ = single_ry_circuit()
@@ -224,7 +237,7 @@ def test_shift_rules_refuse_a_gate_with_control_noise(source):
     if source == "spec":
         noise = NoiseSpec(control_noise={loc: a})
     else:
-        circ, noise = circ.with_gate(perturbed_gate(circ.gate_at(loc), a)), NoiseSpec.none()
+        circ, noise = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a)), NoiseSpec.none()
     assert abs(value - fd_gradient(circ, theta, noise, H, loc)) < 1e-8
     with pytest.raises(ValueError, match="control_noise_gradient"):
         psr_gradient(circ, theta, noise, H, loc)

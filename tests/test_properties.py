@@ -19,6 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_oracle import gate_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,13 +154,10 @@ def test_batched_evolve_rows_equal_single_evolves(n, depth, batch, kind, swap, p
     noise = _noise(kind, n, depth, p)
     loc = (depth - 1, 0)
     if swap == "fixed":
-        circ = circ.with_gate(Gate(
-            kind="fixed", location=loc, target_qubits=(0,),
+        circ = circ.with_gate(loc, Gate(
             matrix=circuits._rotation(_pauli_matrix("X" * n), 0.4)))
     elif swap == "param":
-        circ = circ.with_gate(Gate(
-            kind="param", location=loc, target_qubits=(0,),
-            generator="Z" * n))
+        circ = circ.with_gate(loc, Gate(generator="Z" * n))
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0, 2 * np.pi, size=(batch, circ.num_parameters))
     stack = evolve(circ, thetas, noise)
@@ -203,20 +201,19 @@ def _gate_layers(draw, max_qubits=3, mixtures=False):
     kinds = ["rotation", "rotation", "control", "fixed"] + ["mixture"] * mixtures
     if n > 1:
         kinds += ["weight2", "cnot", "cnot"]
-    gates, index, control, mixed, fixed = [], {}, {}, {}, []
+    gates, index, control, mixed, fixed = [], {}, {}, {}, {}
     for slot in range(draw(st.integers(1, 7))):
         loc = (0, slot)
         kind = draw(st.sampled_from(kinds))
         if kind == "cnot":
             c, t = draw(st.permutations(range(n)))[:2]
-            gates.append(circuits.cnot_gate(c, t, n, loc))
+            gates.append(Gate(cnot=(c, t)))
             continue
         qubits = draw(st.permutations(range(n)))[: 2 if kind == "weight2" else 1]
         letters = ["I"] * n
         for q in qubits:
             letters[q] = draw(st.sampled_from("XYZ"))
-        gates.append(Gate(kind="param", location=loc, target_qubits=tuple(qubits),
-                          generator="".join(letters)))
+        gates.append(Gate(generator="".join(letters)))
         index[loc] = len(index)
         if kind == "control":
             pert = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
@@ -226,12 +223,11 @@ def _gate_layers(draw, max_qubits=3, mixtures=False):
             mixed[loc] = RandomUnitaryNoise(
                 probs=(0.8, 0.2), generators=("".join(letters), other), intended=0)
         elif kind == "fixed":
-            fixed.append(Gate(kind="fixed", location=loc, target_qubits=tuple(range(n)),
-                              matrix=random_unitary_matrix(
-                                  2**n, np.random.default_rng(draw(st.integers(0, 2**16))))))
+            fixed[loc] = Gate(matrix=random_unitary_matrix(
+                2**n, np.random.default_rng(draw(st.integers(0, 2**16)))))
     circ = circuits.Circuit(n=n, layers=(tuple(gates),), parameter_index=index)
-    for gate in fixed:
-        circ = circ.with_gate(gate)
+    for loc, gate in fixed.items():
+        circ = circ.with_gate(loc, gate)
     theta = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(index),
                                    max_size=len(index))))
     return circ, theta, NoiseSpec(control_noise=control, random_unitary=mixed or None)
@@ -250,9 +246,9 @@ def test_layer_gate_map_equals_dense_oracle(layer):
 
 
 def test_cnot_chain_ptm_is_an_exact_signed_permutation():
-    # every chain of up to 3 CNOTs on n <= 3 qubits: the signs read off the
-    # transfer matrix are exactly +-1, the sources a permutation, and the
-    # signed permutation is that transfer matrix
+    # every chain of up to 3 CNOTs on n <= 3 qubits: the signs from the
+    # letter map are exactly +-1, the sources a permutation, and the signed
+    # permutation is the transfer matrix of the chain's row permutation
     for n in (2, 3):
         pairs = list(itertools.permutations(range(n), 2))
         for length in (1, 2, 3):
@@ -273,20 +269,21 @@ def _chain_ops(circ, thetas, layer, noise):
     control = noise.control_noise or {}
     mixtures = noise.random_unitary or {}
     ops, acc = [], None
-    for gate in circ.layers[layer]:
+    for slot, gate in enumerate(circ.layers[layer]):
+        loc = (layer, slot)
         if gate.is_parameterized:
-            angle = thetas[..., circ.parameter_index[gate.location]]
-            if gate.location in mixtures:
+            angle = thetas[..., circ.parameter_index[loc]]
+            if loc in mixtures:
                 if acc is not None:
                     ops.append([acc])
                     acc = None
-                ops.append(circuits._mixture_ops(mixtures[gate.location], angle))
+                ops.append(circuits._mixture_ops(mixtures[loc], angle))
                 continue
-            if gate.location in control:
-                gate = circuits.perturbed_gate(gate, control[gate.location])
+            if loc in control:
+                gate = circuits.perturbed_gate(gate, control[loc])
             u = gate.unitary(angle)
         else:
-            u = gate.matrix
+            u = gate_matrix(gate, circ.n)
         acc = u if acc is None else u @ acc
     if acc is not None:
         ops.append([acc])
