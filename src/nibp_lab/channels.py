@@ -11,7 +11,7 @@ the textbook single-qubit Bloch parametrization).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,11 +45,13 @@ class KrausChannel:
 
     The channel keeps read-only copies of the operators it is given, so
     later edits of the caller's arrays cannot reach it (or its cached
-    per-qubit terms).  Channels compare and hash by identity.
+    per-qubit terms and tables).  Channels compare and hash by identity.
     """
 
     n: int
     kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
+    # the qubit-local kernel's tables, keyed by (qubit, n)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.array(k) for k in self.kraus_ops)
@@ -73,12 +75,15 @@ class KrausChannel:
         return _apply_kraus(rho, self.kraus_ops)
 
     @cached_property
-    def _qubit_terms(self) -> tuple:
-        """Each 2x2 Kraus operator as diag(k00, k11) + diag(k01, k10) X.
+    def _qubit_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This 1-qubit channel as a sum of terms d_a X^a rho X^b d_b^dag.
 
-        Per operator: (diagonal, anti-diagonal), each a pair of (2, 1)
-        columns (k, conj(k)) or None where that part is all zero.  All-zero
-        operators are dropped.
+        A Kraus operator is d_0 + d_1 X, with d_0 = diag(k00, k11) and
+        d_1 = diag(k01, k10).  Its terms are the pairs (a, b) of its
+        nonzero parts: the single pair (a, a) where each row has at most
+        one nonzero entry, as for every named channel.  Returns the (T, 2)
+        flips (a, b), the (T, 1, 2, 1) row coefficients d_a and the (T, 2)
+        column coefficients conj(d_b), in Kraus order.
         """
         if self.n != 1:
             raise DimensionMismatchError(
@@ -86,36 +91,63 @@ class KrausChannel:
             )
         terms = []
         for k in self.kraus_ops:
-            parts = tuple(
-                (v[:, None], v.conj()[:, None]) if np.any(v) else None
-                for v in (np.array([k[0, 0], k[1, 1]]), np.array([k[0, 1], k[1, 0]]))
-            )
-            if parts != (None, None):
-                terms.append(parts)
-        return tuple(terms)
+            parts = [(a, v) for a, v in enumerate((k.diagonal(), k[:, ::-1].diagonal()))
+                     if np.any(v)]
+            terms += [(a, b, row, col.conj()) for a, row in parts for b, col in parts]
+        flips = np.array([t[:2] for t in terms], dtype=np.intp).reshape(-1, 2)
+        rows = np.array([t[2] for t in terms], dtype=complex).reshape(-1, 1, 2, 1)
+        cols = np.array([t[3] for t in terms], dtype=complex).reshape(-1, 2)
+        return flips, rows, cols
+
+    def _qubit_tables(self, qubit: int, n: int) -> tuple[np.ndarray, ...]:
+        """The shared flat index of an n-qubit d x d state, each term's XOR
+        mask on it ((T, 1): bit ``qubit`` of the row when a = 1, of the
+        column when b = 1), the row coefficients and the (T, 1, d) column
+        coefficients; built once per (qubit, n) and kept on the channel."""
+        tables = self._tables.get((qubit, n))
+        if tables is None:
+            flips, rows, cols = self._qubit_terms
+            bit, d = 2 ** (n - qubit - 1), 2**n
+            mask = flips @ np.array([[bit * d], [bit]], dtype=np.intp)
+            col = cols[:, np.arange(d) // bit % 2][:, None, :]
+            tables = self._tables[(qubit, n)] = (_flat_index(n), mask, rows, col)
+        return tables
 
     def apply_to_qubit(self, rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
         """Apply this 1-qubit channel to ``qubit`` of an n-qubit state.
 
-        ``rho`` is d x d or a (B, d, d) stack.  K rho K^dag is formed as K on
-        the row axis, then conj(K) on the column axis, one broadcast multiply
-        per nonzero (anti-)diagonal part; the X of an anti-diagonal part is
-        a reversed view.  Kraus terms are summed in Kraus order.  For
-        operators with one nonzero entry per row, every output entry is the
-        same single product a dense contraction would form.
+        ``rho`` is d x d or a (B, d, d) stack.  One gather reads the state
+        at each term's flipped rows and columns (an XOR of the flat index);
+        two in-place multiplies scale it by the row coefficients, then by
+        the column coefficients; one sum over the terms adds them in Kraus
+        order.  For operators with at most one nonzero entry per row, every
+        output entry is conj(k') (k x) for each Kraus operator, summed in
+        Kraus order: the products and sums a dense contraction forms.
         """
-        b = 2 ** (n - qubit - 1)
-        rows = rho.reshape(-1, 2, b * 2**n)
-        out = np.zeros_like(rho)
-        for diag, anti in self._qubit_terms:
-            left = _side(rows, diag, anti, 0)
-            out += _side(left.reshape(-1, 2, b), diag, anti, 1).reshape(rho.shape)
-        return out
+        flat, mask, row, col = self._qubit_tables(qubit, n)
+        d = 2**n
+        # every index is in range: "clip" only skips the bounds check
+        terms = rho.reshape(-1, d * d).take(np.bitwise_xor(flat, mask), axis=-1, mode="clip")
+        batch, count = terms.shape[:2]
+        by_row = terms.reshape(batch, count, 2**qubit, 2, -1)
+        np.multiply(row, by_row, out=by_row)
+        by_col = terms.reshape(batch, count, d, d)
+        np.multiply(col, by_col, out=by_col)
+        return np.add.reduce(terms, axis=1).reshape(rho.shape)
 
     def apply_state(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.n != self.n:
             raise DimensionMismatchError(f"state n={rho.n}, channel n={self.n}")
         return DensityMatrix(n=self.n, data=self.apply(rho.data))
+
+
+@lru_cache(maxsize=16)
+def _flat_index(n: int) -> np.ndarray:
+    """0, 1, ..., 4^n - 1: the flat positions of a d x d state, shared by
+    every channel's qubit-local kernel."""
+    index = np.arange(4**n, dtype=np.intp)
+    index.setflags(write=False)
+    return index
 
 
 def _apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
@@ -125,14 +157,6 @@ def _apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
     for k in rest:
         out += k @ rho @ k.conj().swapaxes(-1, -2)
     return out
-
-
-def _side(x: np.ndarray, diag, anti, which: int) -> np.ndarray:
-    """k x along axis 1 of x (which=0), or conj(k) x (which=1)."""
-    if anti is None:
-        return diag[which] * x
-    swapped = anti[which] * x[:, ::-1]
-    return swapped if diag is None else diag[which] * x + swapped
 
 
 @dataclass(frozen=True)

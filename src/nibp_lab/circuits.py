@@ -512,15 +512,19 @@ def layer_unitary(
     noise: NoiseSpec | None = None,
 ) -> np.ndarray:
     """Product of all gate unitaries in a layer (control noise included)."""
-    noise = noise or NoiseSpec.none()
-    _refuse_mixture(noise, layer)
+    noise = _checked_gate_noise(circ, noise, layer)
     ops = _layer_ops(circ, np.asarray(theta, dtype=float), layer, noise)
     return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
 
 
-def _refuse_mixture(noise: NoiseSpec, layer: int) -> None:
+def _checked_gate_noise(circ: Circuit, noise: NoiseSpec | None, layer: int) -> NoiseSpec:
+    """``noise`` (None is no noise) once ``NoiseSpec.check`` passes on
+    ``circ`` and ``layer`` holds no unitary mixture."""
+    noise = noise or NoiseSpec.none()
+    noise.check(circ)
     if any(loc[0] == layer for loc in noise.random_unitary or ()):
         raise ValueError("layer containing a unitary mixture is not unitary")
+    return noise
 
 
 def layer_gate_map(
@@ -539,8 +543,7 @@ def layer_gate_map(
     gather; any other gate uses its own full-register transfer matrix.
     Runs compose by matrix products.
     """
-    noise = noise or NoiseSpec.none()
-    _refuse_mixture(noise, layer)
+    noise = _checked_gate_noise(circ, noise, layer)
     theta = np.asarray(theta, dtype=float)
     n = circ.n
     omega = None  # None is the identity

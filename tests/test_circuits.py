@@ -278,6 +278,20 @@ def test_gate_noise_at_a_location_without_a_rotation_is_refused(monkeypatch):
     assert applied == []
 
 
+def test_layer_maps_refuse_gate_noise_at_a_location_without_a_rotation():
+    # before, both layer views ignored these specs and gave the noiseless map
+    circ = build_two_local(2, 2)
+    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "XI"), intended=0)
+    theta = np.zeros(circ.num_parameters)
+    for noise, loc in ((NoiseSpec(control_noise={(7, 0): {"XI": 0.05}}), r"\(7, 0\)"),
+                       (NoiseSpec(random_unitary={(0, 9): spec}), r"\(0, 9\)")):
+        for layer in range(circ.depth):
+            with pytest.raises(ValueError, match=loc):
+                layer_gate_map(circ, theta, layer, noise)
+            with pytest.raises(ValueError, match=loc):
+                layer_unitary(circ, theta, layer, noise)
+
+
 def test_random_unitary_mixture_validation():
     with pytest.raises(ValueError):
         RandomUnitaryNoise(probs=(0.6, 0.3), generators=("Y", "X"), intended=0)

@@ -1,13 +1,14 @@
 """Property tests of the batched evolution engine.
 
-The qubit-local channel kernel is checked against the dense einsum
-contraction it replaced, the run-based layer builder of ``evolve`` against
-the gate-by-gate ``u @ acc`` chain, batched evolution against one
-evolution per angle row and against the per-layer affine maps of the
-bounds, the gate maps built from local Pauli transfer matrices against the
-dense superoperator route, the CNOT signed permutations against their
-transfer matrices, and the batched gradient sweep against one
-shift-rule call per sample.
+The qubit-local channel kernel is checked against a dense einsum
+contraction and, word for word, against the term-by-term kernel it
+replaced (``dense_oracle.qubit_kernel``), the run-based layer builder of
+``evolve`` against the gate-by-gate ``u @ acc`` chain, batched evolution
+against one evolution per angle row and against the per-layer affine maps
+of the bounds, the gate maps built from local Pauli transfer matrices
+against the dense superoperator route, the CNOT signed permutations
+against their transfer matrices, and the batched gradient sweep against
+one shift-rule call per sample.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -19,13 +20,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_oracle import gate_matrix
+from dense_oracle import gate_matrix, qubit_kernel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nibp_lab import circuits, gradients
+from nibp_lab import channels, circuits, gradients
 from nibp_lab.bounds import layer_affine_maps
 from nibp_lab.channels import (
+    KrausChannel,
     _apply_kraus,
     affine_rep,
     named_channel,
@@ -44,6 +46,7 @@ from nibp_lab.circuits import (
 from nibp_lab.gradients import SweepSpec, gradient_stats, psr_gradient
 from nibp_lab.hamiltonians import random_two_local
 from nibp_lab.pauli import (
+    MAX_QUBITS,
     DensityMatrix,
     _pauli_matrix,
     random_density_matrix,
@@ -111,6 +114,72 @@ def test_qubit_kernel_on_dense_kraus_operators(n, kraus_count, batch, seed):
             ch.apply_to_qubit(rho, q, n), _oracle_rows(rho, ch.kraus_ops, q, n),
             rtol=0, atol=1e-12,
         )
+
+
+def _bits(a):
+    """The float64 words of a complex array: equal words are equal bits,
+    so +0.0 and -0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@SETTINGS
+@given(
+    p=st.floats(0.0, 1.0),
+    n=st.integers(1, 6),
+    batch=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qubit_kernel_matches_term_by_term_oracle_bit_for_bit(p, n, batch, seed):
+    # p = 0 and p = 1 make some Kraus operators, or parts of them, vanish
+    rho = _states(n, batch, seed)
+    for name, prob in itertools.product(NAMED, (0.0, 1.0, p)):
+        ch = named_channel(name, prob)
+        for q in range(n):
+            assert np.array_equal(_bits(ch.apply_to_qubit(rho, q, n)),
+                                  _bits(qubit_kernel(ch, rho, q, n)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("name", ["depolarizing", "amplitude_damping"])
+def test_evolve_matches_evolve_on_term_by_term_oracle_bit_for_bit(name, n):
+    circ = build_two_local(n, 3)
+    noise = NoiseSpec.named(name, 0.3)
+    thetas = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(2, circ.num_parameters))
+    got = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KrausChannel, "apply_to_qubit",
+                   lambda ch, rho, q, m: qubit_kernel(ch, rho, q, m))
+        want = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
+    for a, b in zip(got, want):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
+    n = 3
+    circ = build_two_local(n, 4)
+    theta = np.linspace(0.1, 2.0, circ.num_parameters)
+    depol, damp = named_channel("depolarizing", 0.3), named_channel("amplitude_damping", 0.3)
+    channels._flat_index.cache_clear()
+    evolve(circ, theta, NoiseSpec.uniform(depol))
+    evolve(circ, theta, NoiseSpec.uniform(damp))
+    first = {id(ch): dict(ch._tables) for ch in (depol, damp)}
+    for _ in range(3):
+        evolve(circ, theta[None].repeat(2, axis=0), NoiseSpec.uniform(depol))
+        evolve(circ, theta, NoiseSpec.uniform(damp))
+    for ch in (depol, damp):
+        # one table set per qubit, each the very object built first
+        assert sorted(ch._tables) == [(q, n) for q in range(n)]
+        assert all(ch._tables[key] is first[id(ch)][key] for key in ch._tables)
+    # one shared index per register width, across channels and qubits
+    assert channels._flat_index.cache_info().misses == 1
+    flats = {id(tables[0]) for ch in (depol, damp) for tables in ch._tables.values()}
+    assert len(flats) == 1
+    # at the largest register one channel's tables are the shared index
+    # (4^n positions, 2 MiB) plus T masks and T x d coefficients per qubit
+    big = named_channel("depolarizing", 0.3)
+    tables = [big._qubit_tables(q, MAX_QUBITS) for q in range(MAX_QUBITS)]
+    total = tables[0][0].nbytes + sum(a.nbytes for t in tables for a in t[1:])
+    assert total < 40 * 2**20
 
 
 def _noise(kind, n, depth, p):
