@@ -15,6 +15,8 @@ from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_gate_map
 from .hamiltonians import Hamiltonian, h_norm, h_vector
 from .pauli import DensityMatrix, to_coherence
 
+SUFFIX_CAP = 3  # theorem3_report: the longest suffix after the bifurcation layer that escapes
+
 
 def layer_affine_maps(
     circ: Circuit, theta: np.ndarray, noise: NoiseSpec
@@ -113,25 +115,20 @@ def shift_accumulator(
     noise: NoiseSpec,
     theta: np.ndarray,
     upto: int,
-    H: Hamiltonian | None = None,
-) -> tuple[np.ndarray, float | None, float]:
+    H: Hamiltonian,
+) -> tuple[np.ndarray, float, float]:
     """Accumulated shift d_j = Omega_j d_{j-1} + c_j through layer ``upto``.
 
-    Returns (d, d.h, Lambda) where Lambda bounds |d.h|; d.h is None without
-    a Hamiltonian (Lambda is then reported for unit ||h||).
+    Returns (d, d.h, Lambda) where Lambda bounds |d.h|.
     """
     maps = layer_affine_maps(circ, theta, noise)[:upto]
     d = np.zeros(maps[0][0].shape[0]) if maps else np.zeros(0)
     for omega, c, _ in maps:
         d = omega @ d + c
     p = max((op for _, _, op in maps), default=0.0)
-    hn = h_norm(H) if H is not None else 1.0
-    lam = _lambda_width(hn, p, 2**circ.n, upto)
-    d_dot_h = None
-    if H is not None:
-        _, h = h_vector(H)
-        d_dot_h = float(d @ h)
-    return d, d_dot_h, lam
+    lam = _lambda_width(h_norm(H), p, 2**circ.n, upto)
+    _, h = h_vector(H)
+    return d, float(d @ h), lam
 
 
 @dataclass(frozen=True)
@@ -212,23 +209,17 @@ def _prefix_sum_factor(lam: float, l: int) -> float:
     return (lam - lam ** (l - 1)) / (1.0 - lam)
 
 
-def theorem3_report(
-    channels: Sequence[KrausChannel],
-    l: int,
-    suffix_cap: int = 3,
-    d_l: float | None = None,
-) -> Theorem3Report:
+def theorem3_report(channels: Sequence[KrausChannel], l: int) -> Theorem3Report:
     """Evaluate the no-suppression conditions for a per-layer noise sequence.
 
     ``l`` is the 1-indexed bifurcation layer.  The threshold mu solves
     (lam - lam^(l-1))/(1 - lam) = ||c_{l-1}|| / max_prefix ||c|| by bisection
     on [0, 1/2]; if even lam = 1/2 stays below the ratio, mu caps at 1/2.
     The escape flag needs the prefix singular values below mu, a strictly
-    positive suffix sigma_min, and a suffix no longer than ``suffix_cap``.
-    ``d_l`` is the rotation separation entering the lower bound; it defaults
-    to the guaranteed shift-norm lower bound at the realized prefix factor.
-    Each distinct channel's affine map, and with it its singular values, is
-    computed once.
+    positive suffix sigma_min, and a suffix no longer than ``SUFFIX_CAP``.
+    The rotation separation d_l entering the lower bound is the guaranteed
+    shift-norm lower bound at the realized prefix factor.  Each distinct
+    channel's affine map, and with it its singular values, is computed once.
     """
     L = len(channels)
     if l < 3:
@@ -275,14 +266,13 @@ def theorem3_report(
         applicable
         and sigma_max_prefix < mu
         and all(s > 1e-12 for s in sigma_min_suffix)
-        and suffix_len <= suffix_cap
+        and suffix_len <= SUFFIX_CAP
     )
     p_geo = float(np.prod([s[0] for s in svals]) ** (1.0 / L))
-    if d_l is None:
-        d_l = max(
-            c_norms[l - 2] - c_tilde * _prefix_sum_factor(sigma_max_prefix, l),
-            0.0,
-        ) if sigma_max_prefix < 1.0 else 0.0
+    d_l = max(
+        c_norms[l - 2] - c_tilde * _prefix_sum_factor(sigma_max_prefix, l),
+        0.0,
+    ) if sigma_max_prefix < 1.0 else 0.0
     lower = float(np.prod(sigma_min_suffix)) * d_l - 2.0 * p_geo**L
     return Theorem3Report(
         applicable=applicable,

@@ -22,6 +22,8 @@ from .pauli import (
     SizeError,
     _pauli_matrix,
     build_nice_basis,
+    coherence_qubit_count,
+    qubit_count,
 )
 
 AFFINE_MAX_QUBITS = 3  # (d^2-1)^2 storage makes explicit M infeasible beyond this
@@ -41,34 +43,28 @@ class InvalidChannelError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A completely positive map given by its Kraus operators.
+    """A completely positive map given by its 2^n x 2^n Kraus operators.
 
     The channel keeps read-only copies of the operators it is given, so
     later edits of the caller's arrays cannot reach it (or its cached
     per-qubit terms and tables).  Channels compare and hash by identity.
     """
 
-    n: int
     kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
-    # the qubit-local kernel's tables, keyed by (qubit, n)
+    n: int = field(init=False)
+    # the qubit-local kernel's tables, keyed by (qubit, d) of the state
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.array(k) for k in self.kraus_ops)
         if not ops:
             raise InvalidChannelError("empty Kraus list")
-        d = 2**self.n
+        if len({k.shape for k in ops}) > 1:
+            raise DimensionMismatchError(f"Kraus operators of shapes {[k.shape for k in ops]}")
         for k in ops:
-            if k.shape != (d, d):
-                raise DimensionMismatchError(
-                    f"Kraus operator shape {k.shape} != {(d, d)}"
-                )
             k.setflags(write=False)
         object.__setattr__(self, "kraus_ops", ops)
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n
+        object.__setattr__(self, "n", qubit_count(ops[0].shape))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """sum_a K_a rho K_a^dag on a d x d matrix or a (B, d, d) stack."""
@@ -99,33 +95,39 @@ class KrausChannel:
         cols = np.array([t[3] for t in terms], dtype=complex).reshape(-1, 2)
         return flips, rows, cols
 
-    def _qubit_tables(self, qubit: int, n: int) -> tuple[np.ndarray, ...]:
-        """The shared flat index of an n-qubit d x d state, each term's XOR
-        mask on it ((T, 1): bit ``qubit`` of the row when a = 1, of the
-        column when b = 1), the row coefficients and the (T, 1, d) column
-        coefficients; built once per (qubit, n) and kept on the channel."""
-        tables = self._tables.get((qubit, n))
-        if tables is None:
-            flips, rows, cols = self._qubit_terms
-            bit, d = 2 ** (n - qubit - 1), 2**n
-            mask = flips @ np.array([[bit * d], [bit]], dtype=np.intp)
-            col = cols[:, np.arange(d) // bit % 2][:, None, :]
-            tables = self._tables[(qubit, n)] = (_flat_index(n), mask, rows, col)
+    def _qubit_tables(self, qubit: int, d: int) -> tuple[np.ndarray, ...]:
+        """Check d = 2^n and ``qubit`` < n, then build and keep under (qubit,
+        d): the shared flat index of a d x d state, each term's XOR mask on
+        it ((T, 1): bit ``qubit`` of the row when a = 1, of the column when
+        b = 1), the row coefficients and the (T, 1, d) column coefficients."""
+        n = qubit_count((d, d))
+        if not 0 <= qubit < n:
+            raise DimensionMismatchError(f"qubit {qubit} is outside the {n}-qubit state")
+        flips, rows, cols = self._qubit_terms
+        bit = 2 ** (n - qubit - 1)
+        mask = flips @ np.array([[bit * d], [bit]], dtype=np.intp)
+        col = cols[:, np.arange(d) // bit % 2][:, None, :]
+        tables = self._tables[(qubit, d)] = (_flat_index(n), mask, rows, col)
         return tables
 
-    def apply_to_qubit(self, rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
-        """Apply this 1-qubit channel to ``qubit`` of an n-qubit state.
+    def apply_to_qubit(self, rho: np.ndarray, qubit: int) -> np.ndarray:
+        """Apply this 1-qubit channel to ``qubit`` of a state.
 
-        ``rho`` is d x d or a (B, d, d) stack.  One gather reads the state
-        at each term's flipped rows and columns (an XOR of the flat index);
-        two in-place multiplies scale it by the row coefficients, then by
-        the column coefficients; one sum over the terms adds them in Kraus
-        order.  For operators with at most one nonzero entry per row, every
-        output entry is conj(k') (k x) for each Kraus operator, summed in
-        Kraus order: the products and sums a dense contraction forms.
+        ``rho`` is d x d or a (B, d, d) stack: each call checks it is
+        square, and the first per (qubit, d) checks d and ``qubit``.  One
+        gather reads the state at each term's flipped rows and columns (an
+        XOR of the flat index); two in-place multiplies scale it by the row
+        coefficients, then by the column coefficients; one sum over the
+        terms adds them in Kraus order.  For operators with at most one
+        nonzero entry per row, every output entry is conj(k') (k x) for
+        each Kraus operator, summed in Kraus order: the products and sums a
+        dense contraction forms.
         """
-        flat, mask, row, col = self._qubit_tables(qubit, n)
-        d = 2**n
+        shape = rho.shape
+        d = shape[-1]
+        if shape[-2] != d:
+            raise DimensionMismatchError(f"state of shape {shape} is not square")
+        flat, mask, row, col = self._tables.get((qubit, d)) or self._qubit_tables(qubit, d)
         # every index is in range: "clip" only skips the bounds check
         terms = rho.reshape(-1, d * d).take(np.bitwise_xor(flat, mask), axis=-1, mode="clip")
         batch, count = terms.shape[:2]
@@ -133,12 +135,12 @@ class KrausChannel:
         np.multiply(row, by_row, out=by_row)
         by_col = terms.reshape(batch, count, d, d)
         np.multiply(col, by_col, out=by_col)
-        return np.add.reduce(terms, axis=1).reshape(rho.shape)
+        return np.add.reduce(terms, axis=1).reshape(shape)
 
     def apply_state(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.n != self.n:
             raise DimensionMismatchError(f"state n={rho.n}, channel n={self.n}")
-        return DensityMatrix(n=self.n, data=self.apply(rho.data))
+        return DensityMatrix(self.apply(rho.data))
 
 
 @lru_cache(maxsize=16)
@@ -169,11 +171,17 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class AffineRep:
-    """Affine action v -> M v + c on coherence vectors (nice-basis convention)."""
+    """Affine map v -> M v + c on (4^n - 1,) nice-basis coherence vectors, n read off c."""
 
-    n: int
     M: np.ndarray = field(repr=False)
     c: np.ndarray = field(repr=False)
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        n = coherence_qubit_count(self.c.shape)
+        if self.M.shape != (4**n - 1,) * 2:
+            raise DimensionMismatchError(f"M of shape {self.M.shape} for c of shape {self.c.shape}")
+        object.__setattr__(self, "n", n)
 
     @property
     def c_bloch(self) -> np.ndarray:
@@ -200,8 +208,7 @@ class AffineRep:
 
 def validate_kraus(ch: KrausChannel) -> ValidationReport:
     """Report trace-preservation and unitality residuals (inf-norm)."""
-    d = ch.dim
-    eye = np.eye(d)
+    eye = np.eye(2**ch.n)
     tp = sum(k.conj().T @ k for k in ch.kraus_ops)
     un = sum(k @ k.conj().T for k in ch.kraus_ops)
     tp_res = float(np.linalg.norm(tp - eye, 2))
@@ -222,7 +229,7 @@ def _superoperator(ch: KrausChannel) -> np.ndarray:
 def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     """T_ij = Tr(F_i N(F_j)) over the full basis including the identity row."""
     s = _superoperator(ch)
-    d = ch.dim
+    d = 2**ch.n
     b = build_nice_basis(ch.n).reshape(d * d, d * d)
     t = b.conj() @ s @ b.T
     imag = float(np.abs(t.imag).max())
@@ -244,8 +251,8 @@ def affine_rep(ch: KrausChannel) -> AffineRep:
         )
     t = transfer_matrix(ch)
     m = t[1:, 1:]
-    c = t[1:, 0] / np.sqrt(ch.dim)
-    return AffineRep(n=ch.n, M=m, c=c)
+    c = t[1:, 0] / np.sqrt(2**ch.n)
+    return AffineRep(m, c)
 
 
 def polar_decompose(rep: AffineRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -277,7 +284,7 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
     ops = tuple(
         k2 @ k1 for k2 in second.kraus_ops for k1 in first.kraus_ops
     )
-    return KrausChannel(n=second.n, kraus_ops=ops)
+    return KrausChannel(ops)
 
 
 def tensor_channel(per_qubit: list[KrausChannel]) -> KrausChannel:
@@ -290,7 +297,7 @@ def tensor_channel(per_qubit: list[KrausChannel]) -> KrausChannel:
     ops = [np.eye(1, dtype=complex)]
     for ch in per_qubit:
         ops = [np.kron(a, k) for a in ops for k in ch.kraus_ops]
-    return KrausChannel(n=n, kraus_ops=tuple(ops))
+    return KrausChannel(tuple(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +306,11 @@ def tensor_channel(per_qubit: list[KrausChannel]) -> KrausChannel:
 
 
 def identity_channel(n: int = 1) -> KrausChannel:
-    return KrausChannel(n=n, kraus_ops=(np.eye(2**n, dtype=complex),))
+    return KrausChannel((np.eye(2**n, dtype=complex),))
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
-    n = int(round(np.log2(u.shape[0])))
-    return KrausChannel(n=n, kraus_ops=(np.asarray(u, dtype=complex),))
+    return KrausChannel((np.asarray(u, dtype=complex),))
 
 
 def depolarizing(p: float) -> KrausChannel:
@@ -312,35 +318,29 @@ def depolarizing(p: float) -> KrausChannel:
     ops = (np.sqrt(1.0 - p) * np.eye(2, dtype=complex),) + tuple(
         np.sqrt(p / 3.0) * _pauli_matrix(s) for s in "XYZ"
     )
-    return KrausChannel(n=1, kraus_ops=ops)
+    return KrausChannel(ops)
 
 
 def amplitude_damping(p: float) -> KrausChannel:
     """Relaxation toward |0> with excited-state decay probability p."""
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel(n=1, kraus_ops=(k0, k1))
+    return KrausChannel((k0, k1))
 
 
 def bit_flip(p: float) -> KrausChannel:
     """Kraus set {sqrt(p) I, sqrt(1-p) X}: the bit flips with probability 1-p."""
-    return KrausChannel(
-        n=1,
-        kraus_ops=(
-            np.sqrt(p) * np.eye(2, dtype=complex),
-            np.sqrt(1.0 - p) * _pauli_matrix("X"),
-        ),
-    )
+    return KrausChannel((
+        np.sqrt(p) * np.eye(2, dtype=complex),
+        np.sqrt(1.0 - p) * _pauli_matrix("X"),
+    ))
 
 
 def phase_flip(p: float) -> KrausChannel:
-    return KrausChannel(
-        n=1,
-        kraus_ops=(
-            np.sqrt(p) * np.eye(2, dtype=complex),
-            np.sqrt(1.0 - p) * _pauli_matrix("Z"),
-        ),
-    )
+    return KrausChannel((
+        np.sqrt(p) * np.eye(2, dtype=complex),
+        np.sqrt(1.0 - p) * _pauli_matrix("Z"),
+    ))
 
 
 def flip_then_damp(p: float) -> KrausChannel:
@@ -369,7 +369,7 @@ def random_channel(
     )
     q, _ = np.linalg.qr(z)
     ops = tuple(q[i * d : (i + 1) * d, :] for i in range(kraus_count))
-    return KrausChannel(n=n, kraus_ops=ops)
+    return KrausChannel(ops)
 
 
 def random_nonunital_channel(n: int, rng: np.random.Generator) -> KrausChannel:
@@ -389,11 +389,11 @@ def random_unital_channel(n: int, rng: np.random.Generator) -> KrausChannel:
     ops = tuple(
         np.sqrt(p) * random_unitary_matrix(d, rng) for p in probs
     )
-    return KrausChannel(n=n, kraus_ops=ops)
+    return KrausChannel(ops)
 
 
 _NAMED_CHANNELS = {
-    "identity": lambda p=0.0: identity_channel(1),
+    "identity": lambda p: identity_channel(1),
     "depolarizing": depolarizing,
     "amplitude_damping": amplitude_damping,
     "bit_flip": bit_flip,
@@ -402,7 +402,7 @@ _NAMED_CHANNELS = {
 }
 
 
-def named_channel(name: str, p: float = 0.0) -> KrausChannel:
+def named_channel(name: str, p: float) -> KrausChannel:
     try:
         factory = _NAMED_CHANNELS[name]
     except KeyError:

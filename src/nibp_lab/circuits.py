@@ -150,11 +150,9 @@ def _mixture_ops(spec: RandomUnitaryNoise, theta: float | np.ndarray) -> list:
     ]
 
 
-def random_unitary_channel(
-    spec: RandomUnitaryNoise, theta: float, n: int
-) -> KrausChannel:
+def random_unitary_channel(spec: RandomUnitaryNoise, theta: float) -> KrausChannel:
     """Kraus form {sqrt(p_k) exp(-i theta P_k / 2)} of the mixture."""
-    return KrausChannel(n=n, kraus_ops=tuple(_mixture_ops(spec, theta)))
+    return KrausChannel(tuple(_mixture_ops(spec, theta)))
 
 
 LayerChannel = KrausChannel | Sequence[KrausChannel] | None
@@ -459,11 +457,11 @@ def _gate_unitary(run: tuple[int | None, Gate], thetas: np.ndarray) -> np.ndarra
     return gate.matrix if index is None else gate.unitary(thetas[..., index])
 
 
-def _apply_layer_channel(rho: np.ndarray, channel: LayerChannel, n: int) -> np.ndarray:
+def _apply_layer_channel(rho: np.ndarray, channel: LayerChannel) -> np.ndarray:
     if isinstance(channel, KrausChannel):
         return channel.apply(rho)
     for q, ch in enumerate(channel or ()):
-        rho = ch.apply_to_qubit(rho, q, n)
+        rho = ch.apply_to_qubit(rho, q)
     return rho
 
 
@@ -491,13 +489,12 @@ def evolve(
     rho0 = rho0 or DensityMatrix.ground_state(circ.n)
     if rho0.n != circ.n:
         raise DimensionMismatchError(f"state n={rho0.n}, circuit n={circ.n}")
-    n = circ.n
     rho = np.repeat(rho0.data[None], len(thetas), axis=0)
     for layer in range(circ.depth):
         for ops in _layer_ops(circ, thetas, layer, noise):
             rho = _apply_kraus(rho, ops)
-        rho = _apply_layer_channel(rho, noise.layer_channel(layer, n), n)
-    return DensityMatrix(n=n, data=rho[0]) if theta.ndim == 1 else rho
+        rho = _apply_layer_channel(rho, noise.layer_channel(layer, circ.n))
+    return DensityMatrix(rho[0]) if theta.ndim == 1 else rho
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,9 @@ def _write_json(data, path: Path, force: bool) -> None:
 def kraus_from_json(data: dict) -> KrausChannel:
     """Channel from {name, p} or explicit {kraus: [[[re, im], ...], ...], n}.
 
-    Explicit matrices are row-major lists of [re, im] pairs.  A config that
-    gives no channel, or a key the other form reads, raises ConfigError
+    Explicit matrices are row-major lists of [re, im] pairs; they fix the
+    qubit count, and an ``n`` that disagrees with them is refused.  A config
+    that gives no channel, or a key the other form reads, raises ConfigError
     naming the key at fault.
     """
     values = read_config(data, _CHANNEL)
@@ -96,10 +97,12 @@ def kraus_from_json(data: dict) -> KrausChannel:
         for mat in data["kraus"]:
             arr = np.array(mat, dtype=float)
             ops.append(arr[..., 0] + 1j * arr[..., 1])
-        n = values["n"] or round(np.log2(ops[0].shape[0]))
-        return KrausChannel(n=n, kraus_ops=tuple(ops))
+        channel = KrausChannel(tuple(ops))
     except (IndexError, TypeError, ValueError) as exc:
         raise ConfigError("kraus", f"not Kraus matrices of [re, im] pairs ({exc})") from None
+    if values["n"] not in (None, channel.n):
+        raise ConfigError("n", f"{values['n']} disagrees with the {channel.n}-qubit Kraus matrices")
+    return channel
 
 
 def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
@@ -133,12 +136,14 @@ def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     config_noise(noise_type, p)  # an unknown noise_type fails before any work
     locations = None  # the default locations, which repeat (1, 0) at L=2
     if "locations" in cfg:
+        raw = cfg["locations"]
+        # type(i) is int: a bool is not a layer or a slot
+        if not isinstance(raw, list) or not all(isinstance(loc, list) and len(loc) == 2 and all(
+                type(i) is int for i in loc) for loc in raw):
+            raise ConfigError("locations", f"not a list of [layer, slot] int pairs: {raw!r}")
         parameters = build_two_local(n, depth).parameter_index
-        try:
-            locations = [tuple(loc) for loc in cfg["locations"]]
-            bad = [loc for loc in locations if loc not in parameters]
-        except TypeError:
-            bad = [cfg["locations"]]
+        locations = [tuple(loc) for loc in raw]
+        bad = [loc for loc in locations if loc not in parameters]
         if bad:
             raise ConfigError("locations", f"not rotation locations of the circuit: {bad}")
         if not locations:

@@ -104,7 +104,6 @@ class ExperimentConfig:
         **dict.fromkeys(("instances", "thetas", "maxiter"), (None, int, 1)),
         "seed": (None, int, 0),
     }
-    JSON_KEYS: ClassVar[frozenset[str]] = frozenset(JSON_SPEC)
     FIELDS: ClassVar[dict] = {"n": "n_list", "L": "L_list", "p": "p_list"}
 
     def __post_init__(self):
@@ -280,9 +279,8 @@ def run_width_scaling(cfg: ExperimentConfig) -> ExperimentResult:
     loc = (L - 1, 0)
     rows = []
     for noise_type, n, _, _ in _cells(cfg, cfg.n_list, (L,), (p,)):
-        instances = cfg.instances if n < 5 else max(cfg.instances // 2, 3)
         seed = _cell_seed(cfg.seed, n, L, p)
-        s = sweep_stats(n, L, noise_type, p, (loc,), instances, cfg.thetas, seed)[loc]
+        s = sweep_stats(n, L, noise_type, p, (loc,), cfg.instances, cfg.thetas, seed)[loc]
         mean_h = np.mean(s.h_norms)
         reference = float(mean_h / math.sqrt((n * n + n) / 2))
         rows.append(

@@ -31,6 +31,8 @@ from .circuits import (
 from .hamiltonians import Hamiltonian, cost, h_norm, h_vector, random_two_local
 from .pauli import DensityMatrix, _pauli_matrix, to_coherence
 
+FD_STEP = 1e-5  # fd_gradient's step; the 1e-8 tolerances against the shift rule assume it
+
 
 @dataclass(frozen=True)
 class GradientStats:
@@ -93,14 +95,14 @@ def psr_gradient(
         _check_shift_rule(circ, noise, loc)
     idx = [circ.parameter_index[loc] for loc in location]
     plus, minus = _shifted_pair(thetas, idx, np.pi / 2)
-    cp = _costs(H, evolve(circ, plus, noise), circ.n)
-    cm = _costs(H, evolve(circ, minus, noise), circ.n)
+    cp = _costs(H, evolve(circ, plus, noise))
+    cm = _costs(H, evolve(circ, minus, noise))
     grads = 0.5 * (cp - cm)
     return float(grads[0]) if theta.ndim == 1 else grads
 
 
-def _costs(H: Hamiltonian, rhos: np.ndarray, n: int) -> np.ndarray:
-    return np.array([cost(H, DensityMatrix(n=n, data=rho)) for rho in rhos])
+def _costs(H: Hamiltonian, rhos: np.ndarray) -> np.ndarray:
+    return np.array([cost(H, DensityMatrix(rho)) for rho in rhos])
 
 
 def fd_gradient(
@@ -109,16 +111,13 @@ def fd_gradient(
     noise: NoiseSpec | None,
     H: Hamiltonian,
     location: Location,
-    step: float = 1e-5,
 ) -> float:
-    """Central finite difference, the numerical oracle for the shift rule."""
-    if not 1e-7 <= step <= 1e-3:
-        raise ValueError(f"step {step} outside [1e-7, 1e-3]")
+    """Central finite difference of step FD_STEP, the oracle for the shift rule."""
     cp, cm = (
         cost(H, evolve(circ, t, noise))
-        for t in _shifted_pair(theta, circ.parameter_index[location], step)
+        for t in _shifted_pair(theta, circ.parameter_index[location], FD_STEP)
     )
-    return (cp - cm) / (2.0 * step)
+    return (cp - cm) / (2.0 * FD_STEP)
 
 
 def coherence_gradient(
@@ -241,9 +240,9 @@ class SweepSpec:
     circuit: Circuit
     noise: NoiseSpec
     locations: tuple[Location, ...]
-    num_hamiltonians: int = 50
-    thetas_per_hamiltonian: int = 20
-    seed: int = 0
+    num_hamiltonians: int
+    thetas_per_hamiltonian: int
+    seed: int
     hamiltonian_factory: Callable[[np.random.Generator], Hamiltonian] | None = None
 
 

@@ -38,9 +38,13 @@ class Hamiltonian:
     h0: float = 0.0  # identity coordinate in the nice basis
 
     def __post_init__(self):
+        seen = set()
         for letters, _ in self.terms:
             if set(check_pauli(letters, self.n)) == {"I"}:
                 raise ValueError("identity component belongs in h0, not terms")
+            if letters in seen:
+                raise ValueError(f"Pauli string {letters!r} is listed twice")
+            seen.add(letters)
 
     @property
     def locality(self) -> int:

@@ -4,10 +4,11 @@ A Pauli string is its letters, e.g. "XIZ", checked by ``check_pauli`` where
 it enters.  States are carried in two equivalent forms: a dense density
 matrix and a real coherence vector holding the components of the traceless
 part of the state in the normalized Pauli basis {P_j / sqrt(d)}.  The qubit
-count alone fixes that basis, so no function takes one.  Basis elements are
-ordered by Hamming weight (number of non-identity letters); within a weight
-class the order is lexicographic in (qubit positions, letter) with
-X < Y < Z.
+count alone fixes that basis, so no function takes one, and an array's shape
+fixes the qubit count, so no function takes n beside an array.  Basis
+elements are ordered by Hamming weight (number of non-identity letters);
+within a weight class the order is lexicographic in (qubit positions,
+letter) with X < Y < Z.
 """
 
 from __future__ import annotations
@@ -52,6 +53,22 @@ def _pauli_matrix(letters: str) -> np.ndarray:
         mat = np.kron(mat, _PAULI_1Q[ch])
     mat.setflags(write=False)
     return mat
+
+
+def qubit_count(shape: tuple[int, ...]) -> int:
+    """The n of a 2^n x 2^n shape, n >= 1; any other shape raises DimensionMismatchError."""
+    d = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    if d < 2 or d & (d - 1):
+        raise DimensionMismatchError(f"shape {shape} is not 2^n x 2^n for any n >= 1")
+    return d.bit_length() - 1
+
+
+def coherence_qubit_count(shape: tuple[int, ...]) -> int:
+    """The n of a coherence vector's (4^n - 1,) shape, n >= 1; else DimensionMismatchError."""
+    n = (shape[0] + 1).bit_length() // 2 if len(shape) == 1 else 0
+    if n < 1 or shape != (4**n - 1,):
+        raise DimensionMismatchError(f"shape {shape} is not (4^n - 1,) for any n >= 1")
+    return n
 
 
 def check_pauli(letters: str, n: int) -> str:
@@ -105,17 +122,13 @@ def build_nice_basis(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """An n-qubit state as a dense d x d complex matrix."""
+    """An n-qubit state as a dense 2^n x 2^n complex matrix, n read off it."""
 
-    n: int
     data: np.ndarray = field(repr=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
-        d = 2**self.n
-        if self.data.shape != (d, d):
-            raise DimensionMismatchError(
-                f"expected shape {(d, d)}, got {self.data.shape}"
-            )
+        object.__setattr__(self, "n", qubit_count(self.data.shape))
 
     def validate(self) -> "DensityMatrix":
         """Check Hermiticity, unit trace, and positivity within tolerances."""
@@ -138,9 +151,8 @@ class DensityMatrix:
     @classmethod
     def from_statevector(cls, psi: np.ndarray) -> "DensityMatrix":
         psi = np.asarray(psi, dtype=complex).ravel()
-        n = int(round(np.log2(psi.size)))
         psi = psi / np.linalg.norm(psi)
-        return cls(n=n, data=np.outer(psi, psi.conj()))
+        return cls(np.outer(psi, psi.conj()))
 
     @classmethod
     def ground_state(cls, n: int) -> "DensityMatrix":
@@ -151,7 +163,7 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":
         d = 2**n
-        return cls(n=n, data=np.eye(d, dtype=complex) / d)
+        return cls(np.eye(d, dtype=complex) / d)
 
 
 def to_coherence(rho: DensityMatrix) -> np.ndarray:
@@ -160,21 +172,17 @@ def to_coherence(rho: DensityMatrix) -> np.ndarray:
     return np.real(np.einsum("jab,ba->j", build_nice_basis(rho.n)[1:], rho.data))
 
 
-def from_coherence(v: np.ndarray, n: int) -> DensityMatrix:
-    """Reconstruct the n-qubit rho = I/d + sum_j v_j F_j; rejects
-    non-positive results.
+def from_coherence(v: np.ndarray) -> DensityMatrix:
+    """Reconstruct rho = I/d + sum_j v_j F_j, n read off len(v) = 4^n - 1;
+    rejects non-positive results.
 
     A norm bound on v is necessary but not sufficient for positivity when
     d > 2, so the reconstructed matrix is always eigenvalue-checked.
     """
-    stack = build_nice_basis(n)
-    if v.shape != (len(stack) - 1,):
-        raise DimensionMismatchError(
-            f"expected length {len(stack) - 1}, got {v.shape}"
-        )
+    n = coherence_qubit_count(v.shape)
     d = 2**n
-    data = np.eye(d, dtype=complex) / d + np.tensordot(v, stack[1:], axes=1)
-    rho = DensityMatrix(n=n, data=data)
+    data = np.eye(d, dtype=complex) / d + np.tensordot(v, build_nice_basis(n)[1:], axes=1)
+    rho = DensityMatrix(data)
     min_eig = float(np.linalg.eigvalsh(data)[0])
     if min_eig < -POSITIVITY_TOL:
         raise InvalidStateError(
@@ -199,7 +207,7 @@ def random_density_matrix(n: int, rng: np.random.Generator) -> DensityMatrix:
     w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     data = w @ w.conj().T
     data /= data.trace()
-    return DensityMatrix(n=n, data=data)
+    return DensityMatrix(data)
 
 
 def random_pure_state(n: int, rng: np.random.Generator) -> DensityMatrix:

@@ -4,7 +4,8 @@ Two cost evaluations per iteration estimate the gradient along a random
 Rademacher direction; gain sequences follow the standard Spall schedule.
 The step-size constant is calibrated from the first gradient estimate so
 the initial update has magnitude about 0.1.  The stability constant A is
-0.1 * maxiter and the perturbation decay exponent is Spall's 0.101.
+0.1 * maxiter, the first perturbation size is 0.1, and the perturbation
+decay exponent is Spall's 0.101.
 """
 
 from __future__ import annotations
@@ -14,22 +15,20 @@ from typing import Callable
 
 import numpy as np
 
-GAMMA = 0.101  # perturbation size c_k = c / (k + 1)^GAMMA
+PERTURBATION = 0.1  # c of the perturbation size c_k = c / (k + 1)^GAMMA
+GAMMA = 0.101
 
 
 @dataclass(frozen=True)
 class SpsaConfig:
     maxiter: int = 200
     a: float | None = None  # None: calibrate from the first iteration
-    c: float = 0.1
     alpha: float = 0.602
     seed: int = 0
 
     def __post_init__(self):
         if self.maxiter < 1:
             raise ValueError(f"maxiter must be >= 1, got {self.maxiter}")
-        if self.c <= 0:
-            raise ValueError(f"perturbation size c must be positive, got {self.c}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
 
@@ -67,7 +66,7 @@ def spsa_minimize(
     aborted = False
 
     for k in range(cfg.maxiter):
-        c_k = cfg.c / (k + 1) ** GAMMA
+        c_k = PERTURBATION / (k + 1) ** GAMMA
         delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
         y_plus = float(objective(theta + c_k * delta))
         y_minus = float(objective(theta - c_k * delta))

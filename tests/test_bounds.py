@@ -99,7 +99,7 @@ def test_shift_accumulator_single_nonunital_layer():
     circ = build_two_local(2, 3)
     theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
     noise = NoiseSpec(layer_channels=(None, None, amplitude_damping(0.5)))
-    d, _, _ = shift_accumulator(circ, noise, theta, 3)
+    d, _, _ = shift_accumulator(circ, noise, theta, 3, random_two_local(2, rng))
     maps = layer_affine_maps(circ, theta, noise)
     np.testing.assert_allclose(d, maps[2][1], atol=1e-12)
 
@@ -190,7 +190,7 @@ def test_theorem3_blocked_by_singular_suffix():
 
 def test_theorem3_blocked_by_long_suffix():
     channels = [amplitude_damping(0.8)] * 12
-    report = theorem3_report(channels, 5, suffix_cap=3)
+    report = theorem3_report(channels, 5)
     assert not report.escapes_nibp
     assert report.suffix_length == 7
 

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from dense_oracle import qubit_kernel
 
+from nibp_lab import circuits, gradients
 from nibp_lab.channels import (
+    AffineRep,
     KrausChannel,
     affine_rep,
     amplitude_damping,
@@ -22,9 +27,15 @@ from nibp_lab.channels import (
     unitary_channel,
     validate_kraus,
 )
+from nibp_lab.circuits import RandomUnitaryNoise, random_unitary_channel
+from nibp_lab.hamiltonians import Hamiltonian
 from nibp_lab.pauli import (
+    MAX_QUBITS,
     DensityMatrix,
+    DimensionMismatchError,
+    coherence_qubit_count,
     from_coherence,
+    qubit_count,
     random_density_matrix,
     to_coherence,
 )
@@ -35,7 +46,7 @@ def test_validate_kraus_reports():
     assert rep.trace_preserving and not rep.unital
     rep = validate_kraus(depolarizing(0.3))
     assert rep.trace_preserving and rep.unital
-    lossy = KrausChannel(n=1, kraus_ops=(0.9 * np.eye(2, dtype=complex),))
+    lossy = KrausChannel((0.9 * np.eye(2, dtype=complex),))
     rep = validate_kraus(lossy)
     assert not rep.trace_preserving
     assert abs(rep.tp_residual - 0.19) < 1e-12
@@ -218,7 +229,7 @@ def test_affine_rep_round_trip_state_evolution():
     rep = affine_rep(ch)
     rho = random_density_matrix(2, rng)
     v = rep.apply(to_coherence(rho))
-    rebuilt = from_coherence(v, 2)
+    rebuilt = from_coherence(v)
     np.testing.assert_allclose(rebuilt.data, ch.apply(rho.data), atol=1e-12)
 
 
@@ -228,11 +239,107 @@ def test_kraus_channel_keeps_read_only_copies():
         ch.kraus_ops[0][1, 1] = 0.0
     # a caller's later edit of its own arrays does not reach the channel
     ops = [np.array(k) for k in ch.kraus_ops]
-    mine = KrausChannel(n=1, kraus_ops=tuple(ops))
+    mine = KrausChannel(tuple(ops))
     rho = np.diag([0.5, 0.5]).astype(complex)
-    before = mine.apply_to_qubit(rho, 0, 1)
+    before = mine.apply_to_qubit(rho, 0)
     ops[1][0, 1] = 0.0
     ops[0][1, 1] = 1.0
     np.testing.assert_array_equal(mine.apply(rho), before)
-    np.testing.assert_array_equal(mine.apply_to_qubit(rho, 0, 1), before)
+    np.testing.assert_array_equal(mine.apply_to_qubit(rho, 0), before)
     np.testing.assert_allclose(np.diag(before).real, [0.65, 0.35], atol=1e-15)
+
+
+def _first_refused_qubit(apply) -> int:
+    """n, for ``apply(q)`` that takes qubits 0..n-1 of an n-qubit state and
+    refuses qubit n; raises what ``apply(0)`` raises."""
+    apply(0)
+    q = 1
+    while True:
+        try:
+            apply(q)
+        except DimensionMismatchError:
+            return q
+        q += 1
+
+
+def _cost_width(a: np.ndarray) -> int:
+    """The k of the k-qubit Hamiltonian whose cost ``_costs`` takes on a;
+    raises what it raises for the last k tried."""
+    for k in range(1, MAX_QUBITS + 2):
+        try:
+            gradients._costs(Hamiltonian(n=k, terms=(("Z" * k, 1.0),)), a[None])
+            return k
+        except DimensionMismatchError as exc:
+            refused = exc
+    raise refused
+
+
+# each reader of a qubit count off a 2^n x 2^n array, as the n it reads
+MATRIX_READERS = {
+    "qubit_count": lambda a: qubit_count(a.shape),
+    "DensityMatrix": lambda a: DensityMatrix(a).n,
+    "KrausChannel": lambda a: KrausChannel((a,)).n,
+    "apply_to_qubit": lambda a: _first_refused_qubit(
+        lambda q: amplitude_damping(0.3).apply_to_qubit(a, q)),
+    "_apply_layer_channel": lambda a: _first_refused_qubit(
+        lambda q: circuits._apply_layer_channel(a, (amplitude_damping(0.3),) * (q + 1))),
+    "_costs": _cost_width,
+}
+# each reader of a qubit count off a (4^n - 1,) coherence vector
+VECTOR_READERS = {
+    "coherence_qubit_count": lambda v: coherence_qubit_count(v.shape),
+    "AffineRep": lambda v: AffineRep(np.broadcast_to(0.0, v.shape * 2), v).n,
+    "from_coherence": lambda v: from_coherence(v).n,
+}
+# from_coherence builds the (4^n, 2^n, 2^n) basis: 268 MB at n = 6
+FROM_COHERENCE_MAX_QUBITS = 4
+
+
+@pytest.mark.parametrize(
+    "shape, n",
+    [((2**n, 2**n), n) for n in range(1, MAX_QUBITS + 1)]
+    + [((4**n - 1,), n) for n in range(1, MAX_QUBITS + 1)]
+    + [(shape, None) for shape in [(1, 1), (3, 3), (2, 4), (6, 6), (0,), (4,), (16,)]],
+    ids=str,
+)
+def test_qubit_count_is_read_off_the_shape(shape, n):
+    matrix = len(shape) == 2
+    data = np.zeros(shape, dtype=complex if matrix else float)
+    for name, read in (MATRIX_READERS if matrix else VECTOR_READERS).items():
+        if n is None:
+            with pytest.raises(DimensionMismatchError, match=re.escape(str(shape))):
+                read(data)
+        elif name != "from_coherence" or n <= FROM_COHERENCE_MAX_QUBITS:
+            assert read(data) == n, name
+    if matrix and n is not None:
+        spec = RandomUnitaryNoise(probs=(1.0,), generators=("Y" * n,), intended=0)
+        assert random_unitary_channel(spec, 0.3).n == n
+
+
+def test_derived_qubit_counts_cannot_be_set():
+    rep = affine_rep(amplitude_damping(0.3))
+    for obj in (DensityMatrix.ground_state(2), amplitude_damping(0.3), rep):
+        with pytest.raises(AttributeError):
+            obj.n = 5
+    with pytest.raises(TypeError):
+        DensityMatrix(n=1, data=np.eye(2) / 2)
+    with pytest.raises(DimensionMismatchError, match="shape"):
+        KrausChannel((np.eye(2), np.eye(4)))
+    with pytest.raises(DimensionMismatchError, match="M of shape"):
+        AffineRep(np.zeros((3, 15)), np.zeros(3))
+
+
+def test_apply_to_qubit_reads_the_register_off_the_state():
+    # an 8 x 8 state is 3 qubits, whatever the caller thinks it is: the
+    # kernel once read a 3-qubit state as four 2-qubit blocks (trace 0.684)
+    rho = random_density_matrix(3, np.random.default_rng(36)).data
+    ch = depolarizing(0.3)
+    for q in range(3):
+        out = ch.apply_to_qubit(rho, q)
+        assert np.array_equal(out, qubit_kernel(ch, rho, q, 3))
+        assert abs(np.trace(out) - 1.0) < 1e-12
+    for q in (-1, 3):
+        with pytest.raises(DimensionMismatchError, match=f"qubit {q} "):
+            ch.apply_to_qubit(rho, q)
+    with pytest.raises(DimensionMismatchError, match="not square"):
+        ch.apply_to_qubit(np.zeros((2, 8, 4)), 0)

@@ -298,7 +298,7 @@ def test_random_unitary_mixture_validation():
     with pytest.raises(ValueError):
         RandomUnitaryNoise(probs=(0.3, 0.7), generators=("Y", "X"), intended=0)
     spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("Y", "X"), intended=0)
-    ch = random_unitary_channel(spec, 0.8, 1)
+    ch = random_unitary_channel(spec, 0.8)
     assert validate_kraus(ch).trace_preserving
 
 

@@ -165,6 +165,14 @@ def test_width_scaling_rows():
         assert ref == float(mean_h / math.sqrt((n * n + n) / 2))
 
 
+def test_width_scaling_runs_the_configured_instances_at_every_width():
+    # n >= 5 once ran max(instances // 2, 3) Hamiltonians: 3 here
+    cfg = _small_cfg("width_scaling", n_list=(5,), L_list=(2,), instances=1, thetas=1)
+    result = run_experiment(cfg)
+    cols = dict(zip(result.columns, zip(*result.rows)))
+    assert cols["samples"] == (1,)
+
+
 def test_trainability_rows():
     cfg = _small_cfg("trainability", n_list=(2,), L_list=(6,))
     result = run_experiment(cfg)
@@ -491,6 +499,14 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
         # experiment caps n where grad-scan does
         ("experiment", {"preset": "noise_sweep", "n": 12, "L": 2,
                         "instances": 1, "thetas": 1}, "n"),
+        # a location is a pair of ints: True once ran as slot 1, and 1.0
+        # passed the membership check (1.0 == 1) to fail in gate_at
+        ("grad-scan", {"n": 2, "L": 2, "instances": 1, "thetas": 1,
+                       "locations": [[0, True]]}, "locations"),
+        ("grad-scan", {"n": 2, "L": 2, "instances": 1, "thetas": 1,
+                       "locations": [[1.0, 0]]}, "locations"),
+        # n is read off the matrices; a config n that disagrees is refused
+        ("channel", {"n": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "n"),
     ],
 )
 def test_cli_bad_config_value_is_one_line_naming_the_key(
@@ -551,7 +567,7 @@ class _ReadRecorder(dict):
 def test_experiment_json_keys_are_the_keys_from_json_reads():
     data = _ReadRecorder({"preset": "noise_sweep", "L": 2})
     ExperimentConfig.from_json(data)
-    assert data.read == ExperimentConfig.JSON_KEYS
+    assert data.read == set(ExperimentConfig.JSON_SPEC)
 
 
 _RECORDING_CONFIGS = {

@@ -27,6 +27,14 @@ def test_single_z_coordinates():
     assert abs(H.hs_norm() - np.sqrt(2.0)) < 1e-14
 
 
+def test_hamiltonian_refuses_a_string_listed_twice():
+    # X twice read as coefficient 3 in matrix(), as 2 in h_vector
+    # (||h|| = 2 sqrt(2)) and as sqrt(10) by h_norm; the summed term has
+    # ||h|| = 3 sqrt(2)
+    with pytest.raises(ValueError, match="'X' is listed twice"):
+        Hamiltonian(n=1, terms=(("X", 1.0), ("X", 2.0)))
+
+
 def test_identity_component_carries_trace():
     H = Hamiltonian(n=2, terms=(), h0=2.0)
     assert abs(H.trace() - 4.0) < 1e-14

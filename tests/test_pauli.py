@@ -102,13 +102,13 @@ def test_round_trip_random_states():
     for n in (1, 2, 3):
         for _ in range(100):
             rho = random_density_matrix(n, rng)
-            back = from_coherence(to_coherence(rho), n)
+            back = from_coherence(to_coherence(rho))
             assert np.abs(back.data - rho.data).max() < 1e-12
 
 
 def test_from_coherence_plus_state():
     v = np.array([1.0 / np.sqrt(2), 0.0, 0.0])
-    rho = from_coherence(v, 1)
+    rho = from_coherence(v)
     np.testing.assert_allclose(rho.data, np.full((2, 2), 0.5), atol=1e-14)
 
 
@@ -118,14 +118,14 @@ def test_from_coherence_rejects_nonpositive():
     vec = np.zeros(15)
     vec[-1] = np.sqrt(3.0) / 2.0
     with pytest.raises(InvalidStateError) as err:
-        from_coherence(vec, 2)
+        from_coherence(vec)
     assert err.value.min_eigenvalue < 0
 
 
 def test_from_coherence_rejects_a_wrong_length_vector():
-    for vec in (np.zeros(3), np.zeros(16), np.zeros((15, 1))):
+    for vec in (np.zeros(16), np.zeros((15, 1))):
         with pytest.raises(DimensionMismatchError):
-            from_coherence(vec, 2)
+            from_coherence(vec)
 
 
 def test_purity_identity():
@@ -140,6 +140,6 @@ def test_purity_identity():
 
 
 def test_validate_rejects_bad_states():
-    bad = DensityMatrix(n=1, data=np.array([[1.2, 0.0], [0.0, -0.2]]))
+    bad = DensityMatrix(np.array([[1.2, 0.0], [0.0, -0.2]]))
     with pytest.raises(InvalidStateError):
         bad.validate()

@@ -93,7 +93,7 @@ def test_qubit_kernel_matches_einsum_bit_for_bit(name, p, n, batch, seed):
     ch = named_channel(name, p)
     rho = _states(n, batch, seed)
     for q in range(n):
-        got = ch.apply_to_qubit(rho, q, n)
+        got = ch.apply_to_qubit(rho, q)
         assert got.shape == rho.shape
         assert np.array_equal(got, _oracle_rows(rho, ch.kraus_ops, q, n))
 
@@ -111,7 +111,7 @@ def test_qubit_kernel_on_dense_kraus_operators(n, kraus_count, batch, seed):
     rho = _states(n, batch, seed + 1)
     for q in range(n):
         np.testing.assert_allclose(
-            ch.apply_to_qubit(rho, q, n), _oracle_rows(rho, ch.kraus_ops, q, n),
+            ch.apply_to_qubit(rho, q), _oracle_rows(rho, ch.kraus_ops, q, n),
             rtol=0, atol=1e-12,
         )
 
@@ -135,7 +135,7 @@ def test_qubit_kernel_matches_term_by_term_oracle_bit_for_bit(p, n, batch, seed)
     for name, prob in itertools.product(NAMED, (0.0, 1.0, p)):
         ch = named_channel(name, prob)
         for q in range(n):
-            assert np.array_equal(_bits(ch.apply_to_qubit(rho, q, n)),
+            assert np.array_equal(_bits(ch.apply_to_qubit(rho, q)),
                                   _bits(qubit_kernel(ch, rho, q, n)))
 
 
@@ -148,7 +148,7 @@ def test_evolve_matches_evolve_on_term_by_term_oracle_bit_for_bit(name, n):
     got = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(KrausChannel, "apply_to_qubit",
-                   lambda ch, rho, q, m: qubit_kernel(ch, rho, q, m))
+                   lambda ch, rho, q: qubit_kernel(ch, rho, q, n))
         want = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
     for a, b in zip(got, want):
         assert np.array_equal(_bits(a), _bits(b))
@@ -168,7 +168,7 @@ def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
         evolve(circ, theta, NoiseSpec.uniform(damp))
     for ch in (depol, damp):
         # one table set per qubit, each the very object built first
-        assert sorted(ch._tables) == [(q, n) for q in range(n)]
+        assert sorted(ch._tables) == [(q, 2**n) for q in range(n)]
         assert all(ch._tables[key] is first[id(ch)][key] for key in ch._tables)
     # one shared index per register width, across channels and qubits
     assert channels._flat_index.cache_info().misses == 1
@@ -177,7 +177,7 @@ def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
     # at the largest register one channel's tables are the shared index
     # (4^n positions, 2 MiB) plus T masks and T x d coefficients per qubit
     big = named_channel("depolarizing", 0.3)
-    tables = [big._qubit_tables(q, MAX_QUBITS) for q in range(MAX_QUBITS)]
+    tables = [big._qubit_tables(q, 2**MAX_QUBITS) for q in range(MAX_QUBITS)]
     total = tables[0][0].nbytes + sum(a.nbytes for t in tables for a in t[1:])
     assert total < 40 * 2**20
 
@@ -367,7 +367,7 @@ def _chain_evolve(circ, thetas, noise):
     for layer in range(circ.depth):
         for ops in _chain_ops(circ, thetas, layer, noise):
             rho = _apply_kraus(rho, ops)
-        rho = circuits._apply_layer_channel(rho, noise.layer_channel(layer, n), n)
+        rho = circuits._apply_layer_channel(rho, noise.layer_channel(layer, n))
     return rho
 
 

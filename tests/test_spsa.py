@@ -10,8 +10,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SpsaConfig(maxiter=0)
     with pytest.raises(ValueError):
-        SpsaConfig(c=0.0)
-    with pytest.raises(ValueError):
         SpsaConfig(alpha=1.5)
 
 
