@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import AFFINE_MAX_QUBITS, KrausChannel, affine_rep
+from .channels import KrausChannel, affine_rep
 from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_gate_map
 from .hamiltonians import Hamiltonian, h_norm, h_vector
 from .pauli import DensityMatrix, to_coherence
@@ -28,11 +28,10 @@ def layer_affine_maps(
     matrix; c is the noise shift (the gates contribute none).  The noise
     map and its norm are built once per distinct layer-channel entry (the
     same channel, or the same per-qubit channels), so layers with the same
-    noise share one read-only c.
+    noise share one read-only c.  ``layer_gate_map`` checks ``noise``
+    against the circuit before any noise map is built, and ``affine_rep``
+    refuses a register beyond ``AFFINE_MAX_QUBITS``.
     """
-    if circ.n > AFFINE_MAX_QUBITS:
-        raise ValueError(f"explicit affine path limited to n <= {AFFINE_MAX_QUBITS}")
-    noise.check(circ)
     noise_maps: dict = {}  # layer-channel entry -> (M, c, ||M||), this call only
     out = []
     for layer in range(circ.depth):
@@ -139,23 +138,23 @@ class NilsInterval:
     lambda_L: float
     lambda_inf: float
     unital: bool
-    d_L: np.ndarray | None = None
-    d_L_dot_h: float | None = None
+    d_L: np.ndarray | None  # the realized shift; None for unital noise
+    d_L_dot_h: float | None
 
 
 def nils_interval(
     H: Hamiltonian,
     channels: KrausChannel | Sequence[KrausChannel],
     L: int,
-    circ: Circuit | None = None,
-    theta: np.ndarray | None = None,
+    circ: Circuit,
+    theta: np.ndarray,
 ) -> NilsInterval:
-    """Limit-set interval center +- lambda for a per-layer noise profile.
+    """Limit-set interval center +- lambda for a per-layer noise profile,
+    with the realized shift d_L of ``circ`` at ``theta``.
 
     ``channels`` is one channel reused every layer or one per layer; unital
-    profiles collapse the interval to the single point Tr(H)/d.  Passing the
-    circuit and angles additionally evaluates the realized shift d_L.  Each
-    distinct channel's affine map and norm are computed once.
+    profiles collapse the interval to the single point Tr(H)/d and skip the
+    shift.  Each distinct channel's affine map and norm are computed once.
     """
     if isinstance(channels, KrausChannel):
         channels = [channels] * L
@@ -165,7 +164,7 @@ def nils_interval(
     center = H.trace() / dim
     if unital:
         return NilsInterval(
-            center=center, lambda_L=0.0, lambda_inf=0.0, unital=True
+            center=center, lambda_L=0.0, lambda_inf=0.0, unital=True, d_L=None, d_L_dot_h=None
         )
     p = max(rep.operator_norm() for rep in reps)
     if p >= 1.0:
@@ -173,10 +172,8 @@ def nils_interval(
     hn = h_norm(H)
     lam_L = _lambda_width(hn, p, dim, L)
     lam_inf = _lambda_width(hn, p, dim, None)
-    d_L = d_dot_h = None
-    if circ is not None and theta is not None:
-        noise = NoiseSpec(layer_channels=tuple(channels))
-        d_L, d_dot_h, _ = shift_accumulator(circ, noise, theta, L, H)
+    noise = NoiseSpec(layer_channels=tuple(channels))
+    d_L, d_dot_h, _ = shift_accumulator(circ, noise, theta, L, H)
     return NilsInterval(
         center=center,
         lambda_L=lam_L,

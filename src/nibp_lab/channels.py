@@ -125,7 +125,7 @@ class KrausChannel:
         """
         shape = rho.shape
         d = shape[-1]
-        if shape[-2] != d:
+        if len(shape) < 2 or shape[-2] != d:
             raise DimensionMismatchError(f"state of shape {shape} is not square")
         flat, mask, row, col = self._tables.get((qubit, d)) or self._qubit_tables(qubit, d)
         # every index is in range: "clip" only skips the bounds check

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
@@ -228,20 +229,21 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Layered ansatz; every rotation gate owns one flat parameter index."""
+    """Layered ansatz.  Its parameters are its rotations: ``parameter_index``
+    numbers them 0, 1, ... in (layer, slot) order."""
 
     n: int
     layers: tuple[tuple[Gate, ...], ...]
-    parameter_index: Mapping[Location, int]
+    parameter_index: Mapping[Location, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
+        index: dict[Location, int] = {}
         for layer, gates in enumerate(self.layers):
             for slot, g in enumerate(gates):
                 if g.generator is not None:
                     check_pauli(g.generator, n)
-                    if (layer, slot) not in self.parameter_index:
-                        raise ValueError(f"rotation at {(layer, slot)} has no parameter index")
+                    index[(layer, slot)] = len(index)
                 elif g.cnot is not None:
                     c, t = g.cnot
                     if c == t or not {c, t} <= set(range(n)):
@@ -250,6 +252,7 @@ class Circuit:
                 elif g.matrix.shape != (2**n, 2**n):
                     raise DimensionMismatchError(
                         f"fixed gate of shape {g.matrix.shape} on {n} qubits")
+        object.__setattr__(self, "parameter_index", MappingProxyType(index))
 
     @property
     def depth(self) -> int:
@@ -264,10 +267,11 @@ class Circuit:
         return self.layers[layer][slot]
 
     def parameterized_locations(self) -> list[Location]:
-        return sorted(self.parameter_index, key=lambda loc: self.parameter_index[loc])
+        return list(self.parameter_index)
 
     def with_gate(self, location: Location, gate: Gate) -> "Circuit":
-        """A copy with the gate at ``location`` replaced by ``gate``."""
+        """A copy with the gate at ``location`` replaced by ``gate``, its
+        rotations numbered afresh."""
         layer, slot = location
         gates = list(self.layers[layer])
         gates[slot] = gate
@@ -276,27 +280,20 @@ class Circuit:
 
 
 def build_two_local(n: int, depth: int) -> Circuit:
-    """RY column followed by an open-boundary CNOT chain, repeated ``depth`` times."""
+    """RY column followed by an open-boundary CNOT chain, repeated ``depth``
+    times; the RY on qubit q of layer l has parameter index l * n + q."""
     if n < 2:
         raise ValueError(f"two-local ansatz needs n >= 2, got {n}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    layers = []
-    index: dict[Location, int] = {}
-    for layer in range(depth):
-        gates = []
-        for q in range(n):
-            gates.append(ry_gate(q, n))
-            index[(layer, q)] = layer * n + q
-        for q in range(n - 1):
-            gates.append(Gate(cnot=(q, q + 1)))
-        layers.append(tuple(gates))
-    return Circuit(n=n, layers=tuple(layers), parameter_index=index)
+    layer = tuple(ry_gate(q, n) for q in range(n)) + tuple(
+        Gate(cnot=(q, q + 1)) for q in range(n - 1))
+    return Circuit(n=n, layers=(layer,) * depth)
 
 
 def single_ry_circuit() -> Circuit:
     """One qubit, one RY gate: the minimal analytic test case."""
-    return Circuit(n=1, layers=((ry_gate(0, 1),),), parameter_index={(0, 0): 0})
+    return Circuit(n=1, layers=((ry_gate(0, 1),),))
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +462,15 @@ def _apply_layer_channel(rho: np.ndarray, channel: LayerChannel) -> np.ndarray:
     return rho
 
 
-def evolve(
-    circ: Circuit,
-    theta: np.ndarray,
-    noise: NoiseSpec | None = None,
-    rho0: DensityMatrix | None = None,
-) -> DensityMatrix | np.ndarray:
-    """Run the noisy circuit: per layer, all gates then the layer channel.
+def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix | np.ndarray:
+    """Run the noisy circuit from |0...0>: per layer, all gates then the
+    layer channel (``NoiseSpec()`` is no noise).
 
     ``theta`` of shape (P,) gives the final DensityMatrix; shape (B, P)
-    evolves B copies of ``rho0``, one per row, and gives the (B, d, d)
+    evolves B copies of |0...0>, one per row, and gives the (B, d, d)
     stack of final states.  Row b of the stack is bit for bit the state
     evolved from ``theta[b]`` alone.
     """
-    noise = noise or NoiseSpec.none()
     theta = np.asarray(theta, dtype=float)
     thetas = theta[None] if theta.ndim == 1 else theta
     if thetas.ndim != 2 or thetas.shape[1] != circ.num_parameters:
@@ -486,10 +478,7 @@ def evolve(
             f"expected {circ.num_parameters} parameters per row, got {theta.shape}"
         )
     noise.check(circ)
-    rho0 = rho0 or DensityMatrix.ground_state(circ.n)
-    if rho0.n != circ.n:
-        raise DimensionMismatchError(f"state n={rho0.n}, circuit n={circ.n}")
-    rho = np.repeat(rho0.data[None], len(thetas), axis=0)
+    rho = np.repeat(DensityMatrix.ground_state(circ.n).data[None], len(thetas), axis=0)
     for layer in range(circ.depth):
         for ops in _layer_ops(circ, thetas, layer, noise):
             rho = _apply_kraus(rho, ops)
@@ -502,34 +491,22 @@ def evolve(
 # ---------------------------------------------------------------------------
 
 
-def layer_unitary(
-    circ: Circuit,
-    theta: np.ndarray,
-    layer: int,
-    noise: NoiseSpec | None = None,
-) -> np.ndarray:
+def layer_unitary(circ: Circuit, theta: np.ndarray, layer: int, noise: NoiseSpec) -> np.ndarray:
     """Product of all gate unitaries in a layer (control noise included)."""
-    noise = _checked_gate_noise(circ, noise, layer)
+    _check_gate_noise(circ, noise, layer)
     ops = _layer_ops(circ, np.asarray(theta, dtype=float), layer, noise)
     return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
 
 
-def _checked_gate_noise(circ: Circuit, noise: NoiseSpec | None, layer: int) -> NoiseSpec:
-    """``noise`` (None is no noise) once ``NoiseSpec.check`` passes on
-    ``circ`` and ``layer`` holds no unitary mixture."""
-    noise = noise or NoiseSpec.none()
+def _check_gate_noise(circ: Circuit, noise: NoiseSpec, layer: int) -> None:
+    """Refuse ``noise`` unless ``NoiseSpec.check`` passes on ``circ`` and
+    ``layer`` holds no unitary mixture."""
     noise.check(circ)
     if any(loc[0] == layer for loc in noise.random_unitary or ()):
         raise ValueError("layer containing a unitary mixture is not unitary")
-    return noise
 
 
-def layer_gate_map(
-    circ: Circuit,
-    theta: np.ndarray,
-    layer: int,
-    noise: NoiseSpec | None = None,
-) -> np.ndarray:
+def layer_gate_map(circ: Circuit, theta: np.ndarray, layer: int, noise: NoiseSpec) -> np.ndarray:
     """The layer's gates as the real orthogonal (d^2-1) x (d^2-1) matrix
     acting on Hamming-ordered coherence vectors (control noise included).
 
@@ -540,7 +517,7 @@ def layer_gate_map(
     gather; any other gate uses its own full-register transfer matrix.
     Runs compose by matrix products.
     """
-    noise = _checked_gate_noise(circ, noise, layer)
+    _check_gate_noise(circ, noise, layer)
     theta = np.asarray(theta, dtype=float)
     n = circ.n
     omega = None  # None is the identity

@@ -22,7 +22,6 @@ from .channels import (
     KrausChannel,
     affine_rep,
     classify,
-    identity_channel,
     named_channel,
     validate_kraus,
 )
@@ -38,6 +37,7 @@ from .experiments import (
     config_value,
     emit_plot_script,
     grad_rows,
+    named_layer_channel,
     read_config,
     run_experiment,
     sweep_stats,
@@ -160,7 +160,7 @@ def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> Non
     v = _read(cfg, _BOUND_REPORT, seed)
     n, depth = v["n"], v["L"]
     noise = config_noise(v["noise_type"], v["p"])
-    channel = noise.layer_channels or identity_channel()  # "none": the identity
+    channel = named_layer_channel(noise)
     if not v["depth_constant"] > 0.0:
         raise ConfigError("depth_constant", f"{v['depth_constant']!r} must be positive")
     bif = None  # theorem 3 needs at least 3 layers

@@ -21,7 +21,7 @@ from typing import Any, Callable, ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from . import bounds
-from .channels import CONTRACTIVE_MARGIN, affine_rep, identity_channel
+from .channels import CONTRACTIVE_MARGIN, KrausChannel, affine_rep, identity_channel
 from .circuits import Location, NoiseSpec, build_two_local, evolve
 from .gradients import GradientStats, SweepSpec, default_locations, gradient_stats
 from .hamiltonians import cost, random_two_local
@@ -147,16 +147,26 @@ def _subseed(root: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+def _p_key(p: float) -> int:
+    """A noise probability as a seed key: p quantized to 1e-4."""
+    return int(round(p * 10_000))
+
+
 def _cell_seed(root: int, n: int, L: int, p: float) -> int:
     """The seed of one (n, L, p) gradient cell."""
-    return _subseed(root, n, L, int(round(p * 10_000)))
+    return _subseed(root, n, L, _p_key(p))
+
+
+def named_layer_channel(noise: NoiseSpec) -> KrausChannel:
+    """The single-qubit channel a ``NoiseSpec.named`` spec applies after
+    each layer; the identity for ``none``."""
+    return noise.layer_channels or identity_channel()
 
 
 def _channel_r(noise_type: str, p: float) -> float:
     """||M|| of the single-qubit layer channel (1 up to rounding without
     noise)."""
-    channel = NoiseSpec.named(noise_type, p).layer_channels or identity_channel()
-    return affine_rep(channel).operator_norm()
+    return affine_rep(named_layer_channel(NoiseSpec.named(noise_type, p))).operator_norm()
 
 
 def sweep_stats(n: int, L: int, noise_type: str, p: float,
@@ -259,7 +269,7 @@ def run_final_cost(cfg: ExperimentConfig) -> ExperimentResult:
     for *_, p in _cells(cfg, (n,), (L,), cfg.p_list):
         noise = NoiseSpec.named(cfg.noise_type, p)
         for i in range(cfg.instances):
-            seed = _subseed(cfg.seed, n, int(round(p * 10_000)), i)
+            seed = _subseed(cfg.seed, n, _p_key(p), i)
             H, trace = train_cell(n, L, noise, cfg.maxiter, seed)
             rows.append(
                 (n, L, p, cfg.noise_type, i, trace.final_cost, H.trace() / 2**n, seed)

@@ -59,13 +59,13 @@ def _shifted_pair(theta, idx, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def _check_shift_rule(circ: Circuit, noise: NoiseSpec | None, location: Location) -> None:
+def _check_shift_rule(circ: Circuit, noise: NoiseSpec, location: Location) -> None:
     """Refuse a gate the two-point rule cannot differentiate: one without a
     parameter, or one simulated with control noise."""
     if not circ.gate_at(location).is_parameterized:
         raise ValueError(f"gate at {location} carries no parameter")
     index = circ.parameter_index[location]
-    for kind, run in _gate_runs(circ, location[0], noise or NoiseSpec.none()):
+    for kind, run in _gate_runs(circ, location[0], noise):
         if kind == "gate" and run[0] == index and run[1].perturbation:
             raise ValueError(f"gate at {location} has control noise; use control_noise_gradient")
 
@@ -73,7 +73,7 @@ def _check_shift_rule(circ: Circuit, noise: NoiseSpec | None, location: Location
 def psr_gradient(
     circ: Circuit,
     theta: np.ndarray,
-    noise: NoiseSpec | None,
+    noise: NoiseSpec,
     H: Hamiltonian,
     location: Location | Sequence[Location],
 ) -> float | np.ndarray:
@@ -108,7 +108,7 @@ def _costs(H: Hamiltonian, rhos: np.ndarray) -> np.ndarray:
 def fd_gradient(
     circ: Circuit,
     theta: np.ndarray,
-    noise: NoiseSpec | None,
+    noise: NoiseSpec,
     H: Hamiltonian,
     location: Location,
 ) -> float:
@@ -123,7 +123,7 @@ def fd_gradient(
 def coherence_gradient(
     circ: Circuit,
     theta: np.ndarray,
-    noise: NoiseSpec | None,
+    noise: NoiseSpec,
     H: Hamiltonian,
     location: Location,
 ) -> float:
@@ -142,8 +142,10 @@ def coherence_gradient(
 
 
 def _evolve_fixed(circ, theta, noise, location, matrix) -> np.ndarray:
-    """Final state with the gate at ``location`` replaced by a fixed unitary."""
-    return evolve(circ.with_gate(location, Gate(matrix=matrix)), theta, noise).data
+    """Final state with the rotation at ``location`` replaced by a fixed
+    unitary, which takes its angle out of ``theta``."""
+    fixed = circ.with_gate(location, Gate(matrix=matrix))
+    return evolve(fixed, np.delete(theta, circ.parameter_index[location]), noise).data
 
 
 def control_noise_gradient(
@@ -152,7 +154,7 @@ def control_noise_gradient(
     a: Mapping[str, float],
     H: Hamiltonian,
     location: Location,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
 ) -> tuple[float, float]:
     """Exact derivative and its norm bound for a coherently perturbed gate.
 
@@ -203,7 +205,7 @@ def random_noise_gradient(
     spec: RandomUnitaryNoise,
     H: Hamiltonian,
     location: Location,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
 ) -> tuple[float, float]:
     """Exact derivative and its bound for a gate replaced by a unitary mixture.
 
@@ -212,13 +214,12 @@ def random_noise_gradient(
     p_j |dC_ideal| + ||h||/2 * sum_{k != j} p_k ||w_k||, where w_k comes
     from replacing the gate by a P_k rotation at angles theta +- pi/2.
     """
-    base = noise or NoiseSpec.none()
-    full = replace(base, random_unitary={**(base.random_unitary or {}), location: spec})
+    full = replace(noise, random_unitary={**(noise.random_unitary or {}), location: spec})
     idx = circ.parameter_index[location]
     value = psr_gradient(circ, theta, full, H, location)
 
     # ideal derivative: the same circuit without the mixture at this gate
-    ideal_grad = psr_gradient(circ, theta, base, H, location)
+    ideal_grad = psr_gradient(circ, theta, noise, H, location)
     hn = h_norm(H)
     bound = spec.probs[spec.intended] * abs(ideal_grad)
     for k, (p_k, letters) in enumerate(zip(spec.probs, spec.generators)):
@@ -226,7 +227,7 @@ def random_noise_gradient(
             continue
         p = _pauli_matrix(letters)
         rp, rm = (
-            _evolve_fixed(circ, theta, base, location, _rotation(p, angle))
+            _evolve_fixed(circ, theta, noise, location, _rotation(p, angle))
             for angle in (theta[idx] + np.pi / 2, theta[idx] - np.pi / 2)
         )
         bound += 0.5 * p_k * hn * float(np.linalg.norm(rp - rm))

@@ -40,7 +40,7 @@ class TrainTrace:
     final_theta: np.ndarray
     final_cost: float
     evaluations: int
-    aborted: bool = False
+    aborted: bool  # a non-finite objective value ended the run
 
 
 def spsa_minimize(

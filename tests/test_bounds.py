@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,13 +22,16 @@ from nibp_lab.channels import (
     unitary_channel,
 )
 from nibp_lab.circuits import (
+    Circuit,
     NoiseSpec,
     build_two_local,
     layer_channel_as_kraus,
     layer_unitary,
+    ry_gate,
     single_ry_circuit,
 )
 from nibp_lab.hamiltonians import Hamiltonian, cost, h_norm, random_two_local
+from nibp_lab.pauli import SizeError
 from nibp_lab.circuits import evolve
 
 
@@ -130,9 +135,15 @@ def test_cost_concentration_around_shift():
         assert abs(c_val - center - d_dot_h) <= envelope + 1e-10
 
 
+def _ry_layers(L: int) -> Circuit:
+    """One qubit, one RY per layer: the one-qubit circuit of L layers."""
+    return Circuit(n=1, layers=((ry_gate(0, 1),),) * L)
+
+
 def test_nils_interval_unital_degenerates():
     H = random_two_local(2, seed=3)
-    interval = nils_interval(H, depolarizing(0.3), 10)
+    circ = build_two_local(2, 10)
+    interval = nils_interval(H, depolarizing(0.3), 10, circ, np.zeros(circ.num_parameters))
     assert interval.unital
     assert interval.lambda_L == 0.0 and interval.lambda_inf == 0.0
     assert abs(interval.center - H.trace() / 4) < 1e-14
@@ -141,7 +152,7 @@ def test_nils_interval_unital_degenerates():
 def test_nils_interval_hand_value():
     # ||h|| = 1/sqrt(2), ||M|| = 1/2, d = 2: lambda_inf = 2
     H = Hamiltonian(n=1, terms=(("Z", 0.5),))
-    interval = nils_interval(H, amplitude_damping(0.75), 4)
+    interval = nils_interval(H, amplitude_damping(0.75), 4, _ry_layers(4), np.zeros(4))
     assert not interval.unital
     assert abs(interval.lambda_inf - 2.0) < 1e-12
     expected_l = (1 - 0.5**4) / (1 - 0.5) * (1 / np.sqrt(2)) / np.sqrt(0.5)
@@ -164,7 +175,8 @@ def test_nils_interval_identity_degenerates():
     H = random_two_local(2, seed=4)
     from nibp_lab.channels import identity_channel
 
-    interval = nils_interval(H, identity_channel(), 3)
+    circ = build_two_local(2, 3)
+    interval = nils_interval(H, identity_channel(), 3, circ, np.zeros(circ.num_parameters))
     assert interval.unital and interval.lambda_inf == 0.0
 
 
@@ -295,6 +307,14 @@ def test_layer_affine_maps_builds_each_noise_map_once(monkeypatch, kind):
     assert len(calls) == distinct
 
 
+def test_layer_affine_maps_refuse_four_qubits():
+    # affine_rep refuses the register before any 255 x 255 noise map is built
+    circ = build_two_local(4, 1)
+    for noise in (NoiseSpec(), NoiseSpec.uniform(depolarizing(0.1))):
+        with pytest.raises(SizeError, match="n <= 3"):
+            layer_affine_maps(circ, np.zeros(circ.num_parameters), noise)
+
+
 def test_nils_and_theorem3_build_each_channel_once(monkeypatch):
     dep, damp = depolarizing(0.2), amplitude_damping(0.35)
     channels = [damp, dep, damp, damp, dep]
@@ -303,8 +323,10 @@ def test_nils_and_theorem3_build_each_channel_once(monkeypatch):
     reps = _count_calls(monkeypatch, bounds, "affine_rep")
     svds = _count_calls(monkeypatch, bounds.np.linalg, "svd")
     H = Hamiltonian(n=1, terms=(("Z", 0.5),))
-    nils = nils_interval(H, channels, L)
-    assert len(reps) == 2
+    nils = nils_interval(H, channels, L, _ry_layers(L), np.zeros(L))
+    # each distinct channel once for the interval, and once more for the
+    # realized shift's layer maps
+    assert Counter(args[0] for args in reps) == {dep: 2, damp: 2}
     p = max(float(np.linalg.norm(ref.M, 2)) for ref in refs)
     assert nils.lambda_L == bounds._lambda_width(h_norm(H), p, 2, L)
     reps.clear()

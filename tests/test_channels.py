@@ -343,3 +343,6 @@ def test_apply_to_qubit_reads_the_register_off_the_state():
             ch.apply_to_qubit(rho, q)
     with pytest.raises(DimensionMismatchError, match="not square"):
         ch.apply_to_qubit(np.zeros((2, 8, 4)), 0)
+    # a 1-D array once ended in a bare IndexError from the square check
+    with pytest.raises(DimensionMismatchError, match=re.escape("(4,)")):
+        ch.apply_to_qubit(np.zeros(4), 0)

@@ -30,7 +30,6 @@ from nibp_lab.circuits import (
 from nibp_lab.pauli import (
     DensityMatrix,
     DimensionMismatchError,
-    random_density_matrix,
 )
 
 
@@ -64,7 +63,8 @@ def test_two_local_structure():
         g for layer in circ.layers for g in layer if not g.is_parameterized
     ]
     assert len(fixed) == 10  # (n-1) CNOTs per layer
-    assert circ.parameter_index[(2, 1)] == 2 * 3 + 1
+    # the rotations in (layer, slot) order: the RY on qubit q of layer l is l * n + q
+    assert dict(circ.parameter_index) == {(l, q): l * 3 + q for l in range(5) for q in range(3)}
     with pytest.raises(ValueError):
         build_two_local(1, 2)
 
@@ -96,7 +96,7 @@ def test_noiseless_evolution_matches_statevector():
     for n in (2, 3):
         circ = build_two_local(n, 3)
         theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
-        rho = evolve(circ, theta)
+        rho = evolve(circ, theta, NoiseSpec())
         psi = _statevector(circ, theta)
         np.testing.assert_allclose(
             rho.data, np.outer(psi, psi.conj()), atol=1e-12
@@ -155,14 +155,6 @@ def test_layer_channel_broadcast_equivalence():
     a = evolve(circ, theta, NoiseSpec.uniform(ch))
     b = evolve(circ, theta, NoiseSpec(layer_channels=(ch, ch, ch)))
     np.testing.assert_allclose(a.data, b.data, atol=1e-13)
-
-
-def test_custom_initial_state():
-    rng = np.random.default_rng(24)
-    circ = single_ry_circuit()
-    rho0 = random_density_matrix(1, rng)
-    rho = evolve(circ, np.zeros(1), rho0=rho0)
-    np.testing.assert_allclose(rho.data, rho0.data, atol=1e-12)
 
 
 def test_perturbed_gate_overrotation():
@@ -225,7 +217,7 @@ def test_mixture_of_the_wrong_width_is_refused_before_evolution(monkeypatch):
     with pytest.raises(DimensionMismatchError, match="'YII'.*2 qubits"):
         evolve(circ, np.zeros(circ.num_parameters), noise)
     assert applied == []
-    evolve(circ, np.zeros(circ.num_parameters))
+    evolve(circ, np.zeros(circ.num_parameters), NoiseSpec())
     assert applied
 
 
@@ -247,8 +239,6 @@ def test_a_gate_that_does_not_fit_the_register_is_refused_where_it_enters():
         circ.with_gate((0, 0), Gate(generator="ZZZ"))
     with pytest.raises(DimensionMismatchError, match="shape"):
         circ.with_gate((0, 2), Gate(matrix=np.eye(8, dtype=complex)))
-    with pytest.raises(ValueError, match=r"\(0, 2\) has no parameter index"):
-        circ.with_gate((0, 2), Gate(generator="ZZ"))
     wide = build_two_local(3, 1)
     for pair in ((0, 5), (1, 1)):
         with pytest.raises(DimensionMismatchError, match="CNOT pair"):
@@ -257,6 +247,47 @@ def test_a_gate_that_does_not_fit_the_register_is_refused_where_it_enters():
     circ.with_gate((0, 0), Gate(generator="ZZ"))
     circ.with_gate((0, 2), Gate(cnot=(1, 0)))
     circ.with_gate((0, 2), Gate(matrix=np.eye(4, dtype=complex)))
+
+
+def test_a_rotation_placed_at_a_cnot_slot_takes_the_next_parameter():
+    # before, a rotation at a CNOT's slot was refused for want of an index
+    circ = build_two_local(2, 2)
+    zz = Gate(generator="ZZ")
+    placed = circ.with_gate((0, 2), zz)
+    assert dict(placed.parameter_index) == {
+        (0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 3, (1, 1): 4}
+    # angle 2 drives the placed rotation, and the later angles keep their gates
+    theta = np.random.default_rng(29).uniform(0, 2 * np.pi, circ.num_parameters)
+    fixed = circ.with_gate((0, 2), Gate(matrix=zz.unitary(0.4)))
+    np.testing.assert_allclose(
+        evolve(placed, np.insert(theta, 2, 0.4), NoiseSpec()).data,
+        evolve(fixed, theta, NoiseSpec()).data, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gate", [Gate(cnot=(0, 1)), Gate(matrix=np.eye(4, dtype=complex))],
+                         ids=["cnot", "fixed"])
+def test_a_gate_placed_over_a_rotation_removes_its_parameter(gate):
+    # before, (0, 0) kept its parameter: the circuit reported 4 of them and
+    # evolved gate noise placed at (0, 0) as the noiseless state
+    circ = build_two_local(2, 2).with_gate((0, 0), gate)
+    assert circ.num_parameters == 3
+    assert circ.parameterized_locations() == [(0, 1), (1, 0), (1, 1)]
+    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "XI"), intended=0)
+    theta = np.zeros(circ.num_parameters)
+    for noise in (NoiseSpec(control_noise={(0, 0): {"XI": 0.05}}),
+                  NoiseSpec(random_unitary={(0, 0): spec})):
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            evolve(circ, theta, noise)
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            layer_gate_map(circ, theta, 0, noise)
+
+
+def test_the_parameter_index_is_read_only():
+    circ = build_two_local(2, 1)
+    with pytest.raises(TypeError):
+        circ.parameter_index[(0, 2)] = 2
+    with pytest.raises(TypeError):
+        Circuit(n=1, layers=((Gate(generator="Y"),),), parameter_index={(0, 0): 0})
 
 
 def test_gate_noise_at_a_location_without_a_rotation_is_refused(monkeypatch):
@@ -321,7 +352,7 @@ def test_degenerate_mixture_is_ideal_gate():
     gen = circ.gate_at((1, 0)).generator
     spec = RandomUnitaryNoise(probs=(1.0,), generators=(gen,), intended=0)
     a = evolve(circ, theta, NoiseSpec(random_unitary={(1, 0): spec}))
-    b = evolve(circ, theta)
+    b = evolve(circ, theta, NoiseSpec())
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
 
@@ -331,7 +362,7 @@ def test_control_noise_spec_changes_state():
     theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
     noise = NoiseSpec(control_noise={(0, 0): {"XI": 0.1}})
     a = evolve(circ, theta, noise)
-    b = evolve(circ, theta)
+    b = evolve(circ, theta, NoiseSpec())
     a.validate()
     assert abs(a.purity() - 1.0) < 1e-12  # coherent noise keeps purity
     assert np.abs(a.data - b.data).max() > 1e-4
@@ -358,7 +389,7 @@ def test_per_layer_noise_length_must_match_depth(layers):
 def test_named_noise_none_is_the_only_noiseless_spec():
     circ = build_two_local(2, 2)
     theta = np.random.default_rng(27).uniform(0, 2 * np.pi, circ.num_parameters)
-    clean = evolve(circ, theta).data
+    clean = evolve(circ, theta, NoiseSpec()).data
     assert NoiseSpec.named("none", 0.7) == NoiseSpec.none()
     # all-zero Kraus operators are skipped: the p = 0 identity-like channels
     # reproduce the noiseless state bit for bit
@@ -393,13 +424,15 @@ def test_with_gate_replaces_one_gate():
     assert circ.gate_at((1, 0)).is_parameterized
     others = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2)]
     assert all(swapped.gate_at(loc) is circ.gate_at(loc) for loc in others)
-    # the fixed gate ignores its angle: the state equals the circuit with
-    # that angle set to 0.3
+    # the fixed gate takes its rotation's parameter away: the state at the
+    # other angles equals the circuit with that angle set to 0.3
+    index = circ.parameter_index[(1, 0)]
+    assert swapped.num_parameters == circ.num_parameters - 1
     theta = np.random.default_rng(28).uniform(0, 2 * np.pi, circ.num_parameters)
     pinned = theta.copy()
-    pinned[circ.parameter_index[(1, 0)]] = 0.3
-    np.testing.assert_allclose(
-        evolve(swapped, theta).data, evolve(circ, pinned).data, atol=1e-14)
+    pinned[index] = 0.3
+    np.testing.assert_allclose(evolve(swapped, np.delete(theta, index), NoiseSpec()).data,
+                               evolve(circ, pinned, NoiseSpec()).data, atol=1e-14)
 
 
 def test_a_placed_perturbed_gate_is_simulated_with_its_perturbation():
@@ -410,10 +443,10 @@ def test_a_placed_perturbed_gate_is_simulated_with_its_perturbation():
     loc, a = (1, 0), {"XI": 0.1}
     placed = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a))
     spec = NoiseSpec(control_noise={loc: a})
-    state = evolve(placed, theta).data
+    state = evolve(placed, theta, NoiseSpec()).data
     assert np.array_equal(state, evolve(circ, theta, spec).data)
-    assert np.abs(state - evolve(circ, theta).data).max() > 1e-4
-    assert np.array_equal(layer_gate_map(placed, theta, 1),
+    assert np.abs(state - evolve(circ, theta, NoiseSpec()).data).max() > 1e-4
+    assert np.array_equal(layer_gate_map(placed, theta, 1, NoiseSpec()),
                           layer_gate_map(circ, theta, 1, spec))
     # a spec entry replaces the gate's own perturbation
     other = NoiseSpec(control_noise={loc: {"ZI": 0.05}})
@@ -430,5 +463,5 @@ def test_an_equal_copy_of_a_cnot_simulates_as_the_cnot():
     copy = circ.with_gate((1, 3), Gate(matrix=embed_unitary(CNOT, cnot.cnot, 3)))
     noise = NoiseSpec.uniform(amplitude_damping(0.2))
     assert np.array_equal(evolve(copy, theta, noise).data, evolve(circ, theta, noise).data)
-    np.testing.assert_allclose(layer_gate_map(copy, theta, 1), layer_gate_map(circ, theta, 1),
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(layer_gate_map(copy, theta, 1, NoiseSpec()),
+                               layer_gate_map(circ, theta, 1, NoiseSpec()), rtol=0, atol=1e-12)

@@ -31,9 +31,9 @@ Z1 = Hamiltonian(n=1, terms=(("Z", 1.0),))
 def test_psr_analytic_single_qubit():
     circ = single_ry_circuit()
     # C(theta) = cos(theta) for H = Z on |0>
-    assert abs(psr_gradient(circ, np.array([np.pi / 2]), None, Z1, (0, 0)) + 1.0) < 1e-12
+    assert abs(psr_gradient(circ, np.array([np.pi / 2]), NoiseSpec(), Z1, (0, 0)) + 1.0) < 1e-12
     theta = np.array([0.7])
-    assert abs(psr_gradient(circ, theta, None, Z1, (0, 0)) + np.sin(0.7)) < 1e-12
+    assert abs(psr_gradient(circ, theta, NoiseSpec(), Z1, (0, 0)) + np.sin(0.7)) < 1e-12
 
 
 def test_psr_analytic_with_depolarizing():
@@ -60,7 +60,7 @@ def test_psr_matches_finite_difference_under_layer_noise():
 def test_unparameterized_location_rejected():
     circ = build_two_local(2, 1)
     with pytest.raises(ValueError):
-        psr_gradient(circ, np.zeros(2), None, random_two_local(2, 1), (0, 2))
+        psr_gradient(circ, np.zeros(2), NoiseSpec(), random_two_local(2, 1), (0, 2))
 
 
 def test_coherence_overlap_matches_psr():
@@ -122,7 +122,7 @@ def test_control_noise_zero_perturbation_reduces_to_psr():
     H = random_two_local(2, rng)
     theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
     value, bound = control_noise_gradient(circ, theta, {}, H, (1, 0))
-    assert abs(value - psr_gradient(circ, theta, None, H, (1, 0))) < 1e-12
+    assert abs(value - psr_gradient(circ, theta, NoiseSpec(), H, (1, 0))) < 1e-12
     assert abs(value) <= bound + 1e-12
 
 

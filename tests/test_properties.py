@@ -16,6 +16,7 @@ passes or fails the same way each time.
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -203,7 +204,7 @@ def _noise(kind, n, depth, p):
         spec = RandomUnitaryNoise(probs=(0.8, 0.2), generators=(letters, "Z" * n),
                                   intended=0)
         return NoiseSpec(layer_channels=one, random_unitary={(depth - 1, 0): spec})
-    return None
+    return NoiseSpec()
 
 
 @SETTINGS
@@ -221,7 +222,7 @@ def test_batched_evolve_rows_equal_single_evolves(n, depth, batch, kind, swap, p
     circ = single_ry_circuit() if n == 1 else build_two_local(n, depth)
     depth = circ.depth
     noise = _noise(kind, n, depth, p)
-    loc = (depth - 1, 0)
+    loc = (depth - 1, n - 1)  # the last rotation, which carries gate noise only at n = 1
     if swap == "fixed":
         circ = circ.with_gate(loc, Gate(
             matrix=circuits._rotation(_pauli_matrix("X" * n), 0.4)))
@@ -229,6 +230,11 @@ def test_batched_evolve_rows_equal_single_evolves(n, depth, batch, kind, swap, p
         circ = circ.with_gate(loc, Gate(generator="Z" * n))
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0, 2 * np.pi, size=(batch, circ.num_parameters))
+    if swap == "fixed" and loc in {**(noise.control_noise or {}), **(noise.random_unitary or {})}:
+        # the fixed gate took away the rotation that the gate noise is on
+        with pytest.raises(ValueError, match=re.escape(f"{loc}: the circuit has no rotation")):
+            evolve(circ, thetas, noise)
+        return
     stack = evolve(circ, thetas, noise)
     assert stack.shape == (batch, 2**n, 2**n)
     for row, theta in zip(stack, thetas):
@@ -264,13 +270,13 @@ def _gate_layers(draw, max_qubits=3, mixtures=False):
     """One layer of n <= ``max_qubits`` qubits, with the angles and gate
     noise: weight-1 X/Y/Z rotations (on any qubits, so columns repeat
     qubits or leave some out), weight-2 rotations, CNOTs in any order,
-    rotations under control noise, fixed gates put in with ``with_gate``
-    and, with ``mixtures``, rotations replaced by random-unitary mixtures."""
+    rotations under control noise, fixed gates and, with ``mixtures``,
+    rotations replaced by random-unitary mixtures."""
     n = draw(st.integers(1, max_qubits))
     kinds = ["rotation", "rotation", "control", "fixed"] + ["mixture"] * mixtures
     if n > 1:
         kinds += ["weight2", "cnot", "cnot"]
-    gates, index, control, mixed, fixed = [], {}, {}, {}, {}
+    gates, control, mixed = [], {}, {}
     for slot in range(draw(st.integers(1, 7))):
         loc = (0, slot)
         kind = draw(st.sampled_from(kinds))
@@ -278,12 +284,15 @@ def _gate_layers(draw, max_qubits=3, mixtures=False):
             c, t = draw(st.permutations(range(n)))[:2]
             gates.append(Gate(cnot=(c, t)))
             continue
+        if kind == "fixed":
+            gates.append(Gate(matrix=random_unitary_matrix(
+                2**n, np.random.default_rng(draw(st.integers(0, 2**16))))))
+            continue
         qubits = draw(st.permutations(range(n)))[: 2 if kind == "weight2" else 1]
         letters = ["I"] * n
         for q in qubits:
             letters[q] = draw(st.sampled_from("XYZ"))
         gates.append(Gate(generator="".join(letters)))
-        index[loc] = len(index)
         if kind == "control":
             pert = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
             control[loc] = {pert: draw(st.floats(0.01, 0.09))}
@@ -291,14 +300,9 @@ def _gate_layers(draw, max_qubits=3, mixtures=False):
             other = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
             mixed[loc] = RandomUnitaryNoise(
                 probs=(0.8, 0.2), generators=("".join(letters), other), intended=0)
-        elif kind == "fixed":
-            fixed[loc] = Gate(matrix=random_unitary_matrix(
-                2**n, np.random.default_rng(draw(st.integers(0, 2**16)))))
-    circ = circuits.Circuit(n=n, layers=(tuple(gates),), parameter_index=index)
-    for loc, gate in fixed.items():
-        circ = circ.with_gate(loc, gate)
-    theta = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=len(index),
-                                   max_size=len(index))))
+    circ = circuits.Circuit(n=n, layers=(tuple(gates),))
+    size = circ.num_parameters
+    theta = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=size, max_size=size)))
     return circ, theta, NoiseSpec(control_noise=control, random_unitary=mixed or None)
 
 
@@ -417,7 +421,7 @@ def test_evolve_rejects_bad_angle_shapes():
     circ = build_two_local(2, 2)
     for shape in [(3,), (2, 3), (1, 2, 4)]:
         with pytest.raises(ValueError, match="parameters per row"):
-            evolve(circ, np.zeros(shape))
+            evolve(circ, np.zeros(shape), NoiseSpec())
 
 
 def test_batched_psr_gradient_locations():

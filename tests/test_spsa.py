@@ -62,7 +62,7 @@ def test_noiseless_single_qubit_ground_state():
     H = Hamiltonian(n=1, terms=(("Z", 1.0),))
 
     def objective(theta):
-        return cost(H, evolve(circ, theta))
+        return cost(H, evolve(circ, theta, NoiseSpec()))
 
     hits = 0
     for seed in range(10):
@@ -81,7 +81,7 @@ def test_noiseless_vqa_reaches_low_cost():
     theta0 = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
 
     def objective(theta):
-        return cost(H, evolve(circ, theta))
+        return cost(H, evolve(circ, theta, NoiseSpec()))
 
     start = objective(theta0)
     trace = spsa_minimize(objective, theta0, SpsaConfig(maxiter=250, seed=0))
