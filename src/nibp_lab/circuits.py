@@ -7,10 +7,14 @@ after each layer, a coherent perturbation of a rotation's generator
 (control noise), and a probabilistic mixture of rotations sharing the
 intended angle (random-unitary noise).
 
-Both views of a layer group its gates into the same runs (``_gate_runs``):
-a column of weight-1 rotations on distinct qubits, a run of CNOTs, and
-single other gates.  One kernel (``_column``) renders a column from its
-one-qubit factors: 2 x 2 rotations for the dense path (``evolve``), 4 x 4
+A circuit groups each layer's gates into runs once, when it is built
+(``Circuit.runs``): a column of weight-1 rotations on distinct qubits, a
+run of CNOTs, and single other gates.  Both views of a layer read those
+runs through ``_gate_runs``, which regroups only a layer that carries
+control noise or a mixture.  One kernel (``_column``) renders a column from
+its one-qubit factors: 2 x 2 rotations for the dense path (``evolve``,
+which computes the factors of every column in the circuit in one call
+before layer 0, then builds each layer just before applying it), 4 x 4
 Pauli transfer matrices for the affine path (``layer_gate_map``).  A CNOT
 is its (control, target) pair: a CNOT run is one cached row permutation of
 the basis states on the dense path, and one cached signed permutation of
@@ -21,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .channels import (
     unitary_channel,
 )
 from .pauli import (
+    MAX_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
     _pauli_matrix,
@@ -58,8 +64,17 @@ class Gate:
 
     generator: str | None = None  # Pauli letters, full register length
     cnot: tuple[int, int] | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
+    matrix: np.ndarray | None = field(default=None, repr=False, hash=False)
     perturbation: tuple[tuple[str, float], ...] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        """Equal when every field is; fixed gates compare their matrices by
+        value."""
+        if not isinstance(other, Gate):
+            return NotImplemented
+        return (self.generator, self.cnot, self.perturbation) == (
+            other.generator, other.cnot, other.perturbation
+        ) and np.array_equal(self.matrix, other.matrix)
 
     def __post_init__(self):
         if sum(form is not None for form in (self.generator, self.cnot, self.matrix)) != 1:
@@ -230,15 +245,18 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class Circuit:
     """Layered ansatz.  Its parameters are its rotations: ``parameter_index``
-    numbers them 0, 1, ... in (layer, slot) order."""
+    numbers them 0, 1, ... in (layer, slot) order.  ``runs`` holds each
+    layer's gates grouped into its noise-free runs (see ``_gate_runs``)."""
 
     n: int
     layers: tuple[tuple[Gate, ...], ...]
     parameter_index: Mapping[Location, int] = field(init=False, repr=False, compare=False)
+    runs: tuple[tuple[Run, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
         index: dict[Location, int] = {}
+        runs = []
         for layer, gates in enumerate(self.layers):
             for slot, g in enumerate(gates):
                 if g.generator is not None:
@@ -252,7 +270,9 @@ class Circuit:
                 elif g.matrix.shape != (2**n, 2**n):
                     raise DimensionMismatchError(
                         f"fixed gate of shape {g.matrix.shape} on {n} qubits")
+            runs.append(_group_runs(gates, layer, index, {}, {}))
         object.__setattr__(self, "parameter_index", MappingProxyType(index))
+        object.__setattr__(self, "runs", tuple(runs))
 
     @property
     def depth(self) -> int:
@@ -291,44 +311,66 @@ def build_two_local(n: int, depth: int) -> Circuit:
     return Circuit(n=n, layers=(layer,) * depth)
 
 
-def single_ry_circuit() -> Circuit:
-    """One qubit, one RY gate: the minimal analytic test case."""
-    return Circuit(n=1, layers=((ry_gate(0, 1),),))
-
-
 # ---------------------------------------------------------------------------
 # State evolution
 # ---------------------------------------------------------------------------
 
 
-def _gate_runs(circ: Circuit, layer: int, noise: NoiseSpec) -> list[tuple[str, object]]:
-    """The layer's gates grouped into runs, in gate order.
+class Column(NamedTuple):
+    """Weight-1 rotations without perturbation on distinct qubits, in gate
+    order: rotation k turns qubit ``qubits[k]`` about ``letters[k]`` by
+    parameter ``params[k]``."""
 
-    A rotation with an entry in ``noise.random_unitary`` runs as that
-    mixture, else one in ``noise.control_noise`` as ``perturbed_gate`` of it.
+    qubits: tuple[int, ...]
+    letters: str
+    params: tuple[int, ...]
 
-    ``("column", {qubit: (letter, parameter index)})``: weight-1 rotations
-    without perturbation, on distinct qubits, in gate order;
-    ``("cnots", [(control, target), ...])``: consecutive CNOTs;
+
+Run = tuple[str, object]
+
+
+def _gate_runs(circ: Circuit, layer: int, noise: NoiseSpec) -> tuple[Run, ...]:
+    """The layer's gates grouped into runs, in gate order: the circuit's
+    stored ``runs[layer]``, regrouped only if ``noise`` puts control noise
+    or a mixture in this layer."""
+    control = {loc: a for loc, a in (noise.control_noise or {}).items() if loc[0] == layer}
+    mixtures = {loc: s for loc, s in (noise.random_unitary or {}).items() if loc[0] == layer}
+    if not control and not mixtures:
+        return circ.runs[layer]
+    return _group_runs(circ.layers[layer], layer, circ.parameter_index, control, mixtures)
+
+
+def _group_runs(
+    gates: Sequence[Gate],
+    layer: int,
+    parameter_index: Mapping[Location, int],
+    control: Mapping[Location, Mapping[str, float]],
+    mixtures: Mapping[Location, RandomUnitaryNoise],
+) -> tuple[Run, ...]:
+    """Group one layer's gates into read-only runs, in gate order.
+
+    A rotation with an entry in ``mixtures`` runs as that mixture, else one
+    in ``control`` as ``perturbed_gate`` of it.
+
+    ``("column", Column)``: weight-1 rotations without perturbation, on
+    distinct qubits, in gate order;
+    ``("cnots", ((control, target), ...))``: consecutive CNOTs;
     ``("mixture", (parameter index, RandomUnitaryNoise))``: a rotation
     replaced by a random-unitary mixture;
     ``("gate", (parameter index, gate))``: any other rotation, its
     perturbation included, or (None, gate) for a fixed gate.
     """
-    control = noise.control_noise or {}
-    mixtures = noise.random_unitary or {}
-    runs: list[tuple[str, object]] = []
-    for slot, gate in enumerate(circ.layers[layer]):
+    runs: list[Run] = []
+    for slot, gate in enumerate(gates):
         loc, last = (layer, slot), runs[-1][0] if runs else None
         if gate.cnot is not None:
-            if last != "cnots":
-                runs.append(("cnots", []))
-            runs[-1][1].append(gate.cnot)
+            pairs = runs.pop()[1] if last == "cnots" else ()
+            runs.append(("cnots", pairs + (gate.cnot,)))
             continue
         if not gate.is_parameterized:
             runs.append(("gate", (None, gate)))
             continue
-        index = circ.parameter_index[loc]
+        index = parameter_index[loc]
         if loc in mixtures:
             runs.append(("mixture", (index, mixtures[loc])))
             continue
@@ -337,49 +379,12 @@ def _gate_runs(circ: Circuit, layer: int, noise: NoiseSpec) -> list[tuple[str, o
         if not gate.perturbation and hamming_weight(gate.generator) == 1:
             letters = gate.generator
             q = len(letters) - len(letters.lstrip("I"))
-            if last != "column" or q in runs[-1][1]:
-                runs.append(("column", {}))
-            runs[-1][1][q] = (letters[q], index)
+            extend = last == "column" and q not in runs[-1][1].qubits
+            qubits, chars, params = runs.pop()[1] if extend else ((), "", ())
+            runs.append(("column", Column(qubits + (q,), chars + letters[q], params + (index,))))
         else:
             runs.append(("gate", (index, gate)))
-    return runs
-
-
-def _layer_ops(
-    circ: Circuit, thetas: np.ndarray, layer: int, noise: NoiseSpec
-) -> list[list[np.ndarray]]:
-    """The layer's gates as an ordered list of Kraus sets.
-
-    Each stretch of unitary runs is one product ``acc``: a rotation column
-    enters as its ``_column`` unitary, a CNOT run as a row permutation of
-    ``acc``, any other gate as ``u @ acc``.  Each random-unitary mixture is
-    its own set.  ``thetas`` of shape (P,) gives d x d operators, (B, P)
-    gives (B, d, d) stacks for the angle-dependent ones.
-    """
-    n = circ.n
-    ops: list[list[np.ndarray]] = []
-    acc: np.ndarray | None = None
-    for kind, run in _gate_runs(circ, layer, noise):
-        if kind == "mixture":
-            if acc is not None:
-                ops.append([acc])
-                acc = None
-            index, spec = run
-            ops.append(_mixture_ops(spec, thetas[..., index]))
-        elif kind == "cnots":
-            rows = _cnot_rows(tuple(run), n)
-            acc = np.eye(2**n, dtype=complex)[rows] if acc is None else acc[..., rows, :]
-        else:
-            if kind == "column":
-                letters, params = zip(*run.values())
-                angles = thetas[..., list(params)]
-                u = _column(run, _rotation(_paulis_1q("".join(letters)), angles), n)
-            else:
-                u = _gate_unitary(run, thetas)
-            acc = u if acc is None else u @ acc
-    if acc is not None:
-        ops.append([acc])
-    return ops
+    return tuple(runs)
 
 
 def _column(column: Collection[int], factors: np.ndarray, n: int) -> np.ndarray:
@@ -462,6 +467,67 @@ def _apply_layer_channel(rho: np.ndarray, channel: LayerChannel) -> np.ndarray:
     return rho
 
 
+def _layer_kraus(
+    circ: Circuit, thetas: np.ndarray, layer_runs: Sequence[tuple[Run, ...]]
+) -> Iterator[list[list[np.ndarray]]]:
+    """Each layer of ``layer_runs`` in turn as ``_build_layer`` gives it,
+    built when the consumer asks for it.  One ``_rotation`` call renders
+    the 2 x 2 factors of every rotation column in ``layer_runs`` before the
+    first layer."""
+    columns = [run for runs in layer_runs for kind, run in runs if kind == "column"]
+    factors: Iterator[np.ndarray] = iter(())
+    if columns:
+        params = [index for c in columns for index in c.params]
+        stack = _rotation(_paulis_1q("".join(c.letters for c in columns)), thetas[..., params])
+        ends = accumulate(len(c.qubits) for c in columns)
+        factors = (stack[..., end - len(c.qubits):end, :, :] for c, end in zip(columns, ends))
+    for runs in layer_runs:
+        yield _build_layer(runs, thetas, factors, circ.n)
+
+
+def _build_layer(
+    runs: tuple[Run, ...], thetas: np.ndarray, factors: Iterator[np.ndarray], n: int
+) -> list[list[np.ndarray]]:
+    """One layer's runs as an ordered list of Kraus sets.
+
+    Each stretch of unitary runs is one product ``acc``: a column enters as
+    the ``_column`` unitary of the next entry of ``factors``, a CNOT run as
+    a row permutation of ``acc``, any other gate as ``u @ acc``.  Each
+    random-unitary mixture is its own set.  ``thetas`` of shape (P,) gives
+    d x d operators, (B, P) gives (B, d, d) stacks for the angle-dependent
+    ones.
+    """
+    ops: list[list[np.ndarray]] = []
+    acc: np.ndarray | None = None
+    for kind, run in runs:
+        if kind == "mixture":
+            if acc is not None:
+                ops.append([acc])
+                acc = None
+            index, spec = run
+            ops.append(_mixture_ops(spec, thetas[..., index]))
+        elif kind == "cnots":
+            rows = _cnot_rows(run, n)
+            acc = np.eye(2**n, dtype=complex)[rows] if acc is None else acc[..., rows, :]
+        else:
+            if kind == "column":
+                u = _column(run.qubits, next(factors), n)
+            else:
+                u = _gate_unitary(run, thetas)
+            acc = u if acc is None else u @ acc
+    if acc is not None:
+        ops.append([acc])
+    return ops
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _ground_state(n: int) -> np.ndarray:
+    """The read-only density matrix of |0...0> on n qubits."""
+    rho = DensityMatrix.ground_state(n).data
+    rho.setflags(write=False)
+    return rho
+
+
 def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix | np.ndarray:
     """Run the noisy circuit from |0...0>: per layer, all gates then the
     layer channel (``NoiseSpec()`` is no noise).
@@ -469,7 +535,8 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
     ``theta`` of shape (P,) gives the final DensityMatrix; shape (B, P)
     evolves B copies of |0...0>, one per row, and gives the (B, d, d)
     stack of final states.  Row b of the stack is bit for bit the state
-    evolved from ``theta[b]`` alone.
+    evolved from ``theta[b]`` alone.  Each layer's operators are built
+    (``_layer_kraus``) just before they are applied.
     """
     theta = np.asarray(theta, dtype=float)
     thetas = theta[None] if theta.ndim == 1 else theta
@@ -478,9 +545,10 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
             f"expected {circ.num_parameters} parameters per row, got {theta.shape}"
         )
     noise.check(circ)
-    rho = np.repeat(DensityMatrix.ground_state(circ.n).data[None], len(thetas), axis=0)
-    for layer in range(circ.depth):
-        for ops in _layer_ops(circ, thetas, layer, noise):
+    layer_runs = [_gate_runs(circ, layer, noise) for layer in range(circ.depth)]
+    rho = np.repeat(_ground_state(circ.n)[None], len(thetas), axis=0)
+    for layer, layer_ops in enumerate(_layer_kraus(circ, thetas, layer_runs)):
+        for ops in layer_ops:
             rho = _apply_kraus(rho, ops)
         rho = _apply_layer_channel(rho, noise.layer_channel(layer, circ.n))
     return DensityMatrix(rho[0]) if theta.ndim == 1 else rho
@@ -494,7 +562,8 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
 def layer_unitary(circ: Circuit, theta: np.ndarray, layer: int, noise: NoiseSpec) -> np.ndarray:
     """Product of all gate unitaries in a layer (control noise included)."""
     _check_gate_noise(circ, noise, layer)
-    ops = _layer_ops(circ, np.asarray(theta, dtype=float), layer, noise)
+    theta = np.asarray(theta, dtype=float)
+    ops, = _layer_kraus(circ, theta, [_gate_runs(circ, layer, noise)])
     return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
 
 
@@ -523,13 +592,12 @@ def layer_gate_map(circ: Circuit, theta: np.ndarray, layer: int, noise: NoiseSpe
     omega = None  # None is the identity
     for kind, run in _gate_runs(circ, layer, noise):
         if kind == "cnots":
-            src, sign = _cnot_chain_ptm(tuple(run), n)
+            src, sign = _cnot_chain_ptm(run, n)
             base = np.eye(len(src)) if omega is None else omega
             omega = sign[:, None] * base[src]
             continue
         if kind == "column":
-            letters, params = zip(*run.values())
-            t = _column(run, _rotation_ptm("".join(letters), theta[list(params)]), n)
+            t = _column(run.qubits, _rotation_ptm(run.letters, theta[list(run.params)]), n)
         else:
             t = _unitary_ptm(_gate_unitary(run, theta))
         omega = t if omega is None else t @ omega

@@ -25,7 +25,6 @@ from .pauli import (
     hamming_weight,
     pauli_strings_by_weight,
     strings_of_weight,
-    to_coherence,
 )
 
 
@@ -108,12 +107,6 @@ def cost(H: Hamiltonian, rho: DensityMatrix) -> float:
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residual {val.imag:.2e}")
     return float(val.real)
-
-
-def cost_from_coherence(H: Hamiltonian, rho: DensityMatrix) -> float:
-    """Same expectation via the split Tr(H)/d + v . h."""
-    _, h = h_vector(H)
-    return float(H.trace() / 2**H.n + to_coherence(rho) @ h)
 
 
 def two_local_strings(n: int) -> list[str]:

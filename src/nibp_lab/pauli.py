@@ -130,21 +130,6 @@ class DensityMatrix:
     def __post_init__(self):
         object.__setattr__(self, "n", qubit_count(self.data.shape))
 
-    def validate(self) -> "DensityMatrix":
-        """Check Hermiticity, unit trace, and positivity within tolerances."""
-        herm = np.linalg.norm(self.data - self.data.conj().T, np.inf)
-        if herm > 1e-10:
-            raise InvalidStateError(f"not Hermitian (residual {herm:.2e})")
-        tr = abs(self.data.trace() - 1.0)
-        if tr > 1e-10:
-            raise InvalidStateError(f"trace deviates from 1 by {tr:.2e}")
-        min_eig = float(np.linalg.eigvalsh(self.data)[0])
-        if min_eig < -POSITIVITY_TOL:
-            raise InvalidStateError(
-                f"negative eigenvalue {min_eig:.3e}", min_eigenvalue=min_eig
-            )
-        return self
-
     def purity(self) -> float:
         return float(np.real(np.trace(self.data @ self.data)))
 
@@ -159,11 +144,6 @@ class DensityMatrix:
         psi = np.zeros(2**n, dtype=complex)
         psi[0] = 1.0
         return cls.from_statevector(psi)
-
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        d = 2**n
-        return cls(np.eye(d, dtype=complex) / d)
 
 
 def to_coherence(rho: DensityMatrix) -> np.ndarray:
@@ -193,14 +173,6 @@ def from_coherence(v: np.ndarray) -> DensityMatrix:
     return rho
 
 
-def purity_identity_check(rho: DensityMatrix) -> tuple[float, float, float]:
-    """Return (purity, ||v||, residual) for ||v|| = sqrt(Tr rho^2 - 1/d)."""
-    purity = rho.purity()
-    vnorm = float(np.linalg.norm(to_coherence(rho)))
-    residual = abs(vnorm - np.sqrt(max(purity - 1.0 / 2**rho.n, 0.0)))
-    return purity, vnorm, residual
-
-
 def random_density_matrix(n: int, rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank mixed state from a Wishart-style construction."""
     d = 2**n
@@ -208,9 +180,3 @@ def random_density_matrix(n: int, rng: np.random.Generator) -> DensityMatrix:
     data = w @ w.conj().T
     data /= data.trace()
     return DensityMatrix(data)
-
-
-def random_pure_state(n: int, rng: np.random.Generator) -> DensityMatrix:
-    d = 2**n
-    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return DensityMatrix.from_statevector(psi)

@@ -1,9 +1,16 @@
 """Reference operators and kernels for the tests, built independently of
 the simulator: the simulator holds a CNOT as its (control, target) pair and
 never builds its register-size matrix, and applies a one-qubit channel by
-one gather per qubit, not by ``qubit_kernel``'s term-by-term products."""
+one gather per qubit, not by ``qubit_kernel``'s term-by-term products.
+``layer_ops`` and ``evolve`` assemble each layer on its own, rendering its
+rotation columns as the layer is reached, where the simulator renders every
+column of the circuit in one call before the first layer."""
 
 import numpy as np
+
+from nibp_lab import circuits
+from nibp_lab.channels import _apply_kraus
+from nibp_lab.pauli import DensityMatrix
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -57,3 +64,49 @@ def _side(x: np.ndarray, diag, anti, which: int) -> np.ndarray:
         return diag[which] * x
     swapped = anti[which] * x[:, ::-1]
     return swapped if diag is None else diag[which] * x + swapped
+
+
+def layer_ops(circ, thetas, layer, noise):
+    """The layer's gates as an ordered list of Kraus sets.
+
+    Each stretch of unitary runs is one product ``acc``: a rotation column
+    enters as its ``_column`` unitary, a CNOT run as a row permutation of
+    ``acc``, any other gate as ``u @ acc``.  Each random-unitary mixture is
+    its own set.  ``thetas`` of shape (P,) gives d x d operators, (B, P)
+    gives (B, d, d) stacks for the angle-dependent ones.
+    """
+    n = circ.n
+    ops, acc = [], None
+    for kind, run in circuits._gate_runs(circ, layer, noise):
+        if kind == "mixture":
+            if acc is not None:
+                ops.append([acc])
+                acc = None
+            index, spec = run
+            ops.append(circuits._mixture_ops(spec, thetas[..., index]))
+        elif kind == "cnots":
+            rows = circuits._cnot_rows(run, n)
+            acc = np.eye(2**n, dtype=complex)[rows] if acc is None else acc[..., rows, :]
+        else:
+            if kind == "column":
+                angles = thetas[..., list(run.params)]
+                factors = circuits._rotation(circuits._paulis_1q(run.letters), angles)
+                u = circuits._column(run.qubits, factors, n)
+            else:
+                u = circuits._gate_unitary(run, thetas)
+            acc = u if acc is None else u @ acc
+    if acc is not None:
+        ops.append([acc])
+    return ops
+
+
+def evolve(circ, thetas, noise):
+    """``circuits.evolve`` of a (B, P) angle stack with every layer built by
+    ``layer_ops``."""
+    n = circ.n
+    rho = np.repeat(DensityMatrix.ground_state(n).data[None], len(thetas), axis=0)
+    for layer in range(circ.depth):
+        for ops in layer_ops(circ, thetas, layer, noise):
+            rho = _apply_kraus(rho, ops)
+        rho = circuits._apply_layer_channel(rho, noise.layer_channel(layer, n))
+    return rho

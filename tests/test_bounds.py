@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from helpers import single_ry_circuit
 
 from nibp_lab import bounds
 from nibp_lab.bounds import (
@@ -28,7 +29,6 @@ from nibp_lab.circuits import (
     layer_channel_as_kraus,
     layer_unitary,
     ry_gate,
-    single_ry_circuit,
 )
 from nibp_lab.hamiltonians import Hamiltonian, cost, h_norm, random_two_local
 from nibp_lab.pauli import SizeError

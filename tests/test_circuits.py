@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from dense_oracle import CNOT, embed_unitary
+from helpers import single_ry_circuit, validate
 
 from nibp_lab.bounds import layer_affine_maps
 from nibp_lab.channels import (
@@ -13,10 +14,13 @@ from nibp_lab.channels import (
 )
 from nibp_lab.circuits import (
     Circuit,
+    Column,
     Gate,
     NoiseSpec,
     RandomUnitaryNoise,
     _cnot_rows,
+    _gate_runs,
+    _ground_state,
     build_two_local,
     evolve,
     layer_channel_as_kraus,
@@ -25,8 +29,8 @@ from nibp_lab.circuits import (
     perturbed_gate,
     random_unitary_channel,
     ry_gate,
-    single_ry_circuit,
 )
+from nibp_lab.gradients import _check_shift_rule
 from nibp_lab.pauli import (
     DensityMatrix,
     DimensionMismatchError,
@@ -127,7 +131,7 @@ def test_evolution_preserves_state_validity():
     for channel in (depolarizing(0.4), amplitude_damping(0.6)):
         theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
         rho = evolve(circ, theta, NoiseSpec.uniform(channel))
-        rho.validate()
+        validate(rho)
         assert abs(np.trace(rho.data) - 1.0) < 1e-12
 
 
@@ -363,7 +367,7 @@ def test_control_noise_spec_changes_state():
     noise = NoiseSpec(control_noise={(0, 0): {"XI": 0.1}})
     a = evolve(circ, theta, noise)
     b = evolve(circ, theta, NoiseSpec())
-    a.validate()
+    validate(a)
     assert abs(a.purity() - 1.0) < 1e-12  # coherent noise keeps purity
     assert np.abs(a.data - b.data).max() > 1e-4
 
@@ -465,3 +469,86 @@ def test_an_equal_copy_of_a_cnot_simulates_as_the_cnot():
     assert np.array_equal(evolve(copy, theta, noise).data, evolve(circ, theta, noise).data)
     np.testing.assert_allclose(layer_gate_map(copy, theta, 1, NoiseSpec()),
                                layer_gate_map(circ, theta, 1, NoiseSpec()), rtol=0, atol=1e-12)
+
+
+def test_the_stored_runs_are_read_only():
+    circ = build_two_local(3, 2)
+    assert [kind for kind, _ in circ.runs[0]] == ["column", "cnots"]
+    (_, column), (_, cnots) = circ.runs[0]
+    assert column == Column(qubits=(0, 1, 2), letters="YYY", params=(0, 1, 2))
+    assert cnots == ((0, 1), (1, 2))
+    with pytest.raises(AttributeError):
+        circ.runs = ()
+    with pytest.raises(TypeError):
+        circ.runs[0][0] = ("cnots", ())
+    with pytest.raises(AttributeError):
+        column.qubits = (0,)
+    with pytest.raises(TypeError):
+        cnots[0] = (1, 0)
+    # evolve starts from a read-only |0...0> and returns a state of its own
+    empty = Circuit(n=2, layers=((),))
+    rho = evolve(empty, np.zeros(0), NoiseSpec()).data
+    rho[0, 0] = 0.5
+    assert not _ground_state(2).flags.writeable
+    assert _ground_state(2)[0, 0] == 1.0
+
+
+def test_with_gate_regroups_the_stored_runs():
+    circ = build_two_local(3, 2)
+    swapped = circ.with_gate((1, 1), Gate(generator="IXZ"))
+    assert swapped.runs[0] == circ.runs[0]
+    assert [kind for kind, _ in swapped.runs[1]] == ["column", "gate", "column", "cnots"]
+    assert swapped.runs[1][0][1] == Column((0,), "Y", (3,))
+    assert swapped.runs[1][1][1] == (4, swapped.gate_at((1, 1)))
+    assert swapped.runs[1][2][1] == Column((2,), "Y", (5,))
+    # a CNOT over a rotation joins the CNOT run and takes the parameter away
+    cnot = circ.with_gate((1, 2), Gate(cnot=(2, 0)))
+    assert cnot.runs[1] == (("column", Column((0, 1), "YY", (3, 4))),
+                            ("cnots", ((2, 0), (0, 1), (1, 2))))
+
+
+@pytest.mark.parametrize("kind", ["control", "mixture"])
+def test_gate_noise_regroups_its_layer_only(kind):
+    circ = build_two_local(3, 3)
+    loc = (1, 1)
+    if kind == "control":
+        noise = NoiseSpec(control_noise={loc: {"IXI": 0.05}})
+        run = ("gate", (4, perturbed_gate(circ.gate_at(loc), {"IXI": 0.05})))
+    else:
+        spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("IYI", "ZZZ"), intended=0)
+        noise = NoiseSpec(random_unitary={loc: spec})
+        run = ("mixture", (4, spec))
+    for layer in (0, 2):
+        assert _gate_runs(circ, layer, noise) is circ.runs[layer]
+    assert _gate_runs(circ, 1, NoiseSpec.named("depolarizing", 0.1)) is circ.runs[1]
+    assert _gate_runs(circ, 1, noise) == (
+        ("column", Column((0,), "Y", (3,))), run,
+        ("column", Column((2,), "Y", (5,))), ("cnots", ((0, 1), (1, 2))))
+    assert circ.runs == build_two_local(3, 3).runs
+
+
+@pytest.mark.parametrize("source", ["spec", "gate"])
+def test_the_shift_rule_check_reads_control_noise_off_the_runs(source):
+    circ = build_two_local(2, 2)
+    loc, a = (1, 0), {"XI": 0.15}
+    if source == "spec":
+        noise = NoiseSpec(control_noise={loc: a})
+    else:
+        circ, noise = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a)), NoiseSpec()
+    with pytest.raises(ValueError, match="control_noise_gradient"):
+        _check_shift_rule(circ, noise, loc)
+    for other in [(0, 0), (0, 1), (1, 1)]:
+        _check_shift_rule(circ, noise, other)
+
+
+def test_circuits_with_fixed_gates_compare_by_their_matrices():
+    # equal matrices held in distinct arrays made == raise ValueError
+    u = np.eye(4)
+    circ = build_two_local(2, 1)
+    a = circ.with_gate((0, 2), Gate(matrix=u))
+    assert a == circ.with_gate((0, 2), Gate(matrix=u.copy()))
+    assert hash(a) == hash(circ.with_gate((0, 2), Gate(matrix=u.copy())))
+    assert a != circ.with_gate((0, 2), Gate(matrix=u[[1, 0, 2, 3]]))
+    assert a != circ and Gate(matrix=u) != Gate(cnot=(0, 1))
+    assert Gate(matrix=u) != Gate(matrix=np.eye(2))
+    assert Gate(matrix=u) != "gate"

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from helpers import single_ry_circuit
 
 from nibp_lab.channels import amplitude_damping, depolarizing
 from nibp_lab.circuits import (
@@ -9,7 +10,6 @@ from nibp_lab.circuits import (
     RandomUnitaryNoise,
     build_two_local,
     perturbed_gate,
-    single_ry_circuit,
 )
 from nibp_lab.gradients import (
     SweepSpec,

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from helpers import cost_from_coherence, maximally_mixed
 
 from nibp_lab.hamiltonians import (
     Hamiltonian,
     cost,
-    cost_from_coherence,
     h_norm,
     h_norm_bound,
     h_vector,
@@ -115,9 +115,9 @@ def test_cost_paths_agree():
 def test_cost_special_states():
     H = Hamiltonian(n=1, terms=(("Z", 1.0),))
     assert abs(cost(H, DensityMatrix.ground_state(1)) - 1.0) < 1e-14
-    assert abs(cost(H, DensityMatrix.maximally_mixed(1))) < 1e-14
+    assert abs(cost(H, maximally_mixed(1))) < 1e-14
     H2 = random_two_local(3, seed=5)
-    mixed = cost(H2, DensityMatrix.maximally_mixed(3))
+    mixed = cost(H2, maximally_mixed(3))
     assert abs(mixed - H2.trace() / 8) < 1e-12
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import maximally_mixed, purity_identity_check, random_pure_state, validate
 
 from nibp_lab.pauli import (
     DensityMatrix,
@@ -12,9 +13,7 @@ from nibp_lab.pauli import (
     from_coherence,
     hamming_weight,
     pauli_strings_by_weight,
-    purity_identity_check,
     random_density_matrix,
-    random_pure_state,
     to_coherence,
 )
 
@@ -81,7 +80,7 @@ def test_string_enumeration_counts():
 
 
 def test_maximally_mixed_has_zero_vector():
-    v = to_coherence(DensityMatrix.maximally_mixed(2))
+    v = to_coherence(maximally_mixed(2))
     np.testing.assert_allclose(v, 0.0, atol=1e-15)
 
 
@@ -131,7 +130,7 @@ def test_from_coherence_rejects_a_wrong_length_vector():
 def test_purity_identity():
     rng = np.random.default_rng(3)
     purity, vnorm, residual = purity_identity_check(
-        DensityMatrix.maximally_mixed(2)
+        maximally_mixed(2)
     )
     assert abs(purity - 0.25) < 1e-12 and vnorm < 1e-12
     for _ in range(20):
@@ -142,4 +141,4 @@ def test_purity_identity():
 def test_validate_rejects_bad_states():
     bad = DensityMatrix(np.array([[1.2, 0.0], [0.0, -0.2]]))
     with pytest.raises(InvalidStateError):
-        bad.validate()
+        validate(bad)

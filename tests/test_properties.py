@@ -3,12 +3,13 @@
 The qubit-local channel kernel is checked against a dense einsum
 contraction and, word for word, against the term-by-term kernel it
 replaced (``dense_oracle.qubit_kernel``), the run-based layer builder of
-``evolve`` against the gate-by-gate ``u @ acc`` chain, batched evolution
-against one evolution per angle row and against the per-layer affine maps
-of the bounds, the gate maps built from local Pauli transfer matrices
-against the dense superoperator route, the CNOT signed permutations
-against their transfer matrices, and the batched gradient sweep against
-one shift-rule call per sample.
+``evolve`` against the gate-by-gate ``u @ acc`` chain and, bit for bit,
+against the per-layer assembly it replaced (``dense_oracle.layer_ops``),
+batched evolution against one evolution per angle row and against the
+per-layer affine maps of the bounds, the gate maps built from local Pauli
+transfer matrices against the dense superoperator route, the CNOT signed
+permutations against their transfer matrices, and the batched gradient
+sweep against one shift-rule call per sample.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -18,10 +19,13 @@ import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import dense_oracle
 from dense_oracle import gate_matrix, qubit_kernel
+from helpers import single_ry_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,7 +46,6 @@ from nibp_lab.circuits import (
     RandomUnitaryNoise,
     build_two_local,
     evolve,
-    single_ry_circuit,
 )
 from nibp_lab.gradients import SweepSpec, gradient_stats, psr_gradient
 from nibp_lab.hamiltonians import random_two_local
@@ -266,41 +269,46 @@ def test_evolve_follows_layer_affine_maps(n, depth, p, seed):
 
 
 @st.composite
-def _gate_layers(draw, max_qubits=3, mixtures=False):
-    """One layer of n <= ``max_qubits`` qubits, with the angles and gate
-    noise: weight-1 X/Y/Z rotations (on any qubits, so columns repeat
-    qubits or leave some out), weight-2 rotations, CNOTs in any order,
-    rotations under control noise, fixed gates and, with ``mixtures``,
-    rotations replaced by random-unitary mixtures."""
+def _gate_layers(draw, max_qubits=3, mixtures=False, max_depth=1):
+    """A circuit of n <= ``max_qubits`` qubits and up to ``max_depth``
+    layers, with its angles and gate noise: weight-1 X/Y/Z rotations (on
+    any qubits, so columns repeat qubits or leave some out, and differ from
+    layer to layer), weight-2 rotations, CNOTs in any order, rotations under
+    control noise, fixed gates and, with ``mixtures``, rotations replaced by
+    random-unitary mixtures."""
     n = draw(st.integers(1, max_qubits))
+    depth = draw(st.integers(1, max_depth)) if max_depth > 1 else 1
     kinds = ["rotation", "rotation", "control", "fixed"] + ["mixture"] * mixtures
     if n > 1:
         kinds += ["weight2", "cnot", "cnot"]
-    gates, control, mixed = [], {}, {}
-    for slot in range(draw(st.integers(1, 7))):
-        loc = (0, slot)
-        kind = draw(st.sampled_from(kinds))
-        if kind == "cnot":
-            c, t = draw(st.permutations(range(n)))[:2]
-            gates.append(Gate(cnot=(c, t)))
-            continue
-        if kind == "fixed":
-            gates.append(Gate(matrix=random_unitary_matrix(
-                2**n, np.random.default_rng(draw(st.integers(0, 2**16))))))
-            continue
-        qubits = draw(st.permutations(range(n)))[: 2 if kind == "weight2" else 1]
-        letters = ["I"] * n
-        for q in qubits:
-            letters[q] = draw(st.sampled_from("XYZ"))
-        gates.append(Gate(generator="".join(letters)))
-        if kind == "control":
-            pert = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
-            control[loc] = {pert: draw(st.floats(0.01, 0.09))}
-        elif kind == "mixture":
-            other = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
-            mixed[loc] = RandomUnitaryNoise(
-                probs=(0.8, 0.2), generators=("".join(letters), other), intended=0)
-    circ = circuits.Circuit(n=n, layers=(tuple(gates),))
+    layers, control, mixed = [], {}, {}
+    for layer in range(depth):
+        gates = []
+        for slot in range(draw(st.integers(1, 7))):
+            loc = (layer, slot)
+            kind = draw(st.sampled_from(kinds))
+            if kind == "cnot":
+                c, t = draw(st.permutations(range(n)))[:2]
+                gates.append(Gate(cnot=(c, t)))
+                continue
+            if kind == "fixed":
+                gates.append(Gate(matrix=random_unitary_matrix(
+                    2**n, np.random.default_rng(draw(st.integers(0, 2**16))))))
+                continue
+            qubits = draw(st.permutations(range(n)))[: 2 if kind == "weight2" else 1]
+            letters = ["I"] * n
+            for q in qubits:
+                letters[q] = draw(st.sampled_from("XYZ"))
+            gates.append(Gate(generator="".join(letters)))
+            if kind == "control":
+                pert = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+                control[loc] = {pert: draw(st.floats(0.01, 0.09))}
+            elif kind == "mixture":
+                other = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+                mixed[loc] = RandomUnitaryNoise(
+                    probs=(0.8, 0.2), generators=("".join(letters), other), intended=0)
+        layers.append(tuple(gates))
+    circ = circuits.Circuit(n=n, layers=tuple(layers))
     size = circ.num_parameters
     theta = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=size, max_size=size)))
     return circ, theta, NoiseSpec(control_noise=control, random_unitary=mixed or None)
@@ -406,6 +414,58 @@ def test_evolve_and_layer_unitary_follow_gate_chain(layer):
     (chain,), = _chain_ops(circ, theta, 0, noise)
     np.testing.assert_allclose(
         circuits.layer_unitary(circ, theta, 0, noise), chain, rtol=0, atol=1e-12)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(
+    layers=_gate_layers(max_qubits=4, mixtures=True, max_depth=3),
+    kind=st.sampled_from(["none", "uniform", "per_layer", "per_qubit", "full_register"]),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_equals_per_layer_assembly_bit_for_bit(layers, kind, p, seed):
+    # every column of the circuit rendered before layer 0 rounds exactly as
+    # each layer's columns rendered when the layer is reached
+    circ, theta, noise = layers
+    noise = replace(noise, layer_channels=_noise(kind, circ.n, circ.depth, p).layer_channels)
+    thetas = np.random.default_rng(seed).uniform(0, 2 * np.pi, (3, circ.num_parameters))
+    assert np.array_equal(_bits(evolve(circ, thetas, noise)),
+                          _bits(dense_oracle.evolve(circ, thetas, noise)))
+    assert np.array_equal(_bits(evolve(circ, theta, noise).data),
+                          _bits(dense_oracle.evolve(circ, theta[None], noise)[0]))
+    for layer in range(circ.depth):
+        if not any(loc[0] == layer for loc in noise.random_unitary or ()):
+            ops = dense_oracle.layer_ops(circ, theta, layer, noise)
+            want = ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
+            assert np.array_equal(
+                _bits(circuits.layer_unitary(circ, theta, layer, noise)), _bits(want))
+
+
+def test_evolve_equals_per_layer_assembly_on_every_run_kind():
+    # one circuit with each run kind the property test draws: columns on
+    # different qubits per layer, a column split by a repeated qubit, a
+    # weight-2 rotation, a fixed gate, CNOTs, control noise and a mixture,
+    # under per-layer and per-qubit noise tuples
+    n = 3
+    fixed = Gate(matrix=random_unitary_matrix(8, np.random.default_rng(5)))
+    circ = circuits.Circuit(n=n, layers=(
+        (Gate(generator="YII"), Gate(generator="IXI"), Gate(generator="ZII"),
+         Gate(cnot=(0, 2)), Gate(generator="XYI"), fixed),
+        (Gate(generator="IIY"), Gate(generator="IZI"), Gate(cnot=(2, 1)),
+         Gate(generator="IIX"), Gate(generator="YII")),
+        (Gate(cnot=(1, 0)), Gate(generator="IYI"), Gate(generator="IIZ")),
+    ))
+    assert [kind for kind, _ in circ.runs[0]] == ["column", "column", "cnots", "gate", "gate"]
+    assert [run.qubits for kind, run in circ.runs[1] if kind == "column"] == [(2, 1), (2, 0)]
+    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("IIX", "ZZZ"), intended=0)
+    thetas = np.random.default_rng(6).uniform(0, 2 * np.pi, (3, circ.num_parameters))
+    for kind in ("per_layer", "per_qubit"):
+        noise = NoiseSpec(layer_channels=_noise(kind, n, circ.depth, 0.3).layer_channels,
+                          control_noise={(2, 1): {"XIZ": 0.05}},
+                          random_unitary={(1, 3): spec})
+        for rows in (thetas[:1], thetas):
+            assert np.array_equal(_bits(evolve(circ, rows, noise)),
+                                  _bits(dense_oracle.evolve(circ, rows, noise)))
 
 
 def test_layer_gate_map_refuses_mixture_layers():

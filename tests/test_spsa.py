@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from helpers import single_ry_circuit
 
-from nibp_lab.circuits import NoiseSpec, build_two_local, evolve, single_ry_circuit
+from nibp_lab.circuits import NoiseSpec, build_two_local, evolve
 from nibp_lab.hamiltonians import Hamiltonian, cost, random_two_local
 from nibp_lab.spsa import SpsaConfig, TrainTrace, spsa_minimize
 
