@@ -28,14 +28,15 @@ def layer_affine_maps(
     matrix; c is the noise shift (the gates contribute none).  The noise
     map and its norm are built once per distinct layer-channel entry (the
     same channel, or the same per-qubit channels), so layers with the same
-    noise share one read-only c.  ``layer_gate_map`` checks ``noise``
-    against the circuit before any noise map is built, and ``affine_rep``
-    refuses a register beyond ``AFFINE_MAX_QUBITS``.
+    noise share one read-only c.  ``noise`` is checked against the circuit
+    before any map is built, and ``affine_rep`` refuses a register beyond
+    ``AFFINE_MAX_QUBITS``.
     """
+    noise.check(circ)
     noise_maps: dict = {}  # layer-channel entry -> (M, c, ||M||), this call only
     out = []
     for layer in range(circ.depth):
-        gate_map = layer_gate_map(circ, theta, layer, noise)
+        gate_map = layer_gate_map(circ, theta, layer)
         entry = noise.layer_channel(layer, circ.n)
         if entry not in noise_maps:
             rep = affine_rep(layer_channel_as_kraus(noise, layer, circ.n))

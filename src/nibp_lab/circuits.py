@@ -1,17 +1,17 @@
 """Layered parameterized circuits with per-layer CPTP noise.
 
 A circuit is a list of layers; each layer is a sequence of gates: Pauli
-rotations exp(-i theta P / 2), CNOTs, or fixed unitaries.  A gate's place
-is its (layer, slot).  Noise enters in three ways: a CPTP channel applied
-after each layer, a coherent perturbation of a rotation's generator
-(control noise), and a probabilistic mixture of rotations sharing the
-intended angle (random-unitary noise).
+rotations exp(-i theta P / 2), CNOTs, fixed unitaries, or random-unitary
+mixtures.  A gate's place is its (layer, slot).  Noise enters in three
+ways: as a layer channel (a CPTP map after each layer, given by a
+``NoiseSpec``), as a perturbed rotation (control noise on its generator,
+``perturbed_gate``), or as a mixture gate (rotations sharing one angle,
+``Gate(mixture=...)``).
 
 A circuit groups each layer's gates into runs once, when it is built
 (``Circuit.runs``): a column of weight-1 rotations on distinct qubits, a
-run of CNOTs, and single other gates.  Both views of a layer read those
-runs through ``_gate_runs``, which regroups only a layer that carries
-control noise or a mixture.  One kernel (``_column``) renders a column from
+run of CNOTs, a mixture, and single other gates.  Every layer view reads
+those runs.  One kernel (``_column``) renders a column from
 its one-qubit factors: 2 x 2 rotations for the dense path (``evolve``,
 which computes the factors of every column in the circuit in one call
 before layer 0, then builds each layer just before applying it), 4 x 4
@@ -57,28 +57,31 @@ Location = tuple[int, int]
 
 @dataclass(frozen=True)
 class Gate:
-    """One gate, in exactly one of three forms: a rotation about the Pauli
+    """One gate, in exactly one of four forms: a rotation about the Pauli
     string ``generator`` (with an optional control-noise ``perturbation``),
-    a CNOT on the (control, target) pair ``cnot``, or a fixed full-register
-    unitary ``matrix``."""
+    a CNOT on the (control, target) pair ``cnot``, a fixed full-register
+    unitary ``matrix``, or a random-unitary ``mixture`` of rotations."""
 
     generator: str | None = None  # Pauli letters, full register length
     cnot: tuple[int, int] | None = None
     matrix: np.ndarray | None = field(default=None, repr=False, hash=False)
     perturbation: tuple[tuple[str, float], ...] | None = None
+    mixture: RandomUnitaryNoise | None = None
 
     def __eq__(self, other: object) -> bool:
         """Equal when every field is; fixed gates compare their matrices by
         value."""
         if not isinstance(other, Gate):
             return NotImplemented
-        return (self.generator, self.cnot, self.perturbation) == (
-            other.generator, other.cnot, other.perturbation
+        return (self.generator, self.cnot, self.perturbation, self.mixture) == (
+            other.generator, other.cnot, other.perturbation, other.mixture
         ) and np.array_equal(self.matrix, other.matrix)
 
     def __post_init__(self):
-        if sum(form is not None for form in (self.generator, self.cnot, self.matrix)) != 1:
-            raise ValueError("a gate is exactly one of a generator, a CNOT pair or a matrix")
+        forms = (self.generator, self.cnot, self.matrix, self.mixture)
+        if sum(form is not None for form in forms) != 1:
+            raise ValueError(
+                "a gate is exactly one of a generator, a CNOT pair, a matrix or a mixture")
         if self.generator is not None:
             # a rotation's generator sets the register width it acts on
             check_pauli(self.generator, len(self.generator))
@@ -87,13 +90,14 @@ class Gate:
 
     @property
     def is_parameterized(self) -> bool:
-        return self.generator is not None
+        """A rotation or a mixture: a gate that takes an angle."""
+        return self.generator is not None or self.mixture is not None
 
     def unitary(self, theta: float | np.ndarray) -> np.ndarray:
         """The rotation exp(-i theta G / 2) on the full register, G the
         generator plus its perturbation; a (B,) array of angles gives a
         (B, d, d) stack."""
-        if not self.is_parameterized:
+        if self.generator is None:
             raise ValueError("only a rotation gate has an angle-dependent unitary")
         g = _pauli_matrix(self.generator)
         if not self.perturbation:
@@ -123,7 +127,7 @@ def perturbed_gate(g: Gate, a: Mapping[str, float]) -> Gate:
     The gate stays exactly unitary; the perturbation operator norm is capped
     to keep the coherent error small.
     """
-    if not g.is_parameterized:
+    if g.generator is None:
         raise ValueError("only rotation gates can carry control noise")
     n = len(g.generator)
     items = tuple((check_pauli(letters, n), float(coeff)) for letters, coeff in a.items())
@@ -148,6 +152,9 @@ class RandomUnitaryNoise:
     def __post_init__(self):
         if len(self.probs) != len(self.generators):
             raise ValueError("probs and generators length mismatch")
+        if type(self.intended) is not int or not 0 <= self.intended < len(self.probs):
+            raise ValueError(
+                f"intended={self.intended!r} is not an index of the {len(self.probs)} rotations")
         for letters in self.generators:
             check_pauli(letters, len(self.generators[0]))
         if abs(sum(self.probs) - 1.0) > 1e-12:
@@ -176,19 +183,17 @@ LayerChannel = KrausChannel | Sequence[KrausChannel] | None
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise placement: per-layer channels plus optional gate-level noise.
+    """The layer channels: the noise after each layer.  Gate noise is part
+    of its gate (``perturbed_gate``, ``Gate(mixture=...)``).
 
     ``layer_channels`` is one entry broadcast to all layers, or a tuple of
     one entry per layer; each entry is None, a single-qubit channel applied
     to every qubit, a full-register channel, or a per-qubit list of
     single-qubit channels.  A top-level tuple is always per layer: give a
-    per-qubit entry for every layer as a list.  ``control_noise`` and
-    ``random_unitary`` are keyed by the (layer, slot) of a rotation.
+    per-qubit entry for every layer as a list.
     """
 
     layer_channels: LayerChannel | tuple[LayerChannel, ...] = None
-    control_noise: Mapping[Location, Mapping[str, float]] | None = None
-    random_unitary: Mapping[Location, RandomUnitaryNoise] | None = None
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -208,19 +213,12 @@ class NoiseSpec:
 
     def check(self, circ: Circuit) -> None:
         """Reject a per-layer tuple that does not cover exactly the circuit's
-        layers, gate noise at a location without a parameter, and a mixture
-        generator of another width than its register."""
+        layers."""
         lc = self.layer_channels
         if isinstance(lc, tuple) and len(lc) != circ.depth:
             raise DimensionMismatchError(
                 f"per-layer noise has {len(lc)} entries, circuit has {circ.depth} layers"
             )
-        for loc in [*(self.control_noise or {}), *(self.random_unitary or {})]:
-            if loc not in circ.parameter_index:
-                raise ValueError(f"gate noise at {loc}: the circuit has no rotation there")
-        for spec in (self.random_unitary or {}).values():
-            for letters in spec.generators:
-                check_pauli(letters, circ.n)
 
     def layer_channel(self, layer: int, n: int) -> LayerChannel:
         """The noise after ``layer`` on an n-qubit register: None, one
@@ -244,9 +242,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Layered ansatz.  Its parameters are its rotations: ``parameter_index``
-    numbers them 0, 1, ... in (layer, slot) order.  ``runs`` holds each
-    layer's gates grouped into its noise-free runs (see ``_gate_runs``)."""
+    """Layered ansatz.  Its parameters are its rotations and mixtures:
+    ``parameter_index`` numbers them 0, 1, ... in (layer, slot) order.
+    ``runs`` holds each layer's gates grouped into runs (see
+    ``_group_runs``)."""
 
     n: int
     layers: tuple[tuple[Gate, ...], ...]
@@ -259,8 +258,9 @@ class Circuit:
         runs = []
         for layer, gates in enumerate(self.layers):
             for slot, g in enumerate(gates):
-                if g.generator is not None:
-                    check_pauli(g.generator, n)
+                if g.is_parameterized:
+                    for letters in g.mixture.generators if g.mixture else (g.generator,):
+                        check_pauli(letters, n)
                     index[(layer, slot)] = len(index)
                 elif g.cnot is not None:
                     c, t = g.cnot
@@ -270,7 +270,7 @@ class Circuit:
                 elif g.matrix.shape != (2**n, 2**n):
                     raise DimensionMismatchError(
                         f"fixed gate of shape {g.matrix.shape} on {n} qubits")
-            runs.append(_group_runs(gates, layer, index, {}, {}))
+            runs.append(_group_runs(gates, layer, index))
         object.__setattr__(self, "parameter_index", MappingProxyType(index))
         object.__setattr__(self, "runs", tuple(runs))
 
@@ -329,34 +329,15 @@ class Column(NamedTuple):
 Run = tuple[str, object]
 
 
-def _gate_runs(circ: Circuit, layer: int, noise: NoiseSpec) -> tuple[Run, ...]:
-    """The layer's gates grouped into runs, in gate order: the circuit's
-    stored ``runs[layer]``, regrouped only if ``noise`` puts control noise
-    or a mixture in this layer."""
-    control = {loc: a for loc, a in (noise.control_noise or {}).items() if loc[0] == layer}
-    mixtures = {loc: s for loc, s in (noise.random_unitary or {}).items() if loc[0] == layer}
-    if not control and not mixtures:
-        return circ.runs[layer]
-    return _group_runs(circ.layers[layer], layer, circ.parameter_index, control, mixtures)
-
-
 def _group_runs(
-    gates: Sequence[Gate],
-    layer: int,
-    parameter_index: Mapping[Location, int],
-    control: Mapping[Location, Mapping[str, float]],
-    mixtures: Mapping[Location, RandomUnitaryNoise],
+    gates: Sequence[Gate], layer: int, parameter_index: Mapping[Location, int]
 ) -> tuple[Run, ...]:
     """Group one layer's gates into read-only runs, in gate order.
-
-    A rotation with an entry in ``mixtures`` runs as that mixture, else one
-    in ``control`` as ``perturbed_gate`` of it.
 
     ``("column", Column)``: weight-1 rotations without perturbation, on
     distinct qubits, in gate order;
     ``("cnots", ((control, target), ...))``: consecutive CNOTs;
-    ``("mixture", (parameter index, RandomUnitaryNoise))``: a rotation
-    replaced by a random-unitary mixture;
+    ``("mixture", (parameter index, RandomUnitaryNoise))``: a mixture gate;
     ``("gate", (parameter index, gate))``: any other rotation, its
     perturbation included, or (None, gate) for a fixed gate.
     """
@@ -371,11 +352,9 @@ def _group_runs(
             runs.append(("gate", (None, gate)))
             continue
         index = parameter_index[loc]
-        if loc in mixtures:
-            runs.append(("mixture", (index, mixtures[loc])))
+        if gate.mixture is not None:
+            runs.append(("mixture", (index, gate.mixture)))
             continue
-        if loc in control:
-            gate = perturbed_gate(gate, control[loc])
         if not gate.perturbation and hamming_weight(gate.generator) == 1:
             letters = gate.generator
             q = len(letters) - len(letters.lstrip("I"))
@@ -545,9 +524,8 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
             f"expected {circ.num_parameters} parameters per row, got {theta.shape}"
         )
     noise.check(circ)
-    layer_runs = [_gate_runs(circ, layer, noise) for layer in range(circ.depth)]
     rho = np.repeat(_ground_state(circ.n)[None], len(thetas), axis=0)
-    for layer, layer_ops in enumerate(_layer_kraus(circ, thetas, layer_runs)):
+    for layer, layer_ops in enumerate(_layer_kraus(circ, thetas, circ.runs)):
         for ops in layer_ops:
             rho = _apply_kraus(rho, ops)
         rho = _apply_layer_channel(rho, noise.layer_channel(layer, circ.n))
@@ -559,38 +537,36 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
 # ---------------------------------------------------------------------------
 
 
-def layer_unitary(circ: Circuit, theta: np.ndarray, layer: int, noise: NoiseSpec) -> np.ndarray:
+def _unitary_runs(circ: Circuit, layer: int) -> tuple[Run, ...]:
+    """The layer's stored runs; a layer that holds a mixture is refused."""
+    runs = circ.runs[layer]
+    if any(kind == "mixture" for kind, _ in runs):
+        raise ValueError(f"layer {layer} holds a unitary mixture, so it is not unitary")
+    return runs
+
+
+def layer_unitary(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
     """Product of all gate unitaries in a layer (control noise included)."""
-    _check_gate_noise(circ, noise, layer)
     theta = np.asarray(theta, dtype=float)
-    ops, = _layer_kraus(circ, theta, [_gate_runs(circ, layer, noise)])
+    ops, = _layer_kraus(circ, theta, [_unitary_runs(circ, layer)])
     return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
 
 
-def _check_gate_noise(circ: Circuit, noise: NoiseSpec, layer: int) -> None:
-    """Refuse ``noise`` unless ``NoiseSpec.check`` passes on ``circ`` and
-    ``layer`` holds no unitary mixture."""
-    noise.check(circ)
-    if any(loc[0] == layer for loc in noise.random_unitary or ()):
-        raise ValueError("layer containing a unitary mixture is not unitary")
-
-
-def layer_gate_map(circ: Circuit, theta: np.ndarray, layer: int, noise: NoiseSpec) -> np.ndarray:
+def layer_gate_map(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
     """The layer's gates as the real orthogonal (d^2-1) x (d^2-1) matrix
     acting on Hamming-ordered coherence vectors (control noise included).
 
     It equals the M of ``affine_rep(unitary_channel(layer_unitary(...)))``
-    up to rounding.  Of the runs of ``_gate_runs``, a rotation column is
-    the ``_column`` product of its 4 x 4 Pauli transfer matrices; a CNOT
-    run is a cached signed permutation of Pauli strings, applied as a row
+    up to rounding.  Of the layer's runs, a rotation column is the
+    ``_column`` product of its 4 x 4 Pauli transfer matrices; a CNOT run
+    is a cached signed permutation of Pauli strings, applied as a row
     gather; any other gate uses its own full-register transfer matrix.
     Runs compose by matrix products.
     """
-    _check_gate_noise(circ, noise, layer)
     theta = np.asarray(theta, dtype=float)
     n = circ.n
     omega = None  # None is the identity
-    for kind, run in _gate_runs(circ, layer, noise):
+    for kind, run in _unitary_runs(circ, layer):
         if kind == "cnots":
             src, sign = _cnot_chain_ptm(run, n)
             base = np.eye(len(src)) if omega is None else omega

@@ -12,7 +12,7 @@ rules refuse such a gate and name ``control_noise_gradient``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .circuits import (
     Location,
     NoiseSpec,
     RandomUnitaryNoise,
-    _gate_runs,
     _rotation,
     evolve,
     perturbed_gate,
@@ -59,15 +58,14 @@ def _shifted_pair(theta, idx, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-def _check_shift_rule(circ: Circuit, noise: NoiseSpec, location: Location) -> None:
+def _check_shift_rule(circ: Circuit, location: Location) -> None:
     """Refuse a gate the two-point rule cannot differentiate: one without a
-    parameter, or one simulated with control noise."""
-    if not circ.gate_at(location).is_parameterized:
+    parameter, or one with control noise."""
+    gate = circ.gate_at(location)
+    if not gate.is_parameterized:
         raise ValueError(f"gate at {location} carries no parameter")
-    index = circ.parameter_index[location]
-    for kind, run in _gate_runs(circ, location[0], noise):
-        if kind == "gate" and run[0] == index and run[1].perturbation:
-            raise ValueError(f"gate at {location} has control noise; use control_noise_gradient")
+    if gate.perturbation:
+        raise ValueError(f"gate at {location} has control noise; use control_noise_gradient")
 
 
 def psr_gradient(
@@ -92,7 +90,7 @@ def psr_gradient(
     if len(location) != len(thetas):
         raise ValueError(f"{len(location)} locations for {len(thetas)} angle rows")
     for loc in dict.fromkeys(location):
-        _check_shift_rule(circ, noise, loc)
+        _check_shift_rule(circ, loc)
     idx = [circ.parameter_index[loc] for loc in location]
     plus, minus = _shifted_pair(thetas, idx, np.pi / 2)
     cp = _costs(H, evolve(circ, plus, noise))
@@ -132,7 +130,7 @@ def coherence_gradient(
     The identity component of H drops out of the difference of the two
     shifted states, so the overlap reproduces the shift-rule value.
     """
-    _check_shift_rule(circ, noise, location)
+    _check_shift_rule(circ, location)
     _, h = h_vector(H)
     vp, vm = (
         to_coherence(evolve(circ, t, noise))
@@ -207,18 +205,21 @@ def random_noise_gradient(
     location: Location,
     noise: NoiseSpec = NoiseSpec(),
 ) -> tuple[float, float]:
-    """Exact derivative and its bound for a gate replaced by a unitary mixture.
+    """Exact derivative and its bound for a rotation replaced by a unitary mixture.
 
     All mixture branches rotate by the same angle, so the plain two-point
     rule is exact on the mixed channel.  The bound is
     p_j |dC_ideal| + ||h||/2 * sum_{k != j} p_k ||w_k||, where w_k comes
     from replacing the gate by a P_k rotation at angles theta +- pi/2.
     """
-    full = replace(noise, random_unitary={**(noise.random_unitary or {}), location: spec})
+    gate = circ.gate_at(location)
+    if gate.generator is None or gate.perturbation:
+        raise ValueError(f"gate at {location} is not a plain rotation for the mixture to replace")
     idx = circ.parameter_index[location]
-    value = psr_gradient(circ, theta, full, H, location)
+    mixed = circ.with_gate(location, Gate(mixture=spec))
+    value = psr_gradient(mixed, theta, noise, H, location)
 
-    # ideal derivative: the same circuit without the mixture at this gate
+    # ideal derivative: the same circuit with the plain rotation
     ideal_grad = psr_gradient(circ, theta, noise, H, location)
     hn = h_norm(H)
     bound = spec.probs[spec.intended] * abs(ideal_grad)

@@ -66,7 +66,7 @@ def _side(x: np.ndarray, diag, anti, which: int) -> np.ndarray:
     return swapped if diag is None else diag[which] * x + swapped
 
 
-def layer_ops(circ, thetas, layer, noise):
+def layer_ops(circ, thetas, layer):
     """The layer's gates as an ordered list of Kraus sets.
 
     Each stretch of unitary runs is one product ``acc``: a rotation column
@@ -77,7 +77,7 @@ def layer_ops(circ, thetas, layer, noise):
     """
     n = circ.n
     ops, acc = [], None
-    for kind, run in circuits._gate_runs(circ, layer, noise):
+    for kind, run in circ.runs[layer]:
         if kind == "mixture":
             if acc is not None:
                 ops.append([acc])
@@ -106,7 +106,7 @@ def evolve(circ, thetas, noise):
     n = circ.n
     rho = np.repeat(DensityMatrix.ground_state(n).data[None], len(thetas), axis=0)
     for layer in range(circ.depth):
-        for ops in layer_ops(circ, thetas, layer, noise):
+        for ops in layer_ops(circ, thetas, layer):
             rho = _apply_kraus(rho, ops)
         rho = circuits._apply_layer_channel(rho, noise.layer_channel(layer, n))
     return rho

@@ -22,10 +22,12 @@ from nibp_lab.channels import (
     random_unital_channel,
 )
 from nibp_lab.circuits import (
+    Gate,
     NoiseSpec,
     RandomUnitaryNoise,
     build_two_local,
     evolve,
+    perturbed_gate,
 )
 from nibp_lab.experiments import ExperimentConfig, run_experiment, write_csv
 from nibp_lab.gradients import (
@@ -132,7 +134,7 @@ def test_criterion_4_shift_rule_correctness():
             letters[int(rng.integers(0, n))] = "XYZ"[int(rng.integers(0, 3))]
             a = {"".join(letters): float(rng.uniform(-0.15, 0.15))}
             value, _ = control_noise_gradient(circ, theta, a, H, loc)
-            full = NoiseSpec(control_noise={loc: a})
+            circ, full = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a)), NoiseSpec()
             diff = abs(value - fd_gradient(circ, theta, full, H, loc))
         else:
             gen = circ.gate_at(loc).generator
@@ -143,7 +145,7 @@ def test_criterion_4_shift_rule_correctness():
                 generators=(gen, "".join(letters)),
                 intended=0,
             )
-            noise = NoiseSpec(random_unitary={loc: spec})
+            circ, noise = circ.with_gate(loc, Gate(mixture=spec)), NoiseSpec()
             diff = abs(
                 psr_gradient(circ, theta, noise, H, loc)
                 - fd_gradient(circ, theta, noise, H, loc)

@@ -276,7 +276,7 @@ def test_layer_affine_maps_equal_per_layer_reference(n, kind):
     maps = layer_affine_maps(circ, theta, noise)
     assert len(maps) == circ.depth
     for layer, (omega, c, opnorm) in enumerate(maps):
-        gate = affine_rep(unitary_channel(layer_unitary(circ, theta, layer, noise)))
+        gate = affine_rep(unitary_channel(layer_unitary(circ, theta, layer)))
         rep = affine_rep(layer_channel_as_kraus(noise, layer, n))
         np.testing.assert_allclose(
             omega, rep.M @ gate.M, rtol=0, atol=1e-12, err_msg=f"{kind} {layer}"

@@ -19,7 +19,6 @@ from nibp_lab.circuits import (
     NoiseSpec,
     RandomUnitaryNoise,
     _cnot_rows,
-    _gate_runs,
     _ground_state,
     build_two_local,
     evolve,
@@ -144,9 +143,9 @@ def test_per_layer_channel_assignment():
     rho = evolve(circ, theta, noise)
     # same evolution written out with layer primitives
     ref = DensityMatrix.ground_state(2).data
-    u0 = layer_unitary(circ, theta, 0, noise)
+    u0 = layer_unitary(circ, theta, 0)
     ref = layer_channel_as_kraus(noise, 0, 2).apply(u0 @ ref @ u0.conj().T)
-    u1 = layer_unitary(circ, theta, 1, noise)
+    u1 = layer_unitary(circ, theta, 1)
     ref = u1 @ ref @ u1.conj().T
     np.testing.assert_allclose(rho.data, ref, atol=1e-12)
 
@@ -209,20 +208,13 @@ def test_gate_strings_are_checked_where_they_enter():
         RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "X"), intended=0)
 
 
-def test_mixture_of_the_wrong_width_is_refused_before_evolution(monkeypatch):
-    from nibp_lab import circuits
-
-    applied = []
-    kraus = circuits._apply_kraus
-    monkeypatch.setattr(circuits, "_apply_kraus", lambda *a: applied.append(1) or kraus(*a))
+def test_mixture_of_the_wrong_width_is_refused_before_evolution():
+    # a mixture gate's generators are checked against the register where
+    # the gate enters its circuit
     circ = build_two_local(2, 2)
     spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YII", "XII"), intended=0)
-    noise = NoiseSpec(random_unitary={(1, 0): spec})
     with pytest.raises(DimensionMismatchError, match="'YII'.*2 qubits"):
-        evolve(circ, np.zeros(circ.num_parameters), noise)
-    assert applied == []
-    evolve(circ, np.zeros(circ.num_parameters), NoiseSpec())
-    assert applied
+        circ.with_gate((1, 0), Gate(mixture=spec))
 
 
 def test_a_gate_is_exactly_one_of_its_three_forms():
@@ -233,6 +225,26 @@ def test_a_gate_is_exactly_one_of_its_three_forms():
             Gate(**forms)
     with pytest.raises(ValueError, match="control noise"):
         Gate(cnot=(0, 1), perturbation=(("XI", 0.1),))
+
+
+def test_a_mixture_gate_is_a_parameterized_fourth_form():
+    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "XI"), intended=0)
+    mixture = Gate(mixture=spec)
+    for other in ({"generator": "YI"}, {"cnot": (0, 1)}, {"matrix": np.eye(4)}):
+        with pytest.raises(ValueError, match="exactly one"):
+            Gate(mixture=spec, **other)
+    with pytest.raises(ValueError, match="control noise"):
+        Gate(mixture=spec, perturbation=(("XI", 0.1),))
+    with pytest.raises(ValueError, match="control noise"):
+        perturbed_gate(mixture, {"XI": 0.1})
+    with pytest.raises(ValueError, match="rotation"):
+        mixture.unitary(0.3)
+    # it takes the parameter of the rotation it replaces
+    circ = build_two_local(2, 2)
+    mixed = circ.with_gate((1, 0), mixture)
+    assert mixture.is_parameterized and mixed.gate_at((1, 0)) == mixture
+    assert mixed.parameter_index == circ.parameter_index
+    assert mixed != circ and mixed == circ.with_gate((1, 0), Gate(mixture=spec))
 
 
 def test_a_gate_that_does_not_fit_the_register_is_refused_where_it_enters():
@@ -276,14 +288,6 @@ def test_a_gate_placed_over_a_rotation_removes_its_parameter(gate):
     circ = build_two_local(2, 2).with_gate((0, 0), gate)
     assert circ.num_parameters == 3
     assert circ.parameterized_locations() == [(0, 1), (1, 0), (1, 1)]
-    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "XI"), intended=0)
-    theta = np.zeros(circ.num_parameters)
-    for noise in (NoiseSpec(control_noise={(0, 0): {"XI": 0.05}}),
-                  NoiseSpec(random_unitary={(0, 0): spec})):
-        with pytest.raises(ValueError, match=r"\(0, 0\)"):
-            evolve(circ, theta, noise)
-        with pytest.raises(ValueError, match=r"\(0, 0\)"):
-            layer_gate_map(circ, theta, 0, noise)
 
 
 def test_the_parameter_index_is_read_only():
@@ -294,39 +298,6 @@ def test_the_parameter_index_is_read_only():
         Circuit(n=1, layers=((Gate(generator="Y"),),), parameter_index={(0, 0): 0})
 
 
-def test_gate_noise_at_a_location_without_a_rotation_is_refused(monkeypatch):
-    # before, both specs were ignored and the state was the noiseless one
-    from nibp_lab import circuits
-
-    applied = []
-    kraus = circuits._apply_kraus
-    monkeypatch.setattr(circuits, "_apply_kraus", lambda *a: applied.append(1) or kraus(*a))
-    circ = build_two_local(2, 2)
-    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "XI"), intended=0)
-    theta = np.zeros(circ.num_parameters)
-    for noise, loc in ((NoiseSpec(control_noise={(7, 0): {"XI": 0.05}}), r"\(7, 0\)"),
-                       (NoiseSpec(random_unitary={(0, 9): spec}), r"\(0, 9\)")):
-        with pytest.raises(ValueError, match=loc):
-            evolve(circ, theta, noise)
-        with pytest.raises(ValueError, match=loc):
-            layer_affine_maps(circ, theta, noise)
-    assert applied == []
-
-
-def test_layer_maps_refuse_gate_noise_at_a_location_without_a_rotation():
-    # before, both layer views ignored these specs and gave the noiseless map
-    circ = build_two_local(2, 2)
-    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "XI"), intended=0)
-    theta = np.zeros(circ.num_parameters)
-    for noise, loc in ((NoiseSpec(control_noise={(7, 0): {"XI": 0.05}}), r"\(7, 0\)"),
-                       (NoiseSpec(random_unitary={(0, 9): spec}), r"\(0, 9\)")):
-        for layer in range(circ.depth):
-            with pytest.raises(ValueError, match=loc):
-                layer_gate_map(circ, theta, layer, noise)
-            with pytest.raises(ValueError, match=loc):
-                layer_unitary(circ, theta, layer, noise)
-
-
 def test_random_unitary_mixture_validation():
     with pytest.raises(ValueError):
         RandomUnitaryNoise(probs=(0.6, 0.3), generators=("Y", "X"), intended=0)
@@ -335,16 +306,21 @@ def test_random_unitary_mixture_validation():
     spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("Y", "X"), intended=0)
     ch = random_unitary_channel(spec, 0.8)
     assert validate_kraus(ch).trace_preserving
+    # before, intended=2 ended in a bare IndexError, and intended=-1 was
+    # read as the last rotation: random_noise_gradient then failed to skip
+    # the intended branch (bound 0.412 against 0.0647 for intended=1)
+    for intended in (2, -1, True, 1.0):
+        with pytest.raises(ValueError, match="intended"):
+            RandomUnitaryNoise(probs=(0.2, 0.8), generators=("ZI", "YI"), intended=intended)
 
 
 def test_random_unitary_mixture_hand_value():
     # intended RY with probability 0.9, Z branch with 0.1: the Z branch
     # leaves |0> alone so <Z> = 0.9 cos(theta) + 0.1
-    circ = single_ry_circuit()
     spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("Y", "Z"), intended=0)
-    noise = NoiseSpec(random_unitary={(0, 0): spec})
+    circ = single_ry_circuit().with_gate((0, 0), Gate(mixture=spec))
     theta = 1.1
-    rho = evolve(circ, np.array([theta]), noise)
+    rho = evolve(circ, np.array([theta]), NoiseSpec())
     z_exp = float(np.real(rho.data[0, 0] - rho.data[1, 1]))
     assert abs(z_exp - (0.9 * np.cos(theta) + 0.1)) < 1e-12
 
@@ -355,7 +331,7 @@ def test_degenerate_mixture_is_ideal_gate():
     theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
     gen = circ.gate_at((1, 0)).generator
     spec = RandomUnitaryNoise(probs=(1.0,), generators=(gen,), intended=0)
-    a = evolve(circ, theta, NoiseSpec(random_unitary={(1, 0): spec}))
+    a = evolve(circ.with_gate((1, 0), Gate(mixture=spec)), theta, NoiseSpec())
     b = evolve(circ, theta, NoiseSpec())
     np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
@@ -364,8 +340,8 @@ def test_control_noise_spec_changes_state():
     circ = build_two_local(2, 2)
     rng = np.random.default_rng(26)
     theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
-    noise = NoiseSpec(control_noise={(0, 0): {"XI": 0.1}})
-    a = evolve(circ, theta, noise)
+    noisy = circ.with_gate((0, 0), perturbed_gate(circ.gate_at((0, 0)), {"XI": 0.1}))
+    a = evolve(noisy, theta, NoiseSpec())
     b = evolve(circ, theta, NoiseSpec())
     validate(a)
     assert abs(a.purity() - 1.0) < 1e-12  # coherent noise keeps purity
@@ -373,11 +349,10 @@ def test_control_noise_spec_changes_state():
 
 
 def test_layer_unitary_rejects_mixture_layers():
-    circ = build_two_local(2, 1)
     spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("YI", "XI"), intended=0)
-    noise = NoiseSpec(random_unitary={(0, 0): spec})
-    with pytest.raises(ValueError):
-        layer_unitary(circ, np.zeros(2), 0, noise)
+    circ = build_two_local(2, 1).with_gate((0, 0), Gate(mixture=spec))
+    with pytest.raises(ValueError, match="mixture"):
+        layer_unitary(circ, np.zeros(2), 0)
 
 
 @pytest.mark.parametrize("layers", [1, 3])
@@ -440,22 +415,22 @@ def test_with_gate_replaces_one_gate():
 
 
 def test_a_placed_perturbed_gate_is_simulated_with_its_perturbation():
-    # with_gate(perturbed_gate(g, a)) is the circuit that the spec
-    # control_noise={loc: a} describes, on both layer views
+    # both layer views simulate a perturbed rotation as the fixed unitary
+    # of its perturbed generator at its angle
     circ = build_two_local(2, 2)
     theta = np.random.default_rng(26).uniform(0, 2 * np.pi, circ.num_parameters)
     loc, a = (1, 0), {"XI": 0.1}
-    placed = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a))
-    spec = NoiseSpec(control_noise={loc: a})
+    tilted = perturbed_gate(circ.gate_at(loc), a)
+    placed = circ.with_gate(loc, tilted)
+    index = circ.parameter_index[loc]
+    fixed = circ.with_gate(loc, Gate(matrix=tilted.unitary(theta[index])))
     state = evolve(placed, theta, NoiseSpec()).data
-    assert np.array_equal(state, evolve(circ, theta, spec).data)
+    np.testing.assert_allclose(state, evolve(fixed, np.delete(theta, index), NoiseSpec()).data,
+                               rtol=0, atol=1e-14)
     assert np.abs(state - evolve(circ, theta, NoiseSpec()).data).max() > 1e-4
-    assert np.array_equal(layer_gate_map(placed, theta, 1, NoiseSpec()),
-                          layer_gate_map(circ, theta, 1, spec))
-    # a spec entry replaces the gate's own perturbation
-    other = NoiseSpec(control_noise={loc: {"ZI": 0.05}})
-    assert np.array_equal(evolve(placed, theta, other).data,
-                          evolve(circ, theta, other).data)
+    np.testing.assert_allclose(layer_gate_map(placed, theta, 1),
+                               layer_gate_map(fixed, np.delete(theta, index), 1),
+                               rtol=0, atol=1e-14)
 
 
 def test_an_equal_copy_of_a_cnot_simulates_as_the_cnot():
@@ -467,8 +442,8 @@ def test_an_equal_copy_of_a_cnot_simulates_as_the_cnot():
     copy = circ.with_gate((1, 3), Gate(matrix=embed_unitary(CNOT, cnot.cnot, 3)))
     noise = NoiseSpec.uniform(amplitude_damping(0.2))
     assert np.array_equal(evolve(copy, theta, noise).data, evolve(circ, theta, noise).data)
-    np.testing.assert_allclose(layer_gate_map(copy, theta, 1, NoiseSpec()),
-                               layer_gate_map(circ, theta, 1, NoiseSpec()), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(layer_gate_map(copy, theta, 1),
+                               layer_gate_map(circ, theta, 1), rtol=0, atol=1e-12)
 
 
 def test_the_stored_runs_are_read_only():
@@ -505,40 +480,28 @@ def test_with_gate_regroups_the_stored_runs():
     cnot = circ.with_gate((1, 2), Gate(cnot=(2, 0)))
     assert cnot.runs[1] == (("column", Column((0, 1), "YY", (3, 4))),
                             ("cnots", ((2, 0), (0, 1), (1, 2))))
+    # a perturbed rotation and a mixture each split the column, in place
+    tilted = perturbed_gate(circ.gate_at((1, 1)), {"IXI": 0.05})
+    spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("IYI", "ZZZ"), intended=0)
+    for gate, run in ((tilted, ("gate", (4, tilted))),
+                      (Gate(mixture=spec), ("mixture", (4, spec)))):
+        noisy = circ.with_gate((1, 1), gate)
+        assert noisy.runs[0] == circ.runs[0]
+        assert noisy.runs[1] == (
+            ("column", Column((0,), "Y", (3,))), run,
+            ("column", Column((2,), "Y", (5,))), ("cnots", ((0, 1), (1, 2))))
 
 
-@pytest.mark.parametrize("kind", ["control", "mixture"])
-def test_gate_noise_regroups_its_layer_only(kind):
-    circ = build_two_local(3, 3)
-    loc = (1, 1)
-    if kind == "control":
-        noise = NoiseSpec(control_noise={loc: {"IXI": 0.05}})
-        run = ("gate", (4, perturbed_gate(circ.gate_at(loc), {"IXI": 0.05})))
-    else:
-        spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("IYI", "ZZZ"), intended=0)
-        noise = NoiseSpec(random_unitary={loc: spec})
-        run = ("mixture", (4, spec))
-    for layer in (0, 2):
-        assert _gate_runs(circ, layer, noise) is circ.runs[layer]
-    assert _gate_runs(circ, 1, NoiseSpec.named("depolarizing", 0.1)) is circ.runs[1]
-    assert _gate_runs(circ, 1, noise) == (
-        ("column", Column((0,), "Y", (3,))), run,
-        ("column", Column((2,), "Y", (5,))), ("cnots", ((0, 1), (1, 2))))
-    assert circ.runs == build_two_local(3, 3).runs
-
-
-@pytest.mark.parametrize("source", ["spec", "gate"])
-def test_the_shift_rule_check_reads_control_noise_off_the_runs(source):
+def test_the_shift_rule_check_reads_control_noise_off_the_gate():
     circ = build_two_local(2, 2)
     loc, a = (1, 0), {"XI": 0.15}
-    if source == "spec":
-        noise = NoiseSpec(control_noise={loc: a})
-    else:
-        circ, noise = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a)), NoiseSpec()
+    circ = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a))
     with pytest.raises(ValueError, match="control_noise_gradient"):
-        _check_shift_rule(circ, noise, loc)
+        _check_shift_rule(circ, loc)
     for other in [(0, 0), (0, 1), (1, 1)]:
-        _check_shift_rule(circ, noise, other)
+        _check_shift_rule(circ, other)
+    with pytest.raises(ValueError, match="no parameter"):
+        _check_shift_rule(circ, (0, 2))
 
 
 def test_circuits_with_fixed_gates_compare_by_their_matrices():

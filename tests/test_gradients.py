@@ -1,11 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from helpers import single_ry_circuit
 
 from nibp_lab.channels import amplitude_damping, depolarizing
 from nibp_lab.circuits import (
+    Gate,
     NoiseSpec,
     RandomUnitaryNoise,
     build_two_local,
@@ -108,10 +107,8 @@ def test_control_noise_gradient_matches_finite_difference():
         loc = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
         a = {"XI": float(rng.uniform(-0.1, 0.1)), "ZZ": float(rng.uniform(-0.1, 0.1))}
         value, bound = control_noise_gradient(circ, theta, a, H, loc, noise=noise)
-        full = NoiseSpec(
-            layer_channels=noise.layer_channels, control_noise={loc: a}
-        )
-        fd = fd_gradient(circ, theta, full, H, loc)
+        perturbed = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a))
+        fd = fd_gradient(perturbed, theta, noise, H, loc)
         assert abs(value - fd) < 1e-8
         assert abs(value) <= bound + 1e-10
 
@@ -150,10 +147,7 @@ def test_random_noise_gradient_matches_finite_difference():
             probs=(0.8, 0.2), generators=(gen, other), intended=0
         )
         value, bound = random_noise_gradient(circ, theta, spec, H, loc, noise=noise)
-        full = NoiseSpec(
-            layer_channels=noise.layer_channels, random_unitary={loc: spec}
-        )
-        fd = fd_gradient(circ, theta, full, H, loc)
+        fd = fd_gradient(circ.with_gate(loc, Gate(mixture=spec)), theta, noise, H, loc)
         assert abs(value - fd) < 1e-8
         assert abs(value) <= bound + 1e-10
 
@@ -217,21 +211,16 @@ def test_gradient_stats_reports_the_h_norms_it_drew():
 
 
 
-@pytest.mark.parametrize("source", ["spec", "placed"])
-def test_shift_rules_refuse_a_gate_with_control_noise(source):
+def test_shift_rules_refuse_a_gate_with_control_noise():
     # the two-point value is not the derivative of a perturbed gate
-    # (0.0996 here against 0.1008 from control_noise_gradient), whether the
-    # perturbation comes from the noise spec or from a gate placed with it
+    # (0.0996 here against 0.1008 from control_noise_gradient)
     rng = np.random.default_rng(45)
     circ = build_two_local(2, 2)
     H = random_two_local(2, rng)
     theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
     loc, a = (1, 0), {"XI": 0.15}
     value, _ = control_noise_gradient(circ, theta, a, H, loc)
-    if source == "spec":
-        noise = NoiseSpec(control_noise={loc: a})
-    else:
-        circ, noise = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a)), NoiseSpec.none()
+    circ, noise = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a)), NoiseSpec.none()
     assert abs(value - fd_gradient(circ, theta, noise, H, loc)) < 1e-8
     with pytest.raises(ValueError, match="control_noise_gradient"):
         psr_gradient(circ, theta, noise, H, loc)
@@ -246,9 +235,28 @@ def test_shift_rules_refuse_a_gate_with_control_noise(source):
     # other locations keep the two-point rule
     assert abs(psr_gradient(circ, theta, noise, H, (0, 0))
                - fd_gradient(circ, theta, noise, H, (0, 0))) < 1e-8
-    # a mixture at the location replaces the perturbation, and the
-    # two-point rule is exact on the mixture
+    # a mixture placed over the perturbed gate keeps the two-point rule,
+    # which is exact on the mixture
     mixture = RandomUnitaryNoise(probs=(0.85, 0.15), generators=("YI", "XI"), intended=0)
-    mixed = replace(noise, random_unitary={loc: mixture})
-    assert abs(psr_gradient(circ, theta, mixed, H, loc)
-               - fd_gradient(circ, theta, mixed, H, loc)) < 1e-8
+    mixed = circ.with_gate(loc, Gate(mixture=mixture))
+    assert abs(psr_gradient(mixed, theta, noise, H, loc)
+               - fd_gradient(mixed, theta, noise, H, loc)) < 1e-8
+
+
+def test_random_noise_gradient_refuses_a_location_without_a_plain_rotation():
+    # before, a CNOT slot ended in a bare KeyError
+    rng = np.random.default_rng(46)
+    circ = build_two_local(2, 2)
+    H = random_two_local(2, rng)
+    theta = rng.uniform(0, 2 * np.pi, circ.num_parameters)
+    spec = RandomUnitaryNoise(probs=(0.8, 0.2), generators=("YI", "XI"), intended=0)
+    with pytest.raises(ValueError, match=r"\(0, 2\)"):
+        random_noise_gradient(circ, theta, spec, H, (0, 2))
+    # a mixture already there is not the ideal gate the bound needs
+    mixed = circ.with_gate((1, 0), Gate(mixture=spec))
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        random_noise_gradient(mixed, theta, spec, H, (1, 0))
+    perturbed = circ.with_gate((1, 0), perturbed_gate(circ.gate_at((1, 0)), {"XI": 0.05}))
+    with pytest.raises(ValueError, match=r"\(1, 0\)"):
+        random_noise_gradient(perturbed, theta, spec, H, (1, 0))
+    random_noise_gradient(circ, theta, spec, H, (1, 0))

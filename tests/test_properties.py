@@ -17,9 +17,7 @@ passes or fails the same way each time.
 
 import itertools
 import math
-import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,7 +185,9 @@ def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
 
 
 def _noise(kind, n, depth, p):
-    """A noise spec of the given kind for an n-qubit, ``depth``-layer ansatz."""
+    """The layer channels of the given kind for an n-qubit, ``depth``-layer
+    ansatz; the gate-noise kinds ``control`` and ``mixture`` put damping
+    after every layer (``_gate_noise`` places their gates)."""
     one = named_channel("amplitude_damping", p)
     if kind == "uniform":
         return NoiseSpec.uniform(named_channel("depolarizing", p))
@@ -199,15 +199,24 @@ def _noise(kind, n, depth, p):
                          + [one] * (n % 2))
     if kind == "full_register":
         return NoiseSpec.uniform(random_channel(n, np.random.default_rng(7)))
-    if kind == "control":
-        return NoiseSpec(layer_channels=one,
-                         control_noise={(0, 0): {"X" * n: 0.05}})
-    if kind == "mixture":
-        letters = "Y" + "I" * (n - 1)
-        spec = RandomUnitaryNoise(probs=(0.8, 0.2), generators=(letters, "Z" * n),
-                                  intended=0)
-        return NoiseSpec(layer_channels=one, random_unitary={(depth - 1, 0): spec})
+    if kind in ("control", "mixture"):
+        return NoiseSpec.uniform(one)
     return NoiseSpec()
+
+
+def _gate_noise(kind, circ):
+    """``circ`` with the gate noise of the given kind: control noise on the
+    rotation at (0, 0), or a mixture in place of the rotation at
+    (depth - 1, 0)."""
+    n = circ.n
+    if kind == "control":
+        tilted = circuits.perturbed_gate(circ.gate_at((0, 0)), {"X" * n: 0.05})
+        return circ.with_gate((0, 0), tilted)
+    if kind == "mixture":
+        spec = RandomUnitaryNoise(probs=(0.8, 0.2), generators=("Y" + "I" * (n - 1), "Z" * n),
+                                  intended=0)
+        return circ.with_gate((circ.depth - 1, 0), Gate(mixture=spec))
+    return circ
 
 
 @SETTINGS
@@ -225,7 +234,8 @@ def test_batched_evolve_rows_equal_single_evolves(n, depth, batch, kind, swap, p
     circ = single_ry_circuit() if n == 1 else build_two_local(n, depth)
     depth = circ.depth
     noise = _noise(kind, n, depth, p)
-    loc = (depth - 1, n - 1)  # the last rotation, which carries gate noise only at n = 1
+    circ = _gate_noise(kind, circ)
+    loc = (depth - 1, n - 1)  # the last rotation; at n = 1 the gate with the gate noise
     if swap == "fixed":
         circ = circ.with_gate(loc, Gate(
             matrix=circuits._rotation(_pauli_matrix("X" * n), 0.4)))
@@ -233,11 +243,6 @@ def test_batched_evolve_rows_equal_single_evolves(n, depth, batch, kind, swap, p
         circ = circ.with_gate(loc, Gate(generator="Z" * n))
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0, 2 * np.pi, size=(batch, circ.num_parameters))
-    if swap == "fixed" and loc in {**(noise.control_noise or {}), **(noise.random_unitary or {})}:
-        # the fixed gate took away the rotation that the gate noise is on
-        with pytest.raises(ValueError, match=re.escape(f"{loc}: the circuit has no rotation")):
-            evolve(circ, thetas, noise)
-        return
     stack = evolve(circ, thetas, noise)
     assert stack.shape == (batch, 2**n, 2**n)
     for row, theta in zip(stack, thetas):
@@ -258,11 +263,11 @@ def test_evolve_follows_layer_affine_maps(n, depth, p, seed):
     theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=n * depth)
     for kind in ("uniform", "per_layer", "per_qubit", "full_register", "control"):
         maps = layer_affine_maps(
-            build_two_local(n, depth), theta, _noise(kind, n, depth, p))
+            _gate_noise(kind, build_two_local(n, depth)), theta, _noise(kind, n, depth, p))
         v = to_coherence(DensityMatrix.ground_state(n))
         for layers, (omega, c, _) in enumerate(maps, start=1):
             v = omega @ v + c
-            rho = evolve(build_two_local(n, layers), theta[: n * layers],
+            rho = evolve(_gate_noise(kind, build_two_local(n, layers)), theta[: n * layers],
                          _noise(kind, n, layers, p))
             np.testing.assert_allclose(
                 to_coherence(rho), v, rtol=0, atol=1e-12, err_msg=kind)
@@ -271,21 +276,20 @@ def test_evolve_follows_layer_affine_maps(n, depth, p, seed):
 @st.composite
 def _gate_layers(draw, max_qubits=3, mixtures=False, max_depth=1):
     """A circuit of n <= ``max_qubits`` qubits and up to ``max_depth``
-    layers, with its angles and gate noise: weight-1 X/Y/Z rotations (on
-    any qubits, so columns repeat qubits or leave some out, and differ from
-    layer to layer), weight-2 rotations, CNOTs in any order, rotations under
-    control noise, fixed gates and, with ``mixtures``, rotations replaced by
-    random-unitary mixtures."""
+    layers, with its angles: weight-1 X/Y/Z rotations (on any qubits, so
+    columns repeat qubits or leave some out, and differ from layer to
+    layer), weight-2 rotations, CNOTs in any order, rotations under control
+    noise, fixed gates and, with ``mixtures``, random-unitary mixture
+    gates."""
     n = draw(st.integers(1, max_qubits))
     depth = draw(st.integers(1, max_depth)) if max_depth > 1 else 1
     kinds = ["rotation", "rotation", "control", "fixed"] + ["mixture"] * mixtures
     if n > 1:
         kinds += ["weight2", "cnot", "cnot"]
-    layers, control, mixed = [], {}, {}
+    layers = []
     for layer in range(depth):
         gates = []
         for slot in range(draw(st.integers(1, 7))):
-            loc = (layer, slot)
             kind = draw(st.sampled_from(kinds))
             if kind == "cnot":
                 c, t = draw(st.permutations(range(n)))[:2]
@@ -299,19 +303,20 @@ def _gate_layers(draw, max_qubits=3, mixtures=False, max_depth=1):
             letters = ["I"] * n
             for q in qubits:
                 letters[q] = draw(st.sampled_from("XYZ"))
-            gates.append(Gate(generator="".join(letters)))
+            gate = Gate(generator="".join(letters))
             if kind == "control":
                 pert = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
-                control[loc] = {pert: draw(st.floats(0.01, 0.09))}
+                gate = circuits.perturbed_gate(gate, {pert: draw(st.floats(0.01, 0.09))})
             elif kind == "mixture":
                 other = "".join(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
-                mixed[loc] = RandomUnitaryNoise(
-                    probs=(0.8, 0.2), generators=("".join(letters), other), intended=0)
+                gate = Gate(mixture=RandomUnitaryNoise(
+                    probs=(0.8, 0.2), generators=(gate.generator, other), intended=0))
+            gates.append(gate)
         layers.append(tuple(gates))
     circ = circuits.Circuit(n=n, layers=tuple(layers))
     size = circ.num_parameters
     theta = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=size, max_size=size)))
-    return circ, theta, NoiseSpec(control_noise=control, random_unitary=mixed or None)
+    return circ, theta
 
 
 @settings(SETTINGS, max_examples=60)
@@ -319,9 +324,9 @@ def _gate_layers(draw, max_qubits=3, mixtures=False, max_depth=1):
 def test_layer_gate_map_equals_dense_oracle(layer):
     # local PTMs (closed-form rotations, CNOT sign permutations, transfer
     # matrices of the other gates) against the d^4 superoperator route
-    circ, theta, noise = layer
-    omega = circuits.layer_gate_map(circ, theta, 0, noise)
-    dense = affine_rep(unitary_channel(circuits.layer_unitary(circ, theta, 0, noise))).M
+    circ, theta = layer
+    omega = circuits.layer_gate_map(circ, theta, 0)
+    dense = affine_rep(unitary_channel(circuits.layer_unitary(circ, theta, 0))).M
     np.testing.assert_allclose(omega, dense, rtol=0, atol=1e-12)
     np.testing.assert_allclose(omega @ omega.T, np.eye(len(omega)), rtol=0, atol=1e-12)
 
@@ -343,25 +348,20 @@ def test_cnot_chain_ptm_is_an_exact_signed_permutation():
                     affine_rep(unitary_channel(u)).M, rtol=0, atol=1e-12)
 
 
-def _chain_ops(circ, thetas, layer, noise):
+def _chain_ops(circ, thetas, layer):
     """The reference layer builder: each gate's full-register unitary
     (``Gate.unitary``, control noise included) multiplied in one by one as
     ``u @ acc``, and each random-unitary mixture as its own Kraus set."""
-    control = noise.control_noise or {}
-    mixtures = noise.random_unitary or {}
     ops, acc = [], None
     for slot, gate in enumerate(circ.layers[layer]):
-        loc = (layer, slot)
         if gate.is_parameterized:
-            angle = thetas[..., circ.parameter_index[loc]]
-            if loc in mixtures:
+            angle = thetas[..., circ.parameter_index[(layer, slot)]]
+            if gate.mixture is not None:
                 if acc is not None:
                     ops.append([acc])
                     acc = None
-                ops.append(circuits._mixture_ops(mixtures[loc], angle))
+                ops.append(circuits._mixture_ops(gate.mixture, angle))
                 continue
-            if loc in control:
-                gate = circuits.perturbed_gate(gate, control[loc])
             u = gate.unitary(angle)
         else:
             u = gate_matrix(gate, circ.n)
@@ -377,7 +377,7 @@ def _chain_evolve(circ, thetas, noise):
     n = circ.n
     rho = np.repeat(DensityMatrix.ground_state(n).data[None], len(thetas), axis=0)
     for layer in range(circ.depth):
-        for ops in _chain_ops(circ, thetas, layer, noise):
+        for ops in _chain_ops(circ, thetas, layer):
             rho = _apply_kraus(rho, ops)
         rho = circuits._apply_layer_channel(rho, noise.layer_channel(layer, n))
     return rho
@@ -405,15 +405,16 @@ def test_evolve_equals_gate_chain_exactly(n, depth, batch, name, p, seed):
 @settings(SETTINGS, max_examples=60)
 @given(_gate_layers(max_qubits=4, mixtures=True))
 def test_evolve_and_layer_unitary_follow_gate_chain(layer):
-    circ, theta, noise = layer
+    circ, theta = layer
+    noise = NoiseSpec()
     np.testing.assert_allclose(
         evolve(circ, theta, noise).data, _chain_evolve(circ, theta[None], noise)[0],
         rtol=0, atol=1e-12)
-    if noise.random_unitary:
+    if any(gate.mixture for gate in circ.layers[0]):
         return
-    (chain,), = _chain_ops(circ, theta, 0, noise)
+    (chain,), = _chain_ops(circ, theta, 0)
     np.testing.assert_allclose(
-        circuits.layer_unitary(circ, theta, 0, noise), chain, rtol=0, atol=1e-12)
+        circuits.layer_unitary(circ, theta, 0), chain, rtol=0, atol=1e-12)
 
 
 @settings(SETTINGS, max_examples=80)
@@ -426,19 +427,19 @@ def test_evolve_and_layer_unitary_follow_gate_chain(layer):
 def test_evolve_equals_per_layer_assembly_bit_for_bit(layers, kind, p, seed):
     # every column of the circuit rendered before layer 0 rounds exactly as
     # each layer's columns rendered when the layer is reached
-    circ, theta, noise = layers
-    noise = replace(noise, layer_channels=_noise(kind, circ.n, circ.depth, p).layer_channels)
+    circ, theta = layers
+    noise = _noise(kind, circ.n, circ.depth, p)
     thetas = np.random.default_rng(seed).uniform(0, 2 * np.pi, (3, circ.num_parameters))
     assert np.array_equal(_bits(evolve(circ, thetas, noise)),
                           _bits(dense_oracle.evolve(circ, thetas, noise)))
     assert np.array_equal(_bits(evolve(circ, theta, noise).data),
                           _bits(dense_oracle.evolve(circ, theta[None], noise)[0]))
     for layer in range(circ.depth):
-        if not any(loc[0] == layer for loc in noise.random_unitary or ()):
-            ops = dense_oracle.layer_ops(circ, theta, layer, noise)
+        if not any(gate.mixture for gate in circ.layers[layer]):
+            ops = dense_oracle.layer_ops(circ, theta, layer)
             want = ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
             assert np.array_equal(
-                _bits(circuits.layer_unitary(circ, theta, layer, noise)), _bits(want))
+                _bits(circuits.layer_unitary(circ, theta, layer)), _bits(want))
 
 
 def test_evolve_equals_per_layer_assembly_on_every_run_kind():
@@ -458,11 +459,11 @@ def test_evolve_equals_per_layer_assembly_on_every_run_kind():
     assert [kind for kind, _ in circ.runs[0]] == ["column", "column", "cnots", "gate", "gate"]
     assert [run.qubits for kind, run in circ.runs[1] if kind == "column"] == [(2, 1), (2, 0)]
     spec = RandomUnitaryNoise(probs=(0.9, 0.1), generators=("IIX", "ZZZ"), intended=0)
+    circ = circ.with_gate((2, 1), circuits.perturbed_gate(circ.gate_at((2, 1)), {"XIZ": 0.05}))
+    circ = circ.with_gate((1, 3), Gate(mixture=spec))
     thetas = np.random.default_rng(6).uniform(0, 2 * np.pi, (3, circ.num_parameters))
     for kind in ("per_layer", "per_qubit"):
-        noise = NoiseSpec(layer_channels=_noise(kind, n, circ.depth, 0.3).layer_channels,
-                          control_noise={(2, 1): {"XIZ": 0.05}},
-                          random_unitary={(1, 3): spec})
+        noise = _noise(kind, n, circ.depth, 0.3)
         for rows in (thetas[:1], thetas):
             assert np.array_equal(_bits(evolve(circ, rows, noise)),
                                   _bits(dense_oracle.evolve(circ, rows, noise)))
@@ -470,11 +471,10 @@ def test_evolve_equals_per_layer_assembly_on_every_run_kind():
 
 def test_layer_gate_map_refuses_mixture_layers():
     spec = RandomUnitaryNoise(probs=(0.8, 0.2), generators=("YI", "ZZ"), intended=0)
-    noise = NoiseSpec(random_unitary={(1, 0): spec})
-    circ = build_two_local(2, 2)
-    circuits.layer_gate_map(circ, np.zeros(4), 0, noise)
+    circ = build_two_local(2, 2).with_gate((1, 0), Gate(mixture=spec))
+    circuits.layer_gate_map(circ, np.zeros(4), 0)
     with pytest.raises(ValueError, match="mixture"):
-        circuits.layer_gate_map(circ, np.zeros(4), 1, noise)
+        circuits.layer_gate_map(circ, np.zeros(4), 1)
 
 
 def test_evolve_rejects_bad_angle_shapes():
