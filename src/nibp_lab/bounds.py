@@ -1,6 +1,10 @@
 """Closed-form bounds and thresholds: contractivity factors, the exponential
 gradient-suppression bound with its depth threshold, the limit-set interval
 for the cost function, shift accumulators, and the non-unital escape report.
+
+Every bound reads the noise channels' affine maps (M, c) through
+``affine_rep``; a channel carries its map, so each is built once, however
+many layers, calls or reports read it.
 """
 
 from __future__ import annotations
@@ -26,24 +30,17 @@ def layer_affine_maps(
     Omega composes the layer's orthogonal gate map (``layer_gate_map``,
     built from local Pauli transfer matrices) with the noise map's affine
     matrix; c is the noise shift (the gates contribute none).  The noise
-    map and its norm are built once per distinct layer-channel entry (the
-    same channel, or the same per-qubit channels), so layers with the same
-    noise share one read-only c.  ``noise`` is checked against the circuit
-    before any map is built, and ``affine_rep`` refuses a register beyond
-    ``AFFINE_MAX_QUBITS``.
+    map, its read-only c and its norm are the ones its register channel
+    carries (``layer_channel_as_kraus``, ``affine_rep``), so layers with
+    the same noise share them.  ``noise`` is checked against the circuit,
+    and a register beyond ``AFFINE_MAX_QUBITS`` refused, before any map is
+    built.
     """
     noise.check(circ)
-    noise_maps: dict = {}  # layer-channel entry -> (M, c, ||M||), this call only
     out = []
     for layer in range(circ.depth):
-        gate_map = layer_gate_map(circ, theta, layer)
-        entry = noise.layer_channel(layer, circ.n)
-        if entry not in noise_maps:
-            rep = affine_rep(layer_channel_as_kraus(noise, layer, circ.n))
-            rep.c.setflags(write=False)
-            noise_maps[entry] = (rep.M, rep.c, rep.operator_norm())
-        m, c, opnorm = noise_maps[entry]
-        out.append((m @ gate_map, c, opnorm))
+        rep = affine_rep(layer_channel_as_kraus(noise, layer, circ.n))
+        out.append((rep.M @ layer_gate_map(circ, theta, layer), rep.c, rep.operator_norm()))
     return out
 
 
@@ -155,11 +152,11 @@ def nils_interval(
 
     ``channels`` is one channel reused every layer or one per layer; unital
     profiles collapse the interval to the single point Tr(H)/d and skip the
-    shift.  Each distinct channel's affine map and norm are computed once.
+    shift.
     """
     if isinstance(channels, KrausChannel):
         channels = [channels] * L
-    reps = {ch: affine_rep(ch) for ch in dict.fromkeys(channels)}.values()
+    reps = [affine_rep(ch) for ch in channels]
     unital = all(rep.is_unital() for rep in reps)
     dim = 2**H.n
     center = H.trace() / dim
@@ -216,16 +213,14 @@ def theorem3_report(channels: Sequence[KrausChannel], l: int) -> Theorem3Report:
     The escape flag needs the prefix singular values below mu, a strictly
     positive suffix sigma_min, and a suffix no longer than ``SUFFIX_CAP``.
     The rotation separation d_l entering the lower bound is the guaranteed
-    shift-norm lower bound at the realized prefix factor.  Each distinct
-    channel's affine map, and with it its singular values, is computed once.
+    shift-norm lower bound at the realized prefix factor.
     """
     L = len(channels)
     if l < 3:
         raise ValueError(f"bifurcation layer l={l} must be >= 3")
     if l > L:
         raise ValueError(f"l={l} exceeds layer count {L}")
-    memo = {ch: affine_rep(ch) for ch in dict.fromkeys(channels)}
-    reps = [memo[ch] for ch in channels]
+    reps = [affine_rep(ch) for ch in channels]
     c_norms = [float(np.linalg.norm(rep.c)) for rep in reps]
     if all(rep.is_unital() for rep in reps):
         return Theorem3Report(

@@ -3,7 +3,9 @@
 A channel rho -> sum_a K_a rho K_a^dag acts on coherence vectors as the
 affine map v -> M v + c.  M and c are computed from the transfer matrix
 T_ij = Tr(F_i N(F_j)) over the normalized Pauli basis; c follows from the
-identity column.  The shift is reported in two conventions: "nice" (the
+identity column.  A channel carries its affine map: ``affine_rep`` builds
+it on first use and returns that same map, with read-only M and c, on
+every later call.  The shift is reported in two conventions: "nice" (the
 normalized basis used internally) and "bloch" (rescaled by sqrt(d), matching
 the textbook single-qubit Bloch parametrization).
 """
@@ -47,7 +49,8 @@ class KrausChannel:
 
     The channel keeps read-only copies of the operators it is given, so
     later edits of the caller's arrays cannot reach it (or its cached
-    per-qubit terms and tables).  Channels compare and hash by identity.
+    per-qubit terms, tables and affine map).  Channels compare and hash by
+    identity.
     """
 
     kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
@@ -142,6 +145,22 @@ class KrausChannel:
             raise DimensionMismatchError(f"state n={rho.n}, channel n={self.n}")
         return DensityMatrix(self.apply(rho.data))
 
+    @cached_property
+    def _affine(self) -> AffineRep:
+        """The map ``affine_rep`` returns, built on first use."""
+        check_affine_size(self.n)
+        report = validate_kraus(self)
+        if not report.trace_preserving:
+            raise InvalidChannelError(
+                f"not trace preserving (residual {report.tp_residual:.2e})"
+            )
+        t = transfer_matrix(self)
+        m = t[1:, 1:]
+        c = t[1:, 0] / np.sqrt(2**self.n)
+        for arr in (m, c):
+            arr.setflags(write=False)
+        return AffineRep(m, c)
+
 
 @lru_cache(maxsize=16)
 def _flat_index(n: int) -> np.ndarray:
@@ -198,9 +217,15 @@ class AffineRep:
         s.setflags(write=False)
         return s
 
-    def operator_norm(self) -> float:
-        """||M||, the largest singular value (what norm(M, 2) returns)."""
+    @cached_property
+    def _operator_norm(self) -> float:
         return float(self.singular_values[0])
+
+    def operator_norm(self) -> float:
+        """||M||, the largest singular value (what norm(M, 2) returns).  It
+        is one float, computed once, so that results which keep many norms
+        of one map (a bound report keeps one per layer) hold one object."""
+        return self._operator_norm
 
     def is_unital(self) -> bool:
         return float(np.linalg.norm(self.c)) <= UNITAL_TOL
@@ -238,21 +263,20 @@ def transfer_matrix(ch: KrausChannel) -> np.ndarray:
     return t.real
 
 
-def affine_rep(ch: KrausChannel) -> AffineRep:
-    """Explicit (M, c) of a channel; guarded to small qubit counts."""
-    if ch.n > AFFINE_MAX_QUBITS:
+def check_affine_size(n: int) -> None:
+    """Refuse a register beyond ``AFFINE_MAX_QUBITS``."""
+    if n > AFFINE_MAX_QUBITS:
         raise SizeError(
             f"explicit affine representation limited to n <= {AFFINE_MAX_QUBITS}"
         )
-    report = validate_kraus(ch)
-    if not report.trace_preserving:
-        raise InvalidChannelError(
-            f"not trace preserving (residual {report.tp_residual:.2e})"
-        )
-    t = transfer_matrix(ch)
-    m = t[1:, 1:]
-    c = t[1:, 0] / np.sqrt(2**ch.n)
-    return AffineRep(m, c)
+
+
+def affine_rep(ch: KrausChannel) -> AffineRep:
+    """Explicit (M, c) of a trace-preserving channel on at most
+    ``AFFINE_MAX_QUBITS`` qubits.  The channel carries it: the first call
+    builds it, and every later call returns that same map (M and c are
+    read-only, since every caller shares them)."""
+    return ch._affine
 
 
 def polar_decompose(rep: AffineRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -34,6 +34,7 @@ import numpy as np
 from .channels import (
     KrausChannel,
     _apply_kraus,
+    check_affine_size,
     identity_channel,
     named_channel,
     tensor_channel,
@@ -652,8 +653,21 @@ def _cnot_chain_ptm(
 
 
 def layer_channel_as_kraus(noise: NoiseSpec, layer: int, n: int) -> KrausChannel:
-    """The layer's noise map as one full-register channel (identity if absent)."""
-    channel = noise.layer_channel(layer, n)
-    if channel is None:
-        return identity_channel(n)
-    return channel if isinstance(channel, KrausChannel) else tensor_channel(channel)
+    """The layer's noise map as one full-register channel (identity if
+    absent), for the affine path: a register beyond ``AFFINE_MAX_QUBITS``
+    is refused before any channel is built.  A full-register entry is
+    returned as it is; a per-qubit tuple, or no noise, gets the one
+    register channel ``_built_register`` keeps for it, so every later call
+    shares that channel and with it its affine map."""
+    check_affine_size(n)
+    entry = noise.layer_channel(layer, n)
+    return entry if isinstance(entry, KrausChannel) else _built_register(entry, n)
+
+
+@lru_cache(maxsize=32)
+def _built_register(per_qubit: tuple[KrausChannel, ...] | None, n: int) -> KrausChannel:
+    """The register channel built for per-qubit channels (a tuple, which
+    hashes by its elements' identities), or the identity for None.  The
+    cache keeps its keys alive, so no id is reused while an entry is
+    cached."""
+    return identity_channel(n) if per_qubit is None else tensor_channel(per_qubit)

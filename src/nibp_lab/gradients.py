@@ -166,9 +166,16 @@ def control_noise_gradient(
     Returns (value, bound) with
     bound = ||h||/2 * (||w_j|| + sum_k |a_k| ||w_k||), where w_k is the
     coherence-vector difference of the two rotated branches and its norm
-    is taken as the Frobenius norm of the state difference.
+    is taken as the Frobenius norm of the state difference.  The gate must
+    be a rotation without control noise of its own, which ``a`` would
+    replace.
     """
-    gate = perturbed_gate(circ.gate_at(location), a)
+    gate = circ.gate_at(location)
+    if gate.generator is None:
+        raise ValueError(f"gate at {location} is not a rotation for control noise to perturb")
+    if gate.perturbation:
+        raise ValueError(f"gate at {location} already carries control noise")
+    gate = perturbed_gate(gate, a)
     u = gate.unitary(theta[circ.parameter_index[location]])
     gen = gate.generator
     hn = h_norm(H)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import single_ry_circuit
 
-from nibp_lab import bounds
+from nibp_lab import bounds, channels, circuits
 from nibp_lab.bounds import (
     contractivity_profile,
     l0_threshold,
@@ -246,21 +246,21 @@ def test_theorem3_threshold_solves_the_shift_ratio():
 
 def _noise_setups(n):
     """Depth-4 noise setups on n qubits, each with its number of distinct
-    layer-channel entries."""
+    layer-channel entries other than None."""
     dep, damp = depolarizing(0.2), amplitude_damping(0.35)
     per_qubit = [dep, damp, dep][:n]
     full = tensor_channel([damp, dep, damp][:n])
     return {
         "uniform": (NoiseSpec.uniform(dep), 1),
-        "per_layer": (NoiseSpec(layer_channels=(dep, damp, None, dep)), 3),
+        "per_layer": (NoiseSpec(layer_channels=(dep, damp, None, dep)), 2),
         "per_qubit": (NoiseSpec(layer_channels=per_qubit), 1),
         "per_layer_per_qubit": (
             NoiseSpec(layer_channels=(per_qubit, [damp] * n, None, list(per_qubit))),
-            3,
+            2,
         ),
         "full_register": (NoiseSpec.uniform(full), 1),
         "per_layer_full_register": (
-            NoiseSpec(layer_channels=(full, None, dep, full)), 3
+            NoiseSpec(layer_channels=(full, None, dep, full)), 2
         ),
     }
 
@@ -268,7 +268,7 @@ def _noise_setups(n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", sorted(_noise_setups(2)))
 def test_layer_affine_maps_equal_per_layer_reference(n, kind):
-    # the per-call noise memo changes no bit of c and ||M||; Omega, built
+    # the shared noise maps change no bit of c and ||M||; Omega, built
     # from local transfer matrices, matches the dense route within 1e-12
     noise, _ = _noise_setups(n)[kind]
     circ = build_two_local(n, 4)
@@ -301,37 +301,55 @@ def _count_calls(monkeypatch, owner, name):
 def test_layer_affine_maps_builds_each_noise_map_once(monkeypatch, kind):
     noise, distinct = _noise_setups(2)[kind]
     circ = build_two_local(2, 4)
-    calls = _count_calls(monkeypatch, bounds, "affine_rep")
-    layer_affine_maps(circ, np.zeros(circ.num_parameters), noise)
-    # one noise map per distinct entry; the gate maps need no affine_rep
-    assert len(calls) == distinct
+    theta = np.zeros(circ.num_parameters)
+    # noiseless layers share one identity register channel in every call;
+    # its map and norm are built first, so the counts below do not depend on
+    # what ran before
+    affine_rep(circuits.layer_channel_as_kraus(NoiseSpec(), 0, 2)).operator_norm()
+    builds = _count_calls(monkeypatch, channels, "transfer_matrix")
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    first = layer_affine_maps(circ, theta, noise)
+    # one noise map and one SVD per distinct entry; the gate maps need neither
+    assert len(builds) == len(svds) == distinct
+    builds.clear()
+    svds.clear()
+    # a second call on the same noise reads the maps its channels carry
+    second = layer_affine_maps(circ, theta, noise)
+    assert not builds and not svds
+    for (_, c, opnorm), (_, c_again, opnorm_again) in zip(first, second):
+        assert c_again is c and opnorm_again is opnorm
 
 
-def test_layer_affine_maps_refuse_four_qubits():
-    # affine_rep refuses the register before any 255 x 255 noise map is built
+def test_layer_affine_maps_refuse_four_qubits(monkeypatch):
+    # the register is refused before its register channel, or any 255 x 255
+    # map, is built
     circ = build_two_local(4, 1)
+    tensors = _count_calls(monkeypatch, circuits, "tensor_channel")
     for noise in (NoiseSpec(), NoiseSpec.uniform(depolarizing(0.1))):
         with pytest.raises(SizeError, match="n <= 3"):
             layer_affine_maps(circ, np.zeros(circ.num_parameters), noise)
+    assert not tensors
 
 
 def test_nils_and_theorem3_build_each_channel_once(monkeypatch):
     dep, damp = depolarizing(0.2), amplitude_damping(0.35)
-    channels = [damp, dep, damp, damp, dep]
-    L = len(channels)
-    refs = [affine_rep(ch) for ch in channels]
-    reps = _count_calls(monkeypatch, bounds, "affine_rep")
-    svds = _count_calls(monkeypatch, bounds.np.linalg, "svd")
+    chans = [damp, dep, damp, damp, dep]
+    L = len(chans)
+    norms = [np.linalg.norm(channels.transfer_matrix(ch)[1:, 1:], 2) for ch in chans]
+    builds = _count_calls(monkeypatch, channels, "transfer_matrix")
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
     H = Hamiltonian(n=1, terms=(("Z", 0.5),))
-    nils = nils_interval(H, channels, L, _ry_layers(L), np.zeros(L))
-    # each distinct channel once for the interval, and once more for the
-    # realized shift's layer maps
-    assert Counter(args[0] for args in reps) == {dep: 2, damp: 2}
-    p = max(float(np.linalg.norm(ref.M, 2)) for ref in refs)
-    assert nils.lambda_L == bounds._lambda_width(h_norm(H), p, 2, L)
-    reps.clear()
+    nils = nils_interval(H, chans, L, _ry_layers(L), np.zeros(L))
+    # the interval and the realized shift's layer maps read one map per
+    # distinct channel
+    assert Counter(args[0] for args in builds) == {dep: 1, damp: 1}
+    assert len(svds) == 2
+    assert nils.lambda_L == bounds._lambda_width(h_norm(H), float(max(norms)), 2, L)
+    builds.clear()
     svds.clear()
-    t3 = theorem3_report(channels, 3)
-    assert len(reps) == 2 and len(svds) == 2
-    norms = [np.linalg.norm(ref.M, 2) for ref in refs]
+    # later reports on the same channels build nothing
+    t3 = theorem3_report(chans, 3)
+    again = nils_interval(H, chans, L, _ry_layers(L), np.zeros(L))
+    assert not builds and not svds
+    assert again.lambda_L == nils.lambda_L and np.array_equal(again.d_L, nils.d_L)
     assert t3.p_geometric == float(np.prod(norms) ** (1.0 / L))

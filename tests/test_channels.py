@@ -163,6 +163,24 @@ def test_affine_rep_carries_its_singular_values():
             sv[0] = 0.0
 
 
+def test_a_channel_carries_one_read_only_affine_map():
+    ch = amplitude_damping(0.3)
+    rep = affine_rep(ch)
+    assert affine_rep(ch) is rep
+    assert rep.operator_norm() is rep.operator_norm()  # one float, kept
+    for arr in (rep.M, rep.c):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_equal_channels_built_apart_get_their_own_maps():
+    # channels compare by identity, so an equal channel is a new cache key
+    first, second = depolarizing(0.3), depolarizing(0.3)
+    a, b = affine_rep(first), affine_rep(second)
+    assert a is not b
+    assert np.array_equal(a.M, b.M) and np.array_equal(a.c, b.c)
+
+
 def test_unital_channels_do_not_increase_purity():
     rng = np.random.default_rng(13)
     for _ in range(50):

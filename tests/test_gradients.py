@@ -243,6 +243,30 @@ def test_shift_rules_refuse_a_gate_with_control_noise():
                - fd_gradient(mixed, theta, noise, H, loc)) < 1e-8
 
 
+def test_control_noise_gradient_refuses_a_gate_it_cannot_perturb():
+    # before, a placed perturbation was silently replaced: the call below
+    # returned -0.33756, the derivative of the ZI-only gate, while the
+    # placed circuit's finite difference is -0.34613
+    rng = np.random.default_rng(1)
+    circ = build_two_local(2, 2)
+    H = random_two_local(2, rng)
+    theta = rng.uniform(0, 2 * np.pi, circ.num_parameters)
+    loc = (1, 0)
+    placed = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), {"XI": 0.15}))
+    with pytest.raises(ValueError, match=r"gate at \(1, 0\) already carries control noise"):
+        control_noise_gradient(placed, theta, {"ZI": 0.05}, H, loc)
+    # a CNOT slot and a mixture are refused by name too
+    mixture = RandomUnitaryNoise(probs=(0.8, 0.2), generators=("YI", "XI"), intended=0)
+    mixed = circ.with_gate(loc, Gate(mixture=mixture))
+    for c, at in ((circ, (0, 2)), (mixed, loc)):
+        with pytest.raises(ValueError, match=rf"gate at \({at[0]}, {at[1]}\) is not a rotation"):
+            control_noise_gradient(c, theta, {"ZI": 0.05}, H, at)
+    # both terms on the plain gate give the placed circuit's derivative
+    value, _ = control_noise_gradient(circ, theta, {"XI": 0.15, "ZI": 0.05}, H, loc)
+    both = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), {"XI": 0.15, "ZI": 0.05}))
+    assert abs(value - fd_gradient(both, theta, NoiseSpec(), H, loc)) < 1e-8
+
+
 def test_random_noise_gradient_refuses_a_location_without_a_plain_rotation():
     # before, a CNOT slot ended in a bare KeyError
     rng = np.random.default_rng(46)

@@ -6,10 +6,11 @@ replaced (``dense_oracle.qubit_kernel``), the run-based layer builder of
 ``evolve`` against the gate-by-gate ``u @ acc`` chain and, bit for bit,
 against the per-layer assembly it replaced (``dense_oracle.layer_ops``),
 batched evolution against one evolution per angle row and against the
-per-layer affine maps of the bounds, the gate maps built from local Pauli
-transfer matrices against the dense superoperator route, the CNOT signed
-permutations against their transfer matrices, and the batched gradient
-sweep against one shift-rule call per sample.
+per-layer affine maps of the bounds, the affine maps the noise channels
+carry against a fresh transfer-matrix build, the gate maps built from
+local Pauli transfer matrices against the dense superoperator route, the
+CNOT signed permutations against their transfer matrices, and the batched
+gradient sweep against one shift-rule call per sample.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -271,6 +272,45 @@ def test_evolve_follows_layer_affine_maps(n, depth, p, seed):
                          _noise(kind, n, layers, p))
             np.testing.assert_allclose(
                 to_coherence(rho), v, rtol=0, atol=1e-12, err_msg=kind)
+
+
+def _fresh_register_ops(entry, n):
+    """The Kraus operators of a layer entry's register channel, built anew."""
+    if entry is None:
+        return channels.identity_channel(n).kraus_ops
+    if isinstance(entry, KrausChannel):
+        return entry.kraus_ops
+    return channels.tensor_channel(entry).kraus_ops
+
+
+@SETTINGS
+@given(
+    n=st.integers(1, 3),
+    depth=st.integers(1, 3),
+    kind=st.sampled_from(["uniform", "per_layer", "per_qubit", "full_register"]),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_affine_maps_equal_a_fresh_build_bit_for_bit(n, depth, kind, p, seed):
+    # the maps the register channels carry, read back by a second call,
+    # equal a transfer-matrix build on a new channel with the same
+    # operators, word for word
+    circ = single_ry_circuit() if n == 1 else build_two_local(n, depth)
+    noise = _noise(kind, n, circ.depth, p)
+    theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=circ.num_parameters)
+    layer_affine_maps(circ, theta, noise)
+    for layer, (omega, c, opnorm) in enumerate(layer_affine_maps(circ, theta, noise)):
+        rep = affine_rep(circuits.layer_channel_as_kraus(noise, layer, n))
+        fresh = KrausChannel(_fresh_register_ops(noise.layer_channel(layer, n), n))
+        t = channels.transfer_matrix(fresh)
+        m, shift = t[1:, 1:], t[1:, 0] / np.sqrt(2**n)
+        norm = float(np.linalg.svd(m, compute_uv=False)[0])
+        assert np.array_equal(_bits(rep.M), _bits(m))
+        assert np.array_equal(_bits(rep.c), _bits(shift))
+        assert np.array_equal(_bits(c), _bits(shift))
+        assert np.array_equal(_bits([rep.operator_norm(), opnorm]), _bits([norm, norm]))
+        gate_map = circuits.layer_gate_map(circ, theta, layer)
+        assert np.array_equal(_bits(omega), _bits(m @ gate_map))
 
 
 @st.composite
