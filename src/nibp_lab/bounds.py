@@ -221,7 +221,7 @@ def theorem3_report(channels: Sequence[KrausChannel], l: int) -> Theorem3Report:
     if l > L:
         raise ValueError(f"l={l} exceeds layer count {L}")
     reps = [affine_rep(ch) for ch in channels]
-    c_norms = [float(np.linalg.norm(rep.c)) for rep in reps]
+    c_norms = [rep.c_norm for rep in reps]
     if all(rep.is_unital() for rep in reps):
         return Theorem3Report(
             applicable=False,

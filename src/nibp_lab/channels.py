@@ -227,8 +227,13 @@ class AffineRep:
         of one map (a bound report keeps one per layer) hold one object."""
         return self._operator_norm
 
+    @cached_property
+    def c_norm(self) -> float:
+        """||c||, one float computed once (``is_unital`` and the bounds read it)."""
+        return float(np.linalg.norm(self.c))
+
     def is_unital(self) -> bool:
-        return float(np.linalg.norm(self.c)) <= UNITAL_TOL
+        return self.c_norm <= UNITAL_TOL
 
 
 def validate_kraus(ch: KrausChannel) -> ValidationReport:

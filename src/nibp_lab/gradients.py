@@ -7,10 +7,18 @@ extra Pauli terms, and the derivative becomes a weighted sum of shifted
 evaluations, one per generator term, each with the noisy gate replaced by
 its fixed unitary times a +-pi/2 rotation about that term; the two-point
 rules refuse such a gate and name ``control_noise_gradient``.
+
+``psr_gradient`` differentiates a (B, P) stack of angle rows, each row with
+its own location and Hamiltonian, from one evolution of each shifted stack
+and one batched ``cost`` of each.  ``gradient_stats`` cuts the rows of all
+its Hamiltonians, in draw order, into blocks of bounded memory, so a block
+may hold the rows of several Hamiltonians; its statistics are bit for bit
+those of one call per sample.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -28,7 +36,7 @@ from .circuits import (
     perturbed_gate,
 )
 from .hamiltonians import Hamiltonian, cost, h_norm, h_vector, random_two_local
-from .pauli import DensityMatrix, _pauli_matrix, to_coherence
+from .pauli import _pauli_matrix, to_coherence
 
 FD_STEP = 1e-5  # fd_gradient's step; the 1e-8 tolerances against the shift rule assume it
 
@@ -72,16 +80,17 @@ def psr_gradient(
     circ: Circuit,
     theta: np.ndarray,
     noise: NoiseSpec,
-    H: Hamiltonian,
+    H: Hamiltonian | Sequence[Hamiltonian],
     location: Location | Sequence[Location],
 ) -> float | np.ndarray:
     """Two-point shift-rule derivative with the full noisy evolution.
 
     ``theta`` of shape (B, P) gives the (B,) derivatives of its rows, row b
-    at ``location[b]`` (or all at one location), from one evolution of the
-    B plus-shifted and one of the B minus-shifted angle vectors; both
-    (B, d, d) stacks are live at once, so ``gradient_stats`` passes rows in
-    bounded blocks.
+    of ``H[b]`` at ``location[b]`` (or all of one Hamiltonian, or all at
+    one location), from one evolution of the B plus-shifted and one of the
+    B minus-shifted angle vectors, each reduced to its B costs by one
+    batched ``cost``; both (B, d, d) stacks are live at once, so
+    ``gradient_stats`` passes rows in bounded blocks.
     """
     theta = np.asarray(theta, dtype=float)
     thetas = theta[None] if theta.ndim == 1 else theta
@@ -91,16 +100,14 @@ def psr_gradient(
         raise ValueError(f"{len(location)} locations for {len(thetas)} angle rows")
     for loc in dict.fromkeys(location):
         _check_shift_rule(circ, loc)
+    if isinstance(H, Hamiltonian):
+        H = [H] * len(thetas)
     idx = [circ.parameter_index[loc] for loc in location]
     plus, minus = _shifted_pair(thetas, idx, np.pi / 2)
-    cp = _costs(H, evolve(circ, plus, noise))
-    cm = _costs(H, evolve(circ, minus, noise))
+    cp = cost(H, evolve(circ, plus, noise))
+    cm = cost(H, evolve(circ, minus, noise))
     grads = 0.5 * (cp - cm)
     return float(grads[0]) if theta.ndim == 1 else grads
-
-
-def _costs(H: Hamiltonian, rhos: np.ndarray) -> np.ndarray:
-    return np.array([cost(H, DensityMatrix(rho)) for rho in rhos])
 
 
 def fd_gradient(
@@ -279,24 +286,31 @@ def gradient_stats(spec: SweepSpec) -> dict[Location, GradientStats]:
         lambda rng: random_two_local(circ.n, rng)
     )
     values: dict[Location, list[float]] = {loc: [] for loc in spec.locations}
-    # one row per (angle draw, location), angle-major, evolved and reduced
-    # to derivatives one block of rows at a time
-    locations = list(spec.locations) * spec.thetas_per_hamiltonian
-    step = max(1, _BLOCK_BYTES // (16 * 4**circ.n))
     h_norms = []
-    for i in range(spec.num_hamiltonians):
-        rng = np.random.default_rng([spec.seed, i])
-        H = factory(rng)
-        h_norms.append(h_norm(H))
-        thetas = rng.uniform(
-            0.0, 2.0 * np.pi, size=(spec.thetas_per_hamiltonian, circ.num_parameters)
-        )
-        rows = np.repeat(thetas, len(spec.locations), axis=0)
-        for start in range(0, len(rows), step):
-            block = slice(start, start + step)
-            grads = psr_gradient(circ, rows[block], spec.noise, H, locations[block])
-            for loc, g in zip(locations[block], grads.tolist()):
-                values[loc].append(abs(g))
+
+    def samples():
+        """(Hamiltonian, angle row, location) per sample, Hamiltonian by
+        Hamiltonian, each drawn only when a block reaches it."""
+        for i in range(spec.num_hamiltonians):
+            rng = np.random.default_rng([spec.seed, i])
+            H = factory(rng)
+            h_norms.append(h_norm(H))
+            thetas = rng.uniform(
+                0.0, 2.0 * np.pi, size=(spec.thetas_per_hamiltonian, circ.num_parameters)
+            )
+            for theta in thetas:
+                for loc in spec.locations:
+                    yield H, theta, loc
+
+    # samples are evolved and reduced to derivatives one block of rows at a
+    # time; a block may hold the rows of several Hamiltonians
+    step = max(1, _BLOCK_BYTES // (16 * 4**circ.n))
+    pending = samples()
+    while block := list(itertools.islice(pending, step)):
+        hs, rows, locations = zip(*block)
+        grads = psr_gradient(circ, np.array(rows), spec.noise, hs, locations)
+        for loc, g in zip(locations, grads.tolist()):
+            values[loc].append(abs(g))
     out = {}
     for loc, vals in values.items():
         k = len(vals)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .pauli import (
     check_pauli,
     hamming_weight,
     pauli_strings_by_weight,
+    qubit_count,
     strings_of_weight,
 )
 
@@ -99,14 +101,31 @@ def h_norm_bound(n: int, K: int, h_max: float) -> float:
     return h_max * n ** (K / 2) / np.sqrt(factorial(K - 1))
 
 
-def cost(H: Hamiltonian, rho: DensityMatrix) -> float:
-    """Expectation value Tr(H rho)."""
-    if H.n != rho.n:
-        raise DimensionMismatchError(f"H has n={H.n}, state n={rho.n}")
-    val = np.trace(H.matrix() @ rho.data)
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary residual {val.imag:.2e}")
-    return float(val.real)
+def cost(
+    H: Hamiltonian | Sequence[Hamiltonian], rho: DensityMatrix | np.ndarray
+) -> float | np.ndarray:
+    """Expectation value Tr(H rho).
+
+    ``rho`` may be a (B, d, d) stack of states, with ``H`` a list of one
+    Hamiltonian per row: one batched product and trace give the (B,)
+    values, each bit for bit the value of its row on its own.  One state
+    is the stack of one row.
+    """
+    if isinstance(rho, DensityMatrix):
+        return float(cost([H], rho.data[None])[0])
+    if rho.ndim != 3:
+        raise DimensionMismatchError(f"states of shape {rho.shape} are not a (B, d, d) stack")
+    if len(H) != len(rho):
+        raise ValueError(f"{len(H)} Hamiltonians for {len(rho)} states")
+    n = qubit_count(rho.shape[1:])
+    for h in H:
+        if h.n != n:
+            raise DimensionMismatchError(f"H has n={h.n}, state n={n}")
+    vals = (np.array([h.matrix() for h in H]) @ rho).diagonal(axis1=1, axis2=2).sum(-1)
+    for residual in vals.imag.tolist():
+        if abs(residual) > 1e-10:
+            raise ValueError(f"expectation has imaginary residual {residual:.2e}")
+    return vals.real
 
 
 def two_local_strings(n: int) -> list[str]:

@@ -178,10 +178,13 @@ def _depth_sweep(noise_type, p, depths, num_h=10, num_theta=20, seed=0):
             rng = np.random.default_rng([seed, depth, i])
             H = random_two_local(n, rng)
             cap = h_norm(H) * r**depth
-            for _ in range(num_theta):
-                theta = rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
-                for k, loc in enumerate(roles):
-                    g = abs(psr_gradient(circ, theta, noise, H, loc))
+            thetas = [rng.uniform(0, 2 * np.pi, size=circ.num_parameters)
+                      for _ in range(num_theta)]
+            # all num_theta x 3 derivatives of H in one call, angle-major
+            grads = psr_gradient(circ, np.repeat(thetas, 3, axis=0), noise, H,
+                                 roles * num_theta)
+            for row in np.abs(grads).reshape(num_theta, 3).tolist():
+                for k, g in enumerate(row):
                     sums[k] += g
                     worst_excess = max(worst_excess, g - cap)
                 count += 1

@@ -353,3 +353,29 @@ def test_nils_and_theorem3_build_each_channel_once(monkeypatch):
     assert not builds and not svds
     assert again.lambda_L == nils.lambda_L and np.array_equal(again.d_L, nils.d_L)
     assert t3.p_geometric == float(np.prod(norms) ** (1.0 / L))
+
+
+def test_an_affine_map_computes_its_c_norm_once(monkeypatch):
+    # is_unital and theorem3_report read one ||c|| per map; before, every
+    # is_unital call took np.linalg.norm of c again
+    dep, damp = depolarizing(0.7), amplitude_damping(0.9)
+    chans = [damp, dep, damp, damp, dep]
+    reps = [affine_rep(ch) for ch in (dep, damp)]
+    fresh = [float(np.linalg.norm(rep.c)) for rep in reps]
+    norms = _count_calls(monkeypatch, np.linalg, "norm")
+    first = [theorem3_report(chans, l) for l in (3, 4, 5)]
+    unital = [affine_rep(ch).is_unital() for ch in chans]
+    assert sorted(id(args[0]) for args in norms) == sorted(id(rep.c) for rep in reps)
+    norms.clear()
+    assert [theorem3_report(chans, l) for l in (3, 4, 5)] == first
+    assert [affine_rep(ch).is_unital() for ch in chans] == unital
+    assert not norms
+    # the same float, bit for bit, as the norm taken on every call
+    for rep, c_norm in zip(reps, fresh):
+        assert rep.c_norm is rep.c_norm and rep.c_norm == c_norm
+        assert rep.is_unital() == (c_norm <= channels.UNITAL_TOL)
+    assert unital == [False, True, False, False, True]
+    c = [fresh[ch is damp] for ch in chans]
+    t4 = first[1]
+    assert t4.d_l == max(c[2] - max(c[:3]) * bounds._prefix_sum_factor(t4.sigma_max_prefix, 4), 0.0)
+    assert t4.d_l > 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from dense_oracle import qubit_kernel
 
-from nibp_lab import circuits, gradients
+from nibp_lab import circuits
 from nibp_lab.channels import (
     AffineRep,
     KrausChannel,
@@ -28,7 +28,7 @@ from nibp_lab.channels import (
     validate_kraus,
 )
 from nibp_lab.circuits import RandomUnitaryNoise, random_unitary_channel
-from nibp_lab.hamiltonians import Hamiltonian
+from nibp_lab.hamiltonians import Hamiltonian, cost
 from nibp_lab.pauli import (
     MAX_QUBITS,
     DensityMatrix,
@@ -281,11 +281,11 @@ def _first_refused_qubit(apply) -> int:
 
 
 def _cost_width(a: np.ndarray) -> int:
-    """The k of the k-qubit Hamiltonian whose cost ``_costs`` takes on a;
-    raises what it raises for the last k tried."""
+    """The k of the k-qubit Hamiltonian whose batched ``cost`` takes the
+    one-state stack of a; raises what it raises for the last k tried."""
     for k in range(1, MAX_QUBITS + 2):
         try:
-            gradients._costs(Hamiltonian(n=k, terms=(("Z" * k, 1.0),)), a[None])
+            cost([Hamiltonian(n=k, terms=(("Z" * k, 1.0),))], a[None])
             return k
         except DimensionMismatchError as exc:
             refused = exc
@@ -301,7 +301,7 @@ MATRIX_READERS = {
         lambda q: amplitude_damping(0.3).apply_to_qubit(a, q)),
     "_apply_layer_channel": lambda a: _first_refused_qubit(
         lambda q: circuits._apply_layer_channel(a, (amplitude_damping(0.3),) * (q + 1))),
-    "_costs": _cost_width,
+    "cost": _cost_width,
 }
 # each reader of a qubit count off a (4^n - 1,) coherence vector
 VECTOR_READERS = {

@@ -112,6 +112,41 @@ def test_cost_paths_agree():
         assert abs(cost(H, rho) - cost_from_coherence(H, rho)) < 1e-12
 
 
+def test_batched_cost_is_each_rows_trace_bit_for_bit():
+    # one batched product and trace, whether the rows share one
+    # Hamiltonian or each has its own, gives each row the bits of the
+    # single-state trace
+    rng = np.random.default_rng(32)
+    for n in range(2, 7):
+        rhos = np.stack([random_density_matrix(n, rng).data for _ in range(5)])
+        hs = [random_two_local(n, rng) for _ in range(5)]
+        for rows in (hs, [hs[0]] * 5):
+            single = np.array([float(np.trace(h.matrix() @ r).real) for h, r in zip(rows, rhos)])
+            got = cost(rows, rhos)
+            assert got.shape == (5,)
+            np.testing.assert_array_equal(got.view(np.uint64), single.view(np.uint64))
+            again = np.array([cost(h, DensityMatrix(r)) for h, r in zip(rows, rhos)])
+            np.testing.assert_array_equal(again.view(np.uint64), single.view(np.uint64))
+
+
+def test_batched_cost_refusals():
+    rng = np.random.default_rng(33)
+    rhos = np.stack([random_density_matrix(3, rng).data for _ in range(3)])
+    hs = [random_two_local(3, rng) for _ in range(3)]
+    with pytest.raises(ValueError, match="2 Hamiltonians for 3 states"):
+        cost(hs[:2], rhos)
+    with pytest.raises(DimensionMismatchError, match="H has n=2, state n=3"):
+        cost([hs[0], random_two_local(2, rng), hs[2]], rhos)
+    with pytest.raises(DimensionMismatchError, match=r"\(8, 8\) are not a \(B, d, d\) stack"):
+        cost(hs[0], rhos[0])
+    # every row's imaginary residual is checked, past a NaN row too
+    bad = rhos.copy()
+    bad[0, 0, 0] = np.nan
+    bad[2] += 0.5j * np.eye(8)
+    with pytest.raises(ValueError, match="imaginary residual"):
+        cost(hs, bad)
+
+
 def test_cost_special_states():
     H = Hamiltonian(n=1, terms=(("Z", 1.0),))
     assert abs(cost(H, DensityMatrix.ground_state(1)) - 1.0) < 1e-14

@@ -47,10 +47,11 @@ from nibp_lab.circuits import (
     evolve,
 )
 from nibp_lab.gradients import SweepSpec, gradient_stats, psr_gradient
-from nibp_lab.hamiltonians import random_two_local
+from nibp_lab.hamiltonians import cost, h_norm, random_two_local
 from nibp_lab.pauli import (
     MAX_QUBITS,
     DensityMatrix,
+    DimensionMismatchError,
     _pauli_matrix,
     random_density_matrix,
     to_coherence,
@@ -200,7 +201,7 @@ def _noise(kind, n, depth, p):
                          + [one] * (n % 2))
     if kind == "full_register":
         return NoiseSpec.uniform(random_channel(n, np.random.default_rng(7)))
-    if kind in ("control", "mixture"):
+    if kind in ("damping", "control", "mixture"):
         return NoiseSpec.uniform(one)
     return NoiseSpec()
 
@@ -542,6 +543,48 @@ def test_batched_psr_gradient_locations():
         psr_gradient(circ, thetas, noise, H, (0, 3))
 
 
+@SETTINGS
+@given(
+    n=st.integers(2, 4),
+    depth=st.integers(1, 3),
+    kind=st.sampled_from(["uniform", "damping", "per_qubit", "full_register", "mixture"]),
+    p=st.floats(0.0, 1.0),
+    batch=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psr_gradient_per_row_hamiltonians_equal_single_rows(n, depth, kind, p, batch, seed):
+    # rows of mixed Hamiltonians and locations, in one call, give the
+    # bits of one call per row
+    circ = _gate_noise(kind, build_two_local(n, depth))
+    noise = _noise(kind, n, depth, p)
+    rng = np.random.default_rng(seed)
+    pool = [random_two_local(n, rng) for _ in range(3)]
+    params = list(circ.parameter_index)
+    hs = [pool[i] for i in rng.integers(0, len(pool), batch)]
+    locs = [params[i] for i in rng.integers(0, len(params), batch)]
+    thetas = rng.uniform(0, 2 * np.pi, (batch, circ.num_parameters))
+    grads = psr_gradient(circ, thetas, noise, hs, locs)
+    single = np.array([psr_gradient(circ, t, noise, h, loc)
+                       for t, h, loc in zip(thetas, hs, locs)])
+    np.testing.assert_array_equal(grads.view(np.uint64), single.view(np.uint64))
+
+
+def test_psr_gradient_refuses_per_row_hamiltonians_that_do_not_fit():
+    circ = build_two_local(3, 2)
+    noise = NoiseSpec.uniform(named_channel("depolarizing", 0.1))
+    thetas = np.zeros((3, circ.num_parameters))
+    hs = [random_two_local(3, k) for k in range(3)]
+    with pytest.raises(ValueError, match="2 Hamiltonians for 3 states"):
+        psr_gradient(circ, thetas, noise, hs[:2], (0, 0))
+    # a Hamiltonian of the wrong width is refused as cost refuses it
+    narrow = random_two_local(2, 0)
+    with pytest.raises(DimensionMismatchError, match="H has n=2, state n=3") as batched:
+        psr_gradient(circ, thetas, noise, [hs[0], narrow, hs[2]], (0, 0))
+    with pytest.raises(DimensionMismatchError) as single:
+        cost(narrow, evolve(circ, thetas[0], noise))
+    assert str(batched.value) == str(single.value)
+
+
 def _looped_stats(spec):
     """The sweep as one shift-rule call per (Hamiltonian, angle, location)."""
     circ = spec.circuit
@@ -587,6 +630,37 @@ def test_gradient_stats_equals_per_sample_loop(n, depth, name, p, hamiltonians,
         got = (s.mean_abs, s.variance, s.min, s.max, s.samples)
         assert got == expected[loc]
         assert all(type(v) is float for v in got[:4])
+
+
+def test_gradient_stats_blocks_straddle_hamiltonians(monkeypatch):
+    # at n=6 a block holds 4 rows, and each Hamiltonian has 3 angle draws at
+    # the 3 default locations of L=2, (1, 0) twice: 9 rows, so blocks mix
+    # the rows of two Hamiltonians
+    circ = build_two_local(6, 2)
+    assert gradients._BLOCK_BYTES // (16 * 4**6) == 4
+    calls = []
+    real_psr = gradients.psr_gradient
+
+    def recording_psr(circ, thetas, noise, H, locations):
+        calls.append(len({id(h) for h in H}))
+        return real_psr(circ, thetas, noise, H, locations)
+
+    monkeypatch.setattr(gradients, "psr_gradient", recording_psr)
+    spec = SweepSpec(
+        circuit=circ, noise=NoiseSpec.uniform(named_channel("amplitude_damping", 0.3)),
+        locations=gradients.default_locations(circ), num_hamiltonians=2,
+        thetas_per_hamiltonian=3, seed=5,
+    )
+    assert spec.locations == ((0, 0), (1, 0), (1, 0))
+    stats = gradient_stats(spec)
+    monkeypatch.undo()
+    assert calls == [1, 1, 2, 1, 1]
+    expected = _looped_stats(spec)
+    assert set(stats) == {(0, 0), (1, 0)}
+    for loc, s in stats.items():
+        assert (s.mean_abs, s.variance, s.min, s.max, s.samples) == expected[loc]
+    drawn = tuple(h_norm(random_two_local(6, np.random.default_rng([5, i]))) for i in range(2))
+    assert stats[(0, 0)].h_norms == drawn
 
 
 def test_gradient_stats_blocks_bound_the_stack(monkeypatch):
