@@ -49,14 +49,16 @@ class KrausChannel:
 
     The channel keeps read-only copies of the operators it is given, so
     later edits of the caller's arrays cannot reach it (or its cached
-    per-qubit terms, tables and affine map).  Channels compare and hash by
-    identity.
+    per-qubit terms, tables, register channels and affine map).  Channels
+    compare and hash by identity.
     """
 
     kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
     n: int = field(init=False)
     # the qubit-local kernel's tables, keyed by (qubit, d) of the state
     _tables: dict = field(default_factory=dict, init=False, repr=False)
+    # a 1-qubit channel's register channels, keyed by width (``register``)
+    _registers: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.array(k) for k in self.kraus_ops)
@@ -144,6 +146,15 @@ class KrausChannel:
         if rho.n != self.n:
             raise DimensionMismatchError(f"state n={rho.n}, channel n={self.n}")
         return DensityMatrix(self.apply(rho.data))
+
+    def register(self, n: int) -> KrausChannel:
+        """This channel on an n-qubit register (a 1-qubit channel on every
+        qubit), built once per n and carried like its affine map."""
+        if n == self.n:
+            return self
+        if n not in self._registers:
+            self._registers[n] = tensor_channel([self] * n)
+        return self._registers[n]
 
     @cached_property
     def _affine(self) -> AffineRep:

@@ -37,7 +37,6 @@ from .channels import (
     check_affine_size,
     identity_channel,
     named_channel,
-    tensor_channel,
     transfer_matrix,
     unitary_channel,
 )
@@ -49,6 +48,7 @@ from .pauli import (
     check_pauli,
     hamming_weight,
     pauli_strings_by_weight,
+    qubit_count,
 )
 
 CONTROL_NOISE_NORM_CAP = 0.2
@@ -179,22 +179,25 @@ def random_unitary_channel(spec: RandomUnitaryNoise, theta: float) -> KrausChann
     return KrausChannel(tuple(_mixture_ops(spec, theta)))
 
 
-LayerChannel = KrausChannel | Sequence[KrausChannel] | None
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """The layer channels: the noise after each layer.  Gate noise is part
     of its gate (``perturbed_gate``, ``Gate(mixture=...)``).
 
-    ``layer_channels`` is one entry broadcast to all layers, or a tuple of
-    one entry per layer; each entry is None, a single-qubit channel applied
-    to every qubit, a full-register channel, or a per-qubit list of
-    single-qubit channels.  A top-level tuple is always per layer: give a
-    per-qubit entry for every layer as a list.
+    ``layer_channels`` is one entry for every layer, or a tuple of one entry
+    per layer.  An entry is None or one channel: a single-qubit channel
+    applied to every qubit, or a full-register channel (a product of
+    different single-qubit channels is one ``tensor_channel`` entry).
     """
 
-    layer_channels: LayerChannel | tuple[LayerChannel, ...] = None
+    layer_channels: KrausChannel | tuple[KrausChannel | None, ...] | None = None
+
+    def __post_init__(self):
+        lc = self.layer_channels
+        for layer, entry in enumerate(lc if isinstance(lc, tuple) else (lc,)):
+            if entry is not None and not isinstance(entry, KrausChannel):
+                where = f"after layer {layer}" if isinstance(lc, tuple) else "for every layer"
+                raise TypeError(f"layer channel {entry!r} {where} is not None or a KrausChannel")
 
     @classmethod
     def none(cls) -> "NoiseSpec":
@@ -221,24 +224,15 @@ class NoiseSpec:
                 f"per-layer noise has {len(lc)} entries, circuit has {circ.depth} layers"
             )
 
-    def layer_channel(self, layer: int, n: int) -> LayerChannel:
-        """The noise after ``layer`` on an n-qubit register: None, one
-        full-register channel, or a tuple of n single-qubit channels."""
+    def layer_channel(self, layer: int, n: int) -> KrausChannel | None:
+        """The noise after ``layer`` on an n-qubit register: None, a
+        single-qubit channel for every qubit, or a full-register channel."""
         lc = self.layer_channels
         entry = lc[layer] if isinstance(lc, tuple) else lc
-        if entry is None or isinstance(entry, KrausChannel) and entry.n == n:
-            return entry
-        if isinstance(entry, KrausChannel):
-            if entry.n != 1:
-                raise DimensionMismatchError(
-                    f"layer channel acts on {entry.n} qubits, register has {n}"
-                )
-            return (entry,) * n
-        if len(entry) != n:
+        if entry is not None and entry.n not in (1, n):
             raise DimensionMismatchError(
-                f"per-qubit channel list has length {len(entry)}, register has {n}"
-            )
-        return tuple(entry)
+                f"layer channel acts on {entry.n} qubits, register has {n}")
+        return entry
 
 
 @dataclass(frozen=True)
@@ -439,11 +433,15 @@ def _gate_unitary(run: tuple[int | None, Gate], thetas: np.ndarray) -> np.ndarra
     return gate.matrix if index is None else gate.unitary(thetas[..., index])
 
 
-def _apply_layer_channel(rho: np.ndarray, channel: LayerChannel) -> np.ndarray:
-    if isinstance(channel, KrausChannel):
+def _apply_layer_channel(rho: np.ndarray, channel: KrausChannel | None) -> np.ndarray:
+    """A layer entry on a state or stack; a 1-qubit entry goes on each qubit in turn."""
+    if channel is None:
+        return rho
+    n = qubit_count(rho.shape[-2:])
+    if channel.n == n:
         return channel.apply(rho)
-    for q, ch in enumerate(channel or ()):
-        rho = ch.apply_to_qubit(rho, q)
+    for q in range(n):
+        rho = channel.apply_to_qubit(rho, q)
     return rho
 
 
@@ -652,22 +650,14 @@ def _cnot_chain_ptm(
     return src, sign
 
 
+_NO_NOISE = identity_channel(1)  # a layer without noise, at every register width
+
+
 def layer_channel_as_kraus(noise: NoiseSpec, layer: int, n: int) -> KrausChannel:
     """The layer's noise map as one full-register channel (identity if
     absent), for the affine path: a register beyond ``AFFINE_MAX_QUBITS``
-    is refused before any channel is built.  A full-register entry is
-    returned as it is; a per-qubit tuple, or no noise, gets the one
-    register channel ``_built_register`` keeps for it, so every later call
-    shares that channel and with it its affine map."""
+    is refused before any channel is built.  A single-qubit entry, or no
+    noise, gives the register channel it carries (``KrausChannel.register``)."""
     check_affine_size(n)
     entry = noise.layer_channel(layer, n)
-    return entry if isinstance(entry, KrausChannel) else _built_register(entry, n)
-
-
-@lru_cache(maxsize=32)
-def _built_register(per_qubit: tuple[KrausChannel, ...] | None, n: int) -> KrausChannel:
-    """The register channel built for per-qubit channels (a tuple, which
-    hashes by its elements' identities), or the identity for None.  The
-    cache keeps its keys alive, so no id is reused while an entry is
-    cached."""
-    return identity_channel(n) if per_qubit is None else tensor_channel(per_qubit)
+    return (_NO_NOISE if entry is None else entry).register(n)

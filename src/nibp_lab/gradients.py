@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,10 +30,8 @@ from .circuits import (
     Gate,
     Location,
     NoiseSpec,
-    RandomUnitaryNoise,
     _rotation,
     evolve,
-    perturbed_gate,
 )
 from .hamiltonians import Hamiltonian, cost, h_norm, h_vector, random_two_local
 from .pauli import _pauli_matrix, to_coherence
@@ -55,15 +53,23 @@ class GradientStats:
     h_norms: tuple[float, ...]
 
 
-def _shifted_pair(theta, idx, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Copies of the angles with entry ``idx`` shifted by +delta and by
-    -delta; (B, P) rows take one index per row."""
-    theta = np.asarray(theta, dtype=float)
+def _shifted_pair(theta: np.ndarray, idx, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the float angles with entry ``idx`` shifted by +delta and
+    by -delta; (B, P) rows take one index per row."""
     at = (np.arange(len(theta)), idx) if theta.ndim == 2 else idx
     plus, minus = theta.copy(), theta.copy()
     plus[at] += delta
     minus[at] -= delta
     return plus, minus
+
+
+def _one_row(circ: Circuit, theta) -> np.ndarray:
+    """``theta`` as one (P,) angle vector; any other shape is refused, named."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (circ.num_parameters,):
+        raise ValueError(
+            f"expected one row of {circ.num_parameters} angles, got shape {theta.shape}")
+    return theta
 
 
 def _check_shift_rule(circ: Circuit, location: Location) -> None:
@@ -118,6 +124,7 @@ def fd_gradient(
     location: Location,
 ) -> float:
     """Central finite difference of step FD_STEP, the oracle for the shift rule."""
+    theta = _one_row(circ, theta)
     cp, cm = (
         cost(H, evolve(circ, t, noise))
         for t in _shifted_pair(theta, circ.parameter_index[location], FD_STEP)
@@ -137,6 +144,7 @@ def coherence_gradient(
     The identity component of H drops out of the difference of the two
     shifted states, so the overlap reproduces the shift-rule value.
     """
+    theta = _one_row(circ, theta)
     _check_shift_rule(circ, location)
     _, h = h_vector(H)
     vp, vm = (
@@ -147,7 +155,7 @@ def coherence_gradient(
 
 
 def _evolve_fixed(circ, theta, noise, location, matrix) -> np.ndarray:
-    """Final state with the rotation at ``location`` replaced by a fixed
+    """Final state with the gate at ``location`` replaced by a fixed
     unitary, which takes its angle out of ``theta``."""
     fixed = circ.with_gate(location, Gate(matrix=matrix))
     return evolve(fixed, np.delete(theta, circ.parameter_index[location]), noise).data
@@ -156,57 +164,50 @@ def _evolve_fixed(circ, theta, noise, location, matrix) -> np.ndarray:
 def control_noise_gradient(
     circ: Circuit,
     theta: np.ndarray,
-    a: Mapping[str, float],
+    noise: NoiseSpec,
     H: Hamiltonian,
     location: Location,
-    noise: NoiseSpec = NoiseSpec(),
 ) -> tuple[float, float]:
-    """Exact derivative and its norm bound for a coherently perturbed gate.
+    """Exact derivative and its norm bound for the rotation at ``location``.
 
-    The gate at ``location`` has generator P_j + sum_k a_k P_k.  Since the
-    generator commutes with its own exponential, the derivative splits into
-    per-term commutators acting on the pre-gate state, each realized by
-    replacing the gate with the fixed unitary U(theta) R_k(+-pi/2):
+    Its generator is P_j + sum_k a_k P_k, the a_k its perturbation (none on
+    a plain rotation).  Since the generator commutes with its own
+    exponential, the derivative splits into per-term commutators acting on
+    the pre-gate state, each realized by replacing the gate with the fixed
+    unitary U(theta) R_k(+-pi/2):
 
         dC/dtheta = 1/2 sum_k (delta_kj + a_k) [C_k(+) - C_k(-)].
 
     Returns (value, bound) with
     bound = ||h||/2 * (||w_j|| + sum_k |a_k| ||w_k||), where w_k is the
     coherence-vector difference of the two rotated branches and its norm
-    is taken as the Frobenius norm of the state difference.  The gate must
-    be a rotation without control noise of its own, which ``a`` would
-    replace.
+    is taken as the Frobenius norm of the state difference.
     """
+    theta = _one_row(circ, theta)
     gate = circ.gate_at(location)
     if gate.generator is None:
-        raise ValueError(f"gate at {location} is not a rotation for control noise to perturb")
-    if gate.perturbation:
-        raise ValueError(f"gate at {location} already carries control noise")
-    gate = perturbed_gate(gate, a)
+        raise ValueError(f"gate at {location} is not a rotation")
+    perturbation = gate.perturbation or ()
     u = gate.unitary(theta[circ.parameter_index[location]])
-    gen = gate.generator
     hn = h_norm(H)
 
-    weights: dict[str, float] = {gen: 1.0}
-    for letters, coeff in a.items():
-        weights[letters] = weights.get(letters, 0.0) + float(coeff)
+    weights: dict[str, float] = {gate.generator: 1.0}
+    for letters, coeff in perturbation:
+        weights[letters] = weights.get(letters, 0.0) + coeff
 
     value = 0.0
     w_norms: dict[str, float] = {}
     for letters in weights:
-        p = _pauli_matrix(letters)
         rp, rm = (
-            _evolve_fixed(circ, theta, noise, location, u @ _rotation(p, s))
+            _evolve_fixed(circ, theta, noise, location, u @ _rotation(_pauli_matrix(letters), s))
             for s in (np.pi / 2, -np.pi / 2)
         )
         diff = rp - rm
         w_norms[letters] = float(np.linalg.norm(diff))
-        value += weights[letters] * 0.5 * float(
-            np.real(np.trace(H.matrix() @ diff))
-        )
+        value += weights[letters] * 0.5 * float(np.real(np.trace(H.matrix() @ diff)))
 
-    bound = 0.5 * hn * w_norms[gen]
-    for letters, coeff in a.items():
+    bound = 0.5 * hn * w_norms[gate.generator]
+    for letters, coeff in perturbation:
         bound += 0.5 * abs(coeff) * hn * w_norms[letters]
     return value, bound
 
@@ -214,39 +215,35 @@ def control_noise_gradient(
 def random_noise_gradient(
     circ: Circuit,
     theta: np.ndarray,
-    spec: RandomUnitaryNoise,
+    noise: NoiseSpec,
     H: Hamiltonian,
     location: Location,
-    noise: NoiseSpec = NoiseSpec(),
 ) -> tuple[float, float]:
-    """Exact derivative and its bound for a rotation replaced by a unitary mixture.
+    """Exact derivative and its bound for the random-unitary mixture at ``location``.
 
     All mixture branches rotate by the same angle, so the plain two-point
     rule is exact on the mixed channel.  The bound is
-    p_j |dC_ideal| + ||h||/2 * sum_{k != j} p_k ||w_k||, where w_k comes
-    from replacing the gate by a P_k rotation at angles theta +- pi/2.
+    p_j |dC_ideal| + ||h||/2 * sum_{k != j} p_k ||w_k||, dC_ideal taken with
+    the intended rotation P_j alone at ``location`` and w_k with a P_k
+    rotation there at angles theta +- pi/2.
     """
-    gate = circ.gate_at(location)
-    if gate.generator is None or gate.perturbation:
-        raise ValueError(f"gate at {location} is not a plain rotation for the mixture to replace")
+    theta = _one_row(circ, theta)
+    spec = circ.gate_at(location).mixture
+    if spec is None:
+        raise ValueError(f"gate at {location} is not a random-unitary mixture")
     idx = circ.parameter_index[location]
-    mixed = circ.with_gate(location, Gate(mixture=spec))
-    value = psr_gradient(mixed, theta, noise, H, location)
-
-    # ideal derivative: the same circuit with the plain rotation
-    ideal_grad = psr_gradient(circ, theta, noise, H, location)
+    ideal = circ.with_gate(location, Gate(generator=spec.generators[spec.intended]))
+    bound = spec.probs[spec.intended] * abs(psr_gradient(ideal, theta, noise, H, location))
     hn = h_norm(H)
-    bound = spec.probs[spec.intended] * abs(ideal_grad)
     for k, (p_k, letters) in enumerate(zip(spec.probs, spec.generators)):
         if k == spec.intended or p_k == 0.0:
             continue
-        p = _pauli_matrix(letters)
         rp, rm = (
-            _evolve_fixed(circ, theta, noise, location, _rotation(p, angle))
+            _evolve_fixed(circ, theta, noise, location, _rotation(_pauli_matrix(letters), angle))
             for angle in (theta[idx] + np.pi / 2, theta[idx] - np.pi / 2)
         )
         bound += 0.5 * p_k * hn * float(np.linalg.norm(rp - rm))
-    return value, bound
+    return psr_gradient(circ, theta, noise, H, location), bound
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,8 @@ def test_criterion_4_shift_rule_correctness():
             letters = ["I"] * n
             letters[int(rng.integers(0, n))] = "XYZ"[int(rng.integers(0, 3))]
             a = {"".join(letters): float(rng.uniform(-0.15, 0.15))}
-            value, _ = control_noise_gradient(circ, theta, a, H, loc)
             circ, full = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a)), NoiseSpec()
+            value, _ = control_noise_gradient(circ, theta, full, H, loc)
             diff = abs(value - fd_gradient(circ, theta, full, H, loc))
         else:
             gen = circ.gate_at(loc).generator

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -246,17 +248,17 @@ def test_theorem3_threshold_solves_the_shift_ratio():
 
 def _noise_setups(n):
     """Depth-4 noise setups on n qubits, each with its number of distinct
-    layer-channel entries other than None."""
+    layer-channel entries other than None.  Different channels per qubit are
+    one product entry."""
     dep, damp = depolarizing(0.2), amplitude_damping(0.35)
-    per_qubit = [dep, damp, dep][:n]
+    per_qubit = tensor_channel([dep, damp, dep][:n])
     full = tensor_channel([damp, dep, damp][:n])
     return {
         "uniform": (NoiseSpec.uniform(dep), 1),
         "per_layer": (NoiseSpec(layer_channels=(dep, damp, None, dep)), 2),
         "per_qubit": (NoiseSpec(layer_channels=per_qubit), 1),
         "per_layer_per_qubit": (
-            NoiseSpec(layer_channels=(per_qubit, [damp] * n, None, list(per_qubit))),
-            2,
+            NoiseSpec(layer_channels=(per_qubit, damp, None, per_qubit)), 2
         ),
         "full_register": (NoiseSpec.uniform(full), 1),
         "per_layer_full_register": (
@@ -324,11 +326,28 @@ def test_layer_affine_maps_refuse_four_qubits(monkeypatch):
     # the register is refused before its register channel, or any 255 x 255
     # map, is built
     circ = build_two_local(4, 1)
-    tensors = _count_calls(monkeypatch, circuits, "tensor_channel")
+    tensors = _count_calls(monkeypatch, channels, "tensor_channel")
     for noise in (NoiseSpec(), NoiseSpec.uniform(depolarizing(0.1))):
         with pytest.raises(SizeError, match="n <= 3"):
             layer_affine_maps(circ, np.zeros(circ.num_parameters), noise)
     assert not tensors
+
+
+def test_bound_reports_keep_no_channel_alive():
+    # a one-qubit channel carries its register channels, so nothing outside
+    # it keeps them; before, a process-global cache of register channels
+    # kept its per-qubit channels alive
+    circ = build_two_local(3, 4)
+    theta = np.random.default_rng(61).uniform(0, 2 * np.pi, circ.num_parameters)
+    H = random_two_local(3, np.random.default_rng(62))
+    damp = amplitude_damping(0.35)
+    layer_affine_maps(circ, theta, NoiseSpec.uniform(damp))
+    nils = nils_interval(H, damp, circ.depth, circ, theta)
+    assert not nils.unital
+    ref = weakref.ref(damp)
+    del damp
+    gc.collect()
+    assert ref() is None
 
 
 def test_nils_and_theorem3_build_each_channel_once(monkeypatch):

@@ -280,6 +280,16 @@ def _first_refused_qubit(apply) -> int:
         q += 1
 
 
+def _flipped_qubits(a: np.ndarray) -> int:
+    """The number of qubits ``_apply_layer_channel`` puts a one-qubit
+    channel on, for a state of a's shape: the channel flips its qubit, so
+    entry (0, 0) of the result is the state's entry at the row and column
+    with every such bit set."""
+    state = np.arange(a.size, dtype=complex).reshape(a.shape)
+    out = circuits._apply_layer_channel(state, bit_flip(0.0))
+    return bin(int(out[0, 0].real) // len(a)).count("1")
+
+
 def _cost_width(a: np.ndarray) -> int:
     """The k of the k-qubit Hamiltonian whose batched ``cost`` takes the
     one-state stack of a; raises what it raises for the last k tried."""
@@ -299,8 +309,7 @@ MATRIX_READERS = {
     "KrausChannel": lambda a: KrausChannel((a,)).n,
     "apply_to_qubit": lambda a: _first_refused_qubit(
         lambda q: amplitude_damping(0.3).apply_to_qubit(a, q)),
-    "_apply_layer_channel": lambda a: _first_refused_qubit(
-        lambda q: circuits._apply_layer_channel(a, (amplitude_damping(0.3),) * (q + 1))),
+    "_apply_layer_channel": _flipped_qubits,
     "cost": _cost_width,
 }
 # each reader of a qubit count off a (4^n - 1,) coherence vector

@@ -381,8 +381,7 @@ def test_named_noise_none_is_the_only_noiseless_spec():
 
 @pytest.mark.parametrize(
     "entry, match",
-    [(identity_channel(2), "acts on 2 qubits, register has 3"),
-     ([depolarizing(0.1)] * 2, "length 2, register has 3")],
+    [(identity_channel(2), "acts on 2 qubits, register has 3")],
 )
 def test_layer_channel_must_fit_the_register(entry, match):
     # the dense and the affine path read the entry the same way, so both
@@ -393,6 +392,23 @@ def test_layer_channel_must_fit_the_register(entry, match):
         evolve(circ, np.zeros(circ.num_parameters), noise)
     with pytest.raises(DimensionMismatchError, match=match):
         layer_channel_as_kraus(noise, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "layer_channels, match",
+    [("abc", "'abc' for every layer"),
+     (3, "3 for every layer"),
+     ([depolarizing(0.1)] * 3, r"\[KrausChannel\(n=1\), .*\] for every layer"),
+     ((None, depolarizing(0.1), [amplitude_damping(0.2)]),
+      r"\[KrausChannel\(n=1\)\] after layer 2")],
+    ids=["string", "int", "list", "list_in_a_layer"],
+)
+def test_noise_spec_refuses_an_entry_that_is_not_a_channel(layer_channels, match):
+    # an entry is None or one channel, checked where it enters; before, the
+    # string ended in an AttributeError and the int in a TypeError inside
+    # evolve, and a list was read as one channel per qubit
+    with pytest.raises(TypeError, match=match + " is not None or a KrausChannel"):
+        NoiseSpec(layer_channels=layer_channels)
 
 
 def test_with_gate_replaces_one_gate():

@@ -188,8 +188,9 @@ def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
 
 def _noise(kind, n, depth, p):
     """The layer channels of the given kind for an n-qubit, ``depth``-layer
-    ansatz; the gate-noise kinds ``control`` and ``mixture`` put damping
-    after every layer (``_gate_noise`` places their gates)."""
+    ansatz; ``per_qubit`` is one product of different one-qubit channels,
+    and the gate-noise kinds ``control`` and ``mixture`` put damping after
+    every layer (``_gate_noise`` places their gates)."""
     one = named_channel("amplitude_damping", p)
     if kind == "uniform":
         return NoiseSpec.uniform(named_channel("depolarizing", p))
@@ -197,8 +198,8 @@ def _noise(kind, n, depth, p):
         return NoiseSpec(layer_channels=tuple(
             None if layer % 2 else one for layer in range(depth)))
     if kind == "per_qubit":
-        return NoiseSpec(layer_channels=[one, named_channel("phase_flip", p)] * (n // 2)
-                         + [one] * (n % 2))
+        return NoiseSpec.uniform(channels.tensor_channel(
+            [one, named_channel("phase_flip", p)] * (n // 2) + [one] * (n % 2)))
     if kind == "full_register":
         return NoiseSpec.uniform(random_channel(n, np.random.default_rng(7)))
     if kind in ("damping", "control", "mixture"):
@@ -279,9 +280,9 @@ def _fresh_register_ops(entry, n):
     """The Kraus operators of a layer entry's register channel, built anew."""
     if entry is None:
         return channels.identity_channel(n).kraus_ops
-    if isinstance(entry, KrausChannel):
+    if entry.n == n:
         return entry.kraus_ops
-    return channels.tensor_channel(entry).kraus_ops
+    return channels.tensor_channel([entry] * n).kraus_ops
 
 
 @SETTINGS
@@ -487,7 +488,7 @@ def test_evolve_equals_per_layer_assembly_on_every_run_kind():
     # one circuit with each run kind the property test draws: columns on
     # different qubits per layer, a column split by a repeated qubit, a
     # weight-2 rotation, a fixed gate, CNOTs, control noise and a mixture,
-    # under per-layer and per-qubit noise tuples
+    # under a per-layer noise tuple and a per-qubit product channel
     n = 3
     fixed = Gate(matrix=random_unitary_matrix(8, np.random.default_rng(5)))
     circ = circuits.Circuit(n=n, layers=(

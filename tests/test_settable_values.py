@@ -20,7 +20,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SETTABLE_VALUES = 34
+SETTABLE_VALUES = 32
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
