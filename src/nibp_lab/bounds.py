@@ -116,13 +116,16 @@ def shift_accumulator(
 ) -> tuple[np.ndarray, float, float]:
     """Accumulated shift d_j = Omega_j d_{j-1} + c_j through layer ``upto``.
 
-    Returns (d, d.h, Lambda) where Lambda bounds |d.h|.
+    Returns (d, d.h, Lambda) where Lambda bounds |d.h|; ``upto`` is a
+    layer count in 1..``circ.depth``.
     """
+    if not 1 <= upto <= circ.depth:
+        raise ValueError(f"upto={upto} is not a layer count in 1..{circ.depth}")
     maps = layer_affine_maps(circ, theta, noise)[:upto]
-    d = np.zeros(maps[0][0].shape[0]) if maps else np.zeros(0)
+    d = np.zeros(maps[0][0].shape[0])
     for omega, c, _ in maps:
         d = omega @ d + c
-    p = max((op for _, _, op in maps), default=0.0)
+    p = max(op for _, _, op in maps)
     lam = _lambda_width(h_norm(H), p, 2**circ.n, upto)
     _, h = h_vector(H)
     return d, float(d @ h), lam

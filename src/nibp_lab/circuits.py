@@ -278,15 +278,42 @@ class Circuit:
         return len(self.parameter_index)
 
     def gate_at(self, location: Location) -> Gate:
+        """The gate at (layer, slot); a location it lacks (a negative one too) is refused."""
         layer, slot = location
+        if not (0 <= layer < self.depth and 0 <= slot < len(self.layers[layer])):
+            raise ValueError(f"circuit has no gate at {location}")
         return self.layers[layer][slot]
+
+    def parameter(self, location: Location) -> int:
+        """The parameter index of the gate at ``location``; a gate without one is refused."""
+        if not self.gate_at(location).is_parameterized:
+            raise ValueError(f"gate at {location} carries no parameter")
+        return self.parameter_index[tuple(location)]
+
+    def angle_rows(self, theta: np.ndarray) -> np.ndarray:
+        """``theta`` as a (B, P) float stack, a (P,) vector as one row; other shapes are refused."""
+        theta = np.asarray(theta, dtype=float)
+        rows = theta[None] if theta.ndim == 1 else theta
+        if rows.ndim != 2 or rows.shape[1] != self.num_parameters:
+            raise ValueError(
+                f"expected {self.num_parameters} parameters per row, got {theta.shape}")
+        return rows
+
+    def angle_row(self, theta: np.ndarray) -> np.ndarray:
+        """``theta`` as one (P,) float vector; any other shape, a stack too, is refused."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.num_parameters,):
+            raise ValueError(
+                f"expected one row of {self.num_parameters} angles, got shape {theta.shape}")
+        return theta
 
     def parameterized_locations(self) -> list[Location]:
         return list(self.parameter_index)
 
     def with_gate(self, location: Location, gate: Gate) -> "Circuit":
-        """A copy with the gate at ``location`` replaced by ``gate``, its
-        rotations numbered afresh."""
+        """A copy with the gate at ``location`` (which it must have)
+        replaced by ``gate``, its rotations numbered afresh."""
+        self.gate_at(location)
         layer, slot = location
         gates = list(self.layers[layer])
         gates[slot] = gate
@@ -516,19 +543,14 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
     evolved from ``theta[b]`` alone.  Each layer's operators are built
     (``_layer_kraus``) just before they are applied.
     """
-    theta = np.asarray(theta, dtype=float)
-    thetas = theta[None] if theta.ndim == 1 else theta
-    if thetas.ndim != 2 or thetas.shape[1] != circ.num_parameters:
-        raise ValueError(
-            f"expected {circ.num_parameters} parameters per row, got {theta.shape}"
-        )
+    thetas = circ.angle_rows(theta)
     noise.check(circ)
     rho = np.repeat(_ground_state(circ.n)[None], len(thetas), axis=0)
     for layer, layer_ops in enumerate(_layer_kraus(circ, thetas, circ.runs)):
         for ops in layer_ops:
             rho = _apply_kraus(rho, ops)
         rho = _apply_layer_channel(rho, noise.layer_channel(layer, circ.n))
-    return DensityMatrix(rho[0]) if theta.ndim == 1 else rho
+    return DensityMatrix(rho[0]) if np.ndim(theta) == 1 else rho
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +568,7 @@ def _unitary_runs(circ: Circuit, layer: int) -> tuple[Run, ...]:
 
 def layer_unitary(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
     """Product of all gate unitaries in a layer (control noise included)."""
-    theta = np.asarray(theta, dtype=float)
+    theta = circ.angle_row(theta)
     ops, = _layer_kraus(circ, theta, [_unitary_runs(circ, layer)])
     return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
 
@@ -562,7 +584,7 @@ def layer_gate_map(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
     gather; any other gate uses its own full-register transfer matrix.
     Runs compose by matrix products.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = circ.angle_row(theta)
     n = circ.n
     omega = None  # None is the identity
     for kind, run in _unitary_runs(circ, layer):

@@ -63,11 +63,6 @@ _TRAIN = {**_SHARED, "p": (0.0, float, 0.0, 1.0), "noise_type": ("none", str),
           "L": (5, int, 1), "maxiter": (200, int, 1)}
 
 
-def _read(cfg: dict, keys: dict, seed: int | None) -> dict:
-    """``read_config`` with the --seed override in place of the config's seed."""
-    return read_config(cfg if seed is None else {**cfg, "seed": seed}, keys)
-
-
 def _write_json(data, path: Path, force: bool) -> None:
     _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n", force)
 
@@ -105,7 +100,7 @@ def kraus_from_json(data: dict) -> KrausChannel:
     return channel
 
 
-def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
+def cmd_channel(cfg: dict, out: Path, force: bool) -> None:
     ch = kraus_from_json(cfg)
     try:
         rep = affine_rep(ch)
@@ -130,8 +125,8 @@ def cmd_channel(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     )
 
 
-def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
-    v = _read(cfg, _GRAD_SCAN, seed)
+def cmd_grad_scan(cfg: dict, out: Path, force: bool) -> None:
+    v = read_config(cfg, _GRAD_SCAN)
     n, depth, noise_type, p = v["n"], v["L"], v["noise_type"], v["p"]
     config_noise(noise_type, p)  # an unknown noise_type fails before any work
     locations = None  # the default locations, which repeat (1, 0) at L=2
@@ -141,11 +136,13 @@ def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
         if not isinstance(raw, list) or not all(isinstance(loc, list) and len(loc) == 2 and all(
                 type(i) is int for i in loc) for loc in raw):
             raise ConfigError("locations", f"not a list of [layer, slot] int pairs: {raw!r}")
-        parameters = build_two_local(n, depth).parameter_index
+        circ = build_two_local(n, depth)
         locations = [tuple(loc) for loc in raw]
-        bad = [loc for loc in locations if loc not in parameters]
-        if bad:
-            raise ConfigError("locations", f"not rotation locations of the circuit: {bad}")
+        for loc in locations:
+            try:
+                circ.parameter(loc)
+            except ValueError as exc:
+                raise ConfigError("locations", str(exc)) from None
         if not locations:
             raise ConfigError("locations", "sweep lists no locations")
         if len(set(locations)) < len(locations):
@@ -156,8 +153,8 @@ def cmd_grad_scan(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     write_csv(ExperimentResult(GRAD_COLUMNS[:-1], tuple(rows)), out / "grad_scan.csv", force)
 
 
-def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
-    v = _read(cfg, _BOUND_REPORT, seed)
+def cmd_bound_report(cfg: dict, out: Path, force: bool) -> None:
+    v = read_config(cfg, _BOUND_REPORT)
     n, depth = v["n"], v["L"]
     noise = config_noise(v["noise_type"], v["p"])
     channel = named_layer_channel(noise)
@@ -207,10 +204,10 @@ def cmd_bound_report(cfg: dict, out: Path, seed: int | None, force: bool) -> Non
     _write_json(report, out / "bound_report.json", force)
 
 
-def cmd_train(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
+def cmd_train(cfg: dict, out: Path, force: bool) -> None:
     csv_path, summary_path = out / "train.csv", out / "train_summary.json"
     _refuse_overwrite([csv_path, summary_path], force)
-    v = _read(cfg, _TRAIN, seed)
+    v = read_config(cfg, _TRAIN)
     n = v["n"]
     noise = config_noise(v["noise_type"], v["p"])
     H, trace = train_cell(n, v["L"], noise, v["maxiter"], v["seed"])
@@ -230,8 +227,8 @@ def cmd_train(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
     )
 
 
-def cmd_experiment(cfg: dict, out: Path, seed: int | None, force: bool) -> None:
-    config = ExperimentConfig.from_json(cfg, seed=seed)
+def cmd_experiment(cfg: dict, out: Path, force: bool) -> None:
+    config = ExperimentConfig.from_json(cfg)
     preset = config.preset
     csv_path = out / f"{preset}.csv"
     plot_path = out / f"plot_{preset}.py"
@@ -278,8 +275,10 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
+    if args.seed is not None and "seed" in keys:
+        cfg = {**cfg, "seed": args.seed}
     try:
-        command(cfg, Path(args.out), args.seed, args.force)
+        command(cfg, Path(args.out), args.force)
     except (FileExistsError, ConfigError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

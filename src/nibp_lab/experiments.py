@@ -126,11 +126,11 @@ class ExperimentConfig:
         config_noise(self.noise_type, self.p_list[0])
 
     @classmethod
-    def from_json(cls, data: dict[str, Any], seed: int | None = None):
-        """The config of a JSON object; ``seed`` replaces its "seed"."""
+    def from_json(cls, data: dict[str, Any]):
+        """The config of a JSON object."""
         if "preset" not in data:
             raise ConfigError("preset", f"missing; choices: {tuple(PRESETS)}")
-        values = read_config(data if seed is None else {**data, "seed": seed}, cls.JSON_SPEC)
+        values = read_config(data, cls.JSON_SPEC)
         return cls(**{cls.FIELDS.get(k, k): v for k, v in values.items() if v is not None})
 
 

@@ -63,23 +63,12 @@ def _shifted_pair(theta: np.ndarray, idx, delta: float) -> tuple[np.ndarray, np.
     return plus, minus
 
 
-def _one_row(circ: Circuit, theta) -> np.ndarray:
-    """``theta`` as one (P,) angle vector; any other shape is refused, named."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circ.num_parameters,):
-        raise ValueError(
-            f"expected one row of {circ.num_parameters} angles, got shape {theta.shape}")
-    return theta
-
-
-def _check_shift_rule(circ: Circuit, location: Location) -> None:
-    """Refuse a gate the two-point rule cannot differentiate: one without a
-    parameter, or one with control noise."""
-    gate = circ.gate_at(location)
-    if not gate.is_parameterized:
-        raise ValueError(f"gate at {location} carries no parameter")
-    if gate.perturbation:
+def _shift_parameter(circ: Circuit, location: Location) -> int:
+    """The parameter the two-point rule shifts at ``location``
+    (``Circuit.parameter``); a gate with control noise is refused."""
+    if circ.gate_at(location).perturbation:
         raise ValueError(f"gate at {location} has control noise; use control_noise_gradient")
+    return circ.parameter(location)
 
 
 def psr_gradient(
@@ -98,22 +87,19 @@ def psr_gradient(
     batched ``cost``; both (B, d, d) stacks are live at once, so
     ``gradient_stats`` passes rows in bounded blocks.
     """
-    theta = np.asarray(theta, dtype=float)
-    thetas = theta[None] if theta.ndim == 1 else theta
+    thetas = circ.angle_rows(theta)
     if location and isinstance(location[0], (int, np.integer)):
         location = [location] * len(thetas)
     if len(location) != len(thetas):
         raise ValueError(f"{len(location)} locations for {len(thetas)} angle rows")
-    for loc in dict.fromkeys(location):
-        _check_shift_rule(circ, loc)
+    index = {loc: _shift_parameter(circ, loc) for loc in dict.fromkeys(location)}
     if isinstance(H, Hamiltonian):
         H = [H] * len(thetas)
-    idx = [circ.parameter_index[loc] for loc in location]
-    plus, minus = _shifted_pair(thetas, idx, np.pi / 2)
+    plus, minus = _shifted_pair(thetas, [index[loc] for loc in location], np.pi / 2)
     cp = cost(H, evolve(circ, plus, noise))
     cm = cost(H, evolve(circ, minus, noise))
     grads = 0.5 * (cp - cm)
-    return float(grads[0]) if theta.ndim == 1 else grads
+    return float(grads[0]) if np.ndim(theta) == 1 else grads
 
 
 def fd_gradient(
@@ -124,10 +110,10 @@ def fd_gradient(
     location: Location,
 ) -> float:
     """Central finite difference of step FD_STEP, the oracle for the shift rule."""
-    theta = _one_row(circ, theta)
+    theta = circ.angle_row(theta)
     cp, cm = (
         cost(H, evolve(circ, t, noise))
-        for t in _shifted_pair(theta, circ.parameter_index[location], FD_STEP)
+        for t in _shifted_pair(theta, circ.parameter(location), FD_STEP)
     )
     return (cp - cm) / (2.0 * FD_STEP)
 
@@ -144,12 +130,11 @@ def coherence_gradient(
     The identity component of H drops out of the difference of the two
     shifted states, so the overlap reproduces the shift-rule value.
     """
-    theta = _one_row(circ, theta)
-    _check_shift_rule(circ, location)
+    theta = circ.angle_row(theta)
     _, h = h_vector(H)
     vp, vm = (
         to_coherence(evolve(circ, t, noise))
-        for t in _shifted_pair(theta, circ.parameter_index[location], np.pi / 2)
+        for t in _shifted_pair(theta, _shift_parameter(circ, location), np.pi / 2)
     )
     return abs(0.5 * float((vp - vm) @ h))
 
@@ -158,7 +143,7 @@ def _evolve_fixed(circ, theta, noise, location, matrix) -> np.ndarray:
     """Final state with the gate at ``location`` replaced by a fixed
     unitary, which takes its angle out of ``theta``."""
     fixed = circ.with_gate(location, Gate(matrix=matrix))
-    return evolve(fixed, np.delete(theta, circ.parameter_index[location]), noise).data
+    return evolve(fixed, np.delete(theta, circ.parameter(location)), noise).data
 
 
 def control_noise_gradient(
@@ -183,12 +168,12 @@ def control_noise_gradient(
     coherence-vector difference of the two rotated branches and its norm
     is taken as the Frobenius norm of the state difference.
     """
-    theta = _one_row(circ, theta)
+    theta = circ.angle_row(theta)
     gate = circ.gate_at(location)
     if gate.generator is None:
         raise ValueError(f"gate at {location} is not a rotation")
     perturbation = gate.perturbation or ()
-    u = gate.unitary(theta[circ.parameter_index[location]])
+    u = gate.unitary(theta[circ.parameter(location)])
     hn = h_norm(H)
 
     weights: dict[str, float] = {gate.generator: 1.0}
@@ -227,11 +212,11 @@ def random_noise_gradient(
     the intended rotation P_j alone at ``location`` and w_k with a P_k
     rotation there at angles theta +- pi/2.
     """
-    theta = _one_row(circ, theta)
+    theta = circ.angle_row(theta)
     spec = circ.gate_at(location).mixture
     if spec is None:
         raise ValueError(f"gate at {location} is not a random-unitary mixture")
-    idx = circ.parameter_index[location]
+    idx = circ.parameter(location)
     ideal = circ.with_gate(location, Gate(generator=spec.generators[spec.intended]))
     bound = spec.probs[spec.intended] * abs(psr_gradient(ideal, theta, noise, H, location))
     hn = h_norm(H)

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from collections import Counter
 
@@ -29,6 +30,7 @@ from nibp_lab.circuits import (
     NoiseSpec,
     build_two_local,
     layer_channel_as_kraus,
+    layer_gate_map,
     layer_unitary,
     ry_gate,
 )
@@ -398,3 +400,36 @@ def test_an_affine_map_computes_its_c_norm_once(monkeypatch):
     t4 = first[1]
     assert t4.d_l == max(c[2] - max(c[:3]) * bounds._prefix_sum_factor(t4.sigma_max_prefix, 4), 0.0)
     assert t4.d_l > 0.0
+
+
+def test_the_affine_path_refuses_angles_of_the_wrong_shape():
+    # before, every bound took 11 angles on this 6-parameter circuit without
+    # a word, and layer_unitary took 5 angles or a (2, 6) stack
+    circ = build_two_local(3, 2)
+    noise = NoiseSpec.uniform(amplitude_damping(0.3))
+    P = circ.num_parameters
+    calls = (
+        lambda theta: layer_gate_map(circ, theta, 0),
+        lambda theta: layer_unitary(circ, theta, 0),
+        lambda theta: layer_affine_maps(circ, theta, noise),
+        lambda theta: contractivity_profile(circ, noise, theta),
+    )
+    for bad in (np.zeros(P + 5), np.zeros(P - 1), np.zeros((2, P))):
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"got shape {bad.shape}")):
+                call(bad)
+
+
+def test_shift_accumulator_refuses_a_layer_count_outside_the_circuit():
+    # before, on this depth-4 circuit upto=-1 gave a negative width, upto=9
+    # a 9-layer width next to a 4-layer shift, and upto=0 a matmul error
+    rng = np.random.default_rng(22)
+    circ = build_two_local(2, 4)
+    noise = NoiseSpec.uniform(amplitude_damping(0.3))
+    theta = rng.uniform(0, 2 * np.pi, circ.num_parameters)
+    H = random_two_local(2, rng)
+    for upto in (-1, 0, 5, 9):
+        with pytest.raises(ValueError, match=re.escape(f"upto={upto} is not a layer count in 1..4")):
+            shift_accumulator(circ, noise, theta, upto, H)
+    for upto in (1, 4):
+        assert shift_accumulator(circ, noise, theta, upto, H)[2] > 0.0

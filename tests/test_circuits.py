@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from nibp_lab.circuits import (
     random_unitary_channel,
     ry_gate,
 )
-from nibp_lab.gradients import _check_shift_rule
+from nibp_lab.gradients import _shift_parameter
 from nibp_lab.pauli import (
     DensityMatrix,
     DimensionMismatchError,
@@ -513,11 +514,11 @@ def test_the_shift_rule_check_reads_control_noise_off_the_gate():
     loc, a = (1, 0), {"XI": 0.15}
     circ = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), a))
     with pytest.raises(ValueError, match="control_noise_gradient"):
-        _check_shift_rule(circ, loc)
+        _shift_parameter(circ, loc)
     for other in [(0, 0), (0, 1), (1, 1)]:
-        _check_shift_rule(circ, other)
+        _shift_parameter(circ, other)
     with pytest.raises(ValueError, match="no parameter"):
-        _check_shift_rule(circ, (0, 2))
+        _shift_parameter(circ, (0, 2))
 
 
 def test_circuits_with_fixed_gates_compare_by_their_matrices():
@@ -531,3 +532,18 @@ def test_circuits_with_fixed_gates_compare_by_their_matrices():
     assert a != circ and Gate(matrix=u) != Gate(cnot=(0, 1))
     assert Gate(matrix=u) != Gate(matrix=np.eye(2))
     assert Gate(matrix=u) != "gate"
+
+
+def test_a_circuit_refuses_a_location_it_lacks():
+    # before, with_gate((-1, 0), ...) returned a 4-layer circuit with 8
+    # parameters, and gate_at read a negative index from the end
+    circ = build_two_local(2, 2)
+    for loc in ((-1, 0), (2, 0), (0, -1), (0, 3)):
+        for read in (circ.gate_at, circ.parameter,
+                     lambda at: circ.with_gate(at, Gate(generator="XI"))):
+            with pytest.raises(ValueError, match=re.escape(f"circuit has no gate at {loc}")):
+                read(loc)
+    with pytest.raises(ValueError, match=re.escape("gate at (0, 2) carries no parameter")):
+        circ.parameter((0, 2))
+    locations = circ.parameterized_locations()
+    assert [circ.parameter(loc) for loc in locations] == list(range(len(locations)))

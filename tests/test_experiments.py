@@ -520,6 +520,20 @@ def test_cli_bad_config_value_is_one_line_naming_the_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("location, reason", [
+    ([5, 0], "circuit has no gate at (5, 0)"),
+    ([0, 2], "gate at (0, 2) carries no parameter"),
+])
+def test_cli_grad_scan_refusal_names_the_location(tmp_path, capsys, location, reason):
+    # the location is read through Circuit.parameter, so the CLI gives the
+    # circuit's own reason
+    cfg = {"n": 2, "L": 2, "instances": 1, "thetas": 1, "locations": [location]}
+    code, out = _run_cli(tmp_path, "grad-scan", cfg)
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"config key 'locations': {reason}"]
+    assert not out.exists()
+
+
 def test_cli_negative_seed_override_is_one_line_naming_seed(tmp_path, capsys):
     cfg = {"n": 2, "L": 2, "instances": 1, "thetas": 1}
     code, out = _run_cli(tmp_path, "grad-scan", cfg, extra=("--seed", "-4"))
@@ -584,5 +598,5 @@ def test_cli_command_reads_exactly_its_declared_keys(tmp_path, command):
     # the key table main accepts is the table the command reads
     run, keys = _COMMANDS[command]
     data = _ReadRecorder(_RECORDING_CONFIGS[command])
-    run(data, tmp_path, None, False)
+    run(data, tmp_path, False)
     assert data.read == set(keys)

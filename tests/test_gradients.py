@@ -337,3 +337,22 @@ def test_single_row_derivatives_refuse_a_stack_of_angles():
                 rule(c, bad, noise, H, (1, 0))
     # psr_gradient keeps its stack of rows
     assert psr_gradient(circ, thetas, noise, H, (1, 0)).shape == (2,)
+
+
+def test_every_derivative_refuses_a_location_the_circuit_lacks():
+    # before, (5, 0) ended in a bare IndexError (a KeyError in fd_gradient)
+    # and (-1, 0) in a KeyError, or in random_noise_gradient in a refusal
+    # that read the last layer's gate; fd_gradient at a CNOT slot raised
+    # KeyError
+    rng = np.random.default_rng(53)
+    circ = build_two_local(2, 2)
+    H = random_two_local(2, rng)
+    noise = NoiseSpec.uniform(amplitude_damping(0.2))
+    theta = rng.uniform(0, 2 * np.pi, circ.num_parameters)
+    for rule in (psr_gradient, fd_gradient, coherence_gradient,
+                 control_noise_gradient, random_noise_gradient):
+        for loc in ((5, 0), (-1, 0), (0, 9)):
+            with pytest.raises(ValueError, match=re.escape(f"circuit has no gate at {loc}")):
+                rule(circ, theta, noise, H, loc)
+    with pytest.raises(ValueError, match=re.escape("gate at (0, 2) carries no parameter")):
+        fd_gradient(circ, theta, noise, H, (0, 2))
