@@ -32,16 +32,13 @@ def layer_affine_maps(
     matrix; c is the noise shift (the gates contribute none).  The noise
     map, its read-only c and its norm are the ones its register channel
     carries (``layer_channel_as_kraus``, ``affine_rep``), so layers with
-    the same noise share them.  ``noise`` is checked against the circuit,
-    and a register beyond ``AFFINE_MAX_QUBITS`` refused, before any map is
+    the same noise share them.  A register beyond ``AFFINE_MAX_QUBITS`` is
+    refused, and ``noise`` checked against the circuit, before any map is
     built.
     """
-    noise.check(circ)
-    out = []
-    for layer in range(circ.depth):
-        rep = affine_rep(layer_channel_as_kraus(noise, layer, circ.n))
-        out.append((rep.M @ layer_gate_map(circ, theta, layer), rep.c, rep.operator_norm()))
-    return out
+    reps = map(affine_rep, layer_channel_as_kraus(noise, circ))
+    return [(rep.M @ layer_gate_map(circ, theta, layer), rep.c, rep.operator_norm())
+            for layer, rep in enumerate(reps)]
 
 
 @dataclass(frozen=True)
@@ -155,11 +152,15 @@ def nils_interval(
 
     ``channels`` is one channel reused every layer or one per layer; unital
     profiles collapse the interval to the single point Tr(H)/d and skip the
-    shift.
+    shift.  An ``L`` other than ``circ.depth``, or a sequence of another
+    length, is refused before any map is built.
     """
-    if isinstance(channels, KrausChannel):
-        channels = [channels] * L
-    reps = [affine_rep(ch) for ch in channels]
+    if L != circ.depth:
+        raise ValueError(f"L={L} is not the circuit's depth {circ.depth}")
+    if not isinstance(channels, KrausChannel) and len(channels) != L:
+        raise ValueError(f"{len(channels)} channels for L={L} layers, the circuit's depth")
+    noise = NoiseSpec(channels if isinstance(channels, KrausChannel) else tuple(channels))
+    reps = [affine_rep(ch) for ch in noise.per_layer(circ)]
     unital = all(rep.is_unital() for rep in reps)
     dim = 2**H.n
     center = H.trace() / dim
@@ -173,7 +174,6 @@ def nils_interval(
     hn = h_norm(H)
     lam_L = _lambda_width(hn, p, dim, L)
     lam_inf = _lambda_width(hn, p, dim, None)
-    noise = NoiseSpec(layer_channels=tuple(channels))
     d_L, d_dot_h, _ = shift_accumulator(circ, noise, theta, L, H)
     return NilsInterval(
         center=center,

@@ -11,7 +11,8 @@ ways: as a layer channel (a CPTP map after each layer, given by a
 A circuit groups each layer's gates into runs once, when it is built
 (``Circuit.runs``): a column of weight-1 rotations on distinct qubits, a
 run of CNOTs, a mixture, and single other gates.  Every layer view reads
-those runs.  One kernel (``_column``) renders a column from
+those runs (one layer's through ``Circuit.layer_runs``, which refuses a
+layer the circuit lacks).  One kernel (``_column``) renders a column from
 its one-qubit factors: 2 x 2 rotations for the dense path (``evolve``,
 which computes the factors of every column in the circuit in one call
 before layer 0, then builds each layer just before applying it), 4 x 4
@@ -215,24 +216,19 @@ class NoiseSpec:
             return cls.none()
         return cls.uniform(named_channel(noise_type, p))
 
-    def check(self, circ: Circuit) -> None:
-        """Reject a per-layer tuple that does not cover exactly the circuit's
-        layers."""
+    def per_layer(self, circ: Circuit) -> tuple[KrausChannel | None, ...]:
+        """The noise after each of the circuit's ``circ.depth`` layers.  A
+        tuple of another length, or an entry that does not fit the
+        register, is refused."""
         lc = self.layer_channels
         if isinstance(lc, tuple) and len(lc) != circ.depth:
             raise DimensionMismatchError(
-                f"per-layer noise has {len(lc)} entries, circuit has {circ.depth} layers"
-            )
-
-    def layer_channel(self, layer: int, n: int) -> KrausChannel | None:
-        """The noise after ``layer`` on an n-qubit register: None, a
-        single-qubit channel for every qubit, or a full-register channel."""
-        lc = self.layer_channels
-        entry = lc[layer] if isinstance(lc, tuple) else lc
-        if entry is not None and entry.n not in (1, n):
-            raise DimensionMismatchError(
-                f"layer channel acts on {entry.n} qubits, register has {n}")
-        return entry
+                f"per-layer noise has {len(lc)} entries, circuit has {circ.depth} layers")
+        for entry in lc if isinstance(lc, tuple) else (lc,):
+            if entry is not None and entry.n not in (1, circ.n):
+                raise DimensionMismatchError(
+                    f"layer channel acts on {entry.n} qubits, register has {circ.n}")
+        return lc if isinstance(lc, tuple) else (lc,) * circ.depth
 
 
 @dataclass(frozen=True)
@@ -240,7 +236,7 @@ class Circuit:
     """Layered ansatz.  Its parameters are its rotations and mixtures:
     ``parameter_index`` numbers them 0, 1, ... in (layer, slot) order.
     ``runs`` holds each layer's gates grouped into runs (see
-    ``_group_runs``)."""
+    ``_group_runs``); ``layer_runs`` reads one layer's."""
 
     n: int
     layers: tuple[tuple[Gate, ...], ...]
@@ -277,10 +273,19 @@ class Circuit:
     def num_parameters(self) -> int:
         return len(self.parameter_index)
 
+    def _has_layer(self, layer: int) -> bool:
+        return 0 <= layer < self.depth
+
+    def layer_runs(self, layer: int) -> tuple[Run, ...]:
+        """The stored runs of ``layer``; a layer it lacks (a negative one too) is refused."""
+        if not self._has_layer(layer):
+            raise ValueError(f"circuit has no layer {layer}; its layers are 0..{self.depth - 1}")
+        return self.runs[layer]
+
     def gate_at(self, location: Location) -> Gate:
         """The gate at (layer, slot); a location it lacks (a negative one too) is refused."""
         layer, slot = location
-        if not (0 <= layer < self.depth and 0 <= slot < len(self.layers[layer])):
+        if not (self._has_layer(layer) and 0 <= slot < len(self.layers[layer])):
             raise ValueError(f"circuit has no gate at {location}")
         return self.layers[layer][slot]
 
@@ -535,7 +540,8 @@ def _ground_state(n: int) -> np.ndarray:
 
 def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix | np.ndarray:
     """Run the noisy circuit from |0...0>: per layer, all gates then the
-    layer channel (``NoiseSpec()`` is no noise).
+    layer channel (``NoiseSpec()`` is no noise), every entry checked
+    against the circuit (``NoiseSpec.per_layer``) before layer 0 runs.
 
     ``theta`` of shape (P,) gives the final DensityMatrix; shape (B, P)
     evolves B copies of |0...0>, one per row, and gives the (B, d, d)
@@ -544,12 +550,12 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
     (``_layer_kraus``) just before they are applied.
     """
     thetas = circ.angle_rows(theta)
-    noise.check(circ)
+    channels = noise.per_layer(circ)
     rho = np.repeat(_ground_state(circ.n)[None], len(thetas), axis=0)
-    for layer, layer_ops in enumerate(_layer_kraus(circ, thetas, circ.runs)):
+    for layer_ops, channel in zip(_layer_kraus(circ, thetas, circ.runs), channels):
         for ops in layer_ops:
             rho = _apply_kraus(rho, ops)
-        rho = _apply_layer_channel(rho, noise.layer_channel(layer, circ.n))
+        rho = _apply_layer_channel(rho, channel)
     return DensityMatrix(rho[0]) if np.ndim(theta) == 1 else rho
 
 
@@ -559,8 +565,8 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
 
 
 def _unitary_runs(circ: Circuit, layer: int) -> tuple[Run, ...]:
-    """The layer's stored runs; a layer that holds a mixture is refused."""
-    runs = circ.runs[layer]
+    """The layer's stored runs (``Circuit.layer_runs``); a mixture is refused."""
+    runs = circ.layer_runs(layer)
     if any(kind == "mixture" for kind, _ in runs):
         raise ValueError(f"layer {layer} holds a unitary mixture, so it is not unitary")
     return runs
@@ -675,11 +681,11 @@ def _cnot_chain_ptm(
 _NO_NOISE = identity_channel(1)  # a layer without noise, at every register width
 
 
-def layer_channel_as_kraus(noise: NoiseSpec, layer: int, n: int) -> KrausChannel:
-    """The layer's noise map as one full-register channel (identity if
+def layer_channel_as_kraus(noise: NoiseSpec, circ: Circuit) -> tuple[KrausChannel, ...]:
+    """Each layer's noise map as one full-register channel (identity if
     absent), for the affine path: a register beyond ``AFFINE_MAX_QUBITS``
     is refused before any channel is built.  A single-qubit entry, or no
     noise, gives the register channel it carries (``KrausChannel.register``)."""
-    check_affine_size(n)
-    entry = noise.layer_channel(layer, n)
-    return (_NO_NOISE if entry is None else entry).register(n)
+    check_affine_size(circ.n)
+    return tuple((_NO_NOISE if entry is None else entry).register(circ.n)
+                 for entry in noise.per_layer(circ))

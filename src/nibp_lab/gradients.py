@@ -189,7 +189,7 @@ def control_noise_gradient(
         )
         diff = rp - rm
         w_norms[letters] = float(np.linalg.norm(diff))
-        value += weights[letters] * 0.5 * float(np.real(np.trace(H.matrix() @ diff)))
+        value += weights[letters] * 0.5 * float(cost([H], diff[None])[0])
 
     bound = 0.5 * hn * w_norms[gate.generator]
     for letters, coeff in perturbation:

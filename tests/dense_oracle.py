@@ -77,7 +77,7 @@ def layer_ops(circ, thetas, layer):
     """
     n = circ.n
     ops, acc = [], None
-    for kind, run in circ.runs[layer]:
+    for kind, run in circ.layer_runs(layer):
         if kind == "mixture":
             if acc is not None:
                 ops.append([acc])
@@ -105,8 +105,8 @@ def evolve(circ, thetas, noise):
     ``layer_ops``."""
     n = circ.n
     rho = np.repeat(DensityMatrix.ground_state(n).data[None], len(thetas), axis=0)
-    for layer in range(circ.depth):
+    for layer, channel in enumerate(noise.per_layer(circ)):
         for ops in layer_ops(circ, thetas, layer):
             rho = _apply_kraus(rho, ops)
-        rho = circuits._apply_layer_channel(rho, noise.layer_channel(layer, n))
+        rho = circuits._apply_layer_channel(rho, channel)
     return rho

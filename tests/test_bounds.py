@@ -184,6 +184,25 @@ def test_nils_interval_identity_degenerates():
     assert interval.unital and interval.lambda_inf == 0.0
 
 
+def test_nils_interval_refuses_an_L_that_is_not_the_depth(monkeypatch):
+    # L is the circuit's depth under both noise kinds, and a sequence has L
+    # channels; each refusal comes before any map is built.  Before, the
+    # unital call returned a collapsed interval, and the sequence call
+    # named an "upto" the caller never passed
+    circ = build_two_local(2, 3)
+    theta = np.zeros(circ.num_parameters)
+    H = random_two_local(2, seed=5)
+    damp = amplitude_damping(0.3)
+    builds = _count_calls(monkeypatch, channels, "transfer_matrix")
+    with pytest.raises(ValueError, match="L=99 is not the circuit's depth 3"):
+        nils_interval(H, depolarizing(0.2), 99, circ, theta)
+    with pytest.raises(ValueError, match="L=5 is not the circuit's depth 3"):
+        nils_interval(H, [damp] * 3, 5, circ, theta)
+    with pytest.raises(ValueError, match="4 channels for L=3 layers"):
+        nils_interval(H, [damp] * 4, 3, circ, theta)
+    assert not builds
+
+
 def test_theorem3_escape_for_strong_damping():
     channels = [amplitude_damping(0.8)] * 12
     report = theorem3_report(channels, 10)
@@ -279,9 +298,10 @@ def test_layer_affine_maps_equal_per_layer_reference(n, kind):
     theta = np.random.default_rng(60 + n).uniform(0, 2 * np.pi, circ.num_parameters)
     maps = layer_affine_maps(circ, theta, noise)
     assert len(maps) == circ.depth
-    for layer, (omega, c, opnorm) in enumerate(maps):
+    registers = layer_channel_as_kraus(noise, circ)
+    for layer, ((omega, c, opnorm), register) in enumerate(zip(maps, registers)):
         gate = affine_rep(unitary_channel(layer_unitary(circ, theta, layer)))
-        rep = affine_rep(layer_channel_as_kraus(noise, layer, n))
+        rep = affine_rep(register)
         np.testing.assert_allclose(
             omega, rep.M @ gate.M, rtol=0, atol=1e-12, err_msg=f"{kind} {layer}"
         )
@@ -309,7 +329,7 @@ def test_layer_affine_maps_builds_each_noise_map_once(monkeypatch, kind):
     # noiseless layers share one identity register channel in every call;
     # its map and norm are built first, so the counts below do not depend on
     # what ran before
-    affine_rep(circuits.layer_channel_as_kraus(NoiseSpec(), 0, 2)).operator_norm()
+    affine_rep(circuits.layer_channel_as_kraus(NoiseSpec(), circ)[0]).operator_norm()
     builds = _count_calls(monkeypatch, channels, "transfer_matrix")
     svds = _count_calls(monkeypatch, np.linalg, "svd")
     first = layer_affine_maps(circ, theta, noise)

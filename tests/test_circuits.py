@@ -6,6 +6,7 @@ import pytest
 from dense_oracle import CNOT, embed_unitary
 from helpers import single_ry_circuit, validate
 
+from nibp_lab import circuits
 from nibp_lab.bounds import layer_affine_maps
 from nibp_lab.channels import (
     amplitude_damping,
@@ -145,7 +146,7 @@ def test_per_layer_channel_assignment():
     # same evolution written out with layer primitives
     ref = DensityMatrix.ground_state(2).data
     u0 = layer_unitary(circ, theta, 0)
-    ref = layer_channel_as_kraus(noise, 0, 2).apply(u0 @ ref @ u0.conj().T)
+    ref = layer_channel_as_kraus(noise, circ)[0].apply(u0 @ ref @ u0.conj().T)
     u1 = layer_unitary(circ, theta, 1)
     ref = u1 @ ref @ u1.conj().T
     np.testing.assert_allclose(rho.data, ref, atol=1e-12)
@@ -366,6 +367,47 @@ def test_per_layer_noise_length_must_match_depth(layers):
         layer_affine_maps(circ, np.zeros(circ.num_parameters), noise)
 
 
+def test_noise_meets_its_circuit_in_one_call():
+    # per_layer gives one entry per layer, as given: a uniform entry
+    # repeated, a tuple as it is
+    circ = build_two_local(2, 3)
+    dep, damp = depolarizing(0.1), amplitude_damping(0.2)
+    assert NoiseSpec.uniform(dep).per_layer(circ) == (dep, dep, dep)
+    assert NoiseSpec().per_layer(circ) == (None, None, None)
+    assert NoiseSpec((dep, None, damp)).per_layer(circ) == (dep, None, damp)
+
+
+def test_evolve_refuses_a_late_entry_before_layer_0_runs(monkeypatch):
+    # the 2-qubit entry after the last layer of a 3-qubit circuit is refused
+    # before any gate or channel is applied; before, evolve ran layers 0
+    # and 1 first
+    circ = build_two_local(3, 3)
+    dep = depolarizing(0.1)
+    noise = NoiseSpec((dep, dep, identity_channel(2)))
+    applied = []
+    monkeypatch.setattr(circuits, "_apply_kraus",
+                        lambda rho, ops: applied.append(len(ops)) or rho)
+    with pytest.raises(DimensionMismatchError, match="acts on 2 qubits, register has 3"):
+        evolve(circ, np.zeros(circ.num_parameters), noise)
+    assert applied == []
+
+
+@pytest.mark.parametrize("view", [layer_gate_map, layer_unitary])
+def test_layer_views_refuse_a_layer_the_circuit_lacks(view):
+    # before, layer -1 read layer 2 without a word, and layer 3 ended in a
+    # bare IndexError
+    circ = build_two_local(2, 3)
+    theta = np.random.default_rng(28).uniform(0, 2 * np.pi, circ.num_parameters)
+    for layer in (-1, 3, -4, 99):
+        with pytest.raises(ValueError, match=f"circuit has no layer {layer};"):
+            view(circ, theta, layer)
+        with pytest.raises(ValueError, match=f"circuit has no layer {layer};"):
+            circ.layer_runs(layer)
+    for layer in range(3):
+        assert circ.layer_runs(layer) is circ.runs[layer]
+        view(circ, theta, np.int64(layer))
+
+
 def test_named_noise_none_is_the_only_noiseless_spec():
     circ = build_two_local(2, 2)
     theta = np.random.default_rng(27).uniform(0, 2 * np.pi, circ.num_parameters)
@@ -392,7 +434,7 @@ def test_layer_channel_must_fit_the_register(entry, match):
     with pytest.raises(DimensionMismatchError, match=match):
         evolve(circ, np.zeros(circ.num_parameters), noise)
     with pytest.raises(DimensionMismatchError, match=match):
-        layer_channel_as_kraus(noise, 0, 3)
+        layer_channel_as_kraus(noise, circ)
 
 
 @pytest.mark.parametrize(

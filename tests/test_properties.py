@@ -301,9 +301,11 @@ def test_cached_affine_maps_equal_a_fresh_build_bit_for_bit(n, depth, kind, p, s
     noise = _noise(kind, n, circ.depth, p)
     theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, size=circ.num_parameters)
     layer_affine_maps(circ, theta, noise)
-    for layer, (omega, c, opnorm) in enumerate(layer_affine_maps(circ, theta, noise)):
-        rep = affine_rep(circuits.layer_channel_as_kraus(noise, layer, n))
-        fresh = KrausChannel(_fresh_register_ops(noise.layer_channel(layer, n), n))
+    maps = layer_affine_maps(circ, theta, noise)
+    entries = zip(circuits.layer_channel_as_kraus(noise, circ), noise.per_layer(circ))
+    for layer, ((omega, c, opnorm), (register, entry)) in enumerate(zip(maps, entries)):
+        rep = affine_rep(register)
+        fresh = KrausChannel(_fresh_register_ops(entry, n))
         t = channels.transfer_matrix(fresh)
         m, shift = t[1:, 1:], t[1:, 0] / np.sqrt(2**n)
         norm = float(np.linalg.svd(m, compute_uv=False)[0])
@@ -418,10 +420,10 @@ def _chain_evolve(circ, thetas, noise):
     ``_chain_ops``."""
     n = circ.n
     rho = np.repeat(DensityMatrix.ground_state(n).data[None], len(thetas), axis=0)
-    for layer in range(circ.depth):
+    for layer, channel in enumerate(noise.per_layer(circ)):
         for ops in _chain_ops(circ, thetas, layer):
             rho = _apply_kraus(rho, ops)
-        rho = circuits._apply_layer_channel(rho, noise.layer_channel(layer, n))
+        rho = circuits._apply_layer_channel(rho, channel)
     return rho
 
 
