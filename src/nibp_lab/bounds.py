@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import KrausChannel, affine_rep
-from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_gate_map
+from .circuits import Circuit, NoiseSpec, layer_channel_as_kraus, layer_gate_maps
 from .hamiltonians import Hamiltonian, h_norm, h_vector
 from .pauli import DensityMatrix, to_coherence
 
@@ -27,9 +27,10 @@ def layer_affine_maps(
 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Per layer: (Omega, c, ||M_noise||) for v -> Omega v + c.
 
-    Omega composes the layer's orthogonal gate map (``layer_gate_map``,
-    built from local Pauli transfer matrices) with the noise map's affine
-    matrix; c is the noise shift (the gates contribute none).  The noise
+    Omega composes the layer's orthogonal gate map (``layer_gate_maps``,
+    built from local Pauli transfer matrices rendered once per call) with
+    the noise map's affine matrix; c is the noise shift (the gates
+    contribute none).  The noise
     map, its read-only c and its norm are the ones its register channel
     carries (``layer_channel_as_kraus``, ``affine_rep``), so layers with
     the same noise share them.  A register beyond ``AFFINE_MAX_QUBITS`` is
@@ -37,8 +38,8 @@ def layer_affine_maps(
     built.
     """
     reps = map(affine_rep, layer_channel_as_kraus(noise, circ))
-    return [(rep.M @ layer_gate_map(circ, theta, layer), rep.c, rep.operator_norm())
-            for layer, rep in enumerate(reps)]
+    gate_maps = layer_gate_maps(circ, theta, range(circ.depth))
+    return [(rep.M @ g, rep.c, rep.operator_norm()) for rep, g in zip(reps, gate_maps)]
 
 
 @dataclass(frozen=True)
@@ -152,13 +153,15 @@ def nils_interval(
 
     ``channels`` is one channel reused every layer or one per layer; unital
     profiles collapse the interval to the single point Tr(H)/d and skip the
-    shift.  An ``L`` other than ``circ.depth``, or a sequence of another
-    length, is refused before any map is built.
+    shift.  An ``L`` other than ``circ.depth``, a sequence of another
+    length, or a None entry is refused before any map is built.
     """
     if L != circ.depth:
         raise ValueError(f"L={L} is not the circuit's depth {circ.depth}")
-    if not isinstance(channels, KrausChannel) and len(channels) != L:
-        raise ValueError(f"{len(channels)} channels for L={L} layers, the circuit's depth")
+    if not isinstance(channels, KrausChannel):
+        if len(channels) != L:
+            raise ValueError(f"{len(channels)} channels for L={L} layers, the circuit's depth")
+        _refuse_missing(channels)
     noise = NoiseSpec(channels if isinstance(channels, KrausChannel) else tuple(channels))
     reps = [affine_rep(ch) for ch in noise.per_layer(circ)]
     unital = all(rep.is_unital() for rep in reps)
@@ -183,6 +186,14 @@ def nils_interval(
         d_L=d_L,
         d_L_dot_h=d_dot_h,
     )
+
+
+def _refuse_missing(channels: Sequence[KrausChannel]) -> None:
+    """Refuse a None entry, naming its layer: every layer's map enters a bound."""
+    for layer, ch in enumerate(channels):
+        if ch is None:
+            raise ValueError(
+                f"the channel after layer {layer} is None; a bound needs every layer's channel")
 
 
 @dataclass(frozen=True)
@@ -216,13 +227,15 @@ def theorem3_report(channels: Sequence[KrausChannel], l: int) -> Theorem3Report:
     The escape flag needs the prefix singular values below mu, a strictly
     positive suffix sigma_min, and a suffix no longer than ``SUFFIX_CAP``.
     The rotation separation d_l entering the lower bound is the guaranteed
-    shift-norm lower bound at the realized prefix factor.
+    shift-norm lower bound at the realized prefix factor.  A None entry is
+    refused, naming its layer, before any map is built.
     """
     L = len(channels)
     if l < 3:
         raise ValueError(f"bifurcation layer l={l} must be >= 3")
     if l > L:
         raise ValueError(f"l={l} exceeds layer count {L}")
+    _refuse_missing(channels)
     reps = [affine_rep(ch) for ch in channels]
     c_norms = [rep.c_norm for rep in reps]
     if all(rep.is_unital() for rep in reps):

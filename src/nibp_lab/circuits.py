@@ -12,14 +12,18 @@ A circuit groups each layer's gates into runs once, when it is built
 (``Circuit.runs``): a column of weight-1 rotations on distinct qubits, a
 run of CNOTs, a mixture, and single other gates.  Every layer view reads
 those runs (one layer's through ``Circuit.layer_runs``, which refuses a
-layer the circuit lacks).  One kernel (``_column``) renders a column from
-its one-qubit factors: 2 x 2 rotations for the dense path (``evolve``,
-which computes the factors of every column in the circuit in one call
-before layer 0, then builds each layer just before applying it), 4 x 4
-Pauli transfer matrices for the affine path (``layer_gate_map``).  A CNOT
-is its (control, target) pair: a CNOT run is one cached row permutation of
-the basis states on the dense path, and one cached signed permutation of
-the Pauli strings on the affine path.
+layer the circuit lacks).  A CNOT is its (control, target) pair: a CNOT
+run is one cached row permutation of the basis states on the dense path,
+and one cached signed permutation of the Pauli strings on the affine path.
+One kernel (``_column``) renders a column from its one-qubit factors, 2 x 2
+rotations for the dense path and 4 x 4 Pauli transfer matrices for the
+affine path: an outer product of the factors in gate order, then one
+gather, which also carries the CNOT run after a column that starts its
+layer.  Each view renders the factors of every column it needs in one
+call, then builds each layer when it is asked for it: ``evolve`` (through
+``_layer_kraus``) and ``layer_affine_maps`` (through ``layer_gate_maps``)
+for the whole circuit, ``layer_unitary`` and ``layer_gate_map`` for one
+layer.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Collection, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -393,48 +397,78 @@ def _group_runs(
     return tuple(runs)
 
 
-def _column(column: Collection[int], factors: np.ndarray, n: int) -> np.ndarray:
+def _column(
+    column: tuple[int, ...], factors: np.ndarray, n: int, chain: tuple[tuple[int, int], ...]
+) -> np.ndarray:
     """The product of one-qubit factors on the distinct qubits ``column``
     (in gate order), ``factors[..., k, :, :]`` the base x base factor on
-    its k-th qubit: 2 x 2 operators or 4 x 4 Pauli transfer matrices.
+    its k-th qubit (2 x 2 operators or 4 x 4 Pauli transfer matrices),
+    followed by the CNOTs ``chain`` (() for none).
 
     Entry (i, j) is the product, in gate order, of each factor's entry at
     the digits of i and j on its qubit, and zero where i and j differ on a
-    qubit outside the column.  For 2 x 2 rotations, each product of the
-    gate-by-gate chain ``u @ acc`` over the column has exactly one nonzero
-    term per entry, so a column of real rotations (RY) that starts a layer
-    rounds bit for bit as that chain does.
+    qubit outside the column.  The flattened factors are multiplied into
+    one outer product, each new factor the more significant digit pair;
+    one gather then reads every entry, its rows in the chain's order
+    (``_column_index``).  Each multiply takes the product first and the
+    next factor second, as the gate-by-gate chain does: complex ``a * b``
+    and ``b * a`` can differ in the last bit.
     """
     base = factors.shape[-1]
-    factors = factors.reshape(factors.shape[:-2] + (base * base,))
-    index = _digit_index(n, base)
+    flat = factors.reshape(factors.shape[:-2] + (base * base,))
+    product = flat[..., 0, :]
+    for k in range(1, len(column)):
+        outer = np.multiply(product[..., None, :], flat[..., k, :, None])
+        product = outer.reshape(product.shape[:-1] + (-1,))
+    index, scale = _column_index(n, base, column, chain)
     # every index is in range: "clip" only skips the bounds check
-    qubits = list(column)
-    out = factors[..., 0, :].take(index[qubits[0]], axis=-1, mode="clip")
-    for k, q in enumerate(qubits[1:], start=1):
-        out *= factors[..., k, :].take(index[q], axis=-1, mode="clip")
-    if len(column) < n:
-        # base * i_q + j_q is a multiple of base + 1 where i_q == j_q
-        missing = [q for q in range(n) if q not in column]
-        out *= (index[missing] % (base + 1) == 0).all(axis=0)
+    out = product.take(index, axis=-1, mode="clip")
+    if scale is not None:
+        out *= scale
     return out
 
 
-@lru_cache(maxsize=32)
-def _digit_index(n: int, base: int) -> np.ndarray:
-    """(n, D, D) array: entry [q, i, j] = base * i_q + j_q, the flat
-    position in a base x base factor on qubit q of its entry at row i,
-    column j.  Base 2: the 2^n basis states, i_q the bit of qubit q (qubit
-    0 the most significant).  Base 4: the 4^n - 1 traceless Hamming-ordered
-    Pauli strings, i_q the letter (I, X, Y, Z = 0..3) of string i on q."""
+@lru_cache(maxsize=8)
+def _column_index(
+    n: int, base: int, qubits: tuple[int, ...], chain: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only (index, scale) of ``_column``: entry (i, j) is
+    ``product[index[i, j]] * scale[i, j]`` (no multiply if scale is None).
+
+    ``index[i, j]`` sums (base * i_q + j_q) * base^(2k) over the column's
+    k-th qubit q.  ``scale`` is the 0/1 mask of the entries that agree on
+    every qubit outside the column, times the chain's signs (``_cnot_chain_ptm``)
+    on the Pauli-string path.  A chain permutes the rows of both
+    (``_cnot_rows`` on the basis states).  At ``MAX_QUBITS`` an entry is
+    a 2 MiB index and a 256 KiB mask, so the 8 cached stay below 19 MiB.
+    """
+    digits = _digits(n, base)
+    index = sum((base * digits[q][:, None] + digits[q]) * (base * base) ** k
+                for k, q in enumerate(qubits))
+    missing = [q for q in range(n) if q not in qubits]
+    # a qubit outside the column keeps its digit: zero where i_q != j_q
+    scale = (digits[missing, :, None] == digits[missing, None, :]).all(axis=0) if missing else None
+    if chain:
+        rows, sign = (_cnot_rows(chain, n), None) if base == 2 else _cnot_chain_ptm(chain, n)
+        index = index[rows]
+        scale = None if scale is None else scale[rows]
+        if sign is not None:
+            scale = sign[:, None] if scale is None else scale * sign[:, None]
+    for arr in (index, scale):
+        if arr is not None:
+            arr.setflags(write=False)
+    return index, scale
+
+
+def _digits(n: int, base: int) -> np.ndarray:
+    """(n, D) array: entry [q, i] is digit i_q of basis element i.  Base 2:
+    the 2^n basis states, i_q the bit of qubit q (qubit 0 the most
+    significant).  Base 4: the 4^n - 1 traceless Hamming-ordered Pauli
+    strings, i_q the letter (I, X, Y, Z = 0..3) of string i on q."""
     if base == 2:
-        digits = np.arange(2**n) // 2 ** np.arange(n - 1, -1, -1)[:, None] % 2
-    else:
-        strings = pauli_strings_by_weight(n)[1:]
-        digits = np.array([["IXYZ".index(ch) for ch in s] for s in strings]).T
-    index = base * digits[:, :, None] + digits[:, None, :]
-    index.setflags(write=False)
-    return index
+        return np.arange(2**n) // 2 ** np.arange(n - 1, -1, -1)[:, None] % 2
+    strings = pauli_strings_by_weight(n)[1:]
+    return np.array([["IXYZ".index(ch) for ch in s] for s in strings]).T
 
 
 @lru_cache(maxsize=256)
@@ -477,6 +511,28 @@ def _apply_layer_channel(rho: np.ndarray, channel: KrausChannel | None) -> np.nd
     return rho
 
 
+def _column_factors(layer_runs: Sequence[tuple[Run, ...]], render) -> Iterator[np.ndarray]:
+    """The one-qubit factors of each rotation column in ``layer_runs``, in
+    order, from one ``render(letters, params)`` call over all of them."""
+    columns = [run for runs in layer_runs for kind, run in runs if kind == "column"]
+    if not columns:
+        return iter(())
+    stack = render("".join(c.letters for c in columns), [i for c in columns for i in c.params])
+    ends = accumulate(len(c.qubits) for c in columns)
+    return (stack[..., end - len(c.qubits):end, :, :] for c, end in zip(columns, ends))
+
+
+def _with_chains(runs: tuple[Run, ...]) -> Iterator[tuple[str, object, tuple]]:
+    """Each run as (kind, run, chain).  A column that starts its layer and
+    is followed by a CNOT run takes that run's pairs as its chain, and the
+    CNOT run is not given again; every other chain is ()."""
+    if len(runs) > 1 and runs[0][0] == "column" and runs[1][0] == "cnots":
+        yield "column", runs[0][1], runs[1][1]
+        runs = runs[2:]
+    for kind, run in runs:
+        yield kind, run, ()
+
+
 def _layer_kraus(
     circ: Circuit, thetas: np.ndarray, layer_runs: Sequence[tuple[Run, ...]]
 ) -> Iterator[list[list[np.ndarray]]]:
@@ -484,13 +540,8 @@ def _layer_kraus(
     built when the consumer asks for it.  One ``_rotation`` call renders
     the 2 x 2 factors of every rotation column in ``layer_runs`` before the
     first layer."""
-    columns = [run for runs in layer_runs for kind, run in runs if kind == "column"]
-    factors: Iterator[np.ndarray] = iter(())
-    if columns:
-        params = [index for c in columns for index in c.params]
-        stack = _rotation(_paulis_1q("".join(c.letters for c in columns)), thetas[..., params])
-        ends = accumulate(len(c.qubits) for c in columns)
-        factors = (stack[..., end - len(c.qubits):end, :, :] for c, end in zip(columns, ends))
+    factors = _column_factors(
+        layer_runs, lambda letters, params: _rotation(_paulis_1q(letters), thetas[..., params]))
     for runs in layer_runs:
         yield _build_layer(runs, thetas, factors, circ.n)
 
@@ -501,15 +552,16 @@ def _build_layer(
     """One layer's runs as an ordered list of Kraus sets.
 
     Each stretch of unitary runs is one product ``acc``: a column enters as
-    the ``_column`` unitary of the next entry of ``factors``, a CNOT run as
-    a row permutation of ``acc``, any other gate as ``u @ acc``.  Each
+    the ``_column`` unitary of the next entry of ``factors`` (with the CNOT
+    run after it when it starts the layer, ``_with_chains``), a CNOT run
+    as a row permutation of ``acc``, any other gate as ``u @ acc``.  Each
     random-unitary mixture is its own set.  ``thetas`` of shape (P,) gives
     d x d operators, (B, P) gives (B, d, d) stacks for the angle-dependent
     ones.
     """
     ops: list[list[np.ndarray]] = []
     acc: np.ndarray | None = None
-    for kind, run in runs:
+    for kind, run, chain in _with_chains(runs):
         if kind == "mixture":
             if acc is not None:
                 ops.append([acc])
@@ -521,7 +573,7 @@ def _build_layer(
             acc = np.eye(2**n, dtype=complex)[rows] if acc is None else acc[..., rows, :]
         else:
             if kind == "column":
-                u = _column(run.qubits, next(factors), n)
+                u = _column(run.qubits, next(factors), n, chain)
             else:
                 u = _gate_unitary(run, thetas)
             acc = u if acc is None else u @ acc
@@ -581,30 +633,49 @@ def layer_unitary(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
 
 def layer_gate_map(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
     """The layer's gates as the real orthogonal (d^2-1) x (d^2-1) matrix
-    acting on Hamming-ordered coherence vectors (control noise included).
+    acting on Hamming-ordered coherence vectors (control noise included):
+    the one-layer view of ``layer_gate_maps``.
 
     It equals the M of ``affine_rep(unitary_channel(layer_unitary(...)))``
-    up to rounding.  Of the layer's runs, a rotation column is the
-    ``_column`` product of its 4 x 4 Pauli transfer matrices; a CNOT run
-    is a cached signed permutation of Pauli strings, applied as a row
-    gather; any other gate uses its own full-register transfer matrix.
-    Runs compose by matrix products.
+    up to rounding.
+    """
+    omega, = layer_gate_maps(circ, theta, [layer])
+    return omega
+
+
+def layer_gate_maps(
+    circ: Circuit, theta: np.ndarray, layers: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """``layer_gate_map`` of each of ``layers`` in turn, built when the
+    consumer asks for it.  The angles are read once, and one
+    ``_rotation_ptm`` call renders the 4 x 4 Pauli transfer matrices of
+    every rotation column in ``layers`` before the first map.
+
+    Of a layer's runs, a rotation column is the ``_column`` product of its
+    transfer matrices (with the CNOT run after it when it starts the
+    layer); a CNOT run is a cached signed permutation of Pauli strings,
+    applied as a row gather; any other gate uses its own full-register
+    transfer matrix.  Runs compose by matrix products.
     """
     theta = circ.angle_row(theta)
     n = circ.n
-    omega = None  # None is the identity
-    for kind, run in _unitary_runs(circ, layer):
-        if kind == "cnots":
-            src, sign = _cnot_chain_ptm(run, n)
-            base = np.eye(len(src)) if omega is None else omega
-            omega = sign[:, None] * base[src]
-            continue
-        if kind == "column":
-            t = _column(run.qubits, _rotation_ptm(run.letters, theta[list(run.params)]), n)
-        else:
-            t = _unitary_ptm(_gate_unitary(run, theta))
-        omega = t if omega is None else t @ omega
-    return np.eye(4**n - 1) if omega is None else omega
+    layer_runs = [_unitary_runs(circ, layer) for layer in layers]
+    factors = _column_factors(
+        layer_runs, lambda letters, params: _rotation_ptm(letters, theta[params]))
+    for runs in layer_runs:
+        omega = None  # None is the identity
+        for kind, run, chain in _with_chains(runs):
+            if kind == "cnots":
+                src, sign = _cnot_chain_ptm(run, n)
+                base = np.eye(len(src)) if omega is None else omega
+                omega = sign[:, None] * base[src]
+                continue
+            if kind == "column":
+                t = _column(run.qubits, next(factors), n, chain)
+            else:
+                t = _unitary_ptm(_gate_unitary(run, theta))
+            omega = t if omega is None else t @ omega
+        yield np.eye(4**n - 1) if omega is None else omega
 
 
 @lru_cache(maxsize=256)

@@ -2,15 +2,19 @@
 the simulator: the simulator holds a CNOT as its (control, target) pair and
 never builds its register-size matrix, and applies a one-qubit channel by
 one gather per qubit, not by ``qubit_kernel``'s term-by-term products.
-``layer_ops`` and ``evolve`` assemble each layer on its own, rendering its
-rotation columns as the layer is reached, where the simulator renders every
-column of the circuit in one call before the first layer."""
+``column`` renders a rotation column by one gather per qubit from a digit
+table of every qubit, where the simulator multiplies the factors into one
+outer product and reads it with one gather that also carries the CNOT run
+after the column.  ``layer_ops`` and ``evolve`` assemble each layer on its
+own, rendering its rotation columns with ``column`` as the layer is
+reached, where the simulator renders every column of the circuit in one
+call before the first layer."""
 
 import numpy as np
 
 from nibp_lab import circuits
 from nibp_lab.channels import _apply_kraus
-from nibp_lab.pauli import DensityMatrix
+from nibp_lab.pauli import DensityMatrix, pauli_strings_by_weight
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -66,11 +70,46 @@ def _side(x: np.ndarray, diag, anti, which: int) -> np.ndarray:
     return swapped if diag is None else diag[which] * x + swapped
 
 
+def column(qubits, factors: np.ndarray, n: int) -> np.ndarray:
+    """The product of one-qubit factors on the distinct ``qubits`` (in gate
+    order), ``factors[..., k, :, :]`` the base x base factor on its k-th
+    qubit (2 x 2 operators or 4 x 4 Pauli transfer matrices): each
+    factor's entries gathered at the digits of every row and column and
+    multiplied in gate order, times the 0/1 mask of the entries that
+    agree on every other qubit."""
+    base = factors.shape[-1]
+    factors = factors.reshape(factors.shape[:-2] + (base * base,))
+    index = digit_index(n, base)
+    qubits = list(qubits)
+    out = factors[..., 0, :].take(index[qubits[0]], axis=-1)
+    for k, q in enumerate(qubits[1:], start=1):
+        out *= factors[..., k, :].take(index[q], axis=-1)
+    if len(qubits) < n:
+        # base * i_q + j_q is a multiple of base + 1 where i_q == j_q
+        missing = [q for q in range(n) if q not in qubits]
+        out *= (index[missing] % (base + 1) == 0).all(axis=0)
+    return out
+
+
+def digit_index(n: int, base: int) -> np.ndarray:
+    """(n, D, D) array: entry [q, i, j] = base * i_q + j_q, the flat
+    position in a base x base factor on qubit q of its entry at row i,
+    column j.  Base 2: the 2^n basis states, i_q the bit of qubit q (qubit
+    0 the most significant).  Base 4: the 4^n - 1 traceless Hamming-ordered
+    Pauli strings, i_q the letter (I, X, Y, Z = 0..3) of string i on q."""
+    if base == 2:
+        digits = np.arange(2**n) // 2 ** np.arange(n - 1, -1, -1)[:, None] % 2
+    else:
+        strings = pauli_strings_by_weight(n)[1:]
+        digits = np.array([["IXYZ".index(ch) for ch in s] for s in strings]).T
+    return base * digits[:, :, None] + digits[:, None, :]
+
+
 def layer_ops(circ, thetas, layer):
     """The layer's gates as an ordered list of Kraus sets.
 
     Each stretch of unitary runs is one product ``acc``: a rotation column
-    enters as its ``_column`` unitary, a CNOT run as a row permutation of
+    enters as its ``column`` unitary, a CNOT run as a row permutation of
     ``acc``, any other gate as ``u @ acc``.  Each random-unitary mixture is
     its own set.  ``thetas`` of shape (P,) gives d x d operators, (B, P)
     gives (B, d, d) stacks for the angle-dependent ones.
@@ -91,7 +130,7 @@ def layer_ops(circ, thetas, layer):
             if kind == "column":
                 angles = thetas[..., list(run.params)]
                 factors = circuits._rotation(circuits._paulis_1q(run.letters), angles)
-                u = circuits._column(run.qubits, factors, n)
+                u = column(run.qubits, factors, n)
             else:
                 u = circuits._gate_unitary(run, thetas)
             acc = u if acc is None else u @ acc

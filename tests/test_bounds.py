@@ -203,6 +203,21 @@ def test_nils_interval_refuses_an_L_that_is_not_the_depth(monkeypatch):
     assert not builds
 
 
+def test_bounds_refuse_a_layer_without_a_channel(monkeypatch):
+    # a None entry is refused, naming its layer, before any map is built;
+    # before, both calls ended in an AttributeError inside affine_rep
+    circ = build_two_local(2, 3)
+    theta = np.linspace(0.1, 1.0, circ.num_parameters)
+    H = random_two_local(2, seed=5)
+    damp = amplitude_damping(0.3)
+    maps = _count_calls(monkeypatch, bounds, "affine_rep")
+    with pytest.raises(ValueError, match="the channel after layer 0 is None"):
+        nils_interval(H, [None, damp, damp], 3, circ, theta)
+    with pytest.raises(ValueError, match="the channel after layer 3 is None"):
+        theorem3_report([damp, damp, damp, None, damp], 3)
+    assert not maps
+
+
 def test_theorem3_escape_for_strong_damping():
     channels = [amplitude_damping(0.8)] * 12
     report = theorem3_report(channels, 10)

@@ -9,8 +9,10 @@ batched evolution against one evolution per angle row and against the
 per-layer affine maps of the bounds, the affine maps the noise channels
 carry against a fresh transfer-matrix build, the gate maps built from
 local Pauli transfer matrices against the dense superoperator route, the
-CNOT signed permutations against their transfer matrices, and the batched
-gradient sweep against one shift-rule call per sample.
+CNOT signed permutations against their transfer matrices, the column
+kernel word for word against the gather-per-qubit kernel it replaced
+(``dense_oracle.column``), and the batched gradient sweep against one
+shift-rule call per sample.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -390,6 +392,85 @@ def test_cnot_chain_ptm_is_an_exact_signed_permutation():
                 np.testing.assert_allclose(
                     sign[:, None] * np.eye(len(src))[src],
                     affine_rep(unitary_channel(u)).M, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _columns(draw):
+    """A rotation column, its factors and the CNOT run after it: n = 1..6
+    for 2 x 2 rotations (base 2) or 1..3 for 4 x 4 transfer matrices (base
+    4), qubits in any gate order with some left out, letters X/Y/Z (so the
+    operators are complex), no, 1 or 3 angle rows, and a chain of 0..3
+    CNOTs."""
+    base = draw(st.sampled_from((2, 4)))
+    n = draw(st.integers(1, 6 if base == 2 else 3))
+    qubits = tuple(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+    k = len(qubits)
+    letters = "".join(draw(st.lists(st.sampled_from("XYZ"), min_size=k, max_size=k)))
+    rows = draw(st.sampled_from((None, 1, 3)))
+    shape = (k,) if rows is None else (rows, k)
+    angles = draw(st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=k * (rows or 1),
+                           max_size=k * (rows or 1)))
+    angles = np.array(angles).reshape(shape)
+    pairs = list(itertools.permutations(range(n), 2))
+    chain = tuple(draw(st.lists(st.sampled_from(pairs), max_size=3))) if pairs else ()
+    if base == 2:
+        factors = circuits._rotation(circuits._paulis_1q(letters), angles)
+    else:
+        factors = circuits._rotation_ptm(letters, angles)
+    return qubits, factors, n, chain
+
+
+@settings(SETTINGS, max_examples=150)
+@given(_columns())
+def test_column_kernel_equals_the_gather_per_qubit_oracle_word_for_word(case):
+    # the outer-product chain and its one gather (which carries the CNOT
+    # run) against one gather per qubit followed by the run's row
+    # permutation, or its signed permutation of Pauli strings
+    qubits, factors, n, chain = case
+    want = dense_oracle.column(qubits, factors, n)
+    if chain and factors.shape[-1] == 2:
+        want = want[..., circuits._cnot_rows(chain, n), :]
+    elif chain:
+        src, sign = circuits._cnot_chain_ptm(chain, n)
+        want = sign[:, None] * want[..., src, :]
+    got = circuits._column(qubits, factors, n, chain)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_column_indexes_are_built_once_per_key_and_stay_small():
+    n, chain = 3, ((0, 1), (1, 2))
+    circ = build_two_local(n, 4)
+    theta = np.linspace(0.1, 2.0, circ.num_parameters)
+    noise = NoiseSpec.uniform(named_channel("amplitude_damping", 0.3))
+    circuits._column_index.cache_clear()
+    evolve(circ, theta, noise)
+    layer_affine_maps(circ, theta, noise)
+    first = {base: circuits._column_index(n, base, tuple(range(n)), chain) for base in (2, 4)}
+    for _ in range(3):
+        evolve(circ, theta[None].repeat(2, axis=0), noise)
+        layer_affine_maps(circ, theta, noise)
+    # one entry per (n, base, qubits, chain): the two-local layer's dense
+    # and affine views, each the very object built first, and read-only
+    assert circuits._column_index.cache_info().misses == 2
+    for base, entry in first.items():
+        assert circuits._column_index(n, base, tuple(range(n)), chain) is entry
+        for arr in entry:
+            if arr is not None:
+                assert not arr.flags.writeable
+    # at the largest register a full column with the two-local chain is one
+    # 2 MiB index; a column that leaves a qubit out adds a 256 KiB mask
+    two_local = tuple((q, q + 1) for q in range(MAX_QUBITS - 1))
+    full = circuits._column_index(MAX_QUBITS, 2, tuple(range(MAX_QUBITS)), two_local)
+    assert full[1] is None and full[0].nbytes <= 2 * 2**20
+    index, mask = circuits._column_index(MAX_QUBITS, 2, tuple(range(1, MAX_QUBITS)), ())
+    worst = index.nbytes + mask.nbytes
+    assert worst <= 2.25 * 2**20
+    # the cache bound keeps its worst case within the one (MAX_QUBITS, D, D)
+    # int64 digit table the per-qubit gather kept for that register
+    maxsize = circuits._column_index.cache_parameters()["maxsize"]
+    assert maxsize * worst <= MAX_QUBITS * 4**MAX_QUBITS * 8
+    circuits._column_index.cache_clear()
 
 
 def _chain_ops(circ, thetas, layer):
