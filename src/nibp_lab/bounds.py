@@ -9,8 +9,8 @@ many layers, calls or reports read it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -153,12 +153,15 @@ def nils_interval(
 
     ``channels`` is one channel reused every layer or one per layer; unital
     profiles collapse the interval to the single point Tr(H)/d and skip the
-    shift.  An ``L`` other than ``circ.depth``, a sequence of another
-    length, or a None entry is refused before any map is built.
+    shift.  An ``L`` other than ``circ.depth``, ``channels`` of neither
+    form, a sequence of another length, or a None entry is refused before
+    any map is built.
     """
     if L != circ.depth:
         raise ValueError(f"L={L} is not the circuit's depth {circ.depth}")
     if not isinstance(channels, KrausChannel):
+        if not isinstance(channels, Sequence):
+            raise ValueError(f"channels={channels!r} is neither a KrausChannel nor a sequence")
         if len(channels) != L:
             raise ValueError(f"{len(channels)} channels for L={L} layers, the circuit's depth")
         _refuse_missing(channels)
@@ -227,9 +230,13 @@ def theorem3_report(channels: Sequence[KrausChannel], l: int) -> Theorem3Report:
     The escape flag needs the prefix singular values below mu, a strictly
     positive suffix sigma_min, and a suffix no longer than ``SUFFIX_CAP``.
     The rotation separation d_l entering the lower bound is the guaranteed
-    shift-norm lower bound at the realized prefix factor.  A None entry is
-    refused, naming its layer, before any map is built.
+    shift-norm lower bound at the realized prefix factor.  ``channels``
+    that is not a sequence (a single channel too: no L says how often it
+    repeats) and a None entry, named by its layer, are refused before any
+    map is built.
     """
+    if isinstance(channels, KrausChannel) or not isinstance(channels, Sequence):
+        raise ValueError(f"channels={channels!r} is not a sequence of one channel per layer")
     L = len(channels)
     if l < 3:
         raise ValueError(f"bifurcation layer l={l} must be >= 3")

@@ -10,20 +10,22 @@ ways: as a layer channel (a CPTP map after each layer, given by a
 
 A circuit groups each layer's gates into runs once, when it is built
 (``Circuit.runs``): a column of weight-1 rotations on distinct qubits, a
-run of CNOTs, a mixture, and single other gates.  Every layer view reads
-those runs (one layer's through ``Circuit.layer_runs``, which refuses a
-layer the circuit lacks).  A CNOT is its (control, target) pair: a CNOT
-run is one cached row permutation of the basis states on the dense path,
-and one cached signed permutation of the Pauli strings on the affine path.
-One kernel (``_column``) renders a column from its one-qubit factors, 2 x 2
-rotations for the dense path and 4 x 4 Pauli transfer matrices for the
-affine path: an outer product of the factors in gate order, then one
-gather, which also carries the CNOT run after a column that starts its
-layer.  Each view renders the factors of every column it needs in one
-call, then builds each layer when it is asked for it: ``evolve`` (through
-``_layer_kraus``) and ``layer_affine_maps`` (through ``layer_gate_maps``)
-for the whole circuit, ``layer_unitary`` and ``layer_gate_map`` for one
-layer.
+run of CNOTs, a mixture, and single other gates.  The layer's first run,
+when it is a column, takes the CNOTs right after it as its
+``Column.chain``.  Every layer view reads those runs (one layer's through
+``Circuit.layer_runs``, which refuses a layer the circuit lacks).
+
+One walker (``_layer_ops``) composes a layer's runs for both views: in
+base 2 as d x d operators (``evolve``, ``layer_unitary``), in base 4 as
+Pauli transfer matrices on coherence vectors (``layer_gate_maps``, read
+by ``bounds.layer_affine_maps``, and ``layer_gate_map``).  It renders the
+one-qubit factors of every column it needs in one call, then builds each
+layer when it is asked for it.  One kernel (``_column``) renders a column:
+an outer product of its factors in gate order, then one gather, which
+also carries the column's chain.  A CNOT is its (control, target) pair; a
+CNOT run is one cached signed permutation (``_cnot_perm``) of the basis
+states or the Pauli strings, composed from one two-digit table
+(``_cnot_table``) read off the 4 x 4 CNOT.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -350,11 +352,14 @@ def build_two_local(n: int, depth: int) -> Circuit:
 class Column(NamedTuple):
     """Weight-1 rotations without perturbation on distinct qubits, in gate
     order: rotation k turns qubit ``qubits[k]`` about ``letters[k]`` by
-    parameter ``params[k]``."""
+    parameter ``params[k]``.  ``chain`` is the CNOT run right after the
+    column ((control, target) pairs in gate order) when the column starts
+    its layer, and () for every other column."""
 
     qubits: tuple[int, ...]
     letters: str
     params: tuple[int, ...]
+    chain: tuple[tuple[int, int], ...]
 
 
 Run = tuple[str, object]
@@ -366,8 +371,10 @@ def _group_runs(
     """Group one layer's gates into read-only runs, in gate order.
 
     ``("column", Column)``: weight-1 rotations without perturbation, on
-    distinct qubits, in gate order;
-    ``("cnots", ((control, target), ...))``: consecutive CNOTs;
+    distinct qubits, in gate order; the layer's first run, when it is a
+    column, also takes the CNOTs right after it as its ``chain``, and a
+    rotation after a chained column starts a new column;
+    ``("cnots", ((control, target), ...))``: any other consecutive CNOTs;
     ``("mixture", (parameter index, RandomUnitaryNoise))``: a mixture gate;
     ``("gate", (parameter index, gate))``: any other rotation, its
     perturbation included, or (None, gate) for a fixed gate.
@@ -376,8 +383,12 @@ def _group_runs(
     for slot, gate in enumerate(gates):
         loc, last = (layer, slot), runs[-1][0] if runs else None
         if gate.cnot is not None:
-            pairs = runs.pop()[1] if last == "cnots" else ()
-            runs.append(("cnots", pairs + (gate.cnot,)))
+            if last == "column" and len(runs) == 1:
+                first = runs.pop()[1]
+                runs.append(("column", first._replace(chain=first.chain + (gate.cnot,))))
+            else:
+                pairs = runs.pop()[1] if last == "cnots" else ()
+                runs.append(("cnots", pairs + (gate.cnot,)))
             continue
         if not gate.is_parameterized:
             runs.append(("gate", (None, gate)))
@@ -389,9 +400,9 @@ def _group_runs(
         if not gate.perturbation and hamming_weight(gate.generator) == 1:
             letters = gate.generator
             q = len(letters) - len(letters.lstrip("I"))
-            extend = last == "column" and q not in runs[-1][1].qubits
-            qubits, chars, params = runs.pop()[1] if extend else ((), "", ())
-            runs.append(("column", Column(qubits + (q,), chars + letters[q], params + (index,))))
+            extend = last == "column" and not runs[-1][1].chain and q not in runs[-1][1].qubits
+            qubits, chars, params, _ = runs.pop()[1] if extend else ((), "", (), ())
+            runs.append(("column", Column(qubits + (q,), chars + letters[q], params + (index,), ())))
         else:
             runs.append(("gate", (index, gate)))
     return tuple(runs)
@@ -437,10 +448,10 @@ def _column_index(
 
     ``index[i, j]`` sums (base * i_q + j_q) * base^(2k) over the column's
     k-th qubit q.  ``scale`` is the 0/1 mask of the entries that agree on
-    every qubit outside the column, times the chain's signs (``_cnot_chain_ptm``)
-    on the Pauli-string path.  A chain permutes the rows of both
-    (``_cnot_rows`` on the basis states).  At ``MAX_QUBITS`` an entry is
-    a 2 MiB index and a 256 KiB mask, so the 8 cached stay below 19 MiB.
+    every qubit outside the column, times the chain's signs on the
+    Pauli-string path.  A chain permutes the rows of both (``_cnot_perm``).
+    At ``MAX_QUBITS`` an entry is a 2 MiB index and a 256 KiB mask, so the
+    8 cached stay below 19 MiB.
     """
     digits = _digits(n, base)
     index = sum((base * digits[q][:, None] + digits[q]) * (base * base) ** k
@@ -449,10 +460,10 @@ def _column_index(
     # a qubit outside the column keeps its digit: zero where i_q != j_q
     scale = (digits[missing, :, None] == digits[missing, None, :]).all(axis=0) if missing else None
     if chain:
-        rows, sign = (_cnot_rows(chain, n), None) if base == 2 else _cnot_chain_ptm(chain, n)
+        rows, sign = _cnot_perm(chain, n, base)
         index = index[rows]
         scale = None if scale is None else scale[rows]
-        if sign is not None:
+        if base == 4:
             scale = sign[:, None] if scale is None else scale * sign[:, None]
     for arr in (index, scale):
         if arr is not None:
@@ -479,18 +490,51 @@ def _paulis_1q(letters: str) -> np.ndarray:
     return stack
 
 
+@lru_cache(maxsize=2)
+def _cnot_table(base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CNOT on two digits as a signed permutation (pair, sign): on the
+    base * base elements base * c + t (control digit c, target digit t),
+    it takes a vector's entry i to sign[i] times its entry pair[i].  Base
+    2 reads it off the 4 x 4 CNOT itself (every sign +1); base 4 off that
+    CNOT's Pauli transfer matrix, in natural letter order (I, X, Y, Z =
+    0..3), where CNOT (a b) CNOT = sign (a' b')."""
+    u = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    if base == 2:
+        m = u.real
+    else:
+        strings = pauli_strings_by_weight(2)
+        order = [strings.index(a + b) for a in "IXYZ" for b in "IXYZ"]
+        m = transfer_matrix(unitary_channel(u))[np.ix_(order, order)]
+    pair = np.abs(m).argmax(axis=1)
+    sign = np.rint(m[np.arange(len(m)), pair])
+    for arr in (pair, sign):
+        arr.setflags(write=False)
+    return pair, sign
+
+
 @lru_cache(maxsize=256)
-def _cnot_rows(chain: tuple[tuple[int, int], ...], n: int) -> np.ndarray:
-    """The CNOTs ``chain`` ((control, target) in gate order) as a row
-    permutation: their product applied to A is ``A[..., rows, :]``.  One
-    CNOT flips the target bit of the basis states whose control bit is set
-    (qubit 0 the most significant)."""
-    states = np.arange(2**n)
-    rows = states
-    for c, t in chain:
-        rows = rows[states ^ (((states >> (n - 1 - c)) & 1) << (n - 1 - t))]
-    rows.setflags(write=False)
-    return rows
+def _cnot_perm(
+    chain: tuple[tuple[int, int], ...], n: int, base: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CNOTs ``chain`` ((control, target) in gate order) as a signed
+    permutation of ``_digits(n, base)``: their product applied to A is
+    ``sign[:, None] * A[..., rows, :]``.  Element rows[i] is element i with
+    the digit pair of each CNOT mapped by ``_cnot_table``, last gate first,
+    and sign[i] the product of the signs met on the way."""
+    digits = _digits(n, base)
+    pair, flip = _cnot_table(base)
+    moved, sign = digits.copy(), np.ones(digits.shape[1])
+    for c, t in reversed(chain):
+        two = base * moved[c] + moved[t]
+        sign *= flip[two]
+        moved[c], moved[t] = np.divmod(pair[two], base)
+    weights = base ** np.arange(n - 1, -1, -1)
+    position = np.zeros(base**n, dtype=np.intp)
+    position[weights @ digits] = np.arange(digits.shape[1])
+    rows = position[weights @ moved]
+    for arr in (rows, sign):
+        arr.setflags(write=False)
+    return rows, sign
 
 
 def _gate_unitary(run: tuple[int | None, Gate], thetas: np.ndarray) -> np.ndarray:
@@ -511,75 +555,63 @@ def _apply_layer_channel(rho: np.ndarray, channel: KrausChannel | None) -> np.nd
     return rho
 
 
-def _column_factors(layer_runs: Sequence[tuple[Run, ...]], render) -> Iterator[np.ndarray]:
-    """The one-qubit factors of each rotation column in ``layer_runs``, in
-    order, from one ``render(letters, params)`` call over all of them."""
-    columns = [run for runs in layer_runs for kind, run in runs if kind == "column"]
-    if not columns:
-        return iter(())
-    stack = render("".join(c.letters for c in columns), [i for c in columns for i in c.params])
-    ends = accumulate(len(c.qubits) for c in columns)
-    return (stack[..., end - len(c.qubits):end, :, :] for c, end in zip(columns, ends))
-
-
-def _with_chains(runs: tuple[Run, ...]) -> Iterator[tuple[str, object, tuple]]:
-    """Each run as (kind, run, chain).  A column that starts its layer and
-    is followed by a CNOT run takes that run's pairs as its chain, and the
-    CNOT run is not given again; every other chain is ()."""
-    if len(runs) > 1 and runs[0][0] == "column" and runs[1][0] == "cnots":
-        yield "column", runs[0][1], runs[1][1]
-        runs = runs[2:]
-    for kind, run in runs:
-        yield kind, run, ()
-
-
-def _layer_kraus(
-    circ: Circuit, thetas: np.ndarray, layer_runs: Sequence[tuple[Run, ...]]
+def _layer_ops(
+    circ: Circuit, thetas: np.ndarray, layers: Iterable[int], base: int
 ) -> Iterator[list[list[np.ndarray]]]:
-    """Each layer of ``layer_runs`` in turn as ``_build_layer`` gives it,
-    built when the consumer asks for it.  One ``_rotation`` call renders
-    the 2 x 2 factors of every rotation column in ``layer_runs`` before the
-    first layer."""
-    factors = _column_factors(
-        layer_runs, lambda letters, params: _rotation(_paulis_1q(letters), thetas[..., params]))
-    for runs in layer_runs:
-        yield _build_layer(runs, thetas, factors, circ.n)
+    """Each of ``layers`` in turn as an ordered list of Kraus sets, built
+    when the consumer asks for it: base 2 gives d x d operators (the dense
+    view), base 4 the (d^2-1) x (d^2-1) Pauli transfer matrices on
+    Hamming-ordered coherence vectors (the affine view, of mixture-free
+    layers only).  ``thetas`` of shape (P,) gives single operators, (B, P)
+    gives stacks of B for the angle-dependent ones.
 
-
-def _build_layer(
-    runs: tuple[Run, ...], thetas: np.ndarray, factors: Iterator[np.ndarray], n: int
-) -> list[list[np.ndarray]]:
-    """One layer's runs as an ordered list of Kraus sets.
-
+    One call (``_rotation`` or ``_rotation_ptm``) renders the one-qubit
+    factors of every rotation column in ``layers`` before the first layer.
     Each stretch of unitary runs is one product ``acc``: a column enters as
-    the ``_column`` unitary of the next entry of ``factors`` (with the CNOT
-    run after it when it starts the layer, ``_with_chains``), a CNOT run
-    as a row permutation of ``acc``, any other gate as ``u @ acc``.  Each
-    random-unitary mixture is its own set.  ``thetas`` of shape (P,) gives
-    d x d operators, (B, P) gives (B, d, d) stacks for the angle-dependent
-    ones.
+    its ``_column`` product (its chain included), a CNOT run as a signed
+    row permutation of ``acc`` (``_cnot_perm``), any other gate as
+    ``u @ acc`` (u its transfer matrix in base 4).  Each random-unitary
+    mixture is its own set.
     """
-    ops: list[list[np.ndarray]] = []
-    acc: np.ndarray | None = None
-    for kind, run, chain in _with_chains(runs):
-        if kind == "mixture":
-            if acc is not None:
-                ops.append([acc])
-                acc = None
-            index, spec = run
-            ops.append(_mixture_ops(spec, thetas[..., index]))
-        elif kind == "cnots":
-            rows = _cnot_rows(run, n)
-            acc = np.eye(2**n, dtype=complex)[rows] if acc is None else acc[..., rows, :]
-        else:
-            if kind == "column":
-                u = _column(run.qubits, next(factors), n, chain)
+    n = circ.n
+    layer_runs = [circ.layer_runs(layer) for layer in layers]
+    columns = [run for runs in layer_runs for kind, run in runs if kind == "column"]
+    factors = iter(())
+    if columns:
+        letters = "".join(c.letters for c in columns)
+        angles = thetas[..., [i for c in columns for i in c.params]]
+        stack = _rotation(_paulis_1q(letters), angles) if base == 2 else _rotation_ptm(letters, angles)
+        ends = accumulate(len(c.qubits) for c in columns)
+        factors = (stack[..., end - len(c.qubits):end, :, :] for c, end in zip(columns, ends))
+    for runs in layer_runs:
+        ops: list[list[np.ndarray]] = []
+        acc: np.ndarray | None = None
+        for kind, run in runs:
+            if kind == "mixture":
+                if acc is not None:
+                    ops.append([acc])
+                    acc = None
+                index, spec = run
+                ops.append(_mixture_ops(spec, thetas[..., index]))
+            elif kind == "cnots":
+                rows, sign = _cnot_perm(run, n, base)
+                if acc is None:
+                    acc = np.eye(len(rows), dtype=complex if base == 2 else float)
+                acc = acc[..., rows, :]
+                # the basis states' signs are all +1, and a complex multiply
+                # by +1 can flip the sign of a zero
+                if base == 4:
+                    acc = sign[:, None] * acc
             else:
-                u = _gate_unitary(run, thetas)
-            acc = u if acc is None else u @ acc
-    if acc is not None:
-        ops.append([acc])
-    return ops
+                if kind == "column":
+                    u = _column(run.qubits, next(factors), n, run.chain)
+                else:
+                    u = _gate_unitary(run, thetas)
+                    u = u if base == 2 else _unitary_ptm(u)
+                acc = u if acc is None else u @ acc
+        if acc is not None:
+            ops.append([acc])
+        yield ops
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -599,12 +631,12 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
     evolves B copies of |0...0>, one per row, and gives the (B, d, d)
     stack of final states.  Row b of the stack is bit for bit the state
     evolved from ``theta[b]`` alone.  Each layer's operators are built
-    (``_layer_kraus``) just before they are applied.
+    (``_layer_ops``) just before they are applied.
     """
     thetas = circ.angle_rows(theta)
     channels = noise.per_layer(circ)
     rho = np.repeat(_ground_state(circ.n)[None], len(thetas), axis=0)
-    for layer_ops, channel in zip(_layer_kraus(circ, thetas, circ.runs), channels):
+    for layer_ops, channel in zip(_layer_ops(circ, thetas, range(circ.depth), 2), channels):
         for ops in layer_ops:
             rho = _apply_kraus(rho, ops)
         rho = _apply_layer_channel(rho, channel)
@@ -616,18 +648,18 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
 # ---------------------------------------------------------------------------
 
 
-def _unitary_runs(circ: Circuit, layer: int) -> tuple[Run, ...]:
-    """The layer's stored runs (``Circuit.layer_runs``); a mixture is refused."""
-    runs = circ.layer_runs(layer)
-    if any(kind == "mixture" for kind, _ in runs):
+def _unitary_layer(circ: Circuit, layer: int) -> int:
+    """``layer``, refused if the circuit lacks it (``Circuit.layer_runs``)
+    or it holds a mixture."""
+    if any(kind == "mixture" for kind, _ in circ.layer_runs(layer)):
         raise ValueError(f"layer {layer} holds a unitary mixture, so it is not unitary")
-    return runs
+    return layer
 
 
 def layer_unitary(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
     """Product of all gate unitaries in a layer (control noise included)."""
     theta = circ.angle_row(theta)
-    ops, = _layer_kraus(circ, theta, [_unitary_runs(circ, layer)])
+    ops, = _layer_ops(circ, theta, [_unitary_layer(circ, layer)], 2)
     return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
 
 
@@ -647,35 +679,15 @@ def layer_gate_maps(
     circ: Circuit, theta: np.ndarray, layers: Sequence[int]
 ) -> Iterator[np.ndarray]:
     """``layer_gate_map`` of each of ``layers`` in turn, built when the
-    consumer asks for it.  The angles are read once, and one
-    ``_rotation_ptm`` call renders the 4 x 4 Pauli transfer matrices of
-    every rotation column in ``layers`` before the first map.
-
-    Of a layer's runs, a rotation column is the ``_column`` product of its
-    transfer matrices (with the CNOT run after it when it starts the
-    layer); a CNOT run is a cached signed permutation of Pauli strings,
-    applied as a row gather; any other gate uses its own full-register
-    transfer matrix.  Runs compose by matrix products.
+    consumer asks for it by the walker the dense view uses (``_layer_ops``
+    in base 4): the angles are read once, and one ``_rotation_ptm`` call
+    renders the 4 x 4 Pauli transfer matrices of every rotation column in
+    ``layers`` before the first map.
     """
     theta = circ.angle_row(theta)
-    n = circ.n
-    layer_runs = [_unitary_runs(circ, layer) for layer in layers]
-    factors = _column_factors(
-        layer_runs, lambda letters, params: _rotation_ptm(letters, theta[params]))
-    for runs in layer_runs:
-        omega = None  # None is the identity
-        for kind, run, chain in _with_chains(runs):
-            if kind == "cnots":
-                src, sign = _cnot_chain_ptm(run, n)
-                base = np.eye(len(src)) if omega is None else omega
-                omega = sign[:, None] * base[src]
-                continue
-            if kind == "column":
-                t = _column(run.qubits, next(factors), n, chain)
-            else:
-                t = _unitary_ptm(_gate_unitary(run, theta))
-            omega = t if omega is None else t @ omega
-        yield np.eye(4**n - 1) if omega is None else omega
+    layers = [_unitary_layer(circ, layer) for layer in layers]
+    for ops in _layer_ops(circ, theta, layers, 4):
+        yield ops[0][0] if ops else np.eye(4**circ.n - 1)
 
 
 @lru_cache(maxsize=256)
@@ -708,45 +720,6 @@ def _rotation_ptm(letters: str, theta: np.ndarray) -> np.ndarray:
 def _unitary_ptm(u: np.ndarray) -> np.ndarray:
     """Traceless Hamming-ordered block of the transfer matrix of u."""
     return transfer_matrix(unitary_channel(u))[1:, 1:]
-
-
-@lru_cache(maxsize=1)
-def _cnot_letters() -> dict[str, tuple[str, float]]:
-    """CNOT (a b) CNOT = sign (a' b') for each two-letter Pauli string ab
-    (control letter first), as {ab: (a'b', sign)}: the signed permutation
-    read once off the transfer matrix of the 4 x 4 CNOT."""
-    t = transfer_matrix(unitary_channel(np.eye(4, dtype=complex)[[0, 1, 3, 2]]))
-    strings = pauli_strings_by_weight(2)
-    src = np.abs(t).argmax(axis=1)
-    return {s: (strings[j], float(np.rint(t[i, j]))) for i, (s, j) in enumerate(zip(strings, src))}
-
-
-@lru_cache(maxsize=256)
-def _cnot_chain_ptm(
-    chain: tuple[tuple[int, int], ...], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The CNOTs ``chain`` ((control, target) in gate order) as a signed
-    permutation of the traceless Hamming-ordered Pauli strings.
-
-    Returns (src, sign) with row i of the transfer matrix equal to sign[i]
-    times unit row src[i], so it acts on a matrix A as
-    ``sign[:, None] * A[src]``.  String src[i] is sign[i] times string i
-    conjugated by each CNOT of the chain, last gate first, letter pair by
-    letter pair.
-    """
-    strings = pauli_strings_by_weight(n)[1:]
-    position = {s: i for i, s in enumerate(strings)}
-    table = _cnot_letters()
-    src, sign = np.empty(len(strings), dtype=np.intp), np.ones(len(strings))
-    for i, s in enumerate(strings):
-        letters = list(s)
-        for c, t in reversed(chain):
-            (letters[c], letters[t]), flip = table[letters[c] + letters[t]]
-            sign[i] *= flip
-        src[i] = position["".join(letters)]
-    for arr in (src, sign):
-        arr.setflags(write=False)
-    return src, sign
 
 
 _NO_NOISE = identity_channel(1)  # a layer without noise, at every register width

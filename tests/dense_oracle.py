@@ -5,15 +5,19 @@ one gather per qubit, not by ``qubit_kernel``'s term-by-term products.
 ``column`` renders a rotation column by one gather per qubit from a digit
 table of every qubit, where the simulator multiplies the factors into one
 outer product and reads it with one gather that also carries the CNOT run
-after the column.  ``layer_ops`` and ``evolve`` assemble each layer on its
+after the column.  ``cnot_rows`` and ``cnot_chain_ptm`` build a CNOT run
+by bit arithmetic and letter by letter, where the simulator composes one
+two-digit table.  ``layer_ops`` and ``evolve`` assemble each layer on its
 own, rendering its rotation columns with ``column`` as the layer is
 reached, where the simulator renders every column of the circuit in one
 call before the first layer."""
 
+from functools import lru_cache
+
 import numpy as np
 
 from nibp_lab import circuits
-from nibp_lab.channels import _apply_kraus
+from nibp_lab.channels import _apply_kraus, transfer_matrix, unitary_channel
 from nibp_lab.pauli import DensityMatrix, pauli_strings_by_weight
 
 CNOT = np.array(
@@ -105,14 +109,57 @@ def digit_index(n: int, base: int) -> np.ndarray:
     return base * digits[:, :, None] + digits[:, None, :]
 
 
+def cnot_rows(chain, n: int) -> np.ndarray:
+    """The CNOTs ``chain`` ((control, target) in gate order) as a row
+    permutation: their product applied to A is ``A[..., rows, :]``.  One
+    CNOT flips the target bit of the basis states whose control bit is set
+    (qubit 0 the most significant)."""
+    states = np.arange(2**n)
+    rows = states
+    for c, t in chain:
+        rows = rows[states ^ (((states >> (n - 1 - c)) & 1) << (n - 1 - t))]
+    return rows
+
+
+@lru_cache(maxsize=1)
+def cnot_letters() -> dict:
+    """CNOT (a b) CNOT = sign (a' b') for each two-letter Pauli string ab
+    (control letter first), as {ab: (a'b', sign)}, read off the transfer
+    matrix of the 4 x 4 CNOT."""
+    t = transfer_matrix(unitary_channel(CNOT))
+    strings = pauli_strings_by_weight(2)
+    src = np.abs(t).argmax(axis=1)
+    return {s: (strings[j], float(np.rint(t[i, j]))) for i, (s, j) in enumerate(zip(strings, src))}
+
+
+def cnot_chain_ptm(chain, n: int):
+    """The CNOTs ``chain`` as a signed permutation (src, sign) of the
+    traceless Hamming-ordered Pauli strings: it acts on a matrix A as
+    ``sign[:, None] * A[src]``.  String src[i] is sign[i] times string i
+    conjugated by each CNOT of the chain, last gate first, letter pair by
+    letter pair."""
+    strings = pauli_strings_by_weight(n)[1:]
+    position = {s: i for i, s in enumerate(strings)}
+    table = cnot_letters()
+    src, sign = np.empty(len(strings), dtype=np.intp), np.ones(len(strings))
+    for i, s in enumerate(strings):
+        letters = list(s)
+        for c, t in reversed(chain):
+            (letters[c], letters[t]), flip = table[letters[c] + letters[t]]
+            sign[i] *= flip
+        src[i] = position["".join(letters)]
+    return src, sign
+
+
 def layer_ops(circ, thetas, layer):
     """The layer's gates as an ordered list of Kraus sets.
 
     Each stretch of unitary runs is one product ``acc``: a rotation column
-    enters as its ``column`` unitary, a CNOT run as a row permutation of
-    ``acc``, any other gate as ``u @ acc``.  Each random-unitary mixture is
-    its own set.  ``thetas`` of shape (P,) gives d x d operators, (B, P)
-    gives (B, d, d) stacks for the angle-dependent ones.
+    enters as its ``column`` unitary followed by its chain's ``cnot_rows``,
+    a CNOT run as a row permutation of ``acc``, any other gate as
+    ``u @ acc``.  Each random-unitary mixture is its own set.  ``thetas``
+    of shape (P,) gives d x d operators, (B, P) gives (B, d, d) stacks for
+    the angle-dependent ones.
     """
     n = circ.n
     ops, acc = [], None
@@ -124,13 +171,13 @@ def layer_ops(circ, thetas, layer):
             index, spec = run
             ops.append(circuits._mixture_ops(spec, thetas[..., index]))
         elif kind == "cnots":
-            rows = circuits._cnot_rows(run, n)
+            rows = cnot_rows(run, n)
             acc = np.eye(2**n, dtype=complex)[rows] if acc is None else acc[..., rows, :]
         else:
             if kind == "column":
                 angles = thetas[..., list(run.params)]
                 factors = circuits._rotation(circuits._paulis_1q(run.letters), angles)
-                u = column(run.qubits, factors, n)
+                u = column(run.qubits, factors, n)[..., cnot_rows(run.chain, n), :]
             else:
                 u = circuits._gate_unitary(run, thetas)
             acc = u if acc is None else u @ acc

@@ -218,6 +218,23 @@ def test_bounds_refuse_a_layer_without_a_channel(monkeypatch):
     assert not maps
 
 
+def test_bounds_refuse_channels_of_neither_form(monkeypatch):
+    # nils_interval takes one channel or a sequence of them; theorem3_report
+    # takes no L, so one bare channel cannot stand for every layer there.
+    # Each refusal names the argument before any map is built; before,
+    # both calls ended in a TypeError from len()
+    circ = build_two_local(2, 3)
+    theta = np.linspace(0.1, 1.0, circ.num_parameters)
+    H = random_two_local(2, seed=5)
+    maps = _count_calls(monkeypatch, bounds, "affine_rep")
+    with pytest.raises(ValueError, match="channels=None is neither a KrausChannel nor a sequence"):
+        nils_interval(H, None, 3, circ, theta)
+    with pytest.raises(ValueError, match=re.escape(
+            "channels=KrausChannel(n=1) is not a sequence of one channel per layer")):
+        theorem3_report(amplitude_damping(0.3), 3)
+    assert not maps
+
+
 def test_theorem3_escape_for_strong_damping():
     channels = [amplitude_damping(0.8)] * 12
     report = theorem3_report(channels, 10)

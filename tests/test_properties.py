@@ -378,19 +378,22 @@ def test_layer_gate_map_equals_dense_oracle(layer):
 
 
 def test_cnot_chain_ptm_is_an_exact_signed_permutation():
-    # every chain of up to 3 CNOTs on n <= 3 qubits: the signs from the
-    # letter map are exactly +-1, the sources a permutation, and the signed
-    # permutation is the transfer matrix of the chain's row permutation
+    # every chain of up to 3 CNOTs on n <= 3 qubits: on the Pauli strings
+    # the signs from the two-digit table are exactly +-1, the rows a
+    # permutation, and the signed permutation is the transfer matrix of the
+    # product of embedded CNOTs
     for n in (2, 3):
         pairs = list(itertools.permutations(range(n), 2))
         for length in (1, 2, 3):
             for chain in itertools.product(pairs, repeat=length):
-                src, sign = circuits._cnot_chain_ptm(chain, n)
+                rows, sign = circuits._cnot_perm(chain, n, 4)
                 assert set(sign.tolist()) <= {-1.0, 1.0}
-                assert np.array_equal(np.sort(src), np.arange(4**n - 1))
-                u = np.eye(2**n)[circuits._cnot_rows(chain, n)]
+                assert np.array_equal(np.sort(rows), np.arange(4**n - 1))
+                u = np.eye(2**n, dtype=complex)
+                for pair in chain:
+                    u = gate_matrix(circuits.Gate(cnot=pair), n) @ u
                 np.testing.assert_allclose(
-                    sign[:, None] * np.eye(len(src))[src],
+                    sign[:, None] * np.eye(len(rows))[rows],
                     affine_rep(unitary_channel(u)).M, rtol=0, atol=1e-12)
 
 
@@ -425,13 +428,14 @@ def _columns(draw):
 def test_column_kernel_equals_the_gather_per_qubit_oracle_word_for_word(case):
     # the outer-product chain and its one gather (which carries the CNOT
     # run) against one gather per qubit followed by the run's row
-    # permutation, or its signed permutation of Pauli strings
+    # permutation, or its signed permutation of Pauli strings, each built
+    # by the oracle's own bit or letter arithmetic
     qubits, factors, n, chain = case
     want = dense_oracle.column(qubits, factors, n)
     if chain and factors.shape[-1] == 2:
-        want = want[..., circuits._cnot_rows(chain, n), :]
+        want = want[..., dense_oracle.cnot_rows(chain, n), :]
     elif chain:
-        src, sign = circuits._cnot_chain_ptm(chain, n)
+        src, sign = dense_oracle.cnot_chain_ptm(chain, n)
         want = sign[:, None] * want[..., src, :]
     got = circuits._column(qubits, factors, n, chain)
     assert got.shape == want.shape and got.dtype == want.dtype
