@@ -56,9 +56,13 @@ def contractivity_profile(
     noise: NoiseSpec,
     theta: np.ndarray,
 ) -> ContractivityProfile:
+    """The realized and worst-case factors of each layer along the
+    trajectory from |0...0>; the maps are built, and a register beyond
+    ``AFFINE_MAX_QUBITS`` refused, before the state's coherence vector."""
+    maps = layer_affine_maps(circ, theta, noise)
     v = to_coherence(DensityMatrix.ground_state(circ.n))
     qs, opnorms = [], []
-    for omega, c, opnorm in layer_affine_maps(circ, theta, noise):
+    for omega, c, opnorm in maps:
         rotated = omega @ v
         denom = np.linalg.norm(v)
         qs.append(float(np.linalg.norm(rotated) / denom) if denom > 1e-14 else 0.0)
@@ -232,8 +236,9 @@ def theorem3_report(channels: Sequence[KrausChannel], l: int) -> Theorem3Report:
     The rotation separation d_l entering the lower bound is the guaranteed
     shift-norm lower bound at the realized prefix factor.  ``channels``
     that is not a sequence (a single channel too: no L says how often it
-    repeats) and a None entry, named by its layer, are refused before any
-    map is built.
+    repeats), an entry that is not a channel (``NoiseSpec``'s check) and a
+    None entry, each entry named by its layer, are refused before any map
+    is built.
     """
     if isinstance(channels, KrausChannel) or not isinstance(channels, Sequence):
         raise ValueError(f"channels={channels!r} is not a sequence of one channel per layer")
@@ -242,6 +247,7 @@ def theorem3_report(channels: Sequence[KrausChannel], l: int) -> Theorem3Report:
         raise ValueError(f"bifurcation layer l={l} must be >= 3")
     if l > L:
         raise ValueError(f"l={l} exceeds layer count {L}")
+    NoiseSpec(tuple(channels))  # refuses an entry that is not a channel, naming its layer
     _refuse_missing(channels)
     reps = [affine_rep(ch) for ch in channels]
     c_norms = [rep.c_norm for rep in reps]

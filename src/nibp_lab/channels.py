@@ -29,6 +29,11 @@ from .pauli import (
 )
 
 AFFINE_MAX_QUBITS = 3  # (d^2-1)^2 storage makes explicit M infeasible beyond this
+# the largest d whose qubit-local kernel reads flat (T, d^2) tables: they
+# measured faster through n = 6 and broke even at n = 7 under amplitude
+# damping (still faster there for depolarizing noise), where they would
+# take 18 MiB for depolarizing noise (377 MB at n = 9)
+FLAT_MAX_DIM = 2**6
 
 UNITAL_TOL = 1e-9
 CONTRACTIVE_MARGIN = 1e-9
@@ -55,7 +60,7 @@ class KrausChannel:
 
     kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
     n: int = field(init=False)
-    # the qubit-local kernel's tables, keyed by (qubit, d) of the state
+    # the qubit-local kernel's tables, keyed by d of the state (``_width_tables``)
     _tables: dict = field(default_factory=dict, init=False, repr=False)
     # a 1-qubit channel's register channels, keyed by width (``register``)
     _registers: dict = field(default_factory=dict, init=False, repr=False)
@@ -83,7 +88,7 @@ class KrausChannel:
         d_1 = diag(k01, k10).  Its terms are the pairs (a, b) of its
         nonzero parts: the single pair (a, a) where each row has at most
         one nonzero entry, as for every named channel.  Returns the (T, 2)
-        flips (a, b), the (T, 1, 2, 1) row coefficients d_a and the (T, 2)
+        flips (a, b), the (T, 2) row coefficients d_a and the (T, 2)
         column coefficients conj(d_b), in Kraus order.
         """
         if self.n != 1:
@@ -96,51 +101,101 @@ class KrausChannel:
                      if np.any(v)]
             terms += [(a, b, row, col.conj()) for a, row in parts for b, col in parts]
         flips = np.array([t[:2] for t in terms], dtype=np.intp).reshape(-1, 2)
-        rows = np.array([t[2] for t in terms], dtype=complex).reshape(-1, 1, 2, 1)
+        rows = np.array([t[2] for t in terms], dtype=complex).reshape(-1, 2)
         cols = np.array([t[3] for t in terms], dtype=complex).reshape(-1, 2)
         return flips, rows, cols
 
-    def _qubit_tables(self, qubit: int, d: int) -> tuple[np.ndarray, ...]:
-        """Check d = 2^n and ``qubit`` < n, then build and keep under (qubit,
-        d): the shared flat index of a d x d state, each term's XOR mask on
-        it ((T, 1): bit ``qubit`` of the row when a = 1, of the column when
-        b = 1), the row coefficients and the (T, 1, d) column coefficients."""
+    def _width_tables(self, d: int) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Check d = 2^n, then build and keep under d one table set per
+        qubit q of a d x d state.  Each term reads the state at its flat
+        position XOR a mask (bit q of the row when a = 1, of the column
+        when b = 1) and scales it by its row coefficient at bit q of the
+        row, then its column coefficient at bit q of the column.
+
+        Up to ``FLAT_MAX_DIM`` a set is the (T, d^2) gather index, XOR
+        already taken, and the (T, d^2) row and column coefficients laid
+        out flat: 40 T d^2 bytes a qubit.  Beyond it, the shared flat index
+        (``_flat_index``), the (T, 1) masks, the (T, 1, 2, 1) row and the
+        (T, 1, d) column coefficients, which the kernel broadcasts.
+        """
         n = qubit_count((d, d))
-        if not 0 <= qubit < n:
-            raise DimensionMismatchError(f"qubit {qubit} is outside the {n}-qubit state")
         flips, rows, cols = self._qubit_terms
-        bit = 2 ** (n - qubit - 1)
-        mask = flips @ np.array([[bit * d], [bit]], dtype=np.intp)
-        col = cols[:, np.arange(d) // bit % 2][:, None, :]
-        tables = self._tables[(qubit, d)] = (_flat_index(n), mask, rows, col)
+        flat, tables = _flat_index(n), []
+        for qubit in range(n):
+            bit = 2 ** (n - qubit - 1)
+            mask = flips @ np.array([[bit * d], [bit]], dtype=np.intp)
+            digit = np.arange(d) // bit % 2
+            if d <= FLAT_MAX_DIM:
+                tables.append((np.bitwise_xor(flat, mask),
+                               np.repeat(rows[:, digit], d, axis=1),
+                               np.tile(cols[:, digit], d)))
+            else:
+                tables.append((mask, rows[:, None, :, None], cols[:, digit][:, None, :]))
+        self._tables[d] = tables = tuple(tables)
         return tables
 
-    def apply_to_qubit(self, rho: np.ndarray, qubit: int) -> np.ndarray:
-        """Apply this 1-qubit channel to ``qubit`` of a state.
+    def apply_to_every_qubit(self, rho: np.ndarray) -> np.ndarray:
+        """Apply this 1-qubit channel to every qubit of a state, qubit 0
+        first: the noise after a layer, in one call.
 
         ``rho`` is d x d or a (B, d, d) stack: each call checks it is
-        square, and the first per (qubit, d) checks d and ``qubit``.  One
-        gather reads the state at each term's flipped rows and columns (an
-        XOR of the flat index); two in-place multiplies scale it by the row
-        coefficients, then by the column coefficients; one sum over the
-        terms adds them in Kraus order.  For operators with at most one
-        nonzero entry per row, every output entry is conj(k') (k x) for
-        each Kraus operator, summed in Kraus order: the products and sums a
-        dense contraction forms.
+        square, and the first per d checks d (``_width_tables``).  Per
+        qubit, one gather reads the state at each term's flipped rows and
+        columns; two in-place multiplies scale it by the row coefficients,
+        then by the column coefficients; one sum over the terms adds them
+        in Kraus order.  For operators with at most one nonzero entry per
+        row, every output entry is conj(k') (k x) for each Kraus operator,
+        summed in Kraus order: the products and sums a dense contraction
+        forms.
+
+        Up to ``FLAT_MAX_DIM`` each qubit is one gather through its stored
+        index and two 2-D multiplies by its flat coefficients, into two
+        buffers the qubits share; beyond it each qubit XORs its index and
+        broadcasts its coefficients, which needs no (T, d^2) tables.
         """
+        return self._apply_to_qubits(rho, None)
+
+    def apply_to_qubit(self, rho: np.ndarray, qubit: int) -> np.ndarray:
+        """Apply this 1-qubit channel to ``qubit`` of a state, by the kernel
+        of ``apply_to_every_qubit``; a qubit outside the state is refused."""
+        return self._apply_to_qubits(rho, qubit)
+
+    def _apply_to_qubits(self, rho: np.ndarray, qubit: int | None) -> np.ndarray:
+        """``apply_to_qubit`` of ``qubit``, or of every qubit in turn for None."""
         shape = rho.shape
         d = shape[-1]
         if len(shape) < 2 or shape[-2] != d:
             raise DimensionMismatchError(f"state of shape {shape} is not square")
-        flat, mask, row, col = self._tables.get((qubit, d)) or self._qubit_tables(qubit, d)
+        tables = self._tables.get(d) or self._width_tables(d)
+        qubits = range(len(tables))
+        if qubit is not None:
+            if qubit not in qubits:
+                raise DimensionMismatchError(
+                    f"qubit {qubit} is outside the {len(tables)}-qubit state")
+            qubits = (qubit,)
+        state = rho.reshape(-1, d * d)
+        batch, count = len(state), len(self._qubit_terms[0])
         # every index is in range: "clip" only skips the bounds check
-        terms = rho.reshape(-1, d * d).take(np.bitwise_xor(flat, mask), axis=-1, mode="clip")
-        batch, count = terms.shape[:2]
-        by_row = terms.reshape(batch, count, 2**qubit, 2, -1)
-        np.multiply(row, by_row, out=by_row)
-        by_col = terms.reshape(batch, count, d, d)
-        np.multiply(col, by_col, out=by_col)
-        return np.add.reduce(terms, axis=1).reshape(shape)
+        if d > FLAT_MAX_DIM:
+            flat = _flat_index(len(tables))
+            for q in qubits:
+                mask, row, col = tables[q]
+                terms = state.take(np.bitwise_xor(flat, mask), axis=-1, mode="clip")
+                by_row = terms.reshape(batch, count, 2**q, 2, -1)
+                np.multiply(row, by_row, out=by_row)
+                by_col = terms.reshape(batch, count, d, d)
+                np.multiply(col, by_col, out=by_col)
+                state = np.add.reduce(terms, axis=1)
+            return state.reshape(shape)
+        terms = np.empty((batch, count, d * d), dtype=complex)
+        out = np.empty((batch, d * d), dtype=complex)
+        for q in qubits:
+            index, row, col = tables[q]
+            state.take(index, axis=-1, out=terms, mode="clip")
+            np.multiply(row, terms, out=terms)
+            np.multiply(col, terms, out=terms)
+            state = np.add.reduce(terms, axis=1, out=out)
+        return out.reshape(shape)
 
     def apply_state(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.n != self.n:

@@ -19,12 +19,13 @@ One walker (``_layer_ops``) composes a layer's runs for both views: in
 base 2 as d x d operators (``evolve``, ``layer_unitary``), in base 4 as
 Pauli transfer matrices on coherence vectors (``layer_gate_maps``, read
 by ``bounds.layer_affine_maps``, and ``layer_gate_map``).  It renders the
-one-qubit factors of every column it needs in one call, then builds each
-layer when it is asked for it.  One kernel (``_column``) renders a column:
-an outer product of its factors in gate order, then one gather, which
-also carries the column's chain.  A CNOT is its (control, target) pair; a
-CNOT run is one cached signed permutation (``_cnot_perm``) of the basis
-states or the Pauli strings, composed from one two-digit table
+one-qubit factors of every column of the circuit in one call, as the
+circuit planned them when it was built (``Circuit.columns``), then builds
+each layer when it is asked for it.  One kernel (``_column``) renders a
+column: an outer product of its factors in gate order, then one gather,
+which also carries the column's chain.  A CNOT is its (control, target)
+pair; a CNOT run is one cached signed permutation (``_cnot_perm``) of the
+basis states or the Pauli strings, composed from one two-digit table
 (``_cnot_table``) read off the 4 x 4 CNOT.
 """
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -242,17 +242,23 @@ class Circuit:
     """Layered ansatz.  Its parameters are its rotations and mixtures:
     ``parameter_index`` numbers them 0, 1, ... in (layer, slot) order.
     ``runs`` holds each layer's gates grouped into runs (see
-    ``_group_runs``); ``layer_runs`` reads one layer's."""
+    ``_group_runs``); ``layer_runs`` reads one layer's.  ``columns`` plans
+    the render of the rotation columns' one-qubit factors as (letters,
+    params, spans): the letters and the read-only parameter indexes of
+    every column's rotations in (layer, slot) order, and per layer each
+    column's slice of them."""
 
     n: int
     layers: tuple[tuple[Gate, ...], ...]
     parameter_index: Mapping[Location, int] = field(init=False, repr=False, compare=False)
     runs: tuple[tuple[Run, ...], ...] = field(init=False, repr=False, compare=False)
+    columns: tuple[str, np.ndarray, tuple[tuple[slice, ...], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
         index: dict[Location, int] = {}
-        runs = []
+        runs, chars, params, spans = [], "", [], []
         for layer, gates in enumerate(self.layers):
             for slot, g in enumerate(gates):
                 if g.is_parameterized:
@@ -268,8 +274,18 @@ class Circuit:
                     raise DimensionMismatchError(
                         f"fixed gate of shape {g.matrix.shape} on {n} qubits")
             runs.append(_group_runs(gates, layer, index))
+            layer_spans = []
+            for kind, run in runs[-1]:
+                if kind == "column":
+                    layer_spans.append(slice(len(chars), len(chars) + len(run.letters)))
+                    chars += run.letters
+                    params += run.params
+            spans.append(tuple(layer_spans))
+        params = np.array(params, dtype=np.intp)
+        params.setflags(write=False)
         object.__setattr__(self, "parameter_index", MappingProxyType(index))
         object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "columns", (chars, params, tuple(spans)))
 
     @property
     def depth(self) -> int:
@@ -408,13 +424,12 @@ def _group_runs(
     return tuple(runs)
 
 
-def _column(
-    column: tuple[int, ...], factors: np.ndarray, n: int, chain: tuple[tuple[int, int], ...]
-) -> np.ndarray:
-    """The product of one-qubit factors on the distinct qubits ``column``
-    (in gate order), ``factors[..., k, :, :]`` the base x base factor on
-    its k-th qubit (2 x 2 operators or 4 x 4 Pauli transfer matrices),
-    followed by the CNOTs ``chain`` (() for none).
+def _column(factors: np.ndarray, index: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """The product of one-qubit factors on a column's distinct qubits (in
+    gate order), ``factors[..., k, :, :]`` the base x base factor on its
+    k-th qubit (2 x 2 operators or 4 x 4 Pauli transfer matrices),
+    followed by the column's CNOT chain; (index, scale) is the column's
+    ``_column_index`` entry.
 
     Entry (i, j) is the product, in gate order, of each factor's entry at
     the digits of i and j on its qubit, and zero where i and j differ on a
@@ -428,10 +443,9 @@ def _column(
     base = factors.shape[-1]
     flat = factors.reshape(factors.shape[:-2] + (base * base,))
     product = flat[..., 0, :]
-    for k in range(1, len(column)):
+    for k in range(1, flat.shape[-2]):
         outer = np.multiply(product[..., None, :], flat[..., k, :, None])
         product = outer.reshape(product.shape[:-1] + (-1,))
-    index, scale = _column_index(n, base, column, chain)
     # every index is in range: "clip" only skips the bounds check
     out = product.take(index, axis=-1, mode="clip")
     if scale is not None:
@@ -544,15 +558,13 @@ def _gate_unitary(run: tuple[int | None, Gate], thetas: np.ndarray) -> np.ndarra
 
 
 def _apply_layer_channel(rho: np.ndarray, channel: KrausChannel | None) -> np.ndarray:
-    """A layer entry on a state or stack; a 1-qubit entry goes on each qubit in turn."""
+    """A layer entry on a state or stack; a 1-qubit entry goes on every
+    qubit in one call (``KrausChannel.apply_to_every_qubit``)."""
     if channel is None:
         return rho
-    n = qubit_count(rho.shape[-2:])
-    if channel.n == n:
+    if channel.n == qubit_count(rho.shape[-2:]):
         return channel.apply(rho)
-    for q in range(n):
-        rho = channel.apply_to_qubit(rho, q)
-    return rho
+    return channel.apply_to_every_qubit(rho)
 
 
 def _layer_ops(
@@ -565,25 +577,24 @@ def _layer_ops(
     layers only).  ``thetas`` of shape (P,) gives single operators, (B, P)
     gives stacks of B for the angle-dependent ones.
 
-    One call (``_rotation`` or ``_rotation_ptm``) renders the one-qubit
-    factors of every rotation column in ``layers`` before the first layer.
-    Each stretch of unitary runs is one product ``acc``: a column enters as
-    its ``_column`` product (its chain included), a CNOT run as a signed
-    row permutation of ``acc`` (``_cnot_perm``), any other gate as
-    ``u @ acc`` (u its transfer matrix in base 4).  Each random-unitary
-    mixture is its own set.
+    One call (``_rotation`` or ``_rotation_ptm``) renders, before the first
+    layer, the one-qubit factors of every rotation column of the circuit
+    (for a one-layer view too), as ``Circuit.columns`` plans them; each
+    column reads its slice of them and looks up its gather in the bounded
+    ``_column_index`` cache.  Each stretch of unitary runs is one product
+    ``acc``: a column enters as its ``_column`` product (its chain
+    included), a CNOT run as a signed row permutation of ``acc``
+    (``_cnot_perm``), any other gate as ``u @ acc`` (u its transfer matrix
+    in base 4).  Each random-unitary mixture is its own set.
     """
     n = circ.n
-    layer_runs = [circ.layer_runs(layer) for layer in layers]
-    columns = [run for runs in layer_runs for kind, run in runs if kind == "column"]
-    factors = iter(())
-    if columns:
-        letters = "".join(c.letters for c in columns)
-        angles = thetas[..., [i for c in columns for i in c.params]]
+    letters, params, spans = circ.columns
+    layer_runs = [(circ.layer_runs(layer), spans[layer]) for layer in layers]
+    if letters:
+        angles = thetas[..., params]
         stack = _rotation(_paulis_1q(letters), angles) if base == 2 else _rotation_ptm(letters, angles)
-        ends = accumulate(len(c.qubits) for c in columns)
-        factors = (stack[..., end - len(c.qubits):end, :, :] for c, end in zip(columns, ends))
-    for runs in layer_runs:
+    for runs, columns in layer_runs:
+        columns = iter(columns)
         ops: list[list[np.ndarray]] = []
         acc: np.ndarray | None = None
         for kind, run in runs:
@@ -604,7 +615,8 @@ def _layer_ops(
                     acc = sign[:, None] * acc
             else:
                 if kind == "column":
-                    u = _column(run.qubits, next(factors), n, run.chain)
+                    u = _column(stack[..., next(columns), :, :],
+                                *_column_index(n, base, run.qubits, run.chain))
                 else:
                     u = _gate_unitary(run, thetas)
                     u = u if base == 2 else _unitary_ptm(u)
@@ -681,8 +693,8 @@ def layer_gate_maps(
     """``layer_gate_map`` of each of ``layers`` in turn, built when the
     consumer asks for it by the walker the dense view uses (``_layer_ops``
     in base 4): the angles are read once, and one ``_rotation_ptm`` call
-    renders the 4 x 4 Pauli transfer matrices of every rotation column in
-    ``layers`` before the first map.
+    renders the 4 x 4 Pauli transfer matrices of every rotation column of
+    the circuit before the first map.
     """
     theta = circ.angle_row(theta)
     layers = [_unitary_layer(circ, layer) for layer in layers]

@@ -21,9 +21,9 @@ from .pauli import (
     DensityMatrix,
     DimensionMismatchError,
     SizeError,
-    _pauli_matrix,
     check_pauli,
     hamming_weight,
+    pauli_rows,
     pauli_strings_by_weight,
     qubit_count,
     strings_of_weight,
@@ -57,10 +57,18 @@ class Hamiltonian:
 
     @cached_property
     def _matrix(self) -> np.ndarray:
+        """h0 / sqrt(d) I plus each term's coefficient times its string:
+        one scatter adds, in term order, each string's one nonzero per row
+        (``pauli_rows``), so every entry sums what a dense sum of the
+        terms would, in the same order."""
         d = 2**self.n
         mat = (self.h0 / np.sqrt(d)) * np.eye(d, dtype=complex)
-        for letters, coeff in self.terms:
-            mat = mat + coeff * _pauli_matrix(letters)
+        if self.terms:
+            strings, coeffs = zip(*self.terms)
+            flips, phases = pauli_rows(strings)
+            rows = np.arange(d)
+            np.add.at(mat.reshape(-1), rows * d + (rows ^ flips[:, None]),
+                      np.array(coeffs)[:, None] * phases)
         mat.setflags(write=False)
         return mat
 

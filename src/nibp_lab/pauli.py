@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +54,28 @@ def _pauli_matrix(letters: str) -> np.ndarray:
         mat = np.kron(mat, _PAULI_1Q[ch])
     mat.setflags(write=False)
     return mat
+
+
+_FLIPS = str.maketrans("IXYZ", "0110")  # the letters that flip their qubit's bit
+_SIGNS = str.maketrans("IXYZ", "0011")  # the letters that negate a set bit's row
+
+
+def pauli_rows(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The one nonzero per row of each of ``strings`` (n letters each), as
+    (flips, phases): row i of string t's matrix holds phases[t, i] at
+    column i ^ flips[t] (qubit 0 the most significant bit).  X and Y flip
+    their qubit's bit; Y and Z negate the rows whose bit on their qubit is
+    set; each Y adds a factor -i."""
+    flips = np.array([int(s.translate(_FLIPS), 2) for s in strings])
+    signed = np.array([int(s.translate(_SIGNS), 2) for s in strings])
+    n = len(strings[0])
+    set_bits = np.arange(2**n) & signed[:, None]
+    # bit 0 of the XOR of every shift is the parity of the set bits
+    parity = np.zeros_like(set_bits)
+    for k in range(n):
+        parity ^= set_bits >> k
+    ys = np.array([(1, -1j, -1, 1j)[s.count("Y") % 4] for s in strings])
+    return flips, np.where(parity & 1, -1.0, 1.0) * ys[:, None]
 
 
 def qubit_count(shape: tuple[int, ...]) -> int:

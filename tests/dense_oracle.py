@@ -1,7 +1,8 @@
 """Reference operators and kernels for the tests, built independently of
 the simulator: the simulator holds a CNOT as its (control, target) pair and
-never builds its register-size matrix, and applies a one-qubit channel by
-one gather per qubit, not by ``qubit_kernel``'s term-by-term products.
+never builds its register-size matrix, and applies a one-qubit channel to
+every qubit in one call, one gather per qubit, not by ``qubit_kernel``'s
+term-by-term products (``every_qubit_kernel`` calls it per qubit).
 ``column`` renders a rotation column by one gather per qubit from a digit
 table of every qubit, where the simulator multiplies the factors into one
 outer product and reads it with one gather that also carries the CNOT run
@@ -64,6 +65,15 @@ def qubit_kernel(channel, rho: np.ndarray, qubit: int, n: int) -> np.ndarray:
         left = _side(rows, diag, anti, 0)
         out += _side(left.reshape(-1, 2, b), diag, anti, 1).reshape(rho.shape)
     return out
+
+
+def every_qubit_kernel(channel, rho: np.ndarray) -> np.ndarray:
+    """``qubit_kernel`` on each qubit of a d x d state or (B, d, d) stack
+    in turn, qubit 0 first: the noise after a layer, one qubit per call."""
+    n = rho.shape[-1].bit_length() - 1
+    for q in range(n):
+        rho = qubit_kernel(channel, rho, q, n)
+    return rho
 
 
 def _side(x: np.ndarray, diag, anti, which: int) -> np.ndarray:

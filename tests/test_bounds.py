@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import single_ry_circuit
 
-from nibp_lab import bounds, channels, circuits
+from nibp_lab import bounds, channels, circuits, pauli
 from nibp_lab.bounds import (
     contractivity_profile,
     l0_threshold,
@@ -233,6 +233,32 @@ def test_bounds_refuse_channels_of_neither_form(monkeypatch):
             "channels=KrausChannel(n=1) is not a sequence of one channel per layer")):
         theorem3_report(amplitude_damping(0.3), 3)
     assert not maps
+
+
+def test_theorem3_names_the_layer_of_an_entry_that_is_not_a_channel(monkeypatch):
+    # the sequence is read through NoiseSpec's check, as nils_interval reads
+    # it; before, both calls ended in an AttributeError inside affine_rep
+    damp = amplitude_damping(0.3)
+    maps = _count_calls(monkeypatch, bounds, "affine_rep")
+    with pytest.raises(TypeError, match="layer channel 'x' after layer 0 is not None or a KrausChannel"):
+        theorem3_report(["x", "y", "z"], 3)
+    with pytest.raises(TypeError, match="layer channel 0.3 after layer 0 is not None"):
+        theorem3_report([0.3] * 3, 3)
+    with pytest.raises(TypeError, match="layer channel 'z' after layer 2 "):
+        theorem3_report([damp, damp, "z"], 3)
+    assert not maps
+
+
+def test_contractivity_profile_refuses_a_wide_register_before_building_the_basis():
+    # the register size is refused before the ground state's coherence
+    # vector, which needs build_nice_basis(n): 16 MiB at n = 5, and at
+    # n = 7 (4.3 GB) the process was killed before the refusal came
+    circ = build_two_local(5, 2)
+    theta = np.zeros(circ.num_parameters)
+    before = pauli.build_nice_basis.cache_info()
+    with pytest.raises(SizeError, match="n <= 3"):
+        contractivity_profile(circ, NoiseSpec.uniform(amplitude_damping(0.3)), theta)
+    assert pauli.build_nice_basis.cache_info() == before
 
 
 def test_theorem3_escape_for_strong_damping():

@@ -597,6 +597,27 @@ def test_only_a_layer_s_first_column_carries_the_cnot_run_after_it():
                                    affine_rep(unitary_channel(u)).M, rtol=0, atol=1e-12)
 
 
+def test_the_column_plan_is_fixed_at_build_and_read_for_any_layers():
+    # the letters, parameter indexes and per-layer slices of every column
+    # are fixed when the circuit is built, and a view of some layers, in
+    # any order, reads each layer's columns off the plan
+    circ = Circuit(n=3, layers=(
+        (Gate(generator="YII"), Gate(generator="IXI"), Gate(cnot=(0, 1)),
+         Gate(generator="IIZ"), Gate(generator="YII")),
+        (Gate(generator="XYI"), Gate(generator="IIY"), Gate(cnot=(0, 2))),
+        (Gate(generator="IZI"), Gate(cnot=(1, 2))),
+    ))
+    letters, params, spans = circ.columns
+    assert letters == "YXZYYZ" and params.tolist() == [0, 1, 2, 3, 5, 6]
+    assert spans == ((slice(0, 2), slice(2, 4)), (slice(4, 5),), (slice(5, 6),))
+    assert not params.flags.writeable
+    theta = np.random.default_rng(31).uniform(0, 2 * np.pi, circ.num_parameters)
+    each = [layer_gate_map(circ, theta, layer) for layer in range(circ.depth)]
+    for order in ([0, 1, 2], [2, 0], [1, 2], [2, 1, 0], [2]):
+        maps = list(circuits.layer_gate_maps(circ, theta, order))
+        assert all(np.array_equal(m, each[layer]) for m, layer in zip(maps, order)), order
+
+
 def test_the_shift_rule_check_reads_control_noise_off_the_gate():
     circ = build_two_local(2, 2)
     loc, a = (1, 0), {"XI": 0.15}

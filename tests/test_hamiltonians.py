@@ -14,6 +14,8 @@ from nibp_lab.hamiltonians import (
 from nibp_lab.pauli import (
     DensityMatrix,
     DimensionMismatchError,
+    _pauli_matrix,
+    pauli_rows,
     random_density_matrix,
 )
 
@@ -165,3 +167,48 @@ def test_matrix_built_once_and_read_only():
     twin = Hamiltonian(n=H.n, terms=H.terms, h0=H.h0)
     assert twin == H and hash(twin) == hash(H)
     np.testing.assert_array_equal(twin.matrix(), mat)
+
+
+def _dense_sum(H):
+    """h0 / sqrt(d) I plus coeff * P for each term in turn, P the dense
+    string matrix: the sum ``Hamiltonian.matrix`` scatters."""
+    d = 2**H.n
+    mat = (H.h0 / np.sqrt(d)) * np.eye(d, dtype=complex)
+    for letters, coeff in H.terms:
+        mat = mat + coeff * _pauli_matrix(letters)
+    return mat
+
+
+def test_pauli_rows_are_the_one_nonzero_of_each_row(monkeypatch):
+    # NumPy 1.x has no bitwise_count; the row signs must not need it
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        strings = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(12)]
+        flips, phases = pauli_rows(strings)
+        rows = np.arange(2**n)
+        for letters, flip, phase in zip(strings, flips, phases):
+            mat = np.zeros((2**n, 2**n), dtype=complex)
+            mat[rows, rows ^ flip] = phase
+            assert np.array_equal(mat, _pauli_matrix(letters)), letters
+
+
+def test_matrix_scatter_equals_the_dense_sum():
+    # random_two_local (X and Z letters, positive coefficients and h0):
+    # word for word, so every cost and ground energy is unchanged
+    rng = np.random.default_rng(29)
+    for k in range(30):
+        H = random_two_local(2 + k % 6, rng)
+        assert np.array_equal(H.matrix().view(np.uint64), _dense_sum(H).view(np.uint64))
+    # mixed signs and Y letters: equal values; only the sign of a zero may
+    # differ, since the dense sum also adds each string's zero entries
+    for k in range(30):
+        n = 1 + k % 6
+        strings = sorted({"".join(rng.choice(list("IXYZ"), n)) for _ in range(8)} - {"I" * n})
+        H = Hamiltonian(n=n, terms=tuple((s, float(rng.normal())) for s in strings),
+                        h0=float(rng.normal()))
+        assert np.array_equal(H.matrix(), _dense_sum(H))
+    # the strings of a Hamiltonian no longer fill the dense string cache
+    _pauli_matrix.cache_clear()
+    random_two_local(5, rng).matrix()
+    assert _pauli_matrix.cache_info().currsize == 0

@@ -1,8 +1,9 @@
 """Property tests of the batched evolution engine.
 
-The qubit-local channel kernel is checked against a dense einsum
-contraction and, word for word, against the term-by-term kernel it
-replaced (``dense_oracle.qubit_kernel``), the run-based layer builder of
+The qubit-local channel kernel, on one qubit and on every qubit in one
+call, is checked against a dense einsum contraction and, word for word,
+against the term-by-term kernel it replaced (``dense_oracle.qubit_kernel``,
+once per qubit), the run-based layer builder of
 ``evolve`` against the gate-by-gate ``u @ acc`` chain and, bit for bit,
 against the per-layer assembly it replaced (``dense_oracle.layer_ops``),
 batched evolution against one evolution per angle row and against the
@@ -25,7 +26,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import dense_oracle
-from dense_oracle import gate_matrix, qubit_kernel
+from dense_oracle import every_qubit_kernel, gate_matrix, qubit_kernel
 from helpers import single_ry_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,7 +146,27 @@ def test_qubit_kernel_matches_term_by_term_oracle_bit_for_bit(p, n, batch, seed)
                                   _bits(qubit_kernel(ch, rho, q, n)))
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@SETTINGS
+@given(
+    p=st.floats(0.0, 1.0),
+    n=st.integers(1, 7),
+    batch=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_layer_noise_call_matches_per_qubit_oracle_word_for_word(p, n, batch, seed):
+    # n = 1..7 spans both layouts of the kernel's tables (flat up to
+    # FLAT_MAX_DIM, broadcast beyond it); p = 0 and p = 1 make some Kraus
+    # operators, or parts of them, vanish
+    assert 2**1 <= channels.FLAT_MAX_DIM < 2**7
+    rho = _states(n, batch, seed)
+    for name, prob in itertools.product(NAMED, (0.0, 1.0, p)):
+        ch = named_channel(name, prob)
+        got = ch.apply_to_every_qubit(rho)
+        assert got.shape == rho.shape
+        assert np.array_equal(_bits(got), _bits(every_qubit_kernel(ch, rho)))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("name", ["depolarizing", "amplitude_damping"])
 def test_evolve_matches_evolve_on_term_by_term_oracle_bit_for_bit(name, n):
     circ = build_two_local(n, 3)
@@ -153,8 +174,7 @@ def test_evolve_matches_evolve_on_term_by_term_oracle_bit_for_bit(name, n):
     thetas = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(2, circ.num_parameters))
     got = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(KrausChannel, "apply_to_qubit",
-                   lambda ch, rho, q: qubit_kernel(ch, rho, q, n))
+        mp.setattr(KrausChannel, "apply_to_every_qubit", every_qubit_kernel)
         want = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
     for a, b in zip(got, want):
         assert np.array_equal(_bits(a), _bits(b))
@@ -173,19 +193,23 @@ def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
         evolve(circ, theta[None].repeat(2, axis=0), NoiseSpec.uniform(depol))
         evolve(circ, theta, NoiseSpec.uniform(damp))
     for ch in (depol, damp):
-        # one table set per qubit, each the very object built first
-        assert sorted(ch._tables) == [(q, 2**n) for q in range(n)]
-        assert all(ch._tables[key] is first[id(ch)][key] for key in ch._tables)
-    # one shared index per register width, across channels and qubits
+        # one table set per qubit under the width, the very object built first
+        assert list(ch._tables) == [2**n] and len(ch._tables[2**n]) == n
+        assert ch._tables[2**n] is first[id(ch)][2**n]
+    # one shared flat index per register width, across channels
     assert channels._flat_index.cache_info().misses == 1
-    flats = {id(tables[0]) for ch in (depol, damp) for tables in ch._tables.values()}
-    assert len(flats) == 1
-    # at the largest register one channel's tables are the shared index
-    # (4^n positions, 2 MiB) plus T masks and T x d coefficients per qubit
-    big = named_channel("depolarizing", 0.3)
-    tables = [big._qubit_tables(q, 2**MAX_QUBITS) for q in range(MAX_QUBITS)]
-    total = tables[0][0].nbytes + sum(a.nbytes for t in tables for a in t[1:])
-    assert total < 40 * 2**20
+    # at the largest register each named channel's tables are the shared
+    # index (4^n positions, 2 MiB) plus T masks and T x d coefficients per
+    # qubit; at the widest flat layout, 40 T d^2 bytes per qubit
+    d = 2**MAX_QUBITS
+    for name in NAMED:
+        tables = named_channel(name, 0.3)._width_tables(d)
+        assert len(tables) == MAX_QUBITS
+        total = channels._flat_index(MAX_QUBITS).nbytes + sum(a.nbytes for t in tables for a in t)
+        assert total < 40 * 2**20, name
+        flat = named_channel(name, 0.3)._width_tables(channels.FLAT_MAX_DIM)
+        assert all(a.shape[1] == channels.FLAT_MAX_DIM**2 for t in flat for a in t)
+        assert sum(a.nbytes for t in flat for a in t) < 40 * 2**20, name
 
 
 def _noise(kind, n, depth, p):
@@ -437,7 +461,8 @@ def test_column_kernel_equals_the_gather_per_qubit_oracle_word_for_word(case):
     elif chain:
         src, sign = dense_oracle.cnot_chain_ptm(chain, n)
         want = sign[:, None] * want[..., src, :]
-    got = circuits._column(qubits, factors, n, chain)
+    index, scale = circuits._column_index(n, factors.shape[-1], qubits, chain)
+    got = circuits._column(factors, index, scale)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
