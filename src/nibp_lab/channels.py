@@ -19,7 +19,6 @@ import numpy as np
 
 from .pauli import (
     MAX_QUBITS,
-    DensityMatrix,
     DimensionMismatchError,
     SizeError,
     _pauli_matrix,
@@ -138,48 +137,33 @@ class KrausChannel:
         """Apply this 1-qubit channel to every qubit of a state, qubit 0
         first: the noise after a layer, in one call.
 
-        ``rho`` is d x d or a (B, d, d) stack: each call checks it is
-        square, and the first per d checks d (``_width_tables``).  Per
-        qubit, one gather reads the state at each term's flipped rows and
-        columns; two in-place multiplies scale it by the row coefficients,
-        then by the column coefficients; one sum over the terms adds them
-        in Kraus order.  For operators with at most one nonzero entry per
-        row, every output entry is conj(k') (k x) for each Kraus operator,
-        summed in Kraus order: the products and sums a dense contraction
-        forms.
+        ``rho`` is d x d or a (B, d, d) stack, read as complex: each call
+        checks it is square, and the first per d checks d
+        (``_width_tables``).  Per qubit, one gather reads the state at each
+        term's flipped rows and columns; two in-place multiplies scale it
+        by the row coefficients, then by the column coefficients; one sum
+        over the terms adds them in Kraus order.  For operators with at
+        most one nonzero entry per row, every output entry is conj(k') (k x)
+        for each Kraus operator, summed in Kraus order: the products and
+        sums a dense contraction forms.
 
         Up to ``FLAT_MAX_DIM`` each qubit is one gather through its stored
         index and two 2-D multiplies by its flat coefficients, into two
         buffers the qubits share; beyond it each qubit XORs its index and
         broadcasts its coefficients, which needs no (T, d^2) tables.
         """
-        return self._apply_to_qubits(rho, None)
-
-    def apply_to_qubit(self, rho: np.ndarray, qubit: int) -> np.ndarray:
-        """Apply this 1-qubit channel to ``qubit`` of a state, by the kernel
-        of ``apply_to_every_qubit``; a qubit outside the state is refused."""
-        return self._apply_to_qubits(rho, qubit)
-
-    def _apply_to_qubits(self, rho: np.ndarray, qubit: int | None) -> np.ndarray:
-        """``apply_to_qubit`` of ``qubit``, or of every qubit in turn for None."""
+        rho = np.asarray(rho, dtype=complex)
         shape = rho.shape
         d = shape[-1]
         if len(shape) < 2 or shape[-2] != d:
             raise DimensionMismatchError(f"state of shape {shape} is not square")
         tables = self._tables.get(d) or self._width_tables(d)
-        qubits = range(len(tables))
-        if qubit is not None:
-            if qubit not in qubits:
-                raise DimensionMismatchError(
-                    f"qubit {qubit} is outside the {len(tables)}-qubit state")
-            qubits = (qubit,)
         state = rho.reshape(-1, d * d)
         batch, count = len(state), len(self._qubit_terms[0])
         # every index is in range: "clip" only skips the bounds check
         if d > FLAT_MAX_DIM:
             flat = _flat_index(len(tables))
-            for q in qubits:
-                mask, row, col = tables[q]
+            for q, (mask, row, col) in enumerate(tables):
                 terms = state.take(np.bitwise_xor(flat, mask), axis=-1, mode="clip")
                 by_row = terms.reshape(batch, count, 2**q, 2, -1)
                 np.multiply(row, by_row, out=by_row)
@@ -189,18 +173,12 @@ class KrausChannel:
             return state.reshape(shape)
         terms = np.empty((batch, count, d * d), dtype=complex)
         out = np.empty((batch, d * d), dtype=complex)
-        for q in qubits:
-            index, row, col = tables[q]
+        for index, row, col in tables:
             state.take(index, axis=-1, out=terms, mode="clip")
             np.multiply(row, terms, out=terms)
             np.multiply(col, terms, out=terms)
             state = np.add.reduce(terms, axis=1, out=out)
         return out.reshape(shape)
-
-    def apply_state(self, rho: DensityMatrix) -> DensityMatrix:
-        if rho.n != self.n:
-            raise DimensionMismatchError(f"state n={rho.n}, channel n={self.n}")
-        return DensityMatrix(self.apply(rho.data))
 
     def register(self, n: int) -> KrausChannel:
         """This channel on an n-qubit register (a 1-qubit channel on every
@@ -445,46 +423,6 @@ def flip_then_damp(p: float) -> KrausChannel:
     vanishing smallest singular value.
     """
     return compose(amplitude_damping(p), bit_flip(0.5))
-
-
-def random_unitary_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_channel(
-    n: int, rng: np.random.Generator, kraus_count: int = 2
-) -> KrausChannel:
-    """Random CPTP channel: slice a Haar-random isometry into Kraus blocks."""
-    d = 2**n
-    z = rng.standard_normal((d * kraus_count, d)) + 1j * rng.standard_normal(
-        (d * kraus_count, d)
-    )
-    q, _ = np.linalg.qr(z)
-    ops = tuple(q[i * d : (i + 1) * d, :] for i in range(kraus_count))
-    return KrausChannel(ops)
-
-
-def random_nonunital_channel(n: int, rng: np.random.Generator) -> KrausChannel:
-    """Random two-Kraus channel rejected until clearly non-unital, in at
-    most 100 draws."""
-    for _ in range(100):
-        ch = random_channel(n, rng)
-        if validate_kraus(ch).unital_residual >= 1e-6:
-            return ch
-    raise RuntimeError("failed to draw a non-unital channel")
-
-
-def random_unital_channel(n: int, rng: np.random.Generator) -> KrausChannel:
-    """Random mixture of 3 Haar-random unitaries (unital by construction)."""
-    d = 2**n
-    probs = rng.dirichlet(np.ones(3))
-    ops = tuple(
-        np.sqrt(p) * random_unitary_matrix(d, rng) for p in probs
-    )
-    return KrausChannel(ops)
 
 
 _NAMED_CHANNELS = {

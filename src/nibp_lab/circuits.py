@@ -18,7 +18,7 @@ when it is a column, takes the CNOTs right after it as its
 One walker (``_layer_ops``) composes a layer's runs for both views: in
 base 2 as d x d operators (``evolve``, ``layer_unitary``), in base 4 as
 Pauli transfer matrices on coherence vectors (``layer_gate_maps``, read
-by ``bounds.layer_affine_maps``, and ``layer_gate_map``).  It renders the
+by ``bounds.layer_affine_maps``).  It renders the
 one-qubit factors of every column of the circuit in one call, as the
 circuit planned them when it was built (``Circuit.columns``), then builds
 each layer when it is asked for it.  One kernel (``_column``) renders a
@@ -675,26 +675,18 @@ def layer_unitary(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
     return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
 
 
-def layer_gate_map(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
-    """The layer's gates as the real orthogonal (d^2-1) x (d^2-1) matrix
-    acting on Hamming-ordered coherence vectors (control noise included):
-    the one-layer view of ``layer_gate_maps``.
-
-    It equals the M of ``affine_rep(unitary_channel(layer_unitary(...)))``
-    up to rounding.
-    """
-    omega, = layer_gate_maps(circ, theta, [layer])
-    return omega
-
-
 def layer_gate_maps(
     circ: Circuit, theta: np.ndarray, layers: Sequence[int]
 ) -> Iterator[np.ndarray]:
-    """``layer_gate_map`` of each of ``layers`` in turn, built when the
-    consumer asks for it by the walker the dense view uses (``_layer_ops``
-    in base 4): the angles are read once, and one ``_rotation_ptm`` call
-    renders the 4 x 4 Pauli transfer matrices of every rotation column of
-    the circuit before the first map.
+    """The gates of each of ``layers`` in turn, as the real orthogonal
+    (d^2-1) x (d^2-1) matrix acting on Hamming-ordered coherence vectors
+    (control noise included).  Each equals the M of
+    ``affine_rep(unitary_channel(layer_unitary(...)))`` up to rounding.
+
+    Each map is built when the consumer asks for it by the walker the dense
+    view uses (``_layer_ops`` in base 4): the angles are read once, and one
+    ``_rotation_ptm`` call renders the 4 x 4 Pauli transfer matrices of
+    every rotation column of the circuit before the first map.
     """
     theta = circ.angle_row(theta)
     layers = [_unitary_layer(circ, layer) for layer in layers]

@@ -119,6 +119,10 @@ class ExperimentConfig:
         for key, name in self.FIELDS.items():
             if not getattr(self, name):
                 raise ConfigError(key, "sweep list must be nonempty")
+        # two p values a seed cannot tell apart would give two cells one seed
+        if len(set(map(_p_key, self.p_list))) < len(self.p_list):
+            raise ConfigError("p", f"{self.p_list} holds two values that round to one "
+                                   "multiple of 1e-4, so their cells would share a seed")
         # trainability reads gradients up to ceil(log2 n) layers before the last
         deepest = max(math.ceil(math.log2(n)) for n in self.n_list)
         if self.preset == "trainability" and min(self.L_list) <= deepest:

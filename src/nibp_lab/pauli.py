@@ -47,11 +47,20 @@ class InvalidStateError(ValueError):
         self.min_eigenvalue = min_eigenvalue
 
 
-@lru_cache(maxsize=4096)
-def _pauli_matrix(letters: str) -> np.ndarray:
+def _pauli_product(letters: str) -> np.ndarray:
+    """The dense matrix of ``letters``: their one-qubit matrices kron'd left
+    to right."""
     mat = _PAULI_1Q[letters[0]]
     for ch in letters[1:]:
         mat = np.kron(mat, _PAULI_1Q[ch])
+    return mat
+
+
+@lru_cache(maxsize=4096)
+def _pauli_matrix(letters: str) -> np.ndarray:
+    """``_pauli_product``, read-only and kept: the generators of gates and
+    named channels."""
+    mat = _pauli_product(letters)
     mat.setflags(write=False)
     return mat
 
@@ -138,7 +147,12 @@ def build_nice_basis(n: int) -> np.ndarray:
     so entry 0 is the scaled identity."""
     if not 1 <= n <= MAX_QUBITS:
         raise SizeError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
-    stack = np.stack([_pauli_matrix(s) for s in pauli_strings_by_weight(n)]) / np.sqrt(2**n)
+    # filled string by string and scaled in place, so the build holds one
+    # stack and keeps no string's matrix in ``_pauli_matrix``'s cache
+    stack = np.empty((4**n, 2**n, 2**n), dtype=complex)
+    for i, letters in enumerate(pauli_strings_by_weight(n)):
+        stack[i] = _pauli_product(letters)
+    stack /= np.sqrt(2**n)
     stack.setflags(write=False)
     return stack
 
@@ -195,11 +209,3 @@ def from_coherence(v: np.ndarray) -> DensityMatrix:
         )
     return rho
 
-
-def random_density_matrix(n: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random full-rank mixed state from a Wishart-style construction."""
-    d = 2**n
-    w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    data = w @ w.conj().T
-    data /= data.trace()
-    return DensityMatrix(data)

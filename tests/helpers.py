@@ -1,8 +1,9 @@
-"""Test-only states, checks and circuits: none of these has a caller in the
-library."""
+"""Test-only states, channels, checks and circuits: none of these has a
+caller in the library."""
 
 import numpy as np
 
+from nibp_lab.channels import KrausChannel, validate_kraus
 from nibp_lab.circuits import Circuit, ry_gate
 from nibp_lab.hamiltonians import Hamiltonian, h_vector
 from nibp_lab.pauli import POSITIVITY_TOL, DensityMatrix, InvalidStateError, to_coherence
@@ -22,6 +23,53 @@ def random_pure_state(n: int, rng: np.random.Generator) -> DensityMatrix:
     d = 2**n
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return DensityMatrix.from_statevector(psi)
+
+
+def random_density_matrix(n: int, rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank mixed state from a Wishart-style construction."""
+    d = 2**n
+    w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    data = w @ w.conj().T
+    data /= data.trace()
+    return DensityMatrix(data)
+
+
+def random_unitary_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Ginibre matrix."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_channel(n: int, rng: np.random.Generator, kraus_count: int = 2) -> KrausChannel:
+    """Random CPTP channel: slice a Haar-random isometry into Kraus blocks."""
+    d = 2**n
+    z = rng.standard_normal((d * kraus_count, d)) + 1j * rng.standard_normal(
+        (d * kraus_count, d)
+    )
+    q, _ = np.linalg.qr(z)
+    ops = tuple(q[i * d : (i + 1) * d, :] for i in range(kraus_count))
+    return KrausChannel(ops)
+
+
+def random_nonunital_channel(n: int, rng: np.random.Generator) -> KrausChannel:
+    """Random two-Kraus channel rejected until clearly non-unital, in at
+    most 100 draws."""
+    for _ in range(100):
+        ch = random_channel(n, rng)
+        if validate_kraus(ch).unital_residual >= 1e-6:
+            return ch
+    raise RuntimeError("failed to draw a non-unital channel")
+
+
+def random_unital_channel(n: int, rng: np.random.Generator) -> KrausChannel:
+    """Random mixture of 3 Haar-random unitaries (unital by construction)."""
+    d = 2**n
+    probs = rng.dirichlet(np.ones(3))
+    ops = tuple(
+        np.sqrt(p) * random_unitary_matrix(d, rng) for p in probs
+    )
+    return KrausChannel(ops)
 
 
 def validate(rho: DensityMatrix) -> DensityMatrix:

@@ -8,6 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from helpers import (
+    random_channel,
+    random_density_matrix,
+    random_nonunital_channel,
+    random_unital_channel,
+)
 
 from nibp_lab.bounds import shift_accumulator
 from nibp_lab.channels import (
@@ -17,9 +23,6 @@ from nibp_lab.channels import (
     bit_flip,
     depolarizing,
     flip_then_damp,
-    random_channel,
-    random_nonunital_channel,
-    random_unital_channel,
 )
 from nibp_lab.circuits import (
     Gate,
@@ -36,7 +39,7 @@ from nibp_lab.gradients import (
     psr_gradient,
 )
 from nibp_lab.hamiltonians import cost, h_norm, random_two_local
-from nibp_lab.pauli import random_density_matrix, to_coherence
+from nibp_lab.pauli import DensityMatrix, to_coherence
 from nibp_lab.spsa import SpsaConfig, spsa_minimize
 
 
@@ -53,7 +56,7 @@ def test_criterion_1_affine_representation_oracle():
             rep = affine_rep(ch)
             rho = random_density_matrix(n, rng)
             v = to_coherence(rho)
-            direct = to_coherence(ch.apply_state(rho))
+            direct = to_coherence(DensityMatrix(ch.apply(rho.data)))
             worst = max(worst, float(np.abs(rep.apply(v) - direct).max()))
     ok = worst < 1e-10
     _report(1, ok, f"affine vs Kraus, 100 channels per n in 1..3, "
@@ -86,7 +89,7 @@ def test_criterion_3_contraction_lemmas():
         n = int(rng.integers(1, 3))
         ch = random_unital_channel(n, rng)
         rho = random_density_matrix(n, rng)
-        if ch.apply_state(rho).purity() > rho.purity() + 1e-10:
+        if DensityMatrix(ch.apply(rho.data)).purity() > rho.purity() + 1e-10:
             violations += 1
         rep = affine_rep(ch)
         if np.linalg.norm(rep.c) > 1e-9:

@@ -30,7 +30,7 @@ from nibp_lab.circuits import (
     NoiseSpec,
     build_two_local,
     layer_channel_as_kraus,
-    layer_gate_map,
+    layer_gate_maps,
     layer_unitary,
     ry_gate,
 )
@@ -487,7 +487,7 @@ def test_the_affine_path_refuses_angles_of_the_wrong_shape():
     noise = NoiseSpec.uniform(amplitude_damping(0.3))
     P = circ.num_parameters
     calls = (
-        lambda theta: layer_gate_map(circ, theta, 0),
+        lambda theta: list(layer_gate_maps(circ, theta, [0])),
         lambda theta: layer_unitary(circ, theta, 0),
         lambda theta: layer_affine_maps(circ, theta, noise),
         lambda theta: contractivity_profile(circ, noise, theta),

@@ -2,7 +2,14 @@ import re
 
 import numpy as np
 import pytest
-from dense_oracle import qubit_kernel
+from dense_oracle import every_qubit_kernel
+from helpers import (
+    random_channel,
+    random_density_matrix,
+    random_nonunital_channel,
+    random_unital_channel,
+    random_unitary_matrix,
+)
 
 from nibp_lab import circuits
 from nibp_lab.channels import (
@@ -19,10 +26,6 @@ from nibp_lab.channels import (
     named_channel,
     phase_flip,
     polar_decompose,
-    random_channel,
-    random_nonunital_channel,
-    random_unital_channel,
-    random_unitary_matrix,
     tensor_channel,
     unitary_channel,
     validate_kraus,
@@ -36,7 +39,6 @@ from nibp_lab.pauli import (
     coherence_qubit_count,
     from_coherence,
     qubit_count,
-    random_density_matrix,
     to_coherence,
 )
 
@@ -55,7 +57,7 @@ def test_validate_kraus_reports():
 def _affine_matches_kraus(ch, rho):
     rep = affine_rep(ch)
     v = to_coherence(rho)
-    direct = to_coherence(ch.apply_state(rho))
+    direct = to_coherence(DensityMatrix(ch.apply(rho.data)))
     return np.abs(rep.apply(v) - direct).max()
 
 
@@ -187,7 +189,7 @@ def test_unital_channels_do_not_increase_purity():
         n = int(rng.integers(1, 3))
         ch = random_unital_channel(n, rng)
         rho = random_density_matrix(n, rng)
-        out = ch.apply_state(rho)
+        out = DensityMatrix(ch.apply(rho.data))
         assert out.purity() <= rho.purity() + 1e-10
 
 
@@ -259,25 +261,12 @@ def test_kraus_channel_keeps_read_only_copies():
     ops = [np.array(k) for k in ch.kraus_ops]
     mine = KrausChannel(tuple(ops))
     rho = np.diag([0.5, 0.5]).astype(complex)
-    before = mine.apply_to_qubit(rho, 0)
+    before = mine.apply_to_every_qubit(rho)
     ops[1][0, 1] = 0.0
     ops[0][1, 1] = 1.0
     np.testing.assert_array_equal(mine.apply(rho), before)
-    np.testing.assert_array_equal(mine.apply_to_qubit(rho, 0), before)
+    np.testing.assert_array_equal(mine.apply_to_every_qubit(rho), before)
     np.testing.assert_allclose(np.diag(before).real, [0.65, 0.35], atol=1e-15)
-
-
-def _first_refused_qubit(apply) -> int:
-    """n, for ``apply(q)`` that takes qubits 0..n-1 of an n-qubit state and
-    refuses qubit n; raises what ``apply(0)`` raises."""
-    apply(0)
-    q = 1
-    while True:
-        try:
-            apply(q)
-        except DimensionMismatchError:
-            return q
-        q += 1
 
 
 def _flipped_qubits(a: np.ndarray) -> int:
@@ -307,8 +296,6 @@ MATRIX_READERS = {
     "qubit_count": lambda a: qubit_count(a.shape),
     "DensityMatrix": lambda a: DensityMatrix(a).n,
     "KrausChannel": lambda a: KrausChannel((a,)).n,
-    "apply_to_qubit": lambda a: _first_refused_qubit(
-        lambda q: amplitude_damping(0.3).apply_to_qubit(a, q)),
     "_apply_layer_channel": _flipped_qubits,
     "cost": _cost_width,
 }
@@ -356,20 +343,29 @@ def test_derived_qubit_counts_cannot_be_set():
         AffineRep(np.zeros((3, 15)), np.zeros(3))
 
 
-def test_apply_to_qubit_reads_the_register_off_the_state():
+def test_layer_noise_call_reads_the_register_off_the_state():
     # an 8 x 8 state is 3 qubits, whatever the caller thinks it is: the
     # kernel once read a 3-qubit state as four 2-qubit blocks (trace 0.684)
     rho = random_density_matrix(3, np.random.default_rng(36)).data
     ch = depolarizing(0.3)
-    for q in range(3):
-        out = ch.apply_to_qubit(rho, q)
-        assert np.array_equal(out, qubit_kernel(ch, rho, q, 3))
-        assert abs(np.trace(out) - 1.0) < 1e-12
-    for q in (-1, 3):
-        with pytest.raises(DimensionMismatchError, match=f"qubit {q} "):
-            ch.apply_to_qubit(rho, q)
+    out = ch.apply_to_every_qubit(rho)
+    assert np.array_equal(out, every_qubit_kernel(ch, rho))
+    assert abs(np.trace(out) - 1.0) < 1e-12
     with pytest.raises(DimensionMismatchError, match="not square"):
-        ch.apply_to_qubit(np.zeros((2, 8, 4)), 0)
+        ch.apply_to_every_qubit(np.zeros((2, 8, 4)))
     # a 1-D array once ended in a bare IndexError from the square check
     with pytest.raises(DimensionMismatchError, match=re.escape("(4,)")):
-        ch.apply_to_qubit(np.zeros(4), 0)
+        ch.apply_to_every_qubit(np.zeros(4))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_layer_noise_call_reads_a_real_state_as_complex(n):
+    # a float64 state once met a bare TypeError from the flat tables' gather
+    # (n <= 6) and a UFuncTypeError from the broadcast multiply (n = 7)
+    rho = random_density_matrix(n, np.random.default_rng(n)).data.real
+    for ch in (depolarizing(0.3), amplitude_damping(0.3)):
+        for state in (rho, rho[None].repeat(2, axis=0), np.eye(2**n) / 2**n):
+            got = ch.apply_to_every_qubit(state)
+            assert got.dtype == complex
+            want = ch.apply_to_every_qubit(state.astype(complex))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

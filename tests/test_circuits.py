@@ -27,7 +27,7 @@ from nibp_lab.circuits import (
     build_two_local,
     evolve,
     layer_channel_as_kraus,
-    layer_gate_map,
+    layer_gate_maps,
     layer_unitary,
     perturbed_gate,
     random_unitary_channel,
@@ -402,7 +402,11 @@ def test_evolve_refuses_a_late_entry_before_layer_0_runs(monkeypatch):
     assert applied == []
 
 
-@pytest.mark.parametrize("view", [layer_gate_map, layer_unitary])
+@pytest.mark.parametrize("view", [
+    pytest.param(lambda circ, theta, layer: list(layer_gate_maps(circ, theta, [layer])),
+                 id="layer_gate_maps"),
+    layer_unitary,
+])
 def test_layer_views_refuse_a_layer_the_circuit_lacks(view):
     # before, layer -1 read layer 2 without a word, and layer 3 ended in a
     # bare IndexError
@@ -497,9 +501,8 @@ def test_a_placed_perturbed_gate_is_simulated_with_its_perturbation():
     np.testing.assert_allclose(state, evolve(fixed, np.delete(theta, index), NoiseSpec()).data,
                                rtol=0, atol=1e-14)
     assert np.abs(state - evolve(circ, theta, NoiseSpec()).data).max() > 1e-4
-    np.testing.assert_allclose(layer_gate_map(placed, theta, 1),
-                               layer_gate_map(fixed, np.delete(theta, index), 1),
-                               rtol=0, atol=1e-14)
+    (want,) = layer_gate_maps(fixed, np.delete(theta, index), [1])
+    np.testing.assert_allclose(*layer_gate_maps(placed, theta, [1]), want, rtol=0, atol=1e-14)
 
 
 def test_an_equal_copy_of_a_cnot_simulates_as_the_cnot():
@@ -511,8 +514,8 @@ def test_an_equal_copy_of_a_cnot_simulates_as_the_cnot():
     copy = circ.with_gate((1, 3), Gate(matrix=embed_unitary(CNOT, cnot.cnot, 3)))
     noise = NoiseSpec.uniform(amplitude_damping(0.2))
     assert np.array_equal(evolve(copy, theta, noise).data, evolve(circ, theta, noise).data)
-    np.testing.assert_allclose(layer_gate_map(copy, theta, 1),
-                               layer_gate_map(circ, theta, 1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(*layer_gate_maps(copy, theta, [1]),
+                               *layer_gate_maps(circ, theta, [1]), rtol=0, atol=1e-12)
 
 
 def test_the_stored_runs_are_read_only():
@@ -568,7 +571,7 @@ def test_only_a_layer_s_first_column_carries_the_cnot_run_after_it():
     # a chained column starts a new column, even on a qubit the chained
     # column leaves free.  Folding later columns too gives equal values but
     # not equal bits: on 300 seeded random circuits (n = 1..4, L = 1..3) it
-    # changed 15 of 4,331 arrays from evolve, layer_unitary, layer_gate_map
+    # changed 15 of 4,331 arrays from evolve, layer_unitary, layer_gate_maps
     # and layer_affine_maps, each only in the sign of a zero
     circ = Circuit(n=3, layers=(
         (Gate(generator="YII"), Gate(generator="IXI"), Gate(cnot=(0, 1)), Gate(cnot=(1, 2)),
@@ -585,7 +588,7 @@ def test_only_a_layer_s_first_column_carries_the_cnot_run_after_it():
         ("cnots", ((0, 2),)))
     # both layer views compose the folded layer as the gate-by-gate product
     theta = np.random.default_rng(30).uniform(0, 2 * np.pi, circ.num_parameters)
-    for layer in range(circ.depth):
+    for layer, gate_map in enumerate(layer_gate_maps(circ, theta, range(circ.depth))):
         u = np.eye(8, dtype=complex)
         for slot, gate in enumerate(circ.layers[layer]):
             if gate.cnot is None:
@@ -593,8 +596,7 @@ def test_only_a_layer_s_first_column_carries_the_cnot_run_after_it():
             else:
                 u = embed_unitary(CNOT, gate.cnot, 3) @ u
         np.testing.assert_allclose(layer_unitary(circ, theta, layer), u, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(layer_gate_map(circ, theta, layer),
-                                   affine_rep(unitary_channel(u)).M, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gate_map, affine_rep(unitary_channel(u)).M, rtol=0, atol=1e-12)
 
 
 def test_the_column_plan_is_fixed_at_build_and_read_for_any_layers():
@@ -612,9 +614,9 @@ def test_the_column_plan_is_fixed_at_build_and_read_for_any_layers():
     assert spans == ((slice(0, 2), slice(2, 4)), (slice(4, 5),), (slice(5, 6),))
     assert not params.flags.writeable
     theta = np.random.default_rng(31).uniform(0, 2 * np.pi, circ.num_parameters)
-    each = [layer_gate_map(circ, theta, layer) for layer in range(circ.depth)]
+    each = [next(layer_gate_maps(circ, theta, [layer])) for layer in range(circ.depth)]
     for order in ([0, 1, 2], [2, 0], [1, 2], [2, 1, 0], [2]):
-        maps = list(circuits.layer_gate_maps(circ, theta, order))
+        maps = list(layer_gate_maps(circ, theta, order))
         assert all(np.array_equal(m, each[layer]) for m, layer in zip(maps, order)), order
 
 

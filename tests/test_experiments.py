@@ -54,6 +54,9 @@ def test_config_validation():
     ({"n_list": (12,)}, "n"),  # random_two_local stops at MAX_QUBITS
     ({"p_list": ("0.3",)}, "p"),
     ({"thetas": "5"}, "thetas"),
+    # a cell's seed keys p to 1e-4, so these cells would share one seed
+    ({"p_list": (0.3, 0.3)}, "p"),
+    ({"p_list": (0.1, 0.2, 0.10004)}, "p"),
 ])
 def test_python_config_is_checked_by_the_json_rules(kw, key):
     with pytest.raises(ConfigError) as err:
@@ -65,6 +68,8 @@ def test_python_config_fields_are_cast_like_json():
     cfg = ExperimentConfig(preset="noise_sweep", n_list=[2], L_list=(3.0,), p_list=(0,))
     assert cfg.n_list == (2,) and cfg.L_list == (3,) and cfg.p_list == (0.0,)
     assert type(cfg.L_list[0]) is int and type(cfg.p_list[0]) is float
+    # p values one seed key (1e-4) apart keep their own seeds
+    assert ExperimentConfig(preset="noise_sweep", p_list=(0.3, 0.3001)).p_list == (0.3, 0.3001)
 
 
 def test_config_from_json_scalars_become_tuples():
@@ -507,6 +512,9 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
                        "locations": [[1.0, 0]]}, "locations"),
         # n is read off the matrices; a config n that disagrees is refused
         ("channel", {"n": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "n"),
+        # two p values that round to one seed key would share their cells' seeds
+        ("experiment", {"preset": "noise_sweep", "n": 2, "L": 2, "p": [0.3, 0.30001],
+                        "instances": 1, "thetas": 1}, "p"),
     ],
 )
 def test_cli_bad_config_value_is_one_line_naming_the_key(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import cost_from_coherence, maximally_mixed
+from helpers import cost_from_coherence, maximally_mixed, random_density_matrix
 
 from nibp_lab.hamiltonians import (
     Hamiltonian,
@@ -16,7 +16,6 @@ from nibp_lab.pauli import (
     DimensionMismatchError,
     _pauli_matrix,
     pauli_rows,
-    random_density_matrix,
 )
 
 

@@ -1,6 +1,14 @@
+from functools import reduce
+
 import numpy as np
 import pytest
-from helpers import maximally_mixed, purity_identity_check, random_pure_state, validate
+from helpers import (
+    maximally_mixed,
+    purity_identity_check,
+    random_density_matrix,
+    random_pure_state,
+    validate,
+)
 
 from nibp_lab.pauli import (
     DensityMatrix,
@@ -13,7 +21,6 @@ from nibp_lab.pauli import (
     from_coherence,
     hamming_weight,
     pauli_strings_by_weight,
-    random_density_matrix,
     to_coherence,
 )
 
@@ -54,6 +61,19 @@ def test_basis_size_guard():
         build_nice_basis(0)
     with pytest.raises(SizeError):
         build_nice_basis(10)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_basis_build_leaves_the_pauli_matrix_cache_alone(n):
+    # the build once kept every string's matrix in the cache: 4,096 matrices
+    # of 64 x 64 beside the 256 MiB stack at n = 6
+    _pauli_matrix.cache_clear()
+    stack = build_nice_basis.__wrapped__(n)
+    assert _pauli_matrix.cache_info().currsize == 0
+    # word for word the stack of each string's left-to-right kron, scaled
+    want = np.stack([reduce(np.kron, map(_pauli_matrix, letters))
+                     for letters in pauli_strings_by_weight(n)]) / np.sqrt(2**n)
+    assert np.array_equal(stack.view(np.uint64), want.view(np.uint64))
 
 
 def test_pauli_string_properties():

@@ -1,9 +1,10 @@
 """Property tests of the batched evolution engine.
 
-The qubit-local channel kernel, on one qubit and on every qubit in one
-call, is checked against a dense einsum contraction and, word for word,
-against the term-by-term kernel it replaced (``dense_oracle.qubit_kernel``,
-once per qubit), the run-based layer builder of
+The qubit-local channel kernel, which puts a layer's noise on every qubit
+in one call, is checked against a dense einsum contraction and, word for
+word, against the term-by-term kernel it replaced
+(``dense_oracle.qubit_kernel``), each run on qubit 0 first, then the next;
+the run-based layer builder of
 ``evolve`` against the gate-by-gate ``u @ acc`` chain and, bit for bit,
 against the per-layer assembly it replaced (``dense_oracle.layer_ops``),
 batched evolution against one evolution per angle row and against the
@@ -26,8 +27,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import dense_oracle
-from dense_oracle import every_qubit_kernel, gate_matrix, qubit_kernel
-from helpers import single_ry_circuit
+from dense_oracle import every_qubit_kernel, gate_matrix
+from helpers import random_channel, random_density_matrix, random_unitary_matrix, single_ry_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,8 +39,6 @@ from nibp_lab.channels import (
     _apply_kraus,
     affine_rep,
     named_channel,
-    random_channel,
-    random_unitary_matrix,
     unitary_channel,
 )
 from nibp_lab.circuits import (
@@ -56,7 +55,6 @@ from nibp_lab.pauli import (
     DensityMatrix,
     DimensionMismatchError,
     _pauli_matrix,
-    random_density_matrix,
     to_coherence,
 )
 
@@ -82,10 +80,16 @@ def _states(n, batch, seed):
     return np.stack(rows) if batch else rows[0]
 
 
-def _oracle_rows(rho, kraus_ops, qubit, n):
-    if rho.ndim == 2:
-        return _einsum_oracle(rho, kraus_ops, qubit, n)
-    return np.stack([_einsum_oracle(r, kraus_ops, qubit, n) for r in rho])
+def _every_qubit_oracle(rho, kraus_ops, n):
+    """``_einsum_oracle`` on each qubit of each row of rho in turn, qubit 0
+    first."""
+    rows = rho if rho.ndim == 3 else rho[None]
+    out = []
+    for row in rows:
+        for q in range(n):
+            row = _einsum_oracle(row, kraus_ops, q, n)
+        out.append(row)
+    return np.stack(out) if rho.ndim == 3 else out[0]
 
 
 @SETTINGS
@@ -99,10 +103,9 @@ def _oracle_rows(rho, kraus_ops, qubit, n):
 def test_qubit_kernel_matches_einsum_bit_for_bit(name, p, n, batch, seed):
     ch = named_channel(name, p)
     rho = _states(n, batch, seed)
-    for q in range(n):
-        got = ch.apply_to_qubit(rho, q)
-        assert got.shape == rho.shape
-        assert np.array_equal(got, _oracle_rows(rho, ch.kraus_ops, q, n))
+    got = ch.apply_to_every_qubit(rho)
+    assert got.shape == rho.shape
+    assert np.array_equal(got, _every_qubit_oracle(rho, ch.kraus_ops, n))
 
 
 @SETTINGS
@@ -116,34 +119,16 @@ def test_qubit_kernel_on_dense_kraus_operators(n, kraus_count, batch, seed):
     # Haar-sliced Kraus operators have no zero entries
     ch = random_channel(1, np.random.default_rng(seed), kraus_count=kraus_count)
     rho = _states(n, batch, seed + 1)
-    for q in range(n):
-        np.testing.assert_allclose(
-            ch.apply_to_qubit(rho, q), _oracle_rows(rho, ch.kraus_ops, q, n),
-            rtol=0, atol=1e-12,
-        )
+    np.testing.assert_allclose(
+        ch.apply_to_every_qubit(rho), _every_qubit_oracle(rho, ch.kraus_ops, n),
+        rtol=0, atol=1e-12,
+    )
 
 
 def _bits(a):
     """The float64 words of a complex array: equal words are equal bits,
     so +0.0 and -0.0 differ."""
     return np.ascontiguousarray(a).view(np.uint64)
-
-
-@SETTINGS
-@given(
-    p=st.floats(0.0, 1.0),
-    n=st.integers(1, 6),
-    batch=st.sampled_from([None, 1, 3]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_qubit_kernel_matches_term_by_term_oracle_bit_for_bit(p, n, batch, seed):
-    # p = 0 and p = 1 make some Kraus operators, or parts of them, vanish
-    rho = _states(n, batch, seed)
-    for name, prob in itertools.product(NAMED, (0.0, 1.0, p)):
-        ch = named_channel(name, prob)
-        for q in range(n):
-            assert np.array_equal(_bits(ch.apply_to_qubit(rho, q)),
-                                  _bits(qubit_kernel(ch, rho, q, n)))
 
 
 @SETTINGS
@@ -164,6 +149,25 @@ def test_layer_noise_call_matches_per_qubit_oracle_word_for_word(p, n, batch, se
         got = ch.apply_to_every_qubit(rho)
         assert got.shape == rho.shape
         assert np.array_equal(_bits(got), _bits(every_qubit_kernel(ch, rho)))
+
+
+@SETTINGS
+@given(
+    p=st.floats(0.0, 1.0),
+    widths=st.lists(st.integers(1, 7), min_size=2, max_size=4),
+    batch=st.sampled_from([None, 1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_qubit_kernel_matches_term_by_term_oracle_bit_for_bit(p, widths, batch, seed):
+    # one channel object serves every width in turn, revisits included, so
+    # the tables it keeps for one d (either layout) must not reach another
+    for name, prob in itertools.product(NAMED, (0.0, 1.0, p)):
+        ch = named_channel(name, prob)
+        for i, n in enumerate(widths):
+            rho = _states(n, batch, seed + i)
+            assert np.array_equal(_bits(ch.apply_to_every_qubit(rho)),
+                                  _bits(every_qubit_kernel(ch, rho)))
+        assert sorted(ch._tables) == sorted({2**n for n in widths})
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -339,7 +343,7 @@ def test_cached_affine_maps_equal_a_fresh_build_bit_for_bit(n, depth, kind, p, s
         assert np.array_equal(_bits(rep.c), _bits(shift))
         assert np.array_equal(_bits(c), _bits(shift))
         assert np.array_equal(_bits([rep.operator_norm(), opnorm]), _bits([norm, norm]))
-        gate_map = circuits.layer_gate_map(circ, theta, layer)
+        (gate_map,) = circuits.layer_gate_maps(circ, theta, [layer])
         assert np.array_equal(_bits(omega), _bits(m @ gate_map))
 
 
@@ -395,7 +399,7 @@ def test_layer_gate_map_equals_dense_oracle(layer):
     # local PTMs (closed-form rotations, CNOT sign permutations, transfer
     # matrices of the other gates) against the d^4 superoperator route
     circ, theta = layer
-    omega = circuits.layer_gate_map(circ, theta, 0)
+    (omega,) = circuits.layer_gate_maps(circ, theta, [0])
     dense = affine_rep(unitary_channel(circuits.layer_unitary(circ, theta, 0))).M
     np.testing.assert_allclose(omega, dense, rtol=0, atol=1e-12)
     np.testing.assert_allclose(omega @ omega.T, np.eye(len(omega)), rtol=0, atol=1e-12)
@@ -626,9 +630,9 @@ def test_evolve_equals_per_layer_assembly_on_every_run_kind():
 def test_layer_gate_map_refuses_mixture_layers():
     spec = RandomUnitaryNoise(probs=(0.8, 0.2), generators=("YI", "ZZ"), intended=0)
     circ = build_two_local(2, 2).with_gate((1, 0), Gate(mixture=spec))
-    circuits.layer_gate_map(circ, np.zeros(4), 0)
+    list(circuits.layer_gate_maps(circ, np.zeros(4), [0]))
     with pytest.raises(ValueError, match="mixture"):
-        circuits.layer_gate_map(circ, np.zeros(4), 1)
+        list(circuits.layer_gate_maps(circ, np.zeros(4), [1]))
 
 
 def test_evolve_rejects_bad_angle_shapes():
