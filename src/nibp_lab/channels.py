@@ -148,37 +148,55 @@ class KrausChannel:
         sums a dense contraction forms.
 
         Up to ``FLAT_MAX_DIM`` each qubit is one gather through its stored
-        index and two 2-D multiplies by its flat coefficients, into two
-        buffers the qubits share; beyond it each qubit XORs its index and
-        broadcasts its coefficients, which needs no (T, d^2) tables.
+        index and two 2-D multiplies by its flat coefficients; beyond it
+        each qubit XORs its index and broadcasts its coefficients, which
+        needs no (T, d^2) tables.  Either way the qubits share one term
+        stack and write their sums into one output, which this call
+        allocates (``evolve`` passes its term stack and writes back into its
+        state instead).
         """
         rho = np.asarray(rho, dtype=complex)
         shape = rho.shape
         d = shape[-1]
         if len(shape) < 2 or shape[-2] != d:
             raise DimensionMismatchError(f"state of shape {shape} is not square")
+        terms = np.empty(self._term_count * rho.size, dtype=complex)
+        return self._every_qubit(rho, np.empty(shape, dtype=complex), terms)
+
+    @property
+    def _term_count(self) -> int:
+        """T, the number of terms d_a X^a rho X^b d_b^dag (``_qubit_terms``)."""
+        return len(self._qubit_terms[0])
+
+    def _every_qubit(self, state: np.ndarray, out: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """The kernel of ``apply_to_every_qubit`` on the complex d x d state
+        or (B, d, d) stack ``state``, written into ``out``, a contiguous
+        array of its shape, which may be ``state`` itself: each qubit reads
+        the whole state into the term stack before it writes.  The head of
+        the flat complex buffer ``terms`` (at least T B d^2 entries) is the
+        term stack.  Returns ``out``."""
+        d, count = state.shape[-1], self._term_count
         tables = self._tables.get(d) or self._width_tables(d)
-        state = rho.reshape(-1, d * d)
-        batch, count = len(state), len(self._qubit_terms[0])
+        rows, sums = state.reshape(-1, d * d), out.reshape(-1, d * d)
+        batch = len(rows)
+        stack = terms[:count * state.size].reshape(batch, count, d * d)
         # every index is in range: "clip" only skips the bounds check
         if d > FLAT_MAX_DIM:
             flat = _flat_index(len(tables))
             for q, (mask, row, col) in enumerate(tables):
-                terms = state.take(np.bitwise_xor(flat, mask), axis=-1, mode="clip")
-                by_row = terms.reshape(batch, count, 2**q, 2, -1)
+                rows.take(np.bitwise_xor(flat, mask), axis=-1, out=stack, mode="clip")
+                by_row = stack.reshape(batch, count, 2**q, 2, -1)
                 np.multiply(row, by_row, out=by_row)
-                by_col = terms.reshape(batch, count, d, d)
+                by_col = stack.reshape(batch, count, d, d)
                 np.multiply(col, by_col, out=by_col)
-                state = np.add.reduce(terms, axis=1)
-            return state.reshape(shape)
-        terms = np.empty((batch, count, d * d), dtype=complex)
-        out = np.empty((batch, d * d), dtype=complex)
+                rows = np.add.reduce(stack, axis=1, out=sums)
+            return out
         for index, row, col in tables:
-            state.take(index, axis=-1, out=terms, mode="clip")
-            np.multiply(row, terms, out=terms)
-            np.multiply(col, terms, out=terms)
-            state = np.add.reduce(terms, axis=1, out=out)
-        return out.reshape(shape)
+            rows.take(index, axis=-1, out=stack, mode="clip")
+            np.multiply(row, stack, out=stack)
+            np.multiply(col, stack, out=stack)
+            rows = np.add.reduce(stack, axis=1, out=sums)
+        return out
 
     def register(self, n: int) -> KrausChannel:
         """This channel on an n-qubit register (a 1-qubit channel on every

@@ -424,12 +424,15 @@ def _group_runs(
     return tuple(runs)
 
 
-def _column(factors: np.ndarray, index: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+def _column(
+    factors: np.ndarray, index: np.ndarray, scale: np.ndarray | None, out: np.ndarray | None
+) -> np.ndarray:
     """The product of one-qubit factors on a column's distinct qubits (in
     gate order), ``factors[..., k, :, :]`` the base x base factor on its
     k-th qubit (2 x 2 operators or 4 x 4 Pauli transfer matrices),
     followed by the column's CNOT chain; (index, scale) is the column's
-    ``_column_index`` entry.
+    ``_column_index`` entry.  The gather writes into ``out``, an array of
+    the result's shape, or into a new array when ``out`` is None.
 
     Entry (i, j) is the product, in gate order, of each factor's entry at
     the digits of i and j on its qubit, and zero where i and j differ on a
@@ -447,7 +450,7 @@ def _column(factors: np.ndarray, index: np.ndarray, scale: np.ndarray | None) ->
         outer = np.multiply(product[..., None, :], flat[..., k, :, None])
         product = outer.reshape(product.shape[:-1] + (-1,))
     # every index is in range: "clip" only skips the bounds check
-    out = product.take(index, axis=-1, mode="clip")
+    out = product.take(index, axis=-1, out=out, mode="clip")
     if scale is not None:
         out *= scale
     return out
@@ -552,23 +555,38 @@ def _cnot_perm(
 
 
 def _gate_unitary(run: tuple[int | None, Gate], thetas: np.ndarray) -> np.ndarray:
-    """A "gate" run's full-register unitary, its perturbation included."""
+    """A "gate" run's full-register unitary, its perturbation included, as
+    a new array (a fixed gate's matrix is copied, its layout kept)."""
     index, gate = run
-    return gate.matrix if index is None else gate.unitary(thetas[..., index])
+    return gate.matrix.copy(order="K") if index is None else gate.unitary(thetas[..., index])
 
 
-def _apply_layer_channel(rho: np.ndarray, channel: KrausChannel | None) -> np.ndarray:
-    """A layer entry on a state or stack; a 1-qubit entry goes on every
-    qubit in one call (``KrausChannel.apply_to_every_qubit``)."""
-    if channel is None:
-        return rho
+def _apply_ops(rho: np.ndarray, ops: list[np.ndarray], spare: np.ndarray) -> np.ndarray:
+    """One Kraus set of a layer on the state stack ``rho``.  A single
+    operator K goes on as K rho into ``spare``, then (K rho) K^dag back
+    into ``rho``, its conjugate taken in place on K (``_layer_ops`` yields
+    only arrays it built, and its scratch); a mixture's Kraus sum is a new
+    array."""
+    if len(ops) > 1:
+        return _apply_kraus(rho, ops)
+    k, = ops
+    np.matmul(k, rho, out=spare)
+    return np.matmul(spare, np.conjugate(k, out=k).swapaxes(-1, -2), out=rho)
+
+
+def _apply_layer_channel(rho: np.ndarray, channel: KrausChannel, terms: np.ndarray) -> np.ndarray:
+    """A layer entry on the state stack ``rho``: a full-register entry as a
+    Kraus sum (a new array); a 1-qubit entry on every qubit in one call of
+    the kernel behind ``KrausChannel.apply_to_every_qubit``, written back
+    into ``rho`` with ``terms`` as its term stack."""
     if channel.n == qubit_count(rho.shape[-2:]):
         return channel.apply(rho)
-    return channel.apply_to_every_qubit(rho)
+    return channel._every_qubit(rho, rho, terms)
 
 
 def _layer_ops(
-    circ: Circuit, thetas: np.ndarray, layers: Iterable[int], base: int
+    circ: Circuit, thetas: np.ndarray, layers: Iterable[int], base: int,
+    scratch: np.ndarray | None,
 ) -> Iterator[list[list[np.ndarray]]]:
     """Each of ``layers`` in turn as an ordered list of Kraus sets, built
     when the consumer asks for it: base 2 gives d x d operators (the dense
@@ -586,6 +604,11 @@ def _layer_ops(
     included), a CNOT run as a signed row permutation of ``acc``
     (``_cnot_perm``), any other gate as ``u @ acc`` (u its transfer matrix
     in base 4).  Each random-unitary mixture is its own set.
+
+    Every operator it yields is an array it built, so the consumer may
+    overwrite it.  When the layer's first run is a column, its gather
+    writes into ``scratch`` (unless that is None): the consumer must be done
+    with a layer before it asks for the next, which overwrites it.
     """
     n = circ.n
     letters, params, spans = circ.columns
@@ -597,7 +620,7 @@ def _layer_ops(
         columns = iter(columns)
         ops: list[list[np.ndarray]] = []
         acc: np.ndarray | None = None
-        for kind, run in runs:
+        for position, (kind, run) in enumerate(runs):
             if kind == "mixture":
                 if acc is not None:
                     ops.append([acc])
@@ -616,7 +639,8 @@ def _layer_ops(
             else:
                 if kind == "column":
                     u = _column(stack[..., next(columns), :, :],
-                                *_column_index(n, base, run.qubits, run.chain))
+                                *_column_index(n, base, run.qubits, run.chain),
+                                None if position else scratch)
                 else:
                     u = _gate_unitary(run, thetas)
                     u = u if base == 2 else _unitary_ptm(u)
@@ -644,14 +668,32 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
     stack of final states.  Row b of the stack is bit for bit the state
     evolved from ``theta[b]`` alone.  Each layer's operators are built
     (``_layer_ops``) just before they are applied.
+
+    A call allocates its working memory once, for all its layers: the
+    state stack it returns, and one block that holds a spare and a scratch
+    of the same shape and the noise kernel's term stack, sized for the
+    layer channel with the most terms.  Each layer's first column renders
+    into the scratch, each operator goes on through the spare
+    (``_apply_ops``), and the noise writes back into the state.  Only a
+    mixture's Kraus sum or a full-register channel makes a new state
+    stack, which then takes the place of the first.  The block is freed in
+    one piece, so the allocator can hand the same memory to the next call
+    instead of returning it to the system and faulting it back in.
     """
     thetas = circ.angle_rows(theta)
     channels = noise.per_layer(circ)
     rho = np.repeat(_ground_state(circ.n)[None], len(thetas), axis=0)
-    for layer_ops, channel in zip(_layer_ops(circ, thetas, range(circ.depth), 2), channels):
+    count = max([ch._term_count for ch in set(channels) if ch is not None and ch.n < circ.n],
+                default=0)
+    block = np.empty((2 + count) * rho.size, dtype=complex)
+    spare, scratch = block[:2 * rho.size].reshape((2,) + rho.shape)
+    terms = block[2 * rho.size:]
+    for layer_ops, channel in zip(
+            _layer_ops(circ, thetas, range(circ.depth), 2, scratch), channels):
         for ops in layer_ops:
-            rho = _apply_kraus(rho, ops)
-        rho = _apply_layer_channel(rho, channel)
+            rho = _apply_ops(rho, ops, spare)
+        if channel is not None:
+            rho = _apply_layer_channel(rho, channel, terms)
     return DensityMatrix(rho[0]) if np.ndim(theta) == 1 else rho
 
 
@@ -671,7 +713,7 @@ def _unitary_layer(circ: Circuit, layer: int) -> int:
 def layer_unitary(circ: Circuit, theta: np.ndarray, layer: int) -> np.ndarray:
     """Product of all gate unitaries in a layer (control noise included)."""
     theta = circ.angle_row(theta)
-    ops, = _layer_ops(circ, theta, [_unitary_layer(circ, layer)], 2)
+    ops, = _layer_ops(circ, theta, [_unitary_layer(circ, layer)], 2, None)
     return ops[0][0] if ops else np.eye(2**circ.n, dtype=complex)
 
 
@@ -683,15 +725,16 @@ def layer_gate_maps(
     (control noise included).  Each equals the M of
     ``affine_rep(unitary_channel(layer_unitary(...)))`` up to rounding.
 
-    Each map is built when the consumer asks for it by the walker the dense
-    view uses (``_layer_ops`` in base 4): the angles are read once, and one
+    The angles and every layer are checked when it is called.  Each map is
+    built when the consumer asks for it by the walker the dense view uses
+    (``_layer_ops`` in base 4): the angles are read once, and one
     ``_rotation_ptm`` call renders the 4 x 4 Pauli transfer matrices of
     every rotation column of the circuit before the first map.
     """
     theta = circ.angle_row(theta)
     layers = [_unitary_layer(circ, layer) for layer in layers]
-    for ops in _layer_ops(circ, theta, layers, 4):
-        yield ops[0][0] if ops else np.eye(4**circ.n - 1)
+    return (ops[0][0] if ops else np.eye(4**circ.n - 1)
+            for ops in _layer_ops(circ, theta, layers, 4, None))
 
 
 @lru_cache(maxsize=256)

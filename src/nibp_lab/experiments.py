@@ -117,8 +117,12 @@ class ExperimentConfig:
             name = self.FIELDS.get(key, key)
             object.__setattr__(self, name, config_value({key: getattr(self, name)}, key, *spec))
         for key, name in self.FIELDS.items():
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(key, "sweep list must be nonempty")
+            # a repeated n or L would run its cells again with the same seeds
+            if key != "p" and len(set(values)) < len(values):
+                raise ConfigError(key, f"{values} repeats a value, so its cells would run twice")
         # two p values a seed cannot tell apart would give two cells one seed
         if len(set(map(_p_key, self.p_list))) < len(self.p_list):
             raise ConfigError("p", f"{self.p_list} holds two values that round to one "

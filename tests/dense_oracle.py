@@ -11,7 +11,9 @@ by bit arithmetic and letter by letter, where the simulator composes one
 two-digit table.  ``layer_ops`` and ``evolve`` assemble each layer on its
 own, rendering its rotation columns with ``column`` as the layer is
 reached, where the simulator renders every column of the circuit in one
-call before the first layer."""
+call before the first layer; ``evolve`` allocates every product anew and
+applies the layer noise by ``layer_channel``, where the simulator writes
+each layer into stacks it holds for the whole call."""
 
 from functools import lru_cache
 
@@ -204,5 +206,16 @@ def evolve(circ, thetas, noise):
     for layer, channel in enumerate(noise.per_layer(circ)):
         for ops in layer_ops(circ, thetas, layer):
             rho = _apply_kraus(rho, ops)
-        rho = circuits._apply_layer_channel(rho, channel)
+        rho = layer_channel(rho, channel)
     return rho
+
+
+def layer_channel(rho: np.ndarray, channel) -> np.ndarray:
+    """A layer entry on a (B, d, d) stack: None leaves it, a full-register
+    channel is its Kraus sum, a one-qubit channel goes on every qubit by
+    ``every_qubit_kernel``."""
+    if channel is None:
+        return rho
+    if 2**channel.n == rho.shape[-1]:
+        return _apply_kraus(rho, channel.kraus_ops)
+    return every_qubit_kernel(channel, rho)

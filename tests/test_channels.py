@@ -275,7 +275,9 @@ def _flipped_qubits(a: np.ndarray) -> int:
     entry (0, 0) of the result is the state's entry at the row and column
     with every such bit set."""
     state = np.arange(a.size, dtype=complex).reshape(a.shape)
-    out = circuits._apply_layer_channel(state, bit_flip(0.0))
+    channel = bit_flip(0.0)
+    out = circuits._apply_layer_channel(state, channel,
+                                        np.empty(channel._term_count * a.size, dtype=complex))
     return bin(int(out[0, 0].real) // len(a)).count("1")
 
 

@@ -395,8 +395,8 @@ def test_evolve_refuses_a_late_entry_before_layer_0_runs(monkeypatch):
     dep = depolarizing(0.1)
     noise = NoiseSpec((dep, dep, identity_channel(2)))
     applied = []
-    monkeypatch.setattr(circuits, "_apply_kraus",
-                        lambda rho, ops: applied.append(len(ops)) or rho)
+    monkeypatch.setattr(circuits, "_apply_ops",
+                        lambda rho, ops, spare: applied.append(len(ops)) or rho)
     with pytest.raises(DimensionMismatchError, match="acts on 2 qubits, register has 3"):
         evolve(circ, np.zeros(circ.num_parameters), noise)
     assert applied == []
@@ -420,6 +420,44 @@ def test_layer_views_refuse_a_layer_the_circuit_lacks(view):
     for layer in range(3):
         assert circ.layer_runs(layer) is circ.runs[layer]
         view(circ, theta, np.int64(layer))
+
+
+def test_layer_gate_maps_refuses_when_called_not_when_read():
+    # before, the checks ran only when the first map was asked for, so a
+    # caller that built the maps lazily met the error far from its cause
+    circ = build_two_local(2, 2)
+    spec = RandomUnitaryNoise(probs=(0.8, 0.2), generators=("YI", "ZZ"), intended=0)
+    mixed = circ.with_gate((1, 0), Gate(mixture=spec))
+    with pytest.raises(ValueError, match="expected one row of 4 angles"):
+        layer_gate_maps(circ, np.zeros(99), [0])
+    with pytest.raises(ValueError, match="circuit has no layer 7;"):
+        layer_gate_maps(circ, np.zeros(4), [0, 7])
+    with pytest.raises(ValueError, match="layer 1 holds a unitary mixture"):
+        layer_gate_maps(mixed, np.zeros(4), [0, 1])
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("name", ["none", "amplitude_damping", "depolarizing"])
+def test_each_evolve_call_returns_a_stack_of_its_own(rows, name):
+    # evolve holds its stacks for one call only: a later call never writes
+    # into, or returns, the memory of an earlier result
+    circ = build_two_local(3, 3)
+    noise = NoiseSpec.named(name, 0.3)
+    rng = np.random.default_rng(31)
+    shape = (circ.num_parameters,) if rows is None else (rows, circ.num_parameters)
+    theta = rng.uniform(0, 2 * np.pi, shape)
+
+    def run():
+        out = evolve(circ, theta, noise)
+        return out.data if rows is None else out
+
+    first = run()
+    kept = first.copy()
+    second = run()
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and np.array_equal(second, kept)
+    first[...] = np.nan
+    assert np.array_equal(run(), kept) and np.array_equal(second, kept)
 
 
 def test_named_noise_none_is_the_only_noiseless_spec():

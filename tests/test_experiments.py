@@ -57,6 +57,9 @@ def test_config_validation():
     # a cell's seed keys p to 1e-4, so these cells would share one seed
     ({"p_list": (0.3, 0.3)}, "p"),
     ({"p_list": (0.1, 0.2, 0.10004)}, "p"),
+    # a repeated n or L would run its cells twice with the same seeds
+    ({"n_list": (2, 3, 2)}, "n"),
+    ({"L_list": (2, 2)}, "L"),
 ])
 def test_python_config_is_checked_by_the_json_rules(kw, key):
     with pytest.raises(ConfigError) as err:
@@ -515,6 +518,11 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
         # two p values that round to one seed key would share their cells' seeds
         ("experiment", {"preset": "noise_sweep", "n": 2, "L": 2, "p": [0.3, 0.30001],
                         "instances": 1, "thetas": 1}, "p"),
+        # a repeated n or L would run its cells twice with the same seeds
+        ("experiment", {"preset": "width_scaling", "n": [2, 3, 3], "L": 2,
+                        "instances": 1, "thetas": 1}, "n"),
+        ("experiment", {"preset": "layers_sweep", "n": 2, "L": [2, 4, 2],
+                        "instances": 1, "thetas": 1}, "L"),
     ],
 )
 def test_cli_bad_config_value_is_one_line_naming_the_key(

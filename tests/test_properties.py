@@ -178,7 +178,9 @@ def test_evolve_matches_evolve_on_term_by_term_oracle_bit_for_bit(name, n):
     thetas = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(2, circ.num_parameters))
     got = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(KrausChannel, "apply_to_every_qubit", every_qubit_kernel)
+        # evolve calls the kernel with the output and term stacks it holds
+        mp.setattr(KrausChannel, "_every_qubit",
+                   lambda ch, state, out, terms: every_qubit_kernel(ch, state))
         want = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
     for a, b in zip(got, want):
         assert np.array_equal(_bits(a), _bits(b))
@@ -466,9 +468,13 @@ def test_column_kernel_equals_the_gather_per_qubit_oracle_word_for_word(case):
         src, sign = dense_oracle.cnot_chain_ptm(chain, n)
         want = sign[:, None] * want[..., src, :]
     index, scale = circuits._column_index(n, factors.shape[-1], qubits, chain)
-    got = circuits._column(factors, index, scale)
+    got = circuits._column(factors, index, scale, None)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # into a given array (evolve's scratch), whatever it held before
+    out = np.full(want.shape, np.nan, dtype=want.dtype)
+    assert circuits._column(factors, index, scale, out) is out
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 def test_column_indexes_are_built_once_per_key_and_stay_small():
@@ -537,7 +543,7 @@ def _chain_evolve(circ, thetas, noise):
     for layer, channel in enumerate(noise.per_layer(circ)):
         for ops in _chain_ops(circ, thetas, layer):
             rho = _apply_kraus(rho, ops)
-        rho = circuits._apply_layer_channel(rho, channel)
+        rho = dense_oracle.layer_channel(rho, channel)
     return rho
 
 
