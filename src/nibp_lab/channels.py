@@ -105,18 +105,21 @@ class KrausChannel:
         return flips, rows, cols
 
     def _width_tables(self, d: int) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Check d = 2^n, then build and keep under d one table set per
-        qubit q of a d x d state.  Each term reads the state at its flat
-        position XOR a mask (bit q of the row when a = 1, of the column
-        when b = 1) and scales it by its row coefficient at bit q of the
-        row, then its column coefficient at bit q of the column.
+        """The tables kept under d, or else check d = 2^n, then build and
+        keep under d one table set per qubit q of a d x d state.  Each term
+        reads the state at its flat position XOR a mask (bit q of the row
+        when a = 1, of the column when b = 1) and scales it by its row
+        coefficient at bit q of the row, then its column coefficient at bit
+        q of the column.
 
         Up to ``FLAT_MAX_DIM`` a set is the (T, d^2) gather index, XOR
-        already taken, and the (T, d^2) row and column coefficients laid
+        already taken, and the (1, T, d^2) row and column coefficients laid
         out flat: 40 T d^2 bytes a qubit.  Beyond it, the shared flat index
         (``_flat_index``), the (T, 1) masks, the (T, 1, 2, 1) row and the
         (T, 1, d) column coefficients, which the kernel broadcasts.
         """
+        if d in self._tables:
+            return self._tables[d]
         n = qubit_count((d, d))
         flips, rows, cols = self._qubit_terms
         flat, tables = _flat_index(n), []
@@ -125,9 +128,12 @@ class KrausChannel:
             mask = flips @ np.array([[bit * d], [bit]], dtype=np.intp)
             digit = np.arange(d) // bit % 2
             if d <= FLAT_MAX_DIM:
+                # the coefficients take the term stack's shape for one
+                # state, (1, T, d^2): a multiply of equal shapes skips
+                # numpy's broadcast set-up
                 tables.append((np.bitwise_xor(flat, mask),
-                               np.repeat(rows[:, digit], d, axis=1),
-                               np.tile(cols[:, digit], d)))
+                               np.repeat(rows[:, digit], d, axis=1)[None],
+                               np.tile(cols[:, digit], d)[None]))
             else:
                 tables.append((mask, rows[:, None, :, None], cols[:, digit][:, None, :]))
         self._tables[d] = tables = tuple(tables)
@@ -152,36 +158,38 @@ class KrausChannel:
         each qubit XORs its index and broadcasts its coefficients, which
         needs no (T, d^2) tables.  Either way the qubits share one term
         stack and write their sums into one output, which this call
-        allocates (``evolve`` passes its term stack and writes back into its
-        state instead).
+        allocates (``evolve`` sets up its tables and term stack once per
+        call and writes back into its state instead).
         """
         rho = np.asarray(rho, dtype=complex)
         shape = rho.shape
         d = shape[-1]
         if len(shape) < 2 or shape[-2] != d:
             raise DimensionMismatchError(f"state of shape {shape} is not square")
-        terms = np.empty(self._term_count * rho.size, dtype=complex)
-        return self._every_qubit(rho, np.empty(shape, dtype=complex), terms)
+        tables = self._width_tables(d)
+        stack = np.empty((rho.size // (d * d), self._term_count, d * d), dtype=complex)
+        return self._every_qubit(rho, np.empty(shape, dtype=complex), stack, tables)
 
     @property
     def _term_count(self) -> int:
         """T, the number of terms d_a X^a rho X^b d_b^dag (``_qubit_terms``)."""
         return len(self._qubit_terms[0])
 
-    def _every_qubit(self, state: np.ndarray, out: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    def _every_qubit(
+        self, state: np.ndarray, out: np.ndarray, stack: np.ndarray, tables: tuple
+    ) -> np.ndarray:
         """The kernel of ``apply_to_every_qubit`` on the complex d x d state
         or (B, d, d) stack ``state``, written into ``out``, a contiguous
         array of its shape, which may be ``state`` itself: each qubit reads
-        the whole state into the term stack before it writes.  The head of
-        the flat complex buffer ``terms`` (at least T B d^2 entries) is the
-        term stack.  Returns ``out``."""
-        d, count = state.shape[-1], self._term_count
-        tables = self._tables.get(d) or self._width_tables(d)
+        the whole state into the term stack before it writes.  ``stack`` is
+        the (B, T, d^2) complex term stack (B = 1 for one state) and
+        ``tables`` this channel's ``_width_tables(d)``; the caller sets both
+        up.  Returns ``out``."""
+        d = state.shape[-1]
         rows, sums = state.reshape(-1, d * d), out.reshape(-1, d * d)
-        batch = len(rows)
-        stack = terms[:count * state.size].reshape(batch, count, d * d)
         # every index is in range: "clip" only skips the bounds check
         if d > FLAT_MAX_DIM:
+            batch, count = stack.shape[:2]
             flat = _flat_index(len(tables))
             for q, (mask, row, col) in enumerate(tables):
                 rows.take(np.bitwise_xor(flat, mask), axis=-1, out=stack, mode="clip")

@@ -23,7 +23,10 @@ one-qubit factors of every column of the circuit in one call, as the
 circuit planned them when it was built (``Circuit.columns``), then builds
 each layer when it is asked for it.  One kernel (``_column``) renders a
 column: an outer product of its factors in gate order, then one gather,
-which also carries the column's chain.  A CNOT is its (control, target)
+which also carries the column's chain.  Consecutive layers whose first
+columns share their qubits and chain form a stretch
+(``Circuit.stretches``), whose first columns the kernel renders together,
+up to a byte budget (``STRETCH_BYTES``).  A CNOT is its (control, target)
 pair; a CNOT run is one cached signed permutation (``_cnot_perm``) of the
 basis states or the Pauli strings, composed from one two-digit table
 (``_cnot_table``) read off the 4 x 4 CNOT.
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import groupby
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -55,10 +59,14 @@ from .pauli import (
     check_pauli,
     hamming_weight,
     pauli_strings_by_weight,
-    qubit_count,
 )
 
 CONTROL_NOISE_NORM_CAP = 0.2
+# the most bytes a stretch render's outer products (or evolve's block,
+# with them) take: below glibc's 128 KiB mmap threshold, over which the
+# allocator maps and unmaps an array on many calls and its pages fault
+# back in (a 184 KiB block cost ~300 minor faults a grad_depth round)
+STRETCH_BYTES = 120 * 1024
 
 Location = tuple[int, int]
 
@@ -246,13 +254,21 @@ class Circuit:
     the render of the rotation columns' one-qubit factors as (letters,
     params, spans): the letters and the read-only parameter indexes of
     every column's rotations in (layer, slot) order, and per layer each
-    column's slice of them."""
+    column's slice of them.  ``stretches`` groups the consecutive layers
+    whose first run is a column with the same qubits and chain (the same
+    ``_column_index`` key): per layer, (first, positions) of its stretch,
+    ``first`` the stretch's first layer and ``positions`` the read-only
+    (k, m) positions of its k layers' first-column factors in ``columns``
+    (one tuple shared by the stretch's layers), or None for a layer whose
+    first run is not a column."""
 
     n: int
     layers: tuple[tuple[Gate, ...], ...]
     parameter_index: Mapping[Location, int] = field(init=False, repr=False, compare=False)
     runs: tuple[tuple[Run, ...], ...] = field(init=False, repr=False, compare=False)
     columns: tuple[str, np.ndarray, tuple[tuple[slice, ...], ...]] = field(
+        init=False, repr=False, compare=False)
+    stretches: tuple[tuple[int, np.ndarray] | None, ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -283,9 +299,20 @@ class Circuit:
             spans.append(tuple(layer_spans))
         params = np.array(params, dtype=np.intp)
         params.setflags(write=False)
+        stretches = []
+        for key, group in groupby(range(len(runs)), lambda layer: _head_key(runs[layer])):
+            group = list(group)
+            if key is None:
+                stretches += [None] * len(group)
+                continue
+            positions = np.array([np.arange(spans[layer][0].start, spans[layer][0].stop)
+                                  for layer in group], dtype=np.intp)
+            positions.setflags(write=False)
+            stretches += [(group[0], positions)] * len(group)
         object.__setattr__(self, "parameter_index", MappingProxyType(index))
         object.__setattr__(self, "runs", tuple(runs))
         object.__setattr__(self, "columns", (chars, params, tuple(spans)))
+        object.__setattr__(self, "stretches", tuple(stretches))
 
     @property
     def depth(self) -> int:
@@ -318,12 +345,15 @@ class Circuit:
         return self.parameter_index[tuple(location)]
 
     def angle_rows(self, theta: np.ndarray) -> np.ndarray:
-        """``theta`` as a (B, P) float stack, a (P,) vector as one row; other shapes are refused."""
+        """``theta`` as a (B, P) float stack, B >= 1, a (P,) vector as one
+        row; other shapes, an empty stack too, are refused."""
         theta = np.asarray(theta, dtype=float)
         rows = theta[None] if theta.ndim == 1 else theta
         if rows.ndim != 2 or rows.shape[1] != self.num_parameters:
             raise ValueError(
                 f"expected {self.num_parameters} parameters per row, got {theta.shape}")
+        if not len(rows):
+            raise ValueError(f"expected at least one row of angles, got shape {theta.shape}")
         return rows
 
     def angle_row(self, theta: np.ndarray) -> np.ndarray:
@@ -422,6 +452,14 @@ def _group_runs(
         else:
             runs.append(("gate", (index, gate)))
     return tuple(runs)
+
+
+def _head_key(runs: tuple[Run, ...]) -> tuple | None:
+    """The ``_column_index`` key (qubits, chain) of a layer's first run
+    when it is a column, else None."""
+    if not runs or runs[0][0] != "column":
+        return None
+    return runs[0][1].qubits, runs[0][1].chain
 
 
 def _column(
@@ -574,14 +612,15 @@ def _apply_ops(rho: np.ndarray, ops: list[np.ndarray], spare: np.ndarray) -> np.
     return np.matmul(spare, np.conjugate(k, out=k).swapaxes(-1, -2), out=rho)
 
 
-def _apply_layer_channel(rho: np.ndarray, channel: KrausChannel, terms: np.ndarray) -> np.ndarray:
-    """A layer entry on the state stack ``rho``: a full-register entry as a
-    Kraus sum (a new array); a 1-qubit entry on every qubit in one call of
-    the kernel behind ``KrausChannel.apply_to_every_qubit``, written back
-    into ``rho`` with ``terms`` as its term stack."""
-    if channel.n == qubit_count(rho.shape[-2:]):
-        return channel.apply(rho)
-    return channel._every_qubit(rho, rho, terms)
+def _stretch_depth(circ: Circuit, rows: int, base: int, held: int) -> int:
+    """k, the most layers of a stretch ``_layer_ops`` renders together for
+    ``rows`` angle rows: as many as fit ``STRETCH_BYTES`` beside the
+    ``held`` bytes the caller keeps with them, at least 1 and at most the
+    circuit's depth.  A layer's outer product holds rows x base^(2n)
+    entries, complex in base 2 (as many as its d x d operators) and float
+    in base 4 (more than its (d^2-1)^2 map)."""
+    layer = rows * base ** (2 * circ.n) * (16 if base == 2 else 8)
+    return max(1, min(circ.depth, (STRETCH_BYTES - held) // layer))
 
 
 def _layer_ops(
@@ -597,30 +636,60 @@ def _layer_ops(
 
     One call (``_rotation`` or ``_rotation_ptm``) renders, before the first
     layer, the one-qubit factors of every rotation column of the circuit
-    (for a one-layer view too), as ``Circuit.columns`` plans them; each
-    column reads its slice of them and looks up its gather in the bounded
-    ``_column_index`` cache.  Each stretch of unitary runs is one product
-    ``acc``: a column enters as its ``_column`` product (its chain
+    (for a one-layer view too), as ``Circuit.columns`` plans them.  A
+    layer's first column is rendered with its stretch
+    (``Circuit.stretches``): it and the requested layers right after it in
+    its stretch, up to k of them, are one ``_column`` call on a leading
+    layer axis, so one outer-product chain and one gather serve all k.  k
+    is the length of ``scratch``, a (k, B, d, d) array, or
+    ``_stretch_depth`` when that is None.  Every other column is a
+    ``_column`` call of its own.  Each stretch of unitary runs is one
+    product ``acc``: a column enters as its ``_column`` product (its chain
     included), a CNOT run as a signed row permutation of ``acc``
     (``_cnot_perm``), any other gate as ``u @ acc`` (u its transfer matrix
     in base 4).  Each random-unitary mixture is its own set.
 
-    Every operator it yields is an array it built, so the consumer may
-    overwrite it.  When the layer's first run is a column, its gather
-    writes into ``scratch`` (unless that is None): the consumer must be done
-    with a layer before it asks for the next, which overwrites it.
+    Every operator it yields is an array it built, or its layer's own row
+    of one, so the consumer may overwrite it.  First columns gather into
+    ``scratch`` (unless that is None): the consumer must be done with a
+    layer before it asks for the next, whose stretch may overwrite it.
     """
     n = circ.n
     letters, params, spans = circ.columns
-    layer_runs = [(circ.layer_runs(layer), spans[layer]) for layer in layers]
+    layers = list(layers)
+    layer_runs = [circ.layer_runs(layer) for layer in layers]
     if letters:
         angles = thetas[..., params]
         stack = _rotation(_paulis_1q(letters), angles) if base == 2 else _rotation_ptm(letters, angles)
-    for runs, columns in layer_runs:
-        columns = iter(columns)
+    if scratch is None:
+        depth = _stretch_depth(circ, len(thetas) if thetas.ndim == 2 else 1, base, 0)
+    else:
+        depth = len(scratch)
+    rendered, row = (), 0
+    for i, (layer, runs) in enumerate(zip(layers, layer_runs)):
+        columns = iter(spans[layer])
         ops: list[list[np.ndarray]] = []
         acc: np.ndarray | None = None
-        for position, (kind, run) in enumerate(runs):
+        if circ.stretches[layer]:
+            if row == len(rendered):
+                first, positions = circ.stretches[layer]
+                # this layer and the requested layers right after it in its
+                # stretch, at most depth of them
+                stop = min(first + len(positions), layer + depth)
+                count = 1
+                while (layer + count < stop and i + count < len(layers)
+                       and layers[i + count] == layer + count):
+                    count += 1
+                head = runs[0][1]
+                factors = stack[..., positions[layer - first:layer - first + count], :, :]
+                rendered = _column(factors.swapaxes(0, -4),
+                                   *_column_index(n, base, head.qubits, head.chain),
+                                   None if scratch is None else scratch[:count])
+                row = 0
+            acc, row = rendered[row], row + 1
+            next(columns)
+            runs = runs[1:]
+        for kind, run in runs:
             if kind == "mixture":
                 if acc is not None:
                     ops.append([acc])
@@ -639,8 +708,7 @@ def _layer_ops(
             else:
                 if kind == "column":
                     u = _column(stack[..., next(columns), :, :],
-                                *_column_index(n, base, run.qubits, run.chain),
-                                None if position else scratch)
+                                *_column_index(n, base, run.qubits, run.chain), None)
                 else:
                     u = _gate_unitary(run, thetas)
                     u = u if base == 2 else _unitary_ptm(u)
@@ -669,31 +737,47 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
     evolved from ``theta[b]`` alone.  Each layer's operators are built
     (``_layer_ops``) just before they are applied.
 
-    A call allocates its working memory once, for all its layers: the
-    state stack it returns, and one block that holds a spare and a scratch
-    of the same shape and the noise kernel's term stack, sized for the
-    layer channel with the most terms.  Each layer's first column renders
-    into the scratch, each operator goes on through the spare
-    (``_apply_ops``), and the noise writes back into the state.  Only a
-    mixture's Kraus sum or a full-register channel makes a new state
-    stack, which then takes the place of the first.  The block is freed in
-    one piece, so the allocator can hand the same memory to the next call
-    instead of returning it to the system and faulting it back in.
+    A call sets up once, for all its layers, what depends only on the
+    circuit and its noise: the stretch depth k (``_stretch_depth``, which
+    counts the rest of the block against the budget), and which kernel
+    each layer entry takes (a full-register entry its Kraus sum), with its
+    tables and term stack.  It allocates its working memory once too: the
+    state stack it returns, and one block that holds a spare of the same
+    shape, a (k, B, d, d) scratch and the noise kernel's term stack, sized
+    for the layer channel with the most terms.  Each stretch of first
+    columns renders into the scratch, each operator goes on through the
+    spare (``_apply_ops``), and the noise writes back into the state.
+    Only a mixture's Kraus sum or a full-register channel makes a new
+    state stack, which then takes the place of the first.  The block is
+    freed in one piece, so the allocator can hand the same memory to the
+    next call instead of returning it to the system and faulting it back
+    in.
     """
     thetas = circ.angle_rows(theta)
     channels = noise.per_layer(circ)
     rho = np.repeat(_ground_state(circ.n)[None], len(thetas), axis=0)
-    count = max([ch._term_count for ch in set(channels) if ch is not None and ch.n < circ.n],
-                default=0)
-    block = np.empty((2 + count) * rho.size, dtype=complex)
-    spare, scratch = block[:2 * rho.size].reshape((2,) + rho.shape)
-    terms = block[2 * rho.size:]
-    for layer_ops, channel in zip(
-            _layer_ops(circ, thetas, range(circ.depth), 2, scratch), channels):
+    (batch, d, _), size = rho.shape, rho.size
+    # a one-qubit entry goes on every qubit through the kernel behind
+    # apply_to_every_qubit, with its tables and a (B, T, d^2) term stack
+    counts = {ch: ch._term_count for ch in dict.fromkeys(channels)
+              if ch is not None and ch.n < circ.n}
+    count = max(counts.values(), default=0)
+    depth = _stretch_depth(circ, batch, 2, 16 * (1 + count) * size)
+    block = np.empty((1 + depth + count) * size, dtype=complex)
+    spare = block[:size].reshape(rho.shape)
+    scratch = block[size:(1 + depth) * size].reshape((depth,) + rho.shape)
+    terms = block[(1 + depth) * size:]
+    kernels = {ch: (ch, terms[:t * size].reshape(batch, t, d * d), ch._width_tables(d))
+               for ch, t in counts.items()}
+    steps = [kernels.get(ch, (ch, None, None)) for ch in channels]
+    for layer_ops, (channel, stack, tables) in zip(
+            _layer_ops(circ, thetas, range(circ.depth), 2, scratch), steps):
         for ops in layer_ops:
             rho = _apply_ops(rho, ops, spare)
-        if channel is not None:
-            rho = _apply_layer_channel(rho, channel, terms)
+        if tables is not None:
+            rho = channel._every_qubit(rho, rho, stack, tables)
+        elif channel is not None:
+            rho = channel.apply(rho)
     return DensityMatrix(rho[0]) if np.ndim(theta) == 1 else rho
 
 

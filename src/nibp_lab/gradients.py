@@ -85,7 +85,9 @@ def psr_gradient(
     one location), from one evolution of the B plus-shifted and one of the
     B minus-shifted angle vectors, each reduced to its B costs by one
     batched ``cost``; both (B, d, d) stacks are live at once, so
-    ``gradient_stats`` passes rows in bounded blocks.
+    ``gradient_stats`` passes rows in bounded blocks.  An empty stack, or
+    a list of locations or Hamiltonians of another length than the
+    stack, is refused before anything is evolved.
     """
     thetas = circ.angle_rows(theta)
     if location and isinstance(location[0], (int, np.integer)):
@@ -95,6 +97,8 @@ def psr_gradient(
     index = {loc: _shift_parameter(circ, loc) for loc in dict.fromkeys(location)}
     if isinstance(H, Hamiltonian):
         H = [H] * len(thetas)
+    elif len(H) != len(thetas):
+        raise ValueError(f"{len(H)} Hamiltonians for {len(thetas)} angle rows")
     plus, minus = _shifted_pair(thetas, [index[loc] for loc in location], np.pi / 2)
     cp = cost(H, evolve(circ, plus, noise))
     cm = cost(H, evolve(circ, minus, noise))

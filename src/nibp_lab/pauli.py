@@ -65,8 +65,17 @@ def _pauli_matrix(letters: str) -> np.ndarray:
     return mat
 
 
-_FLIPS = str.maketrans("IXYZ", "0110")  # the letters that flip their qubit's bit
-_SIGNS = str.maketrans("IXYZ", "0011")  # the letters that negate a set bit's row
+def _letter_table(letters: str) -> np.ndarray:
+    """1 at the ASCII code of each of ``letters``, 0 at every other byte."""
+    table = np.zeros(256, dtype=np.int64)
+    table[[ord(ch) for ch in letters]] = 1
+    return table
+
+
+_FLIPS = _letter_table("XY")  # the letters that flip their qubit's bit
+_SIGNS = _letter_table("YZ")  # the letters that negate a set bit's row
+_YS = _letter_table("Y")  # the letters that add a factor -i
+_Y_PHASES = np.array([1, -1j, -1, 1j])  # (-i)^k, k the Y count mod 4
 
 
 def pauli_rows(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -74,16 +83,19 @@ def pauli_rows(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     (flips, phases): row i of string t's matrix holds phases[t, i] at
     column i ^ flips[t] (qubit 0 the most significant bit).  X and Y flip
     their qubit's bit; Y and Z negate the rows whose bit on their qubit is
-    set; each Y adds a factor -i."""
-    flips = np.array([int(s.translate(_FLIPS), 2) for s in strings])
-    signed = np.array([int(s.translate(_SIGNS), 2) for s in strings])
+    set; each Y adds a factor -i.  The letters are read once, as one
+    (strings, n) array of their byte codes, and each of the three tables
+    is read off it."""
     n = len(strings[0])
+    codes = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8).reshape(-1, n)
+    weights = 2 ** np.arange(n - 1, -1, -1)
+    flips, signed = _FLIPS[codes] @ weights, _SIGNS[codes] @ weights
     set_bits = np.arange(2**n) & signed[:, None]
     # bit 0 of the XOR of every shift is the parity of the set bits
     parity = np.zeros_like(set_bits)
     for k in range(n):
         parity ^= set_bits >> k
-    ys = np.array([(1, -1j, -1, 1j)[s.count("Y") % 4] for s in strings])
+    ys = _Y_PHASES[_YS[codes].sum(axis=1) % 4]
     return flips, np.where(parity & 1, -1.0, 1.0) * ys[:, None]
 
 

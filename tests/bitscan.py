@@ -1,14 +1,28 @@
-"""Hash the outputs of 300 seeded random circuits into one sha256.
+"""Hash the outputs of 390 seeded circuits into one sha256.
 
 Run it on two source trees at the same seed; equal hashes mean the
-simulator's outputs are bit for bit the same on both:
+simulator's outputs are bit for bit the same on both.  On one tree:
 
     PYTHONPATH=src python3 tests/bitscan.py 3
 
-Each circuit has n = 1..4 qubits and L = 1..3 layers.  Its gates cover
-every run kind: weight-1 rotations (columns), CNOTs, rotations of higher
-weight, rotations with control noise, fixed unitaries and random-unitary
-mixtures.  Its noise is none, a named channel on every qubit, a
+On two trees at once, each scanned in a subprocess of its own: it prints
+both hashes and exits with status 1 when they differ.
+
+    python3 tests/bitscan.py 3 path/to/old/src src
+
+The first 300 circuits are random: n = 1..4 qubits and L = 1..3 layers,
+their gates covering every run kind: weight-1 rotations (columns), CNOTs,
+rotations of higher weight, rotations with control noise, fixed unitaries
+and random-unitary mixtures.  The last 90 are deep: n = 2..4 (half of
+them 4) and L = 8..12, every layer but up to two a rotation column on
+every qubit with the CNOT chain after it, so the first columns of
+consecutive layers render together in stretches, which the default
+budget splits at n = 4 for three rows (at 6 to 10 layers, by the noise)
+and at n = 3 for the gate maps (from 4 layers): about 20 of the 90 for
+each.  The other layers break a stretch (a fixed gate or
+CNOT first, a column on other qubits, a column without its chain) or
+ride in one (a mixture after the chain).
+Every circuit's noise is none, a named channel on every qubit, a
 full-register channel, or a per-layer tuple with gaps.  The hash covers
 ``evolve`` (one row and three), ``psr_gradient``, ``layer_unitary`` of
 every layer, ``layer_affine_maps``, every fixed gate's matrix after those
@@ -19,9 +33,28 @@ collect this file.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
 import sys
 
 import numpy as np
+
+
+def compare(seed: str, trees: list[str]) -> int:
+    """Scan each source tree in a subprocess; print both hashes; 1 if they differ."""
+    hashes = []
+    for tree in trees:
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
+        out = subprocess.run([sys.executable, __file__, seed], env=env, check=True,
+                             stdout=subprocess.PIPE, text=True).stdout.strip()
+        hashes.append(out)
+        print(f"{out}  {tree}")
+    return int(len(set(hashes)) != 1)
+
+
+if __name__ == "__main__" and len(sys.argv) == 4:
+    # the two-tree mode imports no simulator of its own
+    sys.exit(compare(sys.argv[1], sys.argv[2:]))
 
 from nibp_lab.channels import named_channel, tensor_channel
 from nibp_lab.circuits import (
@@ -38,6 +71,7 @@ from nibp_lab.gradients import psr_gradient
 from nibp_lab.hamiltonians import Hamiltonian
 
 CASES = 300
+DEEP_CASES = 90
 NAMED = ("depolarizing", "amplitude_damping", "bit_flip", "phase_flip", "flip_then_damp")
 GATE_KINDS = ("rotation", "rotation", "rotation", "cnot", "cnot", "wide", "perturbed",
               "fixed", "mixture")
@@ -54,8 +88,9 @@ def _unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (r.diagonal() / np.abs(r.diagonal()))
 
 
-def _gate(rng: np.random.Generator, n: int) -> Gate:
-    kind = rng.choice([k for k in GATE_KINDS if n > 1 or k not in ("cnot", "wide")])
+def _gate(rng: np.random.Generator, n: int, kind: str | None = None) -> Gate:
+    if kind is None:
+        kind = rng.choice([k for k in GATE_KINDS if n > 1 or k not in ("cnot", "wide")])
     if kind == "rotation":
         return Gate(generator=_letters(rng, n, 1))
     if kind == "cnot":
@@ -74,6 +109,27 @@ def _gate(rng: np.random.Generator, n: int) -> Gate:
     probs[0] = 1.0 - probs[1:].sum()
     generators = tuple(_letters(rng, n, 1) for _ in range(k))
     return Gate(mixture=RandomUnitaryNoise(tuple(probs.tolist()), generators, 0))
+
+
+def _deep_layer(rng: np.random.Generator, n: int, odd: bool) -> tuple[Gate, ...]:
+    """A rotation column on every qubit with the open CNOT chain after it,
+    or, if ``odd``, a layer that breaks a stretch or rides in one."""
+    kind = rng.choice(["fixed", "cnot", "other", "unchained", "mixture"]) if odd else "chain"
+    qubits = range(1, n) if kind == "other" else range(n)
+    layer = [Gate(generator=_letters_on(rng, n, q)) for q in qubits]
+    if kind != "unchained":
+        layer += [Gate(cnot=(q, q + 1)) for q in range(n - 1)]
+    if kind == "fixed":
+        layer.insert(0, Gate(matrix=_unitary(rng, 2**n)))
+    elif kind == "cnot":
+        layer.insert(0, Gate(cnot=(n - 1, 0)))
+    elif kind == "mixture":
+        layer.append(_gate(rng, n, "mixture"))
+    return tuple(layer)
+
+
+def _letters_on(rng: np.random.Generator, n: int, qubit: int) -> str:
+    return "".join(rng.choice(list("XYZ")) if q == qubit else "I" for q in range(n))
 
 
 def _channel(rng: np.random.Generator):
@@ -120,9 +176,14 @@ class Digest:
 
 def scan_case(digest: Digest, seed: int, case: int) -> None:
     rng = np.random.default_rng([seed, case])
-    n, depth = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-    layers = tuple(tuple(_gate(rng, n) for _ in range(int(rng.integers(1, 2 * n + 2))))
-                   for _ in range(depth))
+    if case < CASES:
+        n, depth = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        layers = tuple(tuple(_gate(rng, n) for _ in range(int(rng.integers(1, 2 * n + 2))))
+                       for _ in range(depth))
+    else:
+        n, depth = int(rng.choice([2, 3, 4, 4])), int(rng.integers(8, 13))
+        odd = rng.choice(depth, size=int(rng.integers(0, 3)), replace=False).tolist()
+        layers = tuple(_deep_layer(rng, n, layer in odd) for layer in range(depth))
     circ = Circuit(n=n, layers=layers)
     noise = _noise(rng, n, depth)
     thetas = rng.uniform(0, 2 * np.pi, size=(3, circ.num_parameters))
@@ -143,9 +204,9 @@ def scan_case(digest: Digest, seed: int, case: int) -> None:
 
 def main(argv: list[str]) -> None:
     if len(argv) != 2:
-        raise SystemExit(f"usage: {argv[0]} SEED")
+        raise SystemExit(f"usage: {argv[0]} SEED [SRC_A SRC_B]")
     digest = Digest()
-    for case in range(CASES):
+    for case in range(CASES + DEEP_CASES):
         scan_case(digest, int(argv[1]), case)
     print(digest.sha.hexdigest())
 

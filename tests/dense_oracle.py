@@ -13,7 +13,11 @@ own, rendering its rotation columns with ``column`` as the layer is
 reached, where the simulator renders every column of the circuit in one
 call before the first layer; ``evolve`` allocates every product anew and
 applies the layer noise by ``layer_channel``, where the simulator writes
-each layer into stacks it holds for the whole call."""
+each layer into stacks it holds for the whole call, and renders each
+layer's first column on its own, where the simulator renders the first
+columns of a stretch of layers in one call.  ``pauli_rows`` parses each
+string's letters in Python, string by string, where the simulator reads
+one array of byte codes through lookup tables."""
 
 from functools import lru_cache
 
@@ -22,6 +26,25 @@ import numpy as np
 from nibp_lab import circuits
 from nibp_lab.channels import _apply_kraus, transfer_matrix, unitary_channel
 from nibp_lab.pauli import DensityMatrix, pauli_strings_by_weight
+
+_FLIPS = str.maketrans("IXYZ", "0110")  # the letters that flip their qubit's bit
+_SIGNS = str.maketrans("IXYZ", "0011")  # the letters that negate a set bit's row
+
+
+def pauli_rows(strings):
+    """``pauli.pauli_rows`` string by string: (flips, phases), row i of
+    string t's matrix holding phases[t, i] at column i ^ flips[t]."""
+    flips = np.array([int(s.translate(_FLIPS), 2) for s in strings])
+    signed = np.array([int(s.translate(_SIGNS), 2) for s in strings])
+    n = len(strings[0])
+    set_bits = np.arange(2**n) & signed[:, None]
+    # bit 0 of the XOR of every shift is the parity of the set bits
+    parity = np.zeros_like(set_bits)
+    for k in range(n):
+        parity ^= set_bits >> k
+    ys = np.array([(1, -1j, -1, 1j)[s.count("Y") % 4] for s in strings])
+    return flips, np.where(parity & 1, -1.0, 1.0) * ys[:, None]
+
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex

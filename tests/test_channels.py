@@ -11,7 +11,6 @@ from helpers import (
     random_unitary_matrix,
 )
 
-from nibp_lab import circuits
 from nibp_lab.channels import (
     AffineRep,
     KrausChannel,
@@ -270,14 +269,12 @@ def test_kraus_channel_keeps_read_only_copies():
 
 
 def _flipped_qubits(a: np.ndarray) -> int:
-    """The number of qubits ``_apply_layer_channel`` puts a one-qubit
+    """The number of qubits ``apply_to_every_qubit`` puts a one-qubit
     channel on, for a state of a's shape: the channel flips its qubit, so
     entry (0, 0) of the result is the state's entry at the row and column
     with every such bit set."""
     state = np.arange(a.size, dtype=complex).reshape(a.shape)
-    channel = bit_flip(0.0)
-    out = circuits._apply_layer_channel(state, channel,
-                                        np.empty(channel._term_count * a.size, dtype=complex))
+    out = bit_flip(0.0).apply_to_every_qubit(state)
     return bin(int(out[0, 0].real) // len(a)).count("1")
 
 
@@ -298,7 +295,7 @@ MATRIX_READERS = {
     "qubit_count": lambda a: qubit_count(a.shape),
     "DensityMatrix": lambda a: DensityMatrix(a).n,
     "KrausChannel": lambda a: KrausChannel((a,)).n,
-    "_apply_layer_channel": _flipped_qubits,
+    "apply_to_every_qubit": _flipped_qubits,
     "cost": _cost_width,
 }
 # each reader of a qubit count off a (4^n - 1,) coherence vector

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import dense_oracle
 from helpers import cost_from_coherence, maximally_mixed, random_density_matrix
 
 from nibp_lab.hamiltonians import (
@@ -190,6 +191,18 @@ def test_pauli_rows_are_the_one_nonzero_of_each_row(monkeypatch):
             mat = np.zeros((2**n, 2**n), dtype=complex)
             mat[rows, rows ^ flip] = phase
             assert np.array_equal(mat, _pauli_matrix(letters)), letters
+
+
+def test_pauli_rows_equal_the_string_by_string_parse_word_for_word():
+    # every letter at every qubit, Y included, and each Y count mod 4
+    rng = np.random.default_rng(73)
+    for n in range(1, 9):
+        strings = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(40)]
+        strings += ["Y" * k + "I" * (n - k) for k in range(1, n + 1)]
+        got, want = pauli_rows(strings), dense_oracle.pauli_rows(strings)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), n
 
 
 def test_matrix_scatter_equals_the_dense_sum():

@@ -22,6 +22,7 @@ passes or fails the same way each time.
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -178,9 +179,9 @@ def test_evolve_matches_evolve_on_term_by_term_oracle_bit_for_bit(name, n):
     thetas = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(2, circ.num_parameters))
     got = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
     with pytest.MonkeyPatch.context() as mp:
-        # evolve calls the kernel with the output and term stacks it holds
+        # evolve calls the kernel with the output, term stack and tables it holds
         mp.setattr(KrausChannel, "_every_qubit",
-                   lambda ch, state, out, terms: every_qubit_kernel(ch, state))
+                   lambda ch, state, out, stack, tables: every_qubit_kernel(ch, state))
         want = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
     for a, b in zip(got, want):
         assert np.array_equal(_bits(a), _bits(b))
@@ -214,7 +215,7 @@ def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
         total = channels._flat_index(MAX_QUBITS).nbytes + sum(a.nbytes for t in tables for a in t)
         assert total < 40 * 2**20, name
         flat = named_channel(name, 0.3)._width_tables(channels.FLAT_MAX_DIM)
-        assert all(a.shape[1] == channels.FLAT_MAX_DIM**2 for t in flat for a in t)
+        assert all(a.shape[-1] == channels.FLAT_MAX_DIM**2 for t in flat for a in t)
         assert sum(a.nbytes for t in flat for a in t) < 40 * 2**20, name
 
 
@@ -477,6 +478,140 @@ def test_column_kernel_equals_the_gather_per_qubit_oracle_word_for_word(case):
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
+# the layer kinds of ``_stretch_circuits``: a rotation column on every
+# qubit with the CNOT chain after it (one stretch however its letters
+# differ), and the layers that break a stretch or ride in it
+STRETCH_LAYERS = ("chain", "chain", "chain", "mixture", "fixed_first", "cnot_first",
+                  "other_qubits", "reversed", "unchained")
+
+
+@st.composite
+def _stretch_circuits(draw):
+    """An n = 2 or 3 qubit circuit of 2..8 layers, most of them a column
+    of X/Y/Z rotations on every qubit followed by the open CNOT chain, so
+    consecutive ones make a stretch, and its noise.  A stretch is broken by
+    a layer that starts with a fixed gate or a CNOT, by a column on other
+    qubits or in another order, or by one without its chain; a layer that
+    ends in a mixture stays in it (and layer_gate_maps skips it).  The
+    noise is none, one channel on every qubit, a full-register channel,
+    or a per-layer tuple with gaps that mixes both."""
+    n = draw(st.integers(2, 3))
+    kinds = draw(st.lists(st.sampled_from(STRETCH_LAYERS), min_size=2, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    layers = []
+    for kind in kinds:
+        qubits = list(range(n))
+        if kind == "other_qubits":
+            qubits = qubits[1:]
+        elif kind == "reversed":
+            qubits = qubits[::-1]
+        column = [Gate(generator="".join(draw(st.sampled_from("XYZ")) if q == r else "I"
+                                         for q in range(n))) for r in qubits]
+        chain = [] if kind == "unchained" else [Gate(cnot=(q, q + 1)) for q in range(n - 1)]
+        layer = column + chain
+        if kind == "mixture":
+            layer.append(Gate(mixture=RandomUnitaryNoise(
+                probs=(0.8, 0.2), generators=("Y" + "I" * (n - 1), "Z" * n), intended=0)))
+        elif kind == "fixed_first":
+            layer.insert(0, Gate(matrix=random_unitary_matrix(2**n, rng)))
+        elif kind == "cnot_first":
+            layer.insert(0, Gate(cnot=(n - 1, 0)))
+        layers.append(tuple(layer))
+    circ = circuits.Circuit(n=n, layers=tuple(layers))
+    one, full = named_channel("amplitude_damping", 0.3), random_channel(n, rng)
+    noise = draw(st.sampled_from((
+        NoiseSpec(), NoiseSpec.uniform(named_channel("depolarizing", 0.2)),
+        NoiseSpec.uniform(full),
+        NoiseSpec(tuple((None, one, full)[layer % 3] for layer in range(circ.depth))))))
+    return circ, noise
+
+
+@settings(SETTINGS, max_examples=60)
+@given(case=_stretch_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_stretches_split_at_any_depth_give_the_bits_of_the_unsplit_render(case, seed):
+    # the budget patched so every stretch renders k layers at a time (k =
+    # 1, 2, 3) or all at once: evolve of one and of three rows and the gate
+    # maps of the mixture-free layers keep every bit, and the unsplit
+    # evolve matches the layer-by-layer oracle
+    circ, noise = case
+    n, d = circ.n, 2**circ.n
+    thetas = np.random.default_rng(seed).uniform(0, 2 * np.pi, (3, circ.num_parameters))
+    unitary = [layer for layer in range(circ.depth)
+               if not any(gate.mixture for gate in circ.layers[layer])]
+    # evolve counts its spare and the term stack of its widest one-qubit
+    # entry against the budget too
+    terms = max((ch._term_count for ch in noise.per_layer(circ) if ch is not None and ch.n < n),
+                default=0)
+    views = (  # bytes of a layer's outer product, bytes held beside them, layers, the view
+        (16 * d * d, 16 * (1 + terms) * d * d, range(circ.depth),
+         lambda: evolve(circ, thetas[0], noise).data),
+        (48 * d * d, 48 * (1 + terms) * d * d, range(circ.depth),
+         lambda: evolve(circ, thetas, noise)),
+        (8 * 16**n, 0, unitary,
+         lambda: np.array(list(circuits.layer_gate_maps(circ, thetas[0], unitary)))),
+    )
+    kernel = circuits._column
+
+    def longest(layers):
+        """The most of ``layers`` in a row that follow each other in one stretch."""
+        best = run = 0
+        for i, layer in enumerate(layers):
+            stretch = circ.stretches[layer]
+            follows = i > 0 and layers[i - 1] == layer - 1 and circ.stretches[layer - 1] is stretch
+            run = 0 if stretch is None else run + 1 if follows else 1
+            best = max(best, run)
+        return best
+
+    def render(k):
+        out = []
+        for layer, held, layers, view in views:
+            depths = []
+
+            def column(factors, index, scale, into):
+                # a stretch's render has a leading layer axis before the
+                # angle rows: (k, B, m, 2, 2) in evolve, (k, m, 4, 4) for maps
+                if factors.ndim == (5 if factors.shape[-1] == 2 else 4):
+                    depths.append(len(factors))
+                return kernel(factors, index, scale, into)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(circuits, "STRETCH_BYTES", held + k * layer)
+                mp.setattr(circuits, "_column", column)
+                out.append(view())
+            assert max(depths, default=0) == min(k, longest(list(layers))), (k, depths)
+        return out
+
+    want = render(circ.depth)
+    assert want[1].tobytes() == dense_oracle.evolve(circ, thetas, noise).tobytes()
+    for k in (1, 2, 3):
+        for got, expected in zip(render(k), want):
+            assert got.tobytes() == expected.tobytes(), k
+
+
+def test_a_circuit_groups_its_layers_into_stretches_when_it_is_built():
+    # consecutive layers whose first run is a column on the same qubits
+    # with the same chain share one stretch, whatever their letters; a
+    # fixed gate or CNOT first, other qubits, another order, or no chain
+    # starts a new one or none
+    n = 3
+    chain = tuple(Gate(cnot=(q, q + 1)) for q in range(n - 1))
+
+    def column(letters, qubits=range(n)):
+        return tuple(Gate(generator="".join(ch if q == r else "I" for q in range(n)))
+                     for r, ch in zip(qubits, letters))
+    circ = circuits.Circuit(n=n, layers=(
+        column("YYY") + chain, column("XZY") + chain,
+        (Gate(cnot=(2, 0)),) + column("YYY") + chain,
+        column("YYY") + chain, column("YY", (2, 1)) + chain,
+        column("YYY"), column("ZZZ") + chain,
+    ))
+    firsts = [None if s is None else s[0] for s in circ.stretches]
+    assert firsts == [0, 0, None, 3, 4, 5, 6]
+    assert circ.stretches[0] is circ.stretches[1]
+    assert circ.stretches[0][1].tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert circ.stretches[4][1].tolist() == [[12, 13]]
+    assert not circ.stretches[0][1].flags.writeable
+
+
 def test_column_indexes_are_built_once_per_key_and_stay_small():
     n, chain = 3, ((0, 1), (1, 2))
     circ = build_two_local(n, 4)
@@ -648,6 +783,32 @@ def test_evolve_rejects_bad_angle_shapes():
             evolve(circ, np.zeros(shape), NoiseSpec())
 
 
+def test_an_empty_angle_stack_is_refused_and_named():
+    # before, a (0, P) stack met a bare "cannot reshape array of size 0"
+    # in the noise kernel, from evolve and from psr_gradient alike
+    circ = build_two_local(2, 2)
+    noise = NoiseSpec.named("amplitude_damping", 0.3)
+    H = random_two_local(2, 1)
+    for call in (lambda t: evolve(circ, t, noise),
+                 lambda t: psr_gradient(circ, t, noise, H, (0, 0)),
+                 lambda t: psr_gradient(circ, t, noise, [], (0, 0))):
+        with pytest.raises(ValueError, match=re.escape("at least one row of angles, got shape (0, 4)")):
+            call(np.zeros((0, circ.num_parameters)))
+
+
+def test_psr_gradient_refuses_a_hamiltonian_list_before_it_evolves(monkeypatch):
+    # before, cost refused the list only after both shifted stacks were evolved
+    circ = build_two_local(3, 2)
+    noise = NoiseSpec.uniform(named_channel("depolarizing", 0.1))
+    thetas = np.zeros((3, circ.num_parameters))
+    evolved = []
+    monkeypatch.setattr(gradients, "evolve", lambda *args: evolved.append(args))
+    for hs in ([random_two_local(3, 0)] * 2, [random_two_local(3, 0)] * 4):
+        with pytest.raises(ValueError, match=f"{len(hs)} Hamiltonians for 3 angle rows"):
+            psr_gradient(circ, thetas, noise, hs, (0, 0))
+    assert evolved == []
+
+
 def test_batched_psr_gradient_locations():
     circ = build_two_local(3, 4)
     noise = NoiseSpec.uniform(named_channel("amplitude_damping", 0.2))
@@ -697,7 +858,7 @@ def test_psr_gradient_refuses_per_row_hamiltonians_that_do_not_fit():
     noise = NoiseSpec.uniform(named_channel("depolarizing", 0.1))
     thetas = np.zeros((3, circ.num_parameters))
     hs = [random_two_local(3, k) for k in range(3)]
-    with pytest.raises(ValueError, match="2 Hamiltonians for 3 states"):
+    with pytest.raises(ValueError, match="2 Hamiltonians for 3 angle rows"):
         psr_gradient(circ, thetas, noise, hs[:2], (0, 0))
     # a Hamiltonian of the wrong width is refused as cost refuses it
     narrow = random_two_local(2, 0)
