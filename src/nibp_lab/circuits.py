@@ -12,7 +12,9 @@ A circuit groups each layer's gates into runs once, when it is built
 (``Circuit.runs``): a column of weight-1 rotations on distinct qubits, a
 run of CNOTs, a mixture, and single other gates.  The layer's first run,
 when it is a column, takes the CNOTs right after it as its
-``Column.chain``.  Every layer view reads those runs (one layer's through
+``Column.chain``.  A layer object the circuit passes more than once is
+grouped once; its repeats take those runs with their parameters numbered
+on.  Every layer view reads those runs (one layer's through
 ``Circuit.layer_runs``, which refuses a layer the circuit lacks).
 
 One walker (``_layer_ops``) composes a layer's runs for both views: in
@@ -275,21 +277,36 @@ class Circuit:
         n = self.n
         index: dict[Location, int] = {}
         runs, chars, params, spans = [], "", [], []
+        # each distinct layer object is checked and grouped once (for this
+        # call only); a repeat of it (build_two_local passes one layer tuple
+        # L times) takes the first copy's runs, its parameters numbered on
+        # from the parameters before it
+        grouped: dict[int, tuple[list[int], int, tuple[Run, ...]]] = {}
         for layer, gates in enumerate(self.layers):
-            for slot, g in enumerate(gates):
-                if g.is_parameterized:
-                    for letters in g.mixture.generators if g.mixture else (g.generator,):
-                        check_pauli(letters, n)
+            if id(gates) in grouped:
+                slots, start, first = grouped[id(gates)]
+                shift = len(index) - start
+                for slot in slots:
                     index[(layer, slot)] = len(index)
-                elif g.cnot is not None:
-                    c, t = g.cnot
-                    if c == t or not {c, t} <= set(range(n)):
+                runs.append(_shift_runs(first, shift))
+            else:
+                start, slots = len(index), []
+                for slot, g in enumerate(gates):
+                    if g.is_parameterized:
+                        for letters in g.mixture.generators if g.mixture else (g.generator,):
+                            check_pauli(letters, n)
+                        index[(layer, slot)] = len(index)
+                        slots.append(slot)
+                    elif g.cnot is not None:
+                        c, t = g.cnot
+                        if c == t or not {c, t} <= set(range(n)):
+                            raise DimensionMismatchError(
+                                f"CNOT pair {g.cnot} is not two distinct qubits of {n}")
+                    elif g.matrix.shape != (2**n, 2**n):
                         raise DimensionMismatchError(
-                            f"CNOT pair {g.cnot} is not two distinct qubits of {n}")
-                elif g.matrix.shape != (2**n, 2**n):
-                    raise DimensionMismatchError(
-                        f"fixed gate of shape {g.matrix.shape} on {n} qubits")
-            runs.append(_group_runs(gates, layer, index))
+                            f"fixed gate of shape {g.matrix.shape} on {n} qubits")
+                runs.append(_group_runs(gates, layer, index))
+                grouped[id(gates)] = (slots, start, runs[-1])
             layer_spans = []
             for kind, run in runs[-1]:
                 if kind == "column":
@@ -305,8 +322,9 @@ class Circuit:
             if key is None:
                 stretches += [None] * len(group)
                 continue
-            positions = np.array([np.arange(spans[layer][0].start, spans[layer][0].stop)
-                                  for layer in group], dtype=np.intp)
+            # the layers of a stretch share their first column's qubits
+            starts = np.array([spans[layer][0].start for layer in group], dtype=np.intp)
+            positions = starts[:, None] + np.arange(len(key[0]), dtype=np.intp)
             positions.setflags(write=False)
             stretches += [(group[0], positions)] * len(group)
         object.__setattr__(self, "parameter_index", MappingProxyType(index))
@@ -452,6 +470,18 @@ def _group_runs(
         else:
             runs.append(("gate", (index, gate)))
     return tuple(runs)
+
+
+def _shift_runs(runs: tuple[Run, ...], shift: int) -> tuple[Run, ...]:
+    """``runs`` with every parameter index moved on by ``shift``."""
+    out: list[Run] = []
+    for kind, run in runs:
+        if kind == "column":
+            run = Column(run.qubits, run.letters, tuple(p + shift for p in run.params), run.chain)
+        elif kind != "cnots" and run[0] is not None:
+            run = (run[0] + shift, run[1])
+        out.append((kind, run))
+    return tuple(out)
 
 
 def _head_key(runs: tuple[Run, ...]) -> tuple | None:

@@ -128,7 +128,7 @@ def cmd_channel(cfg: dict, out: Path, force: bool) -> None:
 def cmd_grad_scan(cfg: dict, out: Path, force: bool) -> None:
     v = read_config(cfg, _GRAD_SCAN)
     n, depth, noise_type, p = v["n"], v["L"], v["noise_type"], v["p"]
-    config_noise(noise_type, p)  # an unknown noise_type fails before any work
+    noise = config_noise(noise_type, p)  # an unknown noise_type fails before any work
     locations = None  # the default locations, which repeat (1, 0) at L=2
     if "locations" in cfg:
         raw = cfg["locations"]
@@ -147,8 +147,7 @@ def cmd_grad_scan(cfg: dict, out: Path, force: bool) -> None:
             raise ConfigError("locations", "sweep lists no locations")
         if len(set(locations)) < len(locations):
             raise ConfigError("locations", f"lists a location twice: {locations}")
-    stats = sweep_stats(n, depth, noise_type, p, locations, v["instances"],
-                        v["thetas"], v["seed"])
+    stats = sweep_stats(n, depth, noise, locations, v["instances"], v["thetas"], v["seed"])
     rows = grad_rows(n, depth, noise_type, p, stats, v["seed"])
     write_csv(ExperimentResult(GRAD_COLUMNS[:-1], tuple(rows)), out / "grad_scan.csv", force)
 

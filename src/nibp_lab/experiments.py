@@ -171,24 +171,18 @@ def named_layer_channel(noise: NoiseSpec) -> KrausChannel:
     return noise.layer_channels or identity_channel()
 
 
-def _channel_r(noise_type: str, p: float) -> float:
-    """||M|| of the single-qubit layer channel (1 up to rounding without
-    noise)."""
-    return affine_rep(named_layer_channel(NoiseSpec.named(noise_type, p))).operator_norm()
-
-
-def sweep_stats(n: int, L: int, noise_type: str, p: float,
+def sweep_stats(n: int, L: int, noise: NoiseSpec,
                 locations: Sequence[Location] | None, instances: int, thetas: int,
                 seed: int) -> dict[Location, GradientStats]:
-    """``gradient_stats`` of the n-qubit, L-layer two-local ansatz under the
-    named noise at the given locations (None: ``default_locations``)."""
+    """``gradient_stats`` of the n-qubit, L-layer two-local ansatz under
+    ``noise`` at the given locations (None: ``default_locations``)."""
     circ = build_two_local(n, L)
     if locations is None:
         locations = default_locations(circ)
     return gradient_stats(
         SweepSpec(
             circuit=circ,
-            noise=NoiseSpec.named(noise_type, p),
+            noise=noise,
             locations=tuple(locations),
             num_hamiltonians=instances,
             thetas_per_hamiltonian=thetas,
@@ -213,14 +207,17 @@ GRAD_COLUMNS = (
 
 
 def _cells(cfg: ExperimentConfig, ns, Ls, ps, noise_types=None):
-    """Yield the (noise_type, n, L, p) cells of a sweep in row order (noise
-    types as given, then n, L, p ascending) and log one INFO line as each
-    cell finishes."""
-    grid = list(itertools.product(
-        noise_types or (cfg.noise_type,), sorted(ns), sorted(Ls), sorted(ps)))
+    """Yield the (noise_type, n, L, p, noise) cells of a sweep in row order
+    (noise types as given, then n, L, p ascending) and log one INFO line as
+    each cell finishes.  ``noise`` is the ``NoiseSpec.named`` spec of the
+    cell's (noise_type, p), built once per run and shared by its cells, so
+    each channel builds its kernel tables once."""
+    noise_types = noise_types or (cfg.noise_type,)
+    noises = {(nt, p): NoiseSpec.named(nt, p) for nt in dict.fromkeys(noise_types) for p in ps}
+    grid = list(itertools.product(noise_types, sorted(ns), sorted(Ls), sorted(ps)))
     for i, cell in enumerate(grid, start=1):
         start = time.perf_counter()
-        yield cell
+        yield cell + (noises[cell[0], cell[3]],)
         log.info("%s: cell %d/%d done (noise_type=%s n=%d L=%d p=%r) in %.2f s",
                  cfg.preset, i, len(grid), *cell, time.perf_counter() - start)
 
@@ -228,12 +225,14 @@ def _cells(cfg: ExperimentConfig, ns, Ls, ps, noise_types=None):
 def _grad_sweep(cfg: ExperimentConfig, Ls, ps) -> ExperimentResult:
     """Gradient statistics at the default locations of each (L, p) cell,
     with the cell's ||h|| r^L depth bound: the largest ||h|| the cell drew,
-    and r built once per p."""
-    rows = []
-    rs = {p: _channel_r(cfg.noise_type, p) for p in ps}
-    for noise_type, n, L, p in _cells(cfg, cfg.n_list[:1], Ls, ps):
+    and r = ||M|| read once per p off the affine map of the cell's layer
+    channel (1 up to rounding without noise)."""
+    rows, rs = [], {}
+    for noise_type, n, L, p, noise in _cells(cfg, cfg.n_list[:1], Ls, ps):
         seed = _cell_seed(cfg.seed, n, L, p)
-        stats = sweep_stats(n, L, noise_type, p, None, cfg.instances, cfg.thetas, seed)
+        stats = sweep_stats(n, L, noise, None, cfg.instances, cfg.thetas, seed)
+        if p not in rs:
+            rs[p] = affine_rep(named_layer_channel(noise)).operator_norm()
         r = rs[p]
         hmax = max(next(iter(stats.values())).h_norms)
         # the identity channel gives r = 1 - 2e-16: not contracting, no bound
@@ -274,8 +273,7 @@ def run_final_cost(cfg: ExperimentConfig) -> ExperimentResult:
     n = cfg.n_list[0]
     L = cfg.L_list[0]
     rows = []
-    for *_, p in _cells(cfg, (n,), (L,), cfg.p_list):
-        noise = NoiseSpec.named(cfg.noise_type, p)
+    for *_, p, noise in _cells(cfg, (n,), (L,), cfg.p_list):
         for i in range(cfg.instances):
             seed = _subseed(cfg.seed, n, _p_key(p), i)
             H, trace = train_cell(n, L, noise, cfg.maxiter, seed)
@@ -296,9 +294,9 @@ def run_width_scaling(cfg: ExperimentConfig) -> ExperimentResult:
     L = cfg.L_list[0]
     loc = (L - 1, 0)
     rows = []
-    for noise_type, n, _, _ in _cells(cfg, cfg.n_list, (L,), (p,)):
+    for noise_type, n, _, _, noise in _cells(cfg, cfg.n_list, (L,), (p,)):
         seed = _cell_seed(cfg.seed, n, L, p)
-        s = sweep_stats(n, L, noise_type, p, (loc,), cfg.instances, cfg.thetas, seed)[loc]
+        s = sweep_stats(n, L, noise, (loc,), cfg.instances, cfg.thetas, seed)[loc]
         mean_h = np.mean(s.h_norms)
         reference = float(mean_h / math.sqrt((n * n + n) / 2))
         rows.append(
@@ -320,11 +318,11 @@ def run_trainability(cfg: ExperimentConfig) -> ExperimentResult:
     L = cfg.L_list[0]
     rows = []
     noise_types = (cfg.noise_type, "depolarizing")
-    for noise_type, n, _, _ in _cells(cfg, cfg.n_list, (L,), (p,), noise_types):
+    for noise_type, n, _, _, noise in _cells(cfg, cfg.n_list, (L,), (p,), noise_types):
         distances = sorted({0, math.ceil(math.log2(n)), L // 2})
         locations = [(L - 1 - dist, 0) for dist in distances]
         seed = _cell_seed(cfg.seed, n, L, p)
-        stats = sweep_stats(n, L, noise_type, p, locations, cfg.instances, cfg.thetas, seed)
+        stats = sweep_stats(n, L, noise, locations, cfg.instances, cfg.thetas, seed)
         for dist, loc in zip(distances, locations):
             s = stats[loc]
             rows.append(

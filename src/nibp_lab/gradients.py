@@ -33,7 +33,14 @@ from .circuits import (
     _rotation,
     evolve,
 )
-from .hamiltonians import Hamiltonian, cost, h_norm, h_vector, random_two_local
+from .hamiltonians import (
+    Hamiltonian,
+    check_widths,
+    cost,
+    h_norm,
+    h_vector,
+    random_two_local,
+)
 from .pauli import _pauli_matrix, to_coherence
 
 FD_STEP = 1e-5  # fd_gradient's step; the 1e-8 tolerances against the shift rule assume it
@@ -87,7 +94,8 @@ def psr_gradient(
     batched ``cost``; both (B, d, d) stacks are live at once, so
     ``gradient_stats`` passes rows in bounded blocks.  An empty stack, or
     a list of locations or Hamiltonians of another length than the
-    stack, is refused before anything is evolved.
+    stack, or a Hamiltonian of another width than the circuit, is refused
+    before anything is evolved.
     """
     thetas = circ.angle_rows(theta)
     if location and isinstance(location[0], (int, np.integer)):
@@ -99,6 +107,7 @@ def psr_gradient(
         H = [H] * len(thetas)
     elif len(H) != len(thetas):
         raise ValueError(f"{len(H)} Hamiltonians for {len(thetas)} angle rows")
+    check_widths(H, circ.n)
     plus, minus = _shifted_pair(thetas, [index[loc] for loc in location], np.pi / 2)
     cp = cost(H, evolve(circ, plus, noise))
     cm = cost(H, evolve(circ, minus, noise))

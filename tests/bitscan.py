@@ -1,4 +1,5 @@
-"""Hash the outputs of 390 seeded circuits into one sha256.
+"""Hash the outputs of 390 seeded circuits, and of the parts of a depth
+sweep, into one sha256.
 
 Run it on two source trees at the same seed; equal hashes mean the
 simulator's outputs are bit for bit the same on both.  On one tree:
@@ -26,7 +27,11 @@ Every circuit's noise is none, a named channel on every qubit, a
 full-register channel, or a per-layer tuple with gaps.  The hash covers
 ``evolve`` (one row and three), ``psr_gradient``, ``layer_unitary`` of
 every layer, ``layer_affine_maps``, every fixed gate's matrix after those
-calls, and the type and message of every refusal.  pytest does not
+calls, and the type and message of every refusal.  Then it hashes what a
+depth sweep builds: 15 ``random_two_local`` draws (n = 2..6; their terms,
+h0, matrix and ground energy), the plans of ``build_two_local`` at n = 2,
+3, 5 and L = 1, 2, 6, 24 (parameter numbers, runs, column plan and
+stretches), and the CSV of one small ``layers_sweep``.  pytest does not
 collect this file.
 """
 
@@ -36,6 +41,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -62,13 +69,15 @@ from nibp_lab.circuits import (
     Gate,
     NoiseSpec,
     RandomUnitaryNoise,
+    build_two_local,
     evolve,
     layer_unitary,
     perturbed_gate,
 )
 from nibp_lab.bounds import layer_affine_maps
+from nibp_lab.experiments import ExperimentConfig, run_experiment, write_csv
 from nibp_lab.gradients import psr_gradient
-from nibp_lab.hamiltonians import Hamiltonian
+from nibp_lab.hamiltonians import Hamiltonian, random_two_local
 
 CASES = 300
 DEEP_CASES = 90
@@ -202,12 +211,39 @@ def scan_case(digest: Digest, seed: int, case: int) -> None:
                 digest.array(g.matrix)
 
 
+def scan_sweep(digest: Digest, seed: int) -> None:
+    """The draws, circuit plans and one CSV of a depth sweep."""
+    for n in range(2, 7):
+        for k in range(3):
+            H = random_two_local(n, np.random.default_rng([seed, n, k]))
+            digest.sha.update(repr([s for s, _ in H.terms]).encode())
+            digest.array(np.array([c for _, c in H.terms] + [H.h0]))
+            digest.array(H.matrix())
+            digest.array(np.float64(H.ground_energy()))
+    for n in (2, 3, 5):
+        for depth in (1, 2, 6, 24):
+            circ = build_two_local(n, depth)
+            letters, params, spans = circ.columns
+            digest.sha.update(repr((sorted(circ.parameter_index.items()), circ.runs,
+                                    letters, spans)).encode())
+            digest.array(params)
+            for stretch in circ.stretches:
+                digest.sha.update(repr(None if stretch is None else stretch[0]).encode())
+                if stretch is not None:
+                    digest.array(stretch[1])
+    cfg = ExperimentConfig(preset="layers_sweep", n_list=(2,), L_list=(2, 5), p_list=(0.2,),
+                           noise_type="amplitude_damping", instances=2, thetas=2, seed=seed)
+    with tempfile.TemporaryDirectory() as out:
+        digest.sha.update(write_csv(run_experiment(cfg), Path(out) / "sweep.csv").read_bytes())
+
+
 def main(argv: list[str]) -> None:
     if len(argv) != 2:
         raise SystemExit(f"usage: {argv[0]} SEED [SRC_A SRC_B]")
     digest = Digest()
     for case in range(CASES + DEEP_CASES):
         scan_case(digest, int(argv[1]), case)
+    scan_sweep(digest, int(argv[1]))
     print(digest.sha.hexdigest())
 
 

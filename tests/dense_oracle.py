@@ -17,13 +17,17 @@ each layer into stacks it holds for the whole call, and renders each
 layer's first column on its own, where the simulator renders the first
 columns of a stretch of layers in one call.  ``pauli_rows`` parses each
 string's letters in Python, string by string, where the simulator reads
-one array of byte codes through lookup tables."""
+one array of byte codes through lookup tables.  ``random_two_local``
+builds the drawn, the shifted and the final Hamiltonian in turn, each
+from the strings built afresh, where the simulator builds the strings
+and where they scatter once per width and no shifted Hamiltonian."""
 
 from functools import lru_cache
 
 import numpy as np
 
 from nibp_lab import circuits
+from nibp_lab.hamiltonians import Hamiltonian, two_local_strings
 from nibp_lab.channels import _apply_kraus, transfer_matrix, unitary_channel
 from nibp_lab.pauli import DensityMatrix, pauli_strings_by_weight
 
@@ -44,6 +48,20 @@ def pauli_rows(strings):
         parity ^= set_bits >> k
     ys = np.array([(1, -1j, -1, 1j)[s.count("Y") % 4] for s in strings])
     return flips, np.where(parity & 1, -1.0, 1.0) * ys[:, None]
+
+
+def random_two_local(n, seed):
+    """``hamiltonians.random_two_local`` as three Hamiltonians: the drawn
+    one, the one with its ground energy shifted into h0, and that one
+    rescaled by its Hilbert-Schmidt norm."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    strings = two_local_strings(n)
+    coeffs = rng.uniform(0.0, 1.0, size=len(strings))
+    h = Hamiltonian(n=n, terms=tuple(zip(strings, coeffs)), h0=0.0)
+    shifted = Hamiltonian(n=n, terms=h.terms, h0=-h.ground_energy() * np.sqrt(2**n))
+    scale = shifted.hs_norm()
+    return Hamiltonian(n=n, terms=tuple((s, c / scale) for s, c in shifted.terms),
+                       h0=shifted.h0 / scale)
 
 
 CNOT = np.array(

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nibp_lab import circuits
 from nibp_lab.bounds import nibp_bound
 from nibp_lab.channels import affine_rep
 from nibp_lab.circuits import NoiseSpec
@@ -140,6 +141,27 @@ def test_run_experiment_logs_one_line_per_cell(preset, kw, cells, caplog, tmp_pa
         f"{preset}: cell {i}/{cells}" for i in range(1, cells + 1)]
     assert logged.read_bytes() == quiet.read_bytes()
     assert logging.getLogger(logger).handlers == []
+
+
+@pytest.mark.parametrize("preset, kw, built", [
+    ("layers_sweep", {"L_list": (2, 3, 4)}, 1),
+    ("noise_sweep", {"L_list": (3,), "p_list": (0.1, 0.4)}, 2),
+    ("final_cost", {"L_list": (2,), "p_list": (0.1, 0.4)}, 2),
+    ("width_scaling", {"n_list": (2, 3), "L_list": (2,)}, 1),
+    ("trainability", {"n_list": (2, 3), "L_list": (4,), "noise_type": "amplitude_damping"}, 2),
+    ("trainability", {"n_list": (2, 3), "L_list": (4,)}, 1),
+])
+def test_a_run_builds_one_channel_per_noise_type_and_p(preset, kw, built, monkeypatch):
+    # the cells of one (noise_type, p) share one spec, so its channel builds
+    # its kernel tables once a run; before, every cell built its own
+    # channel, and the depth bound's r one more
+    cfg = _small_cfg(preset, **{"instances": 1, "thetas": 1, "maxiter": 2, **kw})
+    calls = []
+    named_channel = circuits.named_channel
+    monkeypatch.setattr(circuits, "named_channel",
+                        lambda *args: calls.append(args) or named_channel(*args))
+    run_experiment(cfg)
+    assert len(calls) == len(set(calls)) == built
 
 
 def test_noise_sweep_rows():

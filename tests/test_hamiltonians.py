@@ -37,6 +37,37 @@ def test_hamiltonian_refuses_a_string_listed_twice():
         Hamiltonian(n=1, terms=(("X", 1.0), ("X", 2.0)))
 
 
+def test_hamiltonian_refuses_a_coefficient_that_is_not_finite():
+    # a NaN coefficient was accepted, and h_norm and every cost came out NaN
+    with pytest.raises(ValueError, match="coefficient of 'XI' is nan, not finite"):
+        Hamiltonian(n=2, terms=(("XI", float("nan")),))
+    with pytest.raises(ValueError, match="coefficient of 'ZZ' is -inf"):
+        Hamiltonian(n=2, terms=(("XI", 1.0), ("ZZ", -np.inf)))
+    with pytest.raises(ValueError, match="h0 is inf"):
+        Hamiltonian(n=2, terms=(("XI", 1.0),), h0=np.inf)
+    # a bad string is named before a bad coefficient
+    with pytest.raises(ValueError, match="'XQ'"):
+        Hamiltonian(n=2, terms=(("XI", np.nan), ("XQ", 1.0)))
+
+
+def test_each_refusal_names_the_first_bad_string_in_term_order():
+    # the strings are checked together; a fault is named as the
+    # string-by-string check names it, the first bad string first
+    with pytest.raises(ValueError, match="'ZZ' is listed twice"):
+        Hamiltonian(n=2, terms=(("ZZ", 1.0), ("XI", 1.0), ("ZZ", 1.0), ("II", 1.0)))
+    with pytest.raises(ValueError, match="identity component"):
+        Hamiltonian(n=2, terms=(("XI", 1.0), ("II", 1.0), ("XI", 1.0)))
+    with pytest.raises(DimensionMismatchError, match="'XZZ'"):
+        Hamiltonian(n=2, terms=(("XI", 1.0), ("XZZ", 1.0), ("Q", 1.0)))
+    with pytest.raises(ValueError, match="invalid Pauli letters: 'xI'"):
+        Hamiltonian(n=2, terms=(("XI", 1.0), ("xI", 1.0)))
+    for bad in ("", None, "XÏ"):
+        with pytest.raises(ValueError, match="invalid Pauli letters"):
+            Hamiltonian(n=2, terms=(("XI", 1.0), (bad, 1.0)))
+    with pytest.raises(ValueError, match="invalid Pauli letters: ''"):
+        Hamiltonian(n=0, terms=(("", 1.0),))
+
+
 def test_identity_component_carries_trace():
     H = Hamiltonian(n=2, terms=(), h0=2.0)
     assert abs(H.trace() - 4.0) < 1e-14
@@ -79,6 +110,29 @@ def test_random_two_local_invariants():
         assert abs(H.hs_norm() - 1.0) < 1e-10
         assert abs(H.ground_energy()) < 1e-10
         assert all("Y" not in s for s, _ in H.terms)
+
+
+def test_random_two_local_equals_the_three_hamiltonian_form_word_for_word():
+    # the draw reads its strings and their scatter once per width and
+    # builds no shifted Hamiltonian; every value stays bit for bit
+    for n in range(2, 9):
+        for seed in (n, 100 + n):
+            got, want = random_two_local(n, seed), dense_oracle.random_two_local(n, seed)
+            assert [s for s, _ in got.terms] == [s for s, _ in want.terms]
+            assert np.array([c for _, c in got.terms]).tobytes() == np.array(
+                [c for _, c in want.terms]).tobytes()
+            assert np.float64(got.h0).tobytes() == np.float64(want.h0).tobytes()
+            assert got.matrix().tobytes() == want.matrix().tobytes()
+            assert got.ground_energy() == want.ground_energy()
+            assert got.hs_norm() == want.hs_norm()
+
+
+def test_cost_refuses_one_hamiltonian_for_a_stack():
+    H = random_two_local(2, 0)
+    states = np.stack([np.eye(4, dtype=complex) / 4] * 2)
+    with pytest.raises(TypeError, match="takes a list of 2 Hamiltonians"):
+        cost(H, states)
+    np.testing.assert_array_equal(cost([H, H], states), [cost(H, DensityMatrix(s)) for s in states])
 
 
 def test_random_two_local_determinism():

@@ -13,8 +13,9 @@ carry against a fresh transfer-matrix build, the gate maps built from
 local Pauli transfer matrices against the dense superoperator route, the
 CNOT signed permutations against their transfer matrices, the column
 kernel word for word against the gather-per-qubit kernel it replaced
-(``dense_oracle.column``), and the batched gradient sweep against one
-shift-rule call per sample.
+(``dense_oracle.column``), the batched gradient sweep against one
+shift-rule call per sample, and the plan of a circuit that passes one
+layer object several times against the plan of per-layer copies.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -24,6 +25,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -612,6 +614,104 @@ def test_a_circuit_groups_its_layers_into_stretches_when_it_is_built():
     assert not circ.stretches[0][1].flags.writeable
 
 
+REPEAT_LAYERS = ("chain", "chain", "mixture", "fixed", "perturbed", "cnot_first", "bad")
+
+
+def _bad_gates(n):
+    """Gates a Circuit of n qubits refuses, each with its own message."""
+    return (Gate(cnot=(0, 0)), Gate(cnot=(0, n)), Gate(matrix=np.eye(2**n + 1)),
+            Gate(generator="Y" * (n + 1)),
+            Gate(mixture=RandomUnitaryNoise((1.0,), ("X" * (n + 1),), 0)))
+
+
+@st.composite
+def _repeated_layers(draw):
+    """(n, distinct, order): up to three distinct layer objects of an n = 2
+    or 3 qubit circuit, and the order (1..8 layers, with repeats) in which
+    a circuit passes them.  A layer is a column of X/Y/Z rotations on every
+    qubit with the open CNOT chain after it, changed by a mixture, a fixed
+    gate or a rotation under control noise at any slot, a CNOT first, or a
+    gate the circuit refuses."""
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    distinct = []
+    for kind in draw(st.lists(st.sampled_from(REPEAT_LAYERS), min_size=1, max_size=3)):
+        layer = [Gate(generator="".join(draw(st.sampled_from("XYZ")) if q == r else "I"
+                                        for q in range(n))) for r in range(n)]
+        layer += [Gate(cnot=(q, q + 1)) for q in range(n - 1)]
+        if kind == "cnot_first":
+            layer.insert(0, Gate(cnot=(n - 1, 0)))
+        elif kind != "chain":
+            if kind == "mixture":
+                gate = Gate(mixture=RandomUnitaryNoise(
+                    probs=(0.8, 0.2), generators=("Y" + "I" * (n - 1), "Z" * n), intended=0))
+            elif kind == "fixed":
+                gate = Gate(matrix=random_unitary_matrix(2**n, rng))
+            elif kind == "perturbed":
+                gate = circuits.perturbed_gate(Gate(generator="I" * (n - 1) + "X"),
+                                               {"Z" * n: 0.05})
+            else:
+                gate = draw(st.sampled_from(_bad_gates(n)))
+            layer.insert(draw(st.integers(0, len(layer))), gate)
+        distinct.append(tuple(layer))
+    order = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    return n, distinct, order
+
+
+def _circuit_or_refusal(n, layers):
+    try:
+        return circuits.Circuit(n=n, layers=layers)
+    except ValueError as exc:
+        return exc
+
+
+def _assert_same_plan(a, b):
+    """Two circuits whose parameter numbers, runs, column plan and
+    stretches are equal."""
+    assert dict(a.parameter_index) == dict(b.parameter_index)
+    assert a.runs == b.runs
+    (chars_a, params_a, spans_a), (chars_b, params_b, spans_b) = a.columns, b.columns
+    assert chars_a == chars_b and spans_a == spans_b
+    assert params_a.dtype == params_b.dtype and params_a.tobytes() == params_b.tobytes()
+    assert not params_a.flags.writeable
+    assert len(a.stretches) == len(b.stretches)
+    for x, y in zip(a.stretches, b.stretches):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x[0] == y[0] and x[1].dtype == y[1].dtype
+            assert x[1].shape == y[1].shape and x[1].tobytes() == y[1].tobytes()
+            assert not x[1].flags.writeable
+
+
+@settings(SETTINGS, max_examples=80)
+@given(_repeated_layers())
+def test_a_repeated_layer_object_is_grouped_as_its_copies_are(case):
+    # the circuit groups each distinct layer object once; a repeat must
+    # get the plan that a copy of it, grouped afresh, gets
+    n, distinct, order = case
+    shared = tuple(distinct[i] for i in order)
+    copies = tuple(tuple(replace(g) for g in distinct[i]) for i in order)
+    a, b = _circuit_or_refusal(n, shared), _circuit_or_refusal(n, copies)
+    if isinstance(b, Exception):
+        assert type(a) is type(b) and str(a) == str(b)
+        return
+    _assert_same_plan(a, b)
+    thetas = np.random.default_rng(len(order)).uniform(0, 2 * np.pi, (2, a.num_parameters))
+    for noise in (NoiseSpec(), NoiseSpec.uniform(named_channel("amplitude_damping", 0.2))):
+        assert evolve(a, thetas, noise).tobytes() == evolve(b, thetas, noise).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("depth", [1, 2, 6, 24])
+def test_build_two_local_plans_as_per_layer_copies_do(n, depth):
+    circ = build_two_local(n, depth)
+    assert len({id(layer) for layer in circ.layers}) == 1
+    copies = tuple(tuple(replace(g) for g in layer) for layer in circ.layers)
+    _assert_same_plan(circ, circuits.Circuit(n=n, layers=copies))
+    assert [circ.parameter((layer, q)) for layer in range(depth) for q in range(n)] == list(
+        range(n * depth))
+
+
 def test_column_indexes_are_built_once_per_key_and_stay_small():
     n, chain = 3, ((0, 1), (1, 2))
     circ = build_two_local(n, 4)
@@ -806,6 +906,20 @@ def test_psr_gradient_refuses_a_hamiltonian_list_before_it_evolves(monkeypatch):
     for hs in ([random_two_local(3, 0)] * 2, [random_two_local(3, 0)] * 4):
         with pytest.raises(ValueError, match=f"{len(hs)} Hamiltonians for 3 angle rows"):
             psr_gradient(circ, thetas, noise, hs, (0, 0))
+    assert evolved == []
+
+
+def test_psr_gradient_refuses_a_hamiltonian_of_another_width_before_it_evolves(monkeypatch):
+    # before, cost refused it only after both shifted stacks were evolved
+    circ = build_two_local(3, 2)
+    noise = NoiseSpec.uniform(named_channel("depolarizing", 0.1))
+    thetas = np.zeros((3, circ.num_parameters))
+    evolved = []
+    monkeypatch.setattr(gradients, "evolve", lambda *args: evolved.append(args))
+    wide, narrow = random_two_local(3, 0), random_two_local(2, 0)
+    for H in (narrow, [wide, narrow, wide]):
+        with pytest.raises(DimensionMismatchError, match="H has n=2, state n=3"):
+            psr_gradient(circ, thetas, noise, H, (0, 0))
     assert evolved == []
 
 
