@@ -53,8 +53,8 @@ class KrausChannel:
 
     The channel keeps read-only copies of the operators it is given, so
     later edits of the caller's arrays cannot reach it (or its cached
-    per-qubit terms, tables, register channels and affine map).  Channels
-    compare and hash by identity.
+    per-qubit terms, tables, register channels, transfer matrix and affine
+    map).  Channels compare and hash by identity.
     """
 
     kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
@@ -216,6 +216,15 @@ class KrausChannel:
         return self._registers[n]
 
     @cached_property
+    def _transfer(self) -> np.ndarray:
+        """This channel's ``transfer_matrix``, read-only, built on first use:
+        the affine map's source, and a 1-qubit channel's 4 x 4 map (order
+        I, X, Y, Z) on the Pauli components of each qubit."""
+        t = transfer_matrix(self)
+        t.setflags(write=False)
+        return t
+
+    @cached_property
     def _affine(self) -> AffineRep:
         """The map ``affine_rep`` returns, built on first use."""
         check_affine_size(self.n)
@@ -224,11 +233,10 @@ class KrausChannel:
             raise InvalidChannelError(
                 f"not trace preserving (residual {report.tp_residual:.2e})"
             )
-        t = transfer_matrix(self)
+        t = self._transfer
         m = t[1:, 1:]
         c = t[1:, 0] / np.sqrt(2**self.n)
-        for arr in (m, c):
-            arr.setflags(write=False)
+        c.setflags(write=False)
         return AffineRep(m, c)
 
 

@@ -32,6 +32,14 @@ up to a byte budget (``STRETCH_BYTES``).  A CNOT is its (control, target)
 pair; a CNOT run is one cached signed permutation (``_cnot_perm``) of the
 basis states or the Pauli strings, composed from one two-digit table
 (``_cnot_table``) read off the 4 x 4 CNOT.
+
+From ``ENGINE_MIN_QUBITS`` qubits on, ``evolve`` runs a circuit of rotation
+columns and CNOT runs under one-qubit layer noise on the real vector of
+Pauli components instead (``_pauli_evolve``): a column is one 4 x 4 map per
+qubit with the noise before it multiplied in, a CNOT run one signed
+permutation of the 4^n strings (``_pauli_cnot_perm``), and the final
+components go back to density matrices in one pass
+(``pauli._density_from_paulis``).  Every other call takes the dense path.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ from .pauli import (
     MAX_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
+    _density_from_paulis,
+    _mask_tables,
     _pauli_matrix,
     check_pauli,
     hamming_weight,
@@ -64,6 +74,10 @@ from .pauli import (
 )
 
 CONTROL_NOISE_NORM_CAP = 0.2
+# the width from which ``evolve`` runs a circuit of rotation columns and
+# CNOT runs on Pauli components: below it every output is pinned bit for
+# bit to the density-matrix path
+ENGINE_MIN_QUBITS = 5
 # the most bytes a stretch render's outer products (or evolve's block,
 # with them) take: below glibc's 128 KiB mmap threshold, over which the
 # allocator maps and unmaps an array on many calls and its pages fault
@@ -602,21 +616,43 @@ def _cnot_perm(
     chain: tuple[tuple[int, int], ...], n: int, base: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The CNOTs ``chain`` ((control, target) in gate order) as a signed
-    permutation of ``_digits(n, base)``: their product applied to A is
-    ``sign[:, None] * A[..., rows, :]``.  Element rows[i] is element i with
-    the digit pair of each CNOT mapped by ``_cnot_table``, last gate first,
-    and sign[i] the product of the signs met on the way."""
-    digits = _digits(n, base)
+    permutation of ``_digits(n, base)`` (``_signed_perm``)."""
+    return _signed_perm(chain, _digits(n, base), base)
+
+
+@lru_cache(maxsize=8)
+def _pauli_cnot_perm(chain: tuple[tuple[int, int], ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CNOTs ``chain`` as a signed permutation of the 4^n Pauli strings
+    in natural order (``_signed_perm``), for the Pauli-component path of
+    ``evolve``.  At ``MAX_QUBITS`` an entry takes 4 MiB, so the 8 cached
+    stay below 33 MiB.  The digits of the strings take a byte each: as
+    int64 they would be 19 MiB at ``MAX_QUBITS``."""
+    digits = np.empty((n, 4**n), dtype=np.int8)
+    for q in range(n):
+        digits[q] = np.arange(4**n) // 4 ** (n - 1 - q) % 4
+    return _signed_perm(chain, digits, 4)
+
+
+def _signed_perm(
+    chain: tuple[tuple[int, int], ...], digits: np.ndarray, base: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CNOTs ``chain`` as a read-only signed permutation (rows, sign)
+    of the elements whose digits are the columns of ``digits``: their
+    product applied to A is ``sign[:, None] * A[..., rows, :]``.  Element
+    rows[i] is element i with the digit pair of each CNOT mapped by
+    ``_cnot_table``, last gate first, and sign[i] the product of the signs
+    met on the way."""
+    n = len(digits)
     pair, flip = _cnot_table(base)
     moved, sign = digits.copy(), np.ones(digits.shape[1])
     for c, t in reversed(chain):
         two = base * moved[c] + moved[t]
         sign *= flip[two]
         moved[c], moved[t] = np.divmod(pair[two], base)
-    weights = base ** np.arange(n - 1, -1, -1)
+    shape = (base,) * n
     position = np.zeros(base**n, dtype=np.intp)
-    position[weights @ digits] = np.arange(digits.shape[1])
-    rows = position[weights @ moved]
+    position[np.ravel_multi_index(tuple(digits), shape)] = np.arange(digits.shape[1])
+    rows = position[np.ravel_multi_index(tuple(moved), shape)]
     for arr in (rows, sign):
         arr.setflags(write=False)
     return rows, sign
@@ -764,8 +800,29 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
     ``theta`` of shape (P,) gives the final DensityMatrix; shape (B, P)
     evolves B copies of |0...0>, one per row, and gives the (B, d, d)
     stack of final states.  Row b of the stack is bit for bit the state
-    evolved from ``theta[b]`` alone.  Each layer's operators are built
-    (``_layer_ops``) just before they are applied.
+    evolved from ``theta[b]`` alone.
+
+    From ``ENGINE_MIN_QUBITS`` qubits on, a circuit of rotation columns and
+    CNOT runs under one-qubit layer noise (or none) runs on Pauli
+    components (``_pauli_evolve``); every other call, and every call below
+    that width, runs on density matrices (``_dense_evolve``).
+    """
+    thetas = circ.angle_rows(theta)
+    channels = noise.per_layer(circ)
+    if circ.n >= ENGINE_MIN_QUBITS and _pauli_path(circ, channels):
+        rho = _pauli_evolve(circ, thetas, channels)
+    else:
+        rho = _dense_evolve(circ, thetas, channels)
+    return DensityMatrix(rho[0]) if np.ndim(theta) == 1 else rho
+
+
+def _dense_evolve(
+    circ: Circuit, thetas: np.ndarray, channels: tuple[KrausChannel | None, ...]
+) -> np.ndarray:
+    """``evolve`` of a (B, P) angle stack on density matrices, under the
+    layer entries ``channels`` (``NoiseSpec.per_layer``): its (B, d, d)
+    final states.  Each layer's operators are built (``_layer_ops``) just
+    before they are applied.
 
     A call sets up once, for all its layers, what depends only on the
     circuit and its noise: the stretch depth k (``_stretch_depth``, which
@@ -783,8 +840,6 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
     next call instead of returning it to the system and faulting it back
     in.
     """
-    thetas = circ.angle_rows(theta)
-    channels = noise.per_layer(circ)
     rho = np.repeat(_ground_state(circ.n)[None], len(thetas), axis=0)
     (batch, d, _), size = rho.shape, rho.size
     # a one-qubit entry goes on every qubit through the kernel behind
@@ -808,7 +863,96 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
             rho = channel._every_qubit(rho, rho, stack, tables)
         elif channel is not None:
             rho = channel.apply(rho)
-    return DensityMatrix(rho[0]) if np.ndim(theta) == 1 else rho
+    return rho
+
+
+def _pauli_path(circ: Circuit, channels: tuple[KrausChannel | None, ...]) -> bool:
+    """Whether ``_pauli_evolve`` runs the circuit under ``channels``: its
+    runs are rotation columns and CNOT runs only, and every layer entry is
+    None or a one-qubit channel."""
+    return (all(kind in ("column", "cnots") for runs in circ.runs for kind, _ in runs)
+            and all(ch is None or ch.n == 1 for ch in channels))
+
+
+def _pauli_evolve(
+    circ: Circuit, thetas: np.ndarray, channels: tuple[KrausChannel | None, ...]
+) -> np.ndarray:
+    """``evolve`` of a (B, P) angle stack on the real (B, 4^n) stack of
+    Pauli components x_s = Tr(P_s rho), strings in natural order
+    (``pauli._density_from_paulis``), from |0...0>, whose components are
+    (1, 0, 0, 1) on every qubit: its (B, d, d) final states.
+
+    One ``_rotation_ptm`` call renders the 4 x 4 maps of every rotation
+    column of the circuit before the first layer (``Circuit.columns``).
+    A column is one map per qubit (``_qubit_maps``), a CNOT run, or a
+    column's chain, one signed permutation of the strings
+    (``_pauli_cnot_perm``).  A layer's one-qubit noise is its channel's
+    4 x 4 transfer matrix T on every qubit, put on with the next layer's
+    first run: multiplied into the map of each qubit of that run when it
+    is a column (R T, so the noise comes first), alone on every other
+    qubit.  The last layer's noise goes on after it.  The state is turned
+    back into density matrices once, at the end.
+    """
+    n, batch = circ.n, len(thetas)
+    letters, params, spans = circ.columns
+    if letters:
+        stack = _rotation_ptm(letters, thetas[:, params])
+    # one block holds the state, its spare and the conversion's scratch,
+    # freed in one piece (see _dense_evolve)
+    size = batch * 4**n
+    block = np.empty(6 * size)
+    x, spare = block[:size].reshape(batch, -1), block[size:2 * size].reshape(batch, -1)
+    x[:] = 0.0
+    # the strings of X-mask 0 (I and Z letters only) have component 1
+    x[:, _mask_tables(n).strings[0]] = 1.0
+    noise = None  # the transfer matrix of the noise after the layer before
+    for layer, channel in enumerate(channels):
+        columns = iter(spans[layer])
+        for kind, run in circ.layer_runs(layer):
+            maps = [noise] * n
+            if kind == "column":
+                factors = stack[:, next(columns)]
+                if noise is not None:
+                    factors = factors @ noise
+                for k, q in enumerate(run.qubits):
+                    maps[q] = factors[:, k]
+            x, spare = _qubit_maps(x, spare, maps)
+            chain = run.chain if kind == "column" else run
+            if chain:
+                rows, sign = _pauli_cnot_perm(chain, n)
+                # every index is in range: "clip" only skips the bounds check
+                x.take(rows, axis=1, out=spare, mode="clip")
+                np.multiply(spare, sign, out=spare)
+                x, spare = spare, x
+            noise = None
+        # a layer without gates leaves the noise before it still to go on
+        x, spare = _qubit_maps(x, spare, [noise] * n)
+        noise = None if channel is None else channel._transfer
+    x, _ = _qubit_maps(x, spare, [noise] * n)
+    return _density_from_paulis(x, block[2 * size:])
+
+
+def _qubit_maps(
+    x: np.ndarray, spare: np.ndarray, maps: list[np.ndarray | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``maps`` on its qubit of the (B, 4^n) Pauli components
+    ``x``, qubit 0 first: maps[q] is None (nothing), one 4 x 4 map, or a
+    (B, 4, 4) stack of one per row.  Each map is one ``matmul`` batched
+    over rows (and over the qubits before q), written into the other of x
+    and ``spare``; returns the pair (result, the other)."""
+    batch, n = len(x), len(maps)
+    for q, m in enumerate(maps):
+        if m is None:
+            continue
+        if q < n - 1:
+            inner = 4 ** (n - 1 - q)
+            np.matmul(m[..., None, :, :], x.reshape(batch, -1, 4, inner),
+                      out=spare.reshape(batch, -1, 4, inner))
+        else:
+            # the last qubit has no axis after it: a right multiply by m^T
+            np.matmul(x.reshape(batch, -1, 4), m.swapaxes(-1, -2), out=spare.reshape(batch, -1, 4))
+        x, spare = spare, x
+    return x, spare
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,11 @@ class ExperimentConfig:
         if len(set(map(_p_key, self.p_list))) < len(self.p_list):
             raise ConfigError("p", f"{self.p_list} holds two values that round to one "
                                    "multiple of 1e-4, so their cells would share a seed")
+        # a preset runs only the first value of a list it does not sweep
+        for key in PRESETS[self.preset].single:
+            values = getattr(self, self.FIELDS[key])
+            if len(values) > 1:
+                raise ConfigError(key, f"{self.preset} runs one value, not {values}")
         # trainability reads gradients up to ceil(log2 n) layers before the last
         deepest = max(math.ceil(math.log2(n)) for n in self.n_list)
         if self.preset == "trainability" and min(self.L_list) <= deepest:
@@ -208,12 +213,12 @@ GRAD_COLUMNS = (
 
 def _cells(cfg: ExperimentConfig, ns, Ls, ps, noise_types=None):
     """Yield the (noise_type, n, L, p, noise) cells of a sweep in row order
-    (noise types as given, then n, L, p ascending) and log one INFO line as
-    each cell finishes.  ``noise`` is the ``NoiseSpec.named`` spec of the
-    cell's (noise_type, p), built once per run and shared by its cells, so
-    each channel builds its kernel tables once."""
-    noise_types = noise_types or (cfg.noise_type,)
-    noises = {(nt, p): NoiseSpec.named(nt, p) for nt in dict.fromkeys(noise_types) for p in ps}
+    (noise types as given, each once, then n, L, p ascending) and log one
+    INFO line as each cell finishes.  ``noise`` is the ``NoiseSpec.named``
+    spec of the cell's (noise_type, p), built once per run and shared by
+    its cells, so each channel builds its kernel tables once."""
+    noise_types = tuple(dict.fromkeys(noise_types or (cfg.noise_type,)))
+    noises = {(nt, p): NoiseSpec.named(nt, p) for nt in noise_types for p in ps}
     grid = list(itertools.product(noise_types, sorted(ns), sorted(Ls), sorted(ps)))
     for i, cell in enumerate(grid, start=1):
         start = time.perf_counter()
@@ -222,13 +227,15 @@ def _cells(cfg: ExperimentConfig, ns, Ls, ps, noise_types=None):
                  cfg.preset, i, len(grid), *cell, time.perf_counter() - start)
 
 
-def _grad_sweep(cfg: ExperimentConfig, Ls, ps) -> ExperimentResult:
-    """Gradient statistics at the default locations of each (L, p) cell,
-    with the cell's ||h|| r^L depth bound: the largest ||h|| the cell drew,
-    and r = ||M|| read once per p off the affine map of the cell's layer
-    channel (1 up to rounding without noise)."""
+def run_grad_sweep(cfg: ExperimentConfig) -> ExperimentResult:
+    """Gradient statistics at the default locations of each (L, p) cell:
+    vs depth at one noise strength (``layers_sweep``) or vs noise strength
+    at one depth (``noise_sweep``).  Each row carries the cell's ||h|| r^L
+    depth bound: the largest ||h|| the cell drew, and r = ||M|| read once
+    per p off the affine map of the cell's layer channel (1 up to rounding
+    without noise)."""
     rows, rs = [], {}
-    for noise_type, n, L, p, noise in _cells(cfg, cfg.n_list[:1], Ls, ps):
+    for noise_type, n, L, p, noise in _cells(cfg, cfg.n_list, cfg.L_list, cfg.p_list):
         seed = _cell_seed(cfg.seed, n, L, p)
         stats = sweep_stats(n, L, noise, None, cfg.instances, cfg.thetas, seed)
         if p not in rs:
@@ -240,16 +247,6 @@ def _grad_sweep(cfg: ExperimentConfig, Ls, ps) -> ExperimentResult:
         bound = bounds.nibp_bound(hmax, r, L) if contracting else float("nan")
         rows += [row + (bound,) for row in grad_rows(n, L, noise_type, p, stats, seed)]
     return ExperimentResult(columns=GRAD_COLUMNS, rows=tuple(rows))
-
-
-def run_layers_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """Gradient statistics vs depth at fixed noise strength."""
-    return _grad_sweep(cfg, cfg.L_list, cfg.p_list[:1])
-
-
-def run_noise_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """Gradient statistics vs noise probability at fixed depth."""
-    return _grad_sweep(cfg, cfg.L_list[:1], cfg.p_list)
 
 
 def train_cell(n: int, L: int, noise: NoiseSpec, maxiter: int, seed: int):
@@ -313,7 +310,8 @@ def run_width_scaling(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_trainability(cfg: ExperimentConfig) -> ExperimentResult:
     """Gradient variance vs width at fixed distances from the last layer,
-    for the configured non-unital noise and a depolarizing control."""
+    for the configured non-unital noise and a depolarizing control (one
+    set of cells when the configured noise is depolarizing)."""
     p = cfg.p_list[0]
     L = cfg.L_list[0]
     rows = []
@@ -341,14 +339,15 @@ class Preset(NamedTuple):
     depth: int  # L when the config gives none
     x: str  # the plot axes: CSV columns
     y: str
+    single: tuple[str, ...]  # the config keys it does not sweep: one value each
 
 
 PRESETS = {
-    "layers_sweep": Preset(run_layers_sweep, 20, "L", "mean_abs_grad"),
-    "noise_sweep": Preset(run_noise_sweep, 20, "p", "mean_abs_grad"),
-    "final_cost": Preset(run_final_cost, 5, "p", "final_cost"),
-    "width_scaling": Preset(run_width_scaling, 10, "n", "mean_abs_grad"),
-    "trainability": Preset(run_trainability, 20, "n", "var_grad"),
+    "layers_sweep": Preset(run_grad_sweep, 20, "L", "mean_abs_grad", ("n", "p")),
+    "noise_sweep": Preset(run_grad_sweep, 20, "p", "mean_abs_grad", ("n", "L")),
+    "final_cost": Preset(run_final_cost, 5, "p", "final_cost", ("n", "L")),
+    "width_scaling": Preset(run_width_scaling, 10, "n", "mean_abs_grad", ("L", "p")),
+    "trainability": Preset(run_trainability, 20, "n", "var_grad", ("L", "p")),
 }
 
 

@@ -9,6 +9,15 @@ fixes the qubit count, so no function takes n beside an array.  Basis
 elements are ordered by Hamming weight (number of non-identity letters);
 within a weight class the order is lexicographic in (qubit positions,
 letter) with X < Y < Z.
+
+The maps between a state and its Pauli components read every string by its
+X-mask x and Z-mask z (a bit per qubit, qubit 0 the most significant): X is
+(1, 0), Y (1, 1), Z (0, 1), and P = i^|x&z| X^x Z^z, so P[j^x, j] =
+i^|x&z| (-1)^(z.j).  One product with the +-1 Hadamard matrix per X-mask
+then turns the d entries rho[j, j^x] into the d components of that X-mask,
+or back (Aaronson & Gottesman, arXiv:quant-ph/0406196); ``_mask_tables``
+holds the indexes and phases per n.  The strings are then in natural order:
+letters I, X, Y, Z = 0..3, string s = sum_q letter_q 4^(n-1-q).
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -195,10 +204,98 @@ class DensityMatrix:
         return cls.from_statevector(psi)
 
 
+class _MaskTables(NamedTuple):
+    """The read-only X/Z-mask tables of the 4^n strings of n qubits (see
+    the module docstring), d = 2^n."""
+
+    strings: np.ndarray  # [x, z]: the natural index of the string of X-mask x, Z-mask z
+    real: np.ndarray  # [x, z]: the real part of its phase i^|x&z|, 0 or +-1
+    imag: np.ndarray  # [x, z]: the imaginary part of that phase, 0 or +-1
+    hadamard: np.ndarray  # [j, z]: (-1)^(j.z), a symmetric matrix
+    density: np.ndarray  # [a, b]: (a^b) d + b, where rho[a, b] sits in a flat (x, j) table
+    coherence: np.ndarray  # [x, j]: j d + (j^x), the flat place of rho[j, j^x]
+    hamming: np.ndarray  # [k]: x d + z of the k-th string of pauli_strings_by_weight(n)
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _mask_tables(n: int) -> _MaskTables:
+    """The X/Z-mask tables of n qubits, built once per n: 2^(2n) entries
+    each (14 MiB in all at ``MAX_QUBITS``).
+
+    The Hamming order sorts by weight, then by the qubits that carry a
+    letter, then by those letters.  Among strings of one weight, the first
+    qubit where two sets of lettered qubits differ is in the set that
+    comes first, so that set's mask x|z (qubit 0 the most significant bit)
+    is the larger; on one set the natural index orders the letters."""
+    d = 2**n
+    masks = np.arange(d)
+    bits = (masks[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(np.int8)  # [mask, qubit]
+    # a qubit's letter (I, X, Y, Z = 0..3) from its (x, z) bits
+    letters = np.array([[0, 3], [1, 2]], dtype=np.int8)[bits[:, None], bits[None, :]]
+    strings = np.ravel_multi_index(tuple(np.moveaxis(letters, -1, 0)), (4,) * n)
+    overlap = (bits[:, None] & bits[None, :]).sum(axis=-1, dtype=np.intp)
+    lettered = masks[:, None] | masks
+    weight = (bits[:, None] | bits[None, :]).sum(axis=-1, dtype=np.intp)
+    hamming = ((weight * d + d - 1 - lettered) * d * d + strings).ravel().argsort()
+    real, imag = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
+    tables = _MaskTables(
+        strings=strings,
+        real=real[overlap % 4],
+        imag=imag[overlap % 4],
+        hadamard=1.0 - 2.0 * (overlap % 2),
+        density=(masks[:, None] ^ masks) * d + masks,
+        coherence=masks * d + (masks[:, None] ^ masks),
+        hamming=hamming,
+    )
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _density_from_paulis(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The (B, d, d) stack sum_s x_s P_s / d of a real (B, 4^n) stack of
+    natural-order Pauli components x_s = Tr(P_s rho); ``work`` is a float
+    scratch of 4 B 4^n entries, which the caller holds.
+
+    One gather lays each row out by (X-mask, Z-mask) and the phase tables
+    split it into the parts that the real and the imaginary phases carry;
+    one product with the Hadamard matrix per row and part gives each
+    X-mask's values at j, and one gather per part puts them at rho[j^x, j].
+    The products are batched over rows, so row b is bit for bit that row
+    converted alone."""
+    batch, size = x.shape
+    n = (size.bit_length() - 1) // 2
+    d = 2**n
+    tables = _mask_tables(n)
+    parts, values = work.reshape(2, 2, batch, d, d)
+    # every index is in range: "clip" only skips the bounds check
+    x.take(tables.strings, axis=1, out=parts[0], mode="clip")
+    np.multiply(parts[0], tables.imag, out=parts[1])
+    np.multiply(parts[0], tables.real, out=parts[0])
+    np.matmul(parts, tables.hadamard, out=values)
+    rho = np.empty((batch, d, d), dtype=complex)
+    for part, value, out in zip(parts, values, (rho.real, rho.imag)):
+        value.reshape(batch, d * d).take(tables.density, axis=1, out=part, mode="clip")
+        # 1/d is a power of two: the scaling is exact
+        np.multiply(part, 1.0 / d, out=out)
+    return rho
+
+
 def to_coherence(rho: DensityMatrix) -> np.ndarray:
     """Project a state onto the traceless basis elements: the real (d^2 - 1,)
-    coherence vector v_j = Tr(F_j rho)."""
-    return np.real(np.einsum("jab,ba->j", build_nice_basis(rho.n)[1:], rho.data))
+    coherence vector v_j = Tr(F_j rho), in Hamming order.
+
+    One gather reads R[x, j] = rho[j, j^x]; the product with the Hadamard
+    matrix gives sum_j (-1)^(z.j) R[x, j] at [x, z], whose phase i^|x&z|
+    makes it Tr(P rho) for the string of masks (x, z)."""
+    n, d = rho.n, 2**rho.n
+    tables = _mask_tables(n)
+    r = np.asarray(rho.data, dtype=complex).reshape(d * d).take(tables.coherence)
+    traces = tables.real * (r.real @ tables.hadamard) - tables.imag * (r.imag @ tables.hadamard)
+    # a phase -1 times a zero gives -0.0; adding +0.0 makes every zero +0.0,
+    # as the sum over the dense basis did (the ground state's vector keeps its bits)
+    traces += 0.0
+    return traces.ravel()[tables.hamming[1:]] / np.sqrt(d)
 
 
 def from_coherence(v: np.ndarray) -> DensityMatrix:
@@ -210,7 +307,10 @@ def from_coherence(v: np.ndarray) -> DensityMatrix:
     """
     n = coherence_qubit_count(v.shape)
     d = 2**n
-    data = np.eye(d, dtype=complex) / d + np.tensordot(v, build_nice_basis(n)[1:], axes=1)
+    tables = _mask_tables(n)
+    natural = np.empty((1, d * d))
+    natural[0, tables.strings.ravel()[tables.hamming]] = np.concatenate(([1.0], np.sqrt(d) * v))
+    data = _density_from_paulis(natural, np.empty(4 * natural.size))[0]
     rho = DensityMatrix(data)
     min_eig = float(np.linalg.eigvalsh(data)[0])
     if min_eig < -POSITIVITY_TOL:
@@ -220,4 +320,3 @@ def from_coherence(v: np.ndarray) -> DensityMatrix:
             min_eigenvalue=min_eig,
         )
     return rho
-

@@ -127,7 +127,9 @@ def test_noiseless_rows_have_no_bound(noise_type, p):
     ("noise_sweep", {"L_list": (3,), "p_list": (0.1, 0.4)}, 2),
     ("final_cost", {"L_list": (2,), "p_list": (0.0, 0.4)}, 2),
     ("width_scaling", {"n_list": (2, 3), "L_list": (2,)}, 2),
-    ("trainability", {"n_list": (2, 3), "L_list": (4,)}, 4),
+    # the default depolarizing noise is its own control: one set of cells
+    ("trainability", {"n_list": (2, 3), "L_list": (4,)}, 2),
+    ("trainability", {"n_list": (2, 3), "L_list": (4,), "noise_type": "amplitude_damping"}, 4),
 ])
 def test_run_experiment_logs_one_line_per_cell(preset, kw, cells, caplog, tmp_path):
     cfg = _small_cfg(preset, **kw)
@@ -209,6 +211,53 @@ def test_trainability_rows():
     cols = dict(zip(result.columns, zip(*result.rows)))
     # both the configured noise and the depolarizing control appear
     assert set(cols["noise_type"]) == {"depolarizing"} or len(set(cols["noise_type"])) == 2
+
+
+@pytest.mark.parametrize("noise_type, types", [
+    ("depolarizing", ("depolarizing",)),
+    ("amplitude_damping", ("amplitude_damping", "depolarizing")),
+])
+def test_trainability_writes_each_row_once(noise_type, types):
+    # under the default depolarizing noise the control was the same noise,
+    # and every cell ran twice with the same seed and values
+    cfg = _small_cfg("trainability", n_list=(2, 3), L_list=(4,), noise_type=noise_type,
+                     instances=1, thetas=1)
+    rows = run_experiment(cfg).rows
+    assert len(set(rows)) == len(rows)
+    assert tuple(dict.fromkeys(row[3] for row in rows)) == types
+    # a cell writes one row per suffix distance: 0, 1, 2 at n = 2; 0, 2 at n = 3
+    assert len(rows) == len(types) * (3 + 2)
+
+
+@pytest.mark.parametrize("preset, kw, key", [
+    ("layers_sweep", {"n_list": (2, 3)}, "n"),
+    ("layers_sweep", {"p_list": (0.1, 0.3)}, "p"),
+    ("noise_sweep", {"n_list": (2, 3), "L_list": (2,)}, "n"),
+    ("noise_sweep", {"L_list": (2, 4)}, "L"),
+    ("final_cost", {"n_list": (2, 3), "L_list": (2,)}, "n"),
+    ("final_cost", {"L_list": (2, 4)}, "L"),
+    ("width_scaling", {"L_list": (2, 4)}, "L"),
+    ("width_scaling", {"L_list": (2,), "p_list": (0.1, 0.3)}, "p"),
+    ("trainability", {"L_list": (4, 6)}, "L"),
+    ("trainability", {"L_list": (4,), "p_list": (0.1, 0.3)}, "p"),
+])
+def test_a_preset_refuses_a_second_value_of_a_list_it_does_not_sweep(preset, kw, key):
+    # each preset ran only the first value of such a list and dropped the
+    # rest without a word
+    with pytest.raises(ConfigError) as err:
+        _small_cfg(preset, **kw)
+    assert err.value.key == key
+    assert preset in str(err.value)
+
+
+def test_cli_refuses_a_second_value_of_a_list_the_preset_does_not_sweep(tmp_path, capsys):
+    # this config once exited 0 with rows for n = 2 and p = 0.1 only
+    cfg = {"preset": "layers_sweep", "n": [2, 4], "L": [2], "p": [0.1, 0.3],
+           "instances": 1, "thetas": 1}
+    code, out = _run_cli(tmp_path, "experiment", cfg)
+    assert code == 1
+    assert "config key 'n'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_determinism_and_force(tmp_path):

@@ -11,6 +11,7 @@ from helpers import (
 )
 
 from nibp_lab.pauli import (
+    MAX_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
     InvalidStateError,
@@ -123,6 +124,36 @@ def test_round_trip_random_states():
             rho = random_density_matrix(n, rng)
             back = from_coherence(to_coherence(rho))
             assert np.abs(back.data - rho.data).max() < 1e-12
+
+
+def _basis_coherence(rho):
+    """v_j = Tr(F_j rho) summed over the dense basis, as ``to_coherence``
+    once computed it."""
+    return np.real(np.einsum("jab,ba->j", build_nice_basis(rho.n)[1:], rho.data))
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_coherence_maps_run_at_every_width(n):
+    # both maps once built the (4^n, 2^n, 2^n) basis: 4.3 GB at n = 7
+    rho = random_density_matrix(n, np.random.default_rng(n))
+    d = 2**n
+    v = to_coherence(rho)
+    assert v.shape == (4**n - 1,)
+    assert abs(v @ v - (rho.purity() - 1.0 / d)) < 1e-12
+    back = from_coherence(v).data
+    np.testing.assert_allclose(back, rho.data, rtol=0, atol=1e-12)
+    if n <= 5:
+        np.testing.assert_allclose(v, _basis_coherence(rho), rtol=0, atol=1e-12)
+        want = np.eye(d) / d + np.tensordot(v, build_nice_basis(n)[1:], axes=1)
+        np.testing.assert_allclose(back, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_ground_state_coherence_vector_keeps_its_bits(n):
+    # contractivity_profile starts every bound report from this vector
+    got = to_coherence(DensityMatrix.ground_state(n))
+    want = _basis_coherence(DensityMatrix.ground_state(n))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_from_coherence_plus_state():

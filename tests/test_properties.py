@@ -14,8 +14,11 @@ local Pauli transfer matrices against the dense superoperator route, the
 CNOT signed permutations against their transfer matrices, the column
 kernel word for word against the gather-per-qubit kernel it replaced
 (``dense_oracle.column``), the batched gradient sweep against one
-shift-rule call per sample, and the plan of a circuit that passes one
-layer object several times against the plan of per-layer copies.
+shift-rule call per sample, the plan of a circuit that passes one
+layer object several times against the plan of per-layer copies, and the
+Pauli-component path of ``evolve`` (from ``ENGINE_MIN_QUBITS`` qubits on)
+against the dense oracle within 1e-12, with each call off that path bit
+for bit the dense path.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -176,17 +179,30 @@ def test_qubit_kernel_matches_term_by_term_oracle_bit_for_bit(p, widths, batch, 
 @pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("name", ["depolarizing", "amplitude_damping"])
 def test_evolve_matches_evolve_on_term_by_term_oracle_bit_for_bit(name, n):
+    # the dense path, called directly, keeps its word-for-word check at
+    # every width; from ENGINE_MIN_QUBITS on, evolve runs on Pauli
+    # components and agrees with it within 1e-12
     circ = build_two_local(n, 3)
     noise = NoiseSpec.named(name, 0.3)
+    layer_channels = noise.per_layer(circ)
     thetas = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(2, circ.num_parameters))
-    got = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
+
+    def dense():
+        return [circuits._dense_evolve(circ, rows, layer_channels) for rows in (thetas, thetas[:1])]
+
+    got = dense()
     with pytest.MonkeyPatch.context() as mp:
-        # evolve calls the kernel with the output, term stack and tables it holds
+        # the dense path calls the kernel with the output, term stack and tables it holds
         mp.setattr(KrausChannel, "_every_qubit",
                    lambda ch, state, out, stack, tables: every_qubit_kernel(ch, state))
-        want = [evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data]
+        want = dense()
     for a, b in zip(got, want):
         assert np.array_equal(_bits(a), _bits(b))
+    for a, b in zip([evolve(circ, thetas, noise), evolve(circ, thetas[0], noise).data], want):
+        if n < circuits.ENGINE_MIN_QUBITS:
+            assert np.array_equal(_bits(a), _bits(b.reshape(a.shape)))
+        else:
+            np.testing.assert_allclose(a, b.reshape(a.shape), rtol=0, atol=1e-12)
 
 
 def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
@@ -793,12 +809,106 @@ def _chain_evolve(circ, thetas, noise):
 )
 def test_evolve_equals_gate_chain_exactly(n, depth, batch, name, p, seed):
     # an RY column and a CNOT chain: the gathered column and the row
-    # permutation round exactly as the gate-by-gate products do
+    # permutation round exactly as the gate-by-gate products do, on the
+    # dense path at every width; from ENGINE_MIN_QUBITS on, evolve runs on
+    # Pauli components and agrees within 1e-12
     circ = build_two_local(n, depth)
     noise = NoiseSpec.named(name, p)
     thetas = np.random.default_rng(seed).uniform(
         0, 2 * np.pi, size=(batch, circ.num_parameters))
-    assert np.array_equal(evolve(circ, thetas, noise), _chain_evolve(circ, thetas, noise))
+    chain = _chain_evolve(circ, thetas, noise)
+    assert np.array_equal(circuits._dense_evolve(circ, thetas, noise.per_layer(circ)), chain)
+    if n < circuits.ENGINE_MIN_QUBITS:
+        assert np.array_equal(evolve(circ, thetas, noise), chain)
+    else:
+        np.testing.assert_allclose(evolve(circ, thetas, noise), chain, rtol=0, atol=1e-12)
+
+
+PAULI_PATH_NOISE = ("amplitude_damping", "depolarizing", "flip_then_damp")
+
+
+@st.composite
+def _pauli_path_circuits(draw):
+    """A circuit of n = 5..7 qubits and 1..3 layers that ``evolve`` runs on
+    Pauli components, with its noise: each layer up to three runs, each a
+    column of X, Y and Z rotations on qubits in any order (some left out),
+    with or without CNOTs after it (its chain, when it starts the layer),
+    or CNOTs alone.  The noise is none, one channel after every layer, or a
+    per-layer tuple with gaps."""
+    n = draw(st.integers(5, 7))
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        gates = []
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):
+                qubits = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+                for q in qubits:
+                    letter = draw(st.sampled_from("XYZ"))
+                    gates.append(Gate(generator="".join(letter if k == q else "I"
+                                                        for k in range(n))))
+            for _ in range(draw(st.integers(0, 3))):
+                c, t = draw(st.permutations(range(n)))[:2]
+                gates.append(Gate(cnot=(c, t)))
+        layers.append(tuple(gates))
+    circ = circuits.Circuit(n=n, layers=tuple(layers))
+    p = draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["per_layer", "uniform", "none"]))
+    if kind == "uniform":
+        noise = NoiseSpec.uniform(named_channel(draw(st.sampled_from(PAULI_PATH_NOISE)), p))
+    elif kind == "per_layer":
+        names = draw(st.lists(st.sampled_from((None,) + PAULI_PATH_NOISE),
+                              min_size=circ.depth, max_size=circ.depth))
+        noise = NoiseSpec(tuple(None if name is None else named_channel(name, p)
+                                for name in names))
+    else:
+        noise = NoiseSpec()
+    return circ, noise
+
+
+@settings(SETTINGS, max_examples=40)
+@given(case=_pauli_path_circuits(), batch=st.sampled_from([1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pauli_path_matches_the_dense_oracle(case, batch, seed):
+    circ, noise = case
+    assert circuits._pauli_path(circ, noise.per_layer(circ))
+    thetas = np.random.default_rng(seed).uniform(
+        0, 2 * np.pi, size=(batch, circ.num_parameters))
+    np.testing.assert_allclose(evolve(circ, thetas, noise),
+                               dense_oracle.evolve(circ, thetas, noise), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("name", ["none", "amplitude_damping", "depolarizing"])
+def test_pauli_path_row_b_is_the_row_evolved_alone_bit_for_bit(n, name):
+    circ = build_two_local(n, 3)
+    noise = NoiseSpec.named(name, 0.3)
+    thetas = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(3, circ.num_parameters))
+    stack = evolve(circ, thetas, noise)
+    for b, theta in enumerate(thetas):
+        assert np.array_equal(_bits(stack[b]), _bits(evolve(circ, theta, noise).data))
+
+
+@pytest.mark.parametrize("case", ["mixture", "fixed", "perturbed", "weight2", "full_register"])
+def test_a_call_off_the_pauli_path_is_the_dense_path_bit_for_bit(case):
+    n = 5
+    circ = build_two_local(n, 2)
+    damping = named_channel("amplitude_damping", 0.3)
+    noise = NoiseSpec.uniform(damping)
+    if case in ("mixture", "perturbed"):
+        circ = _gate_noise("mixture" if case == "mixture" else "control", circ)
+    elif case == "fixed":
+        fixed = Gate(matrix=random_unitary_matrix(2**n, np.random.default_rng(3)))
+        circ = circ.with_gate((0, n), fixed)
+    elif case == "weight2":
+        circ = circ.with_gate((1, 2), Gate(generator="IXZII"))
+    else:
+        noise = NoiseSpec.uniform(channels.tensor_channel([damping] * n))
+    layer_channels = noise.per_layer(circ)
+    assert not circuits._pauli_path(circ, layer_channels)
+    thetas = np.random.default_rng(4).uniform(0, 2 * np.pi, size=(3, circ.num_parameters))
+    for rows in (thetas[:1], thetas):
+        assert np.array_equal(_bits(evolve(circ, rows, noise)),
+                              _bits(circuits._dense_evolve(circ, rows, layer_channels)))
 
 
 @settings(SETTINGS, max_examples=60)
