@@ -36,7 +36,8 @@ basis states or the Pauli strings, composed from one two-digit table
 From ``ENGINE_MIN_QUBITS`` qubits on, ``evolve`` runs a circuit of rotation
 columns and CNOT runs under one-qubit layer noise on the real vector of
 Pauli components instead (``_pauli_evolve``): a column is one 4 x 4 map per
-qubit with the noise before it multiplied in, a CNOT run one signed
+qubit with the noise before it multiplied in, put on two qubits at a time
+as their 16 x 16 Kronecker product (``_qubit_maps``), a CNOT run one signed
 permutation of the 4^n strings (``_pauli_cnot_perm``), and the final
 components go back to density matrices in one pass
 (``pauli._density_from_paulis``).  Every other call takes the dense path.
@@ -62,6 +63,7 @@ from .channels import (
     unitary_channel,
 )
 from .pauli import (
+    ENGINE_MIN_QUBITS,
     MAX_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
@@ -74,10 +76,6 @@ from .pauli import (
 )
 
 CONTROL_NOISE_NORM_CAP = 0.2
-# the width from which ``evolve`` runs a circuit of rotation columns and
-# CNOT runs on Pauli components: below it every output is pinned bit for
-# bit to the density-matrix path
-ENGINE_MIN_QUBITS = 5
 # the most bytes a stretch render's outer products (or evolve's block,
 # with them) take: below glibc's 128 KiB mmap threshold, over which the
 # allocator maps and unmaps an array on many calls and its pages fault
@@ -936,23 +934,39 @@ def _qubit_maps(
     x: np.ndarray, spare: np.ndarray, maps: list[np.ndarray | None]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each of ``maps`` on its qubit of the (B, 4^n) Pauli components
-    ``x``, qubit 0 first: maps[q] is None (nothing), one 4 x 4 map, or a
-    (B, 4, 4) stack of one per row.  Each map is one ``matmul`` batched
-    over rows (and over the qubits before q), written into the other of x
-    and ``spare``; returns the pair (result, the other)."""
+    ``x``: maps[q] is None (nothing), one 4 x 4 map, or a (B, 4, 4) stack
+    of one per row.  The qubits go on in pairs from the last, (n-2, n-1)
+    first: a pair is one 16 x 16 map (``_pair_map``), put on as one
+    ``matmul`` batched over rows (and over the qubits before the pair),
+    the last pair a right multiply, since it has no axis after it.  At odd
+    n qubit 0 goes on alone, one 4 x 4 map.  Each product is written into
+    the other of x and ``spare``; returns the pair (result, the other)."""
     batch, n = len(x), len(maps)
-    for q, m in enumerate(maps):
-        if m is None:
+    for q in range(n - 2, -2, -2):
+        pair = maps[max(q, 0):q + 2]
+        if all(m is None for m in pair):
             continue
-        if q < n - 1:
-            inner = 4 ** (n - 1 - q)
-            np.matmul(m[..., None, :, :], x.reshape(batch, -1, 4, inner),
-                      out=spare.reshape(batch, -1, 4, inner))
+        m = _pair_map(*pair) if len(pair) == 2 else pair[0]
+        width = m.shape[-1]
+        if q < n - 2:
+            inner = 4 ** (n - 2 - q)
+            np.matmul(m[..., None, :, :], x.reshape(batch, -1, width, inner),
+                      out=spare.reshape(batch, -1, width, inner))
         else:
-            # the last qubit has no axis after it: a right multiply by m^T
-            np.matmul(x.reshape(batch, -1, 4), m.swapaxes(-1, -2), out=spare.reshape(batch, -1, 4))
+            # the last pair has no axis after it: a right multiply by m^T
+            np.matmul(x.reshape(batch, -1, width), m.swapaxes(-1, -2),
+                      out=spare.reshape(batch, -1, width))
         x, spare = spare, x
     return x, spare
+
+
+def _pair_map(first: np.ndarray | None, second: np.ndarray | None) -> np.ndarray:
+    """The 16 x 16 map (or (B, 16, 16) stack) of qubits q and q + 1 from
+    their 4 x 4 maps (or stacks), None the identity: their Kronecker
+    product, whose entry [4i + k, 4j + l] is first[i, j] second[k, l]."""
+    first, second = (np.eye(4) if m is None else m for m in (first, second))
+    pair = np.einsum("...ij,...kl->...ikjl", first, second)
+    return pair.reshape(pair.shape[:-4] + (16, 16))
 
 
 # ---------------------------------------------------------------------------

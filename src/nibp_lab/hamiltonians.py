@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .pauli import (
+    ENGINE_MIN_QUBITS,
     MAX_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
@@ -166,21 +167,32 @@ def cost(
     """Expectation value Tr(H rho).
 
     ``rho`` may be a (B, d, d) stack of states, with ``H`` a list of one
-    Hamiltonian per row: one batched product and trace give the (B,)
-    values, each bit for bit the value of its row on its own.  One state
-    is the stack of one row.
+    Hamiltonian per row; one state takes one Hamiltonian and is the stack
+    of one row.  Below ``ENGINE_MIN_QUBITS`` qubits one batched product
+    and trace give the (B,) values; from it on, each row is one sum
+    sum_ij conj(H_ij) rho_ij, which is Tr(H rho) as H is Hermitian, O(d^2)
+    where the product is O(d^3).  Either way each value is bit for bit
+    the value of its row on its own.
     """
     if isinstance(rho, DensityMatrix):
+        if not isinstance(H, Hamiltonian):
+            raise TypeError(f"one state takes one Hamiltonian, not a list of {len(H)}")
         return float(cost([H], rho.data[None])[0])
     if rho.ndim != 3:
         raise DimensionMismatchError(f"states of shape {rho.shape} are not a (B, d, d) stack")
+    if not len(rho):
+        raise ValueError(f"expected at least one state, got shape {rho.shape}")
     if isinstance(H, Hamiltonian):
         raise TypeError(f"a stack of {len(rho)} states takes a list of {len(rho)} "
                         "Hamiltonians, one per state, not one Hamiltonian")
     if len(H) != len(rho):
         raise ValueError(f"{len(H)} Hamiltonians for {len(rho)} states")
-    check_widths(H, qubit_count(rho.shape[1:]))
-    vals = (np.array([h.matrix() for h in H]) @ rho).diagonal(axis1=1, axis2=2).sum(-1)
+    n = qubit_count(rho.shape[1:])
+    check_widths(H, n)
+    if n >= ENGINE_MIN_QUBITS:
+        vals = np.array([np.vdot(h.matrix(), r) for h, r in zip(H, rho)])
+    else:
+        vals = (np.array([h.matrix() for h in H]) @ rho).diagonal(axis1=1, axis2=2).sum(-1)
     for residual in vals.imag.tolist():
         if abs(residual) > 1e-10:
             raise ValueError(f"expectation has imaginary residual {residual:.2e}")

@@ -30,6 +30,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 MAX_QUBITS = 9
+# the width from which ``circuits.evolve`` runs a circuit of rotation
+# columns and CNOT runs on Pauli components and ``hamiltonians.cost`` sums
+# Tr(H rho) entry by entry: below it every output is pinned bit for bit to
+# the density-matrix path and the batched product
+ENGINE_MIN_QUBITS = 5
 POSITIVITY_TOL = 1e-9  # most negative eigenvalue a state may have
 
 _PAULI_1Q = {

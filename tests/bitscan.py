@@ -1,5 +1,5 @@
-"""Hash the outputs of 390 seeded circuits, and of the parts of a depth
-sweep, into one sha256.
+"""Hash the outputs of 390 seeded circuits, of the parts of a depth sweep
+and of ``cost`` on small stacks, into one sha256.
 
 Run it on two source trees at the same seed; equal hashes mean the
 simulator's outputs are bit for bit the same on both.  On one tree:
@@ -31,8 +31,9 @@ calls, and the type and message of every refusal.  Then it hashes what a
 depth sweep builds: 15 ``random_two_local`` draws (n = 2..6; their terms,
 h0, matrix and ground energy), the plans of ``build_two_local`` at n = 2,
 3, 5 and L = 1, 2, 6, 24 (parameter numbers, runs, column plan and
-stretches), and the CSV of one small ``layers_sweep``.  pytest does not
-collect this file.
+stretches), and the CSV of one small ``layers_sweep``.  Last it hashes
+``cost`` on seeded stacks of one and three states at n = 2..4, each row
+with a Hamiltonian of its own.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from nibp_lab.circuits import (
 from nibp_lab.bounds import layer_affine_maps
 from nibp_lab.experiments import ExperimentConfig, run_experiment, write_csv
 from nibp_lab.gradients import psr_gradient
-from nibp_lab.hamiltonians import Hamiltonian, random_two_local
+from nibp_lab.hamiltonians import Hamiltonian, cost, random_two_local
 
 CASES = 300
 DEEP_CASES = 90
@@ -237,6 +238,17 @@ def scan_sweep(digest: Digest, seed: int) -> None:
         digest.sha.update(write_csv(run_experiment(cfg), Path(out) / "sweep.csv").read_bytes())
 
 
+def scan_cost(digest: Digest, seed: int) -> None:
+    """``cost`` of seeded (B, d, d) stacks, B = 1 and 3, at n = 2..4."""
+    for n in range(2, 5):
+        for batch in (1, 3):
+            rng = np.random.default_rng([seed, n, batch])
+            a = rng.normal(size=(batch, 2**n, 2**n)) + 1j * rng.normal(size=(batch, 2**n, 2**n))
+            rhos = a @ a.conj().swapaxes(1, 2)
+            rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+            digest.call(cost, [_hamiltonian(rng, n) for _ in range(batch)], rhos)
+
+
 def main(argv: list[str]) -> None:
     if len(argv) != 2:
         raise SystemExit(f"usage: {argv[0]} SEED [SRC_A SRC_B]")
@@ -244,6 +256,7 @@ def main(argv: list[str]) -> None:
     for case in range(CASES + DEEP_CASES):
         scan_case(digest, int(argv[1]), case)
     scan_sweep(digest, int(argv[1]))
+    scan_cost(digest, int(argv[1]))
     print(digest.sha.hexdigest())
 
 

@@ -20,7 +20,10 @@ string's letters in Python, string by string, where the simulator reads
 one array of byte codes through lookup tables.  ``random_two_local``
 builds the drawn, the shifted and the final Hamiltonian in turn, each
 from the strings built afresh, where the simulator builds the strings
-and where they scatter once per width and no shifted Hamiltonian."""
+and where they scatter once per width and no shifted Hamiltonian.
+``qubit_maps`` puts 4 x 4 maps on Pauli components one qubit at a time,
+where the simulator puts them on two qubits at a time, as one 16 x 16
+map."""
 
 from functools import lru_cache
 
@@ -260,3 +263,22 @@ def layer_channel(rho: np.ndarray, channel) -> np.ndarray:
     if 2**channel.n == rho.shape[-1]:
         return _apply_kraus(rho, channel.kraus_ops)
     return every_qubit_kernel(channel, rho)
+
+
+def qubit_maps(x: np.ndarray, maps) -> np.ndarray:
+    """Each of ``maps`` on its qubit of the (B, 4^n) Pauli components ``x``,
+    qubit 0 first, one qubit at a time: maps[q] is None (nothing), one
+    4 x 4 map, or a (B, 4, 4) stack of one per row, put on as one
+    ``matmul`` batched over rows and the qubits before q (the last qubit a
+    right multiply by the transpose)."""
+    batch, n = len(x), len(maps)
+    for q, m in enumerate(maps):
+        if m is None:
+            continue
+        if q < n - 1:
+            inner = 4 ** (n - 1 - q)
+            x = np.matmul(m[..., None, :, :], x.reshape(batch, -1, 4, inner))
+        else:
+            x = np.matmul(x.reshape(batch, -1, 4), m.swapaxes(-1, -2))
+        x = x.reshape(batch, -1)
+    return x

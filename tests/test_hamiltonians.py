@@ -13,6 +13,7 @@ from nibp_lab.hamiltonians import (
     two_local_strings,
 )
 from nibp_lab.pauli import (
+    ENGINE_MIN_QUBITS,
     DensityMatrix,
     DimensionMismatchError,
     _pauli_matrix,
@@ -169,20 +170,37 @@ def test_cost_paths_agree():
 
 
 def test_batched_cost_is_each_rows_trace_bit_for_bit():
-    # one batched product and trace, whether the rows share one
-    # Hamiltonian or each has its own, gives each row the bits of the
-    # single-state trace
+    # whether the rows share one Hamiltonian or each has its own, each row
+    # gets the bits of its row alone; below ENGINE_MIN_QUBITS those are the
+    # bits of the single-state trace of H rho, from it on the entry sum
+    # agrees with that trace within 1e-15
     rng = np.random.default_rng(32)
-    for n in range(2, 7):
+    for n in range(2, 8):
         rhos = np.stack([random_density_matrix(n, rng).data for _ in range(5)])
         hs = [random_two_local(n, rng) for _ in range(5)]
         for rows in (hs, [hs[0]] * 5):
             single = np.array([float(np.trace(h.matrix() @ r).real) for h, r in zip(rows, rhos)])
             got = cost(rows, rhos)
             assert got.shape == (5,)
-            np.testing.assert_array_equal(got.view(np.uint64), single.view(np.uint64))
             again = np.array([cost(h, DensityMatrix(r)) for h, r in zip(rows, rhos)])
-            np.testing.assert_array_equal(again.view(np.uint64), single.view(np.uint64))
+            np.testing.assert_array_equal(again.view(np.uint64), got.view(np.uint64))
+            if n < ENGINE_MIN_QUBITS:
+                np.testing.assert_array_equal(got.view(np.uint64), single.view(np.uint64))
+            else:
+                np.testing.assert_allclose(got, single, rtol=0, atol=1e-15)
+
+
+def test_cost_refuses_a_list_for_one_state():
+    H = random_two_local(3, 0)
+    with pytest.raises(TypeError, match="one state takes one Hamiltonian, not a list of 1"):
+        cost([H], DensityMatrix.ground_state(3))
+
+
+@pytest.mark.parametrize("n", [3, ENGINE_MIN_QUBITS])
+def test_cost_refuses_an_empty_stack(n):
+    d = 2**n
+    with pytest.raises(ValueError, match=rf"expected at least one state, got shape \(0, {d}, {d}\)"):
+        cost([], np.zeros((0, d, d)))
 
 
 def test_batched_cost_refusals():

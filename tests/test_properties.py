@@ -18,7 +18,9 @@ shift-rule call per sample, the plan of a circuit that passes one
 layer object several times against the plan of per-layer copies, and the
 Pauli-component path of ``evolve`` (from ``ENGINE_MIN_QUBITS`` qubits on)
 against the dense oracle within 1e-12, with each call off that path bit
-for bit the dense path.
+for bit the dense path, and its kernel that puts 4 x 4 maps on two qubits
+at a time against one qubit at a time (``dense_oracle.qubit_maps``)
+within 1e-13.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -886,6 +888,35 @@ def test_pauli_path_row_b_is_the_row_evolved_alone_bit_for_bit(n, name):
     stack = evolve(circ, thetas, noise)
     for b, theta in enumerate(thetas):
         assert np.array_equal(_bits(stack[b]), _bits(evolve(circ, theta, noise).data))
+
+
+def _orthogonal(rng, shape):
+    q, _ = np.linalg.qr(rng.normal(size=shape + (4, 4)))
+    return q
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_qubit_maps_in_pairs_match_the_per_qubit_oracle(n, batch):
+    # every qubit's map is None, one shared 4 x 4 map or a (B, 4, 4) stack:
+    # all alike, and in both cycles of the three kinds at each shift, which
+    # puts every ordered mix of two kinds on some pair and each kind alone
+    # on qubit 0 at odd n; row b's bits are those of the row put on alone
+    rng = np.random.default_rng([n, batch])
+    patterns = [[kind] * n for kind in ("none", "shared", "rows")]
+    patterns += [[cycle[(q + shift) % 3] for q in range(n)]
+                 for cycle in (("none", "shared", "rows"), ("none", "rows", "shared"))
+                 for shift in range(3)]
+    x = rng.uniform(-1, 1, size=(batch, 4**n))
+    for kinds in patterns:
+        maps = [None if kind == "none" else _orthogonal(rng, () if kind == "shared" else (batch,))
+                for kind in kinds]
+        got, _ = circuits._qubit_maps(x.copy(), np.empty_like(x), maps)
+        np.testing.assert_allclose(got, dense_oracle.qubit_maps(x, maps), rtol=0, atol=1e-13)
+        for b in range(batch):
+            row = [m if m is None or m.ndim == 2 else m[b:b + 1] for m in maps]
+            alone, _ = circuits._qubit_maps(x[b:b + 1].copy(), np.empty_like(x[:1]), row)
+            assert np.array_equal(_bits(got[b]), _bits(alone[0]))
 
 
 @pytest.mark.parametrize("case", ["mixture", "fixed", "perturbed", "weight2", "full_register"])
