@@ -13,7 +13,7 @@ the textbook single-qubit Bloch parametrization).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -28,11 +28,6 @@ from .pauli import (
 )
 
 AFFINE_MAX_QUBITS = 3  # (d^2-1)^2 storage makes explicit M infeasible beyond this
-# the largest d whose qubit-local kernel reads flat (T, d^2) tables: they
-# measured faster through n = 6 and broke even at n = 7 under amplitude
-# damping (still faster there for depolarizing noise), where they would
-# take 18 MiB for depolarizing noise (377 MB at n = 9)
-FLAT_MAX_DIM = 2**6
 
 UNITAL_TOL = 1e-9
 CONTRACTIVE_MARGIN = 1e-9
@@ -110,65 +105,28 @@ class KrausChannel:
         reads the state at its flat position XOR a mask (bit q of the row
         when a = 1, of the column when b = 1) and scales it by its row
         coefficient at bit q of the row, then its column coefficient at bit
-        q of the column.
-
-        Up to ``FLAT_MAX_DIM`` a set is the (T, d^2) gather index, XOR
-        already taken, and the (1, T, d^2) row and column coefficients laid
-        out flat: 40 T d^2 bytes a qubit.  Beyond it, the shared flat index
-        (``_flat_index``), the (T, 1) masks, the (T, 1, 2, 1) row and the
-        (T, 1, d) column coefficients, which the kernel broadcasts.
+        q of the column.  A set is the (T, d^2) gather index, XOR already
+        taken, and the (1, T, d^2) row and column coefficients laid out
+        flat: 40 T d^2 bytes a qubit.  ``circuits.evolve`` reads them below
+        ``ENGINE_MIN_QUBITS`` only, d <= 16.
         """
         if d in self._tables:
             return self._tables[d]
         n = qubit_count((d, d))
         flips, rows, cols = self._qubit_terms
-        flat, tables = _flat_index(n), []
+        flat, tables = np.arange(d * d, dtype=np.intp), []
         for qubit in range(n):
             bit = 2 ** (n - qubit - 1)
             mask = flips @ np.array([[bit * d], [bit]], dtype=np.intp)
             digit = np.arange(d) // bit % 2
-            if d <= FLAT_MAX_DIM:
-                # the coefficients take the term stack's shape for one
-                # state, (1, T, d^2): a multiply of equal shapes skips
-                # numpy's broadcast set-up
-                tables.append((np.bitwise_xor(flat, mask),
-                               np.repeat(rows[:, digit], d, axis=1)[None],
-                               np.tile(cols[:, digit], d)[None]))
-            else:
-                tables.append((mask, rows[:, None, :, None], cols[:, digit][:, None, :]))
+            # the coefficients take the term stack's shape for one state,
+            # (1, T, d^2): a multiply of equal shapes skips numpy's
+            # broadcast set-up
+            tables.append((np.bitwise_xor(flat, mask),
+                           np.repeat(rows[:, digit], d, axis=1)[None],
+                           np.tile(cols[:, digit], d)[None]))
         self._tables[d] = tables = tuple(tables)
         return tables
-
-    def apply_to_every_qubit(self, rho: np.ndarray) -> np.ndarray:
-        """Apply this 1-qubit channel to every qubit of a state, qubit 0
-        first: the noise after a layer, in one call.
-
-        ``rho`` is d x d or a (B, d, d) stack, read as complex: each call
-        checks it is square, and the first per d checks d
-        (``_width_tables``).  Per qubit, one gather reads the state at each
-        term's flipped rows and columns; two in-place multiplies scale it
-        by the row coefficients, then by the column coefficients; one sum
-        over the terms adds them in Kraus order.  For operators with at
-        most one nonzero entry per row, every output entry is conj(k') (k x)
-        for each Kraus operator, summed in Kraus order: the products and
-        sums a dense contraction forms.
-
-        Up to ``FLAT_MAX_DIM`` each qubit is one gather through its stored
-        index and two 2-D multiplies by its flat coefficients; beyond it
-        each qubit XORs its index and broadcasts its coefficients, which
-        needs no (T, d^2) tables.  Either way the qubits share one term
-        stack and write their sums into one output, which this call
-        allocates (``evolve`` sets up its tables and term stack once per
-        call and writes back into its state instead).
-        """
-        rho = np.asarray(rho, dtype=complex)
-        shape = rho.shape
-        d = shape[-1]
-        if len(shape) < 2 or shape[-2] != d:
-            raise DimensionMismatchError(f"state of shape {shape} is not square")
-        tables = self._width_tables(d)
-        stack = np.empty((rho.size // (d * d), self._term_count, d * d), dtype=complex)
-        return self._every_qubit(rho, np.empty(shape, dtype=complex), stack, tables)
 
     @property
     def _term_count(self) -> int:
@@ -178,28 +136,27 @@ class KrausChannel:
     def _every_qubit(
         self, state: np.ndarray, out: np.ndarray, stack: np.ndarray, tables: tuple
     ) -> np.ndarray:
-        """The kernel of ``apply_to_every_qubit`` on the complex d x d state
-        or (B, d, d) stack ``state``, written into ``out``, a contiguous
-        array of its shape, which may be ``state`` itself: each qubit reads
-        the whole state into the term stack before it writes.  ``stack`` is
-        the (B, T, d^2) complex term stack (B = 1 for one state) and
-        ``tables`` this channel's ``_width_tables(d)``; the caller sets both
-        up.  Returns ``out``."""
+        """This 1-qubit channel on every qubit of the complex d x d state or
+        (B, d, d) stack ``state``, qubit 0 first: the noise after a layer.
+        The result goes into ``out``, a contiguous array of its shape,
+        which may be ``state`` itself: each qubit reads the whole state
+        into the term stack before it writes.  ``stack`` is the (B, T, d^2)
+        complex term stack (B = 1 for one state) and ``tables`` this
+        channel's ``_width_tables(d)``; the caller sets both up.  Returns
+        ``out``.
+
+        Per qubit, one gather reads the state at each term's flipped rows
+        and columns; two in-place multiplies scale it by the row
+        coefficients, then by the column coefficients; one sum over the
+        terms adds them in Kraus order.  For operators with at most one
+        nonzero entry per row, every output entry is conj(k') (k x) for
+        each Kraus operator, summed in Kraus order: the products and sums
+        a dense contraction forms.
+        """
         d = state.shape[-1]
         rows, sums = state.reshape(-1, d * d), out.reshape(-1, d * d)
-        # every index is in range: "clip" only skips the bounds check
-        if d > FLAT_MAX_DIM:
-            batch, count = stack.shape[:2]
-            flat = _flat_index(len(tables))
-            for q, (mask, row, col) in enumerate(tables):
-                rows.take(np.bitwise_xor(flat, mask), axis=-1, out=stack, mode="clip")
-                by_row = stack.reshape(batch, count, 2**q, 2, -1)
-                np.multiply(row, by_row, out=by_row)
-                by_col = stack.reshape(batch, count, d, d)
-                np.multiply(col, by_col, out=by_col)
-                rows = np.add.reduce(stack, axis=1, out=sums)
-            return out
         for index, row, col in tables:
+            # every index is in range: "clip" only skips the bounds check
             rows.take(index, axis=-1, out=stack, mode="clip")
             np.multiply(row, stack, out=stack)
             np.multiply(col, stack, out=stack)
@@ -238,15 +195,6 @@ class KrausChannel:
         c = t[1:, 0] / np.sqrt(2**self.n)
         c.setflags(write=False)
         return AffineRep(m, c)
-
-
-@lru_cache(maxsize=16)
-def _flat_index(n: int) -> np.ndarray:
-    """0, 1, ..., 4^n - 1: the flat positions of a d x d state, shared by
-    every channel's qubit-local kernel."""
-    index = np.arange(4**n, dtype=np.intp)
-    index.setflags(write=False)
-    return index
 
 
 def _apply_kraus(rho: np.ndarray, ops) -> np.ndarray:

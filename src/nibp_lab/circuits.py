@@ -33,14 +33,15 @@ pair; a CNOT run is one cached signed permutation (``_cnot_perm``) of the
 basis states or the Pauli strings, composed from one two-digit table
 (``_cnot_table``) read off the 4 x 4 CNOT.
 
-From ``ENGINE_MIN_QUBITS`` qubits on, ``evolve`` runs a circuit of rotation
-columns and CNOT runs under one-qubit layer noise on the real vector of
-Pauli components instead (``_pauli_evolve``): a column is one 4 x 4 map per
-qubit with the noise before it multiplied in, put on two qubits at a time
-as their 16 x 16 Kronecker product (``_qubit_maps``), a CNOT run one signed
-permutation of the 4^n strings (``_pauli_cnot_perm``), and the final
-components go back to density matrices in one pass
-(``pauli._density_from_paulis``).  Every other call takes the dense path.
+From ``ENGINE_MIN_QUBITS`` qubits on, ``evolve`` runs every circuit on the
+real vector of Pauli components instead (``_pauli_evolve``): a column is
+one 4 x 4 map per qubit with the one-qubit noise before it multiplied in,
+put on two qubits at a time as their 16 x 16 Kronecker product
+(``_qubit_maps``), and a CNOT run one signed permutation of the 4^n
+strings (``_pauli_cnot_perm``).  Any other gate, a mixture and a
+full-register channel go on as their Kraus sum on density matrices, one
+conversion there and one back (``pauli._density_from_paulis``,
+``pauli._paulis_from_density``), and so do the final components.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .pauli import (
     DimensionMismatchError,
     _density_from_paulis,
     _mask_tables,
+    _paulis_from_density,
     _pauli_matrix,
     check_pauli,
     hamming_weight,
@@ -800,17 +802,14 @@ def evolve(circ: Circuit, theta: np.ndarray, noise: NoiseSpec) -> DensityMatrix 
     stack of final states.  Row b of the stack is bit for bit the state
     evolved from ``theta[b]`` alone.
 
-    From ``ENGINE_MIN_QUBITS`` qubits on, a circuit of rotation columns and
-    CNOT runs under one-qubit layer noise (or none) runs on Pauli
-    components (``_pauli_evolve``); every other call, and every call below
-    that width, runs on density matrices (``_dense_evolve``).
+    The width alone picks the engine: from ``ENGINE_MIN_QUBITS`` qubits on
+    the circuit runs on Pauli components (``_pauli_evolve``), below it on
+    density matrices (``_dense_evolve``).
     """
     thetas = circ.angle_rows(theta)
     channels = noise.per_layer(circ)
-    if circ.n >= ENGINE_MIN_QUBITS and _pauli_path(circ, channels):
-        rho = _pauli_evolve(circ, thetas, channels)
-    else:
-        rho = _dense_evolve(circ, thetas, channels)
+    engine = _pauli_evolve if circ.n >= ENGINE_MIN_QUBITS else _dense_evolve
+    rho = engine(circ, thetas, channels)
     return DensityMatrix(rho[0]) if np.ndim(theta) == 1 else rho
 
 
@@ -840,8 +839,8 @@ def _dense_evolve(
     """
     rho = np.repeat(_ground_state(circ.n)[None], len(thetas), axis=0)
     (batch, d, _), size = rho.shape, rho.size
-    # a one-qubit entry goes on every qubit through the kernel behind
-    # apply_to_every_qubit, with its tables and a (B, T, d^2) term stack
+    # a one-qubit entry goes on every qubit through the channel's kernel
+    # (KrausChannel._every_qubit), with its tables and a (B, T, d^2) term stack
     counts = {ch: ch._term_count for ch in dict.fromkeys(channels)
               if ch is not None and ch.n < circ.n}
     count = max(counts.values(), default=0)
@@ -864,14 +863,6 @@ def _dense_evolve(
     return rho
 
 
-def _pauli_path(circ: Circuit, channels: tuple[KrausChannel | None, ...]) -> bool:
-    """Whether ``_pauli_evolve`` runs the circuit under ``channels``: its
-    runs are rotation columns and CNOT runs only, and every layer entry is
-    None or a one-qubit channel."""
-    return (all(kind in ("column", "cnots") for runs in circ.runs for kind, _ in runs)
-            and all(ch is None or ch.n == 1 for ch in channels))
-
-
 def _pauli_evolve(
     circ: Circuit, thetas: np.ndarray, channels: tuple[KrausChannel | None, ...]
 ) -> np.ndarray:
@@ -887,9 +878,11 @@ def _pauli_evolve(
     (``_pauli_cnot_perm``).  A layer's one-qubit noise is its channel's
     4 x 4 transfer matrix T on every qubit, put on with the next layer's
     first run: multiplied into the map of each qubit of that run when it
-    is a column (R T, so the noise comes first), alone on every other
-    qubit.  The last layer's noise goes on after it.  The state is turned
-    back into density matrices once, at the end.
+    is a column (R T, so the noise comes first), alone on every qubit
+    otherwise.  Any other gate, a mixture and a full-register channel
+    have no map on the strings: each goes on as its Kraus sum on density
+    matrices (``_kraus_on_paulis``).  The last layer's noise goes on after
+    it, and the state is turned back into density matrices at the end.
     """
     n, batch = circ.n, len(thetas)
     letters, params, spans = circ.columns
@@ -900,6 +893,7 @@ def _pauli_evolve(
     size = batch * 4**n
     block = np.empty(6 * size)
     x, spare = block[:size].reshape(batch, -1), block[size:2 * size].reshape(batch, -1)
+    work = block[2 * size:]
     x[:] = 0.0
     # the strings of X-mask 0 (I and Z letters only) have component 1
     x[:, _mask_tables(n).strings[0]] = 1.0
@@ -907,27 +901,52 @@ def _pauli_evolve(
     for layer, channel in enumerate(channels):
         columns = iter(spans[layer])
         for kind, run in circ.layer_runs(layer):
-            maps = [noise] * n
-            if kind == "column":
-                factors = stack[:, next(columns)]
-                if noise is not None:
-                    factors = factors @ noise
-                for k, q in enumerate(run.qubits):
-                    maps[q] = factors[:, k]
-            x, spare = _qubit_maps(x, spare, maps)
-            chain = run.chain if kind == "column" else run
-            if chain:
-                rows, sign = _pauli_cnot_perm(chain, n)
-                # every index is in range: "clip" only skips the bounds check
-                x.take(rows, axis=1, out=spare, mode="clip")
-                np.multiply(spare, sign, out=spare)
-                x, spare = spare, x
+            if kind in ("mixture", "gate"):
+                index, op = run
+                ops = (_mixture_ops(op, thetas[:, index]) if kind == "mixture"
+                       else [_gate_unitary(run, thetas)])
+                x, spare = _kraus_on_paulis(x, spare, work, noise, ops)
+            else:
+                maps = [noise] * n
+                if kind == "column":
+                    factors = stack[:, next(columns)]
+                    if noise is not None:
+                        factors = factors @ noise
+                    for k, q in enumerate(run.qubits):
+                        maps[q] = factors[:, k]
+                x, spare = _qubit_maps(x, spare, maps)
+                chain = run.chain if kind == "column" else run
+                if chain:
+                    rows, sign = _pauli_cnot_perm(chain, n)
+                    # every index is in range: "clip" only skips the bounds check
+                    x.take(rows, axis=1, out=spare, mode="clip")
+                    np.multiply(spare, sign, out=spare)
+                    x, spare = spare, x
             noise = None
-        # a layer without gates leaves the noise before it still to go on
-        x, spare = _qubit_maps(x, spare, [noise] * n)
-        noise = None if channel is None else channel._transfer
+        if channel is not None and channel.n > 1:
+            x, spare = _kraus_on_paulis(x, spare, work, noise, channel.kraus_ops)
+            noise = None
+        else:
+            # a layer without gates leaves the noise before it still to go on
+            x, spare = _qubit_maps(x, spare, [noise] * n)
+            noise = None if channel is None else channel._transfer
     x, _ = _qubit_maps(x, spare, [noise] * n)
-    return _density_from_paulis(x, block[2 * size:])
+    return _density_from_paulis(x, work)
+
+
+def _kraus_on_paulis(
+    x: np.ndarray, spare: np.ndarray, work: np.ndarray, noise: np.ndarray | None, ops
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus set ``ops`` (d x d operators or (B, d, d) stacks) on the
+    (B, 4^n) Pauli components ``x``, after ``noise``, the 4 x 4 transfer
+    matrix still to go on every qubit (or None): the components go to
+    density matrices (``work`` is the conversion's scratch), take the
+    Kraus sum and come back into x.  Returns (x, spare), as
+    ``_qubit_maps`` does."""
+    n = ops[0].shape[-1].bit_length() - 1
+    x, spare = _qubit_maps(x, spare, [noise] * n)
+    _paulis_from_density(_apply_kraus(_density_from_paulis(x, work), ops), x)
+    return x, spare
 
 
 def _qubit_maps(

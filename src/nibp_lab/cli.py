@@ -162,6 +162,8 @@ def cmd_bound_report(cfg: dict, out: Path, force: bool) -> None:
     bif = None  # theorem 3 needs at least 3 layers
     if depth >= 3:
         bif = config_value(cfg, "bifurcation_layer", max(depth - 2, 3), int, 3, depth)
+    elif "bifurcation_layer" in cfg:
+        raise ConfigError("bifurcation_layer", f"theorem 3 needs L >= 3, got L = {depth}")
     rng = np.random.default_rng(v["seed"])
     circ = build_two_local(n, depth)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=circ.num_parameters)
@@ -264,7 +266,13 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.add_argument("--force", action="store_true", help="overwrite outputs")
     args = parser.parse_args(argv)
-    cfg = json.loads(Path(args.config).read_text())
+    try:
+        cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(cfg, dict):
+            raise ValueError(f"holds a JSON {type(cfg).__name__}, not an object")
+    except (OSError, ValueError) as exc:
+        print(f"config file {args.config}: {exc}", file=sys.stderr)
+        return 1
     command, keys = _COMMANDS[args.command]
     unknown = sorted(set(cfg) - set(keys))
     if unknown:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -254,7 +254,6 @@ class SweepSpec:
     num_hamiltonians: int
     thetas_per_hamiltonian: int
     seed: int
-    hamiltonian_factory: Callable[[np.random.Generator], Hamiltonian] | None = None
 
 
 def default_locations(circ: Circuit) -> tuple[Location, Location, Location]:
@@ -277,9 +276,6 @@ def gradient_stats(spec: SweepSpec) -> dict[Location, GradientStats]:
     if spec.num_hamiltonians < 1 or spec.thetas_per_hamiltonian < 1:
         raise ValueError("sweep draws no samples")
     circ = spec.circuit
-    factory = spec.hamiltonian_factory or (
-        lambda rng: random_two_local(circ.n, rng)
-    )
     values: dict[Location, list[float]] = {loc: [] for loc in spec.locations}
     h_norms = []
 
@@ -288,7 +284,7 @@ def gradient_stats(spec: SweepSpec) -> dict[Location, GradientStats]:
         Hamiltonian, each drawn only when a block reaches it."""
         for i in range(spec.num_hamiltonians):
             rng = np.random.default_rng([spec.seed, i])
-            H = factory(rng)
+            H = random_two_local(circ.n, rng)
             h_norms.append(h_norm(H))
             thetas = rng.uniform(
                 0.0, 2.0 * np.pi, size=(spec.thetas_per_hamiltonian, circ.num_parameters)

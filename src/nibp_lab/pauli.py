@@ -30,10 +30,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 MAX_QUBITS = 9
-# the width from which ``circuits.evolve`` runs a circuit of rotation
-# columns and CNOT runs on Pauli components and ``hamiltonians.cost`` sums
-# Tr(H rho) entry by entry: below it every output is pinned bit for bit to
-# the density-matrix path and the batched product
+# the width from which ``circuits.evolve`` runs every circuit on Pauli
+# components and ``hamiltonians.cost`` sums Tr(H rho) entry by entry: below
+# it every output is pinned bit for bit to the density-matrix path and the
+# batched product
 ENGINE_MIN_QUBITS = 5
 POSITIVITY_TOL = 1e-9  # most negative eigenvalue a state may have
 
@@ -219,7 +219,7 @@ class _MaskTables(NamedTuple):
     hadamard: np.ndarray  # [j, z]: (-1)^(j.z), a symmetric matrix
     density: np.ndarray  # [a, b]: (a^b) d + b, where rho[a, b] sits in a flat (x, j) table
     coherence: np.ndarray  # [x, j]: j d + (j^x), the flat place of rho[j, j^x]
-    hamming: np.ndarray  # [k]: x d + z of the k-th string of pauli_strings_by_weight(n)
+    hamming: np.ndarray  # [k]: the natural index of the k-th string of pauli_strings_by_weight(n)
 
 
 @lru_cache(maxsize=MAX_QUBITS)
@@ -241,7 +241,7 @@ def _mask_tables(n: int) -> _MaskTables:
     overlap = (bits[:, None] & bits[None, :]).sum(axis=-1, dtype=np.intp)
     lettered = masks[:, None] | masks
     weight = (bits[:, None] | bits[None, :]).sum(axis=-1, dtype=np.intp)
-    hamming = ((weight * d + d - 1 - lettered) * d * d + strings).ravel().argsort()
+    order = ((weight * d + d - 1 - lettered) * d * d + strings).ravel().argsort()
     real, imag = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
     tables = _MaskTables(
         strings=strings,
@@ -250,7 +250,7 @@ def _mask_tables(n: int) -> _MaskTables:
         hadamard=1.0 - 2.0 * (overlap % 2),
         density=(masks[:, None] ^ masks) * d + masks,
         coherence=masks * d + (masks[:, None] ^ masks),
-        hamming=hamming,
+        hamming=strings.ravel()[order],
     )
     for arr in tables:
         arr.setflags(write=False)
@@ -286,21 +286,35 @@ def _density_from_paulis(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     return rho
 
 
-def to_coherence(rho: DensityMatrix) -> np.ndarray:
-    """Project a state onto the traceless basis elements: the real (d^2 - 1,)
-    coherence vector v_j = Tr(F_j rho), in Hamming order.
+def _paulis_from_density(rho: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The real natural-order Pauli components x_s = Tr(P_s rho) of a
+    complex d x d state, or of each state of a (B, d, d) stack, written
+    into ``out`` ((4^n,) or (B, 4^n)) and returned: the inverse of
+    ``_density_from_paulis``.
 
     One gather reads R[x, j] = rho[j, j^x]; the product with the Hadamard
     matrix gives sum_j (-1)^(z.j) R[x, j] at [x, z], whose phase i^|x&z|
-    makes it Tr(P rho) for the string of masks (x, z)."""
-    n, d = rho.n, 2**rho.n
-    tables = _mask_tables(n)
-    r = np.asarray(rho.data, dtype=complex).reshape(d * d).take(tables.coherence)
+    makes it Tr(P rho) for the string of masks (x, z), and one scatter
+    puts it at that string's natural index.  The products are batched
+    over rows, so row b is bit for bit that row converted alone."""
+    d = rho.shape[-1]
+    tables = _mask_tables(d.bit_length() - 1)
+    r = rho.reshape(rho.shape[:-2] + (d * d,)).take(tables.coherence, axis=-1)
     traces = tables.real * (r.real @ tables.hadamard) - tables.imag * (r.imag @ tables.hadamard)
     # a phase -1 times a zero gives -0.0; adding +0.0 makes every zero +0.0,
     # as the sum over the dense basis did (the ground state's vector keeps its bits)
     traces += 0.0
-    return traces.ravel()[tables.hamming[1:]] / np.sqrt(d)
+    out[..., tables.strings] = traces
+    return out
+
+
+def to_coherence(rho: DensityMatrix) -> np.ndarray:
+    """Project a state onto the traceless basis elements: the real (d^2 - 1,)
+    coherence vector v_j = Tr(F_j rho), in Hamming order, read off its
+    Pauli components (``_paulis_from_density``)."""
+    d = 2**rho.n
+    x = _paulis_from_density(np.asarray(rho.data, dtype=complex), np.empty(d * d))
+    return x[_mask_tables(rho.n).hamming[1:]] / np.sqrt(d)
 
 
 def from_coherence(v: np.ndarray) -> DensityMatrix:
@@ -312,9 +326,8 @@ def from_coherence(v: np.ndarray) -> DensityMatrix:
     """
     n = coherence_qubit_count(v.shape)
     d = 2**n
-    tables = _mask_tables(n)
     natural = np.empty((1, d * d))
-    natural[0, tables.strings.ravel()[tables.hamming]] = np.concatenate(([1.0], np.sqrt(d) * v))
+    natural[0, _mask_tables(n).hamming] = np.concatenate(([1.0], np.sqrt(d) * v))
     data = _density_from_paulis(natural, np.empty(4 * natural.size))[0]
     rho = DensityMatrix(data)
     min_eig = float(np.linalg.eigvalsh(data)[0])

@@ -52,6 +52,15 @@ def random_channel(n: int, rng: np.random.Generator, kraus_count: int = 2) -> Kr
     return KrausChannel(ops)
 
 
+def every_qubit(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """The one-qubit ``channel`` on every qubit of a complex d x d state or
+    (B, d, d) stack, qubit 0 first, through the simulator's kernel
+    (``KrausChannel._every_qubit``), into a new array."""
+    d = rho.shape[-1]
+    stack = np.empty((rho.size // (d * d), channel._term_count, d * d), dtype=complex)
+    return channel._every_qubit(rho, np.empty_like(rho), stack, channel._width_tables(d))
+
+
 def random_nonunital_channel(n: int, rng: np.random.Generator) -> KrausChannel:
     """Random two-Kraus channel rejected until clearly non-unital, in at
     most 100 draws."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dense_oracle import every_qubit_kernel
 from helpers import (
+    every_qubit,
     random_channel,
     random_density_matrix,
     random_nonunital_channel,
@@ -285,22 +286,12 @@ def test_kraus_channel_keeps_read_only_copies():
     ops = [np.array(k) for k in ch.kraus_ops]
     mine = KrausChannel(tuple(ops))
     rho = np.diag([0.5, 0.5]).astype(complex)
-    before = mine.apply_to_every_qubit(rho)
+    before = every_qubit(mine, rho)
     ops[1][0, 1] = 0.0
     ops[0][1, 1] = 1.0
     np.testing.assert_array_equal(mine.apply(rho), before)
-    np.testing.assert_array_equal(mine.apply_to_every_qubit(rho), before)
+    np.testing.assert_array_equal(every_qubit(mine, rho), before)
     np.testing.assert_allclose(np.diag(before).real, [0.65, 0.35], atol=1e-15)
-
-
-def _flipped_qubits(a: np.ndarray) -> int:
-    """The number of qubits ``apply_to_every_qubit`` puts a one-qubit
-    channel on, for a state of a's shape: the channel flips its qubit, so
-    entry (0, 0) of the result is the state's entry at the row and column
-    with every such bit set."""
-    state = np.arange(a.size, dtype=complex).reshape(a.shape)
-    out = bit_flip(0.0).apply_to_every_qubit(state)
-    return bin(int(out[0, 0].real) // len(a)).count("1")
 
 
 def _cost_width(a: np.ndarray) -> int:
@@ -320,7 +311,6 @@ MATRIX_READERS = {
     "qubit_count": lambda a: qubit_count(a.shape),
     "DensityMatrix": lambda a: DensityMatrix(a).n,
     "KrausChannel": lambda a: KrausChannel((a,)).n,
-    "apply_to_every_qubit": _flipped_qubits,
     "cost": _cost_width,
 }
 # each reader of a qubit count off a (4^n - 1,) coherence vector
@@ -369,24 +359,6 @@ def test_layer_noise_call_reads_the_register_off_the_state():
     # kernel once read a 3-qubit state as four 2-qubit blocks (trace 0.684)
     rho = random_density_matrix(3, np.random.default_rng(36)).data
     ch = depolarizing(0.3)
-    out = ch.apply_to_every_qubit(rho)
+    out = every_qubit(ch, rho)
     assert np.array_equal(out, every_qubit_kernel(ch, rho))
     assert abs(np.trace(out) - 1.0) < 1e-12
-    with pytest.raises(DimensionMismatchError, match="not square"):
-        ch.apply_to_every_qubit(np.zeros((2, 8, 4)))
-    # a 1-D array once ended in a bare IndexError from the square check
-    with pytest.raises(DimensionMismatchError, match=re.escape("(4,)")):
-        ch.apply_to_every_qubit(np.zeros(4))
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_layer_noise_call_reads_a_real_state_as_complex(n):
-    # a float64 state once met a bare TypeError from the flat tables' gather
-    # (n <= 6) and a UFuncTypeError from the broadcast multiply (n = 7)
-    rho = random_density_matrix(n, np.random.default_rng(n)).data.real
-    for ch in (depolarizing(0.3), amplitude_damping(0.3)):
-        for state in (rho, rho[None].repeat(2, axis=0), np.eye(2**n) / 2**n):
-            got = ch.apply_to_every_qubit(state)
-            assert got.dtype == complex
-            want = ch.apply_to_every_qubit(state.astype(complex))
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -535,6 +535,9 @@ def test_cli_rejects_unknown_config_keys(tmp_path, command, capsys):
     [
         ("experiment", {"preset": "bogus"}, "preset"),
         ("bound-report", {"n": 2, "L": 4, "bifurcation_layer": 9}, "bifurcation_layer"),
+        # below L = 3 theorem 3 has no bifurcation layer: 7 was once ignored
+        # there, with exit 0 and no theorem3 block
+        ("bound-report", {"n": 2, "L": 2, "bifurcation_layer": 7}, "bifurcation_layer"),
         ("train", {"noise_type": "depolarising"}, "noise_type"),
         ("bound-report", {"n": 4}, "n"),  # the affine path stops at n = 3
         ("bound-report", {"n": 2, "L": 4, "depth_constant": 0}, "depth_constant"),
@@ -604,6 +607,29 @@ def test_cli_bad_config_value_is_one_line_naming_the_key(
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert f"config key {key!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_CONFIGS))
+@pytest.mark.parametrize("text, problem", [
+    (None, "No such file or directory"),
+    ('{"n": ', "Expecting value"),
+    ("[1, 2]", "holds a JSON list, not an object"),
+    ("3", "holds a JSON int, not an object"),
+], ids=["missing", "not_json", "list", "number"])
+def test_cli_unreadable_config_file_is_one_line_naming_it(tmp_path, command, text, problem,
+                                                          capsys):
+    # each case once ended in a traceback: FileNotFoundError,
+    # JSONDecodeError, and a TypeError from the key check
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config file {cfg_path}: ")
+    assert problem in err[0]
     assert not out.exists()
 
 

@@ -25,6 +25,7 @@ from nibp_lab.gradients import (
 )
 from nibp_lab.hamiltonians import Hamiltonian, h_norm, random_two_local
 from nibp_lab.bounds import nibp_bound
+from nibp_lab import gradients
 
 
 Z1 = Hamiltonian(n=1, terms=(("Z", 1.0),))
@@ -157,8 +158,10 @@ def test_random_noise_gradient_matches_finite_difference():
         assert abs(value) <= bound + 1e-10
 
 
-def test_gradient_stats_sine_mean():
-    # |dC/dtheta| = |sin(theta)|, whose mean over uniform angles is 2/pi
+def test_gradient_stats_sine_mean(monkeypatch):
+    # |dC/dtheta| = |sin(theta)|, whose mean over uniform angles is 2/pi;
+    # the sweep always draws random_two_local, patched here to give Z1
+    monkeypatch.setattr(gradients, "random_two_local", lambda n, rng: Z1)
     circ = single_ry_circuit()
     spec = SweepSpec(
         circuit=circ,
@@ -167,7 +170,6 @@ def test_gradient_stats_sine_mean():
         num_hamiltonians=1,
         thetas_per_hamiltonian=10_000,
         seed=0,
-        hamiltonian_factory=lambda rng: Z1,
     )
     stats = gradient_stats(spec)[(0, 0)]
     assert stats.samples == 10_000

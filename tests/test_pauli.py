@@ -16,7 +16,9 @@ from nibp_lab.pauli import (
     DimensionMismatchError,
     InvalidStateError,
     SizeError,
+    _density_from_paulis,
     _pauli_matrix,
+    _paulis_from_density,
     build_nice_basis,
     check_pauli,
     from_coherence,
@@ -146,6 +148,21 @@ def test_coherence_maps_run_at_every_width(n):
         np.testing.assert_allclose(v, _basis_coherence(rho), rtol=0, atol=1e-12)
         want = np.eye(d) / d + np.tensordot(v, build_nice_basis(n)[1:], axes=1)
         np.testing.assert_allclose(back, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_paulis_from_density_inverts_density_from_paulis(n):
+    # evolve turns Pauli components into density matrices and back around
+    # every gate that has no map on the strings: a stack of two states
+    # and their components each come back within 1e-15
+    rng = np.random.default_rng(n)
+    rho = np.stack([random_density_matrix(n, rng).data for _ in range(2)])
+    x = _paulis_from_density(rho, np.empty((2, 4**n)))
+    np.testing.assert_allclose(x[:, 0], 1.0, rtol=0, atol=1e-15)  # Tr(rho)
+    back = _density_from_paulis(x, np.empty(4 * x.size))
+    np.testing.assert_allclose(back, rho, rtol=0, atol=1e-15)
+    again = _paulis_from_density(back, np.empty((2, 4**n)))
+    np.testing.assert_allclose(again, x, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

@@ -16,11 +16,11 @@ kernel word for word against the gather-per-qubit kernel it replaced
 (``dense_oracle.column``), the batched gradient sweep against one
 shift-rule call per sample, the plan of a circuit that passes one
 layer object several times against the plan of per-layer copies, and the
-Pauli-component path of ``evolve`` (from ``ENGINE_MIN_QUBITS`` qubits on)
-against the dense oracle within 1e-12, with each call off that path bit
-for bit the dense path, and its kernel that puts 4 x 4 maps on two qubits
-at a time against one qubit at a time (``dense_oracle.qubit_maps``)
-within 1e-13.
+Pauli-component path of ``evolve``, which runs every call from
+``ENGINE_MIN_QUBITS`` qubits on, against the dense oracle within 1e-12 on
+every run kind and noise form, and its kernel that puts 4 x 4 maps on
+two qubits at a time against one qubit at a time
+(``dense_oracle.qubit_maps``) within 1e-13.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -36,7 +36,13 @@ import numpy as np
 import pytest
 import dense_oracle
 from dense_oracle import every_qubit_kernel, gate_matrix
-from helpers import random_channel, random_density_matrix, random_unitary_matrix, single_ry_circuit
+from helpers import (
+    every_qubit,
+    random_channel,
+    random_density_matrix,
+    random_unitary_matrix,
+    single_ry_circuit,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,7 +117,7 @@ def _every_qubit_oracle(rho, kraus_ops, n):
 def test_qubit_kernel_matches_einsum_bit_for_bit(name, p, n, batch, seed):
     ch = named_channel(name, p)
     rho = _states(n, batch, seed)
-    got = ch.apply_to_every_qubit(rho)
+    got = every_qubit(ch, rho)
     assert got.shape == rho.shape
     assert np.array_equal(got, _every_qubit_oracle(rho, ch.kraus_ops, n))
 
@@ -128,7 +134,7 @@ def test_qubit_kernel_on_dense_kraus_operators(n, kraus_count, batch, seed):
     ch = random_channel(1, np.random.default_rng(seed), kraus_count=kraus_count)
     rho = _states(n, batch, seed + 1)
     np.testing.assert_allclose(
-        ch.apply_to_every_qubit(rho), _every_qubit_oracle(rho, ch.kraus_ops, n),
+        every_qubit(ch, rho), _every_qubit_oracle(rho, ch.kraus_ops, n),
         rtol=0, atol=1e-12,
     )
 
@@ -147,14 +153,11 @@ def _bits(a):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_layer_noise_call_matches_per_qubit_oracle_word_for_word(p, n, batch, seed):
-    # n = 1..7 spans both layouts of the kernel's tables (flat up to
-    # FLAT_MAX_DIM, broadcast beyond it); p = 0 and p = 1 make some Kraus
-    # operators, or parts of them, vanish
-    assert 2**1 <= channels.FLAT_MAX_DIM < 2**7
+    # p = 0 and p = 1 make some Kraus operators, or parts of them, vanish
     rho = _states(n, batch, seed)
     for name, prob in itertools.product(NAMED, (0.0, 1.0, p)):
         ch = named_channel(name, prob)
-        got = ch.apply_to_every_qubit(rho)
+        got = every_qubit(ch, rho)
         assert got.shape == rho.shape
         assert np.array_equal(_bits(got), _bits(every_qubit_kernel(ch, rho)))
 
@@ -168,12 +171,12 @@ def test_layer_noise_call_matches_per_qubit_oracle_word_for_word(p, n, batch, se
 )
 def test_qubit_kernel_matches_term_by_term_oracle_bit_for_bit(p, widths, batch, seed):
     # one channel object serves every width in turn, revisits included, so
-    # the tables it keeps for one d (either layout) must not reach another
+    # the tables it keeps for one d must not reach another
     for name, prob in itertools.product(NAMED, (0.0, 1.0, p)):
         ch = named_channel(name, prob)
         for i, n in enumerate(widths):
             rho = _states(n, batch, seed + i)
-            assert np.array_equal(_bits(ch.apply_to_every_qubit(rho)),
+            assert np.array_equal(_bits(every_qubit(ch, rho)),
                                   _bits(every_qubit_kernel(ch, rho)))
         assert sorted(ch._tables) == sorted({2**n for n in widths})
 
@@ -212,7 +215,6 @@ def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
     circ = build_two_local(n, 4)
     theta = np.linspace(0.1, 2.0, circ.num_parameters)
     depol, damp = named_channel("depolarizing", 0.3), named_channel("amplitude_damping", 0.3)
-    channels._flat_index.cache_clear()
     evolve(circ, theta, NoiseSpec.uniform(depol))
     evolve(circ, theta, NoiseSpec.uniform(damp))
     first = {id(ch): dict(ch._tables) for ch in (depol, damp)}
@@ -223,20 +225,6 @@ def test_qubit_kernel_tables_are_built_once_per_channel_qubit_and_width():
         # one table set per qubit under the width, the very object built first
         assert list(ch._tables) == [2**n] and len(ch._tables[2**n]) == n
         assert ch._tables[2**n] is first[id(ch)][2**n]
-    # one shared flat index per register width, across channels
-    assert channels._flat_index.cache_info().misses == 1
-    # at the largest register each named channel's tables are the shared
-    # index (4^n positions, 2 MiB) plus T masks and T x d coefficients per
-    # qubit; at the widest flat layout, 40 T d^2 bytes per qubit
-    d = 2**MAX_QUBITS
-    for name in NAMED:
-        tables = named_channel(name, 0.3)._width_tables(d)
-        assert len(tables) == MAX_QUBITS
-        total = channels._flat_index(MAX_QUBITS).nbytes + sum(a.nbytes for t in tables for a in t)
-        assert total < 40 * 2**20, name
-        flat = named_channel(name, 0.3)._width_tables(channels.FLAT_MAX_DIM)
-        assert all(a.shape[-1] == channels.FLAT_MAX_DIM**2 for t in flat for a in t)
-        assert sum(a.nbytes for t in flat for a in t) < 40 * 2**20, name
 
 
 def _noise(kind, n, depth, p):
@@ -872,7 +860,6 @@ def _pauli_path_circuits(draw):
        seed=st.integers(0, 2**32 - 1))
 def test_pauli_path_matches_the_dense_oracle(case, batch, seed):
     circ, noise = case
-    assert circuits._pauli_path(circ, noise.per_layer(circ))
     thetas = np.random.default_rng(seed).uniform(
         0, 2 * np.pi, size=(batch, circ.num_parameters))
     np.testing.assert_allclose(evolve(circ, thetas, noise),
@@ -919,27 +906,83 @@ def test_qubit_maps_in_pairs_match_the_per_qubit_oracle(n, batch):
             assert np.array_equal(_bits(got[b]), _bits(alone[0]))
 
 
-@pytest.mark.parametrize("case", ["mixture", "fixed", "perturbed", "weight2", "full_register"])
-def test_a_call_off_the_pauli_path_is_the_dense_path_bit_for_bit(case):
-    n = 5
-    circ = build_two_local(n, 2)
-    damping = named_channel("amplitude_damping", 0.3)
-    noise = NoiseSpec.uniform(damping)
-    if case in ("mixture", "perturbed"):
-        circ = _gate_noise("mixture" if case == "mixture" else "control", circ)
-    elif case == "fixed":
-        fixed = Gate(matrix=random_unitary_matrix(2**n, np.random.default_rng(3)))
-        circ = circ.with_gate((0, n), fixed)
-    elif case == "weight2":
-        circ = circ.with_gate((1, 2), Gate(generator="IXZII"))
-    else:
-        noise = NoiseSpec.uniform(channels.tensor_channel([damping] * n))
-    layer_channels = noise.per_layer(circ)
-    assert not circuits._pauli_path(circ, layer_channels)
-    thetas = np.random.default_rng(4).uniform(0, 2 * np.pi, size=(3, circ.num_parameters))
-    for rows in (thetas[:1], thetas):
-        assert np.array_equal(_bits(evolve(circ, rows, noise)),
-                              _bits(circuits._dense_evolve(circ, rows, layer_channels)))
+WIDE_RUNS = ("column", "chained", "cnots", "mixture", "fixed", "perturbed", "weight2")
+
+
+def _on(n, letters):
+    """The n-qubit string with ``letters[q]`` on each qubit q it names, I elsewhere."""
+    return "".join(letters.get(q, "I") for q in range(n))
+
+
+@st.composite
+def _wide_circuits(draw):
+    """A circuit of n = 5..7 qubits and 1..3 layers with its noise, over
+    every run kind: each layer holds up to three runs (none makes it
+    empty), each a column of X, Y and Z rotations on qubits in any order
+    (some left out) with or without CNOTs after it, CNOTs alone, a
+    mixture, a fixed gate, a rotation under control noise or a rotation
+    of weight 2.  The noise is none, a one-qubit channel on every qubit
+    after every layer, a full-register channel after every layer, or a
+    per-layer tuple that cycles through a gap and those two."""
+    n = draw(st.integers(5, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def rotations(count, weight):
+        """``count`` rotations of ``weight`` on distinct qubits."""
+        qubits = draw(st.permutations(range(n)))
+        return [Gate(generator=_on(n, {q: draw(st.sampled_from("XYZ"))
+                                       for q in qubits[k * weight:(k + 1) * weight]}))
+                for k in range(count)]
+    layers = []
+    for _ in range(draw(st.integers(1, 3))):
+        gates = []
+        for _ in range(draw(st.sampled_from([1, 2, 3, 0]))):
+            kind = draw(st.sampled_from(WIDE_RUNS))
+            if kind in ("column", "chained"):
+                gates += rotations(draw(st.integers(1, n)), 1)
+            if kind in ("chained", "cnots"):
+                gates += [Gate(cnot=tuple(draw(st.permutations(range(n)))[:2]))
+                          for _ in range(draw(st.integers(1, 3)))]
+            elif kind == "mixture":
+                q = draw(st.integers(0, n - 1))
+                gates.append(Gate(mixture=RandomUnitaryNoise(
+                    probs=(0.8, 0.2), generators=(_on(n, {q: "Y"}), "Z" * n), intended=0)))
+            elif kind == "fixed":
+                gates.append(Gate(matrix=random_unitary_matrix(2**n, rng)))
+            elif kind == "perturbed":
+                gates.append(circuits.perturbed_gate(rotations(1, 1)[0], {"X" * n: 0.05}))
+            elif kind == "weight2":
+                gates += rotations(1, 2)
+        layers.append(tuple(gates))
+    circ = circuits.Circuit(n=n, layers=tuple(layers))
+    # strong enough noise that its place among the gates shows
+    one = named_channel(draw(st.sampled_from(PAULI_PATH_NOISE)), draw(st.floats(0.1, 1.0)))
+    full = random_channel(n, rng)
+    kind = draw(st.sampled_from(["per_layer", "one", "full", "none"]))
+    if kind == "per_layer":
+        shift = draw(st.integers(0, 2))
+        return circ, NoiseSpec(tuple((None, one, full)[(layer + shift) % 3]
+                                     for layer in range(circ.depth)))
+    return circ, NoiseSpec({"none": None, "one": one, "full": full}[kind])
+
+
+@settings(SETTINGS, max_examples=60)
+@given(case=_wide_circuits(), batch=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_every_wide_call_runs_on_pauli_components(case, batch, seed):
+    # from ENGINE_MIN_QUBITS on the width alone picks the engine: gate
+    # noise, fixed gates, wider rotations and full-register channels go
+    # through density matrices inside the Pauli path and agree with the
+    # dense oracle, and row b keeps the bits of the row evolved alone
+    circ, noise = case
+    thetas = np.random.default_rng(seed).uniform(
+        0, 2 * np.pi, size=(batch, circ.num_parameters))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuits, "_dense_evolve", None)
+        got = evolve(circ, thetas, noise)
+        alone = [evolve(circ, theta, noise).data for theta in thetas]
+    np.testing.assert_allclose(got, dense_oracle.evolve(circ, thetas, noise), rtol=0, atol=1e-12)
+    for row, want in zip(got, alone):
+        assert np.array_equal(_bits(row), _bits(want))
 
 
 @settings(SETTINGS, max_examples=60)

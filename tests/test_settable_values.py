@@ -20,7 +20,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SETTABLE_VALUES = 30
+SETTABLE_VALUES = 29
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
