@@ -48,8 +48,8 @@ class KrausChannel:
 
     The channel keeps read-only copies of the operators it is given, so
     later edits of the caller's arrays cannot reach it (or its cached
-    per-qubit terms, tables, register channels, transfer matrix and affine
-    map).  Channels compare and hash by identity.
+    per-qubit terms, tables, register channels, transfer matrix, its pair
+    map and affine map).  Channels compare and hash by identity.
     """
 
     kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
@@ -180,6 +180,16 @@ class KrausChannel:
         t = transfer_matrix(self)
         t.setflags(write=False)
         return t
+
+    @cached_property
+    def _transfer_pair(self) -> np.ndarray:
+        """A 1-qubit channel's transfer matrix T on two qubits, T (x) T
+        (entry [4i + k, 4j + l] is T[i, j] T[k, l]), read-only, built on
+        first use: its map on each pair of qubits of Pauli components."""
+        t = self._transfer
+        pair = (t[:, None, :, None] * t[None, :, None, :]).reshape(16, 16)
+        pair.setflags(write=False)
+        return pair
 
     @cached_property
     def _affine(self) -> AffineRep:

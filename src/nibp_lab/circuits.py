@@ -36,8 +36,9 @@ basis states or the Pauli strings, composed from one two-digit table
 From ``ENGINE_MIN_QUBITS`` qubits on, ``evolve`` runs every circuit on the
 real vector of Pauli components instead (``_pauli_evolve``): a column is
 one 4 x 4 map per qubit with the one-qubit noise before it multiplied in,
-put on two qubits at a time as their 16 x 16 Kronecker product
-(``_qubit_maps``), and a CNOT run one signed permutation of the 4^n
+put on two qubits at a time as their 16 x 16 Kronecker product, every
+column's pair maps rendered in one pass before the first layer
+(``_pair_steps``), and a CNOT run one signed permutation of the 4^n
 strings (``_pauli_cnot_perm``).  Any other gate, a mixture and a
 full-register channel go on as their Kraus sum on density matrices, one
 conversion there and one back (``pauli._density_from_paulis``,
@@ -47,7 +48,7 @@ conversion there and one back (``pauli._density_from_paulis``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -131,14 +132,24 @@ class Gate:
         (B, d, d) stack."""
         if self.generator is None:
             raise ValueError("only a rotation gate has an angle-dependent unitary")
-        g = _pauli_matrix(self.generator)
         if not self.perturbation:
-            return _rotation(g, theta)
+            return _rotation(_pauli_matrix(self.generator), theta)
+        w, vec = self._eigh
+        angle = np.asarray(theta)[..., None, None]
+        return (vec * np.exp(-0.5j * angle * w)) @ vec.conj().T
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only eigendecomposition (w, vec) of a perturbed
+        rotation's generator, which no angle changes: computed on first
+        use and kept with the gate (not a field, so equality ignores it)."""
+        g = _pauli_matrix(self.generator)
         for letters, coeff in self.perturbation:
             g = g + coeff * _pauli_matrix(letters)
         w, vec = np.linalg.eigh(g)
-        angle = np.asarray(theta)[..., None, None]
-        return (vec * np.exp(-0.5j * angle * w)) @ vec.conj().T
+        for arr in (w, vec):
+            arr.setflags(write=False)
+        return w, vec
 
 
 def _rotation(p: np.ndarray, theta: float | np.ndarray) -> np.ndarray:
@@ -871,104 +882,172 @@ def _pauli_evolve(
     (``pauli._density_from_paulis``), from |0...0>, whose components are
     (1, 0, 0, 1) on every qubit: its (B, d, d) final states.
 
-    One ``_rotation_ptm`` call renders the 4 x 4 maps of every rotation
-    column of the circuit before the first layer (``Circuit.columns``).
-    A column is one map per qubit (``_qubit_maps``), a CNOT run, or a
-    column's chain, one signed permutation of the strings
-    (``_pauli_cnot_perm``).  A layer's one-qubit noise is its channel's
-    4 x 4 transfer matrix T on every qubit, put on with the next layer's
-    first run: multiplied into the map of each qubit of that run when it
-    is a column (R T, so the noise comes first), alone on every qubit
-    otherwise.  Any other gate, a mixture and a full-register channel
-    have no map on the strings: each goes on as its Kraus sum on density
-    matrices (``_kraus_on_paulis``).  The last layer's noise goes on after
-    it, and the state is turned back into density matrices at the end.
+    A layer's one-qubit noise is its channel's 4 x 4 transfer matrix T on
+    every qubit, put on with the next layer's first run: multiplied into
+    each qubit's map when that run is a column (R T, so the noise comes
+    first), alone otherwise (``_noise_steps``).  Before the first layer
+    one pass renders the maps of every rotation column: one
+    ``_rotation_ptm`` call for the 4 x 4 factors R, one matmul per
+    distinct channel into the columns that take it, and one broadcast
+    multiply for the 16 x 16 pair maps (``_pair_steps``); a qubit outside
+    its column holds the identity, or T where noise is pending.  The
+    layers then only multiply: a column is its pair products
+    (``_put_maps``), a CNOT run or a column's chain one signed
+    permutation of the strings (``_pauli_cnot_perm``).  Any other gate, a
+    mixture and a full-register channel have no map on the strings: each
+    goes on as its Kraus sum on density matrices (``_kraus_on_paulis``).
+    The last layer's noise goes on after it, and the state is turned back
+    into density matrices at the end.
     """
     n, batch = circ.n, len(thetas)
-    letters, params, spans = circ.columns
-    if letters:
-        stack = _rotation_ptm(letters, thetas[:, params])
-    # one block holds the state, its spare and the conversion's scratch,
-    # freed in one piece (see _dense_evolve)
-    size = batch * 4**n
-    block = np.empty(6 * size)
+    letters, params, _ = circ.columns
+    # each column with the one-qubit channel it takes: a layer's first
+    # run takes the noise of the layer before
+    pending = (None,) + tuple(ch if ch is not None and ch.n == 1 else None
+                              for ch in channels[:-1])
+    columns = [(run, pending[layer] if i == 0 else None)
+               for layer, runs in enumerate(circ.runs)
+               for i, (kind, run) in enumerate(runs) if kind == "column"]
+    # one block holds the state, its spare, the render and the
+    # conversion's scratch, freed in one piece (see _dense_evolve); the
+    # render's own scratch comes right after its pair maps, in the
+    # conversion's scratch, which the layers use only after it
+    size, count = batch * 4**n, len(columns)
+    maps_end = 2 * size + batch * count * n * 16
+    pairs_end = maps_end + batch * count * (n // 2) * 256
+    block = np.empty(pairs_end + max(4 * size, batch * count * (n // 2) * 128))
     x, spare = block[:size].reshape(batch, -1), block[size:2 * size].reshape(batch, -1)
-    work = block[2 * size:]
+    work = block[pairs_end:pairs_end + 4 * size]
+    steps = iter(())
+    if columns:
+        maps = block[2 * size:maps_end].reshape(batch, count, n, 4, 4)
+        maps[:] = np.eye(4)
+        column_of = np.repeat(np.arange(count), [len(run.qubits) for run, _ in columns])
+        maps[:, column_of, [q for run, _ in columns for q in run.qubits]] = _rotation_ptm(
+            letters, thetas[:, params])
+        for channel in dict.fromkeys(ch for _, ch in columns if ch is not None):
+            taken = [c for c, (_, ch) in enumerate(columns) if ch is channel]
+            maps[:, taken] = maps[:, taken] @ channel._transfer
+        active = [[ch is not None or q in run.qubits for q in range(n)] for run, ch in columns]
+        steps = iter(_pair_steps(maps, active, block[maps_end:]))
     x[:] = 0.0
     # the strings of X-mask 0 (I and Z letters only) have component 1
     x[:, _mask_tables(n).strings[0]] = 1.0
-    noise = None  # the transfer matrix of the noise after the layer before
+    noise = None  # the one-qubit channel after the layer before
     for layer, channel in enumerate(channels):
-        columns = iter(spans[layer])
         for kind, run in circ.layer_runs(layer):
+            before, noise = _noise_steps(noise, n), None
             if kind in ("mixture", "gate"):
                 index, op = run
                 ops = (_mixture_ops(op, thetas[:, index]) if kind == "mixture"
                        else [_gate_unitary(run, thetas)])
-                x, spare = _kraus_on_paulis(x, spare, work, noise, ops)
-            else:
-                maps = [noise] * n
-                if kind == "column":
-                    factors = stack[:, next(columns)]
-                    if noise is not None:
-                        factors = factors @ noise
-                    for k, q in enumerate(run.qubits):
-                        maps[q] = factors[:, k]
-                x, spare = _qubit_maps(x, spare, maps)
-                chain = run.chain if kind == "column" else run
-                if chain:
-                    rows, sign = _pauli_cnot_perm(chain, n)
-                    # every index is in range: "clip" only skips the bounds check
-                    x.take(rows, axis=1, out=spare, mode="clip")
-                    np.multiply(spare, sign, out=spare)
-                    x, spare = spare, x
-            noise = None
+                x, spare = _kraus_on_paulis(x, spare, work, before, ops)
+                continue
+            x, spare = _put_maps(x, spare, next(steps) if kind == "column" else before)
+            chain = run.chain if kind == "column" else run
+            if chain:
+                rows, sign = _pauli_cnot_perm(chain, n)
+                # every index is in range: "clip" only skips the bounds check
+                x.take(rows, axis=1, out=spare, mode="clip")
+                np.multiply(spare, sign, out=spare)
+                x, spare = spare, x
+        # noise still pending here is that of the layer before an empty layer
         if channel is not None and channel.n > 1:
-            x, spare = _kraus_on_paulis(x, spare, work, noise, channel.kraus_ops)
+            x, spare = _kraus_on_paulis(x, spare, work, _noise_steps(noise, n), channel.kraus_ops)
             noise = None
         else:
-            # a layer without gates leaves the noise before it still to go on
-            x, spare = _qubit_maps(x, spare, [noise] * n)
-            noise = None if channel is None else channel._transfer
-    x, _ = _qubit_maps(x, spare, [noise] * n)
+            x, spare = _put_maps(x, spare, _noise_steps(noise, n))
+            noise = channel
+    x, _ = _put_maps(x, spare, _noise_steps(noise, n))
     return _density_from_paulis(x, work)
 
 
 def _kraus_on_paulis(
-    x: np.ndarray, spare: np.ndarray, work: np.ndarray, noise: np.ndarray | None, ops
+    x: np.ndarray, spare: np.ndarray, work: np.ndarray, before: tuple, ops
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Kraus set ``ops`` (d x d operators or (B, d, d) stacks) on the
-    (B, 4^n) Pauli components ``x``, after ``noise``, the 4 x 4 transfer
-    matrix still to go on every qubit (or None): the components go to
+    (B, 4^n) Pauli components ``x``, after ``before``, the ``_put_maps``
+    steps of the one-qubit noise still to go on: the components go to
     density matrices (``work`` is the conversion's scratch), take the
-    Kraus sum and come back into x.  Returns (x, spare), as
-    ``_qubit_maps`` does."""
-    n = ops[0].shape[-1].bit_length() - 1
-    x, spare = _qubit_maps(x, spare, [noise] * n)
+    Kraus sum and come back into x.  Returns (x, spare), as ``_put_maps``
+    does."""
+    x, spare = _put_maps(x, spare, before)
     _paulis_from_density(_apply_kraus(_density_from_paulis(x, work), ops), x)
     return x, spare
 
 
-def _qubit_maps(
-    x: np.ndarray, spare: np.ndarray, maps: list[np.ndarray | None]
+def _pair_steps(
+    maps: np.ndarray, active: Sequence[Sequence[bool]], out: np.ndarray
+) -> list[tuple[tuple[int, np.ndarray], ...]]:
+    """Each column's ``_put_maps`` steps, from the (B, C, n, 4, 4) stack
+    of every column's map on each qubit (the identity where it has none)
+    and active[c][q], whether qubit q of column c has a map to put on.
+    Pair (q, q + 1), q of the parity of n, is the Kronecker product of its
+    two maps, entry [4i + k, 4j + l] the product first[i, j] second[k, l]:
+    two gathers (``_pair_index``) lay out first[i, j] and second[k, l] at
+    [i, 4j + l] and [k, 4j + l], and one broadcast multiply writes every
+    pair map into ``out``, B C (n // 2) 384 floats: the pair maps, then
+    the gathers' scratch.  A column's steps are its pairs with a map to put
+    on, the last first, then, at odd n, qubit 0's 4 x 4 map if it has
+    one, each a (B, 16, 16) or (B, 4, 4) view."""
+    batch, count, n = maps.shape[:3]
+    size = batch * count * (n // 2) * 64
+    pairs = out[:4 * size].reshape(batch, count, n // 2, 16, 16)
+    first, second = out[4 * size:5 * size], out[5 * size:6 * size]
+    flat = maps.reshape(batch, -1)
+    for part, index in zip((first, second), _pair_index(count, n)):
+        # every index is in range: "clip" only skips the bounds check
+        flat.take(index, axis=1, out=part.reshape(batch, -1), mode="clip")
+    np.multiply(first.reshape(batch, count, n // 2, 4, 1, 16),
+                second.reshape(batch, count, n // 2, 1, 4, 16),
+                out=pairs.reshape(batch, count, n // 2, 4, 4, 16))
+    return [tuple((q, pairs[:, c, q // 2]) for q in range(n - 2, -1, -2)
+                  if active[c][q] or active[c][q + 1])
+            + (((0, maps[:, c, 0]),) if n % 2 and active[c][0] else ())
+            for c in range(count)]
+
+
+@lru_cache(maxsize=8)
+def _pair_index(count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only gathers of ``_pair_steps`` from one row of a (count,
+    n, 4, 4) map stack, laid out flat: for each column and pair, entry [i,
+    4j + l] of the first reads first[i, j] and entry [k, 4j + l] of the
+    second reads second[k, l]."""
+    q = np.arange(count)[:, None] * n + n % 2 + 2 * np.arange(n // 2)
+    row, col = np.indices((4, 16)).reshape(2, -1)
+    first = (16 * q[..., None] + 4 * row + col // 4).ravel()
+    second = (16 * (q + 1)[..., None] + 4 * row + col % 4).ravel()
+    for arr in (first, second):
+        arr.setflags(write=False)
+    return first, second
+
+
+def _noise_steps(channel: KrausChannel | None, n: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The ``_put_maps`` steps of a one-qubit channel on each of n qubits,
+    none for None: the map every row shares on each pair, T (x) T of its
+    transfer matrix T (``KrausChannel._transfer_pair``), and T alone on
+    qubit 0 at odd n."""
+    if channel is None:
+        return ()
+    pairs = tuple((q, channel._transfer_pair) for q in range(n - 2, -1, -2))
+    return pairs + ((0, channel._transfer),) * (n % 2)
+
+
+def _put_maps(
+    x: np.ndarray, spare: np.ndarray, steps: Sequence[tuple[int, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each of ``maps`` on its qubit of the (B, 4^n) Pauli components
-    ``x``: maps[q] is None (nothing), one 4 x 4 map, or a (B, 4, 4) stack
-    of one per row.  The qubits go on in pairs from the last, (n-2, n-1)
-    first: a pair is one 16 x 16 map (``_pair_map``), put on as one
-    ``matmul`` batched over rows (and over the qubits before the pair),
-    the last pair a right multiply, since it has no axis after it.  At odd
-    n qubit 0 goes on alone, one 4 x 4 map.  Each product is written into
-    the other of x and ``spare``; returns the pair (result, the other)."""
-    batch, n = len(x), len(maps)
-    for q in range(n - 2, -2, -2):
-        pair = maps[max(q, 0):q + 2]
-        if all(m is None for m in pair):
-            continue
-        m = _pair_map(*pair) if len(pair) == 2 else pair[0]
+    """Each step (q, m) in turn on the (B, 4^n) Pauli components ``x``: m
+    is a 16 x 16 map of qubits (q, q + 1) or a 4 x 4 map of qubit q, one
+    map or a (B, ., .) stack of one per row, put on as one ``matmul``
+    batched over rows (and over the qubits before q); a map on the last
+    qubits is a right multiply, since it has no axis after it.  Each
+    product is written into the other of x and ``spare``; returns the pair
+    (result, the other)."""
+    batch, size = x.shape
+    for q, m in steps:
         width = m.shape[-1]
-        if q < n - 2:
-            inner = 4 ** (n - 2 - q)
+        inner = size // (4**q * width)
+        if inner > 1:
             np.matmul(m[..., None, :, :], x.reshape(batch, -1, width, inner),
                       out=spare.reshape(batch, -1, width, inner))
         else:
@@ -977,15 +1056,6 @@ def _qubit_maps(
                       out=spare.reshape(batch, -1, width))
         x, spare = spare, x
     return x, spare
-
-
-def _pair_map(first: np.ndarray | None, second: np.ndarray | None) -> np.ndarray:
-    """The 16 x 16 map (or (B, 16, 16) stack) of qubits q and q + 1 from
-    their 4 x 4 maps (or stacks), None the identity: their Kronecker
-    product, whose entry [4i + k, 4j + l] is first[i, j] second[k, l]."""
-    first, second = (np.eye(4) if m is None else m for m in (first, second))
-    pair = np.einsum("...ij,...kl->...ikjl", first, second)
-    return pair.reshape(pair.shape[:-4] + (16, 16))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -282,12 +283,24 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
+    out = Path(args.out)
+    # --out, or its nearest existing parent, must be a directory to write
+    # into: checked before the command's work, which may be a whole sweep
+    base = next(path for path in (out, *out.parents) if path.exists())
+    problem = ("is not a directory" if not base.is_dir() else
+               None if os.access(base, os.W_OK | os.X_OK) else "is not writable")
+    if problem:
+        print(f"--out {args.out}: {base} {problem}", file=sys.stderr)
+        return 1
     if args.seed is not None and "seed" in keys:
         cfg = {**cfg, "seed": args.seed}
     try:
-        command(cfg, Path(args.out), args.force)
+        command(cfg, out, args.force)
     except (FileExistsError, ConfigError) as exc:
         print(str(exc), file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"--out {args.out}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,4 +1,4 @@
-"""Hash the outputs of 390 seeded circuits, of the parts of a depth sweep
+"""Hash the outputs of 450 seeded circuits, of the parts of a depth sweep
 and of ``cost`` on small stacks, into one sha256.
 
 Run it on two source trees at the same seed; equal hashes mean the
@@ -27,7 +27,16 @@ Every circuit's noise is none, a named channel on every qubit, a
 full-register channel, or a per-layer tuple with gaps.  The hash covers
 ``evolve`` (one row and three), ``psr_gradient``, ``layer_unitary`` of
 every layer, ``layer_affine_maps``, every fixed gate's matrix after those
-calls, and the type and message of every refusal.  Then it hashes what a
+calls, and the type and message of every refusal.  Next come 60 wide
+circuits, which ``evolve`` runs on Pauli components: n = 5..7 and L =
+1..3, each layer empty or up to three runs, each a column (on some
+qubits, in any order, with or without CNOTs after it), CNOTs alone, a
+mixture, a fixed gate, a rotation under control noise or one of weight
+2, under no noise, a named channel on every qubit, a full-register
+channel or a per-layer tuple that cycles a gap and those two; the hash
+covers their ``evolve`` at one row and three, then ``evolve`` of
+``build_two_local(6, 5)`` under amplitude damping 0.3 at one row and
+four.  Then it hashes what a
 depth sweep builds: 15 ``random_two_local`` draws (n = 2..6; their terms,
 h0, matrix and ground energy), the plans of ``build_two_local`` at n = 2,
 3, 5 and L = 1, 2, 6, 24 (parameter numbers, runs, column plan and
@@ -64,7 +73,7 @@ if __name__ == "__main__" and len(sys.argv) == 4:
     # the two-tree mode imports no simulator of its own
     sys.exit(compare(sys.argv[1], sys.argv[2:]))
 
-from nibp_lab.channels import named_channel, tensor_channel
+from nibp_lab.channels import KrausChannel, named_channel, tensor_channel
 from nibp_lab.circuits import (
     Circuit,
     Gate,
@@ -82,6 +91,8 @@ from nibp_lab.hamiltonians import Hamiltonian, cost, random_two_local
 
 CASES = 300
 DEEP_CASES = 90
+WIDE_CASES = 60
+WIDE_RUNS = ("column", "chained", "cnots", "mixture", "fixed", "perturbed", "weight2")
 NAMED = ("depolarizing", "amplitude_damping", "bit_flip", "phase_flip", "flip_then_damp")
 GATE_KINDS = ("rotation", "rotation", "rotation", "cnot", "cnot", "wide", "perturbed",
               "fixed", "mixture")
@@ -155,6 +166,54 @@ def _noise(rng: np.random.Generator, n: int, depth: int) -> NoiseSpec:
     if kind == "register":
         return NoiseSpec.uniform(tensor_channel([_channel(rng) for _ in range(n)]))
     return NoiseSpec(tuple(None if rng.random() < 0.3 else _channel(rng) for _ in range(depth)))
+
+
+def _wide_layer(rng: np.random.Generator, n: int) -> tuple[Gate, ...]:
+    """Up to three runs (none leaves the layer empty), each of a kind of ``WIDE_RUNS``."""
+    gates: list[Gate] = []
+    for _ in range(int(rng.integers(0, 4))):
+        kind = rng.choice(WIDE_RUNS)
+        if kind in ("column", "chained"):
+            qubits = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            gates += [Gate(generator=_letters_on(rng, n, int(q))) for q in qubits]
+        if kind in ("chained", "cnots"):
+            gates += [_gate(rng, n, "cnot") for _ in range(int(rng.integers(1, 4)))]
+        elif kind in ("mixture", "fixed", "perturbed"):
+            gates.append(_gate(rng, n, kind))
+        elif kind == "weight2":
+            gates.append(Gate(generator=_letters(rng, n, 2)))
+    return tuple(gates)
+
+
+def _wide_noise(rng: np.random.Generator, n: int, depth: int) -> NoiseSpec:
+    """None, one named channel, one full-register channel (two Kraus
+    blocks of a random isometry), or a per-layer cycle of a gap and both."""
+    one = _channel(rng)
+    z = rng.normal(size=(2 * 2**n, 2**n)) + 1j * rng.normal(size=(2 * 2**n, 2**n))
+    q, _ = np.linalg.qr(z)
+    full = KrausChannel((q[:2**n], q[2**n:]))
+    kind = rng.choice(["none", "one", "full", "per_layer"])
+    if kind == "per_layer":
+        shift = int(rng.integers(0, 3))
+        return NoiseSpec(tuple((None, one, full)[(layer + shift) % 3] for layer in range(depth)))
+    return NoiseSpec({"none": None, "one": one, "full": full}[kind])
+
+
+def scan_wide(digest: Digest, seed: int) -> None:
+    """``evolve`` of the wide circuits, and of ``grad_wide``'s ansatz."""
+    for case in range(WIDE_CASES):
+        rng = np.random.default_rng([seed, CASES + DEEP_CASES + case])
+        n, depth = 5 + case % 3, int(rng.integers(1, 4))
+        circ = Circuit(n=n, layers=tuple(_wide_layer(rng, n) for _ in range(depth)))
+        noise = _wide_noise(rng, n, depth)
+        thetas = rng.uniform(0, 2 * np.pi, size=(3, circ.num_parameters))
+        digest.call(evolve, circ, thetas[0], noise)
+        digest.call(evolve, circ, thetas, noise)
+    circ = build_two_local(6, 5)
+    noise = NoiseSpec.named("amplitude_damping", 0.3)
+    thetas = np.random.default_rng([seed, 6]).uniform(0, 2 * np.pi, size=(4, circ.num_parameters))
+    digest.call(evolve, circ, thetas[0], noise)
+    digest.call(evolve, circ, thetas, noise)
 
 
 def _hamiltonian(rng: np.random.Generator, n: int) -> Hamiltonian:
@@ -255,6 +314,7 @@ def main(argv: list[str]) -> None:
     digest = Digest()
     for case in range(CASES + DEEP_CASES):
         scan_case(digest, int(argv[1]), case)
+    scan_wide(digest, int(argv[1]))
     scan_sweep(digest, int(argv[1]))
     scan_cost(digest, int(argv[1]))
     print(digest.sha.hexdigest())

@@ -33,7 +33,8 @@ from nibp_lab.circuits import (
     random_unitary_channel,
     ry_gate,
 )
-from nibp_lab.gradients import _shift_parameter
+from nibp_lab.gradients import _shift_parameter, control_noise_gradient
+from nibp_lab.hamiltonians import random_two_local
 from nibp_lab.pauli import (
     DensityMatrix,
     DimensionMismatchError,
@@ -181,6 +182,36 @@ def test_perturbed_gate_overrotation():
     np.testing.assert_allclose(
         tilted.unitary(theta), _ry(theta * (1 + a)), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_perturbed_rotation_diagonalizes_its_generator_once(monkeypatch, n):
+    # the generator's eigendecomposition stays with the gate: three evolve
+    # calls (on either engine) and two control_noise_gradient calls make
+    # one eigh per perturbed gate, and every value keeps its bits, the
+    # first call's and those of an equal gate built afresh alike
+    def perturbed(circ):
+        for loc in ((0, 1), (1, 0)):
+            circ = circ.with_gate(loc, perturbed_gate(circ.gate_at(loc), {"X" * n: 0.05}))
+        return circ
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    circ = perturbed(build_two_local(n, 2))
+    rng = np.random.default_rng(n)
+    thetas = rng.uniform(0, 2 * np.pi, size=(2, circ.num_parameters))
+    noise = NoiseSpec.named("amplitude_damping", 0.3)
+    H = random_two_local(n, rng)
+    states = [evolve(circ, thetas, noise) for _ in range(3)]
+    values = [control_noise_gradient(circ, thetas[0], noise, H, (0, 1)) for _ in range(2)]
+    assert len(calls) == 2
+    fresh = perturbed(build_two_local(n, 2))
+    assert fresh == circ
+    states.append(evolve(fresh, thetas, noise))
+    values.append(control_noise_gradient(fresh, thetas[0], noise, H, (0, 1)))
+    for state in states[1:]:
+        assert state.tobytes() == states[0].tobytes()
+    assert values[1:] == values[:1] * 2
 
 
 def test_perturbed_gate_off_axis_analytic():

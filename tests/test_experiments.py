@@ -633,6 +633,40 @@ def test_cli_unreadable_config_file_is_one_line_naming_it(tmp_path, command, tex
     assert not out.exists()
 
 
+# the first output each command writes
+_FIRST_OUTPUT = {"channel": "channel.json", "grad-scan": "grad_scan.csv",
+                 "bound-report": "bound_report.json", "train": "train.csv",
+                 "experiment": "noise_sweep.csv"}
+
+
+@pytest.mark.parametrize("command", sorted(_CLI_CONFIGS))
+def test_cli_unusable_out_is_one_line_naming_it(tmp_path, command, capsys, monkeypatch):
+    # an --out under a regular file once ended in a NotADirectoryError
+    # traceback, which grad-scan and experiment reached only after the
+    # whole sweep: it is refused before the command runs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_CLI_CONFIGS[command]))
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    _, keys = _COMMANDS[command]
+    with monkeypatch.context() as mp:
+        mp.setitem(_COMMANDS, command, (lambda *args: pytest.fail("the command ran"), keys))
+        for out in (afile / "sub", afile / "sub" / "deeper", afile):
+            code = main([command, "--config", str(cfg_path), "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"--out {out}: {afile} is not a directory"]
+    assert afile.read_text() == "kept"
+    # a write that fails after the work is one line naming --out too
+    out = tmp_path / "out"
+    (out / _FIRST_OUTPUT[command]).mkdir(parents=True)
+    code = main([command, "--config", str(cfg_path), "--out", str(out), "--force"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"--out {out}: ")
+    assert str(out / _FIRST_OUTPUT[command]) in err[0]
+
+
 @pytest.mark.parametrize("location, reason", [
     ([5, 0], "circuit has no gate at (5, 0)"),
     ([0, 2], "gate at (0, 2) carries no parameter"),

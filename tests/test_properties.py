@@ -18,9 +18,9 @@ shift-rule call per sample, the plan of a circuit that passes one
 layer object several times against the plan of per-layer copies, and the
 Pauli-component path of ``evolve``, which runs every call from
 ``ENGINE_MIN_QUBITS`` qubits on, against the dense oracle within 1e-12 on
-every run kind and noise form, and its kernel that puts 4 x 4 maps on
-two qubits at a time against one qubit at a time
-(``dense_oracle.qubit_maps``) within 1e-13.
+every run kind and noise form, and the pair maps it renders for every
+column in one pass, put on two qubits at a time, against 4 x 4 maps put
+on one qubit at a time (``dense_oracle.qubit_maps``) within 1e-13.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -888,22 +888,57 @@ def test_qubit_maps_in_pairs_match_the_per_qubit_oracle(n, batch):
     # every qubit's map is None, one shared 4 x 4 map or a (B, 4, 4) stack:
     # all alike, and in both cycles of the three kinds at each shift, which
     # puts every ordered mix of two kinds on some pair and each kind alone
-    # on qubit 0 at odd n; row b's bits are those of the row put on alone
+    # on qubit 0 at odd n.  Each mix is a column of one render
+    # (_pair_steps), which holds the identity for None and a shared map on
+    # every row; row b's bits are those of the row rendered and put on
+    # alone.  A one-qubit channel alone on every qubit (_noise_steps)
+    # matches the oracle too.
     rng = np.random.default_rng([n, batch])
     patterns = [[kind] * n for kind in ("none", "shared", "rows")]
     patterns += [[cycle[(q + shift) % 3] for q in range(n)]
                  for cycle in (("none", "shared", "rows"), ("none", "rows", "shared"))
                  for shift in range(3)]
     x = rng.uniform(-1, 1, size=(batch, 4**n))
-    for kinds in patterns:
-        maps = [None if kind == "none" else _orthogonal(rng, () if kind == "shared" else (batch,))
-                for kind in kinds]
-        got, _ = circuits._qubit_maps(x.copy(), np.empty_like(x), maps)
-        np.testing.assert_allclose(got, dense_oracle.qubit_maps(x, maps), rtol=0, atol=1e-13)
-        for b in range(batch):
-            row = [m if m is None or m.ndim == 2 else m[b:b + 1] for m in maps]
-            alone, _ = circuits._qubit_maps(x[b:b + 1].copy(), np.empty_like(x[:1]), row)
-            assert np.array_equal(_bits(got[b]), _bits(alone[0]))
+    every = [[None if kind == "none" else _orthogonal(rng, () if kind == "shared" else (batch,))
+              for kind in kinds] for kinds in patterns]
+    stack = np.empty((batch, len(every), n, 4, 4))
+    for c, maps in enumerate(every):
+        for q, m in enumerate(maps):
+            stack[:, c, q] = np.eye(4) if m is None else m
+    active = np.array([[m is not None for m in maps] for maps in every])
+
+    def put(rows):
+        out = np.empty(len(x[rows]) * len(every) * (n // 2) * 384)
+        return [circuits._put_maps(x[rows].copy(), np.empty_like(x[rows]), steps)[0]
+                for steps in circuits._pair_steps(stack[rows], active, out)]
+    got = put(slice(None))
+    for c, maps in enumerate(every):
+        np.testing.assert_allclose(got[c], dense_oracle.qubit_maps(x, maps), rtol=0, atol=1e-13)
+    for b in range(batch):
+        for c, alone in enumerate(put(slice(b, b + 1))):
+            assert np.array_equal(_bits(got[c][b]), _bits(alone[0]))
+    channel = named_channel("amplitude_damping", 0.3)
+    noisy, _ = circuits._put_maps(x.copy(), np.empty_like(x), circuits._noise_steps(channel, n))
+    np.testing.assert_allclose(noisy, dense_oracle.qubit_maps(x, [channel._transfer] * n),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("depth", [1, 4, 12])
+def test_a_wide_evolve_renders_its_maps_in_one_pass(depth):
+    # one _rotation_ptm call and one pair render per evolve call, whatever
+    # the depth; the layers only multiply what they rendered
+    circ = build_two_local(5, depth)
+    thetas = np.random.default_rng(depth).uniform(0, 2 * np.pi, size=(2, circ.num_parameters))
+    noise = NoiseSpec.named("amplitude_damping", 0.3)
+    calls = {"_rotation_ptm": 0, "_pair_steps": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(circuits, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            mp.setattr(circuits, name, counted)
+        evolve(circ, thetas, noise)
+    assert calls == {"_rotation_ptm": 1, "_pair_steps": 1}
 
 
 WIDE_RUNS = ("column", "chained", "cnots", "mixture", "fixed", "perturbed", "weight2")
