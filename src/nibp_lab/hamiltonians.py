@@ -73,19 +73,11 @@ class Hamiltonian:
 
     @cached_property
     def _matrix(self) -> np.ndarray:
-        """h0 / sqrt(d) I plus each term's coefficient times its string:
-        one scatter adds, in term order, each string's one nonzero per row
-        (``pauli_rows``), so every entry sums what a dense sum of the
-        terms would, in the same order.  It runs on the float64 view, each
-        entry's real and imaginary parts side by side: complex addition
-        adds them apart, and numpy's float scatter-add is the faster one."""
-        d = 2**self.n
-        mat = (self.h0 / np.sqrt(d)) * np.eye(d, dtype=complex)
-        if self.terms:
-            strings, coeffs = zip(*self.terms)
-            positions, phases = _scatter(strings)
-            values = (np.array(coeffs)[:, None] * phases).astype(complex)
-            np.add.at(mat.reshape(-1).view(float), positions, values.view(float).ravel())
+        """h0 / sqrt(d) I plus each term's coefficient times its string, as
+        one scatter (``_scatter_sum``), so no dense string matrix is built."""
+        strings = tuple(letters for letters, _ in self.terms)
+        coeffs = np.array([c for _, c in self.terms])
+        mat = _scatter_sum(self.n, strings, coeffs, self.h0 / np.sqrt(2**self.n))
         mat.setflags(write=False)
         return mat
 
@@ -115,20 +107,34 @@ def _well_formed(strings: Sequence[str], n: int) -> bool:
 
 
 @lru_cache(maxsize=MAX_QUBITS)
-def _scatter(strings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Where ``Hamiltonian._matrix`` adds each string's one nonzero per row
-    (``pauli_rows``): the read-only positions of their real and imaginary
-    parts in the float64 view of the d x d matrix, and the (strings, d)
-    read-only phases.  Kept per strings tuple, so the draws of
-    ``random_two_local`` at one width read their strings once."""
-    d = 2 ** len(strings[0])
-    flips, phases = pauli_rows(strings)
+def _scatter(n: int, strings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the n-qubit ``strings`` put their one nonzero per row
+    (``pauli_rows``), read-only and kept per strings tuple: the positions
+    of the diagonal's real parts, then of each string's real and imaginary
+    parts, in the float64 view of the d x d matrix; each string's
+    positions in the matrix itself; and the (strings, d) phases."""
+    d = 2**n
     rows = np.arange(d)
-    real = 2 * (rows * d + (rows ^ flips[:, None]))
-    positions = np.stack((real, real + 1), axis=-1).ravel()
-    for arr in (positions, phases):
+    flips, phases = pauli_rows(strings) if strings else (np.empty(0, int), np.empty((0, d)))
+    flat = (rows * d + (rows ^ flips[:, None])).ravel()
+    parts = np.stack((2 * flat, 2 * flat + 1), axis=-1).ravel()
+    positions = np.concatenate((2 * (d + 1) * rows, parts))
+    for arr in (positions, flat, phases):
         arr.setflags(write=False)
-    return positions, phases
+    return positions, flat, phases
+
+
+def _scatter_sum(n: int, strings: tuple[str, ...], coeffs: np.ndarray,
+                 diagonal: float) -> np.ndarray:
+    """``diagonal`` I plus sum_t coeffs[t] strings[t], as one ``np.bincount``
+    on the float64 view of a complex d x d matrix (complex addition adds
+    the real and imaginary parts apart): the diagonal first, then each
+    string's nonzeros in term order, the order of a dense sum of the terms."""
+    d = 2**n
+    positions, _, phases = _scatter(n, strings)
+    values = (coeffs[:, None] * phases).astype(complex, copy=False).view(float).ravel()
+    weights = np.concatenate((np.full(d, diagonal), values))
+    return np.bincount(positions, weights, minlength=2 * d * d).view(complex).reshape(d, d)
 
 
 def _hs_norm(n: int, h0: float, coeffs: Sequence[float]) -> float:
@@ -224,16 +230,24 @@ def random_two_local(n: int, seed: int | np.random.Generator) -> Hamiltonian:
     Every weight-1 and weight-2 string over {X, Z} gets an independent
     uniform [0, 1) magnitude; the spectrum is then shifted so the minimum
     eigenvalue is zero and the whole operator rescaled to unit norm.  The
-    strings, and where their matrices scatter (``_scatter``), are read
-    once per width.
+    drawn terms are scattered (``_scatter``) into a matrix only for its
+    smallest eigenvalue, and X and Z letters make that matrix real: from
+    ``ENGINE_MIN_QUBITS`` on it is solved as float64, below as complex,
+    whose rounding the depth sweeps pin.  Only the rescaled Hamiltonian is
+    built.
     """
     if not 2 <= n <= MAX_QUBITS:
         raise SizeError(f"qubit count must be in [2, {MAX_QUBITS}], got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     strings = _two_local(n)
     coeffs = rng.uniform(0.0, 1.0, size=len(strings))
-    h = Hamiltonian(n=n, terms=tuple(zip(strings, coeffs)), h0=0.0)
+    if n >= ENGINE_MIN_QUBITS:
+        _, flat, phases = _scatter(n, strings)
+        weights = (coeffs[:, None] * phases.real).ravel()
+        drawn = np.bincount(flat, weights, minlength=4**n).reshape(2**n, 2**n)
+    else:
+        drawn = _scatter_sum(n, strings, coeffs, 0.0)
     # shift the ground energy into the identity coordinate, then renormalize
-    h0 = -h.ground_energy() * np.sqrt(2**n)
+    h0 = -float(np.linalg.eigvalsh(drawn)[0]) * np.sqrt(2**n)
     scale = _hs_norm(n, h0, coeffs)
-    return Hamiltonian(n=n, terms=tuple((s, c / scale) for s, c in h.terms), h0=h0 / scale)
+    return Hamiltonian(n=n, terms=tuple(zip(strings, coeffs / scale)), h0=h0 / scale)

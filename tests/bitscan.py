@@ -1,15 +1,25 @@
 """Hash the outputs of 450 seeded circuits, of the parts of a depth sweep
-and of ``cost`` on small stacks, into one sha256.
+and of ``cost`` on small stacks, one sha256 per part.
 
 Run it on two source trees at the same seed; equal hashes mean the
-simulator's outputs are bit for bit the same on both.  On one tree:
+simulator's outputs are bit for bit the same on both, and a part whose
+hash moved names where they differ.  On one tree it prints one line per
+part, its name and its hash:
 
     PYTHONPATH=src python3 tests/bitscan.py 3
 
 On two trees at once, each scanned in a subprocess of its own: it prints
-both hashes and exits with status 1 when they differ.
+each part's two hashes and whether they are equal, and exits with status
+1 when any part differs.
 
     python3 tests/bitscan.py 3 path/to/old/src src
+
+The parts are ``circuits`` (the 390 seeded circuits), ``wide`` (the 60
+wide circuits and ``grad_wide``'s ansatz), ``draws_narrow`` and
+``draws_wide`` (the ``random_two_local`` draws at n <= 4 and at n >= 5,
+where the simulator switches to its wide engines), ``plans_csv`` (the
+circuit plans and the CSV of a depth sweep) and ``cost`` (the ``cost``
+stacks).
 
 The first 300 circuits are random: n = 1..4 qubits and L = 1..3 layers,
 their gates covering every run kind: weight-1 rotations (columns), CNOTs,
@@ -58,15 +68,22 @@ import numpy as np
 
 
 def compare(seed: str, trees: list[str]) -> int:
-    """Scan each source tree in a subprocess; print both hashes; 1 if they differ."""
-    hashes = []
+    """Scan each source tree in a subprocess; print each part's hashes; 1 if any differ."""
+    scans = []
     for tree in trees:
         env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
         out = subprocess.run([sys.executable, __file__, seed], env=env, check=True,
-                             stdout=subprocess.PIPE, text=True).stdout.strip()
-        hashes.append(out)
-        print(f"{out}  {tree}")
-    return int(len(set(hashes)) != 1)
+                             stdout=subprocess.PIPE, text=True).stdout
+        scans.append(dict(line.split() for line in out.splitlines()))
+    for label, tree in zip("AB", trees):
+        print(f"{label}: {tree}")
+    moved = False
+    for part in scans[0]:
+        hashes = [scan.get(part, "-") for scan in scans]
+        moved |= len(set(hashes)) != 1
+        print(f"{part:<13} A {hashes[0][:16]}  B {hashes[1][:16]}  "
+              + ("equal" if len(set(hashes)) == 1 else "DIFFERS"))
+    return int(moved)
 
 
 if __name__ == "__main__" and len(sys.argv) == 4:
@@ -97,6 +114,7 @@ NAMED = ("depolarizing", "amplitude_damping", "bit_flip", "phase_flip", "flip_th
 GATE_KINDS = ("rotation", "rotation", "rotation", "cnot", "cnot", "wide", "perturbed",
               "fixed", "mixture")
 NOISE_KINDS = ("none", "named", "named", "register", "per_layer")
+PARTS = ("circuits", "wide", "draws_narrow", "draws_wide", "plans_csv", "cost")
 
 
 def _letters(rng: np.random.Generator, n: int, weight: int) -> str:
@@ -271,15 +289,21 @@ def scan_case(digest: Digest, seed: int, case: int) -> None:
                 digest.array(g.matrix)
 
 
-def scan_sweep(digest: Digest, seed: int) -> None:
-    """The draws, circuit plans and one CSV of a depth sweep."""
+def scan_draws(narrow: Digest, wide: Digest, seed: int) -> None:
+    """The ``random_two_local`` draws of a depth sweep, n = 2..4 into
+    ``narrow`` and n = 5, 6 into ``wide``."""
     for n in range(2, 7):
+        digest = narrow if n <= 4 else wide
         for k in range(3):
             H = random_two_local(n, np.random.default_rng([seed, n, k]))
             digest.sha.update(repr([s for s, _ in H.terms]).encode())
             digest.array(np.array([c for _, c in H.terms] + [H.h0]))
             digest.array(H.matrix())
             digest.array(np.float64(H.ground_energy()))
+
+
+def scan_plans(digest: Digest, seed: int) -> None:
+    """The circuit plans and one CSV of a depth sweep."""
     for n in (2, 3, 5):
         for depth in (1, 2, 6, 24):
             circ = build_two_local(n, depth)
@@ -311,13 +335,16 @@ def scan_cost(digest: Digest, seed: int) -> None:
 def main(argv: list[str]) -> None:
     if len(argv) != 2:
         raise SystemExit(f"usage: {argv[0]} SEED [SRC_A SRC_B]")
-    digest = Digest()
+    seed = int(argv[1])
+    parts = {name: Digest() for name in PARTS}
     for case in range(CASES + DEEP_CASES):
-        scan_case(digest, int(argv[1]), case)
-    scan_wide(digest, int(argv[1]))
-    scan_sweep(digest, int(argv[1]))
-    scan_cost(digest, int(argv[1]))
-    print(digest.sha.hexdigest())
+        scan_case(parts["circuits"], seed, case)
+    scan_wide(parts["wide"], seed)
+    scan_draws(parts["draws_narrow"], parts["draws_wide"], seed)
+    scan_plans(parts["plans_csv"], seed)
+    scan_cost(parts["cost"], seed)
+    for name, digest in parts.items():
+        print(name, digest.sha.hexdigest())
 
 
 if __name__ == "__main__":

@@ -105,27 +105,54 @@ def test_two_local_string_enumeration():
 
 
 def test_random_two_local_invariants():
-    for n in (2, 3, 4, 5, 6):
+    for n in range(2, 10):
         H = random_two_local(n, seed=7)
         assert H.locality == 2
-        assert abs(H.hs_norm() - 1.0) < 1e-10
-        assert abs(H.ground_energy()) < 1e-10
+        assert abs(H.hs_norm() - 1.0) < 1e-13
+        assert abs(H.ground_energy()) < 1e-13
         assert all("Y" not in s for s, _ in H.terms)
 
 
 def test_random_two_local_equals_the_three_hamiltonian_form_word_for_word():
-    # the draw reads its strings and their scatter once per width and
-    # builds no shifted Hamiltonian; every value stays bit for bit
+    # below ENGINE_MIN_QUBITS the draw solves the complex matrix, as the
+    # three-Hamiltonian form does, so every value stays bit for bit; from
+    # it on it solves the real matrix, which moves only the last bits
     for n in range(2, 9):
         for seed in (n, 100 + n):
             got, want = random_two_local(n, seed), dense_oracle.random_two_local(n, seed)
             assert [s for s, _ in got.terms] == [s for s, _ in want.terms]
-            assert np.array([c for _, c in got.terms]).tobytes() == np.array(
-                [c for _, c in want.terms]).tobytes()
-            assert np.float64(got.h0).tobytes() == np.float64(want.h0).tobytes()
-            assert got.matrix().tobytes() == want.matrix().tobytes()
-            assert got.ground_energy() == want.ground_energy()
-            assert got.hs_norm() == want.hs_norm()
+            coeffs = np.array([c for _, c in got.terms])
+            want_coeffs = np.array([c for _, c in want.terms])
+            if n < ENGINE_MIN_QUBITS:
+                assert coeffs.tobytes() == want_coeffs.tobytes()
+                assert np.float64(got.h0).tobytes() == np.float64(want.h0).tobytes()
+                assert got.matrix().tobytes() == want.matrix().tobytes()
+                assert got.ground_energy() == want.ground_energy()
+                assert got.hs_norm() == want.hs_norm()
+            else:
+                assert np.abs(coeffs - want_coeffs).max() <= 1e-15
+                assert abs(got.h0 - want.h0) <= 1e-14
+                assert got.matrix().tobytes() == _add_at_scatter(got).tobytes()
+                assert abs(got.ground_energy()) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_draw_builds_one_hamiltonian_and_one_matrix_to_solve(monkeypatch, n):
+    built, solved = [], []
+    post_init, eigvalsh = Hamiltonian.__post_init__, np.linalg.eigvalsh
+    monkeypatch.setattr(Hamiltonian, "__post_init__",
+                        lambda self: (built.append(self), post_init(self))[1])
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (solved.append(a), eigvalsh(a))[1])
+    H = random_two_local(n, seed=n)
+    assert len(built) == 1 and built[0] is H
+    # X and Z letters make the drawn matrix real; the real solve starts
+    # where the depth sweeps' complex rounding is no longer pinned
+    [drawn] = solved
+    assert drawn.shape == (2**n, 2**n)
+    assert drawn.dtype == (np.float64 if n >= ENGINE_MIN_QUBITS else np.complex128)
+    assert "_matrix" not in vars(H)
+    cost(H, maximally_mixed(n))
+    assert "_matrix" in vars(H) and len(solved) == 1
 
 
 def test_cost_refuses_one_hamiltonian_for_a_stack():
@@ -251,6 +278,19 @@ def _dense_sum(H):
     return mat
 
 
+def _add_at_scatter(H):
+    """h0 / sqrt(d) I, then each term's one nonzero per row added in term
+    order by ``np.add.at``: the scatter ``Hamiltonian.matrix`` runs as one
+    ``np.bincount``."""
+    d = 2**H.n
+    mat = (H.h0 / np.sqrt(d)) * np.eye(d, dtype=complex)
+    strings, coeffs = zip(*H.terms)
+    flips, phases = pauli_rows(strings)
+    rows = np.arange(d)
+    np.add.at(mat, (rows, rows ^ flips[:, None]), np.array(coeffs)[:, None] * phases)
+    return mat
+
+
 def test_pauli_rows_are_the_one_nonzero_of_each_row(monkeypatch):
     # NumPy 1.x has no bitwise_count; the row signs must not need it
     monkeypatch.delattr(np, "bitwise_count", raising=False)
@@ -284,6 +324,7 @@ def test_matrix_scatter_equals_the_dense_sum():
     for k in range(30):
         H = random_two_local(2 + k % 6, rng)
         assert np.array_equal(H.matrix().view(np.uint64), _dense_sum(H).view(np.uint64))
+        assert H.matrix().tobytes() == _add_at_scatter(H).tobytes()
     # mixed signs and Y letters: equal values; only the sign of a zero may
     # differ, since the dense sum also adds each string's zero entries
     for k in range(30):
