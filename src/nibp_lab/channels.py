@@ -49,7 +49,8 @@ class KrausChannel:
     The channel keeps read-only copies of the operators it is given, so
     later edits of the caller's arrays cannot reach it (or its cached
     per-qubit terms, tables, register channels, transfer matrix, its pair
-    map and affine map).  Channels compare and hash by identity.
+    map, rotation tables and affine map).  Channels compare and hash by
+    identity.
     """
 
     kraus_ops: tuple[np.ndarray, ...] = field(repr=False)
@@ -58,6 +59,8 @@ class KrausChannel:
     _tables: dict = field(default_factory=dict, init=False, repr=False)
     # a 1-qubit channel's register channels, keyed by width (``register``)
     _registers: dict = field(default_factory=dict, init=False, repr=False)
+    # a 1-qubit channel's rotation tables, keyed by letters (``circuits._rotation_table``)
+    _rotation_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.array(k) for k in self.kraus_ops)
@@ -176,8 +179,15 @@ class KrausChannel:
     def _transfer(self) -> np.ndarray:
         """This channel's ``transfer_matrix``, read-only, built on first use:
         the affine map's source, and a 1-qubit channel's 4 x 4 map (order
-        I, X, Y, Z) on the Pauli components of each qubit."""
+        I, X, Y, Z) on the Pauli components of each qubit.  A
+        trace-preserving channel keeps Tr N(P) = Tr P, so its identity row
+        is (1, 0, ..., 0) up to rounding: a row within ``UNITAL_TOL`` of it
+        is set to it exactly, so the trace of a state the map takes stays
+        exact."""
         t = transfer_matrix(self)
+        trace_row = np.eye(1, len(t))[0]
+        if np.abs(t[0] - trace_row).max() <= UNITAL_TOL:
+            t[0] = trace_row
         t.setflags(write=False)
         return t
 

@@ -35,12 +35,13 @@ basis states or the Pauli strings, composed from one two-digit table
 
 From ``ENGINE_MIN_QUBITS`` qubits on, ``evolve`` runs every circuit on the
 real vector of Pauli components instead (``_pauli_evolve``): a column is
-one 4 x 4 map per qubit with the one-qubit noise before it multiplied in,
-put on two qubits at a time as their 16 x 16 Kronecker product, every
-column's pair maps rendered in one pass before the first layer
-(``_pair_steps``), and a CNOT run one signed permutation of the 4^n
-strings (``_pauli_cnot_perm``).  Any other gate, a mixture and a
-full-register channel go on as their Kraus sum on density matrices, one
+put on two qubits at a time, as the 16 x 16 map of its two rotations with
+the one-qubit noise before them, every column's pair maps rendered
+straight from the angles in one pass before the first layer
+(``_column_steps``, as the circuit plans them once, ``Circuit.pair_plan``),
+and a CNOT run is one signed permutation of the 4^n strings
+(``_pauli_cnot_perm``).  Any other gate, a mixture and a full-register
+channel go on as their Kraus sum on density matrices, each run of them one
 conversion there and one back (``pauli._density_from_paulis``,
 ``pauli._paulis_from_density``), and so do the final components.
 """
@@ -287,7 +288,8 @@ class Circuit:
     ``first`` the stretch's first layer and ``positions`` the read-only
     (k, m) positions of its k layers' first-column factors in ``columns``
     (one tuple shared by the stretch's layers), or None for a layer whose
-    first run is not a column."""
+    first run is not a column.  ``pair_plan``, built on first use, plans
+    the Pauli-component engine's render of the columns' pair maps."""
 
     n: int
     layers: tuple[tuple[Gate, ...], ...]
@@ -356,6 +358,13 @@ class Circuit:
         object.__setattr__(self, "runs", tuple(runs))
         object.__setattr__(self, "columns", (chars, params, tuple(spans)))
         object.__setattr__(self, "stretches", tuple(stretches))
+
+    @cached_property
+    def pair_plan(self) -> PairPlan:
+        """What the Pauli-component engine renders each column's maps by
+        (``_pair_plan``), built on first use, so only for a circuit that
+        runs on it (``ENGINE_MIN_QUBITS``)."""
+        return _pair_plan(self)
 
     @property
     def depth(self) -> int:
@@ -883,143 +892,253 @@ def _pauli_evolve(
     (1, 0, 0, 1) on every qubit: its (B, d, d) final states.
 
     A layer's one-qubit noise is its channel's 4 x 4 transfer matrix T on
-    every qubit, put on with the next layer's first run: multiplied into
-    each qubit's map when that run is a column (R T, so the noise comes
+    every qubit, put on with the next layer's first run: inside each
+    qubit's map when that run is a column (R T, so the noise comes
     first), alone otherwise (``_noise_steps``).  Before the first layer
-    one pass renders the maps of every rotation column: one
-    ``_rotation_ptm`` call for the 4 x 4 factors R, one matmul per
-    distinct channel into the columns that take it, and one broadcast
-    multiply for the 16 x 16 pair maps (``_pair_steps``); a qubit outside
-    its column holds the identity, or T where noise is pending.  The
-    layers then only multiply: a column is its pair products
-    (``_put_maps``), a CNOT run or a column's chain one signed
-    permutation of the strings (``_pauli_cnot_perm``).  Any other gate, a
-    mixture and a full-register channel have no map on the strings: each
-    goes on as its Kraus sum on density matrices (``_kraus_on_paulis``).
-    The last layer's noise goes on after it, and the state is turned back
-    into density matrices at the end.
+    one pass renders the 16 x 16 pair maps of every rotation column
+    straight from the angles (``_column_steps``).  The layers then only
+    multiply: a column is its pair products (``_put_maps``), a CNOT run
+    or a column's chain one signed permutation of the strings
+    (``_pauli_cnot_perm``).  Any other gate, a mixture and a
+    full-register channel have no map on the strings: each run of
+    consecutive such steps goes to density matrices once, takes each
+    Kraus sum in turn and comes back once, when the next step has a map.
+    The last layer's noise goes on after it, and the state is turned
+    back into density matrices at the end, unless a run of Kraus sums
+    ended it.
+
+    One block holds the state, its spare, the pair maps and the
+    conversion's scratch, freed in one piece (see ``_dense_evolve``).
     """
     n, batch = circ.n, len(thetas)
-    letters, params, _ = circ.columns
-    # each column with the one-qubit channel it takes: a layer's first
-    # run takes the noise of the layer before
-    pending = (None,) + tuple(ch if ch is not None and ch.n == 1 else None
-                              for ch in channels[:-1])
-    columns = [(run, pending[layer] if i == 0 else None)
-               for layer, runs in enumerate(circ.runs)
-               for i, (kind, run) in enumerate(runs) if kind == "column"]
-    # one block holds the state, its spare, the render and the
-    # conversion's scratch, freed in one piece (see _dense_evolve); the
-    # render's own scratch comes right after its pair maps, in the
-    # conversion's scratch, which the layers use only after it
-    size, count = batch * 4**n, len(columns)
-    maps_end = 2 * size + batch * count * n * 16
-    pairs_end = maps_end + batch * count * (n // 2) * 256
-    block = np.empty(pairs_end + max(4 * size, batch * count * (n // 2) * 128))
+    size = batch * 4**n
+    maps_end = 2 * size + batch * circ.pair_plan.floats
+    block = np.empty(maps_end + 4 * size)
     x, spare = block[:size].reshape(batch, -1), block[size:2 * size].reshape(batch, -1)
-    work = block[pairs_end:pairs_end + 4 * size]
-    steps = iter(())
-    if columns:
-        maps = block[2 * size:maps_end].reshape(batch, count, n, 4, 4)
-        maps[:] = np.eye(4)
-        column_of = np.repeat(np.arange(count), [len(run.qubits) for run, _ in columns])
-        maps[:, column_of, [q for run, _ in columns for q in run.qubits]] = _rotation_ptm(
-            letters, thetas[:, params])
-        for channel in dict.fromkeys(ch for _, ch in columns if ch is not None):
-            taken = [c for c, (_, ch) in enumerate(columns) if ch is channel]
-            maps[:, taken] = maps[:, taken] @ channel._transfer
-        active = [[ch is not None or q in run.qubits for q in range(n)] for run, ch in columns]
-        steps = iter(_pair_steps(maps, active, block[maps_end:]))
+    work = block[maps_end:]
+    columns = iter(_column_steps(circ, thetas, channels, block[2 * size:maps_end]))
     x[:] = 0.0
     # the strings of X-mask 0 (I and Z letters only) have component 1
     x[:, _mask_tables(n).strings[0]] = 1.0
+    steps = (step for step in _pauli_steps(circ, thetas, channels, columns) if len(step[1]))
+    rho = None  # the state as density matrices after a run of Kraus sums
+    for kraus, group in groupby(steps, lambda step: step[0] == "kraus"):
+        if kraus:
+            rho = _density_from_paulis(x, work)
+            for _, ops in group:
+                rho = _apply_kraus(rho, ops)
+            continue
+        if rho is not None:
+            _paulis_from_density(rho, x)
+            rho = None
+        for kind, step in group:
+            if kind == "maps":
+                x, spare = _put_maps(x, spare, step)
+                continue
+            rows, sign = step
+            # every index is in range: "clip" only skips the bounds check
+            x.take(rows, axis=1, out=spare, mode="clip")
+            np.multiply(spare, sign, out=spare)
+            x, spare = spare, x
+    return _density_from_paulis(x, work) if rho is None else rho
+
+
+def _pauli_steps(
+    circ: Circuit, thetas: np.ndarray, channels: tuple[KrausChannel | None, ...],
+    columns: Iterator[tuple[tuple[int, np.ndarray], ...]],
+) -> Iterator[tuple[str, object]]:
+    """The steps of ``_pauli_evolve`` in order, each built when it is
+    asked for: ("maps", ``_put_maps`` steps), ("perm", (rows, sign)) of a
+    CNOT run or a column's chain, or ("kraus", a Kraus set) of a run with
+    no map on the strings.  ``columns`` gives each column's steps in turn
+    (``_column_steps``), its pending noise inside them; any other run has
+    that noise put on alone before it."""
+    n = circ.n
     noise = None  # the one-qubit channel after the layer before
     for layer, channel in enumerate(channels):
         for kind, run in circ.layer_runs(layer):
-            before, noise = _noise_steps(noise, n), None
-            if kind in ("mixture", "gate"):
-                index, op = run
-                ops = (_mixture_ops(op, thetas[:, index]) if kind == "mixture"
-                       else [_gate_unitary(run, thetas)])
-                x, spare = _kraus_on_paulis(x, spare, work, before, ops)
-                continue
-            x, spare = _put_maps(x, spare, next(steps) if kind == "column" else before)
-            chain = run.chain if kind == "column" else run
-            if chain:
-                rows, sign = _pauli_cnot_perm(chain, n)
-                # every index is in range: "clip" only skips the bounds check
-                x.take(rows, axis=1, out=spare, mode="clip")
-                np.multiply(spare, sign, out=spare)
-                x, spare = spare, x
-        # noise still pending here is that of the layer before an empty layer
-        if channel is not None and channel.n > 1:
-            x, spare = _kraus_on_paulis(x, spare, work, _noise_steps(noise, n), channel.kraus_ops)
+            yield "maps", next(columns) if kind == "column" else _noise_steps(noise, n)
             noise = None
-        else:
-            x, spare = _put_maps(x, spare, _noise_steps(noise, n))
-            noise = channel
-    x, _ = _put_maps(x, spare, _noise_steps(noise, n))
-    return _density_from_paulis(x, work)
+            if kind == "mixture":
+                yield "kraus", _mixture_ops(run[1], thetas[:, run[0]])
+            elif kind == "gate":
+                yield "kraus", [_gate_unitary(run, thetas)]
+            elif chain := run.chain if kind == "column" else run:
+                yield "perm", _pauli_cnot_perm(chain, n)
+        # noise still pending here is that of the layer before an empty layer
+        yield "maps", _noise_steps(noise, n)
+        noise = channel
+        if channel is not None and channel.n > 1:
+            yield "kraus", channel.kraus_ops
+            noise = None
+    yield "maps", _noise_steps(noise, n)
 
 
-def _kraus_on_paulis(
-    x: np.ndarray, spare: np.ndarray, work: np.ndarray, before: tuple, ops
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Kraus set ``ops`` (d x d operators or (B, d, d) stacks) on the
-    (B, 4^n) Pauli components ``x``, after ``before``, the ``_put_maps``
-    steps of the one-qubit noise still to go on: the components go to
-    density matrices (``work`` is the conversion's scratch), take the
-    Kraus sum and come back into x.  Returns (x, spare), as ``_put_maps``
-    does."""
-    x, spare = _put_maps(x, spare, before)
-    _paulis_from_density(_apply_kraus(_density_from_paulis(x, work), ops), x)
-    return x, spare
+class PairPlan(NamedTuple):
+    """What ``_column_steps`` reads off a circuit, built once on first use
+    (``Circuit.pair_plan``).  A slot is a place a column puts a map on:
+    the pair (q, q + 1) of qubits, the last pair first, or qubit 0 alone
+    at odd n.  ``slots[0]`` lists the pair slots and ``slots[1]`` the
+    qubit-0 slots of every column that turns at least one of its qubits,
+    each as (column, letters, angles): the letters on its qubits (I where
+    the column leaves one alone) and the parameter index of each (P, one
+    past the last, where it leaves one alone).  ``places`` holds per
+    column its places (q, w, s) in step order: w = 2 for a pair, 1 for
+    qubit 0, s the slot, or -1 where the column turns none of the place's
+    qubits.  ``floats`` is the size of one row of every slot's map.
+    ``layouts`` keeps ``_layout`` per pattern of pending noise."""
+
+    # each column's layer when it starts it (and so takes the noise
+    # after the layer before), else None
+    heads: tuple[int | None, ...]
+    slots: tuple[list[tuple[int, str, tuple[int, ...]]], ...]
+    places: tuple[tuple[tuple[int, int, int], ...], ...]
+    floats: int
+    layouts: dict
 
 
-def _pair_steps(
-    maps: np.ndarray, active: Sequence[Sequence[bool]], out: np.ndarray
+def _pair_plan(circ: Circuit) -> PairPlan:
+    """The circuit's ``PairPlan``: one pass over its column runs."""
+    n, blank = circ.n, circ.num_parameters
+    heads, places, slots = [], [], ([], [])
+    for layer, runs in enumerate(circ.runs):
+        for i, (kind, run) in enumerate(runs):
+            if kind != "column":
+                continue
+            letters, angles = ["I"] * n, [blank] * n
+            for q, letter, param in zip(run.qubits, run.letters, run.params):
+                letters[q], angles[q] = letter, param
+            place = []
+            for q, w in [(q, 2) for q in range(n - 2, -1, -2)] + [(0, 1)] * (n % 2):
+                name, s = "".join(letters[q:q + w]), -1
+                if name != "I" * w:
+                    s = len(slots[2 - w])
+                    slots[2 - w].append((len(heads), name, tuple(angles[q:q + w])))
+                place.append((q, w, s))
+            heads.append(layer if i == 0 else None)
+            places.append(tuple(place))
+    return PairPlan(heads=tuple(heads), slots=slots, places=tuple(places),
+                    floats=sum(len(entries) * 16**w for w, entries in zip((2, 1), slots)),
+                    layouts={})
+
+
+def _layout(plan: PairPlan, pending: tuple[int, ...]) -> tuple:
+    """How ``_column_steps`` renders ``plan`` when the noise after each
+    layer is ``pending[layer]``: 0 for none, k for the k-th distinct
+    one-qubit channel.  Per width w with slots, ``(w, angles, groups)``:
+    the (S, w) parameter indexes of its slots sorted by (letters, noise),
+    and each group of equal (letters, noise) as (lo, hi, letters, noise),
+    its slots' rows lo:hi of that order.  Then per column its steps as (q,
+    w, row, noise): the map of width w at that row, or for row -1 the
+    noise alone.  A pattern names no channel, so the plan keeps none
+    alive."""
+    taken = [0 if layer is None else pending[layer] for layer in plan.heads]
+    widths, rows = [], {}
+    for w, entries in zip((2, 1), plan.slots):
+        if not entries:
+            continue
+        key = [(name, taken[column]) for column, name, _ in entries]
+        order = sorted(range(len(entries)), key=key.__getitem__)
+        rows[w] = {s: row for row, s in enumerate(order)}
+        angles = np.array([entries[s][2] for s in order], dtype=np.intp)
+        groups, lo = [], 0
+        for (name, noise), members in groupby(order, key.__getitem__):
+            hi = lo + len(list(members))
+            groups.append((lo, hi, name, noise))
+            lo = hi
+        widths.append((w, angles, groups))
+    steps = [tuple((q, w, rows[w][s] if s >= 0 else -1, noise) for q, w, s in place
+                   if s >= 0 or noise)
+             for place, noise in zip(plan.places, taken)]
+    return widths, steps
+
+
+def _column_steps(
+    circ: Circuit, thetas: np.ndarray, channels: tuple[KrausChannel | None, ...],
+    out: np.ndarray,
 ) -> list[tuple[tuple[int, np.ndarray], ...]]:
-    """Each column's ``_put_maps`` steps, from the (B, C, n, 4, 4) stack
-    of every column's map on each qubit (the identity where it has none)
-    and active[c][q], whether qubit q of column c has a map to put on.
-    Pair (q, q + 1), q of the parity of n, is the Kronecker product of its
-    two maps, entry [4i + k, 4j + l] the product first[i, j] second[k, l]:
-    two gathers (``_pair_index``) lay out first[i, j] and second[k, l] at
-    [i, 4j + l] and [k, 4j + l], and one broadcast multiply writes every
-    pair map into ``out``, B C (n // 2) 384 floats: the pair maps, then
-    the gathers' scratch.  A column's steps are its pairs with a map to put
-    on, the last first, then, at odd n, qubit 0's 4 x 4 map if it has
-    one, each a (B, 16, 16) or (B, 4, 4) view."""
-    batch, count, n = maps.shape[:3]
-    size = batch * count * (n // 2) * 64
-    pairs = out[:4 * size].reshape(batch, count, n // 2, 16, 16)
-    first, second = out[4 * size:5 * size], out[5 * size:6 * size]
-    flat = maps.reshape(batch, -1)
-    for part, index in zip((first, second), _pair_index(count, n)):
-        # every index is in range: "clip" only skips the bounds check
-        flat.take(index, axis=1, out=part.reshape(batch, -1), mode="clip")
-    np.multiply(first.reshape(batch, count, n // 2, 4, 1, 16),
-                second.reshape(batch, count, n // 2, 1, 4, 16),
-                out=pairs.reshape(batch, count, n // 2, 4, 4, 16))
-    return [tuple((q, pairs[:, c, q // 2]) for q in range(n - 2, -1, -2)
-                  if active[c][q] or active[c][q + 1])
-            + (((0, maps[:, c, 0]),) if n % 2 and active[c][0] else ())
-            for c in range(count)]
+    """Each rotation column's ``_put_maps`` steps for the (B, P) angles
+    ``thetas`` under the layer entries ``channels``, as the circuit plans
+    them (``Circuit.pair_plan``); the maps are written into ``out``, B
+    ``floats`` of the plan.
+
+    A column that starts its layer takes T, the transfer matrix of the
+    one-qubit channel after the layer before.  A rotation's transfer
+    matrix is A_0 + cos(theta) A_1 + sin(theta) A_2 (``_ptm_parts``; A_0 =
+    I, A_1 = A_2 = 0 on a qubit the column leaves alone), so a pair's map
+    (R T) (x) (R' T) is sum_uv f_u(theta) f_v(theta') (A_u (x) A'_v)(T (x)
+    T), f = (1, cos, sin): its 9 coefficients, one outer product, times a
+    (9, 256) table that depends only on its letters and T
+    (``_rotation_table``); qubit 0 alone takes its 3 coefficients times a
+    (3, 16) table.  Each group of slots with equal letters and noise
+    (``_layout``) is one ``matmul`` into ``out``.  A place the column
+    leaves alone takes T (x) T (or T) where noise is pending, and no step
+    otherwise.  Every step's map is a (B, 16, 16) or (B, 4, 4) view, or
+    the channel's own shared map; row b is bit for bit that row rendered
+    alone."""
+    plan, (batch, count) = circ.pair_plan, thetas.shape
+    # a layer's first run takes the one-qubit noise of the layer before
+    code: dict[KrausChannel | None, int] = {None: 0}
+    pending = (0,) + tuple(code.setdefault(ch, len(code)) if ch is not None and ch.n == 1 else 0
+                           for ch in channels[:-1])
+    noises = list(code)
+    if pending not in plan.layouts:
+        plan.layouts[pending] = _layout(plan, pending)
+    widths, steps = plan.layouts[pending]
+    trig = np.empty((batch, count + 1, 3))
+    trig[..., 0] = 1.0
+    np.cos(thetas, out=trig[:, :count, 1])
+    np.sin(thetas, out=trig[:, :count, 2])
+    trig[:, count, 1:] = 0.0
+    views, start = {}, 0
+    for w, angles, groups in widths:
+        f = trig[:, angles]
+        coef = f[:, :, 0] if w == 1 else (f[:, :, 0, :, None] * f[:, :, 1, None, :]).reshape(
+            batch, len(angles), 9)
+        slab = out[start:start + batch * len(angles) * 16**w].reshape(
+            batch, len(angles), 4**w, 4**w)
+        start += slab.size
+        flat = slab.reshape(batch, len(angles), 16**w)
+        for lo, hi, name, noise in groups:
+            np.matmul(coef[:, lo:hi], _rotation_table(name, noises[noise]), out=flat[:, lo:hi])
+        views[w] = list(slab.swapaxes(0, 1))
+    return [tuple((q, views[w][row] if row >= 0 else
+                   (noises[noise]._transfer_pair if w == 2 else noises[noise]._transfer))
+                  for q, w, row, noise in column)
+            for column in steps]
 
 
-@lru_cache(maxsize=8)
-def _pair_index(count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only gathers of ``_pair_steps`` from one row of a (count,
-    n, 4, 4) map stack, laid out flat: for each column and pair, entry [i,
-    4j + l] of the first reads first[i, j] and entry [k, 4j + l] of the
-    second reads second[k, l]."""
-    q = np.arange(count)[:, None] * n + n % 2 + 2 * np.arange(n // 2)
-    row, col = np.indices((4, 16)).reshape(2, -1)
-    first = (16 * q[..., None] + 4 * row + col // 4).ravel()
-    second = (16 * (q + 1)[..., None] + 4 * row + col % 4).ravel()
-    for arr in (first, second):
-        arr.setflags(write=False)
-    return first, second
+def _rotation_table(letters: str, channel: KrausChannel | None) -> np.ndarray:
+    """The read-only (3^w, 16^w) table of the w = 1 or 2 one-qubit
+    ``letters`` (I for a qubit left alone) under the noise ``channel``
+    (None for none): row (u, v) is (A_u (x) A'_v)(T (x) T) laid out flat,
+    A and A' the letters' ``_ptm_parts`` and T the channel's transfer
+    matrix (one letter: row u is A_u T).  A channel keeps its tables;
+    every entry is a product of entries of T, signed."""
+    parts = _rotation_parts(letters)
+    if channel is None:
+        return parts
+    tables = channel._rotation_tables
+    if letters not in tables:
+        t = channel._transfer if len(letters) == 1 else channel._transfer_pair
+        table = (parts.reshape(len(parts), len(t), len(t)) @ t).reshape(parts.shape)
+        table.setflags(write=False)
+        tables[letters] = table
+    return tables[letters]
+
+
+@lru_cache(maxsize=64)
+def _rotation_parts(letters: str) -> np.ndarray:
+    """The read-only (3^w, 16^w) table of ``_rotation_table`` without
+    noise: the letters' ``_ptm_parts``, row (u, v) the Kronecker product
+    A_u (x) A'_v laid out flat, every entry 0 or +-1."""
+    a = _ptm_parts(letters)[:, 0]
+    if len(letters) == 2:
+        b = _ptm_parts(letters)[:, 1]
+        a = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    table = a.reshape(3 ** len(letters), -1)
+    table.setflags(write=False)
+    return table
 
 
 def _noise_steps(channel: KrausChannel | None, n: int) -> tuple[tuple[int, np.ndarray], ...]:
@@ -1104,9 +1223,13 @@ def _ptm_parts(letters: str) -> np.ndarray:
     (order I, X, Y, Z) of exp(-i theta P / 2), P the k-th letter, is
     ``parts[0, k] + cos(theta) parts[1, k] + sin(theta) parts[2, k]``.
     I and P stay; the two letters that anticommute with P turn by theta in
-    their plane, e.g. for P = Y: X -> cos(theta) X - sin(theta) Z."""
+    their plane, e.g. for P = Y: X -> cos(theta) X - sin(theta) Z.  The
+    letter I (no rotation) has parts (I, 0, 0)."""
     parts = np.zeros((3, len(letters), 4, 4))
     for k, letter in enumerate(letters):
+        if letter == "I":
+            parts[0, k] = np.eye(4)
+            continue
         p = "XYZ".index(letter) + 1
         a, b = p % 3 + 1, (p + 1) % 3 + 1  # P, a, b cyclic in X -> Y -> Z
         parts[0, k, 0, 0] = parts[0, k, p, p] = 1

@@ -214,10 +214,14 @@ class _MaskTables(NamedTuple):
     the module docstring), d = 2^n."""
 
     strings: np.ndarray  # [x, z]: the natural index of the string of X-mask x, Z-mask z
-    real: np.ndarray  # [x, z]: the real part of its phase i^|x&z|, 0 or +-1
-    imag: np.ndarray  # [x, z]: the imaginary part of that phase, 0 or +-1
+    # [p, x, z]: the real (p = 0) and the imaginary (p = 1) part of its
+    # phase i^|x&z|, 0 or +-1
+    phases: np.ndarray
     hadamard: np.ndarray  # [j, z]: (-1)^(j.z), a symmetric matrix
-    density: np.ndarray  # [a, b]: (a^b) d + b, where rho[a, b] sits in a flat (x, j) table
+    scaled: np.ndarray  # [j, z]: (-1)^(j.z) / d, the Hadamard matrix over d
+    # [a, b, p]: p d^2 + (a^b) d + b, where part p of rho[a, b] sits in a
+    # flat (p, x, j) table
+    density: np.ndarray
     coherence: np.ndarray  # [x, j]: j d + (j^x), the flat place of rho[j, j^x]
     hamming: np.ndarray  # [k]: the natural index of the k-th string of pauli_strings_by_weight(n)
 
@@ -225,7 +229,8 @@ class _MaskTables(NamedTuple):
 @lru_cache(maxsize=MAX_QUBITS)
 def _mask_tables(n: int) -> _MaskTables:
     """The X/Z-mask tables of n qubits, built once per n: 2^(2n) entries
-    each (14 MiB in all at ``MAX_QUBITS``).
+    each, twice that for ``phases`` and ``density`` (18 MiB in all at
+    ``MAX_QUBITS``).
 
     The Hamming order sorts by weight, then by the qubits that carry a
     letter, then by those letters.  Among strings of one weight, the first
@@ -243,12 +248,15 @@ def _mask_tables(n: int) -> _MaskTables:
     weight = (bits[:, None] | bits[None, :]).sum(axis=-1, dtype=np.intp)
     order = ((weight * d + d - 1 - lettered) * d * d + strings).ravel().argsort()
     real, imag = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
+    hadamard = 1.0 - 2.0 * (overlap % 2)
+    density = (masks[:, None] ^ masks) * d + masks
     tables = _MaskTables(
         strings=strings,
-        real=real[overlap % 4],
-        imag=imag[overlap % 4],
-        hadamard=1.0 - 2.0 * (overlap % 2),
-        density=(masks[:, None] ^ masks) * d + masks,
+        phases=np.stack((real[overlap % 4], imag[overlap % 4])),
+        hadamard=hadamard,
+        # 1/d is a power of two: the scaling is exact
+        scaled=hadamard / d,
+        density=np.stack((density, density + d * d), axis=-1),
         coherence=masks * d + (masks[:, None] ^ masks),
         hamming=strings.ravel()[order],
     )
@@ -262,27 +270,27 @@ def _density_from_paulis(x: np.ndarray, work: np.ndarray) -> np.ndarray:
     natural-order Pauli components x_s = Tr(P_s rho); ``work`` is a float
     scratch of 4 B 4^n entries, which the caller holds.
 
-    One gather lays each row out by (X-mask, Z-mask) and the phase tables
-    split it into the parts that the real and the imaginary phases carry;
-    one product with the Hadamard matrix per row and part gives each
-    X-mask's values at j, and one gather per part puts them at rho[j^x, j].
-    The products are batched over rows, so row b is bit for bit that row
-    converted alone."""
+    One gather lays each row out by (X-mask, Z-mask) and one multiply by
+    the phase tables splits it into the parts that the real and the
+    imaginary phases carry; one product with the Hadamard matrix over d
+    per row and part gives each X-mask's values at j, and one gather puts
+    both parts at rho[j^x, j], the real and imaginary parts of the complex
+    stack.  The products are batched over rows, so row b is bit for bit
+    that row converted alone."""
     batch, size = x.shape
     n = (size.bit_length() - 1) // 2
     d = 2**n
     tables = _mask_tables(n)
-    parts, values = work.reshape(2, 2, batch, d, d)
+    parts, values = work.reshape(2, batch, 2, d, d)
+    # the rows laid out by mask sit in the values' scratch until the product
+    laid = values.reshape(2, batch, d, d)[0]
     # every index is in range: "clip" only skips the bounds check
-    x.take(tables.strings, axis=1, out=parts[0], mode="clip")
-    np.multiply(parts[0], tables.imag, out=parts[1])
-    np.multiply(parts[0], tables.real, out=parts[0])
-    np.matmul(parts, tables.hadamard, out=values)
+    x.take(tables.strings, axis=1, out=laid, mode="clip")
+    np.multiply(laid[:, None], tables.phases, out=parts)
+    np.matmul(parts, tables.scaled, out=values)
     rho = np.empty((batch, d, d), dtype=complex)
-    for part, value, out in zip(parts, values, (rho.real, rho.imag)):
-        value.reshape(batch, d * d).take(tables.density, axis=1, out=part, mode="clip")
-        # 1/d is a power of two: the scaling is exact
-        np.multiply(part, 1.0 / d, out=out)
+    values.reshape(batch, 2 * d * d).take(
+        tables.density, axis=1, out=rho.view(float).reshape(batch, d, d, 2), mode="clip")
     return rho
 
 
@@ -300,7 +308,8 @@ def _paulis_from_density(rho: np.ndarray, out: np.ndarray) -> np.ndarray:
     d = rho.shape[-1]
     tables = _mask_tables(d.bit_length() - 1)
     r = rho.reshape(rho.shape[:-2] + (d * d,)).take(tables.coherence, axis=-1)
-    traces = tables.real * (r.real @ tables.hadamard) - tables.imag * (r.imag @ tables.hadamard)
+    real, imag = tables.phases
+    traces = real * (r.real @ tables.hadamard) - imag * (r.imag @ tables.hadamard)
     # a phase -1 times a zero gives -0.0; adding +0.0 makes every zero +0.0,
     # as the sum over the dense basis did (the ground state's vector keeps its bits)
     traces += 0.0

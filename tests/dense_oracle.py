@@ -23,7 +23,13 @@ from the strings built afresh, where the simulator builds the strings
 and where they scatter once per width and no shifted Hamiltonian.
 ``qubit_maps`` puts 4 x 4 maps on Pauli components one qubit at a time,
 where the simulator puts them on two qubits at a time, as one 16 x 16
-map."""
+map.  ``column_maps`` and ``pair_steps`` render a column's maps as
+rotation matrix times noise on each qubit, then the Kronecker product of
+each pair, where the simulator builds each pair map straight from the
+two angles through a table per letter pair and channel.
+``density_from_paulis`` scales each phase part by 1/d after its
+Hadamard product and gathers each part on its own, where the simulator
+folds 1/d into the Hadamard matrix and gathers both parts at once."""
 
 from functools import lru_cache
 
@@ -32,7 +38,7 @@ import numpy as np
 from nibp_lab import circuits
 from nibp_lab.hamiltonians import Hamiltonian, two_local_strings
 from nibp_lab.channels import _apply_kraus, transfer_matrix, unitary_channel
-from nibp_lab.pauli import DensityMatrix, pauli_strings_by_weight
+from nibp_lab.pauli import DensityMatrix, _mask_tables, pauli_strings_by_weight
 
 _FLIPS = str.maketrans("IXYZ", "0110")  # the letters that flip their qubit's bit
 _SIGNS = str.maketrans("IXYZ", "0011")  # the letters that negate a set bit's row
@@ -282,3 +288,62 @@ def qubit_maps(x: np.ndarray, maps) -> np.ndarray:
             x = np.matmul(x.reshape(batch, -1, 4), m.swapaxes(-1, -2))
         x = x.reshape(batch, -1)
     return x
+
+
+def density_from_paulis(x: np.ndarray) -> np.ndarray:
+    """``pauli._density_from_paulis`` in its two-part form: the real and
+    the imaginary phase parts each multiplied, put through the Hadamard
+    matrix, gathered into place and scaled by 1/d on their own."""
+    batch, size = x.shape
+    n = (size.bit_length() - 1) // 2
+    d = 2**n
+    tables = _mask_tables(n)
+    laid = x[:, tables.strings]
+    parts = np.stack([laid * phase for phase in tables.phases])
+    values = parts @ tables.hadamard
+    rho = np.empty((batch, d, d), dtype=complex)
+    for value, out in zip(values, (rho.real, rho.imag)):
+        part = value.reshape(batch, d * d)[:, tables.density[..., 0]]
+        np.multiply(part, 1.0 / d, out=out)
+    return rho
+
+
+def column_maps(circ, thetas, channels):
+    """Each rotation column's 4 x 4 map on every qubit of the (B, P)
+    angle stack, under the layer entries ``channels``, as a list per
+    column in run order: R T on a turned qubit, R its rotation's transfer
+    matrix and T the transfer matrix of the one-qubit channel after the
+    layer before (for a column that starts its layer), R without such a
+    channel; T on a qubit the column leaves alone, None without one."""
+    pending = [None] + [ch if ch is not None and ch.n == 1 else None for ch in channels[:-1]]
+    columns = []
+    for layer, runs in enumerate(circ.runs):
+        for i, (kind, run) in enumerate(runs):
+            if kind != "column":
+                continue
+            noise = pending[layer] if i == 0 else None
+            maps = [None if noise is None else noise._transfer] * circ.n
+            ptm = circuits._rotation_ptm(run.letters, thetas[:, list(run.params)])
+            for k, q in enumerate(run.qubits):
+                maps[q] = ptm[:, k] if noise is None else ptm[:, k] @ noise._transfer
+            columns.append(maps)
+    return columns
+
+
+def pair_steps(maps):
+    """The ``circuits._put_maps`` steps of one column's per-qubit maps
+    (``column_maps``): each pair (q, q + 1), the last first, with a map
+    on either qubit as the Kronecker product of the two (the identity for
+    None), entry [4i + k, 4j + l] the product first[i, j] second[k, l];
+    then at odd n qubit 0's map alone, if it has one."""
+    n, eye = len(maps), np.eye(4)
+    steps = []
+    for q in range(n - 2, -1, -2):
+        if maps[q] is None and maps[q + 1] is None:
+            continue
+        first, second = (eye if m is None else m for m in maps[q:q + 2])
+        pair = first[..., :, None, :, None] * second[..., None, :, None, :]
+        steps.append((q, pair.reshape(pair.shape[:-4] + (16, 16))))
+    if n % 2 and maps[0] is not None:
+        steps.append((0, maps[0]))
+    return steps

@@ -1,5 +1,6 @@
 from functools import reduce
 
+import dense_oracle
 import numpy as np
 import pytest
 from helpers import (
@@ -17,6 +18,7 @@ from nibp_lab.pauli import (
     InvalidStateError,
     SizeError,
     _density_from_paulis,
+    _mask_tables,
     _pauli_matrix,
     _paulis_from_density,
     build_nice_basis,
@@ -163,6 +165,23 @@ def test_paulis_from_density_inverts_density_from_paulis(n):
     np.testing.assert_allclose(back, rho, rtol=0, atol=1e-15)
     again = _paulis_from_density(back, np.empty((2, 4**n)))
     np.testing.assert_allclose(again, x, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_density_from_paulis_equals_the_two_part_form_word_for_word(n):
+    # 1/d folded into the Hadamard matrix (a power of two, so exact) and
+    # one gather of both phase parts give the bits of scaling and
+    # gathering each part on its own, on a random stack and through
+    # from_coherence
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1, 1, size=(3 if n < MAX_QUBITS else 1, 4**n))
+    got = _density_from_paulis(x, np.empty(4 * x.size))
+    assert np.array_equal(got.view(np.uint64), dense_oracle.density_from_paulis(x).view(np.uint64))
+    v = to_coherence(random_density_matrix(n, rng))
+    natural = np.empty((1, 4**n))
+    natural[0, _mask_tables(n).hamming] = np.concatenate(([1.0], np.sqrt(2**n) * v))
+    want = dense_oracle.density_from_paulis(natural)[0]
+    assert np.array_equal(from_coherence(v).data.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

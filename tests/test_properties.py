@@ -18,9 +18,12 @@ shift-rule call per sample, the plan of a circuit that passes one
 layer object several times against the plan of per-layer copies, and the
 Pauli-component path of ``evolve``, which runs every call from
 ``ENGINE_MIN_QUBITS`` qubits on, against the dense oracle within 1e-12 on
-every run kind and noise form, and the pair maps it renders for every
-column in one pass, put on two qubits at a time, against 4 x 4 maps put
-on one qubit at a time (``dense_oracle.qubit_maps``) within 1e-13.
+every run kind and noise form, and the pair maps it builds for every
+column in one pass straight from the angles against the Kronecker
+products of per-qubit maps (``dense_oracle.column_maps`` and
+``pair_steps``) within 1e-15, and put on two qubits at a time against
+those 4 x 4 maps put on one qubit at a time (``dense_oracle.qubit_maps``)
+within 1e-13.
 
 Every test runs a fixed set of examples (``derandomize=True``), so a run
 passes or fails the same way each time.
@@ -877,46 +880,64 @@ def test_pauli_path_row_b_is_the_row_evolved_alone_bit_for_bit(n, name):
         assert np.array_equal(_bits(stack[b]), _bits(evolve(circ, theta, noise).data))
 
 
-def _orthogonal(rng, shape):
-    q, _ = np.linalg.qr(rng.normal(size=shape + (4, 4)))
-    return q
+def _render_case(n, noise_kind, rng):
+    """A circuit of n qubits over every place a column can take, with its
+    layer entries: partial columns of X, Y and Z rotations on qubits in
+    any order, a column that starts its layer with CNOTs after it, a
+    column after a CNOT run and one after another column's chain (neither
+    takes the pending noise), an empty layer, and a full column.  The
+    noise is none, one one-qubit channel after every layer, or a per-layer
+    cycle of two one-qubit channels, a gap and a full-register channel."""
+    def column(count):
+        qubits = rng.permutation(n)[:count]
+        return [Gate(generator=_on(n, {int(q): str(rng.choice(list("XYZ")))})) for q in qubits]
+
+    def cnots(count):
+        return [Gate(cnot=tuple(int(q) for q in rng.permutation(n)[:2])) for _ in range(count)]
+    layers = (tuple(column(3) + cnots(2)), tuple(column(n - 1) + cnots(1) + column(2)),
+              tuple(cnots(2) + column(n)), (), tuple(column(1)), tuple(column(n)))
+    circ = circuits.Circuit(n=n, layers=layers)
+    one = (named_channel("amplitude_damping", 0.3), named_channel("depolarizing", 0.2))
+    noise = {"none": NoiseSpec(),
+             "one": NoiseSpec.uniform(one[0]),
+             "mixed": NoiseSpec(tuple((one[0], None, channels.identity_channel(n), one[1])[k % 4]
+                                      for k in range(len(layers))))}[noise_kind]
+    return circ, noise.per_layer(circ)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
-@pytest.mark.parametrize("batch", [1, 3])
-def test_qubit_maps_in_pairs_match_the_per_qubit_oracle(n, batch):
-    # every qubit's map is None, one shared 4 x 4 map or a (B, 4, 4) stack:
-    # all alike, and in both cycles of the three kinds at each shift, which
-    # puts every ordered mix of two kinds on some pair and each kind alone
-    # on qubit 0 at odd n.  Each mix is a column of one render
-    # (_pair_steps), which holds the identity for None and a shared map on
-    # every row; row b's bits are those of the row rendered and put on
+@pytest.mark.parametrize("noise_kind", ["none", "one", "mixed"])
+def test_qubit_maps_in_pairs_match_the_per_qubit_oracle(n, noise_kind):
+    # each column's pair maps, built straight from the angles
+    # (_column_steps), against the per-qubit maps R T and their Kronecker
+    # products (dense_oracle.column_maps, pair_steps) within 1e-15, and
+    # put on the components against those maps put on one qubit at a
+    # time within 1e-13; row b's maps keep the bits of the row rendered
     # alone.  A one-qubit channel alone on every qubit (_noise_steps)
     # matches the oracle too.
-    rng = np.random.default_rng([n, batch])
-    patterns = [[kind] * n for kind in ("none", "shared", "rows")]
-    patterns += [[cycle[(q + shift) % 3] for q in range(n)]
-                 for cycle in (("none", "shared", "rows"), ("none", "rows", "shared"))
-                 for shift in range(3)]
-    x = rng.uniform(-1, 1, size=(batch, 4**n))
-    every = [[None if kind == "none" else _orthogonal(rng, () if kind == "shared" else (batch,))
-              for kind in kinds] for kinds in patterns]
-    stack = np.empty((batch, len(every), n, 4, 4))
-    for c, maps in enumerate(every):
-        for q, m in enumerate(maps):
-            stack[:, c, q] = np.eye(4) if m is None else m
-    active = np.array([[m is not None for m in maps] for maps in every])
+    rng = np.random.default_rng([n, len(noise_kind)])
+    circ, entries = _render_case(n, noise_kind, rng)
+    thetas = rng.uniform(0, 2 * np.pi, size=(3, circ.num_parameters))
+    x = rng.uniform(-1, 1, size=(3, 4**n))
 
-    def put(rows):
-        out = np.empty(len(x[rows]) * len(every) * (n // 2) * 384)
-        return [circuits._put_maps(x[rows].copy(), np.empty_like(x[rows]), steps)[0]
-                for steps in circuits._pair_steps(stack[rows], active, out)]
-    got = put(slice(None))
-    for c, maps in enumerate(every):
-        np.testing.assert_allclose(got[c], dense_oracle.qubit_maps(x, maps), rtol=0, atol=1e-13)
-    for b in range(batch):
-        for c, alone in enumerate(put(slice(b, b + 1))):
-            assert np.array_equal(_bits(got[c][b]), _bits(alone[0]))
+    def render(rows):
+        return circuits._column_steps(circ, thetas[rows], entries,
+                                      np.empty(len(thetas[rows]) * circ.pair_plan.floats))
+    got, per_qubit = render(slice(None)), dense_oracle.column_maps(circ, thetas, entries)
+    assert len(got) == len(per_qubit) == 6
+    for steps, maps in zip(got, per_qubit):
+        want = dense_oracle.pair_steps(maps)
+        assert [q for q, _ in steps] == [q for q, _ in want]
+        for (_, m), (_, w) in zip(steps, want):
+            assert m.shape == w.shape
+            np.testing.assert_allclose(m, w, rtol=0, atol=1e-15)
+        put, _ = circuits._put_maps(x.copy(), np.empty_like(x), steps)
+        np.testing.assert_allclose(put, dense_oracle.qubit_maps(x, maps), rtol=0, atol=1e-13)
+    for b in range(len(thetas)):
+        for steps, alone in zip(got, render(slice(b, b + 1))):
+            for (_, m), (_, w) in zip(steps, alone):
+                assert np.array_equal(_bits(m if m.ndim == 2 else m[b]),
+                                      _bits(w if w.ndim == 2 else w[0]))
     channel = named_channel("amplitude_damping", 0.3)
     noisy, _ = circuits._put_maps(x.copy(), np.empty_like(x), circuits._noise_steps(channel, n))
     np.testing.assert_allclose(noisy, dense_oracle.qubit_maps(x, [channel._transfer] * n),
@@ -925,20 +946,80 @@ def test_qubit_maps_in_pairs_match_the_per_qubit_oracle(n, batch):
 
 @pytest.mark.parametrize("depth", [1, 4, 12])
 def test_a_wide_evolve_renders_its_maps_in_one_pass(depth):
-    # one _rotation_ptm call and one pair render per evolve call, whatever
-    # the depth; the layers only multiply what they rendered
+    # one render of every column's pair maps per evolve call, whatever
+    # the depth; the layers only multiply what it rendered
     circ = build_two_local(5, depth)
     thetas = np.random.default_rng(depth).uniform(0, 2 * np.pi, size=(2, circ.num_parameters))
     noise = NoiseSpec.named("amplitude_damping", 0.3)
-    calls = {"_rotation_ptm": 0, "_pair_steps": 0}
+    calls = []
+    render = circuits._column_steps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuits, "_column_steps", lambda *args: calls.append(1) or render(*args))
+        for k in range(1, 3):
+            evolve(circ, thetas, noise)
+            assert len(calls) == k
+
+
+def test_a_circuit_plans_its_pair_maps_once_and_only_on_the_pauli_engine():
+    # the plan is built on a circuit's first wide evolve and kept with it;
+    # a circuit below ENGINE_MIN_QUBITS never builds one
+    built = []
+    plan = circuits._pair_plan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circuits, "_pair_plan", lambda circ: built.append(circ) or plan(circ))
+        for n in (2, 3, 4):
+            circ = build_two_local(n, 3)
+            theta = np.zeros(circ.num_parameters)
+            evolve(circ, theta, NoiseSpec.named("amplitude_damping", 0.3))
+            list(circuits.layer_gate_maps(circ, theta, range(3)))
+            assert "pair_plan" not in vars(circ)
+        assert built == []
+        wide = [build_two_local(n, 3) for n in (5, 6)]
+        for circ in wide * 2:
+            thetas = np.zeros((2, circ.num_parameters))
+            for name in ("none", "amplitude_damping", "depolarizing"):
+                evolve(circ, thetas, NoiseSpec.named(name, 0.3))
+        assert built == wide
+
+
+def test_consecutive_runs_without_a_map_share_one_trip_through_density_matrices():
+    # fixed gates, mixtures and full-register channels next to each other
+    # (the noise pending before them put on first) go to density
+    # matrices once and come back once: layer 0 ends in a fixed gate and
+    # a mixture, its full-register channel follows, and layer 1 starts
+    # with a fixed gate, so the four share one trip; layer 1's channel
+    # after its column ends the circuit, so its state stays a density
+    # matrix
+    n, rng = 7, np.random.default_rng(90)
+    fixed = [Gate(matrix=random_unitary_matrix(2**n, rng)) for _ in range(2)]
+    mixture = Gate(mixture=RandomUnitaryNoise(
+        probs=(0.8, 0.2), generators=(_on(n, {2: "Y"}), "Z" * n), intended=0))
+    column = tuple(Gate(generator=_on(n, {q: "XYZ"[q % 3]})) for q in range(n))
+    circ = circuits.Circuit(n=n, layers=(column + (fixed[0], mixture), (fixed[1],) + column))
+    noise = NoiseSpec(layer_channels=random_channel(n, rng))
+    thetas = rng.uniform(0, 2 * np.pi, size=(2, circ.num_parameters))
+    calls = {"_density_from_paulis": 0, "_paulis_from_density": 0}
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(circuits, name)):
                 calls[_name] += 1
                 return _fn(*args)
             mp.setattr(circuits, name, counted)
-        evolve(circ, thetas, noise)
-    assert calls == {"_rotation_ptm": 1, "_pair_steps": 1}
+        got = evolve(circ, thetas, noise)
+    assert calls == {"_density_from_paulis": 2, "_paulis_from_density": 1}
+    np.testing.assert_allclose(got, dense_oracle.evolve(circ, thetas, noise), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+@pytest.mark.parametrize("name", NAMED[1:])
+def test_a_wide_evolve_keeps_the_trace_to_the_rounding_of_its_sum(n, name):
+    # a trace-preserving channel's transfer matrix has the exact identity
+    # row (1, 0, 0, 0), so every pair map keeps the component of the
+    # identity string at exactly 1
+    circ = build_two_local(n, 12 if n < 9 else 4)
+    theta = np.random.default_rng([n, len(name)]).uniform(0, 2 * np.pi, circ.num_parameters)
+    rho = evolve(circ, theta, NoiseSpec.named(name, 0.3)).data
+    assert abs(np.trace(rho) - 1) <= 1e-15
 
 
 WIDE_RUNS = ("column", "chained", "cnots", "mixture", "fixed", "perturbed", "weight2")
